@@ -10,14 +10,14 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     let spec = SweepSpec::quick();
     group.throughput(Throughput::Elements(spec.point_count() as u64));
     group.bench_function("quick_preset", |b| {
-        let engine = SweepEngine::new().without_cache();
+        let engine = SweepEngine::new();
         b.iter(|| engine.run(&spec).expect("valid spec"))
     });
     let paper = SweepSpec::paper();
     group.throughput(Throughput::Elements(paper.point_count() as u64));
     group.sample_size(10);
     group.bench_function("paper_preset_1440pts", |b| {
-        let engine = SweepEngine::new().without_cache();
+        let engine = SweepEngine::new();
         b.iter(|| engine.run(&paper).expect("valid spec"))
     });
     group.finish();

@@ -1,50 +1,23 @@
-//! `bench_dse` — the tracked perf harness of the incremental DSE
-//! pipeline (ISSUE 2 satellite, grown to the mac-arrays preset in
-//! ISSUE 3).
+//! `bench_dse` — the tracked perf harness of the DSE pipeline.
 //!
-//! For each tracked preset, times three sweeps against a fresh cache
-//! and calibration store:
+//! For each tracked preset, times three sweeps through the opt-in point
+//! store (`dse --cache-dir`), each in a fresh store directory:
 //!
-//! 1. **cold** — nothing on disk: pays the GPU-model calibration and
-//!    evaluates every point;
+//! 1. **cold** — an empty store: evaluates every point and appends it;
 //! 2. **warm** — identical re-run: must be served entirely from the
-//!    point cache (zero evaluations);
+//!    store (zero evaluations);
 //! 3. **incremental** — the same spec grown by one clock value: must
-//!    evaluate only the new points;
-//! 4. **compact + warm** — `dse compact` folds the CSV tail into a
-//!    binary generation, then the warm re-run must still be 100% hits
-//!    (now served by the layered base + tail reader).
+//!    evaluate only the new points.
 //!
 //! Writes a machine-readable `BENCH_dse.json` with one entry per
 //! preset (`{preset, cold_s, warm_s, incremental_s, points,
-//! cold_points_per_sec}`) so future PRs have a perf trajectory to
-//! compare against — covering both the flagship paper sweep and the
-//! MAC-array / engine-count space the compositional timing model
-//! opened — plus a `guided` entry for the budgeted searcher over the
-//! exploded guided-lanes space (`{space_points, budget, evaluations,
-//! wall_s, points_per_sec, recovered_headline}`) and a `distributed`
-//! entry for a cold sharded run through the multi-writer point store
-//! (`{preset, workers, cold_s, warm_s, points, cold_points_per_sec,
-//! matches_single_process}`), plus a `store_load` entry timing
-//! cold-load-to-serveable on a synthetic million-row store, CSV parse
-//! vs compacted binary generation (`{rows, csv_bytes,
-//! generation_bytes, csv_load_s, compact_s, binary_load_s, speedup}`),
-//! plus a `map_search` entry for the joint mapping search: a cold
-//! annotate pass that searches every distinct `(MAC array, layer
-//! shape)` problem and seeds the memo store, then the warm pass that
-//! must be served entirely from it (`{preset, cold_s, warm_s,
-//! cold_searches, cold_memo_hits, warm_searches, warm_memo_hits,
-//! warm_hit_ratio, max_disagreement}`).
-//!
-//! Since the observability PR each preset entry also carries the
-//! `ng-obs` counter deltas of its cold run (`counters_cold`) and the
-//! warm run's hit ratio, and the file closes with a `stage_profile_us`
-//! breakdown of where this process's wall time went (per span path) —
-//! the counter/stage snapshots the run ledger records, folded into the
-//! perf trajectory. Since the robustness PR a `robustness_counters`
-//! block pins the degraded-append and job-manifest counters (normally
-//! all zero: a bench run that diverted rows to the in-memory overlay
-//! was not measuring the store it claims to).
+//! cold_points_per_sec, warm_hit_ratio, counters_cold}`) for the paper
+//! and mac-arrays presets, plus a `guided` entry for the budgeted
+//! searcher over the exploded guided-lanes space (`{space_points,
+//! budget, evaluations, wall_s, points_per_sec, recovered_headline}`).
+//! `counters_cold` holds the `ng-obs` counter deltas of the cold run,
+//! and the file closes with a `stage_profile_us` breakdown of where
+//! this process's wall time went (per span path).
 //!
 //! ```text
 //! bench_dse [--quick] [--check-warm] [--check-overhead] [--out PATH]
@@ -53,21 +26,18 @@
 //! `--quick` benches the 16-point quick preset instead of the tracked
 //! paper + mac-arrays presets; `--check-warm` exits non-zero if any
 //! warm re-run evaluated a point or any incremental run evaluated more
-//! than its delta (the CI guard for the incremental machinery);
+//! than its delta (the CI guard for the point store);
 //! `--check-overhead` compares this run's tracing-off cold throughput
 //! on the paper preset against the committed `BENCH_dse.json` and
 //! fails if it fell below half the recorded baseline — a deliberately
 //! generous floor (CI machines are noisy) whose job is to catch the
-//! instrumentation becoming accidentally hot, not 5% regressions (the
-//! strict 5% acceptance check is a local, quiet-machine measurement).
+//! instrumentation becoming accidentally hot, not 5% regressions.
 
 use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ng_dse::{
-    EvalCache, EvaluatedPoint, SearchSpec, Searcher, SweepEngine, SweepOutcome, SweepSpec,
-};
+use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepOutcome, SweepSpec};
 
 fn run(spec: &SweepSpec, cache_dir: &std::path::Path) -> (f64, SweepOutcome) {
     let engine = SweepEngine::new().with_cache_dir(cache_dir);
@@ -87,9 +57,6 @@ struct PresetBench {
     incremental_evaluated: usize,
     expected_delta: usize,
     warm_hit_ratio: f64,
-    compact_s: f64,
-    warm_after_compact_s: f64,
-    warm_after_compact_evaluated: usize,
     /// Counter growth during the cold run, `(name, delta)` in name
     /// order — the observability cross-check that the timing numbers
     /// measured what they claim (e.g. `sweep.fresh_evals == points`).
@@ -97,7 +64,7 @@ struct PresetBench {
 }
 
 fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
-    // A private point cache per preset: every cold run must really be
+    // A private point store per preset: every cold run must really be
     // cold even though the presets share points (e.g. the paper NFP).
     let cache_dir = scratch.join(format!("point-cache-{}", spec.name));
     let mut grown = spec.clone();
@@ -113,15 +80,6 @@ fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
     let (warm_s, warm) = run(spec, &cache_dir);
     let (incremental_s, inc) = run(&grown, &cache_dir);
 
-    // Fold the whole CSV tail into a binary generation, then prove the
-    // layered reader (compact base + empty tail) still serves every
-    // point of the grown spec warm.
-    let cache = EvalCache::new(&cache_dir);
-    let started = Instant::now();
-    ng_dse::compact(&cache).expect("compaction succeeds");
-    let compact_s = started.elapsed().as_secs_f64();
-    let (warm_after_compact_s, warm2) = run(&grown, &cache_dir);
-
     println!("[{}]", spec.name);
     println!("cold:        {:8.1} ms  ({} points evaluated)", cold_s * 1e3, cold.stats.evaluated);
     println!(
@@ -136,14 +94,6 @@ fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
         inc.stats.evaluated,
         inc.stats.cache_hits
     );
-    println!(
-        "compacted:   {:8.1} ms fold + {:8.1} ms warm re-run ({} points evaluated, {} hits)",
-        compact_s * 1e3,
-        warm_after_compact_s * 1e3,
-        warm2.stats.evaluated,
-        warm2.stats.cache_hits
-    );
-
     PresetBench {
         name: spec.name.clone(),
         cold_s,
@@ -159,167 +109,11 @@ fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
         } else {
             warm.stats.cache_hits as f64 / warm.stats.total_points as f64
         },
-        compact_s,
-        warm_after_compact_s,
-        warm_after_compact_evaluated: warm2.stats.evaluated,
         counters_cold,
     }
 }
 
-/// Cold-load-to-serveable on a synthetic million-row store: parse the
-/// CSV write-ahead layer vs single-read the compacted binary
-/// generation (the tentpole's headline number).
-struct StoreLoadBench {
-    rows: usize,
-    csv_bytes: u64,
-    generation_bytes: u64,
-    csv_load_s: f64,
-    compact_s: f64,
-    binary_load_s: f64,
-    speedup: f64,
-}
-
-fn bench_store_load(scratch: &std::path::Path) -> StoreLoadBench {
-    const ROWS: usize = 1_000_000;
-    const BATCH: usize = 100_000;
-    let dir = scratch.join("point-cache-store-load");
-    let cache = EvalCache::new(&dir);
-
-    // Fabricate a million distinct points on a fine-grained clock axis
-    // (metrics are synthetic — this benches the store, not the model).
-    let base = SweepSpec::quick().points()[0];
-    let mut appended = 0;
-    while appended < ROWS {
-        let batch: Vec<EvaluatedPoint> = (appended..(appended + BATCH).min(ROWS))
-            .map(|i| {
-                let mut point = base;
-                point.index = i;
-                point.clock_ghz = 0.5 + i as f64 * 1e-6;
-                let s = (i % 9973) as f64;
-                EvaluatedPoint {
-                    point,
-                    speedup: 1.0 + s * 1e-3,
-                    area_pct_of_gpu: 0.5 + s * 1e-4,
-                    power_pct_of_gpu: 1.5 + s * 1e-4,
-                    gpu_ms: 30.0 + s * 1e-2,
-                    ngpc_frame_ms: 5.0 + s * 1e-3,
-                    amdahl_bound: 10.0 + s * 1e-3,
-                    plateaued: i % 2 == 0,
-                }
-            })
-            .collect();
-        cache.append(&batch).expect("synthetic append succeeds");
-        appended += batch.len();
-    }
-    let csv_bytes = cache.store_stats().tail_bytes();
-
-    let started = Instant::now();
-    let loaded = cache.load_all();
-    let csv_load_s = started.elapsed().as_secs_f64();
-    assert_eq!(loaded.len(), ROWS, "every synthetic row must parse");
-    drop(loaded);
-
-    let started = Instant::now();
-    let report = ng_dse::compact(&cache).expect("compaction succeeds");
-    let compact_s = started.elapsed().as_secs_f64();
-    assert_eq!(report.rows_out, ROWS);
-
-    let started = Instant::now();
-    let base = ng_dse::compact::load_latest(&cache.store_dir()).expect("generation loads");
-    let binary_load_s = started.elapsed().as_secs_f64();
-    assert_eq!(base.rows(), ROWS, "the generation must carry every row");
-    let generation_bytes = base.bytes();
-
-    let speedup = if binary_load_s > 0.0 { csv_load_s / binary_load_s } else { f64::INFINITY };
-    println!("[store-load ({ROWS} synthetic rows)]");
-    println!(
-        "csv parse:   {:8.1} ms  ({:.1} MiB live CSV)",
-        csv_load_s * 1e3,
-        csv_bytes as f64 / (1024.0 * 1024.0)
-    );
-    println!("compaction:  {:8.1} ms  (one-off fold)", compact_s * 1e3);
-    println!(
-        "binary load: {:8.1} ms  ({:.1} MiB generation, {speedup:.1}x faster to serveable)",
-        binary_load_s * 1e3,
-        generation_bytes as f64 / (1024.0 * 1024.0)
-    );
-
-    StoreLoadBench {
-        rows: ROWS,
-        csv_bytes,
-        generation_bytes,
-        csv_load_s,
-        compact_s,
-        binary_load_s,
-        speedup,
-    }
-}
-
-/// Cold vs warm joint mapping search over a preset's evaluated points:
-/// the cold annotate pass searches each distinct `(MAC array, layer
-/// shape)` problem once and seeds the memo store; the warm pass must
-/// be served entirely from it.
-struct MapSearchBench {
-    preset: String,
-    cold_s: f64,
-    warm_s: f64,
-    cold_searches: u64,
-    cold_memo_hits: u64,
-    warm_searches: u64,
-    warm_memo_hits: u64,
-    warm_hit_ratio: f64,
-    max_disagreement: f64,
-}
-
-fn bench_map_search(spec: &SweepSpec, scratch: &std::path::Path) -> MapSearchBench {
-    // A private cache root: the memo store lives beside the point
-    // cache, and the cold pass must really be cold.
-    let cache_dir = scratch.join(format!("point-cache-mapsearch-{}", spec.name));
-    let engine = SweepEngine::new().with_cache_dir(&cache_dir);
-    let outcome = engine.run(spec).expect("preset specs validate");
-    let store = ng_dse::MapMemoStore::new(&cache_dir);
-
-    let started = Instant::now();
-    let cold = ng_dse::annotate(&outcome.points, Some(&store));
-    let cold_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    let warm = ng_dse::annotate(&outcome.points, Some(&store));
-    let warm_s = started.elapsed().as_secs_f64();
-
-    let warm_lookups = warm.evals + warm.memo_hits;
-    let warm_hit_ratio =
-        if warm_lookups == 0 { 0.0 } else { warm.memo_hits as f64 / warm_lookups as f64 };
-    println!("[{} --map-search]", spec.name);
-    println!(
-        "cold:        {:8.1} ms  ({} search(es), {} memo hit(s))",
-        cold_s * 1e3,
-        cold.evals,
-        cold.memo_hits
-    );
-    println!(
-        "warm:        {:8.1} ms  ({} search(es), {} memo hit(s), {:.0}% served by the memo)",
-        warm_s * 1e3,
-        warm.evals,
-        warm.memo_hits,
-        warm_hit_ratio * 100.0
-    );
-
-    MapSearchBench {
-        preset: spec.name.clone(),
-        cold_s,
-        warm_s,
-        cold_searches: cold.evals,
-        cold_memo_hits: cold.memo_hits,
-        warm_searches: warm.evals,
-        warm_memo_hits: warm.memo_hits,
-        warm_hit_ratio,
-        max_disagreement: cold.max_disagreement(),
-    }
-}
-
-/// One cold guided search over the exploded preset (its own point
-/// cache, so the searcher really evaluates).
+/// One guided search over the exploded preset.
 struct GuidedBench {
     space_points: usize,
     budget: usize,
@@ -329,11 +123,10 @@ struct GuidedBench {
     recovered_headline: bool,
 }
 
-fn bench_guided(scratch: &std::path::Path) -> GuidedBench {
+fn bench_guided() -> GuidedBench {
     let spec = SweepSpec::guided_lanes();
     let search = SearchSpec::for_space(&spec);
-    let searcher = Searcher::new().with_cache_dir(scratch.join("point-cache-guided-search"));
-    let outcome = searcher.run(&spec, &search).expect("preset validates");
+    let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
     let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
     let stats = &outcome.stats;
     let wall_s = stats.wall.as_secs_f64();
@@ -353,68 +146,6 @@ fn bench_guided(scratch: &std::path::Path) -> GuidedBench {
         wall_s,
         points_per_sec: if wall_s > 0.0 { stats.evaluations as f64 / wall_s } else { 0.0 },
         recovered_headline: recovered,
-    }
-}
-
-/// A cold sharded run of the paper preset through the coordinator/
-/// worker protocol (in-process workers, one shared store), plus the
-/// warm re-run that proves worker appends read back as hits.
-struct DistribBench {
-    preset: String,
-    workers: usize,
-    cold_s: f64,
-    warm_s: f64,
-    points: usize,
-    cold_points_per_sec: f64,
-    matches_single_process: bool,
-    warm_evaluated: usize,
-}
-
-fn bench_distributed(scratch: &std::path::Path) -> DistribBench {
-    let spec = SweepSpec::paper();
-    let workers = 3;
-    let store = scratch.join("point-cache-distributed");
-    let threads = (ng_dse::pool::available_threads() / workers).max(1);
-
-    let started = Instant::now();
-    let cold = ng_dse::distrib::run_sharded_in_process(&spec, workers, threads, &store)
-        .expect("preset validates");
-    let cold_s = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    let warm = ng_dse::distrib::run_sharded_in_process(&spec, workers, threads, &store)
-        .expect("preset validates");
-    let warm_s = started.elapsed().as_secs_f64();
-
-    let reference = SweepEngine::new().without_cache().run(&spec).expect("preset validates");
-    let matches =
-        cold.outcome.points == reference.points && warm.outcome.points == reference.points;
-
-    println!("[{} --workers {workers} (sharded store)]", spec.name);
-    println!(
-        "cold:        {:8.1} ms  ({} points evaluated across {workers} workers, {} recovered, \
-         single-process match: {})",
-        cold_s * 1e3,
-        cold.outcome.stats.evaluated,
-        cold.recovered,
-        if matches { "yes" } else { "NO" },
-    );
-    println!(
-        "warm:        {:8.1} ms  ({} points evaluated, {} hits)",
-        warm_s * 1e3,
-        warm.outcome.stats.evaluated,
-        warm.outcome.stats.cache_hits,
-    );
-
-    DistribBench {
-        preset: spec.name.clone(),
-        workers,
-        cold_s,
-        warm_s,
-        points: spec.point_count(),
-        cold_points_per_sec: if cold_s > 0.0 { spec.point_count() as f64 / cold_s } else { 0.0 },
-        matches_single_process: matches,
-        warm_evaluated: warm.outcome.stats.evaluated,
     }
 }
 
@@ -480,16 +211,12 @@ fn main() -> ExitCode {
         None
     };
 
-    // Fresh, private stores so a dirty global cache cannot turn a cold
-    // run warm. The calibration dir env var has to be set before the
-    // first emulator call of this process. Note: GPU-model calibration
-    // is memoized per process, so only the *first* preset's cold run
-    // pays it (~1 s) — later presets' cold numbers measure pure sweep
-    // evaluation, which is also how EXPERIMENTS.md reports them. Keep
-    // `paper` first so the trajectory stays comparable across PRs.
+    // Fresh, private stores so a leftover store cannot turn a cold run
+    // warm. GPU-model calibration is memoized per process, so only the
+    // *first* preset's cold run pays it (~0.2 ms). Keep `paper` first
+    // so the trajectory stays comparable across PRs.
     let scratch = std::env::temp_dir().join(format!("ng-bench-dse-{}", std::process::id()));
     let _ = fs::remove_dir_all(&scratch);
-    std::env::set_var("NGPC_CALIB_CACHE_DIR", scratch.join("calib"));
 
     let specs: Vec<SweepSpec> = if quick {
         vec![SweepSpec::quick()]
@@ -507,16 +234,9 @@ fn main() -> ExitCode {
     });
 
     let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &scratch)).collect();
-    // The guided searcher and the distributed backend are benched on
-    // the full runs only (their spaces are the full presets; a --quick
-    // run has nothing to search or shard).
-    // The joint mapping search is benched on the run's first preset in
-    // both modes (it is cheap: one search per distinct MAC-array/layer
-    // problem, not per point).
-    let map_search = bench_map_search(&specs[0], &scratch);
-    let guided = if quick { None } else { Some(bench_guided(&scratch)) };
-    let distributed = if quick { None } else { Some(bench_distributed(&scratch)) };
-    let store_load = if quick { None } else { Some(bench_store_load(&scratch)) };
+    // The guided searcher is benched on the full runs only (its space
+    // is a full preset; a --quick run has nothing to search).
+    let guided = if quick { None } else { Some(bench_guided()) };
 
     let entries: Vec<String> = benches
         .iter()
@@ -530,7 +250,6 @@ fn main() -> ExitCode {
                 "    {{\n      \"preset\": \"{}\",\n      \"cold_s\": {},\n      \"warm_s\": {},\n      \
                  \"incremental_s\": {},\n      \"points\": {},\n      \
                  \"cold_points_per_sec\": {},\n      \"warm_hit_ratio\": {},\n      \
-                 \"compact_s\": {},\n      \"warm_after_compact_s\": {},\n      \
                  \"counters_cold\": {{\n{}\n      }}\n    }}",
                 b.name,
                 b.cold_s,
@@ -539,8 +258,6 @@ fn main() -> ExitCode {
                 b.points,
                 b.cold_points_per_sec,
                 b.warm_hit_ratio,
-                b.compact_s,
-                b.warm_after_compact_s,
                 counters.join(",\n"),
             )
         })
@@ -562,55 +279,6 @@ fn main() -> ExitCode {
             )
         })
         .unwrap_or_default();
-    let distributed_json = distributed
-        .as_ref()
-        .map(|d| {
-            format!(
-                ",\n  \"distributed\": {{\n    \"preset\": \"{}\",\n    \"workers\": {},\n    \
-                 \"cold_s\": {},\n    \"warm_s\": {},\n    \"points\": {},\n    \
-                 \"cold_points_per_sec\": {},\n    \"matches_single_process\": {}\n  }}",
-                d.preset,
-                d.workers,
-                d.cold_s,
-                d.warm_s,
-                d.points,
-                d.cold_points_per_sec,
-                d.matches_single_process,
-            )
-        })
-        .unwrap_or_default();
-    let store_load_json = store_load
-        .as_ref()
-        .map(|s| {
-            format!(
-                ",\n  \"store_load\": {{\n    \"rows\": {},\n    \"csv_bytes\": {},\n    \
-                 \"generation_bytes\": {},\n    \"csv_load_s\": {},\n    \"compact_s\": {},\n    \
-                 \"binary_load_s\": {},\n    \"speedup\": {}\n  }}",
-                s.rows,
-                s.csv_bytes,
-                s.generation_bytes,
-                s.csv_load_s,
-                s.compact_s,
-                s.binary_load_s,
-                s.speedup,
-            )
-        })
-        .unwrap_or_default();
-    let map_search_json = format!(
-        ",\n  \"map_search\": {{\n    \"preset\": \"{}\",\n    \"cold_s\": {},\n    \
-         \"warm_s\": {},\n    \"cold_searches\": {},\n    \"cold_memo_hits\": {},\n    \
-         \"warm_searches\": {},\n    \"warm_memo_hits\": {},\n    \"warm_hit_ratio\": {},\n    \
-         \"max_disagreement\": {}\n  }}",
-        map_search.preset,
-        map_search.cold_s,
-        map_search.warm_s,
-        map_search.cold_searches,
-        map_search.cold_memo_hits,
-        map_search.warm_searches,
-        map_search.warm_memo_hits,
-        map_search.warm_hit_ratio,
-        map_search.max_disagreement,
-    );
     // Where this process's wall time went, per span path — the same
     // stage breakdown `dse trace` reconstructs from a ledger, taken
     // from the in-process profile registry.
@@ -628,26 +296,10 @@ fn main() -> ExitCode {
     } else {
         format!(",\n  \"stage_profile_us\": {{\n{}\n  }}", stage_rows.join(",\n"))
     };
-    // Pin the robustness counters in the snapshot explicitly: they are
-    // zero on a healthy bench run, so the growth-only `counters_cold`
-    // delta would never show them — but a *nonzero* degraded-append
-    // count means the cold numbers measured the in-memory overlay, not
-    // the store, and that must be visible in the trajectory file.
-    let robustness_json = format!(
-        ",\n  \"robustness_counters\": {{\n    \"store.degraded_appends\": {},\n    \
-         \"jobs.manifests_written\": {},\n    \"jobs.resumed\": {}\n  }}",
-        ng_dse::obs_counters::store_degraded_appends().get(),
-        ng_dse::obs_counters::jobs_manifests_written().get(),
-        ng_dse::obs_counters::jobs_resumed().get(),
-    );
     let json = format!(
-        "{{\n  \"presets\": [\n{}\n  ]{}{}{}{}{}{}\n}}\n",
+        "{{\n  \"presets\": [\n{}\n  ]{}{}\n}}\n",
         entries.join(",\n"),
         guided_json,
-        distributed_json,
-        store_load_json,
-        map_search_json,
-        robustness_json,
         stage_json
     );
     if let Err(e) = fs::write(&out_path, &json) {
@@ -681,58 +333,12 @@ fn main() -> ExitCode {
     }
 
     if check_warm {
-        if map_search.warm_searches != 0 {
-            eprintln!(
-                "bench_dse: REGRESSION — warm map-search re-run over `{}` ran {} search(es) \
-                 (expected 0: the memo store must serve every mapping lookup)",
-                map_search.preset, map_search.warm_searches
-            );
-            return ExitCode::FAILURE;
-        }
-        if map_search.warm_hit_ratio < 1.0 {
-            eprintln!(
-                "bench_dse: REGRESSION — warm map-search re-run over `{}` was only {:.1}% \
-                 memo hits (expected 100%)",
-                map_search.preset,
-                map_search.warm_hit_ratio * 100.0
-            );
-            return ExitCode::FAILURE;
-        }
-        if let Some(d) = &distributed {
-            if !d.matches_single_process {
-                eprintln!(
-                    "bench_dse: REGRESSION — the sharded `{}` run over {} workers diverged \
-                     from the single-process sweep",
-                    d.preset, d.workers
-                );
-                return ExitCode::FAILURE;
-            }
-            if d.warm_evaluated != 0 {
-                eprintln!(
-                    "bench_dse: REGRESSION — warm re-run after the distributed `{}` sweep \
-                     evaluated {} points (worker appends must read back as hits)",
-                    d.preset, d.warm_evaluated
-                );
-                return ExitCode::FAILURE;
-            }
-        }
         if let Some(g) = &guided {
             if !g.recovered_headline {
                 eprintln!(
                     "bench_dse: REGRESSION — guided search missed the NGPC-64 headline \
                      organisation ({} evaluations of {})",
                     g.evaluations, g.space_points
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(s) = &store_load {
-            if s.speedup < 10.0 {
-                eprintln!(
-                    "bench_dse: REGRESSION — compacted cold load is only {:.1}x faster than \
-                     CSV parse on the {}-row synthetic store (the binary generation must be \
-                     at least 10x faster to serveable)",
-                    s.speedup, s.rows
                 );
                 return ExitCode::FAILURE;
             }
@@ -750,14 +356,6 @@ fn main() -> ExitCode {
                 eprintln!(
                     "bench_dse: REGRESSION — grown `{}` spec evaluated {} points (expected {})",
                     b.name, b.incremental_evaluated, b.expected_delta
-                );
-                return ExitCode::FAILURE;
-            }
-            if b.warm_after_compact_evaluated != 0 {
-                eprintln!(
-                    "bench_dse: REGRESSION — warm re-run of `{}` after compaction evaluated \
-                     {} points (the binary base must serve them all)",
-                    b.name, b.warm_after_compact_evaluated
                 );
                 return ExitCode::FAILURE;
             }

@@ -48,8 +48,7 @@ impl LayerMapping for FixedTiling {
 /// with [`FixedTiling`] as the fallback for shapes the table does not
 /// cover. This is the bridge an external mapper uses: `dse
 /// --map-search` fills one table per NFP configuration from
-/// `ng_timeloop::best_mapping` results (memoized in its mapping-memo
-/// store) and evaluates the point through
+/// `ng_timeloop::best_mapping` results and evaluates the point through
 /// [`crate::emulator::emulate_with_mapping`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MappingTable {

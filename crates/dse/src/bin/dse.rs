@@ -20,11 +20,7 @@ dse — NGPC design-space exploration with Pareto frontier extraction
 
 USAGE:
     dse [--preset NAME | --spec FILE.toml] [OPTIONS]
-    dse resume [JOB] [--cache-dir DIR] [--quiet]
     dse trace LEDGER.jsonl [--chrome OUT.json] [--check] [--min-coverage P]
-    dse fsck [--cache-dir DIR] [--ledger PATH] [--repair] [--check]
-    dse compact [--cache-dir DIR]
-    dse chaos [--iterations N] [--seed N] [--cache-dir DIR]
 
 SPEC:
     --preset NAME        paper | quick | clocks | resolutions | mac-arrays |
@@ -56,36 +52,18 @@ CONSTRAINTS (filter the reported frontier, not the evaluation):
     --min-speedup X      keep architectures with cross-app speedup ≥ X
 
 EXECUTION:
-    --threads N          worker threads (default: all cores; with
-                         --workers: threads *per worker process*,
-                         default cores/workers)
-    --workers N          multi-process sweep: spawn N worker processes
-                         that partition the spec into deterministic
-                         canonical-order slices and coordinate through
-                         the shared point store; the coordinator merges
-                         (recovering any crashed worker's slice) and
-                         reports as usual. Requires the cache.
-    --worker-shard i/N   low-level worker mode (what --workers spawns):
-                         evaluate slice i of N, append it to the store,
-                         print a one-line summary, exit
-    --stall-timeout SECS revoke a distributed worker's slice lease after
-                         this many seconds without heartbeat or progress
-                         (default: 10; equivalent env: NG_DSE_STALL_TIMEOUT)
-    --cache-dir DIR      evaluation cache location (default: .dse-cache)
-    --no-cache           always re-evaluate, never read or write the cache
-    --cache-stats        print per-run cache hit/miss/evaluated counts,
-                         both store layers (compact binary base + live
-                         CSV tail per shard), the base/tail hit split,
-                         and cumulative shard lock-wait time
-    --auto-compact N     opt-in automatic compaction: after this run's
-                         append (for --workers: after the merge), fold
-                         the live CSV tail into a binary generation if
-                         it holds at least N rows (see `dse compact`)
+    --threads N          worker threads (default: all cores)
+    --cache-dir DIR      keep evaluated points in a CSV point store under
+                         DIR; later runs evaluate only the points it
+                         does not hold (default: no store — evaluating
+                         a point is cheaper than reading it back)
+    --no-cache           run without a point store (the default)
+    --cache-stats        with --cache-dir: print this run's store
+                         hit/miss/evaluated counts and per-shard rows
 
 OBSERVABILITY:
-    --trace PATH         record a JSONL run ledger (spans, counters,
-                         heartbeats) to PATH; spawned workers append to
-                         the same ledger. Equivalent env: NG_DSE_TRACE
+    --trace PATH         record a JSONL run ledger (spans, counters) to
+                         PATH. Equivalent env: NG_DSE_TRACE
     --metrics            print the in-process stage profile and counter
                          deltas to stderr after the run
     --quiet              suppress the live stderr progress line (stdout
@@ -103,85 +81,13 @@ OBSERVABILITY:
                          95. Use 0 on very short runs, where fixed
                          startup costs dominate the root span
 
-    dse fsck             audit the point store (and optionally a run
-                         ledger) for torn rows, interior headers,
-                         duplicate keys, foreign/misplaced rows,
-                         truncated tails, and binary-generation damage
-                         (checksum/sort/index corruption, orphaned
-                         generations and compactor tmp leftovers)
-      --cache-dir DIR    store to audit (default: .dse-cache)
-      --ledger PATH      also audit a JSONL run ledger for torn lines
-      --repair           rewrite dirty shards into canonical form
-                         (defective lines dropped, misplaced rows moved
-                         home, unreadable shards quarantined to
-                         *.quarantine); delete orphaned generations and
-                         rebuild a corrupt one by re-compacting from
-                         the surviving layers
-      --check            exit non-zero if any defect was found
-
-    dse compact          fold the store's live CSV shards (its
-                         write-ahead layer) into a compacted,
-                         checksummed, key-sorted binary generation the
-                         cache then serves with one read and zero
-                         per-row parsing; safe against concurrent
-                         writers, which keep appending CSV that
-                         overlays the new base
-      --cache-dir DIR    store to compact (default: .dse-cache)
-
-GRACEFUL SHUTDOWN AND RESUME:
-    The first SIGINT/SIGTERM drains the run: no new points are
-    dispatched, everything already computed is flushed to the point
-    store, the job manifest is marked interrupted, and the process
-    exits 130. A second signal exits 131 immediately (the store's
-    appends are crash-safe either way). Every cache-enabled
-    sweep/search/--workers run writes a durable job manifest to
-    <cache-dir>/jobs/job-*.json before evaluating.
-
-    dse resume [JOB]     re-enter an interrupted job and evaluate only
-                         its missing tail (the store replays the prefix
-                         as warm hits, so the final output is
-                         byte-identical to an uninterrupted run). JOB
-                         is a job id or a manifest path; omitted, the
-                         newest resumable job is picked
-      --cache-dir DIR    where to look for jobs (default: .dse-cache)
-      --quiet            suppress the live progress line
-
-    dse chaos            seeded soak harness: N iterations, each
-                         running a quick sweep in child processes under
-                         a randomized-but-replayable fault schedule
-                         (worker kill/hang, torn tails, transient
-                         append/ledger errors, ENOSPC, mid-run
-                         SIGTERM + resume), then asserting invariants:
-                         fsck-clean store, 100% warm re-run, CSV
-                         byte-parity with the fault-free reference
-      --iterations N     soak iterations (default: 5)
-      --seed N           schedule seed (default: 1); a failing
-                         iteration's banner names the exact seed to
-                         replay it alone
-      --cache-dir DIR    scratch root (default: a fresh temp dir)
-
-FAULT INJECTION (deterministic chaos testing):
-    --faults PLAN        arm a seeded fault plan in this process and
-                         every spawned worker; equivalent env:
-                         NG_DSE_FAULTS. PLAN is `;`-separated faults,
-                         e.g. `seed=7;append:io@p=0.01,times=3`,
-                         `worker:kill@point=500`, `worker:hang@point=9`,
-                         `heartbeat:delay=5s`, `shard:torn-tail`,
-                         `ledger:io@p=0.05`, `calib:partial-write`,
-                         `compact:crash@stage=2` (1 = generation
-                         written but unverified, 2 = live but CSV not
-                         yet truncated, 3 = mid-truncation)
-
 MAPPING SEARCH (joint mapping search through timeloop-lite):
     --map-search         per candidate MAC array, search the best
                          mapping of every MLP layer with ng-timeloop,
                          re-evaluate each point under the winners, and
                          report/emit fixed-vs-searched columns (the
                          point rows themselves are untouched — the
-                         plain CSV stays byte-identical). Searches are
-                         memoized in a mapping-memo store beside the
-                         point store (same locked-append + compacted
-                         discipline) and shared by --workers processes
+                         plain CSV stays byte-identical)
     --check-map-agreement
                          exit non-zero if ng-timeloop's mapping
                          evaluation and ngpc's tile model disagree by
@@ -201,23 +107,20 @@ OUTPUT:
                          that point within its budget (the CI guard)
     --help               this text
 
-EXIT CODES (shared by every mode; a worker's code is read back by its
-coordinator, a check's by CI):
+EXIT CODES:
     0    success
     1    run failed (I/O, bad spec file content, failed paper check)
     2    usage or spec mistake — retrying the same invocation cannot help
-    3    a worker evaluated its slice but could not persist it to the store
-    4    a --check audit (fsck --check, trace --check) found defects
-    130  drained gracefully after SIGINT/SIGTERM; `dse resume` finishes the job
-    131  hard exit on a second signal before the drain finished
+    4    a --check audit (trace --check, --check-map-agreement) failed
 ";
 
+/// Exit code of a usage or spec mistake.
+const EXIT_USAGE: u8 = 2;
+/// Exit code of a `--check` audit that found defects.
+const EXIT_CHECK_FAILED: u8 = 4;
+
 /// A CLI failure carrying the process exit code. Plain `String` errors
-/// convert at code 1 (generic failure); usage/spec mistakes exit with
-/// [`ng_dse::distrib::EXIT_USAGE`] and a worker that evaluated its
-/// slice but could not persist it exits with
-/// [`ng_dse::distrib::EXIT_STORE_APPEND`], so the coordinator can map
-/// the code back to a human-readable cause.
+/// convert at code 1 (generic failure).
 struct CliError {
     code: u8,
     message: String,
@@ -231,53 +134,33 @@ impl From<String> for CliError {
 
 /// A usage/spec mistake: retrying the same invocation cannot help.
 fn usage_err(message: String) -> CliError {
-    CliError { code: ng_dse::distrib::EXIT_USAGE as u8, message }
+    CliError { code: EXIT_USAGE, message }
 }
 
 /// A `--check` audit found defects in the artifact it examined.
 fn check_err(message: String) -> CliError {
-    CliError { code: ng_dse::distrib::EXIT_CHECK_FAILED as u8, message }
-}
-
-/// The run drained gracefully on SIGINT/SIGTERM; `dse resume` owes the
-/// tail.
-fn interrupted_err(message: String) -> CliError {
-    CliError { code: ng_dse::distrib::EXIT_INTERRUPTED as u8, message }
+    CliError { code: EXIT_CHECK_FAILED, message }
 }
 
 struct Cli {
     spec: SweepSpec,
     constraints: Constraints,
     threads: Option<usize>,
-    workers: Option<usize>,
-    worker_shard: Option<(usize, usize)>,
     cache_dir: Option<String>,
-    no_cache: bool,
     cache_stats: bool,
-    auto_compact: Option<usize>,
     top: usize,
     per_app: bool,
     csv: Option<String>,
     json: Option<String>,
     check_headline: bool,
-    /// Deliberately NOT a report flag: workers accept `--map-search`
-    /// and seed the shared mapping memo with their own slices.
     map_search: bool,
     check_map_agreement: bool,
     search: Option<ng_dse::SearchStrategy>,
     budget: Option<usize>,
     seed: Option<u64>,
     trace: Option<String>,
-    faults: Option<String>,
-    stall_timeout: Option<f64>,
     metrics: bool,
     quiet: bool,
-    /// Outcome/report-producing flags seen on the command line, in
-    /// order — worker mode rejects all of them (a worker produces no
-    /// outcome), while constraints arriving via a `--spec` file pass
-    /// through untouched (the coordinator ships constraint-bearing
-    /// specs to its workers).
-    report_flags: Vec<&'static str>,
 }
 
 fn parse_list<T>(
@@ -300,16 +183,13 @@ fn parse_list<T>(
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut preset: Option<String> = None;
     let mut spec_file: Option<String> = None;
+    let mut no_cache = false;
     let mut cli = Cli {
         spec: SweepSpec::paper(),
         constraints: Constraints::NONE,
         threads: None,
-        workers: None,
-        worker_shard: None,
         cache_dir: None,
-        no_cache: false,
         cache_stats: false,
-        auto_compact: None,
         top: 16,
         per_app: false,
         csv: None,
@@ -321,11 +201,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         budget: None,
         seed: None,
         trace: None,
-        faults: None,
-        stall_timeout: None,
         metrics: false,
         quiet: false,
-        report_flags: Vec::new(),
     };
     // Axis overrides are applied after the base spec is chosen.
     let mut overrides: Vec<(String, String)> = Vec::new();
@@ -366,83 +243,33 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             }
             "--seed" => cli.seed = Some(value(arg)?.parse().map_err(|_| "--seed: not a number")?),
             "--max-area" => {
-                cli.report_flags.push("--max-area");
                 cli.constraints.max_area_pct =
                     Some(value(arg)?.parse().map_err(|_| "--max-area: not a number")?)
             }
             "--max-power" => {
-                cli.report_flags.push("--max-power");
                 cli.constraints.max_power_pct =
                     Some(value(arg)?.parse().map_err(|_| "--max-power: not a number")?)
             }
             "--min-speedup" => {
-                cli.report_flags.push("--min-speedup");
                 cli.constraints.min_speedup =
                     Some(value(arg)?.parse().map_err(|_| "--min-speedup: not a number")?)
             }
             "--threads" => {
                 cli.threads = Some(value(arg)?.parse().map_err(|_| "--threads: not a number")?)
             }
-            "--workers" => {
-                let n: usize = value(arg)?.parse().map_err(|_| "--workers: not a number")?;
-                if n == 0 {
-                    return Err("--workers: need at least 1".to_string());
-                }
-                cli.workers = Some(n);
-            }
-            "--worker-shard" => {
-                let v = value(arg)?;
-                cli.worker_shard = Some(ng_dse::distrib::parse_shard_arg(&v).ok_or_else(|| {
-                    format!("--worker-shard: expected i/N with 0 <= i < N, got `{v}`")
-                })?);
-            }
-            "--stall-timeout" => {
-                let secs: f64 = value(arg)?.parse().map_err(|_| "--stall-timeout: not a number")?;
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err("--stall-timeout: need a positive number of seconds".to_string());
-                }
-                cli.stall_timeout = Some(secs);
-            }
             "--cache-dir" => cli.cache_dir = Some(value(arg)?),
-            "--no-cache" => cli.no_cache = true,
-            "--auto-compact" => {
-                let n: usize = value(arg)?.parse().map_err(|_| "--auto-compact: not a number")?;
-                if n == 0 {
-                    return Err("--auto-compact: threshold must be at least 1".to_string());
-                }
-                cli.auto_compact = Some(n);
-            }
+            "--no-cache" => no_cache = true,
+            "--cache-stats" => cli.cache_stats = true,
             "--trace" => cli.trace = Some(value(arg)?),
-            "--faults" => cli.faults = Some(value(arg)?),
             "--metrics" => cli.metrics = true,
             "--quiet" => cli.quiet = true,
-            "--cache-stats" => {
-                cli.report_flags.push("--cache-stats");
-                cli.cache_stats = true;
-            }
-            "--top" => {
-                cli.report_flags.push("--top");
-                cli.top = value(arg)?.parse().map_err(|_| "--top: not a number")?;
-            }
-            "--per-app" => {
-                cli.report_flags.push("--per-app");
-                cli.per_app = true;
-            }
-            "--csv" => {
-                cli.report_flags.push("--csv");
-                cli.csv = Some(value(arg)?);
-            }
-            "--json" => {
-                cli.report_flags.push("--json");
-                cli.json = Some(value(arg)?);
-            }
-            "--check-headline" => {
-                cli.report_flags.push("--check-headline");
-                cli.check_headline = true;
-            }
+            "--top" => cli.top = value(arg)?.parse().map_err(|_| "--top: not a number")?,
+            "--per-app" => cli.per_app = true,
+            "--csv" => cli.csv = Some(value(arg)?),
+            "--json" => cli.json = Some(value(arg)?),
+            "--check-headline" => cli.check_headline = true,
             "--map-search" => cli.map_search = true,
             "--check-map-agreement" => {
-                cli.report_flags.push("--check-map-agreement");
                 cli.check_map_agreement = true;
                 cli.map_search = true;
             }
@@ -450,6 +277,12 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         }
     }
 
+    if no_cache && cli.cache_dir.is_some() {
+        return Err("--no-cache and --cache-dir contradict each other; pass one".to_string());
+    }
+    if cli.cache_stats && cli.cache_dir.is_none() {
+        return Err("--cache-stats reports the point store; pass --cache-dir DIR".to_string());
+    }
     if preset.is_some() && spec_file.is_some() {
         return Err("--preset and --spec are mutually exclusive".to_string());
     }
@@ -524,48 +357,11 @@ fn is_headline_arch(a: &ng_dse::ArchPoint) -> bool {
     a.is_paper_organisation()
 }
 
-/// Mark a job manifest interrupted (progress snapshot included), save
-/// it, and build the user-facing drain message with its resume hint.
-fn finish_job_interrupted(
-    job: &mut Option<ng_dse::job::JobManifest>,
-    delivered: usize,
-    detail: &str,
-) -> String {
-    let hint = match job {
-        Some(j) => {
-            j.status = ng_dse::job::JobStatus::Interrupted;
-            j.delivered = delivered;
-            if let Err(e) = j.save() {
-                eprintln!("dse: could not update job manifest {} ({e})", j.id);
-            }
-            format!("; finish with `dse resume {}`", j.id)
-        }
-        None => String::new(),
-    };
-    format!("interrupted: {detail}{hint}")
-}
-
-/// Mark a job manifest done and save it (best effort — the results are
-/// already in the store and on stdout).
-fn finish_job_done(job: &mut Option<ng_dse::job::JobManifest>, delivered: usize) {
-    if let Some(j) = job {
-        j.status = ng_dse::job::JobStatus::Done;
-        j.delivered = delivered;
-        if let Err(e) = j.save() {
-            eprintln!("dse: could not update job manifest {} ({e})", j.id);
-        }
-    }
-}
-
 /// Guided-search mode: run the searcher instead of the exhaustive
 /// sweep, and (under `--check-headline`) require the NGPC-64 headline
 /// point to be *recovered* — found and kept non-dominated — within the
 /// budget.
-fn run_search(
-    cli: &Cli,
-    strategy: ng_dse::SearchStrategy,
-    mut job: Option<ng_dse::job::JobManifest>,
-) -> Result<(), CliError> {
+fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliError> {
     if cli.csv.is_some() || cli.json.is_some() {
         return Err(usage_err(
             "--csv/--json emit full sweep outcomes; rerun without --search".to_string(),
@@ -584,9 +380,7 @@ fn run_search(
         ));
     }
     let mut searcher = ng_dse::Searcher::new();
-    if cli.no_cache {
-        searcher = searcher.without_cache();
-    } else if let Some(dir) = &cli.cache_dir {
+    if let Some(dir) = &cli.cache_dir {
         searcher = searcher.with_cache_dir(dir);
     }
     let mut search = ng_dse::SearchSpec::for_space(&cli.spec);
@@ -597,33 +391,15 @@ fn run_search(
     if let Some(seed) = cli.seed {
         search.seed = seed;
     }
-    let outcome = searcher
-        .run_draining(&cli.spec, &search, ng_dse::cancel::cancelled)
-        .map_err(|e| e.to_string())?;
-    if outcome.stats.interrupted {
-        let delivered = outcome.stats.cache_hits + outcome.stats.evaluations;
-        return Err(interrupted_err(finish_job_interrupted(
-            &mut job,
-            delivered,
-            &format!(
-                "search drained after {} of {} budgeted evaluations; the flushed prefix \
-                 replays as warm hits",
-                outcome.stats.evaluations, outcome.stats.budget
-            ),
-        )));
-    }
-    finish_job_done(&mut job, outcome.stats.cache_hits + outcome.stats.evaluations);
+    let outcome = searcher.run(&cli.spec, &search).map_err(|e| e.to_string())?;
     let _span = ng_obs::span("report");
     ng_dse::report::print_search_report(&outcome, &cli.constraints, cli.top);
-    if cli.cache_stats {
+    if let (true, Some(path)) = (cli.cache_stats, &outcome.cache_path) {
         println!(
-            "cache stats: {} hits, {} evaluated{}",
+            "cache stats: {} hits, {} evaluated; store: {}",
             outcome.stats.cache_hits,
             outcome.stats.evaluations,
-            match &outcome.cache_path {
-                Some(p) => format!("; store: {}", p.display()),
-                None => "; cache disabled".to_string(),
-            },
+            path.display(),
         );
     }
 
@@ -657,14 +433,7 @@ fn run_search(
             })
             .collect();
         let evaluated = ng_dse::sweep::evaluate_points(&points, 1);
-        let store = if cli.no_cache {
-            None
-        } else {
-            let dir =
-                cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-            Some(ng_dse::MapMemoStore::new(dir))
-        };
-        let annotated = ng_dse::annotate(&evaluated, store.as_ref());
+        let annotated = ng_dse::annotate(&evaluated);
         println!("{}", annotated.headline());
         if cli.check_map_agreement && annotated.max_disagreement() > ng_dse::AGREEMENT_BAND {
             return Err(check_err(format!(
@@ -720,135 +489,6 @@ fn run_search(
         }
     }
     Ok(())
-}
-
-/// Worker mode (`--worker-shard i/N`): evaluate one slice, persist it
-/// to the shared store, report one summary line. The coordinator's
-/// merge — not this process — assembles the sweep.
-fn run_worker(cli: &Cli, shard: usize, of: usize) -> Result<(), CliError> {
-    // Worker-scoped faults (kill/hang/heartbeat-delay) fire only in
-    // processes that declare themselves workers — the coordinator and
-    // in-process backends share the same armed plan but stay immune.
-    ng_fault::mark_worker();
-    if cli.no_cache {
-        return Err(usage_err(
-            "--worker-shard: the point store is the result channel; \
-             --no-cache would discard this worker's output"
-                .to_string(),
-        ));
-    }
-    // A worker produces no outcome of its own — reject flags that
-    // promise one rather than silently ignoring them.
-    if let Some(flag) = cli.report_flags.first() {
-        return Err(usage_err(format!(
-            "{flag}: a worker evaluates one slice and exits; run {flag} on the \
-             coordinator (--workers) or a plain sweep instead"
-        )));
-    }
-    let cache_dir = cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-    let threads = cli.threads.unwrap_or_else(ng_dse::pool::available_threads);
-    // The worker drains on a direct signal *or* on the coordinator's
-    // drain flag (forwarded when the coordinator got the signal and the
-    // worker did not share its terminal's process group).
-    let summary = ng_dse::distrib::run_worker_slice_draining(
-        &cli.spec,
-        shard,
-        of,
-        Path::new(&cache_dir),
-        threads,
-        &ng_dse::cancel::cancelled,
-    )
-    .map_err(|e| {
-        // The exit code tells the coordinator what went wrong:
-        // a spec/usage mistake cannot be fixed by a respawn,
-        // while a store-append failure means the slice was
-        // (probably) evaluated but never persisted.
-        let code = match &e {
-            ng_dse::DistribError::Io(_) => ng_dse::distrib::EXIT_STORE_APPEND as u8,
-            ng_dse::DistribError::Spec(_) | ng_dse::DistribError::Shard { .. } => {
-                ng_dse::distrib::EXIT_USAGE as u8
-            }
-        };
-        CliError { code, message: e.to_string() }
-    })?;
-    println!("{summary}");
-    if summary.interrupted {
-        return Err(interrupted_err(format!(
-            "worker {shard}/{of} drained early; its completed points are flushed to the store"
-        )));
-    }
-    // `--map-search` workers seed the shared mapping memo with their own
-    // slices: re-read the slice (all hits now — the worker just appended
-    // it) and annotate against the memo store, so concurrent workers
-    // split the mapspace enumerations and the coordinator's post-merge
-    // annotation runs warm.
-    if cli.map_search {
-        let cache = ng_dse::EvalCache::new(&cache_dir);
-        let slice = ng_dse::distrib::shard_points(&cli.spec.points(), shard, of);
-        let points: Vec<ng_dse::EvaluatedPoint> =
-            cache.lookup(&slice).into_iter().flatten().collect();
-        let store = ng_dse::MapMemoStore::new(&cache_dir);
-        let a = ng_dse::annotate(&points, Some(&store));
-        println!(
-            "worker {shard}/{of} map-search: {} search(es), {} memo hit(s)",
-            a.evals, a.memo_hits
-        );
-    }
-    Ok(())
-}
-
-/// Coordinator mode (`--workers N`): spawn workers, merge from the
-/// store, then report exactly like a single-process sweep — or, on a
-/// signal, forward the drain to the workers and return the drain
-/// record.
-fn run_distributed(cli: &Cli, workers: usize) -> Result<ng_dse::DistribRun, String> {
-    if cli.no_cache {
-        return Err("--workers: the multi-process backend coordinates through the point \
-                    store; rerun without --no-cache"
-            .to_string());
-    }
-    let mut coordinator = ng_dse::Coordinator::new(workers)
-        .with_quiet(cli.quiet)
-        .with_auto_compact(cli.auto_compact)
-        .with_map_search(cli.map_search);
-    if let Some(dir) = &cli.cache_dir {
-        coordinator = coordinator.with_cache_dir(dir);
-    }
-    if let Some(threads) = cli.threads {
-        coordinator = coordinator.with_threads_per_worker(threads);
-    }
-    if let Some(secs) = cli.stall_timeout {
-        coordinator = coordinator.with_stall_after(std::time::Duration::from_secs_f64(secs));
-    }
-    let run = coordinator
-        .run_draining(&cli.spec, ng_dse::cancel::cancelled)
-        .map_err(|e| e.to_string())?;
-    let worker_reports = match &run {
-        ng_dse::DistribRun::Complete(d) => &d.workers,
-        ng_dse::DistribRun::Interrupted(d) => &d.workers,
-    };
-    for w in worker_reports {
-        if w.ok {
-            println!("{}", w.stdout);
-        } else if w.exit == Some(ng_dse::distrib::EXIT_INTERRUPTED) {
-            // A drained worker is not a failure: it flushed what it
-            // had and left the tail for `dse resume`.
-            println!("{}", w.stdout);
-        } else {
-            eprintln!(
-                "dse: worker {} failed (its slice was recovered by the coordinator){}",
-                w.shard,
-                if w.stderr.is_empty() { String::new() } else { format!(": {}", w.stderr) },
-            );
-            eprintln!("dse: {}", w.status_line());
-        }
-    }
-    if let ng_dse::DistribRun::Complete(d) = &run {
-        if d.recovered > 0 {
-            println!("coordinator recovered {} point(s) no worker delivered", d.recovered);
-        }
-    }
-    Ok(run)
 }
 
 /// `dse trace LEDGER.jsonl`: summarize a recorded run ledger — the
@@ -985,329 +625,6 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `dse fsck [--repair] [--check]`: the store doctor — audit (and
-/// optionally repair) the point store and a run ledger. See
-/// [`ng_dse::fsck`] for the defect classes and repair guarantees.
-fn run_fsck(args: &[String]) -> Result<(), CliError> {
-    let mut cache_dir: Option<String> = None;
-    let mut ledger: Option<String> = None;
-    let mut repair = false;
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage_err("--cache-dir needs a value".to_string()))?,
-                )
-            }
-            "--ledger" => {
-                ledger = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage_err("--ledger needs a path".to_string()))?,
-                )
-            }
-            "--repair" => repair = true,
-            "--check" => check = true,
-            other => {
-                return Err(usage_err(format!("fsck: unexpected argument `{other}` (try --help)")))
-            }
-        }
-    }
-    let dir = cache_dir.unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-    let cache = ng_dse::EvalCache::new(&dir);
-    let before = ng_dse::fsck::audit(&cache).map_err(|e| format!("fsck {dir}: {e}"))?;
-    for shard in before.shards.iter().filter(|s| !s.is_clean()) {
-        println!("{shard}");
-    }
-    for generation in before.generations.iter().filter(|g| !g.is_clean()) {
-        println!("{generation}");
-    }
-    for shard in before.memo_shards.iter().filter(|s| !s.is_clean()) {
-        println!("mapmemo {shard}");
-    }
-    for base in before.memo_bases.iter().filter(|g| !g.is_clean()) {
-        println!("mapmemo {base}");
-    }
-    println!("{}", before.summary());
-    let mut defects = !before.is_clean();
-    if repair && defects {
-        let done = ng_dse::fsck::repair(&cache).map_err(|e| format!("fsck --repair {dir}: {e}"))?;
-        for q in &done.quarantined {
-            println!(
-                "quarantined shard {q:x} -> shard-{q:x}.csv.quarantine (unreadable; its \
-                 points will re-evaluate)"
-            );
-        }
-        for q in &done.memo_quarantined {
-            println!(
-                "quarantined mapmemo shard {q:x} -> mapmemo/shard-{q:x}.csv.quarantine \
-                 (unreadable; its mappings will re-search)"
-            );
-        }
-        if done.recompacted {
-            println!(
-                "corrupt generation quarantined (*.ngcb.quarantine); base rebuilt from the \
-                 surviving layers"
-            );
-        }
-        let after = ng_dse::fsck::audit(&cache).map_err(|e| format!("fsck {dir}: {e}"))?;
-        if !after.is_clean() {
-            return Err(format!(
-                "fsck --repair: store still dirty after repair: {}",
-                after.summary()
-            )
-            .into());
-        }
-        println!("{}", after.summary());
-    }
-    if let Some(path) = &ledger {
-        let (events, torn) = ng_dse::fsck::fsck_ledger(Path::new(path), repair)
-            .map_err(|e| format!("fsck {path}: {e}"))?;
-        println!(
-            "ledger {path}: {events} event(s), {torn} torn line(s){}",
-            if torn > 0 && repair { " — removed" } else { "" },
-        );
-        defects |= torn > 0;
-    }
-    if check && defects {
-        return Err(check_err(if repair {
-            "fsck --check: defects were found (and repaired); the previous run left damage"
-                .to_string()
-        } else {
-            "fsck --check: defects found — run `dse fsck --repair`".to_string()
-        }));
-    }
-    Ok(())
-}
-
-/// `dse resume [JOB]`: re-enter an interrupted (or crashed) job from
-/// its durable manifest and evaluate only the missing tail — the point
-/// store replays everything already delivered as warm hits, so the
-/// completed run's output is byte-identical to an uninterrupted one.
-fn run_resume(args: &[String]) -> Result<(), CliError> {
-    let mut operand: Option<String> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| usage_err("--cache-dir needs a value".to_string()))?,
-                )
-            }
-            "--quiet" => quiet = true,
-            other if !other.starts_with("--") && operand.is_none() => {
-                operand = Some(other.to_string())
-            }
-            other => {
-                return Err(usage_err(format!(
-                    "resume: unexpected argument `{other}` (try --help)"
-                )))
-            }
-        }
-    }
-    let lookup_dir = cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-    let manifest = match &operand {
-        Some(op) => {
-            ng_dse::job::JobManifest::find(Path::new(&lookup_dir), op).map_err(usage_err)?
-        }
-        None => {
-            ng_dse::job::JobManifest::latest_resumable(Path::new(&lookup_dir)).ok_or_else(|| {
-                usage_err(format!(
-                    "resume: no resumable job under {lookup_dir}/jobs (none recorded, or all done)"
-                ))
-            })?
-        }
-    };
-    if manifest.status == ng_dse::job::JobStatus::Done {
-        return Err(usage_err(format!(
-            "resume: job {} already ran to completion; re-run the original command for a \
-             (fully cached) repeat",
-            manifest.id
-        )));
-    }
-    if !manifest.models_match() {
-        return Err(format!(
-            "resume: job {} was computed under models {} fingerprint {:016x}; this binary is \
-             {} fingerprint {:016x} — its results live in a different store generation, so \
-             rerun the sweep instead",
-            manifest.id,
-            manifest.model_version,
-            manifest.fingerprint,
-            ng_dse::MODEL_VERSION,
-            ng_dse::model_fingerprint()
-        )
-        .into());
-    }
-    let spec = manifest
-        .spec()
-        .map_err(|e| CliError::from(format!("resume: manifest {}: {e}", manifest.id)))?;
-    let search = match manifest.search_strategy.as_deref() {
-        Some(s) => Some(ng_dse::SearchStrategy::parse(s).ok_or_else(|| {
-            CliError::from(format!(
-                "resume: manifest {}: unknown search strategy `{s}`",
-                manifest.id
-            ))
-        })?),
-        None => None,
-    };
-    eprintln!(
-        "dse: resuming {} ({} mode; {} of {} points were delivered before the interrupt)",
-        manifest.id,
-        manifest.mode.as_str(),
-        manifest.delivered,
-        manifest.total_points
-    );
-    ng_dse::obs_counters::jobs_resumed().incr();
-    let cli = Cli {
-        spec,
-        constraints: Constraints {
-            max_area_pct: manifest.max_area,
-            max_power_pct: manifest.max_power,
-            min_speedup: manifest.min_speedup,
-        },
-        threads: manifest.threads,
-        workers: manifest.workers,
-        worker_shard: None,
-        cache_dir: Some(manifest.cache_dir.clone()),
-        no_cache: false,
-        cache_stats: false,
-        auto_compact: None,
-        top: 16,
-        per_app: false,
-        csv: manifest.csv.clone(),
-        json: manifest.json_out.clone(),
-        check_headline: false,
-        map_search: manifest.map_search,
-        check_map_agreement: false,
-        search,
-        budget: manifest.budget,
-        seed: manifest.seed,
-        trace: None,
-        faults: None,
-        stall_timeout: None,
-        metrics: false,
-        quiet,
-        report_flags: Vec::new(),
-    };
-    run_parsed(&cli, Some(manifest))
-}
-
-/// `dse chaos`: the seeded soak harness — see [`ng_dse::chaos`].
-fn run_chaos(args: &[String]) -> Result<(), CliError> {
-    let mut opts = ng_dse::chaos::ChaosOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            "--iterations" => {
-                let v =
-                    it.next().ok_or_else(|| usage_err("--iterations needs a count".to_string()))?;
-                opts.iterations = v
-                    .parse()
-                    .map_err(|_| usage_err(format!("--iterations: `{v}` is not a number")))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or_else(|| usage_err("--seed needs a value".to_string()))?;
-                opts.seed =
-                    v.parse().map_err(|_| usage_err(format!("--seed: `{v}` is not a number")))?;
-            }
-            "--cache-dir" => {
-                let v =
-                    it.next().ok_or_else(|| usage_err("--cache-dir needs a value".to_string()))?;
-                opts.scratch_dir = Some(std::path::PathBuf::from(v));
-            }
-            other => {
-                return Err(usage_err(format!("chaos: unexpected argument `{other}` (try --help)")))
-            }
-        }
-    }
-    if opts.iterations == 0 {
-        return Err(usage_err("--iterations: need at least 1".to_string()));
-    }
-    let report = ng_dse::chaos::run_soak(&opts).map_err(CliError::from)?;
-    print!("{report}");
-    let failed = report.failed_iterations();
-    if !failed.is_empty() {
-        return Err(format!(
-            "chaos: {} of {} iteration(s) failed — replay one alone with \
-             `dse chaos --iterations 1 --seed {}`",
-            failed.len(),
-            opts.iterations,
-            failed[0].schedule_seed
-        )
-        .into());
-    }
-    Ok(())
-}
-
-/// `dse compact [--cache-dir DIR]`: fold the store's live CSV shards
-/// into a fresh binary generation (see [`ng_dse::compact`]). Arms a
-/// fault plan from `--faults`/`NG_DSE_FAULTS` first, so crash-safety
-/// tests can kill the compactor at an exact protocol stage.
-fn run_compact(args: &[String]) -> Result<(), String> {
-    let mut cache_dir: Option<String> = None;
-    let mut faults: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
-            "--cache-dir" => {
-                cache_dir = Some(
-                    it.next().cloned().ok_or_else(|| "--cache-dir needs a value".to_string())?,
-                )
-            }
-            "--faults" => {
-                faults =
-                    Some(it.next().cloned().ok_or_else(|| "--faults needs a plan".to_string())?)
-            }
-            other => return Err(format!("compact: unexpected argument `{other}` (try --help)")),
-        }
-    }
-    match &faults {
-        Some(plan) => ng_fault::install_str(plan).map_err(|e| format!("--faults: {e}"))?,
-        None => {
-            ng_fault::init_from_env().map_err(|e| format!("{}: {e}", ng_fault::FAULTS_ENV))?;
-        }
-    }
-    let dir = cache_dir.unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-    let cache = ng_dse::EvalCache::new(&dir);
-    let report = ng_dse::compact::compact(&cache).map_err(|e| format!("compact {dir}: {e}"))?;
-    println!("{report}");
-    // The mapping memo follows the same compaction cadence: fold its
-    // CSV shards into a fresh checksummed base generation.
-    let memo = ng_dse::MapMemoStore::new(&dir);
-    let memo_report = memo.compact().map_err(|e| format!("compact mapmemo {dir}: {e}"))?;
-    match (memo_report.rows, memo_report.seq) {
-        (Some(rows), Some(seq)) => {
-            println!("mapping memo: folded {rows} row(s) into base generation {seq}")
-        }
-        _ => println!("mapping memo: nothing to fold"),
-    }
-    Ok(())
-}
-
 /// `--metrics`: the in-process stage profile and counter growth for
 /// this run, on stderr (stdout stays reserved for the report).
 fn print_metrics(before: &ng_obs::CounterSnapshot) {
@@ -1336,52 +653,21 @@ fn print_metrics(before: &ng_obs::CounterSnapshot) {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    // The watcher is installed before any work: the first
-    // SIGINT/SIGTERM drains, the second hard-exits (see
-    // `ng_dse::cancel`). Subcommands that never evaluate points keep
-    // the default die-on-signal semantics by simply never checking the
-    // token.
-    ng_dse::cancel::install_signal_watcher();
-    match args.first().map(String::as_str) {
-        Some("trace") => return run_trace(&args[1..]),
-        Some("fsck") => return run_fsck(&args[1..]),
-        Some("compact") => return run_compact(&args[1..]).map_err(CliError::from),
-        Some("resume") => return run_resume(&args[1..]),
-        Some("chaos") => return run_chaos(&args[1..]),
-        _ => {}
+    if args.first().map(String::as_str) == Some("trace") {
+        return run_trace(&args[1..]);
     }
     let Some(cli) = parse_args(args).map_err(usage_err)? else { return Ok(()) };
-    run_parsed(&cli, None)
-}
-
-/// Everything after argument parsing: observability/fault arming, the
-/// root span, mode dispatch, counter flush. `resumed` carries the job
-/// manifest when entered through `dse resume`.
-fn run_parsed(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), CliError> {
     // Recording starts before the root span so the ledger sees every
-    // event; `--trace` also exports the path so worker processes
-    // spawned by `--workers` append to the same ledger.
+    // event.
     if let Some(path) = &cli.trace {
-        let abs = std::path::absolute(path).map_err(|e| format!("--trace {path}: {e}"))?;
-        ng_obs::sink::enable(&abs).map_err(|e| format!("--trace {path}: {e}"))?;
-        std::env::set_var(ng_obs::sink::TRACE_ENV, &abs);
+        ng_obs::sink::enable(path).map_err(|e| format!("--trace {path}: {e}"))?;
     } else {
         ng_obs::sink::init_from_env();
-    }
-    // Arm the fault plan before any injection point can fire; `--faults`
-    // also exports the plan so spawned workers inherit it (mirroring
-    // `--trace`).
-    if let Some(plan) = &cli.faults {
-        ng_fault::install_str(plan).map_err(|e| usage_err(format!("--faults: {e}")))?;
-        std::env::set_var(ng_fault::FAULTS_ENV, plan);
-    } else {
-        ng_fault::init_from_env()
-            .map_err(|e| usage_err(format!("{}: {e}", ng_fault::FAULTS_ENV)))?;
     }
     let counters_before = ng_obs::counter::snapshot();
     let result = {
         let _root = ng_obs::span("dse");
-        run_mode(cli, resumed)
+        run_mode(&cli)
     };
     // The root span is closed: flush final counter values, then the
     // optional in-process summary.
@@ -1394,149 +680,22 @@ fn run_parsed(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<()
 
 /// Everything between the `dse` root span's open and close: mode
 /// dispatch and reporting.
-fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), CliError> {
-    if cli.workers.is_some() && cli.worker_shard.is_some() {
-        return Err(usage_err(
-            "--workers (coordinator) and --worker-shard (worker) are mutually exclusive"
-                .to_string(),
-        ));
-    }
-    if cli.search.is_some() && (cli.workers.is_some() || cli.worker_shard.is_some()) {
-        return Err(usage_err(
-            "--search is sequential by design; rerun without --workers/--worker-shard".to_string(),
-        ));
-    }
-    if cli.auto_compact.is_some() && cli.no_cache {
-        return Err(usage_err(
-            "--auto-compact folds the point store; rerun without --no-cache".to_string(),
-        ));
-    }
-    if let Some((shard, of)) = cli.worker_shard {
-        return run_worker(cli, shard, of);
-    }
-
-    // Every cache-enabled run is durable: write a `Running` job
-    // manifest before evaluating, finish it `Done` or `Interrupted`.
-    // A manifest that cannot be written (exhausted disk) costs
-    // resumability, never the run.
-    let mut job: Option<ng_dse::job::JobManifest> = if cli.no_cache {
-        None
-    } else {
-        let manifest = match resumed {
-            Some(mut m) => {
-                m.status = ng_dse::job::JobStatus::Running;
-                m
-            }
-            None => {
-                let mode = if cli.search.is_some() {
-                    ng_dse::job::JobMode::Search
-                } else if cli.workers.is_some() {
-                    ng_dse::job::JobMode::Distrib
-                } else {
-                    ng_dse::job::JobMode::Sweep
-                };
-                let cache_dir =
-                    cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-                let mut m = ng_dse::job::JobManifest::new(
-                    mode,
-                    &cli.spec,
-                    &cache_dir,
-                    cli.spec.point_count(),
-                );
-                m.threads = cli.threads;
-                m.workers = cli.workers;
-                m.csv = cli.csv.clone();
-                m.json_out = cli.json.clone();
-                m.search_strategy = cli.search.map(|s| s.slug().to_string());
-                m.budget = cli.budget;
-                m.seed = cli.seed;
-                m.map_search = cli.map_search;
-                m.max_area = cli.constraints.max_area_pct;
-                m.max_power = cli.constraints.max_power_pct;
-                m.min_speedup = cli.constraints.min_speedup;
-                m
-            }
-        };
-        match manifest.save() {
-            Ok(_) => Some(manifest),
-            Err(e) => {
-                eprintln!(
-                    "dse: could not write job manifest {} ({e}); this run is not resumable",
-                    manifest.id
-                );
-                None
-            }
-        }
-    };
-
+fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(strategy) = cli.search {
-        return run_search(cli, strategy, job);
+        return run_search(cli, strategy);
     }
 
-    let outcome = if let Some(workers) = cli.workers {
-        match run_distributed(cli, workers)? {
-            ng_dse::DistribRun::Complete(d) => d.outcome,
-            ng_dse::DistribRun::Interrupted(drained) => {
-                return Err(interrupted_err(finish_job_interrupted(
-                    &mut job,
-                    drained.delivered,
-                    &format!(
-                        "distributed sweep drained with {} of {} points in the store \
-                         ({} remaining)",
-                        drained.delivered,
-                        drained.total_points,
-                        drained.remaining()
-                    ),
-                )));
-            }
-        }
-    } else {
-        let mut engine =
-            SweepEngine::new().with_quiet(cli.quiet).with_auto_compact(cli.auto_compact);
-        if let Some(threads) = cli.threads {
-            engine = engine.with_threads(threads);
-        }
-        if cli.no_cache {
-            engine = engine.without_cache();
-        } else if let Some(dir) = &cli.cache_dir {
-            engine = engine.with_cache_dir(dir);
-        }
-        match engine
-            .run_draining(cli.spec.clone(), ng_dse::cancel::cancelled)
-            .map_err(|e| e.to_string())?
-        {
-            ng_dse::SweepRun::Complete(outcome) => outcome,
-            ng_dse::SweepRun::Interrupted(drained) => {
-                let delivered = drained.cache_hits + drained.freshly_completed;
-                return Err(interrupted_err(finish_job_interrupted(
-                    &mut job,
-                    delivered,
-                    &format!(
-                        "sweep drained with {} of {} points flushed ({} remaining)",
-                        delivered,
-                        drained.total_points,
-                        drained.remaining()
-                    ),
-                )));
-            }
-        }
-    };
-    finish_job_done(&mut job, outcome.points.len());
-    // The `--map-search` side table: computed post-merge against the
-    // mapping memo beside the point store, never mutating the points —
+    let mut engine = SweepEngine::new().with_quiet(cli.quiet);
+    if let Some(threads) = cli.threads {
+        engine = engine.with_threads(threads);
+    }
+    if let Some(dir) = &cli.cache_dir {
+        engine = engine.with_cache_dir(dir);
+    }
+    let outcome = engine.run(&cli.spec).map_err(|e| e.to_string())?;
+    // The `--map-search` side table never mutates the points, so
     // everything downstream is byte-identical with the flag off.
-    let annotations = if cli.map_search {
-        let store = if cli.no_cache {
-            None
-        } else {
-            let dir =
-                cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-            Some(ng_dse::MapMemoStore::new(dir))
-        };
-        Some(ng_dse::annotate(&outcome.points, store.as_ref()))
-    } else {
-        None
-    };
+    let annotations = cli.map_search.then(|| ng_dse::annotate(&outcome.points));
     // Frontier extraction + table rendering is real work on large
     // sweeps — span it so the ledger's coverage accounting sees it.
     let _span = ng_obs::span("report");
@@ -1544,39 +703,17 @@ fn run_mode(cli: &Cli, resumed: Option<ng_dse::job::JobManifest>) -> Result<(), 
     if let Some(a) = &annotations {
         println!("{}", a.headline());
     }
-    if cli.cache_stats {
+    if let (true, Some(dir)) = (cli.cache_stats, &cli.cache_dir) {
         println!("{}", ng_dse::report::cache_stats_line(&outcome));
-        if outcome.cache_path.is_some() {
-            let dir =
-                cli.cache_dir.clone().unwrap_or_else(|| SweepEngine::DEFAULT_CACHE_DIR.into());
-            let cache = ng_dse::EvalCache::new(&dir);
-            println!(
-                "{}",
-                ng_dse::report::shard_stats_report(
-                    &cache.store_stats(),
-                    ng_dse::obs_counters::store_base_hits().get(),
-                    ng_dse::obs_counters::store_tail_hits().get(),
-                    ng_dse::obs_counters::store_lock_wait_us().get(),
-                    ng_dse::obs_counters::store_tail_heals().get(),
-                    ng_dse::obs_counters::cache_rows_skipped().get(),
-                    ng_dse::obs_counters::store_degraded_appends().get(),
-                    &ng_dse::job::JobManifest::list(std::path::Path::new(&dir)),
-                )
-            );
-            if cli.map_search {
-                let store = ng_dse::MapMemoStore::new(&dir);
-                println!(
-                    "{}",
-                    ng_dse::report::mapmemo_stats_report(
-                        &store.store_stats(),
-                        ng_dse::obs_counters::mapsearch_evals().get(),
-                        ng_dse::obs_counters::mapsearch_memo_hits().get(),
-                        ng_dse::obs_counters::mapmemo_rows_appended().get(),
-                        ng_dse::obs_counters::mapmemo_rows_skipped().get(),
-                    )
-                );
-            }
-        }
+        println!(
+            "{}",
+            ng_dse::report::store_stats_line(
+                &ng_dse::EvalCache::new(dir).shard_stats(),
+                ng_dse::obs_counters::store_lock_wait_us().get(),
+                ng_dse::obs_counters::store_tail_heals().get(),
+                ng_dse::obs_counters::cache_rows_skipped().get(),
+            )
+        );
     }
     if cli.check_map_agreement {
         let a = annotations.as_ref().expect("--check-map-agreement implies --map-search");

@@ -1,8 +1,9 @@
-//! Point-level, sharded evaluation cache.
+//! The opt-in point store behind `dse --cache-dir DIR`.
 //!
-//! PR 1's cache was keyed per *spec*: one CSV per sweep, so adding a
-//! single axis value to a 1440-point sweep re-evaluated all 1440
-//! points. This store is keyed per *point*:
+//! Runs are uncached by default: the model evaluates a point in about
+//! 0.7 µs, which is cheaper than parsing it back from disk. The store
+//! pays off only when a spec grows or overlaps one already swept, so
+//! it evaluates only its delta.
 //!
 //! * **Key** — [`EvalCache::point_key`]: FNV-1a over the point's axis
 //!   tuple (everything except its spec-local `index`), the
@@ -20,43 +21,21 @@
 //!   released by the kernel even if the writer dies, and readers never
 //!   lock (a reader racing an append sees either the old or the new
 //!   tail, both parseable). Filesystems without lock support degrade
-//!   to unlocked appends, which only the multi-writer backend notices.
+//!   to unlocked appends.
 //! * **Degradation** — a torn line, a duplicate or interior header, a
 //!   corrupted shard, or a key mismatch (the stored axes no longer
 //!   hash to the stored key) makes exactly the affected points misses;
 //!   everything else keeps hitting.
 //!
-//! [`crate::sweep::SweepEngine::run`] partitions a spec into cached and
+//! [`crate::sweep::SweepEngine::run`] partitions a spec into stored and
 //! missing points through [`EvalCache::lookup`], evaluates only the
-//! misses, and appends them back — overlapping or grown specs pay only
-//! for their delta.
-//!
-//! Since PR 8 the CSV shards are only the *write-ahead* layer:
-//! `dse compact` folds them into a binary columnar generation
-//! ([`crate::compact`]) that loads with one `read` and zero per-row
-//! parsing. Readers overlay the live CSV tail (which wins) on that
-//! compact base, so appenders keep writing CSV exactly as before and
-//! never coordinate with the compactor beyond the shard locks.
-//!
-//! **Storage exhaustion degrades, it does not kill.** An append that
-//! fails with a *persistent* capacity error (ENOSPC, EROFS, quota,
-//! permissions — see [`ng_fault::is_exhaustion`]) diverts its rows to
-//! a per-process in-memory overlay instead of failing the run: this
-//! process keeps hitting those points ([`EvalCache::lookup`] and
-//! [`EvalCache::load_all`] consult the overlay after both disk
-//! layers), one stderr warning names the condition, and the
-//! `store.degraded_appends` counter records every diverted row. The
-//! results are lost when the process exits — the next run simply
-//! re-evaluates them — which is strictly better than the alternative
-//! the store used to pick: a worker dying with `EXIT_STORE_APPEND`
-//! and delivering nothing.
+//! misses, and appends them back.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once, OnceLock};
 
 use crate::emit::{point_from_row, point_to_row};
 use crate::obs_counters;
@@ -64,94 +43,9 @@ use crate::spec::DesignPoint;
 use crate::sweep::EvaluatedPoint;
 use crate::{model_fingerprint, MODEL_VERSION};
 
-/// Number of shard files per cache generation (points are distributed
+/// Number of shard files per store generation (points are distributed
 /// by the top nibble of their key).
 pub const SHARD_COUNT: usize = 16;
-
-/// Per-process in-memory overlay holding rows whose disk append hit a
-/// persistent capacity error (ENOSPC/EROFS/quota). Keyed by
-/// `(store dir, point key)` so two caches in one process — the normal
-/// state of the test binary — never see each other's diverted rows.
-/// Never pre-initialised: a healthy process pays one `OnceLock::get`
-/// (a relaxed load) per overlay consult and no allocation.
-static DEGRADED_OVERLAY: OnceLock<Mutex<HashMap<(PathBuf, u64), EvaluatedPoint>>> = OnceLock::new();
-
-fn overlay_get(store_dir: &Path, key: u64) -> Option<EvaluatedPoint> {
-    let map = DEGRADED_OVERLAY.get()?.lock().unwrap();
-    map.get(&(store_dir.to_path_buf(), key)).copied()
-}
-
-fn overlay_insert(store_dir: &Path, rows: &[(u64, EvaluatedPoint)]) {
-    let mut map = DEGRADED_OVERLAY.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap();
-    for (key, point) in rows {
-        map.insert((store_dir.to_path_buf(), *key), *point);
-    }
-}
-
-fn overlay_rows(store_dir: &Path) -> Vec<(u64, EvaluatedPoint)> {
-    let Some(map) = DEGRADED_OVERLAY.get() else {
-        return Vec::new();
-    };
-    let map = map.lock().unwrap();
-    map.iter()
-        .filter(|((dir, _), _)| dir == store_dir)
-        .map(|((_, key), point)| (*key, *point))
-        .collect()
-}
-
-/// Parse one shard file's text into `(key, point)` rows in file order
-/// (callers collapse duplicates later-wins by inserting in order),
-/// plus the count of skipped data lines. Comment, header and
-/// torn/corrupt lines are skipped *wherever* they appear, and a row
-/// whose stored axes no longer hash to its stated key is rejected
-/// (guards against truncation splices and rows copied across
-/// generations). Shared verbatim by the live reader and the compactor
-/// so a row folds into a generation exactly when a reader would have
-/// served it.
-pub(crate) fn parse_shard_text(text: &str) -> (Vec<(u64, EvaluatedPoint)>, u64) {
-    let mut rows = Vec::new();
-    let mut skipped = 0u64;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') || line.starts_with("key,") {
-            continue;
-        }
-        let parsed = line
-            .split_once(',')
-            .and_then(|(key_hex, row)| {
-                Some((u64::from_str_radix(key_hex, 16).ok()?, point_from_row(row).ok()?))
-            })
-            .filter(|(stated, point)| EvalCache::point_key(&point.point) == *stated);
-        match parsed {
-            Some(row) => rows.push(row),
-            None => skipped += 1,
-        }
-    }
-    (rows, skipped)
-}
-
-/// One snapshot of the store's two read layers, gathered in a single
-/// pass per file — the `--cache-stats` backing data.
-#[derive(Debug, Clone, Default)]
-pub struct StoreStats {
-    /// `(rows, bytes)` per CSV shard of the live tail.
-    pub shards: Vec<(usize, u64)>,
-    /// The compact base, if one exists: `(generation seq, rows,
-    /// bytes)`.
-    pub base: Option<(u64, usize, u64)>,
-}
-
-impl StoreStats {
-    /// Total live CSV tail rows across shards.
-    pub fn tail_rows(&self) -> usize {
-        self.shards.iter().map(|(rows, _)| rows).sum()
-    }
-
-    /// Total live CSV tail bytes across shards.
-    pub fn tail_bytes(&self) -> u64 {
-        self.shards.iter().map(|(_, bytes)| bytes).sum()
-    }
-}
 
 /// A directory of point-level evaluation results.
 #[derive(Debug, Clone)]
@@ -160,12 +54,12 @@ pub struct EvalCache {
 }
 
 impl EvalCache {
-    /// A cache rooted at `dir` (created lazily on first store).
+    /// A store rooted at `dir` (created lazily on first append).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         EvalCache { dir: dir.into() }
     }
 
-    /// The cache key of one design point under the current models: a
+    /// The store key of one design point under the current models: a
     /// hash of its axis tuple (not its spec-local index), the
     /// [`MODEL_VERSION`] tag and the computed model fingerprint.
     pub fn point_key(point: &DesignPoint) -> u64 {
@@ -202,87 +96,75 @@ impl EvalCache {
 
     /// The shard file a key lives in.
     pub fn shard_path(&self, key: u64) -> PathBuf {
-        self.store_dir().join(format!("shard-{:x}.csv", Self::shard_of(key)))
+        self.shard_file(Self::shard_of(key))
     }
 
-    /// Parse one shard into key → point, skipping comment, header and
-    /// torn/corrupt lines (those points simply stay misses). Header
-    /// lines are skipped *wherever* they appear — a duplicate or
-    /// interior header left by a pre-locking writer race costs nothing
-    /// rather than dropping the shard. A later duplicate of a key
-    /// wins, matching append order.
+    fn shard_file(&self, shard: usize) -> PathBuf {
+        self.store_dir().join(format!("shard-{shard:x}.csv"))
+    }
+
+    /// Parse one shard into key → point. Comment, header and
+    /// torn/corrupt lines are skipped *wherever* they appear (those
+    /// points simply stay misses), and a row whose stored axes no
+    /// longer hash to its stated key is rejected (guards against
+    /// truncation splices and rows copied across generations). A later
+    /// duplicate of a key wins, matching append order.
     ///
-    /// Skipped data lines are not free information loss: each one is a
-    /// point that will silently re-evaluate, so they are counted into
-    /// `cache.rows_skipped` (surfaced by `dse --cache-stats` and
-    /// audited precisely by `dse fsck`).
+    /// Skipped data lines are points that will silently re-evaluate, so
+    /// they are counted into `cache.rows_skipped` (surfaced by `dse
+    /// --cache-stats`).
     fn load_shard(&self, shard: usize) -> HashMap<u64, EvaluatedPoint> {
-        let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
-        let Ok(text) = fs::read_to_string(&path) else {
+        let Ok(text) = fs::read_to_string(self.shard_file(shard)) else {
             return HashMap::new();
         };
-        let (rows, skipped) = parse_shard_text(&text);
+        let mut rows = HashMap::new();
+        let mut skipped = 0u64;
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') || line.starts_with("key,") {
+                continue;
+            }
+            let parsed = line
+                .split_once(',')
+                .and_then(|(key_hex, row)| {
+                    Some((u64::from_str_radix(key_hex, 16).ok()?, point_from_row(row).ok()?))
+                })
+                .filter(|(stated, point)| Self::point_key(&point.point) == *stated);
+            match parsed {
+                Some((key, point)) => {
+                    rows.insert(key, point);
+                }
+                None => skipped += 1,
+            }
+        }
         if skipped > 0 {
             obs_counters::cache_rows_skipped().add(skipped);
         }
-        // Later duplicate of a key wins, matching append order.
-        rows.into_iter().collect()
+        rows
     }
 
     /// Look up every point of a sweep: `Some(result)` per hit (with the
     /// point's *current* spec index, not the index it was stored
-    /// under), `None` per miss. Only the CSV shards the keys land in
-    /// are read; the compact base (if any) is loaded once, lazily, the
-    /// first time a key misses the tail. The tail wins on overlap —
-    /// rows appended since (or raced with) the last compaction shadow
-    /// their base copies.
+    /// under), `None` per miss. Only the shards the keys land in are
+    /// read, each at most once.
     pub fn lookup(&self, points: &[DesignPoint]) -> Vec<Option<EvaluatedPoint>> {
-        let keys: Vec<u64> = points.iter().map(Self::point_key).collect();
-        let store_dir = self.store_dir();
         let mut shards: Vec<Option<HashMap<u64, EvaluatedPoint>>> =
             (0..SHARD_COUNT).map(|_| None).collect();
-        let mut base: Option<Option<crate::compact::CompactBase>> = None;
-        let (mut base_hits, mut tail_hits) = (0u64, 0u64);
-        let out = points
+        points
             .iter()
-            .zip(&keys)
-            .map(|(point, &key)| {
+            .map(|point| {
+                let key = Self::point_key(point);
                 let shard = shards[Self::shard_of(key)]
                     .get_or_insert_with(|| self.load_shard(Self::shard_of(key)));
-                let stored = match shard.get(&key) {
-                    Some(stored) => {
-                        tail_hits += 1;
-                        *stored
-                    }
-                    None => match base
-                        .get_or_insert_with(|| crate::compact::load_latest(&store_dir))
-                        .as_ref()
-                        .and_then(|b| b.get(key))
-                    {
-                        Some(stored) => {
-                            base_hits += 1;
-                            stored
-                        }
-                        // Rows whose disk append hit storage exhaustion
-                        // exist only in the per-process overlay.
-                        None => overlay_get(&store_dir, key)?,
-                    },
-                };
+                let stored = shard.get(&key)?;
                 // A 64-bit collision between different axis tuples is
                 // astronomically unlikely but cheap to rule out.
                 if stored.point.arch_key() != point.arch_key() || stored.point.app != point.app {
                     return None;
                 }
-                Some(EvaluatedPoint { point: *point, ..stored })
+                Some(EvaluatedPoint { point: *point, ..*stored })
             })
-            .collect();
-        if base_hits > 0 {
-            obs_counters::store_base_hits().add(base_hits);
-        }
-        if tail_hits > 0 {
-            obs_counters::store_tail_hits().add(tail_hits);
-        }
-        out
+            .collect()
     }
 
     /// Append freshly evaluated points to their shards. One buffered
@@ -294,134 +176,41 @@ impl EvalCache {
     /// descriptor is *not* atomic (the kernel may split it, letting
     /// another writer's rows land mid-line), and without the lock two
     /// writers can both observe an empty shard and both write the
-    /// header. Both races corrupt rows that then read back as misses —
-    /// silently wrong for the multi-process sweep backend, whose
-    /// workers hand results to the coordinator *through* this store.
+    /// header. Both races corrupt rows that then read back as misses.
     pub fn append(&self, points: &[EvaluatedPoint]) -> io::Result<()> {
         if points.is_empty() {
             return Ok(());
         }
-        let dir = self.store_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
-            if !ng_fault::is_exhaustion(&e) {
-                return Err(e);
-            }
-            // The store's filesystem cannot even hold the directory:
-            // divert everything and keep the run alive.
-            let rows: Vec<(u64, EvaluatedPoint)> =
-                points.iter().map(|p| (Self::point_key(&p.point), *p)).collect();
-            self.degrade_append(&dir, &rows, &e);
-            return Ok(());
-        }
-        let mut by_shard: Vec<(String, Vec<(u64, EvaluatedPoint)>)> =
-            vec![(String::new(), Vec::new()); SHARD_COUNT];
+        fs::create_dir_all(self.store_dir())?;
+        let mut by_shard: Vec<(String, u64)> = vec![(String::new(), 0); SHARD_COUNT];
         for p in points {
             let key = Self::point_key(&p.point);
-            let (buf, rows) = &mut by_shard[Self::shard_of(key)];
-            buf.push_str(&format!("{key:016x},{}\n", point_to_row(p)));
-            rows.push((key, *p));
+            let (body, rows) = &mut by_shard[Self::shard_of(key)];
+            body.push_str(&format!("{key:016x},{}\n", point_to_row(p)));
+            *rows += 1;
         }
-        for (shard, (body, shard_rows)) in by_shard.iter().enumerate() {
-            if body.is_empty() {
-                continue;
-            }
-            let path = dir.join(format!("shard-{shard:x}.csv"));
-            // A transient failure (flaky filesystem, injected
-            // `append:io` fault) is retried with jittered exponential
-            // backoff. The injection point sits *before* the first
-            // write, so a retried attempt never duplicates rows — and
-            // even a mid-write retry would only produce a duplicate
-            // key, which readers resolve (later wins) and `dse fsck`
-            // repairs.
-            let (result, retries) = ng_fault::with_retries("append:io", || {
-                Self::append_shard(&path, body, shard_rows.len() as u64)
-            });
-            if retries > 0 {
-                obs_counters::store_retries().add(retries as u64);
-                // The backoff site, in the ledger: a deterministic
-                // fault seed must reproduce not just the retry *count*
-                // but *where* the backoff was spent
-                // (tests/fault_determinism.rs pins both).
-                ng_obs::emit_meta(
-                    "store.retry",
-                    &format!("shard {shard:x}: {retries} retried append attempt(s)"),
-                );
-            }
-            match result {
-                Ok(()) => {}
-                // A *persistent* capacity error (ENOSPC, EROFS, quota,
-                // permissions) will not yield to retries or to the next
-                // shard. Divert this shard's rows to the in-memory
-                // overlay and keep going: the sweep completes and
-                // delivers results, at the cost of re-evaluating these
-                // rows next run — strictly better than dying with
-                // `EXIT_STORE_APPEND` and delivering nothing.
-                Err(e) if ng_fault::is_exhaustion(&e) => self.degrade_append(&dir, shard_rows, &e),
-                Err(e) => return Err(e),
+        for (shard, (body, rows)) in by_shard.iter().enumerate() {
+            if !body.is_empty() {
+                Self::append_shard(&self.shard_file(shard), body, *rows)?;
             }
         }
         Ok(())
     }
 
-    /// Divert rows that could not be persisted to the per-process
-    /// overlay: count them, warn once per process, and carry on.
-    fn degrade_append(&self, store_dir: &Path, rows: &[(u64, EvaluatedPoint)], cause: &io::Error) {
-        overlay_insert(store_dir, rows);
-        obs_counters::store_degraded_appends().add(rows.len() as u64);
-        static WARNED: Once = Once::new();
-        WARNED.call_once(|| {
-            eprintln!(
-                "dse: point store append failed ({cause}); degrading to an in-memory overlay — \
-                 this run completes, but its fresh rows are lost at exit and will re-evaluate \
-                 next run (see the store.degraded_appends counter)"
-            );
-            ng_obs::emit_meta(
-                "store.degraded",
-                &format!("appends diverted to in-memory overlay: {cause}"),
-            );
-        });
-    }
-
     /// One locked shard append: the whole critical section (length
     /// probe, header creation, tail repair, row write) under the
-    /// shard's exclusive advisory lock. Idempotent from the caller's
-    /// perspective until the body write starts, which is why
-    /// [`EvalCache::append`] may retry it.
+    /// shard's exclusive advisory lock, released on close — including
+    /// by the kernel if the writer crashes. A filesystem that does not
+    /// support locking degrades to an unlocked append; any *other* lock
+    /// failure is a real error.
     fn append_shard(path: &Path, body: &str, rows: u64) -> io::Result<()> {
-        if let Some(e) = ng_fault::store_append_error() {
-            return Err(e);
-        }
-        if let Some(e) = ng_fault::store_append_exhaustion() {
-            return Err(e);
-        }
-        // Exclusive advisory lock for the whole critical section
-        // (length probe, header, tail repair, row write). Released
-        // on drop/close — including by the kernel if we crash. A
-        // filesystem that does not support locking degrades to the
-        // old unlocked behaviour; any *other* lock failure (e.g. a
-        // flaky network filesystem) is a real error — proceeding
-        // unlocked would silently void the multi-writer contract.
         let lock_started = std::time::Instant::now();
-        let file = loop {
-            let file = fs::OpenOptions::new().read(true).create(true).append(true).open(path)?;
-            if let Err(e) = file.lock() {
-                if e.kind() != io::ErrorKind::Unsupported {
-                    return Err(e);
-                }
+        let mut file = fs::OpenOptions::new().read(true).create(true).append(true).open(path)?;
+        if let Err(e) = file.lock() {
+            if e.kind() != io::ErrorKind::Unsupported {
+                return Err(e);
             }
-            // The compactor (and `fsck --repair`) replace shard files
-            // by tmp+rename *while holding the old inode's lock* — so
-            // a writer that blocked on that lock may now hold an
-            // unlinked file whose rows no reader would ever see.
-            // Re-stat the path after locking and start over on the
-            // live inode; the rename has already happened, so this
-            // converges in one extra round.
-            if !Self::same_inode(&file, path) {
-                continue;
-            }
-            break file;
-        };
-        let mut file = file;
+        }
         obs_counters::store_lock_wait_us().add(lock_started.elapsed().as_micros() as u64);
         // The length must be read *after* the lock: another writer
         // may have created the header between open and lock.
@@ -438,7 +227,6 @@ impl EvalCache {
             // A crashed writer can leave the shard without a final
             // newline; appending onto that torn tail would merge
             // (and so lose) the first fresh row. Terminate it first.
-            use std::io::{Read, Seek, SeekFrom};
             let mut last = [0u8; 1];
             file.seek(SeekFrom::Start(len - 1))?;
             file.read_exact(&mut last)?;
@@ -447,120 +235,30 @@ impl EvalCache {
                 obs_counters::store_tail_heals().incr();
             }
         }
-        if ng_fault::take_store_torn_tail() {
-            // Simulate a writer killed mid-`write_all`: persist the
-            // body with its final row cut in half and report success —
-            // the caller believes the rows landed, exactly as a real
-            // crash victim would have. Readers skip the torn row, and
-            // recovery (re-evaluation or `fsck --repair`) heals it.
-            let data = body.strip_suffix('\n').unwrap_or(body);
-            let last_start = data.rfind('\n').map_or(0, |i| i + 1);
-            let torn_end = last_start + (data.len() - last_start) / 2;
-            file.write_all(&body.as_bytes()[..torn_end.max(1)])?;
-            obs_counters::store_rows_appended().add(rows.saturating_sub(1));
-            return Ok(());
-        }
         file.write_all(body.as_bytes())?;
         obs_counters::store_rows_appended().add(rows);
         Ok(())
     }
 
-    /// Does the open descriptor still name the file at `path`? False
-    /// when a tmp+rename replaced the path while we waited on the old
-    /// inode's lock. On platforms without inode identity this reports
-    /// true — matching the pre-compaction behaviour there.
-    #[cfg(unix)]
-    fn same_inode(file: &fs::File, path: &Path) -> bool {
-        use std::os::unix::fs::MetadataExt;
-        match (file.metadata(), fs::metadata(path)) {
-            (Ok(held), Ok(live)) => held.ino() == live.ino() && held.dev() == live.dev(),
-            _ => false,
-        }
-    }
-
-    #[cfg(not(unix))]
-    fn same_inode(_file: &fs::File, _path: &Path) -> bool {
-        true
-    }
-
-    /// Load every live CSV shard once, returning each shard's parsed
-    /// map alongside its on-disk size. The one pass behind *both*
-    /// [`EvalCache::shard_stats`] and [`EvalCache::load_all`] — the
-    /// stats/bulk-load paths used to call `load_shard` separately per
-    /// consumer and re-parse every shard from disk each time.
-    fn live_shards(&self) -> Vec<(HashMap<u64, EvaluatedPoint>, u64)> {
+    /// Per-shard `(rows, bytes)` of the store, indexed by shard,
+    /// counting only parseable data rows (comments, headers and torn
+    /// lines excluded — the same rows [`EvalCache::lookup`] could
+    /// serve). Powers `dse --cache-stats`.
+    pub fn shard_stats(&self) -> Vec<(usize, u64)> {
         (0..SHARD_COUNT)
             .map(|shard| {
-                let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
-                let bytes = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                (self.load_shard(shard), bytes)
+                let bytes = fs::metadata(self.shard_file(shard)).map(|m| m.len()).unwrap_or(0);
+                (self.load_shard(shard).len(), bytes)
             })
             .collect()
     }
 
-    /// Per-shard row counts of the live CSV tail: `(rows, bytes)`
-    /// indexed by shard, counting only parseable data rows (comments,
-    /// headers and torn lines excluded — the same rows
-    /// [`EvalCache::lookup`] could serve). Powers the per-shard half of
-    /// `dse --cache-stats`.
-    pub fn shard_stats(&self) -> Vec<(usize, u64)> {
-        self.live_shards().into_iter().map(|(rows, bytes)| (rows.len(), bytes)).collect()
-    }
-
-    /// Both read layers in one pass: per-shard tail stats plus the
-    /// compact base's generation number, row count and file size.
-    pub fn store_stats(&self) -> StoreStats {
-        StoreStats {
-            shards: self.shard_stats(),
-            base: crate::compact::load_latest(&self.store_dir())
-                .map(|base| (base.seq(), base.rows(), base.bytes())),
-        }
-    }
-
-    /// A cheap upper bound on live CSV tail rows — data-line counts
-    /// without parsing — used by the opt-in auto-compaction trigger.
-    /// Torn or corrupt lines are counted too: they are exactly the
-    /// bloat compaction exists to shed.
-    pub fn tail_row_estimate(&self) -> usize {
-        (0..SHARD_COUNT)
-            .map(|shard| {
-                let path = self.store_dir().join(format!("shard-{shard:x}.csv"));
-                let Ok(text) = fs::read_to_string(&path) else {
-                    return 0;
-                };
-                text.lines()
-                    .filter(|l| {
-                        let l = l.trim();
-                        !l.is_empty() && !l.starts_with('#') && !l.starts_with("key,")
-                    })
-                    .count()
-            })
-            .sum()
-    }
-
-    /// The cache's root directory (generations live underneath).
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Load both layers of the current generation into one in-memory
-    /// map (CSV tail over compact base) — the bulk entry point for
-    /// guided search, which probes points one at a time and must not
-    /// re-read shard files per probe the way per-sweep
-    /// [`EvalCache::lookup`] may.
+    /// Load every shard of the current generation into one in-memory
+    /// map — the bulk entry point for guided search, which probes
+    /// points one at a time and must not re-read shard files per probe
+    /// the way per-sweep [`EvalCache::lookup`] may.
     pub fn load_all(&self) -> HashMap<u64, EvaluatedPoint> {
-        let mut out: HashMap<u64, EvaluatedPoint> =
-            match crate::compact::load_latest(&self.store_dir()) {
-                Some(base) => base.iter().collect(),
-                None => HashMap::new(),
-            };
-        for (shard, _) in self.live_shards() {
-            out.extend(shard);
-        }
-        // Rows diverted by storage exhaustion are real results too —
-        // guided search must see them like any persisted row.
-        out.extend(overlay_rows(&self.store_dir()));
-        out
+        (0..SHARD_COUNT).flat_map(|shard| self.load_shard(shard)).collect()
     }
 }
 
@@ -581,7 +279,7 @@ mod tests {
     fn append_then_lookup_round_trips() {
         let dir = tmpdir("roundtrip");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let outcome = SweepEngine::new().run(&spec).unwrap();
         let cache = EvalCache::new(&dir);
         let points = spec.points();
         assert!(cache.lookup(&points).iter().all(Option::is_none), "cold cache");
@@ -649,7 +347,7 @@ mod tests {
         // the *current* spec assigns it.
         let dir = tmpdir("reindex");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let outcome = SweepEngine::new().run(&spec).unwrap();
         let cache = EvalCache::new(&dir);
         cache.append(&outcome.points).unwrap();
         let mut moved = spec.points()[5];
@@ -664,7 +362,7 @@ mod tests {
     fn torn_lines_are_misses_for_only_their_points() {
         let dir = tmpdir("torn");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let outcome = SweepEngine::new().run(&spec).unwrap();
         let cache = EvalCache::new(&dir);
         cache.append(&outcome.points).unwrap();
         // Truncate one shard's last line mid-row (a crashed append).
@@ -701,7 +399,7 @@ mod tests {
         // shard; the reader must keep every data row around it.
         let dir = tmpdir("dup-header");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let outcome = SweepEngine::new().run(&spec).unwrap();
         let cache = EvalCache::new(&dir);
         cache.append(&outcome.points[..8]).unwrap();
         for key in outcome.points[..8].iter().map(|p| EvalCache::point_key(&p.point)) {
@@ -721,11 +419,10 @@ mod tests {
     #[test]
     fn concurrent_thread_appends_lose_no_rows() {
         // Many writers, one store: every appended row must read back
-        // intact (the locked-append contract, exercised in-process;
-        // the cross-process version lives in tests/distrib.rs).
+        // intact (the locked-append contract, exercised in-process).
         let dir = tmpdir("concurrent");
         let spec = SweepSpec::mac_arrays();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let outcome = SweepEngine::new().run(&spec).unwrap();
         let writers = 8;
         std::thread::scope(|scope| {
             for w in 0..writers {
@@ -771,46 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_appends_serve_from_the_overlay() {
-        // The full append:enospc plan is exercised cross-process in
-        // tests/degrade.rs (one fault plan per process); here the
-        // overlay seam itself: divert rows the way `append` does on a
-        // real ENOSPC and assert every read path still serves them.
-        let dir = tmpdir("degraded");
-        let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().without_cache().run(&spec).unwrap();
-        let cache = EvalCache::new(&dir);
-        let enospc = io::Error::from_raw_os_error(28);
-        assert!(ng_fault::is_exhaustion(&enospc));
-        let rows: Vec<(u64, EvaluatedPoint)> =
-            outcome.points.iter().map(|p| (EvalCache::point_key(&p.point), *p)).collect();
-        let before = obs_counters::store_degraded_appends().get();
-        cache.degrade_append(&cache.store_dir(), &rows, &enospc);
-        assert!(
-            obs_counters::store_degraded_appends().get() - before >= rows.len() as u64,
-            "every diverted row is counted"
-        );
-        // Nothing reached disk, yet lookup serves every point
-        // bit-identically — and with the current spec's indices.
-        assert!(!cache.store_dir().exists(), "degradation writes nothing to disk");
-        let loaded = cache.lookup(&spec.points());
-        assert_eq!(
-            loaded.into_iter().collect::<Option<Vec<_>>>().unwrap(),
-            outcome.points,
-            "overlay hits are bit-identical warm hits"
-        );
-        // The bulk loader guided search uses sees them too.
-        let all = cache.load_all();
-        assert!(rows.iter().all(|(key, p)| all.get(key) == Some(p)));
-        // A different store root shares the process but not the rows.
-        let other = EvalCache::new(tmpdir("degraded-other"));
-        assert!(
-            other.lookup(&spec.points()).iter().all(Option::is_none),
-            "overlay rows are keyed per store dir"
-        );
-    }
-
-    #[test]
     fn grown_spec_evaluates_only_the_delta() {
         let dir = tmpdir("delta");
         let engine = SweepEngine::new().with_cache_dir(&dir);
@@ -823,7 +480,7 @@ mod tests {
         assert_eq!(outcome.stats.evaluated, added, "only the new clock's points evaluated");
         assert_eq!(outcome.stats.cache_hits, base.point_count());
         // ... and the merged result equals an uncached full evaluation.
-        let reference = SweepEngine::new().without_cache().run(&grown).unwrap();
+        let reference = SweepEngine::new().run(&grown).unwrap();
         assert_eq!(outcome.points, reference.points);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -361,7 +361,7 @@ mod tests {
     use crate::sweep::SweepEngine;
 
     fn outcome() -> SweepOutcome {
-        SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap()
+        SweepEngine::new().run(&SweepSpec::quick()).unwrap()
     }
 
     #[test]
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn mapping_columns_extend_but_never_perturb_the_plain_formats() {
         let outcome = outcome();
-        let annotations = crate::mapsearch::annotate(&outcome.points, None);
+        let annotations = crate::mapsearch::annotate(&outcome.points);
         let plain = points_to_csv(&outcome.points);
         let mapped = points_to_csv_with_mapping(&outcome.points, &annotations);
         assert!(mapped.starts_with(&format!("{CSV_HEADER},{MAP_CSV_COLUMNS}\n")));

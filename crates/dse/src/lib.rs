@@ -15,24 +15,15 @@
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.
-//! * [`cache`] + [`emit`] — a sharded *point-level* evaluation cache
-//!   (re-runs of an unchanged spec are free, and overlapping or grown
-//!   specs evaluate only their delta) and CSV/JSON emitters. Appends
-//!   take a per-shard advisory file lock, so any number of threads or
-//!   processes can write one store concurrently.
-//! * [`compact`] — the binary columnar generation layer behind
-//!   `dse compact`: sealed CSV shards fold into a checksummed,
-//!   key-sorted file the cache loads with one `read` and zero per-row
-//!   parsing, while readers overlay the live CSV tail on top.
-//! * [`distrib`] — the multi-process sharded backend behind
-//!   `dse --workers N`: deterministic canonical-order slices, worker
-//!   processes coordinating purely through the point store, and a
-//!   coordinator merge that recovers crashed workers' slices.
-//! * [`mapsearch`] + [`mapmemo`] — the joint mapping search behind
+//! * [`emit`] — CSV/JSON emitters.
+//! * [`cache`] — the opt-in point store behind `dse --cache-dir DIR`:
+//!   sharded CSV files of evaluated points, so an overlapping or grown
+//!   spec evaluates only its delta. Runs are uncached by default —
+//!   evaluating a point (~0.7 µs) is cheaper than reading it back.
+//! * [`mapsearch`] — the joint mapping search behind
 //!   `dse --map-search`: per-layer `ng-timeloop` mapping searches fed
-//!   back through the timing stack, memoized in a mapping-memo store
-//!   that mirrors the point store's locked-append + compacted-base
-//!   discipline (and doubles as the Fig. 13 cross-validation seam).
+//!   back through the timing stack (and the Fig. 13 cross-validation
+//!   seam).
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
@@ -45,7 +36,7 @@
 //! ```
 //! use ng_dse::{Constraints, SweepEngine, SweepSpec};
 //!
-//! let outcome = SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap();
+//! let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
 //! // Architectures within an area budget of 10% of the GPU die, best
 //! // cross-app speedup first.
 //! let budget = Constraints { max_area_pct: Some(10.0), ..Constraints::default() };
@@ -55,14 +46,7 @@
 //! ```
 
 pub mod cache;
-pub mod cancel;
-pub mod chaos;
-pub mod compact;
-pub mod distrib;
 pub mod emit;
-pub mod fsck;
-pub mod job;
-pub mod mapmemo;
 pub mod mapsearch;
 pub mod obs_counters;
 pub mod pareto;
@@ -73,26 +57,18 @@ pub mod spec;
 pub mod sweep;
 
 pub use cache::EvalCache;
-pub use compact::{compact, CompactBase, CompactReport};
-pub use distrib::{
-    Coordinator, DistribError, DistribOutcome, DistribRun, DrainedDistrib, WorkerReport,
-    WorkerSummary,
-};
-pub use mapmemo::{MapMemoStore, MapRecord, MAP_SEARCH_BATCH};
 pub use mapsearch::{annotate, MapMetrics, MapSearchOutcome, AGREEMENT_BAND};
 pub use pareto::{pareto_indices, Constraints, Objectives, StreamingFrontier};
 pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
-pub use sweep::{
-    ArchPoint, DrainedSweep, EvaluatedPoint, SweepEngine, SweepOutcome, SweepRun, SweepStats,
-};
+pub use sweep::{ArchPoint, EvaluatedPoint, SweepEngine, SweepOutcome, SweepStats};
 
 /// Version tag of the underlying evaluation models, mixed into every
-/// cache key. **Bump this whenever `ngpc`'s emulator, the GPU model or
-/// the area/power substrate changes results** so cache generations stay
-/// humanly tellable apart on disk — though since
+/// point-store key. **Bump this whenever `ngpc`'s emulator, the GPU
+/// model or the area/power substrate changes results** so store
+/// generations stay humanly tellable apart on disk — though since
 /// [`model_fingerprint`] is also folded into every key, a forgotten
-/// bump no longer serves stale results.
+/// bump never serves stale results.
 pub const MODEL_VERSION: &str = "ngpc-models-v4";
 
 /// Fingerprint of the evaluation models' actual *outputs*: a probe
@@ -103,43 +79,32 @@ pub const MODEL_VERSION: &str = "ngpc-models-v4";
 /// and input-FIFO axes* (2 engine counts x 2 row counts x 2 column
 /// counts x 2 lane counts x 2 FIFO depths), so drift in the
 /// compositional timing model — which is invisible at the paper's NFP
-/// by construction — still invalidates cached sweep results, including
+/// by construction — still invalidates stored sweep results, including
 /// drift that only shows on the lane/FIFO axes the guided searcher
 /// explores.
-/// Folded into every point-cache key next to [`MODEL_VERSION`]; the
+/// Folded into every point-store key next to [`MODEL_VERSION`]; the
 /// pinned value in `tests/model_fingerprint.rs` turns silent drift into
-/// a test failure with bump instructions. Computed once per process:
-/// 128 evaluations — microseconds once the GPU model is calibrated.
-/// Note the coupling: because the probe runs the real emulator, any
-/// cache-enabled run pays the GPU-model calibration (~1 s) when
-/// `ng-gpu`'s persistent calibration store is cold or disabled
-/// (`NGPC_CALIB_CACHE=off`); with the store warm — the default after
-/// any first run on a machine — the probe is effectively free.
+/// a test failure with bump instructions. Computed once per process,
+/// and only by runs that use a store: 512 evaluations, about 0.1 ms.
+/// The probe is bookkeeping, not user work, so it evaluates through
+/// its own [`ngpc::EmulationContext`] and never counts into the
+/// `sweep.*` or `eval.ticks` counters.
 pub fn model_fingerprint() -> u64 {
     static FINGERPRINT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FINGERPRINT.get_or_init(|| {
-        // The probe is bookkeeping, not user work: it must not consume
-        // a fault plan's tick numbering or budgets (a
-        // `signal:term@point=5` should interrupt the user's sweep at
-        // its 5th point, not die inside this probe before the sweep
-        // starts).
-        let _probe_is_not_user_work = ng_fault::pause_injection();
         let mut probe = SweepSpec::quick();
         probe.encoding_engines = vec![8, 16];
         probe.mac_rows = vec![32, 64];
         probe.mac_cols = vec![32, 64];
         probe.lanes_per_engine = vec![1, 2];
         probe.input_fifo_depth = vec![4, 64];
-        let outcome = SweepEngine::new()
-            .without_cache()
-            .with_threads(1)
-            .run(&probe)
-            .expect("the probe spec always validates");
+        let mut ctx = ngpc::EmulationContext::new();
         let mut text = String::new();
-        for p in &outcome.points {
+        for p in probe.points() {
+            let r = ctx.eval(&p.emulator_input());
             text.push_str(&format!(
                 "{:.9e},{:.9e},{:.9e};",
-                p.speedup, p.area_pct_of_gpu, p.power_pct_of_gpu
+                r.speedup, r.area_pct_of_gpu, r.power_pct_of_gpu
             ));
         }
         ng_neural::math::fnv1a64(&text)

@@ -5,16 +5,14 @@
 //! [`ng_timeloop::best_mapping`] over every distinct `(MAC array, MLP
 //! layer shape)` problem a sweep visits, feeds the winners back through
 //! [`ngpc::EmulationContext::eval_with_mapping`], and reports the
-//! fixed-vs-searched comparison per point. Searches are memoized in the
-//! [`MapMemoStore`] beside the point store, so re-runs and distributed
-//! workers pay each mapspace enumeration once per model generation.
+//! fixed-vs-searched comparison per point. Searches are memoized per
+//! run, so each mapspace enumeration runs once per distinct problem —
+//! about 54 searches and 0.05 ms on the mac-arrays preset, cheaper
+//! than any on-disk memo would be to read back.
 //!
 //! The annotation is a *side table*: [`annotate`] never mutates the
-//! evaluated points, so everything downstream of the point store — the
-//! cache rows, the frontier, the plain CSV — is byte-identical with
-//! `--map-search` off, and a warm re-run (100 % memo hits) reproduces
-//! the cold run's annotated output byte-identically too (memo rows
-//! store exact integer cycles and raw f64 energy bits).
+//! evaluated points, so everything downstream — the frontier, the
+//! plain CSV — is byte-identical with `--map-search` off.
 //!
 //! This is also the crate's Fig. 13 cross-validation seam: `ngpc`'s
 //! tile model and `ng-timeloop`'s mapping evaluation are independent
@@ -27,9 +25,14 @@ use std::collections::HashMap;
 
 use ngpc::{mlp_layer_shapes, mlp_query_cycles, FixedTiling, MappingTable};
 
-use crate::mapmemo::{MapMemoStore, MapRecord, MAP_SEARCH_BATCH};
 use crate::obs_counters;
 use crate::sweep::EvaluatedPoint;
+
+/// Queries per searched problem: each layer is searched as a GEMM over
+/// this many queries, so per-query cycles are `cycles /
+/// MAP_SEARCH_BATCH`, exact because every cycle count is a multiple of
+/// the batch.
+pub const MAP_SEARCH_BATCH: u64 = 4096;
 
 /// The relative agreement band between `ngpc`'s fixed tile model and
 /// `ng-timeloop`'s mapping evaluation that `--check-map-agreement`
@@ -77,8 +80,8 @@ pub struct MapSearchOutcome {
     /// Mapping searches actually run — one per *distinct* `(MAC
     /// array, layer shape)` problem not already in the memo.
     pub evals: u64,
-    /// Lookups served without a search: from the on-disk memo store
-    /// or from an earlier point in the same run.
+    /// Lookups served without a search, from an earlier point in the
+    /// same run.
     pub memo_hits: u64,
 }
 
@@ -118,12 +121,12 @@ impl MapSearchOutcome {
 /// Annotate evaluated points with mapping-search metrics: per point,
 /// search (or recall) the best mapping of every MLP layer shape on its
 /// MAC array, build a [`MappingTable`], and re-evaluate the point under
-/// it. Fresh searches are appended to `store` so later runs — and
-/// concurrent workers sharing the store — hit the memo instead.
-pub fn annotate(points: &[EvaluatedPoint], store: Option<&MapMemoStore>) -> MapSearchOutcome {
+/// it.
+pub fn annotate(points: &[EvaluatedPoint]) -> MapSearchOutcome {
     let _span = ng_obs::span("mapsearch.annotate");
-    let mut memo: HashMap<u64, MapRecord> = store.map(MapMemoStore::load_all).unwrap_or_default();
-    let mut fresh: Vec<MapRecord> = Vec::new();
+    // (MAC rows, MAC cols, layer rows, layer cols) -> (total cycles,
+    // total energy in µJ) at MAP_SEARCH_BATCH queries.
+    let mut memo: HashMap<(u32, u32, usize, usize), (u64, f64)> = HashMap::new();
     let (mut evals, mut memo_hits) = (0u64, 0u64);
     let mut ctx = ngpc::EmulationContext::new();
     let metrics = points
@@ -134,12 +137,11 @@ pub fn annotate(points: &[EvaluatedPoint], store: Option<&MapMemoStore>) -> MapS
             let mut table = MappingTable::new();
             let mut energy_uj = 0.0;
             for (rows, cols) in mlp_layer_shapes(input.app, input.encoding) {
-                let key =
-                    MapMemoStore::layer_key(nfp.mac_rows, nfp.mac_cols, rows as u32, cols as u32);
-                let record = match memo.get(&key) {
-                    Some(record) => {
+                let key = (nfp.mac_rows, nfp.mac_cols, rows, cols);
+                let (cycles, energy) = match memo.get(&key) {
+                    Some(&found) => {
                         memo_hits += 1;
-                        *record
+                        found
                     }
                     None => {
                         let (problem, arch) =
@@ -150,28 +152,15 @@ pub fn annotate(points: &[EvaluatedPoint], store: Option<&MapMemoStore>) -> MapS
                             &ng_timeloop::EnergyTable::default(),
                         );
                         evals += 1;
-                        let record = MapRecord {
-                            mac_rows: nfp.mac_rows,
-                            mac_cols: nfp.mac_cols,
-                            rows: rows as u32,
-                            cols: cols as u32,
-                            spatial_n: result.mapping.spatial_n,
-                            spatial_k: result.mapping.spatial_k,
-                            weight_stationary: result.mapping.dataflow
-                                == ng_timeloop::Dataflow::WeightStationary,
-                            cycles: result.cost.cycles,
-                            energy_uj: result.energy_uj,
-                            candidates: result.candidates,
-                        };
-                        memo.insert(key, record);
-                        fresh.push(record);
-                        record
+                        let found = (result.cost.cycles, result.energy_uj);
+                        memo.insert(key, found);
+                        found
                     }
                 };
-                // Per-query cycles are exact: every stored cycle count
-                // is `tiles * MAP_SEARCH_BATCH`.
-                table.set(rows, cols, record.cycles as f64 / MAP_SEARCH_BATCH as f64);
-                energy_uj += record.energy_uj / MAP_SEARCH_BATCH as f64;
+                // Per-query cycles are exact: every cycle count is
+                // `tiles * MAP_SEARCH_BATCH`.
+                table.set(rows, cols, cycles as f64 / MAP_SEARCH_BATCH as f64);
+                energy_uj += energy / MAP_SEARCH_BATCH as f64;
             }
             let fixed_mlp_cycles = mlp_query_cycles(input.app, input.encoding, nfp, &FixedTiling);
             let searched_mlp_cycles = mlp_query_cycles(input.app, input.encoding, nfp, &table);
@@ -190,9 +179,6 @@ pub fn annotate(points: &[EvaluatedPoint], store: Option<&MapMemoStore>) -> MapS
     if memo_hits > 0 {
         obs_counters::mapsearch_memo_hits().add(memo_hits);
     }
-    if let Some(store) = store {
-        let _ = store.append(&fresh);
-    }
     MapSearchOutcome { metrics, evals, memo_hits }
 }
 
@@ -204,11 +190,11 @@ mod tests {
 
     #[test]
     fn annotation_agrees_with_the_tile_model_and_never_loses() {
-        let outcome = SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap();
-        let annotated = annotate(&outcome.points, None);
+        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
+        let annotated = annotate(&outcome.points);
         assert_eq!(annotated.metrics.len(), outcome.points.len());
-        // Even without a store, repeats within the run hit the in-run
-        // memo — only distinct (arch, layer) problems are searched.
+        // Repeats within the run hit the in-run memo — only distinct
+        // (arch, layer) problems are searched.
         assert!(annotated.evals > 0);
         assert!(annotated.memo_hits > 0, "quick preset repeats layer shapes across points");
         assert!(
@@ -231,8 +217,8 @@ mod tests {
         // tiling bit-for-bit, so re-evaluation under it reproduces the
         // point's speedup exactly — the invariant that keeps
         // `--map-search` from perturbing the frontier.
-        let outcome = SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap();
-        let annotated = annotate(&outcome.points, None);
+        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
+        let annotated = annotate(&outcome.points);
         for (m, p) in annotated.metrics.iter().zip(&outcome.points) {
             if m.searched_mlp_cycles == m.fixed_mlp_cycles {
                 assert_eq!(m.speedup, p.speedup, "tied mapping must reproduce the point");

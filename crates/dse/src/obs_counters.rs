@@ -37,8 +37,8 @@ hoisted!(
     sweep_fresh_evals => "sweep.fresh_evals"
 );
 hoisted!(
-    /// Per-point tick from inside the evaluation pool — the live
-    /// counter progress meters and worker heartbeats sample.
+    /// Per-point tick from inside the evaluation pool and the guided
+    /// searcher — the live counter the progress meter samples.
     eval_ticks => "eval.ticks"
 );
 hoisted!(
@@ -55,47 +55,10 @@ hoisted!(
     store_rows_appended => "store.rows_appended"
 );
 hoisted!(
-    /// Transient shard-append failures retried (with backoff) before
-    /// the append succeeded or gave up.
-    store_retries => "store.retries"
-);
-hoisted!(
     /// Torn or corrupt rows skipped while loading shards — rows that
     /// silently became misses. Non-zero after a crash is expected;
     /// growth during steady state is a store bug.
     cache_rows_skipped => "cache.rows_skipped"
-);
-hoisted!(
-    /// Rows diverted to the in-memory overlay because the store's
-    /// filesystem is exhausted (ENOSPC/EROFS/quota): the sweep
-    /// completed, but these rows will re-evaluate next run. Non-zero
-    /// means "free some disk" — the run degraded instead of dying.
-    store_degraded_appends => "store.degraded_appends"
-);
-hoisted!(
-    /// Job manifests persisted (creations and status rewrites alike).
-    jobs_manifests_written => "jobs.manifests_written"
-);
-hoisted!(
-    /// Jobs re-entered via `dse resume`.
-    jobs_resumed => "jobs.resumed"
-);
-hoisted!(
-    /// Store compactions completed (a binary generation was written).
-    store_compact_runs => "store.compact_runs"
-);
-hoisted!(
-    /// Rows folded into binary generations by the compactor.
-    store_compact_rows => "store.compact_rows"
-);
-hoisted!(
-    /// Lookup hits served from the compact binary base.
-    store_base_hits => "store.base_hits"
-);
-hoisted!(
-    /// Lookup hits served from the live CSV tail (which shadows the
-    /// base on overlap).
-    store_tail_hits => "store.tail_hits"
 );
 hoisted!(
     /// Points accepted into a streaming Pareto frontier.
@@ -131,44 +94,9 @@ hoisted!(
     mapsearch_evals => "mapsearch.evals"
 );
 hoisted!(
-    /// Per-layer mapping lookups served without a search — from the
-    /// on-disk memo store or the in-run memo. Invariant:
+    /// Per-layer mapping lookups served without a search, from the
+    /// in-run memo. Invariant:
     /// `mapsearch.evals + mapsearch.memo_hits` equals the number of
     /// `(point, layer)` lookups `--map-search` performed.
     mapsearch_memo_hits => "mapsearch.memo_hits"
-);
-hoisted!(
-    /// Rows appended to the mapping-memo store.
-    mapmemo_rows_appended => "mapmemo.rows_appended"
-);
-hoisted!(
-    /// Torn or corrupt rows skipped while loading the mapping memo —
-    /// each one is a search that will silently re-run.
-    mapmemo_rows_skipped => "mapmemo.rows_skipped"
-);
-hoisted!(
-    /// Worker child processes the coordinator spawned.
-    distrib_workers_spawned => "distrib.workers_spawned"
-);
-hoisted!(
-    /// Worker heartbeat events the coordinator observed.
-    distrib_heartbeats_seen => "distrib.heartbeats_seen"
-);
-hoisted!(
-    /// Points the coordinator re-evaluated because a worker's slice
-    /// came back incomplete.
-    distrib_recovered_points => "distrib.recovered_points"
-);
-hoisted!(
-    /// Slice leases the coordinator revoked (stalled heartbeat or
-    /// frozen progress past the stall window).
-    distrib_leases_expired => "distrib.leases_expired"
-);
-hoisted!(
-    /// Stalled worker processes the coordinator killed.
-    distrib_workers_killed => "distrib.workers_killed"
-);
-hoisted!(
-    /// Replacement workers spawned to take over a revoked lease.
-    distrib_leases_reassigned => "distrib.leases_reassigned"
 );

@@ -27,30 +27,6 @@ where
     FS: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
 {
-    map_stateful_partial(items, threads, make_state, f, || false)
-        .into_iter()
-        .map(|r| r.expect("every item evaluated"))
-        .collect()
-}
-
-/// [`map_stateful`] with a cancellation predicate: workers stop taking
-/// new items once `cancel()` turns true (in-flight items finish — the
-/// drain lets every lease complete its current point). Returns one
-/// slot per item in item order; `None` marks the undispatched tail.
-pub fn map_stateful_partial<T, R, S, FS, F, C>(
-    items: &[T],
-    threads: usize,
-    make_state: FS,
-    f: F,
-    cancel: C,
-) -> Vec<Option<R>>
-where
-    T: Sync,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-    C: Fn() -> bool + Sync,
-{
     if items.is_empty() {
         return Vec::new();
     }
@@ -75,16 +51,9 @@ where
             let queues = &queues;
             let make_state = &make_state;
             let f = &f;
-            let cancel = &cancel;
             scope.spawn(move || {
                 let mut state = make_state();
                 loop {
-                    // A drain stops the dispatch of *new* items; the
-                    // point being evaluated always completes (its
-                    // result is flushed by the caller).
-                    if cancel() {
-                        break;
-                    }
                     // Own work first (front: preserves the slab order)…
                     let mut next = queues[me].lock().unwrap().pop_front();
                     // …then steal from the back of the deepest other
@@ -125,7 +94,7 @@ where
             debug_assert!(out[i].is_none(), "item {i} dispatched twice");
             out[i] = Some(r);
         }
-        out
+        out.into_iter().map(|r| r.expect("every item dispatched once")).collect()
     })
 }
 
@@ -232,35 +201,5 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(map_stateful(&empty, 8, || (), |_, &x| x).is_empty());
         assert_eq!(map_stateful(&[41u8], 8, || (), |_, &x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn cancellation_drains_without_losing_completed_items() {
-        // Cancel after 10 completions: every completed slot is correct,
-        // nothing runs after the workers observe the flag, and the
-        // never-cancelled predicate reproduces the total map.
-        let done = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..500).collect();
-        let out = map_stateful_partial(
-            &items,
-            4,
-            || (),
-            |_, &x| {
-                done.fetch_add(1, Ordering::Relaxed);
-                x * 2
-            },
-            || done.load(Ordering::Relaxed) >= 10,
-        );
-        assert_eq!(out.len(), items.len());
-        let completed = out.iter().flatten().count();
-        assert!(completed >= 10, "at least the pre-cancel items completed");
-        assert!(completed < items.len(), "the tail was left undispatched");
-        for (i, slot) in out.iter().enumerate() {
-            if let Some(r) = slot {
-                assert_eq!(*r, (i as u64) * 2);
-            }
-        }
-        let total = map_stateful_partial(&items, 4, || (), |_, &x| x * 2, || false);
-        assert!(total.iter().all(Option::is_some));
     }
 }

@@ -135,84 +135,25 @@ pub fn cache_stats_line(outcome: &SweepOutcome) -> String {
     )
 }
 
-/// The `--cache-stats` extension lines: both store layers (compact
-/// binary base + live CSV tail, per shard), this process's
-/// base-vs-tail hit split, the store's cumulative lock-wait and
-/// torn-tail-heal counters, degraded (overlay-diverted) appends, and
-/// the store's durable job manifests. `stats` is one
-/// [`crate::cache::EvalCache::store_stats`] snapshot.
-#[allow(clippy::too_many_arguments)] // a stats snapshot, not an API
-pub fn shard_stats_report(
-    stats: &crate::cache::StoreStats,
-    base_hits: u64,
-    tail_hits: u64,
+/// The `--cache-stats` store line: per-shard row counts, total rows
+/// and bytes on disk, and this process's shard lock-wait, torn-tail
+/// heal and skipped-row counters. `shards` is one
+/// [`crate::cache::EvalCache::shard_stats`] snapshot.
+pub fn store_stats_line(
+    shards: &[(usize, u64)],
     lock_wait_us: u64,
     heals: u64,
     rows_skipped: u64,
-    degraded_appends: u64,
-    jobs: &[crate::job::JobManifest],
 ) -> String {
-    let counts: Vec<String> = stats.shards.iter().map(|(r, _)| r.to_string()).collect();
-    let base_line = match stats.base {
-        Some((seq, rows, bytes)) => format!(
-            "store base: generation {seq}, {rows} row(s), {:.1} KiB binary",
-            bytes as f64 / 1024.0
-        ),
-        None => "store base: none (CSV only — run `dse compact`)".to_string(),
-    };
-    let resumable = jobs.iter().filter(|j| j.status != crate::job::JobStatus::Done).count();
+    let counts: Vec<String> = shards.iter().map(|(rows, _)| rows.to_string()).collect();
+    let rows: usize = shards.iter().map(|(rows, _)| rows).sum();
+    let bytes: u64 = shards.iter().map(|(_, bytes)| bytes).sum();
     format!(
-        "{base_line}\n\
-         store tail: [{}] rows ({} live CSV, {:.1} KiB on disk)\n\
-         store hits this process: {base_hits} from base, {tail_hits} from tail\n\
-         store lock wait: {:.2} ms cumulative this process; {heals} torn tail(s) healed; \
-         {rows_skipped} corrupt row(s) skipped{}\n\
-         store degraded appends this process: {degraded_appends} row(s){}\n\
-         store jobs: {} manifest(s), {resumable} resumable{}",
+        "store: [{}] rows ({rows} rows, {:.1} KiB on disk); lock wait {:.2} ms; \
+         {heals} torn tail(s) healed; {rows_skipped} corrupt row(s) skipped",
         counts.join(" "),
-        stats.tail_rows(),
-        stats.tail_bytes() as f64 / 1024.0,
+        bytes as f64 / 1024.0,
         lock_wait_us as f64 / 1000.0,
-        if rows_skipped > 0 { " (run `dse fsck` to audit)" } else { "" },
-        if degraded_appends > 0 {
-            " diverted to the in-memory overlay — free some disk; they re-evaluate next run"
-        } else {
-            ""
-        },
-        jobs.len(),
-        if resumable > 0 { " (`dse resume` picks the newest)" } else { "" },
-    )
-}
-
-/// The `--cache-stats` lines for the mapping-memo store, mirroring the
-/// point store's [`shard_stats_report`] block: compacted base +
-/// per-shard live CSV tail, plus this process's search-vs-memo split
-/// and append/skip counters. `stats` is one
-/// [`crate::mapmemo::MapMemoStore::store_stats`] snapshot.
-pub fn mapmemo_stats_report(
-    stats: &crate::mapmemo::MapMemoStats,
-    evals: u64,
-    memo_hits: u64,
-    rows_appended: u64,
-    rows_skipped: u64,
-) -> String {
-    let counts: Vec<String> = stats.shards.iter().map(|(r, _)| r.to_string()).collect();
-    let base_line = match stats.base {
-        Some((seq, rows, bytes)) => format!(
-            "mapping memo base: generation {seq}, {rows} row(s), {:.1} KiB",
-            bytes as f64 / 1024.0
-        ),
-        None => "mapping memo base: none (CSV only — run `dse compact`)".to_string(),
-    };
-    format!(
-        "{base_line}\n\
-         mapping memo tail: [{}] rows ({} live CSV, {:.1} KiB on disk)\n\
-         mapping searches this process: {evals} run, {memo_hits} memo hit(s); \
-         {rows_appended} row(s) appended, {rows_skipped} corrupt row(s) skipped{}",
-        counts.join(" "),
-        stats.tail_rows(),
-        stats.tail_bytes() as f64 / 1024.0,
-        if rows_skipped > 0 { " (run `dse fsck` to audit)" } else { "" },
     )
 }
 
@@ -344,7 +285,7 @@ mod tests {
 
     #[test]
     fn tables_render_aligned() {
-        let outcome = SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap();
+        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
         let frontier = outcome.cross_app_frontier(&Constraints::NONE);
         let table = frontier_table(&frontier, 10);
         let lines: Vec<&str> = table.lines().collect();
@@ -355,7 +296,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let outcome = SweepEngine::new().without_cache().run(&SweepSpec::quick()).unwrap();
+        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
         let frontier = outcome.cross_app_frontier(&Constraints::NONE);
         assert!(frontier.len() > 1);
         let table = frontier_table(&frontier, 1);

@@ -28,14 +28,14 @@
 //!
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
-//! * a [`PointEvaluator`] owns ONE [`ngpc::EmulationContext`] and one
-//!   preloaded view of the point cache for the whole search — the hot
-//!   path of a probe is a hash lookup plus (on a miss) an emulator
-//!   call, with no per-point context construction, no per-probe shard
-//!   reads and no intermediate vectors;
-//! * revisited architectures are free (an in-search memo), cached
-//!   points are free (the point store), and only *fresh model
-//!   evaluations* consume the budget.
+//! * a [`PointEvaluator`] owns ONE [`ngpc::EmulationContext`] (and,
+//!   with an opt-in point store, one preloaded view of it) for the
+//!   whole search — the hot path of a probe is an emulator call, with
+//!   no per-point context construction, no per-probe shard reads and
+//!   no intermediate vectors;
+//! * revisited architectures are free (an in-search memo), stored
+//!   points are free, and only *fresh model evaluations* consume the
+//!   budget.
 //!
 //! Determinism: all randomness comes from one seeded
 //! [`ng_neural::math::Pcg32`]; a given `(spec, SearchSpec)` pair
@@ -142,7 +142,7 @@ pub struct SearchStats {
     pub archs_visited: usize,
     /// Fresh model evaluations spent (the budgeted quantity).
     pub evaluations: usize,
-    /// Point-cache hits (free under the budget).
+    /// Point-store hits (free under the budget).
     pub cache_hits: usize,
     /// The configured budget.
     pub budget: usize,
@@ -151,11 +151,6 @@ pub struct SearchStats {
     /// Whether the search degenerated to an exhaustive scan (budget at
     /// or above the space size).
     pub exhaustive: bool,
-    /// Whether a drain (SIGINT/SIGTERM) cut the search short. Fresh
-    /// evaluations were flushed to the store, so a re-run with the
-    /// same seed replays the trajectory with the prefix served as
-    /// cache hits — which is how `dse resume` finishes a search.
-    pub interrupted: bool,
     /// Wall-clock time.
     pub wall: Duration,
 }
@@ -183,14 +178,14 @@ pub struct SearchOutcome {
     pub frontier: Vec<ArchPoint>,
     /// How the search executed.
     pub stats: SearchStats,
-    /// Point-store generation directory, when caching was enabled.
+    /// Point-store generation directory, when the search used a store.
     pub cache_path: Option<PathBuf>,
 }
 
 /// Allocation-lean point evaluation for guided search: one
-/// [`EmulationContext`] and one in-memory view of the point cache serve
-/// every probe; fresh results are buffered and appended to the store in
-/// a single batch by [`PointEvaluator::flush`].
+/// [`EmulationContext`] and, with a point store, one in-memory view of
+/// it serve every probe; fresh results are buffered and appended to the
+/// store in a single batch by [`PointEvaluator::flush`].
 pub struct PointEvaluator {
     ctx: EmulationContext,
     cache: Option<EvalCache>,
@@ -198,15 +193,20 @@ pub struct PointEvaluator {
     fresh: Vec<EvaluatedPoint>,
     /// Fresh model evaluations performed.
     pub evaluations: usize,
-    /// Probes served from the preloaded cache view.
+    /// Probes served from the preloaded store view.
     pub cache_hits: usize,
 }
 
 impl PointEvaluator {
     /// A fresh evaluator; `cache` (if any) is bulk-loaded once, here.
     pub fn new(cache: Option<EvalCache>) -> Self {
-        let _span = ng_obs::span("load-view");
-        let view = cache.as_ref().map(EvalCache::load_all).unwrap_or_default();
+        let view = match &cache {
+            Some(cache) => {
+                let _span = ng_obs::span("load-view");
+                cache.load_all()
+            }
+            None => HashMap::new(),
+        };
         PointEvaluator {
             ctx: EmulationContext::new(),
             cache,
@@ -218,8 +218,11 @@ impl PointEvaluator {
     }
 
     /// Whether a probe for `point` would be served by the preloaded
-    /// cache view (i.e. cost zero fresh evaluations).
+    /// store view (i.e. cost zero fresh evaluations).
     pub fn is_cached(&self, point: &DesignPoint) -> bool {
+        if self.cache.is_none() {
+            return false;
+        }
         match self.view.get(&EvalCache::point_key(point)) {
             Some(stored) => {
                 stored.point.arch_key() == point.arch_key() && stored.point.app == point.app
@@ -228,20 +231,19 @@ impl PointEvaluator {
         }
     }
 
-    /// Evaluate one design point: cache-view hit, or emulator call.
+    /// Evaluate one design point: store-view hit, or emulator call.
     pub fn eval(&mut self, point: &DesignPoint) -> EvaluatedPoint {
-        let key = EvalCache::point_key(point);
-        if let Some(stored) = self.view.get(&key) {
-            // Rule out a 64-bit collision the same way the sweep cache
+        // Without a store, no key is computed: keys fold in the model
+        // fingerprint, whose probe an uncached search never pays.
+        let key = self.cache.as_ref().map(|_| EvalCache::point_key(point));
+        if let Some(stored) = key.and_then(|key| self.view.get(&key)) {
+            // Rule out a 64-bit collision the same way the sweep store
             // does before trusting the hit.
             if stored.point.arch_key() == point.arch_key() && stored.point.app == point.app {
                 self.cache_hits += 1;
                 return EvaluatedPoint { point: *point, ..*stored };
             }
         }
-        // Same fault-plan hook as the sweep pool: `signal:term` drives
-        // the drain path from inside a search too.
-        ng_fault::on_eval_tick();
         let r = self.ctx.eval(&point.emulator_input());
         let ep = EvaluatedPoint {
             point: *point,
@@ -255,19 +257,22 @@ impl PointEvaluator {
         };
         self.evaluations += 1;
         obs_counters::eval_ticks().incr();
-        if self.cache.is_some() {
+        if let Some(key) = key {
             self.view.insert(key, ep);
             self.fresh.push(ep);
         }
         ep
     }
 
-    /// Append buffered fresh evaluations to the point store (best
-    /// effort, like the sweep engine) and return the generation dir.
+    /// Append buffered fresh evaluations to the point store (a failed
+    /// append warns, like the sweep engine) and return the generation
+    /// dir.
     pub fn flush(&mut self) -> Option<PathBuf> {
         let cache = self.cache.as_ref()?;
         let _span = ng_obs::span("flush");
-        let _ = cache.append(&self.fresh);
+        if let Err(e) = cache.append(&self.fresh) {
+            eprintln!("dse: could not append to the point store ({e}); results are unaffected");
+        }
         self.fresh.clear();
         Some(cache.store_dir())
     }
@@ -363,27 +368,19 @@ struct SearchState<'a> {
     archive: StreamingFrontier<(ArchIdx, ArchPoint)>,
     archive_generation: u64,
     budget: usize,
-    cancel: &'a dyn Fn() -> bool,
 }
 
-impl<'a> SearchState<'a> {
-    /// Whether a drain has been requested — every strategy loop treats
-    /// this exactly like budget exhaustion.
-    fn stopped(&self) -> bool {
-        (self.cancel)()
-    }
-
-    /// Whether the search should keep going: no drain requested and
-    /// budget left for at least one more fresh evaluation.
-    /// (Architectures served entirely by the point cache are free and
-    /// individually exempt from the budget gate — see
+impl SearchState<'_> {
+    /// Whether the search has budget left for at least one more fresh
+    /// evaluation. (Architectures served entirely by the point store
+    /// are free and individually exempt from the budget gate — see
     /// [`SearchState::eval_arch`].)
     fn can_afford_arch(&self) -> bool {
-        !self.stopped() && self.evaluator.evaluations < self.budget
+        self.evaluator.evaluations < self.budget
     }
 
     /// Fresh evaluations probing `idx` would cost: its points not
-    /// already in the cache view.
+    /// already in the store view.
     fn arch_cost(&self, idx: &ArchIdx) -> usize {
         (0..self.space.spec.apps.len())
             .filter(|&app_i| !self.evaluator.is_cached(&self.space.point(idx, app_i)))
@@ -391,16 +388,11 @@ impl<'a> SearchState<'a> {
     }
 
     /// Evaluate (or recall) one architecture. Returns `None` only when
-    /// the architecture's *fresh* evaluations (cached points are free,
+    /// the architecture's *fresh* evaluations (stored points are free,
     /// as the budget contract promises) do not fit the budget.
     fn eval_arch(&mut self, idx: &ArchIdx) -> Option<ArchEval> {
         if let Some(hit) = self.visited.get(idx) {
             return Some(*hit);
-        }
-        // A drain mid-climb looks like budget exhaustion: every caller
-        // already unwinds cleanly on `None`.
-        if self.stopped() {
-            return None;
         }
         if self.evaluator.evaluations + self.arch_cost(idx) > self.budget {
             return None;
@@ -494,7 +486,8 @@ impl Weights {
     }
 }
 
-/// The guided searcher: cache policy mirrors [`crate::SweepEngine`].
+/// The guided searcher: its point-store policy mirrors
+/// [`crate::SweepEngine`] (none by default).
 #[derive(Debug, Clone)]
 pub struct Searcher {
     cache_dir: Option<PathBuf>,
@@ -507,18 +500,18 @@ impl Default for Searcher {
 }
 
 impl Searcher {
-    /// A searcher sharing the sweep engine's default point cache.
+    /// A searcher without a point store.
     pub fn new() -> Self {
-        Searcher { cache_dir: Some(PathBuf::from(crate::SweepEngine::DEFAULT_CACHE_DIR)) }
+        Searcher { cache_dir: None }
     }
 
-    /// Cache evaluations under `dir`.
+    /// Keep evaluations in a point store under `dir`.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
     }
 
-    /// Disable the evaluation cache.
+    /// Run without a point store (the default).
     pub fn without_cache(mut self) -> Self {
         self.cache_dir = None;
         self
@@ -526,28 +519,6 @@ impl Searcher {
 
     /// Run a guided search over `spec`'s space.
     pub fn run(&self, spec: &SweepSpec, search: &SearchSpec) -> Result<SearchOutcome, SpecError> {
-        self.run_inner(spec, search, &|| false)
-    }
-
-    /// [`Searcher::run`] with a drain predicate (the CLI passes
-    /// [`crate::cancel::cancelled`]): on cancellation the strategy
-    /// loops unwind like budget exhaustion, fresh evaluations are
-    /// flushed, and the outcome is marked `interrupted`.
-    pub fn run_draining(
-        &self,
-        spec: &SweepSpec,
-        search: &SearchSpec,
-        cancel: impl Fn() -> bool,
-    ) -> Result<SearchOutcome, SpecError> {
-        self.run_inner(spec, search, &cancel)
-    }
-
-    fn run_inner(
-        &self,
-        spec: &SweepSpec,
-        search: &SearchSpec,
-        cancel: &dyn Fn() -> bool,
-    ) -> Result<SearchOutcome, SpecError> {
         spec.validate()?;
         if search.budget == 0 {
             return Err(SpecError::Invalid("search budget must be nonzero".to_string()));
@@ -562,7 +533,6 @@ impl Searcher {
             archive: StreamingFrontier::new(),
             archive_generation: 0,
             budget: search.budget,
-            cancel,
         };
         let space_points = spec.point_count();
         let space_archs = state.space.arch_count();
@@ -576,10 +546,7 @@ impl Searcher {
                 // degenerate to the exhaustive frontier, so scan it.
                 for flat in 0..space_archs {
                     let idx = state.space.decode(flat);
-                    if state.eval_arch(&idx).is_none() {
-                        debug_assert!(state.stopped(), "budget covers the space");
-                        break;
-                    }
+                    state.eval_arch(&idx).expect("budget covers the space");
                 }
                 1
             } else {
@@ -589,8 +556,6 @@ impl Searcher {
                 }
             }
         };
-        let interrupted = state.stopped();
-
         let cache_path = state.evaluator.flush();
         let mut frontier: Vec<ArchPoint> =
             state.archive.into_payloads().into_iter().map(|(_, a)| a).collect();
@@ -608,7 +573,6 @@ impl Searcher {
                 budget: search.budget,
                 rounds,
                 exhaustive,
-                interrupted,
                 wall: started.elapsed(),
             },
             cache_path,
@@ -793,12 +757,12 @@ mod tests {
     #[test]
     fn saturated_budget_degenerates_to_the_exhaustive_frontier() {
         let spec = small_spec();
-        let exhaustive = crate::SweepEngine::new().without_cache().run(&spec).unwrap();
+        let exhaustive = crate::SweepEngine::new().run(&spec).unwrap();
         let expected = exhaustive.cross_app_frontier(&Constraints::NONE);
         for strategy in [SearchStrategy::HillClimb, SearchStrategy::Evolutionary] {
             let search =
                 SearchSpec { strategy, budget: spec.point_count(), ..SearchSpec::default() };
-            let outcome = Searcher::new().without_cache().run(&spec, &search).unwrap();
+            let outcome = Searcher::new().run(&spec, &search).unwrap();
             assert!(outcome.stats.exhaustive);
             assert_eq!(outcome.stats.archs_visited, outcome.stats.space_archs);
             assert_eq!(canon(&outcome.frontier), canon(&expected), "{strategy:?}");
@@ -810,8 +774,8 @@ mod tests {
         let spec = small_spec();
         for strategy in [SearchStrategy::HillClimb, SearchStrategy::Evolutionary] {
             let search = SearchSpec { strategy, budget: 40, ..SearchSpec::default() };
-            let a = Searcher::new().without_cache().run(&spec, &search).unwrap();
-            let b = Searcher::new().without_cache().run(&spec, &search).unwrap();
+            let a = Searcher::new().run(&spec, &search).unwrap();
+            let b = Searcher::new().run(&spec, &search).unwrap();
             assert_eq!(canon(&a.frontier), canon(&b.frontier), "{strategy:?}");
             assert_eq!(a.stats.evaluations, b.stats.evaluations);
             assert!(a.stats.evaluations <= 40, "{strategy:?}: {}", a.stats.evaluations);
@@ -825,7 +789,7 @@ mod tests {
     fn searched_frontier_members_are_mutually_non_dominated() {
         let spec = small_spec();
         let search = SearchSpec { budget: 60, ..SearchSpec::default() };
-        let outcome = Searcher::new().without_cache().run(&spec, &search).unwrap();
+        let outcome = Searcher::new().run(&spec, &search).unwrap();
         assert!(!outcome.frontier.is_empty());
         for a in &outcome.frontier {
             for b in &outcome.frontier {
@@ -842,7 +806,7 @@ mod tests {
     fn zero_budget_is_rejected() {
         let spec = small_spec();
         let search = SearchSpec { budget: 0, ..SearchSpec::default() };
-        assert!(Searcher::new().without_cache().run(&spec, &search).is_err());
+        assert!(Searcher::new().run(&spec, &search).is_err());
     }
 
     #[test]

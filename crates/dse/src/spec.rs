@@ -514,90 +514,6 @@ impl SweepSpec {
         )
     }
 
-    /// Render this spec in the TOML subset [`SweepSpec::from_toml_str`]
-    /// parses, round-tripping every axis exactly (floats via
-    /// shortest-round-trip display). This is how the distributed
-    /// coordinator ships its *resolved* spec — preset plus any CLI axis
-    /// overrides — to worker processes, so a worker's enumeration is
-    /// guaranteed to be the coordinator's.
-    pub fn to_toml(&self) -> String {
-        let nums = |it: &mut dyn Iterator<Item = String>| -> String {
-            format!("[{}]", it.collect::<Vec<_>>().join(", "))
-        };
-        // The TOML subset has no string escapes, so characters that
-        // would break the quoting are replaced: the name is reporting
-        // metadata (never part of the cache identity), so a sanitised
-        // round trip beats an unparseable spec file.
-        let name: String = self
-            .name
-            .chars()
-            .map(|c| if c == '"' || c == '\\' || c.is_control() { '_' } else { c })
-            .collect();
-        let mut out = format!("name = \"{name}\"\n");
-        out.push_str(&format!(
-            "apps = {}\n",
-            nums(&mut self.apps.iter().map(|&a| format!("\"{}\"", app_slug(a))))
-        ));
-        out.push_str(&format!(
-            "encodings = {}\n",
-            nums(&mut self.encodings.iter().map(|&e| format!("\"{}\"", encoding_slug(e))))
-        ));
-        out.push_str(&format!(
-            "pixels = {}\n",
-            nums(&mut self.pixels.iter().map(|p| p.to_string()))
-        ));
-        out.push_str(&format!(
-            "nfp_units = {}\n",
-            nums(&mut self.nfp_units.iter().map(|n| n.to_string()))
-        ));
-        out.push_str(&format!(
-            "clock_ghz = {}\n",
-            nums(&mut self.clock_ghz.iter().map(|c| c.to_string()))
-        ));
-        out.push_str(&format!(
-            "grid_sram_kb = {}\n",
-            nums(&mut self.grid_sram_kb.iter().map(|k| k.to_string()))
-        ));
-        out.push_str(&format!(
-            "grid_sram_banks = {}\n",
-            nums(&mut self.grid_sram_banks.iter().map(|b| b.to_string()))
-        ));
-        out.push_str(&format!(
-            "encoding_engines = {}\n",
-            nums(&mut self.encoding_engines.iter().map(|e| e.to_string()))
-        ));
-        out.push_str(&format!(
-            "mac_rows = {}\n",
-            nums(&mut self.mac_rows.iter().map(|r| r.to_string()))
-        ));
-        out.push_str(&format!(
-            "mac_cols = {}\n",
-            nums(&mut self.mac_cols.iter().map(|c| c.to_string()))
-        ));
-        out.push_str(&format!(
-            "lanes_per_engine = {}\n",
-            nums(&mut self.lanes_per_engine.iter().map(|l| l.to_string()))
-        ));
-        out.push_str(&format!(
-            "input_fifo_depth = {}\n",
-            nums(&mut self.input_fifo_depth.iter().map(|d| d.to_string()))
-        ));
-        let c = &self.constraints;
-        if c.max_area_pct.is_some() || c.max_power_pct.is_some() || c.min_speedup.is_some() {
-            out.push_str("\n[constraints]\n");
-            if let Some(b) = c.max_area_pct {
-                out.push_str(&format!("max_area_pct = {b}\n"));
-            }
-            if let Some(b) = c.max_power_pct {
-                out.push_str(&format!("max_power_pct = {b}\n"));
-            }
-            if let Some(b) = c.min_speedup {
-                out.push_str(&format!("min_speedup = {b}\n"));
-            }
-        }
-        out
-    }
-
     /// Parse a spec from the TOML subset documented in the README:
     /// top-level `key = value` pairs (value: number, `"string"`, or a
     /// single-line array of either) plus an optional `[constraints]`
@@ -876,35 +792,6 @@ mod tests {
         assert_eq!(spec.pixels, vec![FHD_PIXELS]);
         // 2 apps x 4 nfp_units x 2 clocks x 2 srams, single everything else.
         assert_eq!(spec.point_count(), 2 * 4 * 2 * 2);
-    }
-
-    #[test]
-    fn to_toml_round_trips_every_preset_exactly() {
-        // The distributed coordinator ships its resolved spec through
-        // this encoding; a worker must re-enumerate the exact points.
-        for name in SweepSpec::PRESETS {
-            let spec = SweepSpec::preset(name).unwrap();
-            let parsed = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();
-            assert_eq!(parsed, spec, "{name}");
-            assert_eq!(parsed.canonical(), spec.canonical(), "{name}");
-        }
-        // Overridden axes (incl. non-integer clocks) and constraints
-        // survive the trip too.
-        let mut spec = SweepSpec::quick();
-        spec.name = "overridden".to_string();
-        spec.clock_ghz = vec![0.75, 1.0, 1.25];
-        spec.lanes_per_engine = vec![1, 4];
-        spec.constraints.max_area_pct = Some(3.5);
-        let parsed = SweepSpec::from_toml_str(&spec.to_toml()).unwrap();
-        assert_eq!(parsed, spec);
-        // A name the quote-free TOML subset cannot carry is sanitised
-        // (name is reporting metadata, never cache identity) — the
-        // emitted file must stay parseable no matter what.
-        let mut hostile = SweepSpec::quick();
-        hostile.name = "abl \"v2\"\\\n".to_string();
-        let parsed = SweepSpec::from_toml_str(&hostile.to_toml()).unwrap();
-        assert_eq!(parsed.name, "abl _v2___");
-        assert_eq!(parsed.canonical(), hostile.canonical());
     }
 
     #[test]

@@ -124,12 +124,12 @@ impl ArchPoint {
 pub struct SweepStats {
     /// Points in the sweep.
     pub total_points: usize,
-    /// Points actually evaluated this run (the cache misses; 0 on a
-    /// full cache hit).
+    /// Points actually evaluated this run (every point, unless a point
+    /// store served some).
     pub evaluated: usize,
-    /// Points served from the point-level cache.
+    /// Points served from the point store.
     pub cache_hits: usize,
-    /// Whether *every* point came from the evaluation cache.
+    /// Whether *every* point came from the point store.
     pub cache_hit: bool,
     /// Worker threads used.
     pub threads: usize,
@@ -138,7 +138,8 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Evaluation throughput (points per second); 0 on a cache hit.
+    /// Evaluation throughput (points per second); 0 when the point
+    /// store served every point.
     pub fn points_per_sec(&self) -> f64 {
         if self.evaluated == 0 || self.wall.is_zero() {
             0.0
@@ -158,8 +159,8 @@ pub struct SweepOutcome {
     pub points: Vec<EvaluatedPoint>,
     /// How the run executed.
     pub stats: SweepStats,
-    /// The point-store generation directory results were cached under,
-    /// when caching was enabled (and writable).
+    /// The point-store generation directory, when the run used a
+    /// point store.
     pub cache_path: Option<PathBuf>,
 }
 
@@ -241,99 +242,31 @@ impl SweepOutcome {
 
 /// Evaluate design points on the work-stealing pool: one result per
 /// point, in input order, bit-identical regardless of thread count.
-/// Shared by [`SweepEngine::run_owned`] and the distributed backend's
-/// worker slices ([`crate::distrib`]).
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
-    let (slots, interrupted) = evaluate_points_partial(points, threads, || false);
-    debug_assert!(!interrupted, "cancellation disabled");
-    slots.into_iter().map(|s| s.expect("every point evaluated")).collect()
-}
-
-/// [`evaluate_points`] with a drain predicate: once `cancel()` turns
-/// true the pool stops dispatching new points (in-flight ones finish).
-/// Returns one slot per point in input order — `None` marks the
-/// unevaluated tail — plus whether the run was actually cut short.
-pub fn evaluate_points_partial(
-    points: &[DesignPoint],
-    threads: usize,
-    cancel: impl Fn() -> bool + Sync,
-) -> (Vec<Option<EvaluatedPoint>>, bool) {
     let _span = ng_obs::span("evaluate");
     let ticks = obs_counters::eval_ticks();
-    let slots = pool::map_stateful_partial(
-        points,
-        threads,
-        EmulationContext::new,
-        |ctx, p: &DesignPoint| {
-            // Fault-plan hook: in a marked worker process whose plan
-            // names this tick, the process dies or hangs *here* —
-            // before the point completes — so the slice is genuinely
-            // unfinished and the coordinator's lease recovery has real
-            // work to do. (`signal:term` raises SIGTERM here instead,
-            // driving the graceful-drain path this function feeds.)
-            ng_fault::on_eval_tick();
-            let r = ctx.eval(&p.emulator_input());
-            ticks.incr();
-            EvaluatedPoint {
-                point: *p,
-                speedup: r.speedup,
-                area_pct_of_gpu: r.area_pct_of_gpu,
-                power_pct_of_gpu: r.power_pct_of_gpu,
-                gpu_ms: r.gpu_ms,
-                ngpc_frame_ms: r.ngpc_frame_ms,
-                amdahl_bound: r.amdahl_bound,
-                plateaued: r.plateaued,
-            }
-        },
-        cancel,
-    );
-    let interrupted = slots.iter().any(Option::is_none);
-    (slots, interrupted)
+    pool::map_stateful(points, threads, EmulationContext::new, |ctx, p: &DesignPoint| {
+        let r = ctx.eval(&p.emulator_input());
+        ticks.incr();
+        EvaluatedPoint {
+            point: *p,
+            speedup: r.speedup,
+            area_pct_of_gpu: r.area_pct_of_gpu,
+            power_pct_of_gpu: r.power_pct_of_gpu,
+            gpu_ms: r.gpu_ms,
+            ngpc_frame_ms: r.ngpc_frame_ms,
+            amdahl_bound: r.amdahl_bound,
+            plateaued: r.plateaued,
+        }
+    })
 }
 
-/// How a cancellable sweep ([`SweepEngine::run_draining`]) ended.
-// The variants are deliberately unboxed: the value is a transient
-// return, matched and consumed immediately, never stored.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum SweepRun {
-    /// The sweep ran to completion.
-    Complete(SweepOutcome),
-    /// A drain was requested mid-evaluation: everything already
-    /// computed was flushed to the point store, the tail was left
-    /// unevaluated.
-    Interrupted(DrainedSweep),
-}
-
-/// The drain record of an interrupted sweep — what made it into the
-/// store before the stop, which is exactly what `dse resume` does not
-/// have to re-evaluate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrainedSweep {
-    /// Points in the spec.
-    pub total_points: usize,
-    /// Points served from the cache before the drain.
-    pub cache_hits: usize,
-    /// Points freshly evaluated (and appended) before the drain.
-    pub freshly_completed: usize,
-    /// The store generation directory the completed points live in.
-    pub cache_path: Option<PathBuf>,
-}
-
-impl DrainedSweep {
-    /// Points a resume still has to evaluate.
-    pub fn remaining(&self) -> usize {
-        self.total_points - self.cache_hits - self.freshly_completed
-    }
-}
-
-/// The sweep executor: thread count + cache policy.
+/// The sweep executor: thread count + an optional point store.
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
     threads: usize,
     cache_dir: Option<PathBuf>,
     quiet: bool,
-    auto_compact: Option<usize>,
 }
 
 impl Default for SweepEngine {
@@ -343,17 +276,9 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// Default cache directory, relative to the working directory.
-    pub const DEFAULT_CACHE_DIR: &'static str = ".dse-cache";
-
-    /// An engine using every available core and the default cache dir.
+    /// An engine using every available core and no point store.
     pub fn new() -> Self {
-        SweepEngine {
-            threads: pool::available_threads(),
-            cache_dir: Some(PathBuf::from(Self::DEFAULT_CACHE_DIR)),
-            quiet: false,
-            auto_compact: None,
-        }
+        SweepEngine { threads: pool::available_threads(), cache_dir: None, quiet: false }
     }
 
     /// Suppress the live stderr progress line even when stderr is a
@@ -370,25 +295,11 @@ impl SweepEngine {
         self
     }
 
-    /// Cache evaluations under `dir`.
+    /// Keep evaluations in a point store under `dir` (`dse
+    /// --cache-dir`): later runs read stored points back instead of
+    /// evaluating them.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Disable the evaluation cache.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_dir = None;
-        self
-    }
-
-    /// Opt in to automatic store compaction (`dse --auto-compact N`):
-    /// after a run's append, if the live CSV tail holds at least
-    /// `threshold` rows, fold it into a binary generation. Off by
-    /// default — compaction is cheap but not free, and short-lived
-    /// stores never amortise it.
-    pub fn with_auto_compact(mut self, threshold: Option<usize>) -> Self {
-        self.auto_compact = threshold;
         self
     }
 
@@ -397,9 +308,9 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Run a sweep: validate, partition the points into cached and
-    /// missing, evaluate only the misses in parallel, append them back
-    /// to the point store, and return the merged results in spec order.
+    /// Run a sweep: validate, evaluate every point in parallel, and
+    /// return the results in spec order. With a point store, only the
+    /// points it does not hold are evaluated, and those are appended.
     ///
     /// Borrowing callers pay one spec clone (the outcome owns its
     /// spec); callers that can part with the spec should prefer
@@ -409,33 +320,9 @@ impl SweepEngine {
     }
 
     /// [`SweepEngine::run`] taking the spec by value: no spec clone,
-    /// and the merge fills cache hits and fresh evaluations into a
+    /// and the merge fills stored points and fresh evaluations into a
     /// single result vector instead of collecting intermediates.
     pub fn run_owned(&self, spec: SweepSpec) -> Result<SweepOutcome, SpecError> {
-        match self.run_inner(spec, &|| false)? {
-            SweepRun::Complete(outcome) => Ok(outcome),
-            SweepRun::Interrupted(_) => unreachable!("cancellation disabled"),
-        }
-    }
-
-    /// [`SweepEngine::run_owned`] with a drain predicate (the CLI
-    /// passes [`crate::cancel::cancelled`]): on cancellation the
-    /// completed points are flushed to the store and a
-    /// [`SweepRun::Interrupted`] drain record comes back instead of an
-    /// outcome.
-    pub fn run_draining(
-        &self,
-        spec: SweepSpec,
-        cancel: impl Fn() -> bool + Sync,
-    ) -> Result<SweepRun, SpecError> {
-        self.run_inner(spec, &cancel)
-    }
-
-    fn run_inner(
-        &self,
-        spec: SweepSpec,
-        cancel: &(dyn Fn() -> bool + Sync),
-    ) -> Result<SweepRun, SpecError> {
         spec.validate()?;
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
@@ -445,12 +332,12 @@ impl SweepEngine {
         // `slots` doubles as the hit/miss partition and the result
         // buffer: hits are already final, the gaps are filled from the
         // pool's output below.
-        let mut slots: Vec<Option<EvaluatedPoint>> = {
-            let _span = ng_obs::span("lookup");
-            match &cache {
-                Some(cache) => cache.lookup(&design_points),
-                None => vec![None; design_points.len()],
+        let mut slots: Vec<Option<EvaluatedPoint>> = match &cache {
+            Some(cache) => {
+                let _span = ng_obs::span("lookup");
+                cache.lookup(&design_points)
             }
+            None => vec![None; design_points.len()],
         };
         let missing: Vec<DesignPoint> = design_points
             .iter()
@@ -459,8 +346,9 @@ impl SweepEngine {
             .map(|(p, _)| *p)
             .collect();
         drop(design_points);
+        let cache_hits = slots.len() - missing.len();
         obs_counters::sweep_points().add(slots.len() as u64);
-        obs_counters::sweep_cache_hits().add((slots.len() - missing.len()) as u64);
+        obs_counters::sweep_cache_hits().add(cache_hits as u64);
 
         // The work-stealing pool sees only the misses; results come
         // back in `missing` (= spec) order. The meter samples the
@@ -473,54 +361,31 @@ impl SweepEngine {
             "points",
             !missing.is_empty() && ng_obs::stderr_wants_progress(self.quiet),
         );
-        let (eval_slots, interrupted) = evaluate_points_partial(&missing, self.threads, cancel);
+        let evaluated = evaluate_points(&missing, self.threads);
         meter.finish();
-        let evaluated: Vec<EvaluatedPoint> = eval_slots.iter().copied().flatten().collect();
         obs_counters::sweep_fresh_evals().add(evaluated.len() as u64);
 
-        // A cache write failure (read-only dir, ...) downgrades to a
-        // write-through-less run rather than failing the sweep; the
-        // store dir is still reported, since hits were read from it.
-        // On a drain this flush is the whole point: everything already
-        // computed becomes resumable state.
+        // The results never depend on the store: a failed append costs
+        // the next run its hits, not this run its outcome.
         let cache_path = cache.as_ref().map(|cache| {
             let _span = ng_obs::span("append");
-            let _ = cache.append(&evaluated);
+            if let Err(e) = cache.append(&evaluated) {
+                eprintln!("dse: could not append to the point store ({e}); results are unaffected");
+            }
             cache.store_dir()
         });
 
-        let cache_hits = slots.len() - missing.len();
-        if interrupted {
-            return Ok(SweepRun::Interrupted(DrainedSweep {
-                total_points: slots.len(),
-                cache_hits,
-                freshly_completed: evaluated.len(),
-                cache_path,
-            }));
-        }
-
-        // Opt-in auto-compaction: fold a grown CSV tail into a binary
-        // generation once it crosses the threshold. Failure downgrades
-        // like a cache write failure — the WAL stays authoritative.
-        if let (Some(threshold), Some(cache)) = (self.auto_compact, &cache) {
-            if cache.tail_row_estimate() >= threshold {
-                if let Err(e) = crate::compact::compact(cache) {
-                    eprintln!("dse: auto-compaction failed (store still serves): {e}");
-                }
-            }
-        }
-
-        // Merge in place: cached points keep their slot, fresh
+        // Merge in place: stored points keep their slot, fresh
         // evaluations fill the gaps in order — both sides are already
         // in spec order.
         let mut fresh = evaluated.into_iter();
         for slot in slots.iter_mut().filter(|s| s.is_none()) {
-            *slot = Some(fresh.next().expect("one evaluation per miss"));
+            *slot = fresh.next();
         }
         let points: Vec<EvaluatedPoint> =
             slots.into_iter().map(|s| s.expect("every slot filled")).collect();
 
-        Ok(SweepRun::Complete(SweepOutcome {
+        Ok(SweepOutcome {
             spec,
             stats: SweepStats {
                 total_points: points.len(),
@@ -532,7 +397,7 @@ impl SweepEngine {
             },
             points,
             cache_path,
-        }))
+        })
     }
 }
 
@@ -542,7 +407,7 @@ mod tests {
     use crate::spec::FHD_PIXELS;
 
     fn engine() -> SweepEngine {
-        SweepEngine::new().without_cache()
+        SweepEngine::new()
     }
 
     #[test]

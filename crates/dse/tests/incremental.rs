@@ -70,7 +70,7 @@ fn half_then_grown_equals_full_sweep_point_for_point() {
 
         let warmup = engine.run(&half).unwrap();
         let grown = engine.run(&full).unwrap();
-        let reference = SweepEngine::new().without_cache().run(&full).unwrap();
+        let reference = SweepEngine::new().run(&full).unwrap();
 
         assert_eq!(grown.points.len(), reference.points.len(), "case {i}");
         for (a, b) in grown.points.iter().zip(&reference.points) {
@@ -107,7 +107,7 @@ proptest! {
         let engine = SweepEngine::new().with_cache_dir(&dir);
         engine.run(&half).unwrap();
         let grown = engine.run(&full).unwrap();
-        let reference = SweepEngine::new().without_cache().run(&full).unwrap();
+        let reference = SweepEngine::new().run(&full).unwrap();
         prop_assert_eq!(&grown.points, &reference.points);
         prop_assert_eq!(
             grown.stats.evaluated,

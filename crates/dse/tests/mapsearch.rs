@@ -1,9 +1,5 @@
-//! End-to-end checks of `dse --map-search` (PR 10 acceptance): the
-//! memo round-trip (cold search → warm 100%-hit re-run, byte-identical
-//! annotated CSV), off-mode byte-identity (the plain CSV never moves),
-//! the cross-validation agreement gate, and distributed parity (a
-//! `--workers 3 --map-search` run seeds the shared memo and emits the
-//! same CSV as a single process).
+//! End-to-end checks of `dse --map-search`: off-mode byte-identity (the
+//! plain CSV never moves) and the cross-validation agreement gate.
 
 use std::fs;
 use std::path::PathBuf;
@@ -22,104 +18,17 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn headline(stdout: &str) -> &str {
-    stdout.lines().find(|l| l.starts_with("map-search:")).expect("map-search headline printed")
-}
-
-#[test]
-fn memo_round_trip_cold_then_warm_byte_identical() {
-    let dir = tmpdir("roundtrip");
-    let dir_s = dir.display().to_string();
-    let csv = dir.join("out.csv").display().to_string();
-
-    // Cold: every distinct (MAC array, layer shape) problem searches
-    // once; repeats within the run are in-run memo hits.
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &dir_s,
-        "--csv",
-        &csv,
-        "--map-search",
-        "--cache-stats",
-        "--quiet",
-    ]);
-    assert!(ok, "cold run failed:\n{out}");
-    let cold = headline(&out).to_string();
-    assert!(!cold.starts_with("map-search: 0 search(es)"), "cold run must search: {cold}");
-    assert!(
-        out.lines().any(|l| l.starts_with("mapping memo tail:")),
-        "--cache-stats must report the memo store:\n{out}"
-    );
-    let cold_csv = fs::read(dir.join("out.csv")).unwrap();
-
-    // Warm: zero searches, 100% memo hits, byte-identical CSV — the
-    // memo stores exact cycles and raw f64 energy bits.
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &dir_s,
-        "--csv",
-        &csv,
-        "--map-search",
-        "--quiet",
-    ]);
-    assert!(ok, "warm run failed:\n{out}");
-    assert!(
-        headline(&out).starts_with("map-search: 0 search(es)"),
-        "warm run must be 100% memo hits: {}",
-        headline(&out)
-    );
-    assert_eq!(fs::read(dir.join("out.csv")).unwrap(), cold_csv, "warm CSV must be byte-identical");
-
-    // Compaction folds the memo tail into a base; the run after that
-    // still serves everything without a search.
-    let (out, ok) = dse(&["compact", "--cache-dir", &dir_s]);
-    assert!(ok, "compact failed:\n{out}");
-    assert!(out.contains("mapping memo: folded"), "compact must fold the memo:\n{out}");
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &dir_s,
-        "--csv",
-        &csv,
-        "--map-search",
-        "--quiet",
-    ]);
-    assert!(ok, "post-compact run failed:\n{out}");
-    assert!(
-        headline(&out).starts_with("map-search: 0 search(es)"),
-        "the memo base must serve every lookup: {}",
-        headline(&out)
-    );
-    assert_eq!(fs::read(dir.join("out.csv")).unwrap(), cold_csv);
-    let _ = fs::remove_dir_all(&dir);
-}
-
 #[test]
 fn off_mode_csv_is_untouched_and_mapped_csv_only_appends_columns() {
     let dir = tmpdir("offmode");
-    let dir_s = dir.display().to_string();
+    fs::create_dir_all(&dir).unwrap();
     let plain_csv = dir.join("plain.csv").display().to_string();
     let mapped_csv = dir.join("mapped.csv").display().to_string();
 
-    let (out, ok) =
-        dse(&["--preset", "quick", "--cache-dir", &dir_s, "--csv", &plain_csv, "--quiet"]);
+    let (out, ok) = dse(&["--preset", "quick", "--csv", &plain_csv, "--quiet"]);
     assert!(ok, "plain run failed:\n{out}");
     assert!(!out.contains("map-search:"), "no headline without --map-search:\n{out}");
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &dir_s,
-        "--csv",
-        &mapped_csv,
-        "--map-search",
-        "--quiet",
-    ]);
+    let (out, ok) = dse(&["--preset", "quick", "--csv", &mapped_csv, "--map-search", "--quiet"]);
     assert!(ok, "mapped run failed:\n{out}");
 
     let plain = fs::read_to_string(dir.join("plain.csv")).unwrap();
@@ -137,76 +46,7 @@ fn off_mode_csv_is_untouched_and_mapped_csv_only_appends_columns() {
 
 #[test]
 fn agreement_gate_passes_on_the_quick_preset() {
-    let dir = tmpdir("agreement");
-    let dir_s = dir.display().to_string();
-    let (out, ok) =
-        dse(&["--preset", "quick", "--cache-dir", &dir_s, "--check-map-agreement", "--quiet"]);
+    let (out, ok) = dse(&["--preset", "quick", "--check-map-agreement", "--quiet"]);
     assert!(ok, "--check-map-agreement must pass inside the band:\n{out}");
     assert!(out.contains("max disagreement"), "headline printed:\n{out}");
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn workers_seed_the_shared_memo_and_match_single_process_output() {
-    let single = tmpdir("single");
-    let multi = tmpdir("multi");
-    let single_s = single.display().to_string();
-    let multi_s = multi.display().to_string();
-    let single_csv = single.join("out.csv").display().to_string();
-    let multi_csv = multi.join("out.csv").display().to_string();
-
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &single_s,
-        "--csv",
-        &single_csv,
-        "--map-search",
-        "--quiet",
-    ]);
-    assert!(ok, "single-process run failed:\n{out}");
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &multi_s,
-        "--csv",
-        &multi_csv,
-        "--map-search",
-        "--workers",
-        "3",
-        "--quiet",
-    ]);
-    assert!(ok, "distributed run failed:\n{out}");
-    assert!(
-        out.lines().filter(|l| l.contains("map-search:")).count() >= 2,
-        "workers must report their memo seeding:\n{out}"
-    );
-    assert_eq!(
-        fs::read(single.join("out.csv")).unwrap(),
-        fs::read(multi.join("out.csv")).unwrap(),
-        "distributed --map-search CSV must match single-process byte-for-byte"
-    );
-
-    // The coordinator's own annotation ran against the worker-seeded
-    // memo: a follow-up warm run proves the store holds every mapping.
-    let (out, ok) = dse(&[
-        "--preset",
-        "quick",
-        "--cache-dir",
-        &multi_s,
-        "--csv",
-        &multi_csv,
-        "--map-search",
-        "--quiet",
-    ]);
-    assert!(ok, "warm run failed:\n{out}");
-    assert!(
-        headline(&out).starts_with("map-search: 0 search(es)"),
-        "worker-seeded memo must make the re-run warm: {}",
-        headline(&out)
-    );
-    let _ = fs::remove_dir_all(&single);
-    let _ = fs::remove_dir_all(&multi);
 }

@@ -1,12 +1,13 @@
-//! Property tests of the guided searcher (ISSUE 4 satellite): with a
-//! budget covering the whole space, guided search must degenerate to
+//! Property tests of the sweep and the guided searcher: every point a
+//! valid spec can name evaluates to finite, positive metrics, and with
+//! a budget covering the whole space guided search degenerates to
 //! exactly the exhaustive sweep's cross-app Pareto frontier — for
 //! arbitrary (small) axis subsets, both strategies, and any seed.
 
 use ng_dse::{
     ArchPoint, Constraints, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec,
 };
-use ng_neural::apps::EncodingKind;
+use ng_neural::apps::{AppKind, EncodingKind};
 use proptest::prelude::*;
 
 /// Sort frontier objectives for set comparison.
@@ -56,7 +57,7 @@ proptest! {
         let strategy =
             if evolutionary == 1 { SearchStrategy::Evolutionary } else { SearchStrategy::HillClimb };
         let spec = small_spec(encodings, units, srams, lanes, fifos);
-        let exhaustive = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let exhaustive = SweepEngine::new().run(&spec).unwrap();
         let expected = exhaustive.cross_app_frontier(&Constraints::NONE);
         let search = SearchSpec {
             strategy,
@@ -64,7 +65,7 @@ proptest! {
             seed,
             ..SearchSpec::default()
         };
-        let outcome = Searcher::new().without_cache().run(&spec, &search).unwrap();
+        let outcome = Searcher::new().run(&spec, &search).unwrap();
         prop_assert!(outcome.stats.exhaustive);
         prop_assert_eq!(outcome.stats.evaluations, spec.point_count());
         prop_assert_eq!(canon(&outcome.frontier), canon(&expected));
@@ -82,14 +83,14 @@ proptest! {
         // other *reported* point, and every reported point must appear
         // in the exhaustive evaluation with identical objectives).
         let spec = small_spec(2, 4, 2, 2, 2);
-        let exhaustive = SweepEngine::new().without_cache().run(&spec).unwrap();
+        let exhaustive = SweepEngine::new().run(&spec).unwrap();
         let all = exhaustive.cross_app();
         let search = SearchSpec {
             budget: spec.point_count() / 3,
             seed,
             ..SearchSpec::default()
         };
-        let outcome = Searcher::new().without_cache().run(&spec, &search).unwrap();
+        let outcome = Searcher::new().run(&spec, &search).unwrap();
         prop_assert!(outcome.stats.evaluations <= search.budget);
         for a in &outcome.frontier {
             let twin = all.iter().find(|b| {
@@ -102,6 +103,60 @@ proptest! {
             let twin = twin.expect("searched arch exists in the exhaustive fold");
             prop_assert_eq!(twin.avg_speedup.to_bits(), a.avg_speedup.to_bits());
             prop_assert_eq!(twin.area_pct_of_gpu.to_bits(), a.area_pct_of_gpu.to_bits());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any single point drawn inside `SweepSpec::validate`'s bounds
+    /// (log-uniform where an axis spans decades) evaluates to finite,
+    /// positive metrics.
+    #[test]
+    fn every_valid_point_has_finite_positive_metrics(
+        app in 0usize..4,
+        encoding in 0usize..3,
+        pixels_exp in 0u32..33,
+        pixels_mul in 1u64..=2,
+        nfp_units in 1u32..=1024,
+        clock_ghz in 0.1f64..5.0,
+        sram_kb_exp in 2u32..=16,
+        banks_exp in 0u32..=10,
+        engines in 1u32..=64,
+        mac_rows in 1u32..=1024,
+        mac_cols in 1u32..=1024,
+        lanes in 1u32..=16,
+        fifo in 1u32..=4096,
+    ) {
+        let spec = SweepSpec {
+            name: "random-point".to_string(),
+            apps: vec![AppKind::ALL[app]],
+            encodings: vec![EncodingKind::ALL[encoding]],
+            pixels: vec![pixels_mul << pixels_exp],
+            nfp_units: vec![nfp_units],
+            clock_ghz: vec![clock_ghz],
+            grid_sram_kb: vec![1 << sram_kb_exp],
+            grid_sram_banks: vec![1 << banks_exp],
+            encoding_engines: vec![engines],
+            mac_rows: vec![mac_rows],
+            mac_cols: vec![mac_cols],
+            lanes_per_engine: vec![lanes],
+            input_fifo_depth: vec![fifo],
+            ..SweepSpec::default()
+        };
+        prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
+        let outcome = SweepEngine::new().with_threads(1).run(&spec).unwrap();
+        let p = &outcome.points[0];
+        for (name, value) in [
+            ("speedup", p.speedup),
+            ("area %", p.area_pct_of_gpu),
+            ("power %", p.power_pct_of_gpu),
+            ("gpu_ms", p.gpu_ms),
+            ("ngpc_frame_ms", p.ngpc_frame_ms),
+            ("amdahl_bound", p.amdahl_bound),
+        ] {
+            prop_assert!(value.is_finite() && value > 0.0, "{} = {} at {:?}", name, value, p.point);
         }
     }
 }

@@ -72,6 +72,38 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
     let _ = std::fs::remove_file(&ledger_path);
 }
 
+/// The model-fingerprint probe a point store pays is bookkeeping, not
+/// user work: a stored run's sweep and eval-tick counters must count
+/// exactly the spec's points.
+#[test]
+fn store_bookkeeping_stays_out_of_user_counters() {
+    let ledger_path = temp_path("stored.jsonl");
+    let store = temp_path("stored-store");
+    let _ = std::fs::remove_file(&ledger_path);
+    let _ = std::fs::remove_dir_all(&store);
+    let ledger_s = ledger_path.display().to_string();
+    let store_s = store.display().to_string();
+
+    let (out, err, ok) =
+        dse(&["--preset", "quick", "--cache-dir", &store_s, "--quiet", "--trace", &ledger_s], &[]);
+    assert!(ok, "stored run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let counters = ledger.final_counters();
+    let get = |name: &str| {
+        counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
+    };
+    let points = ng_dse::SweepSpec::quick().point_count() as u64;
+    assert_eq!(get("sweep.points"), points, "the fingerprint probe leaked into sweep.points");
+    assert_eq!(get("sweep.fresh_evals"), points);
+    assert_eq!(get("eval.ticks"), points, "the fingerprint probe leaked into eval.ticks");
+
+    let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
+    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let _ = std::fs::remove_file(&ledger_path);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 #[test]
 fn trace_subcommand_exports_chrome_json() {
     let ledger_path = temp_path("chrome.jsonl");

@@ -94,8 +94,8 @@ fn hashgrid_fhd_ms(app: AppKind) -> f64 {
     FHD_HASHGRID_MS.iter().find(|(a, _)| *a == app).map(|(_, t)| *t).expect("all apps present")
 }
 
-/// Compute the ratio table in-process (the ~1 s cold path: every
-/// Table I grid is instantiated and run through the roofline model).
+/// Compute the ratio table in-process: every Table I workload is
+/// derived and run through the roofline model.
 fn compute_ratio_table() -> Vec<((AppKind, EncodingKind), f64)> {
     let gpu = rtx3090();
     let mut out = Vec::new();
@@ -114,12 +114,7 @@ fn compute_ratio_table() -> Vec<((AppKind, EncodingKind), f64)> {
 }
 
 /// Cost-model frame-time ratio of `encoding` relative to hashgrid, per
-/// app, memoised because instantiating the NeRF hash tables is not free.
-/// The table is additionally persisted through [`crate::store`] (keyed
-/// by a fingerprint of every calibration input), so only the first
-/// process on a machine — or the first after a model change — pays the
-/// in-process computation; everyone else reads twelve floats back
-/// bit-exactly.
+/// app, memoised once per process.
 fn model_ratio(app: AppKind, encoding: EncodingKind) -> f64 {
     static CACHE: OnceLock<Vec<((AppKind, EncodingKind), f64)>> = OnceLock::new();
     let table = CACHE.get_or_init(|| {
@@ -128,30 +123,8 @@ fn model_ratio(app: AppKind, encoding: EncodingKind) -> f64 {
         // root in a trace while the charged wall time stays inside the
         // main thread's `evaluate` span (which is waiting on this).
         let _span = ng_obs::span("calib-ratios");
-        match crate::store::default_dir() {
-            Some(dir) => {
-                let fp = crate::store::calibration_fingerprint();
-                match crate::store::load_ratios(&dir, fp) {
-                    Some(out) => {
-                        ng_obs::counter("calib.store_hits").incr();
-                        out
-                    }
-                    None => {
-                        ng_obs::counter("calib.computes").incr();
-                        let out = compute_ratio_table();
-                        // Persistence failure (read-only dir, ...)
-                        // downgrades to in-process-only memoisation,
-                        // never to an error.
-                        let _ = crate::store::save_ratios(&dir, fp, &out);
-                        out
-                    }
-                }
-            }
-            None => {
-                ng_obs::counter("calib.computes").incr();
-                compute_ratio_table()
-            }
-        }
+        ng_obs::counter("calib.computes").incr();
+        compute_ratio_table()
     });
     table
         .iter()
@@ -293,21 +266,6 @@ mod tests {
                 assert!((b.total_ms() - total).abs() < 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn persisted_ratio_table_round_trips_the_real_computation() {
-        // The disk path must be indistinguishable from the in-process
-        // path: the real computed table, saved and re-loaded, is
-        // bit-identical.
-        let table = compute_ratio_table();
-        let dir =
-            std::env::temp_dir().join(format!("ngpc-calibrate-roundtrip-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fp = crate::store::calibration_fingerprint();
-        crate::store::save_ratios(&dir, fp, &table).unwrap();
-        assert_eq!(crate::store::load_ratios(&dir, fp).unwrap(), table);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //!   the 72.37 / 60.0 / 59.96 % encoding+MLP averages, the 55.50x /
 //!   6.68x / 1.51x 4k@60 gaps). The `ngpc` emulator consumes this layer,
 //!   exactly as the paper's emulator consumes measured profiles.
-//!
-//! The calibrated layer's derived ratio table (the ~1 s per-process
-//! warm-up) is persisted across processes by [`store`], keyed by a
-//! fingerprint of every calibration input.
 
 pub mod cache;
 pub mod calibrate;
@@ -32,7 +28,6 @@ pub mod gap;
 pub mod ops;
 pub mod profile;
 pub mod spec;
-pub mod store;
 pub mod workload;
 
 pub use calibrate::{frame_time_ms, kernel_breakdown, KernelBreakdown};

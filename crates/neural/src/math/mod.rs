@@ -38,8 +38,7 @@ pub fn smoothstep(e0: f32, e1: f32, x: f32) -> f32 {
 }
 
 /// FNV-1a over a string, 64-bit — the workspace's shared content-hash
-/// for cache keys and model fingerprints (`ng-dse`'s point cache,
-/// `ng-gpu`'s calibration store).
+/// for cache keys and model fingerprints (`ng-dse`'s point cache).
 ///
 /// ```
 /// assert_eq!(ng_neural::math::fnv1a64(""), 0xcbf2_9ce4_8422_2325);

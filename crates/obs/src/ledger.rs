@@ -41,7 +41,7 @@ enum Field {
 }
 
 impl Event {
-    /// The event kind (`meta`, `sb`, `se`, `ctr`, `hb`), or `""`.
+    /// The event kind (`meta`, `sb`, `se`, `ctr`), or `""`.
     pub fn kind(&self) -> &str {
         self.str_field("ev").unwrap_or("")
     }

@@ -1,7 +1,7 @@
 //! # ng-obs — structured observability for the DSE pipeline
 //!
-//! The pipeline behind `dse` spans sweep → point cache → guided search
-//! → multi-process workers; this crate is the one place all of it
+//! The pipeline behind `dse` spans sweep → frontier → report, plus
+//! guided search and an opt-in point store; this crate is the one place all of it
 //! reports *how* a run went, not just what it produced. It is
 //! deliberately dependency-free (not even the vendored workspace
 //! stubs): instrumentation must never constrain who can link it.
@@ -41,10 +41,10 @@
 //! `Instant::now` calls plus one short mutex section at end — they are
 //! meant for *stages* (a sweep's lookup/evaluate/append phases), never
 //! for per-point work. With recording off nothing touches a file; with
-//! recording on, span begin/end and heartbeat events each pay one
-//! locked append. The contract, guarded by `bench_dse
-//! --check-overhead`: tracing off must keep cold sweep throughput
-//! within noise of the tracked `BENCH_dse.json` trajectory.
+//! recording on, span begin/end events each pay one locked append. The
+//! contract, guarded by `bench_dse --check-overhead`: tracing off must
+//! keep cold sweep throughput within noise of the tracked
+//! `BENCH_dse.json` trajectory.
 
 pub mod counter;
 pub mod ledger;
@@ -55,13 +55,13 @@ pub mod span;
 pub use counter::{counter, Counter, CounterSnapshot};
 pub use ledger::{Ledger, LedgerCheck, StageProfile};
 pub use progress::{stderr_wants_progress, Meter};
-pub use sink::{append_jsonl_line, emit_counters, emit_heartbeat, emit_lease, emit_meta};
+pub use sink::{append_jsonl_line, emit_counters, emit_meta};
 pub use span::{profile_snapshot, span, SpanGuard};
 
 /// Microseconds since the UNIX epoch — the wall-clock timestamp every
 /// ledger event carries. Wall time (not a process-local monotonic
-/// anchor) so events from coordinator and worker *processes* land on
-/// one comparable axis; durations, by contrast, are always measured
+/// anchor) so events from several processes sharing one ledger land
+/// on one comparable axis; durations, by contrast, are always measured
 /// with `Instant`.
 pub fn epoch_us() -> u64 {
     std::time::SystemTime::now()

@@ -1,11 +1,10 @@
 //! The recording layer: a crash-safe append-only JSONL event ledger.
 //!
 //! One file, one JSON object per line, appended under an exclusive
-//! advisory file lock — the exact discipline the point store uses, for
-//! the exact reason: any number of threads *and processes* (a
-//! coordinator plus its spawned workers all pointed at the same
-//! `NG_DSE_TRACE` path) may interleave events without ever tearing a
-//! line, and a crashed writer leaves at worst one torn final line,
+//! advisory file lock — the discipline the point store uses, for the
+//! same reason: any number of threads *and processes* pointed at the
+//! same `NG_DSE_TRACE` path may interleave events without ever tearing
+//! a line, and a crashed writer leaves at worst one torn final line,
 //! which [`crate::ledger`] skips.
 //!
 //! Recording is process-global and off by default. [`enable`] turns it
@@ -21,8 +20,6 @@
 //! | `sb`   | span begin     | `ts`, `pid`, `tid`, `path` |
 //! | `se`   | span end       | `ts`, `pid`, `tid`, `path`, `dur` (µs) |
 //! | `ctr`  | counter value  | `ts`, `pid`, `name`, `val` (cumulative) |
-//! | `hb`   | worker progress| `ts`, `pid`, `worker`, `of`, `done`, `total`, `state` |
-//! | `lease`| slice lease change | `ts`, `pid`, `worker`, `act` (`grant`/`expire`/`kill`/`reassign`/`local`), `why` |
 //!
 //! `ts` is wall-clock microseconds since the epoch ([`crate::epoch_us`])
 //! so multi-process events share one axis; `dur` is measured
@@ -33,7 +30,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 
 use crate::{epoch_us, json_escape, trace_tid};
 
@@ -48,8 +45,8 @@ pub fn is_recording() -> bool {
 }
 
 /// Start recording events to `path` (appending if it exists, so
-/// coordinator and worker processes can share one ledger). Emits a
-/// `meta` event marking the attach.
+/// several processes can share one ledger). Emits a `meta` event
+/// marking the attach.
 pub fn enable(path: impl Into<PathBuf>) -> io::Result<()> {
     let path = path.into();
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
@@ -95,70 +92,29 @@ pub fn ledger_path() -> Option<PathBuf> {
 /// `line + '\n'` while the lock is held, so concurrent appenders —
 /// threads or processes — never interleave mid-line; a filesystem
 /// without lock support degrades to a plain append.
-///
-/// Transient failures (flaky filesystem, injected `ledger:io` fault)
-/// are retried with jittered exponential backoff; spent retries are
-/// counted as `ledger.retries`. The injection point precedes the
-/// write, so a retried attempt never duplicates a line.
-///
-/// Public because it is also the transport for worker heartbeat files,
-/// which live next to the point store rather than in the trace ledger.
 pub fn append_jsonl_line(path: &Path, line: &str) -> io::Result<()> {
-    let (result, retries) = ng_fault::with_retries("ledger:io", || {
-        if let Some(e) = ng_fault::ledger_append_error() {
+    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    if let Err(e) = file.lock() {
+        if e.kind() != io::ErrorKind::Unsupported {
             return Err(e);
         }
-        let file = fs::OpenOptions::new().create(true).append(true).open(path)?;
-        if let Err(e) = file.lock() {
-            if e.kind() != io::ErrorKind::Unsupported {
-                return Err(e);
-            }
-        }
-        let mut buf = String::with_capacity(line.len() + 1);
-        buf.push_str(line);
-        buf.push('\n');
-        let mut file = file;
-        file.write_all(buf.as_bytes())
-        // Lock released when `file` drops (kernel-released even on crash).
-    });
-    if retries > 0 {
-        ledger_retries().add(retries as u64);
     }
-    result
-}
-
-/// Hoisted `ledger.retries` counter handle (see the counter-hoisting
-/// discipline in `ng-dse`'s `obs_counters`).
-fn ledger_retries() -> &'static crate::Counter {
-    static C: std::sync::OnceLock<crate::Counter> = std::sync::OnceLock::new();
-    C.get_or_init(|| crate::counter("ledger.retries"))
+    let mut buf = String::with_capacity(line.len() + 1);
+    buf.push_str(line);
+    buf.push('\n');
+    file.write_all(buf.as_bytes())
+    // Lock released when `file` drops (kernel-released even on crash).
 }
 
 /// Emit one event line to the ledger, if recording. Emission is best
-/// effort: a transient I/O error drops the event rather than failing
-/// the run — observability must never turn a working sweep into a
-/// broken one. A *persistent* capacity error (ENOSPC/EROFS/quota —
-/// [`ng_fault::is_exhaustion`]) instead reroutes the event line to
-/// stderr as JSONL, so the trace of a degraded run survives even when
-/// its disk does not; each later emit still tries the file first, so
-/// recording recovers by itself once space frees up.
+/// effort: an I/O error drops the event rather than failing the run —
+/// observability must never turn a working sweep into a broken one.
 fn emit(line: &str) {
     if !is_recording() {
         return;
     }
-    let Some(path) = ledger_path() else { return };
-    match append_jsonl_line(&path, line) {
-        Ok(()) => {}
-        Err(e) if ng_fault::is_exhaustion(&e) => {
-            static NOTICED: Once = Once::new();
-            NOTICED.call_once(|| {
-                eprintln!(
-                    "ng-obs: ledger append failed ({e}); trace events now mirror to stderr JSONL"
-                );
-            });
-            eprintln!("{line}");
-        }
-        Err(_) => {}
+    if let Some(path) = ledger_path() {
+        let _ = append_jsonl_line(&path, line);
     }
 }
 
@@ -216,57 +172,9 @@ pub fn emit_counters() {
     }
 }
 
-/// Serialise a worker progress/heartbeat event (without emitting it) —
-/// the line format shared by the trace ledger and the per-store
-/// heartbeat file the distributed backend maintains.
-pub fn heartbeat_line(worker: usize, of: usize, done: usize, total: usize, state: &str) -> String {
-    format!(
-        "{{\"ev\":\"hb\",\"ts\":{},\"pid\":{},\"worker\":{worker},\"of\":{of},\
-         \"done\":{done},\"total\":{total},\"state\":\"{}\"}}",
-        epoch_us(),
-        std::process::id(),
-        json_escape(state),
-    )
-}
-
-/// Emit a worker heartbeat into the trace ledger, if recording.
-pub fn emit_heartbeat(worker: usize, of: usize, done: usize, total: usize, state: &str) {
-    if !is_recording() {
-        return;
-    }
-    emit(&heartbeat_line(worker, of, done, total, state));
-}
-
-/// Emit a slice-lease lifecycle event (`act` is one of `grant`,
-/// `expire`, `kill`, `reassign`, `local`) — the distributed
-/// coordinator's recovery decisions, made replayable from the ledger.
-/// Readers that predate the kind simply skip it ([`crate::ledger`]
-/// parses by field, not by a closed `ev` set).
-pub fn emit_lease(worker: usize, act: &str, why: &str) {
-    if !is_recording() {
-        return;
-    }
-    emit(&format!(
-        "{{\"ev\":\"lease\",\"ts\":{},\"pid\":{},\"worker\":{worker},\"act\":\"{}\",\"why\":\"{}\"}}",
-        epoch_us(),
-        std::process::id(),
-        json_escape(act),
-        json_escape(why),
-    ));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn heartbeat_line_is_one_json_object() {
-        let line = heartbeat_line(2, 5, 40, 100, "run");
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(!line.contains('\n'));
-        assert!(line.contains("\"worker\":2"));
-        assert!(line.contains("\"state\":\"run\""));
-    }
 
     #[test]
     fn append_creates_and_appends_whole_lines() {

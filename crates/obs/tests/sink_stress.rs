@@ -5,7 +5,12 @@
 
 use std::path::PathBuf;
 
-use ng_obs::{append_jsonl_line, sink::heartbeat_line, Ledger};
+use ng_obs::{append_jsonl_line, Ledger};
+
+/// One numbered event line, tagged with its writer.
+fn line(writer: usize, seq: usize) -> String {
+    format!("{{\"ev\":\"meta\",\"writer\":{writer},\"seq\":{seq}}}")
+}
 
 fn temp_file(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ng-obs-{tag}-{}.jsonl", std::process::id()))
@@ -26,9 +31,8 @@ fn concurrent_appends_produce_no_torn_lines() {
         for worker in 0..WRITERS {
             let path = &path;
             scope.spawn(move || {
-                for done in 0..LINES_PER_WRITER {
-                    let line = heartbeat_line(worker, WRITERS, done, LINES_PER_WRITER, "run");
-                    append_jsonl_line(path, &line).expect("append succeeds");
+                for seq in 0..LINES_PER_WRITER {
+                    append_jsonl_line(path, &line(worker, seq)).expect("append succeeds");
                 }
             });
         }
@@ -36,19 +40,19 @@ fn concurrent_appends_produce_no_torn_lines() {
 
     let ledger = Ledger::read(&path).expect("sink file readable");
     assert_eq!(ledger.skipped_lines, 0, "torn or malformed lines in sink file");
-    let beats: Vec<_> = ledger.of_kind("hb").collect();
-    assert_eq!(beats.len(), WRITERS * LINES_PER_WRITER);
+    let events: Vec<_> = ledger.of_kind("meta").collect();
+    assert_eq!(events.len(), WRITERS * LINES_PER_WRITER);
 
-    // Stronger than counting: every (worker, done) pair arrived exactly
+    // Stronger than counting: every (writer, seq) pair arrived exactly
     // once, so no line was lost or spliced into a parseable-but-wrong one.
     let mut seen = vec![[false; LINES_PER_WRITER]; WRITERS];
-    for beat in &beats {
-        let worker = beat.num_field("worker").expect("worker field") as usize;
-        let done = beat.num_field("done").expect("done field") as usize;
-        assert!(!seen[worker][done], "duplicate heartbeat ({worker}, {done})");
-        seen[worker][done] = true;
+    for event in &events {
+        let writer = event.num_field("writer").expect("writer field") as usize;
+        let seq = event.num_field("seq").expect("seq field") as usize;
+        assert!(!seen[writer][seq], "duplicate line ({writer}, {seq})");
+        seen[writer][seq] = true;
     }
-    assert!(seen.iter().flatten().all(|&s| s), "missing heartbeat lines");
+    assert!(seen.iter().flatten().all(|&s| s), "missing lines");
 
     let _ = std::fs::remove_file(&path);
 }
@@ -61,8 +65,8 @@ fn reader_tolerates_truncated_final_line() {
     let path = temp_file("torn-tail");
     let _ = std::fs::remove_file(&path);
 
-    for done in 0..4 {
-        append_jsonl_line(&path, &heartbeat_line(0, 1, done, 4, "run")).expect("append succeeds");
+    for seq in 0..4 {
+        append_jsonl_line(&path, &line(0, seq)).expect("append succeeds");
     }
     // Simulate the crash: chop the file mid-way through its last line.
     let bytes = std::fs::read(&path).expect("sink file readable");
@@ -71,7 +75,7 @@ fn reader_tolerates_truncated_final_line() {
 
     let ledger = Ledger::read(&path).expect("truncated file still readable");
     assert_eq!(ledger.skipped_lines, 1, "exactly the torn tail is skipped");
-    assert_eq!(ledger.of_kind("hb").count(), 3, "complete lines all survive");
+    assert_eq!(ledger.of_kind("meta").count(), 3, "complete lines all survive");
 
     let _ = std::fs::remove_file(&path);
 }

@@ -10,7 +10,7 @@ use ng_dse::{Constraints, SweepEngine, SweepSpec};
 
 fn main() {
     // The paper's axes plus a clock sweep, declared instead of nested
-    // loops; evaluation is parallel, cached, and deterministic.
+    // loops; evaluation is parallel and deterministic.
     let spec = SweepSpec {
         name: "design-space-example".to_string(),
         nfp_units: vec![4, 8, 16, 32, 64, 128],
@@ -19,10 +19,9 @@ fn main() {
     };
     let outcome = SweepEngine::new().run(&spec).expect("valid spec");
     println!(
-        "evaluated {} points in {:.1} ms ({}; {} threads)\n",
+        "evaluated {} points in {:.1} ms ({} threads)\n",
         outcome.stats.total_points,
         outcome.stats.wall.as_secs_f64() * 1e3,
-        if outcome.stats.cache_hit { "cache hit" } else { "cache miss" },
         outcome.stats.threads,
     );
 

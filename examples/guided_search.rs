@@ -33,11 +33,9 @@ fn main() {
         100.0 * SearchSpec::DEFAULT_BUDGET_FRACTION,
     );
 
-    // 2. Search. Revisited architectures are free (in-search memo) and
-    //    cached points are free across runs; only fresh emulator calls
-    //    consume the budget. (`without_cache` here so the printed
-    //    numbers are reproducible on any machine.)
-    let outcome = Searcher::new().without_cache().run(&spec, &search).expect("preset validates");
+    // 2. Search. Revisited architectures are free (in-search memo);
+    //    only fresh emulator calls consume the budget.
+    let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
     let stats = &outcome.stats;
     println!(
         "searched {} architectures with {} evaluations ({:.2}% of the space) in {:.1} ms",
@@ -80,10 +78,10 @@ fn main() {
     small.nfp_units = vec![8, 16, 32, 64];
     small.lanes_per_engine = vec![1, 2];
     small.input_fifo_depth = vec![8, 64];
-    let exhaustive = SweepEngine::new().without_cache().run(&small).expect("valid");
+    let exhaustive = SweepEngine::new().run(&small).expect("valid");
     let full_frontier = exhaustive.cross_app_frontier(&Constraints::NONE);
     let saturated = SearchSpec { budget: small.point_count(), ..search };
-    let degenerate = Searcher::new().without_cache().run(&small, &saturated).expect("valid");
+    let degenerate = Searcher::new().run(&small, &saturated).expect("valid");
     assert_eq!(degenerate.frontier.len(), full_frontier.len());
     println!(
         "\nsaturated-budget check: searched frontier == exhaustive frontier \
