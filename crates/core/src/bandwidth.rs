@@ -8,7 +8,6 @@
 //! reproduces Table III's 4.126 ms (NeRF) and 1.238 ms (others).
 
 use ng_neural::apps::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// DRAM bandwidth of the host GPU (RTX 3090), GB/s.
 pub const GPU_DRAM_BW_GBPS: f64 = 936.2;
@@ -47,7 +46,7 @@ fn streaming_passes(app: AppKind) -> f64 {
 }
 
 /// One Table III row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthRow {
     /// Application.
     pub app: AppKind,

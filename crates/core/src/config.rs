@@ -1,11 +1,9 @@
 //! Hardware configuration of the NFP and the NGPC cluster.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{NgpcError, Result};
 
 /// Configuration of a single Neural Fields Processor (paper Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NfpConfig {
     /// Number of input-encoding engines (16 — the maximum level count of
     /// the studied encodings).
@@ -139,7 +137,7 @@ impl NfpConfig {
 }
 
 /// Configuration of a Neural Graphics Processing Cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NgpcConfig {
     /// Number of NFP units — the paper's "scaling factor" (8/16/32/64).
     pub nfp_units: u32,

@@ -42,23 +42,21 @@
 //!
 //! [`per_sample_cycles`] derives the fused pipeline's per-query issue
 //! interval from the Table I workload shapes: MLP-engine tile cycles
-//! (`rows.div_ceil(mac_rows) * cols.div_ceil(mac_cols)` per layer
-//! matrix), encoding-engine occupancy (levels folded over the engine
-//! gang; the grid-SRAM pressure of an engine multiplexing several
-//! level tables is charged through `sram_capacity_factor`), and the
-//! fusion-FIFO overlap between the two stages. Because the
-//! MAC-array and engine-count axes enter as the *ratio* against the
-//! paper's NFP, the factor is exactly 1.0 at 16 engines / 64x64 MACs —
-//! every published number is reproduced byte-identically — while
-//! off-paper configurations are now genuinely charged for their
-//! datapath choices.
+//! ([`layer_tiles`] per layer matrix), encoding-engine occupancy
+//! (levels folded over the engine gang; the grid-SRAM pressure of an
+//! engine multiplexing several level tables is charged through
+//! `sram_capacity_factor`), and the fusion-FIFO overlap between the
+//! two stages. Because the MAC-array and engine-count axes enter as
+//! the *ratio* against the paper's NFP, the factor is exactly 1.0 at
+//! 16 engines / 64x64 MACs — every published number is reproduced
+//! byte-identically — while off-paper configurations are now genuinely
+//! charged for their datapath choices.
 
 use ng_neural::apps::{table1, AppKind, EncodingKind};
-use serde::{Deserialize, Serialize};
 
 use crate::config::NfpConfig;
+use crate::engine::mlp_engine::layer_tiles;
 use crate::kernels::REST_FUSION_SPEEDUP;
-use crate::mapping::{mlp_cycles, FixedTiling, LayerMapping};
 
 /// Calibrated per-(application, encoding) residual of the compositional
 /// timing model: the end-to-end speedup per NFP *at the paper's NFP*
@@ -175,63 +173,39 @@ const FULL_OVERLAP_FIFO_DEPTH: f64 = 16.0;
 ///   pipeline runs at the slower stage's rate; shallow FIFOs slide
 ///   toward the serial sum.
 pub fn per_sample_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    per_sample_cycles_with(app, encoding, nfp, &FixedTiling)
-}
-
-/// [`per_sample_cycles`] under an explicit [`LayerMapping`]: only the
-/// MLP stage's per-query cycles change — the encoding fold and the
-/// fusion-FIFO overlap are mapping-independent. With [`FixedTiling`]
-/// this is bit-identical to [`per_sample_cycles`] (same expressions in
-/// the same order).
-pub fn per_sample_cycles_with(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
     let levels = encoding_levels(encoding);
     let engines = nfp.encoding_engines.max(1);
     let rounds = levels.div_ceil(engines);
     let parallel = (engines / levels).max(1) * nfp.lanes_per_engine.max(1);
     let enc = rounds as f64 / parallel as f64;
 
-    let mlp = mlp_query_cycles(app, encoding, nfp, mapping);
+    let mlp = mlp_query_cycles(app, encoding, nfp);
 
     let overlap = (nfp.input_fifo_depth as f64 / FULL_OVERLAP_FIFO_DEPTH).min(1.0);
     enc.max(mlp) + enc.min(mlp) * (1.0 - overlap)
 }
 
 /// Per-query MAC-array cycles of one workload's full MLP stack (the
-/// app's MLP plus NeRF's color MLP, which share the array) under a
-/// mapping — the quantity an external mapping search optimises and the
-/// denominator of the fixed-vs-searched comparison `dse --map-search`
-/// reports.
-pub fn mlp_query_cycles(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
-    let params = table1(app, encoding);
-    let mut mlp = mlp_cycles(&params.mlp, nfp, mapping);
-    if let Some(color) = &params.color_mlp {
-        mlp += mlp_cycles(color, nfp, mapping);
-    }
-    mlp
+/// app's MLP plus NeRF's color MLP, which share the array): the sum of
+/// [`layer_tiles`] over [`mlp_layer_shapes`].
+pub fn mlp_query_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
+    let (mac_rows, mac_cols) = (nfp.mac_rows as usize, nfp.mac_cols as usize);
+    mlp_layer_shapes(app, encoding)
+        .map(|(rows, cols)| layer_tiles(rows, cols, mac_rows, mac_cols))
+        .sum::<usize>() as f64
 }
 
 /// The `(rows, cols)` weight-matrix shapes of one workload's MLP stack,
-/// in evaluation order — the per-layer problems an external mapper
-/// searches. Shapes can repeat (hidden layers share one shape); the
-/// list is exactly the matrices [`mlp_query_cycles`] sums over.
-pub fn mlp_layer_shapes(app: AppKind, encoding: EncodingKind) -> Vec<(usize, usize)> {
+/// in evaluation order: the app's MLP, then NeRF's color MLP. Shapes
+/// can repeat (hidden layers share one shape).
+pub fn mlp_layer_shapes(
+    app: AppKind,
+    encoding: EncodingKind,
+) -> impl Iterator<Item = (usize, usize)> {
     let params = table1(app, encoding);
-    let mut shapes: Vec<(usize, usize)> =
-        (0..params.mlp.n_matrices()).map(|m| params.mlp.matrix_shape(m)).collect();
-    if let Some(color) = &params.color_mlp {
-        shapes.extend((0..color.n_matrices()).map(|m| color.matrix_shape(m)));
-    }
-    shapes
+    std::iter::once(params.mlp)
+        .chain(params.color_mlp)
+        .flat_map(|mlp| (0..mlp.n_matrices()).map(move |m| mlp.matrix_shape(m)))
 }
 
 /// Throughput factor of the MAC-array / engine-count / FIFO axes: the
@@ -240,21 +214,6 @@ pub fn mlp_layer_shapes(app: AppKind, encoding: EncodingKind) -> Vec<(usize, usi
 /// configurations that retire queries in fewer cycles.
 pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
     per_sample_cycles(app, encoding, &NfpConfig::default()) / per_sample_cycles(app, encoding, nfp)
-}
-
-/// [`mac_engine_factor`] under an explicit mapping for the evaluated
-/// configuration. The numerator stays the paper NFP under the *fixed*
-/// tiling — the calibrated residuals absorb the paper's measured
-/// behaviour under its own dataflow, so a searched mapping is credited
-/// exactly for the cycles it saves relative to that baseline.
-pub fn mac_engine_factor_with(
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-    mapping: &dyn LayerMapping,
-) -> f64 {
-    per_sample_cycles(app, encoding, &NfpConfig::default())
-        / per_sample_cycles_with(app, encoding, nfp, mapping)
 }
 
 /// The end-to-end NFP throughput slope for one configuration: the
@@ -269,18 +228,8 @@ fn effective_slope(input: &EmulatorInput) -> f64 {
         * mac_engine_factor(input.app, input.encoding, &input.nfp)
 }
 
-/// [`effective_slope`] with the MLP stage evaluated under an explicit
-/// mapping instead of the fixed tiling.
-fn effective_slope_with(input: &EmulatorInput, mapping: &dyn LayerMapping) -> f64 {
-    calibrated_residual(input.app, input.encoding)
-        * input.nfp.clock_ghz
-        * sram_capacity_factor(&input.nfp, input.encoding)
-        * bank_conflict_factor(&input.nfp, input.app)
-        * mac_engine_factor_with(input.app, input.encoding, &input.nfp, mapping)
-}
-
 /// Emulator inputs (the four arrows into the paper's Fig. 11 box).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmulatorInput {
     /// Application under evaluation.
     pub app: AppKind,
@@ -417,7 +366,7 @@ impl EmulatorInputBuilder {
 }
 
 /// Emulator outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmulationResult {
     /// GPU baseline frame time (ms).
     pub gpu_ms: f64,
@@ -488,20 +437,6 @@ pub fn emulate(input: &EmulatorInput) -> EmulationResult {
     compose(input, effective_slope(input), &breakdown, &hw)
 }
 
-/// [`emulate`] with the MLP stage scheduled by an explicit
-/// [`LayerMapping`] — the entry point `dse --map-search` feeds a
-/// searched per-layer tiling back through. Under
-/// [`crate::mapping::FixedTiling`] this is bit-identical to
-/// [`emulate`]; a mapping that retires queries in fewer cycles raises
-/// the slope (and the unplateaued speedup) through the same
-/// compositional factors.
-pub fn emulate_with_mapping(input: &EmulatorInput, mapping: &dyn LayerMapping) -> EmulationResult {
-    let breakdown = ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels);
-    let hw =
-        ng_hw::ngpc_area_power_vs(&input.nfp.floorplan(), input.nfp_units, ng_hw::gpu_ref::RTX3090);
-    compose(input, effective_slope_with(input, mapping), &breakdown, &hw)
-}
-
 /// The NFP-architecture axes an [`NfpConfig`]'s derived quantities
 /// (floorplan, slope factors) depend on — hashable, so the context can
 /// key its memo tables on it.
@@ -563,25 +498,6 @@ impl EmulationContext {
             .entry((input.app, input.encoding, key))
             .or_insert_with(|| effective_slope(input));
         compose(input, g, &breakdown, &hw)
-    }
-
-    /// [`EmulationContext::eval`] under an explicit [`LayerMapping`].
-    /// Reuses the context's kernel-breakdown and area/power memos (both
-    /// mapping-independent) but recomputes the slope each call — the
-    /// mapping is caller state the context cannot key on.
-    pub fn eval_with_mapping(
-        &mut self,
-        input: &EmulatorInput,
-        mapping: &dyn LayerMapping,
-    ) -> EmulationResult {
-        let breakdown = *self
-            .breakdowns
-            .entry((input.app, input.encoding, input.pixels))
-            .or_insert_with(|| ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels));
-        let key = nfp_key(&input.nfp);
-        let floorplan = *self.floorplans.entry(key).or_insert_with(|| input.nfp.floorplan());
-        let hw = self.hw.lookup(&floorplan, input.nfp_units, ng_hw::gpu_ref::RTX3090);
-        compose(input, effective_slope_with(input, mapping), &breakdown, &hw)
     }
 }
 
@@ -961,61 +877,6 @@ mod tests {
             assert_eq!(ctx.eval(input), emulate(input));
         }
         assert_eq!(emulate_many(&inputs), inputs.iter().map(emulate).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fixed_tiling_mapping_is_bit_identical_to_emulate() {
-        // The ISSUE-10 contract: routing the timing stack through the
-        // pluggable mapping changes nothing under the default tiling.
-        let mut ctx = EmulationContext::new();
-        for app in AppKind::ALL {
-            for enc in EncodingKind::ALL {
-                for n in [8u32, 64] {
-                    let input =
-                        EmulatorInput { app, encoding: enc, nfp_units: n, ..Default::default() };
-                    let base = emulate(&input);
-                    assert_eq!(emulate_with_mapping(&input, &crate::mapping::FixedTiling), base);
-                    assert_eq!(ctx.eval_with_mapping(&input, &crate::mapping::FixedTiling), base);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn faster_mapping_raises_unplateaued_speedup() {
-        // A mapping that halves every layer's cycles must speed up an
-        // unplateaued point and never break the Amdahl bound.
-        struct Half;
-        impl crate::mapping::LayerMapping for Half {
-            fn layer_cycles(&self, rows: usize, cols: usize, nfp: &NfpConfig) -> f64 {
-                crate::mapping::FixedTiling.layer_cycles(rows, cols, nfp) / 2.0
-            }
-        }
-        let input = EmulatorInput {
-            app: AppKind::Nerf,
-            nfp_units: 8,
-            nfp: NfpConfig { mac_rows: 16, mac_cols: 16, ..NfpConfig::default() },
-            ..EmulatorInput::default()
-        };
-        let fixed = emulate(&input);
-        let mapped = emulate_with_mapping(&input, &Half);
-        assert!(mapped.speedup > fixed.speedup, "{} vs {}", mapped.speedup, fixed.speedup);
-        assert!(mapped.speedup <= mapped.amdahl_bound + 1e-9);
-    }
-
-    #[test]
-    fn mlp_layer_shapes_match_the_cycle_sum() {
-        for app in AppKind::ALL {
-            for enc in EncodingKind::ALL {
-                let nfp = NfpConfig { mac_rows: 16, mac_cols: 32, ..NfpConfig::default() };
-                let from_shapes: f64 = mlp_layer_shapes(app, enc)
-                    .into_iter()
-                    .map(|(r, c)| crate::mapping::FixedTiling.layer_cycles(r, c, &nfp))
-                    .sum();
-                let direct = mlp_query_cycles(app, enc, &nfp, &crate::mapping::FixedTiling);
-                assert_eq!(from_shapes, direct, "{app}/{enc}");
-            }
-        }
     }
 
     #[test]

@@ -10,10 +10,9 @@
 //! reference — the equivalence tests below prove it.
 
 use ng_neural::encoding::hash::{dense_index, spatial_hash, table_mask};
-use serde::{Deserialize, Serialize};
 
 /// Index-computation mode of the unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexMode {
     /// Spatial hash into a `2^log2_table_size`-entry table.
     Hashed {

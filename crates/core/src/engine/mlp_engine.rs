@@ -8,6 +8,18 @@ use ng_neural::mlp::Mlp;
 use crate::config::NfpConfig;
 use crate::error::{NgpcError, Result};
 
+/// MAC-array cycles one query of a `rows x cols` weight matrix takes on
+/// a `mac_rows x mac_cols` array under the paper's fixed
+/// weight-stationary dataflow: the array computes one full tile per
+/// cycle, so the layer costs `rows.div_ceil(mac_rows) *
+/// cols.div_ceil(mac_cols)` cycles. The engine's own cycle accounting
+/// and the emulator's MLP stage both charge this one formula; the
+/// `ng-timeloop` mapper's best mapping agrees with it exactly (the
+/// Fig. 13 cross-check in the root crate's `tests/paper_reproduction.rs`).
+pub fn layer_tiles(rows: usize, cols: usize, mac_rows: usize, mac_cols: usize) -> usize {
+    rows.div_ceil(mac_rows.max(1)) * cols.div_ceil(mac_cols.max(1))
+}
+
 /// Execution statistics of the MLP engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MlpEngineStats {
@@ -111,7 +123,6 @@ impl MlpEngine {
             // inputs per cycle; iterating k-tiles in increasing order
             // keeps the accumulation order identical to the reference.
             let row_tiles = layer.rows.div_ceil(mac_rows);
-            let col_tiles = layer.cols.div_ceil(mac_cols);
             for rt in 0..row_tiles {
                 let row_end = ((rt + 1) * mac_rows).min(layer.rows);
                 for (r, slot) in next[rt * mac_rows..row_end].iter_mut().enumerate() {
@@ -126,9 +137,9 @@ impl MlpEngine {
             }
             macs += (layer.rows * layer.cols) as u64;
             passes += 1;
-            // One batch element occupies the array for row_tiles x
-            // col_tiles cycles per layer (64x64 MACs fire per cycle).
-            cycles += (row_tiles * col_tiles) as u64;
+            // One batch element occupies the array for one cycle per
+            // tile of the layer (64x64 MACs fire per cycle).
+            cycles += layer_tiles(layer.rows, layer.cols, mac_rows, mac_cols) as u64;
             layer.activation.apply_slice(&mut next);
             cur = next;
         }
@@ -146,7 +157,7 @@ impl MlpEngine {
         let per_query: u64 = self
             .layers
             .iter()
-            .map(|l| (l.rows.div_ceil(self.mac_rows) * l.cols.div_ceil(self.mac_cols)) as u64)
+            .map(|l| layer_tiles(l.rows, l.cols, self.mac_rows, self.mac_cols) as u64)
             .sum();
         let pipeline_fill = 8;
         n * per_query.max(1) + pipeline_fill
@@ -230,6 +241,15 @@ mod tests {
         let mut engine = MlpEngine::new(&NfpConfig::default());
         engine.load_weights(&mlp);
         assert_eq!(engine.batch_cycles(1000), 1000 * 5 + 8);
+    }
+
+    #[test]
+    fn layer_tiles_is_the_full_array_tile_count() {
+        assert_eq!(layer_tiles(64, 64, 64, 64), 1);
+        assert_eq!(layer_tiles(65, 64, 64, 64), 2);
+        assert_eq!(layer_tiles(128, 128, 64, 64), 4);
+        assert_eq!(layer_tiles(64, 64, 16, 16), 16);
+        assert_eq!(layer_tiles(3, 100, 7, 48), 3);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! (paper Fig. 13) and the rest-kernel fusion factor.
 
 use ng_neural::apps::EncodingKind;
-use serde::{Deserialize, Serialize};
 
 /// Speedup of the fused "rest of the kernels" single-kernel
 /// implementation over the prior optimised GPU implementation (paper
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 pub const REST_FUSION_SPEEDUP: f64 = 9.94;
 
 /// Which accelerated kernel a speedup refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AcceleratedKernel {
     /// The input-encoding kernel on the encoding engines.
     InputEncoding,

@@ -38,15 +38,12 @@ pub mod emulator;
 pub mod engine;
 pub mod error;
 pub mod kernels;
-pub mod mapping;
 pub mod pixels;
 pub mod sched;
 
 pub use config::{NfpConfig, NgpcConfig};
 pub use emulator::{
-    emulate, emulate_batched, emulate_many, emulate_with_mapping, mac_engine_factor,
-    mac_engine_factor_with, mlp_layer_shapes, mlp_query_cycles, per_sample_cycles,
-    per_sample_cycles_with, EmulationContext, EmulationResult, EmulatorInput, EmulatorInputBuilder,
+    emulate, emulate_batched, emulate_many, mac_engine_factor, mlp_layer_shapes, mlp_query_cycles,
+    per_sample_cycles, EmulationContext, EmulationResult, EmulatorInput, EmulatorInputBuilder,
 };
 pub use error::{NgpcError, Result};
-pub use mapping::{mlp_cycles, FixedTiling, LayerMapping, MappingTable};

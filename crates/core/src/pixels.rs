@@ -3,7 +3,6 @@
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::render::image::Resolution;
-use serde::{Deserialize, Serialize};
 
 use crate::emulator::{emulate, EmulatorInput};
 
@@ -11,7 +10,7 @@ use crate::emulator::{emulate, EmulatorInput};
 pub const FPS_TARGETS: [f64; 4] = [30.0, 60.0, 90.0, 120.0];
 
 /// One Fig. 14 bar: pixels renderable within the frame budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PixelBudget {
     /// Application.
     pub app: AppKind,

@@ -4,13 +4,12 @@
 //! encoding + MLP for batch `i+1`.
 
 use ng_neural::apps::{AppKind, EncodingKind};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{NgpcError, Result};
 
 /// Commands recorded into the GPU command buffer for the NGPC (the
 /// pseudocode of paper Fig. 10-c).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Command {
     /// Program the NGPC for an application/encoding pair.
     Configure {

@@ -137,50 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn default_layer_mapping_equals_legacy_tile_model(
-        mac_rows in 1u32..=1024,
-        mac_cols in 1u32..=1024,
-        engines in 1u32..=64,
-        lanes in 1u32..=16,
-        fifo in 1u32..=4096,
-        banks_log2 in 0u32..7,
-        sram_kb in 4usize..4096,
-        clock in 0.1f64..5.0,
-    ) {
-        // ISSUE-10 acceptance: the pluggable default mapping reproduces
-        // the legacy `rows.div_ceil(mac_rows) * cols.div_ceil(mac_cols)`
-        // tile model bit-exactly for every valid NfpConfig — both at the
-        // per-layer level and through the fused per-query interval.
-        use ngpc::emulator::{mlp_layer_shapes, per_sample_cycles, per_sample_cycles_with};
-        use ngpc::{FixedTiling, LayerMapping};
-        let nfp = NfpConfig {
-            mac_rows,
-            mac_cols,
-            encoding_engines: engines,
-            lanes_per_engine: lanes,
-            input_fifo_depth: fifo,
-            grid_sram_banks: 1 << banks_log2,
-            grid_sram_bytes: sram_kb * 1024,
-            clock_ghz: clock,
-        };
-        prop_assert!(nfp.validate().is_ok());
-        for enc in EncodingKind::ALL {
-            for app in ng_neural::apps::AppKind::ALL {
-                for (rows, cols) in mlp_layer_shapes(app, enc) {
-                    let legacy = (rows.div_ceil(mac_rows as usize)
-                        * cols.div_ceil(mac_cols as usize)) as f64;
-                    prop_assert_eq!(FixedTiling.layer_cycles(rows, cols, &nfp), legacy);
-                }
-                prop_assert_eq!(
-                    per_sample_cycles_with(app, enc, &nfp, &FixedTiling),
-                    per_sample_cycles(app, enc, &nfp),
-                    "{}/{}", app, enc
-                );
-            }
-        }
-    }
-
-    #[test]
     fn mac_engine_axes_monotone_in_end_to_end_speedup(
         n in 1u32..128,
         mac_shift in 0u32..3,

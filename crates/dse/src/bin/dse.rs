@@ -81,19 +81,6 @@ OBSERVABILITY:
                          95. Use 0 on very short runs, where fixed
                          startup costs dominate the root span
 
-MAPPING SEARCH (joint mapping search through timeloop-lite):
-    --map-search         per candidate MAC array, search the best
-                         mapping of every MLP layer with ng-timeloop,
-                         re-evaluate each point under the winners, and
-                         report/emit fixed-vs-searched columns (the
-                         point rows themselves are untouched — the
-                         plain CSV stays byte-identical)
-    --check-map-agreement
-                         exit non-zero if ng-timeloop's mapping
-                         evaluation and ngpc's tile model disagree by
-                         more than the ~7% cross-validation band on any
-                         point (the CI gate; implies --map-search)
-
 OUTPUT:
     --top N              frontier rows to print (default: 16)
     --per-app            also print each app's own Pareto frontier
@@ -109,9 +96,10 @@ OUTPUT:
 
 EXIT CODES:
     0    success
-    1    run failed (I/O, bad spec file content, failed paper check)
-    2    usage or spec mistake — retrying the same invocation cannot help
-    4    a --check audit (trace --check, --check-map-agreement) failed
+    1    run failed (I/O, failed paper check)
+    2    usage or spec mistake (flags, spec file, constraint bounds) —
+         retrying the same invocation cannot help
+    4    a --check audit (trace --check) failed
 ";
 
 /// Exit code of a usage or spec mistake.
@@ -153,8 +141,6 @@ struct Cli {
     csv: Option<String>,
     json: Option<String>,
     check_headline: bool,
-    map_search: bool,
-    check_map_agreement: bool,
     search: Option<ng_dse::SearchStrategy>,
     budget: Option<usize>,
     seed: Option<u64>,
@@ -195,8 +181,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         csv: None,
         json: None,
         check_headline: false,
-        map_search: false,
-        check_map_agreement: false,
         search: None,
         budget: None,
         seed: None,
@@ -268,11 +252,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--csv" => cli.csv = Some(value(arg)?),
             "--json" => cli.json = Some(value(arg)?),
             "--check-headline" => cli.check_headline = true,
-            "--map-search" => cli.map_search = true,
-            "--check-map-agreement" => {
-                cli.check_map_agreement = true;
-                cli.map_search = true;
-            }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
     }
@@ -302,6 +281,16 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             min_speedup: cli.constraints.min_speedup.or(file_c.min_speedup),
         };
     }
+    let c = cli.constraints;
+    for (name, bound) in [
+        ("--max-area (max_area_pct)", c.max_area_pct),
+        ("--max-power (max_power_pct)", c.max_power_pct),
+        ("--min-speedup (min_speedup)", c.min_speedup),
+    ] {
+        if let Some(b) = bound.filter(|b| !b.is_finite()) {
+            return Err(format!("{name}: bound must be a finite number, got {b}"));
+        }
+    }
 
     for (flag, v) in overrides {
         match flag.as_str() {
@@ -330,12 +319,11 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 /// (axis overrides can sweep it away entirely), `Some(on_frontier)`
 /// otherwise.
 fn headline_check(outcome: &ng_dse::SweepOutcome, constraints: &Constraints) -> Option<bool> {
-    let is_headline = |a: &&ng_dse::ArchPoint| is_headline_arch(a);
-    if !outcome.cross_app().iter().any(|a| is_headline(&a)) {
+    if !outcome.cross_app().iter().any(|a| a.is_paper_organisation()) {
         return None;
     }
     let frontier = outcome.cross_app_frontier(constraints);
-    let headline = frontier.iter().find(is_headline);
+    let headline = frontier.iter().find(|a| a.is_paper_organisation());
     match headline {
         Some(a) => println!(
             "\npaper check: NGPC-64 (hashgrid, 1 GHz, 1MB/8-bank, 64x64/16e) is on the frontier — \
@@ -348,13 +336,6 @@ fn headline_check(outcome: &ng_dse::SweepOutcome, constraints: &Constraints) -> 
         ),
     }
     Some(headline.is_some())
-}
-
-/// The headline predicate shared by sweep and search checks — see
-/// [`ng_dse::ArchPoint::is_paper_organisation`] for what it matches
-/// (and why the lane/FIFO axes are deliberately left free).
-fn is_headline_arch(a: &ng_dse::ArchPoint) -> bool {
-    a.is_paper_organisation()
 }
 
 /// Guided-search mode: run the searcher instead of the exhaustive
@@ -391,7 +372,7 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
     if let Some(seed) = cli.seed {
         search.seed = seed;
     }
-    let outcome = searcher.run(&cli.spec, &search).map_err(|e| e.to_string())?;
+    let outcome = searcher.run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
     let _span = ng_obs::span("report");
     ng_dse::report::print_search_report(&outcome, &cli.constraints, cli.top);
     if let (true, Some(path)) = (cli.cache_stats, &outcome.cache_path) {
@@ -403,54 +384,12 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
         );
     }
 
-    if cli.map_search {
-        // The search reports an architecture-level frontier; rebuild
-        // one point per (frontier architecture, app) and annotate those
-        // — the mapping comparison for exactly the designs the search
-        // recommends.
-        let apps = &cli.spec.apps;
-        let points: Vec<ng_dse::DesignPoint> = outcome
-            .frontier
-            .iter()
-            .enumerate()
-            .flat_map(|(i, arch)| {
-                let arch = *arch;
-                apps.iter().enumerate().map(move |(j, &app)| ng_dse::DesignPoint {
-                    index: i * apps.len() + j,
-                    app,
-                    encoding: arch.encoding,
-                    pixels: arch.pixels,
-                    nfp_units: arch.nfp_units,
-                    clock_ghz: arch.clock_ghz,
-                    grid_sram_kb: arch.grid_sram_kb,
-                    grid_sram_banks: arch.grid_sram_banks,
-                    encoding_engines: arch.encoding_engines,
-                    mac_rows: arch.mac_rows,
-                    mac_cols: arch.mac_cols,
-                    lanes_per_engine: arch.lanes_per_engine,
-                    input_fifo_depth: arch.input_fifo_depth,
-                })
-            })
-            .collect();
-        let evaluated = ng_dse::sweep::evaluate_points(&points, 1);
-        let annotated = ng_dse::annotate(&evaluated);
-        println!("{}", annotated.headline());
-        if cli.check_map_agreement && annotated.max_disagreement() > ng_dse::AGREEMENT_BAND {
-            return Err(check_err(format!(
-                "--check-map-agreement: timeloop-vs-ngpc max disagreement {:.2}% exceeds \
-                 the {:.0}% cross-validation band",
-                annotated.max_disagreement() * 100.0,
-                ng_dse::AGREEMENT_BAND * 100.0
-            )));
-        }
-    }
-
     if cli.check_headline || cli.spec.name == "guided-lanes" {
         let headline = outcome
             .frontier
             .iter()
             .filter(|a| cli.constraints.admits(&a.objectives()))
-            .find(|a| is_headline_arch(a));
+            .find(|a| a.is_paper_organisation());
         match headline {
             Some(a) => println!(
                 "\npaper check: guided search recovered the NGPC-64 organisation (hashgrid, \
@@ -692,17 +631,11 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(dir) = &cli.cache_dir {
         engine = engine.with_cache_dir(dir);
     }
-    let outcome = engine.run(&cli.spec).map_err(|e| e.to_string())?;
-    // The `--map-search` side table never mutates the points, so
-    // everything downstream is byte-identical with the flag off.
-    let annotations = cli.map_search.then(|| ng_dse::annotate(&outcome.points));
+    let outcome = engine.run(&cli.spec).map_err(|e| usage_err(e.to_string()))?;
     // Frontier extraction + table rendering is real work on large
     // sweeps — span it so the ledger's coverage accounting sees it.
     let _span = ng_obs::span("report");
     print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
-    if let Some(a) = &annotations {
-        println!("{}", a.headline());
-    }
     if let (true, Some(dir)) = (cli.cache_stats, &cli.cache_dir) {
         println!("{}", ng_dse::report::cache_stats_line(&outcome));
         println!(
@@ -714,18 +647,6 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
                 ng_dse::obs_counters::cache_rows_skipped().get(),
             )
         );
-    }
-    if cli.check_map_agreement {
-        let a = annotations.as_ref().expect("--check-map-agreement implies --map-search");
-        let disagreement = a.max_disagreement();
-        if disagreement > ng_dse::AGREEMENT_BAND {
-            return Err(check_err(format!(
-                "--check-map-agreement: timeloop-vs-ngpc max disagreement {:.2}% exceeds \
-                 the {:.0}% cross-validation band",
-                disagreement * 100.0,
-                ng_dse::AGREEMENT_BAND * 100.0
-            )));
-        }
     }
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
@@ -749,19 +670,13 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     }
 
     if let Some(path) = &cli.csv {
-        let csv = match &annotations {
-            Some(a) => ng_dse::emit::points_to_csv_with_mapping(&outcome.points, a),
-            None => ng_dse::emit::points_to_csv(&outcome.points),
-        };
+        let csv = ng_dse::emit::points_to_csv(&outcome.points);
         std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {} points to {path}", outcome.points.len());
     }
     if let Some(path) = &cli.json {
         let frontier = outcome.cross_app_frontier(&cli.constraints);
-        let json = match &annotations {
-            Some(a) => ng_dse::emit::outcome_to_json_with_mapping(&outcome, &frontier, a),
-            None => ng_dse::emit::outcome_to_json(&outcome, &frontier),
-        };
+        let json = ng_dse::emit::outcome_to_json(&outcome, &frontier);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote outcome JSON to {path}");
     }

@@ -8,7 +8,6 @@
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
-use crate::mapsearch::MapSearchOutcome;
 use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
 use crate::sweep::{ArchPoint, EvaluatedPoint, SweepOutcome};
 
@@ -80,43 +79,6 @@ pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
         amdahl_bound: fields[18].parse().map_err(|_| err("amdahl_bound"))?,
         plateaued: fields[19].parse().map_err(|_| err("plateaued"))?,
     })
-}
-
-/// The extra columns `--map-search` appends to every CSV row: the
-/// fixed-vs-searched MLP cycle comparison, the searched mapping's
-/// per-query energy, and the end-to-end speedup re-evaluated under the
-/// searched schedule.
-pub const MAP_CSV_COLUMNS: &str =
-    "fixed_mlp_cycles,searched_mlp_cycles,map_speedup,map_energy_uj,searched_speedup";
-
-/// Render evaluated points as CSV with the `--map-search` side table
-/// joined on: the plain [`CSV_HEADER`] plus [`MAP_CSV_COLUMNS`], one
-/// annotated row per point. Floats use shortest-round-trip `Display`,
-/// so a warm (100 % memo hit) re-run reproduces a cold run's output
-/// byte-for-byte. `annotations.metrics` must be index-aligned with
-/// `points` (which [`crate::mapsearch::annotate`] guarantees).
-pub fn points_to_csv_with_mapping(
-    points: &[EvaluatedPoint],
-    annotations: &MapSearchOutcome,
-) -> String {
-    assert_eq!(points.len(), annotations.metrics.len(), "annotation side table misaligned");
-    let mut out = String::with_capacity(96 * (points.len() + 1));
-    out.push_str(CSV_HEADER);
-    out.push(',');
-    out.push_str(MAP_CSV_COLUMNS);
-    out.push('\n');
-    for (p, m) in points.iter().zip(&annotations.metrics) {
-        out.push_str(&point_to_row(p));
-        out.push_str(&format!(
-            ",{},{},{},{},{}\n",
-            m.fixed_mlp_cycles,
-            m.searched_mlp_cycles,
-            m.map_speedup(),
-            m.energy_uj,
-            m.speedup,
-        ));
-    }
-    out
 }
 
 /// Render evaluated points as CSV (header + one row per point).
@@ -274,54 +236,15 @@ fn json_spec(spec: &SweepSpec) -> String {
     )
 }
 
-/// One point's JSON object with the `--map-search` side-table fields
-/// joined on (same extra columns as [`MAP_CSV_COLUMNS`]).
-fn json_point_mapped(p: &EvaluatedPoint, m: &crate::mapsearch::MapMetrics) -> String {
-    let base = json_point(p);
-    format!(
-        "{},\"fixed_mlp_cycles\":{},\"searched_mlp_cycles\":{},\"map_speedup\":{},\
-         \"map_energy_uj\":{},\"searched_speedup\":{}}}",
-        &base[..base.len() - 1],
-        json_f64(m.fixed_mlp_cycles),
-        json_f64(m.searched_mlp_cycles),
-        json_f64(m.map_speedup()),
-        json_f64(m.energy_uj),
-        json_f64(m.speedup),
-    )
-}
-
-fn outcome_json_impl(
-    outcome: &SweepOutcome,
-    frontier: &[ArchPoint],
-    annotations: Option<&MapSearchOutcome>,
-) -> String {
-    let points: Vec<String> = match annotations {
-        Some(a) => {
-            assert_eq!(outcome.points.len(), a.metrics.len(), "annotation side table misaligned");
-            outcome.points.iter().zip(&a.metrics).map(|(p, m)| json_point_mapped(p, m)).collect()
-        }
-        None => outcome.points.iter().map(json_point).collect(),
-    };
-    let map_block = match annotations {
-        Some(a) => {
-            let (beats, best) = a.beats_fixed();
-            format!(
-                "\"map_search\":{{\"evals\":{},\"memo_hits\":{},\"max_disagreement\":{},\
-                 \"agreement_band\":{},\"beats_fixed\":{beats},\"best_map_speedup\":{}}},\n",
-                a.evals,
-                a.memo_hits,
-                json_f64(a.max_disagreement()),
-                json_f64(crate::mapsearch::AGREEMENT_BAND),
-                json_f64(best),
-            )
-        }
-        None => String::new(),
-    };
+/// Render a full outcome — spec, stats, every point, and the cross-app
+/// frontier — as a single JSON document.
+pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
+    let points: Vec<String> = outcome.points.iter().map(json_point).collect();
     let archs: Vec<String> = frontier.iter().map(json_arch).collect();
     let s = &outcome.stats;
     format!(
         "{{\n\"spec\":{},\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
-         \"cache_hit\":{},\"threads\":{},\"wall_ms\":{},\"points_per_sec\":{}}},\n{map_block}\
+         \"cache_hit\":{},\"threads\":{},\"wall_ms\":{},\"points_per_sec\":{}}},\n\
          \"frontier\":[{}],\n\"points\":[\n{}\n]\n}}\n",
         json_spec(&outcome.spec),
         s.total_points,
@@ -334,23 +257,6 @@ fn outcome_json_impl(
         archs.join(","),
         points.join(",\n"),
     )
-}
-
-/// Render a full outcome — spec, stats, every point, and the cross-app
-/// frontier — as a single JSON document.
-pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
-    outcome_json_impl(outcome, frontier, None)
-}
-
-/// [`outcome_to_json`] with the `--map-search` side table joined on: a
-/// top-level `map_search` summary object plus five mapping-derived
-/// fields on every point.
-pub fn outcome_to_json_with_mapping(
-    outcome: &SweepOutcome,
-    frontier: &[ArchPoint],
-    annotations: &MapSearchOutcome,
-) -> String {
-    outcome_json_impl(outcome, frontier, Some(annotations))
 }
 
 #[cfg(test)]
@@ -406,28 +312,6 @@ mod tests {
                 json.matches(close).count(),
                 "unbalanced {open}{close}"
             );
-        }
-    }
-
-    #[test]
-    fn mapping_columns_extend_but_never_perturb_the_plain_formats() {
-        let outcome = outcome();
-        let annotations = crate::mapsearch::annotate(&outcome.points);
-        let plain = points_to_csv(&outcome.points);
-        let mapped = points_to_csv_with_mapping(&outcome.points, &annotations);
-        assert!(mapped.starts_with(&format!("{CSV_HEADER},{MAP_CSV_COLUMNS}\n")));
-        assert_eq!(mapped.lines().count(), plain.lines().count());
-        for (m, p) in mapped.lines().zip(plain.lines()).skip(1) {
-            assert!(m.starts_with(&format!("{p},")), "plain row must be a prefix: {m}");
-            assert_eq!(m.split(',').count(), p.split(',').count() + 5);
-        }
-
-        let frontier = outcome.cross_app_frontier(&crate::pareto::Constraints::NONE);
-        let json = outcome_to_json_with_mapping(&outcome, &frontier, &annotations);
-        assert!(json.contains("\"map_search\":{"));
-        assert!(json.contains("\"searched_speedup\":"));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
         }
     }
 

@@ -20,10 +20,6 @@
 //!   sharded CSV files of evaluated points, so an overlapping or grown
 //!   spec evaluates only its delta. Runs are uncached by default —
 //!   evaluating a point (~0.7 µs) is cheaper than reading it back.
-//! * [`mapsearch`] — the joint mapping search behind
-//!   `dse --map-search`: per-layer `ng-timeloop` mapping searches fed
-//!   back through the timing stack (and the Fig. 13 cross-validation
-//!   seam).
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
@@ -47,7 +43,6 @@
 
 pub mod cache;
 pub mod emit;
-pub mod mapsearch;
 pub mod obs_counters;
 pub mod pareto;
 pub mod pool;
@@ -57,7 +52,6 @@ pub mod spec;
 pub mod sweep;
 
 pub use cache::EvalCache;
-pub use mapsearch::{annotate, MapMetrics, MapSearchOutcome, AGREEMENT_BAND};
 pub use pareto::{pareto_indices, Constraints, Objectives, StreamingFrontier};
 pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};

@@ -88,15 +88,3 @@ hoisted!(
     /// Evolutionary offspring evaluated but dominated.
     search_evo_rejected => "search.evo.rejected"
 );
-hoisted!(
-    /// Per-layer mapping searches actually run by `--map-search`
-    /// (memo misses; each one enumerates the full mapspace).
-    mapsearch_evals => "mapsearch.evals"
-);
-hoisted!(
-    /// Per-layer mapping lookups served without a search, from the
-    /// in-run memo. Invariant:
-    /// `mapsearch.evals + mapsearch.memo_hits` equals the number of
-    /// `(point, layer)` lookups `--map-search` performed.
-    mapsearch_memo_hits => "mapsearch.memo_hits"
-);

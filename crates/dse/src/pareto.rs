@@ -6,10 +6,8 @@
 //! of non-dominated configurations: every point an architect could
 //! rationally pick, for some weighting of the objectives.
 
-use serde::{Deserialize, Serialize};
-
 /// One configuration's position in objective space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objectives {
     /// End-to-end speedup over the GPU baseline (maximise).
     pub speedup: f64,
@@ -35,7 +33,7 @@ impl Objectives {
 
 /// Budget constraints an architect imposes before reading the frontier,
 /// e.g. "area ≤ 3% of the GPU die, power ≤ 5% of TDP".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Constraints {
     /// Upper bound on area (% of GPU die).
     pub max_area_pct: Option<f64>,

@@ -7,7 +7,6 @@
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ngpc::{EmulatorInput, NfpConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::pareto::Constraints;
 
@@ -83,7 +82,7 @@ pub fn parse_encoding(s: &str) -> Option<EncodingKind> {
 }
 
 /// One concrete configuration drawn from a sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Position in the spec's deterministic enumeration order.
     pub index: usize,
@@ -156,7 +155,7 @@ impl DesignPoint {
 }
 
 /// A declarative design-space sweep: the cartesian product of its axes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Human-readable sweep name (reported, not part of the cache key).
     pub name: String,

@@ -6,7 +6,6 @@ use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ngpc::EmulationContext;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::EvalCache;
 use crate::obs_counters;
@@ -16,7 +15,7 @@ use crate::spec::{DesignPoint, SpecError, SweepSpec};
 
 /// One evaluated configuration: the point plus the emulator outputs the
 /// frontier and reports read.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvaluatedPoint {
     /// The configuration.
     pub point: DesignPoint,
@@ -49,7 +48,7 @@ impl EvaluatedPoint {
 
 /// One architecture with per-app speedups folded into the cross-app
 /// average — the objective the paper's Fig. 12 bars report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchPoint {
     /// Input-encoding scheme.
     pub encoding: EncodingKind,
@@ -120,7 +119,7 @@ impl ArchPoint {
 }
 
 /// How a sweep executed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepStats {
     /// Points in the sweep.
     pub total_points: usize,

@@ -1,6 +1,7 @@
-//! End-to-end CLI checks of guided-search mode (ISSUE 4): `--search`
-//! runs the budgeted searcher instead of the exhaustive sweep, honours
-//! `--budget`/`--seed`, and `--check-headline` gates on recovery.
+//! End-to-end CLI checks of guided-search mode: `--search` runs the
+//! budgeted searcher instead of the exhaustive sweep, honours
+//! `--budget`/`--seed`, and `--check-headline` gates on recovery. Spec
+//! and constraint mistakes in either mode exit 2.
 
 use std::process::Command;
 
@@ -53,9 +54,42 @@ fn search_mode_rejects_sweep_only_outputs() {
     assert!(err.contains("rerun without --search"), "{err}");
 }
 
+/// Run `dse` and return its stderr and exit code.
+fn dse_code(args: &[&str]) -> (String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dse")).args(args).output().expect("dse runs");
+    (String::from_utf8_lossy(&out.stderr).into_owned(), out.status.code())
+}
+
 #[test]
 fn budget_zero_is_a_clean_error() {
-    let (_, err, ok) = dse(&["--search", "--preset", "quick", "--no-cache", "--budget", "0"]);
-    assert!(!ok);
+    let (err, code) = dse_code(&["--search", "--preset", "quick", "--no-cache", "--budget", "0"]);
+    assert_eq!(code, Some(2), "a spec mistake exits 2:\n{err}");
     assert!(err.contains("budget must be nonzero"), "{err}");
+}
+
+#[test]
+fn invalid_sweep_spec_exits_2() {
+    let (err, code) = dse_code(&["--preset", "quick", "--clocks", "nan", "--quiet"]);
+    assert_eq!(code, Some(2), "a spec mistake exits 2:\n{err}");
+    assert!(err.contains("invalid spec"), "{err}");
+}
+
+#[test]
+fn non_finite_constraint_bounds_exit_2() {
+    for args in [
+        ["--preset", "quick", "--max-area", "nan"],
+        ["--preset", "quick", "--min-speedup", "nan"],
+        ["--preset", "quick", "--max-power", "inf"],
+    ] {
+        let (err, code) = dse_code(&args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains("must be a finite number"), "{args:?}: {err}");
+    }
+
+    let spec = std::env::temp_dir().join(format!("ng-dse-nan-bound-{}.toml", std::process::id()));
+    std::fs::write(&spec, "name = \"nan-bound\"\n[constraints]\nmax_area_pct = nan\n").unwrap();
+    let (err, code) = dse_code(&["--spec", spec.to_str().unwrap(), "--quiet"]);
+    std::fs::remove_file(&spec).unwrap();
+    assert_eq!(code, Some(2), "a NaN bound in a spec file must exit 2:\n{err}");
+    assert!(err.contains("max_area_pct"), "{err}");
 }

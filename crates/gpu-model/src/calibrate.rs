@@ -25,7 +25,6 @@
 use std::sync::OnceLock;
 
 use ng_neural::apps::{AppKind, EncodingKind};
-use serde::{Deserialize, Serialize};
 
 use crate::cost::estimate_frame;
 use crate::spec::rtx3090;
@@ -39,7 +38,7 @@ pub const FHD_HASHGRID_MS: [(AppKind, f64); 4] =
     [(AppKind::Nerf, 231.0), (AppKind::Nsdf, 27.87), (AppKind::Gia, 2.12), (AppKind::Nvr, 6.32)];
 
 /// Kernel time fractions of one application/encoding pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelFractions {
     /// Fraction of frame time in the input-encoding kernel.
     pub encoding: f64,
@@ -144,7 +143,7 @@ pub fn frame_time_ms(app: AppKind, encoding: EncodingKind, pixels: u64) -> f64 {
 }
 
 /// Absolute per-kernel times of one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelBreakdown {
     /// Application.
     pub app: AppKind,

@@ -10,7 +10,6 @@
 //! its compute utilisation, NeRF is by far the most expensive app.
 
 use ng_neural::apps::table1;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheModel;
 use crate::spec::GpuSpec;
@@ -18,7 +17,7 @@ use crate::workload::{FrameWorkload, BYTES_PER_PARAM};
 use ng_neural::encoding::GridLayout;
 
 /// A kernel-time estimate with its limiting resource.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelEstimate {
     /// Estimated execution time in milliseconds.
     pub time_ms: f64,
@@ -36,7 +35,7 @@ impl KernelEstimate {
 }
 
 /// Model-level timing for one frame: the three kernel classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameEstimate {
     /// Input-encoding kernel.
     pub encoding: KernelEstimate,

@@ -3,13 +3,12 @@
 //! power gap.
 
 use ng_neural::apps::{AppKind, EncodingKind};
-use serde::{Deserialize, Serialize};
 
 use crate::calibrate::frame_time_ms;
 use crate::spec::GpuSpec;
 
 /// A rendering target: resolution and refresh rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenderTarget {
     /// Pixels per frame.
     pub pixels: u64,

@@ -11,14 +11,13 @@
 
 use ng_neural::apps::{table1, AppKind, EncodingKind};
 use ng_neural::encoding::GridLayout;
-use serde::{Deserialize, Serialize};
 
 use crate::cache::CacheModel;
 use crate::spec::GpuSpec;
 use crate::workload::{FrameWorkload, BYTES_PER_PARAM};
 
 /// The operations the paper's Fig. 8 labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncodingOp {
     /// Feature-table reads (including the memory stalls they cause).
     GridLookup,
@@ -59,7 +58,7 @@ impl EncodingOp {
 }
 
 /// Cycle share of each operation within the encoding kernel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpBreakdown {
     /// Encoding type this breakdown describes.
     pub encoding: EncodingKind,

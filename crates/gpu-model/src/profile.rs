@@ -7,7 +7,6 @@
 //! `EXPERIMENTS.md`).
 
 use ng_neural::apps::{AppKind, EncodingKind};
-use serde::{Deserialize, Serialize};
 
 use crate::calibrate::{fractions, KernelFractions};
 use crate::cost::estimate_frame;
@@ -15,7 +14,7 @@ use crate::spec::GpuSpec;
 use crate::workload::FrameWorkload;
 
 /// Fig. 5 row: one application's kernel breakdown (percent of cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakdownRow {
     /// Application.
     pub app: AppKind,
@@ -28,7 +27,7 @@ pub struct BreakdownRow {
 }
 
 /// The full Fig. 5 panel for one encoding type, plus averages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakdownFigure {
     /// Encoding type of this panel.
     pub encoding: EncodingKind,
@@ -60,7 +59,7 @@ pub fn breakdown_figure(encoding: EncodingKind) -> BreakdownFigure {
 }
 
 /// One Table II row (per-kernel utilization), as measured by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtilizationRow {
     /// Application.
     pub app: AppKind,
@@ -139,7 +138,7 @@ pub fn table2_reference() -> Vec<UtilizationRow> {
 }
 
 /// Model-estimated utilizations for comparison with Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelUtilization {
     /// Application.
     pub app: AppKind,

@@ -1,10 +1,8 @@
 //! GPU hardware specification (the paper's baseline is an Nvidia RTX 3090
 //! running CUDA 11.7).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the modelled GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: String,

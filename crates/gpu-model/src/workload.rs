@@ -10,7 +10,6 @@
 
 use ng_neural::apps::{table1, AppKind, EncodingKind};
 use ng_neural::encoding::GridLayout;
-use serde::{Deserialize, Serialize};
 
 /// Bytes per stored feature parameter (tiny-cuda-nn stores fp16 tables).
 pub const BYTES_PER_PARAM: usize = 2;
@@ -30,7 +29,7 @@ pub fn samples_per_pixel(app: AppKind) -> u32 {
 }
 
 /// Operation/byte counts of one rendered frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameWorkload {
     /// Application.
     pub app: AppKind,

@@ -6,10 +6,8 @@
 //! energy grows roughly with the square root of capacity (bitline/wordline
 //! length), and leakage is proportional to capacity.
 
-use serde::{Deserialize, Serialize};
-
 /// An SRAM macro description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramMacro {
     /// Capacity in bytes.
     pub capacity_bytes: u64,
@@ -20,7 +18,7 @@ pub struct SramMacro {
 }
 
 /// CACTI-style estimate for one SRAM macro at 45 nm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramEstimate {
     /// Area in mm^2.
     pub area_mm2: f64,

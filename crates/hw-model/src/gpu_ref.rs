@@ -1,9 +1,7 @@
 //! The GPU reference point for Fig. 15 normalisation.
 
-use serde::{Deserialize, Serialize};
-
 /// Die-level reference data of the host GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuReference {
     /// Die area in mm^2.
     pub die_area_mm2: f64,

@@ -1,14 +1,12 @@
 //! The Fig. 15 rollup: NGPC area and power relative to the RTX 3090.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cacti::{estimate as sram_estimate, SramMacro};
 use crate::gpu_ref::{GpuReference, RTX3090};
 use crate::scaling::{area_45_to_7, power_45_to_7};
 use crate::synth::{Module, SynthEstimate};
 
 /// Physical composition of one neural fields processor (paper Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NfpFloorplan {
     /// Input-encoding engines per NFP (16, matching the maximum level
     /// count).
@@ -53,7 +51,7 @@ impl Default for NfpFloorplan {
 }
 
 /// Area/power of one component group, at 45 nm and scaled to 7 nm.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ComponentBudget {
     /// Area at 45 nm (mm^2).
     pub area_mm2_45: f64,
@@ -62,7 +60,7 @@ pub struct ComponentBudget {
 }
 
 /// Full area/power report for an NGPC configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerReport {
     /// NFP units in the cluster.
     pub nfp_units: u32,

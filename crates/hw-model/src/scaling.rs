@@ -3,11 +3,9 @@
 //! performance from 180 nm to 7 nm", Integration 58 (2017) — the same
 //! source the paper cites for its iso-technode comparison.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative scaling factors between two nodes (multiply a 45 nm
 /// quantity by the factor to get its value at the target node).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalingFactors {
     /// Area multiplier (< 1 when shrinking).
     pub area: f64,

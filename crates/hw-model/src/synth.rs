@@ -7,8 +7,6 @@
 //! library's NAND2X1 footprint; dynamic energy uses a per-gate switching
 //! energy at nominal 1.1 V with a typical activity factor.
 
-use serde::{Deserialize, Serialize};
-
 /// NAND2X1 cell area in the Nangate 45 nm open cell library (um^2).
 pub const NAND2_AREA_UM2: f64 = 0.798;
 
@@ -22,7 +20,7 @@ pub const ACTIVITY_FACTOR: f64 = 0.15;
 pub const LEAKAGE_UW_PER_KGATE: f64 = 9.0;
 
 /// Datapath building blocks of the neural fields processor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Module {
     /// fp16 multiply–accumulate unit (the MLP engine's PE).
     MacFp16,
@@ -82,7 +80,7 @@ impl Module {
 }
 
 /// Aggregate area/power of a set of module instances.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SynthEstimate {
     /// Total area in mm^2 (45 nm).
     pub area_mm2: f64,

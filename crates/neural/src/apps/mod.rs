@@ -16,15 +16,13 @@ pub mod params;
 
 pub use params::{all_table1, table1, AppParams};
 
-use serde::{Deserialize, Serialize};
-
 use crate::encoding::{Encoding, MultiResGrid};
 use crate::error::Result;
 use crate::math::Activation;
 use crate::mlp::{Mlp, MlpTrace};
 
 /// The four neural-graphics applications under study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Neural radiance and density fields (novel view synthesis).
     Nerf,
@@ -66,7 +64,7 @@ impl std::fmt::Display for AppKind {
 }
 
 /// The three input-encoding schemes the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncodingKind {
     /// Multiresolution hashgrid (16 levels, hash-indexed).
     MultiResHashGrid,
@@ -115,7 +113,7 @@ impl std::fmt::Display for EncodingKind {
 /// application applies the decode. Keeping the nonlinearity out of the MLP
 /// lets the trainer chain gradients explicitly and keeps the hardware MLP
 /// engine a pure GEMM pipeline, as in the NFP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OutputDecode {
     /// Identity (signed distances).
     Raw,

@@ -1,8 +1,6 @@
 //! Table I of the NGPC paper: the exact hyper-parameters of every
 //! application x encoding configuration.
 
-use serde::{Deserialize, Serialize};
-
 use super::{AppKind, EncodingKind};
 use crate::encoding::{GridConfig, GridKind};
 use crate::math::Activation;
@@ -10,7 +8,7 @@ use crate::mlp::MlpConfig;
 
 /// A complete Table I row: grid encoding plus MLP topology (two MLPs for
 /// NeRF's density/color split).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppParams {
     /// Which application this parameterises.
     pub app: AppKind,

@@ -8,8 +8,6 @@
 //! d-linearly interpolated, and the per-level results are concatenated into
 //! the final `L * F`-dimensional MLP input.
 
-use serde::{Deserialize, Serialize};
-
 use super::hash::{dense_index, dense_vertex_count, spatial_hash, table_mask};
 use super::interp::CellPosition;
 use super::{check_dim, Encoding};
@@ -17,7 +15,7 @@ use crate::error::{NgError, Result};
 use crate::math::Pcg32;
 
 /// How grid vertices are mapped to feature-table entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GridKind {
     /// 1:1 for coarse levels; the spatial hash (Eq. 1) once a level has
     /// more vertices than table entries. This is the paper's
@@ -37,7 +35,7 @@ pub enum GridKind {
 /// Field names follow the paper's Table I: `N_min` (base resolution), `b`
 /// (per-level growth factor), `F` (features per entry), `T` (maximum table
 /// entries, always a power of two), `L` (number of levels).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridConfig {
     /// Input dimensionality `d` (2 for images, 3 for volumes).
     pub dim: usize,
@@ -160,7 +158,7 @@ impl GridConfig {
 
 /// Per-level derived layout, exposed so the hardware model (`ngpc` crate)
 /// can size its grid SRAMs and index logic against the exact same numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelLayout {
     /// Grid resolution `N_l` (cells per axis; vertices are `N_l + 1`).
     pub resolution: u32,

@@ -5,10 +5,8 @@
 //! sigmoid for colors, exponential for NeRF density, and identity for
 //! signed distances.
 
-use serde::{Deserialize, Serialize};
-
 /// An elementwise activation function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// Identity (used for signed-distance outputs).
     #[default]

@@ -1,12 +1,10 @@
 //! Adam optimizer (Kingma & Ba), the optimizer used by instant-NGP and the
 //! paper's training runs.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{NgError, Result};
 
 /// Adam hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamConfig {
     /// Learning rate.
     pub learning_rate: f32,

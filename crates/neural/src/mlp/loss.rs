@@ -1,9 +1,7 @@
 //! Training losses for neural-graphics regression.
 
-use serde::{Deserialize, Serialize};
-
 /// Pointwise regression losses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Loss {
     /// Mean squared error.
     #[default]

@@ -17,13 +17,11 @@ pub mod loss;
 pub use adam::{Adam, AdamConfig};
 pub use loss::Loss;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{NgError, Result};
 use crate::math::{Activation, Pcg32};
 
 /// Topology and activations of an [`Mlp`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlpConfig {
     /// Width of the input feature vector.
     pub input_dim: usize,

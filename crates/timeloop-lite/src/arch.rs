@@ -2,10 +2,8 @@
 //! register file per PE, a shared global buffer, and DRAM behind it —
 //! the three-level hierarchy Timeloop models for systolic designs.
 
-use serde::{Deserialize, Serialize};
-
 /// A PE-array accelerator description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeArray {
     /// Array rows (spatial N dimension).
     pub rows: u32,
@@ -38,8 +36,9 @@ impl PeArray {
     /// [`ngpc::NfpConfig::floorplan`]) are the global buffer, and the
     /// register-file depth matches [`PeArray::nfp_mlp_engine`]. At the
     /// paper's NFP this reproduces `nfp_mlp_engine()` exactly — the
-    /// test below pins it — so `dse --map-search` and the standalone
-    /// Fig. 13 cross-validation map onto the same machine.
+    /// test below pins it — so the per-layer agreement test on swept
+    /// arrays and the standalone Fig. 13 cross-validation map onto the
+    /// same machine.
     pub fn from_nfp(nfp: &ngpc::NfpConfig) -> Self {
         let plan = nfp.floorplan();
         PeArray {

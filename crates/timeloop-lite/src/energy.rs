@@ -1,12 +1,10 @@
 //! Accelergy-style per-access energy accounting at 45 nm.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mapping::MappingCost;
 
 /// Per-access energies (picojoules per 16-bit word / operation), in the
 /// range Accelergy's 45 nm plug-ins report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// One fp16 MAC.
     pub mac_pj: f64,

@@ -30,8 +30,9 @@ pub use problem::Gemm;
 
 /// The mapping problem one MLP layer of shape `(rows, cols)` poses on
 /// one NFP configuration: the layer's GEMM over `batch` queries plus
-/// the PE array the NFP's MLP engine presents — the stable constructor
-/// `dse --map-search` builds its per-layer searches from.
+/// the PE array the NFP's MLP engine presents — the constructor the
+/// root crate's Fig. 13 agreement test builds its per-layer searches
+/// from.
 ///
 /// # Panics
 ///

@@ -31,7 +31,7 @@ fn pow2_tiles(limit: u64) -> impl Iterator<Item = u64> {
 /// Search all valid mappings of `problem` on `arch`, minimising cycles
 /// first and energy as the tie-breaker.
 pub fn best_mapping(problem: &Gemm, arch: &PeArray, table: &EnergyTable) -> SearchResult {
-    let _span = ng_obs::span("mapsearch");
+    let _span = ng_obs::span("timeloop.best_mapping");
     let mut best: Option<SearchResult> = None;
     let mut candidates = 0;
     for spatial_n in pow2_tiles(arch.rows as u64) {

@@ -2,13 +2,11 @@
 //! PE array (spatially) and time (temporally), and which operand stays
 //! stationary.
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::PeArray;
 use crate::problem::Gemm;
 
 /// Which operand is held stationary in the PE register files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataflow {
     /// Weights stay in the PEs; activations stream (the NFP engine's
     /// dataflow — one layer's weights are staged, the batch streams).
@@ -18,7 +16,7 @@ pub enum Dataflow {
 }
 
 /// A concrete mapping of a GEMM onto the array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// Spatial tile of the N (output-neuron) dimension (<= array rows).
     pub spatial_n: u64,
@@ -29,7 +27,7 @@ pub struct Mapping {
 }
 
 /// Cycle/access counts of one evaluated mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingCost {
     /// Total execution cycles.
     pub cycles: u64,

@@ -3,15 +3,13 @@
 //! the `ngpc` MLP engine's own cycle model (paper Fig. 13's "mlp imp TA"
 //! dotted lines, which agree within ~7 %).
 
-use serde::{Deserialize, Serialize};
-
 use crate::arch::PeArray;
 use crate::energy::EnergyTable;
 use crate::mapper::best_mapping;
 use crate::problem::Gemm;
 
 /// Result of evaluating a full MLP over a batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MlpEvaluation {
     /// Total cycles across all layers, including per-layer staging
     /// overhead (weight swap between layers).

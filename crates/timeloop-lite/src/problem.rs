@@ -1,12 +1,10 @@
 //! Workload descriptions: the MLP layers as GEMM problems.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense matrix multiply `C[M,N] = A[M,K] x B[K,N]`.
 ///
 /// For a bias-free MLP layer over a batch: `M` = batch size, `N` =
 /// output neurons, `K` = input neurons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Gemm {
     /// Batch dimension.
     pub m: u64,

@@ -144,6 +144,53 @@ fn emulator_against_timeloop_within_seven_percent() {
 }
 
 #[test]
+fn timeloop_best_mapping_equals_the_fixed_tile_model() {
+    // The Fig. 13 cross-check at layer granularity: on every MAC array
+    // the paper and the sweep presets use, plus non-power-of-two sides,
+    // the mapper's best mapping of every Table I MLP layer takes exactly
+    // the cycles of the NFP's fixed full-array tiling, so the
+    // emulator's MLP stage equals the searched schedule.
+    use ng_timeloop::{best_mapping, layer_problem, EnergyTable};
+    use ngpc::emulator::{mlp_layer_shapes, mlp_query_cycles};
+    use ngpc::engine::mlp_engine::layer_tiles;
+
+    const BATCH: u64 = 4096;
+    let sides = [1u32, 3, 7, 32, 48, 64, 100, 128, 1000];
+    let mut shapes: Vec<(usize, usize)> = EncodingKind::ALL
+        .iter()
+        .flat_map(|&enc| AppKind::ALL.iter().flat_map(move |&app| mlp_layer_shapes(app, enc)))
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    let table = EnergyTable::default();
+    for mac_rows in sides {
+        for mac_cols in sides {
+            let nfp = NfpConfig { mac_rows, mac_cols, ..NfpConfig::default() };
+            let searched: Vec<((usize, usize), u64)> = shapes
+                .iter()
+                .map(|&(rows, cols)| {
+                    let (gemm, arch) = layer_problem(&nfp, rows, cols, BATCH);
+                    ((rows, cols), best_mapping(&gemm, &arch, &table).cost.cycles)
+                })
+                .collect();
+            for &((rows, cols), cycles) in &searched {
+                let tiles = layer_tiles(rows, cols, mac_rows as usize, mac_cols as usize) as u64;
+                assert_eq!(cycles, tiles * BATCH, "{rows}x{cols} layer on {mac_rows}x{mac_cols}");
+            }
+            for enc in EncodingKind::ALL {
+                for app in AppKind::ALL {
+                    let stack: u64 = mlp_layer_shapes(app, enc)
+                        .map(|shape| searched.iter().find(|(s, _)| *s == shape).unwrap().1)
+                        .sum();
+                    let fixed = mlp_query_cycles(app, enc, &nfp) * BATCH as f64;
+                    assert_eq!(stack as f64, fixed, "{app}/{enc} on {mac_rows}x{mac_cols}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn amdahl_sanity_check_over_full_grid() {
     // The paper's own validation: reported speedup always under the
     // Amdahl-driven analytical bound.
