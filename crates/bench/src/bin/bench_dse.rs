@@ -1,114 +1,68 @@
 //! `bench_dse` — the tracked perf harness of the DSE pipeline.
 //!
-//! For each tracked preset, times three sweeps through the opt-in point
-//! store (`dse --cache-dir`), each in a fresh store directory:
-//!
-//! 1. **cold** — an empty store: evaluates every point and appends it;
-//! 2. **warm** — identical re-run: must be served entirely from the
-//!    store (zero evaluations);
-//! 3. **incremental** — the same spec grown by one clock value: must
-//!    evaluate only the new points.
-//!
-//! Writes a machine-readable `BENCH_dse.json` with one entry per
-//! preset (`{preset, cold_s, warm_s, incremental_s, points,
-//! cold_points_per_sec, warm_hit_ratio, counters_cold}`) for the paper
-//! and mac-arrays presets, plus a `guided` entry for the budgeted
-//! searcher over the exploded guided-lanes space (`{space_points,
-//! budget, evaluations, wall_s, points_per_sec, recovered_headline}`).
-//! `counters_cold` holds the `ng-obs` counter deltas of the cold run,
-//! and the file closes with a `stage_profile_us` breakdown of where
-//! this process's wall time went (per span path).
+//! For each tracked preset, times one sweep (every point evaluated in
+//! memory, as `dse` runs it) and writes a machine-readable
+//! `BENCH_dse.json` with one entry per preset (`{preset, cold_s,
+//! points, cold_points_per_sec, counters_cold}`) for the paper and
+//! mac-arrays presets, plus a `guided` entry for the budgeted searcher
+//! over the exploded guided-lanes space (`{space_points, budget,
+//! evaluations, wall_s, points_per_sec, recovered_headline}`).
+//! `counters_cold` holds the `ng-obs` counter deltas of the sweep, and
+//! the file closes with a `stage_profile_us` breakdown of where this
+//! process's wall time went (per span path). "Cold" means the first
+//! sweep of the preset in this process.
 //!
 //! ```text
-//! bench_dse [--quick] [--check-warm] [--check-overhead] [--out PATH]
+//! bench_dse [--quick] [--check-overhead] [--out PATH]
 //! ```
 //!
 //! `--quick` benches the 16-point quick preset instead of the tracked
-//! paper + mac-arrays presets; `--check-warm` exits non-zero if any
-//! warm re-run evaluated a point or any incremental run evaluated more
-//! than its delta (the CI guard for the point store);
-//! `--check-overhead` compares this run's tracing-off cold throughput
-//! on the paper preset against the committed `BENCH_dse.json` and
-//! fails if it fell below half the recorded baseline — a deliberately
-//! generous floor (CI machines are noisy) whose job is to catch the
-//! instrumentation becoming accidentally hot, not 5% regressions.
+//! paper + mac-arrays presets; `--check-overhead` compares this run's
+//! tracing-off throughput on the paper preset against the committed
+//! `BENCH_dse.json` and fails if it fell below half the recorded
+//! baseline — a deliberately generous floor (CI machines are noisy)
+//! whose job is to catch the instrumentation becoming accidentally
+//! hot, not 5% regressions.
 
 use std::fs;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepOutcome, SweepSpec};
-
-fn run(spec: &SweepSpec, cache_dir: &std::path::Path) -> (f64, SweepOutcome) {
-    let engine = SweepEngine::new().with_cache_dir(cache_dir);
-    let started = Instant::now();
-    let outcome = engine.run(spec).expect("preset specs validate");
-    (started.elapsed().as_secs_f64(), outcome)
-}
+use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepSpec};
 
 struct PresetBench {
     name: String,
     cold_s: f64,
-    warm_s: f64,
-    incremental_s: f64,
     points: usize,
     cold_points_per_sec: f64,
-    warm_evaluated: usize,
-    incremental_evaluated: usize,
-    expected_delta: usize,
-    warm_hit_ratio: f64,
-    /// Counter growth during the cold run, `(name, delta)` in name
-    /// order — the observability cross-check that the timing numbers
-    /// measured what they claim (e.g. `sweep.fresh_evals == points`).
+    /// Counter growth during the sweep, `(name, delta)` in name order —
+    /// the observability cross-check that the timing numbers measured
+    /// what they claim (e.g. `sweep.fresh_evals == points`).
     counters_cold: Vec<(String, u64)>,
 }
 
-fn bench_preset(spec: &SweepSpec, scratch: &std::path::Path) -> PresetBench {
-    // A private point store per preset: every cold run must really be
-    // cold even though the presets share points (e.g. the paper NFP).
-    let cache_dir = scratch.join(format!("point-cache-{}", spec.name));
-    let mut grown = spec.clone();
-    grown.clock_ghz.push(1.25);
-
-    let before_cold = ng_obs::counter::snapshot();
-    let (cold_s, cold) = run(spec, &cache_dir);
+fn bench_preset(spec: &SweepSpec) -> PresetBench {
+    let before = ng_obs::counter::snapshot();
+    let started = Instant::now();
+    let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
+    let cold_s = started.elapsed().as_secs_f64();
     let counters_cold: Vec<(String, u64)> = ng_obs::counter::snapshot()
-        .delta_since(&before_cold)
+        .delta_since(&before)
         .iter()
         .map(|(name, v)| (name.to_string(), v))
         .collect();
-    let (warm_s, warm) = run(spec, &cache_dir);
-    let (incremental_s, inc) = run(&grown, &cache_dir);
 
     println!("[{}]", spec.name);
-    println!("cold:        {:8.1} ms  ({} points evaluated)", cold_s * 1e3, cold.stats.evaluated);
     println!(
-        "warm:        {:8.1} ms  ({} points evaluated, {} hits)",
-        warm_s * 1e3,
-        warm.stats.evaluated,
-        warm.stats.cache_hits
-    );
-    println!(
-        "incremental: {:8.1} ms  ({} points evaluated, {} hits)",
-        incremental_s * 1e3,
-        inc.stats.evaluated,
-        inc.stats.cache_hits
+        "sweep:       {:8.1} ms  ({} points evaluated)",
+        cold_s * 1e3,
+        outcome.stats.evaluated
     );
     PresetBench {
         name: spec.name.clone(),
         cold_s,
-        warm_s,
-        incremental_s,
         points: spec.point_count(),
-        cold_points_per_sec: cold.stats.points_per_sec(),
-        warm_evaluated: warm.stats.evaluated,
-        incremental_evaluated: inc.stats.evaluated,
-        expected_delta: grown.point_count() - spec.point_count(),
-        warm_hit_ratio: if warm.stats.total_points == 0 {
-            0.0
-        } else {
-            warm.stats.cache_hits as f64 / warm.stats.total_points as f64
-        },
+        cold_points_per_sec: outcome.stats.points_per_sec(),
         counters_cold,
     }
 }
@@ -163,19 +117,14 @@ fn baseline_cold_throughput(path: &str, preset: &str) -> Option<f64> {
 }
 
 fn main() -> ExitCode {
-    // Honor NG_DSE_TRACE like the `dse` binary: tracing a bench run is
-    // how instrumentation overhead itself gets profiled.
-    ng_obs::sink::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut check_warm = false;
     let mut check_overhead = false;
     let mut out_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--check-warm" => check_warm = true,
             "--check-overhead" => check_overhead = true,
             "--out" => match it.next() {
                 Some(p) => out_path = Some(p.clone()),
@@ -186,9 +135,7 @@ fn main() -> ExitCode {
             },
             other => {
                 eprintln!("bench_dse: unknown argument `{other}`");
-                eprintln!(
-                    "usage: bench_dse [--quick] [--check-warm] [--check-overhead] [--out PATH]"
-                );
+                eprintln!("usage: bench_dse [--quick] [--check-overhead] [--out PATH]");
                 return ExitCode::FAILURE;
             }
         }
@@ -211,13 +158,9 @@ fn main() -> ExitCode {
         None
     };
 
-    // Fresh, private stores so a leftover store cannot turn a cold run
-    // warm. GPU-model calibration is memoized per process, so only the
-    // *first* preset's cold run pays it (~0.2 ms). Keep `paper` first
-    // so the trajectory stays comparable across PRs.
-    let scratch = std::env::temp_dir().join(format!("ng-bench-dse-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&scratch);
-
+    // GPU-model calibration is memoized per process, so only the
+    // *first* preset's sweep pays it (~0.02 ms). Keep `paper` first so
+    // the trajectory stays comparable across PRs.
     let specs: Vec<SweepSpec> = if quick {
         vec![SweepSpec::quick()]
     } else {
@@ -233,7 +176,7 @@ fn main() -> ExitCode {
         }
     });
 
-    let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &scratch)).collect();
+    let benches: Vec<PresetBench> = specs.iter().map(bench_preset).collect();
     // The guided searcher is benched on the full runs only (its space
     // is a full preset; a --quick run has nothing to search).
     let guided = if quick { None } else { Some(bench_guided()) };
@@ -247,17 +190,13 @@ fn main() -> ExitCode {
                 .map(|(name, v)| format!("        \"{name}\": {v}"))
                 .collect();
             format!(
-                "    {{\n      \"preset\": \"{}\",\n      \"cold_s\": {},\n      \"warm_s\": {},\n      \
-                 \"incremental_s\": {},\n      \"points\": {},\n      \
-                 \"cold_points_per_sec\": {},\n      \"warm_hit_ratio\": {},\n      \
+                "    {{\n      \"preset\": \"{}\",\n      \"cold_s\": {},\n      \
+                 \"points\": {},\n      \"cold_points_per_sec\": {},\n      \
                  \"counters_cold\": {{\n{}\n      }}\n    }}",
                 b.name,
                 b.cold_s,
-                b.warm_s,
-                b.incremental_s,
                 b.points,
                 b.cold_points_per_sec,
-                b.warm_hit_ratio,
                 counters.join(",\n"),
             )
         })
@@ -307,14 +246,13 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!("wrote {out_path}");
-    let _ = fs::remove_dir_all(&scratch);
 
     if let Some(baseline) = overhead_baseline {
         let paper = benches.iter().find(|b| b.name == "paper");
         match paper {
             Some(b) if b.cold_points_per_sec < baseline * 0.5 => {
                 eprintln!(
-                    "bench_dse: REGRESSION — tracing-off cold throughput on `paper` fell to \
+                    "bench_dse: REGRESSION — tracing-off throughput on `paper` fell to \
                      {:.0} points/sec, below half the committed baseline ({:.0}); the \
                      instrumentation has become hot",
                     b.cold_points_per_sec, baseline
@@ -322,7 +260,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             Some(b) => println!(
-                "overhead check: {:.0} points/sec cold vs {:.0} baseline — ok",
+                "overhead check: {:.0} points/sec vs {:.0} baseline — ok",
                 b.cold_points_per_sec, baseline
             ),
             None => {
@@ -332,34 +270,5 @@ fn main() -> ExitCode {
         }
     }
 
-    if check_warm {
-        if let Some(g) = &guided {
-            if !g.recovered_headline {
-                eprintln!(
-                    "bench_dse: REGRESSION — guided search missed the NGPC-64 headline \
-                     organisation ({} evaluations of {})",
-                    g.evaluations, g.space_points
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        for b in &benches {
-            if b.warm_evaluated != 0 {
-                eprintln!(
-                    "bench_dse: REGRESSION — warm re-run of the unchanged `{}` spec evaluated \
-                     {} points (expected 0: the point cache must serve all of them)",
-                    b.name, b.warm_evaluated
-                );
-                return ExitCode::FAILURE;
-            }
-            if b.incremental_evaluated != b.expected_delta {
-                eprintln!(
-                    "bench_dse: REGRESSION — grown `{}` spec evaluated {} points (expected {})",
-                    b.name, b.incremental_evaluated, b.expected_delta
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -41,10 +41,10 @@ SPEC:
 
 SEARCH (budgeted guided exploration instead of the exhaustive sweep):
     --search [STRAT]     guided search: hill (default) | evolve
-    --budget N           max fresh point evaluations (default: 5% of
-                         the space)
+    --budget N           max point evaluations (default: 5% of the
+                         space); needs --search
     --seed N             search RNG seed (default: fixed; equal seeds
-                         reproduce the exact trajectory)
+                         reproduce the exact trajectory); needs --search
 
 CONSTRAINTS (filter the reported frontier, not the evaluation):
     --max-area PCT       keep architectures with area ≤ PCT% of the GPU die
@@ -52,18 +52,14 @@ CONSTRAINTS (filter the reported frontier, not the evaluation):
     --min-speedup X      keep architectures with cross-app speedup ≥ X
 
 EXECUTION:
-    --threads N          worker threads (default: all cores)
-    --cache-dir DIR      keep evaluated points in a CSV point store under
-                         DIR; later runs evaluate only the points it
-                         does not hold (default: no store — evaluating
-                         a point is cheaper than reading it back)
-    --no-cache           run without a point store (the default)
-    --cache-stats        with --cache-dir: print this run's store
-                         hit/miss/evaluated counts and per-shard rows
+    --threads N          worker threads, at least 1 (default: all cores)
+    --no-cache           accepted and ignored: every run evaluates every
+                         point in memory and writes only the files it
+                         is asked for
 
 OBSERVABILITY:
     --trace PATH         record a JSONL run ledger (spans, counters) to
-                         PATH. Equivalent env: NG_DSE_TRACE
+                         PATH
     --metrics            print the in-process stage profile and counter
                          deltas to stderr after the run
     --quiet              suppress the live stderr progress line (stdout
@@ -77,9 +73,9 @@ OBSERVABILITY:
       --check            exit non-zero on unbalanced spans, counter
                          invariant violations, or stage coverage < 95%
                          of the root span's wall time
-      --min-coverage P   coverage floor (percent) for --check; default
-                         95. Use 0 on very short runs, where fixed
-                         startup costs dominate the root span
+      --min-coverage P   coverage floor for --check, a percent in
+                         0..=100; default 95. Use 0 on very short runs,
+                         where fixed startup costs dominate the root span
 
 OUTPUT:
     --top N              frontier rows to print (default: 16)
@@ -134,8 +130,6 @@ struct Cli {
     spec: SweepSpec,
     constraints: Constraints,
     threads: Option<usize>,
-    cache_dir: Option<String>,
-    cache_stats: bool,
     top: usize,
     per_app: bool,
     csv: Option<String>,
@@ -169,13 +163,10 @@ fn parse_list<T>(
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut preset: Option<String> = None;
     let mut spec_file: Option<String> = None;
-    let mut no_cache = false;
     let mut cli = Cli {
         spec: SweepSpec::paper(),
         constraints: Constraints::NONE,
         threads: None,
-        cache_dir: None,
-        cache_stats: false,
         top: 16,
         per_app: false,
         csv: None,
@@ -239,11 +230,15 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                     Some(value(arg)?.parse().map_err(|_| "--min-speedup: not a number")?)
             }
             "--threads" => {
-                cli.threads = Some(value(arg)?.parse().map_err(|_| "--threads: not a number")?)
+                let n: usize = value(arg)?.parse().map_err(|_| "--threads: not a number")?;
+                if n == 0 {
+                    return Err("--threads: need at least 1 worker".to_string());
+                }
+                cli.threads = Some(n);
             }
-            "--cache-dir" => cli.cache_dir = Some(value(arg)?),
-            "--no-cache" => no_cache = true,
-            "--cache-stats" => cli.cache_stats = true,
+            // Every run is uncached; the flag stays accepted so existing
+            // scripts keep working.
+            "--no-cache" => {}
             "--trace" => cli.trace = Some(value(arg)?),
             "--metrics" => cli.metrics = true,
             "--quiet" => cli.quiet = true,
@@ -256,11 +251,12 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         }
     }
 
-    if no_cache && cli.cache_dir.is_some() {
-        return Err("--no-cache and --cache-dir contradict each other; pass one".to_string());
-    }
-    if cli.cache_stats && cli.cache_dir.is_none() {
-        return Err("--cache-stats reports the point store; pass --cache-dir DIR".to_string());
+    if cli.search.is_none() {
+        for (flag, given) in [("--budget", cli.budget.is_some()), ("--seed", cli.seed.is_some())] {
+            if given {
+                return Err(format!("{flag} only steers a guided search; pass --search too"));
+            }
+        }
     }
     if preset.is_some() && spec_file.is_some() {
         return Err("--preset and --spec are mutually exclusive".to_string());
@@ -360,10 +356,6 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
                 .to_string(),
         ));
     }
-    let mut searcher = ng_dse::Searcher::new();
-    if let Some(dir) = &cli.cache_dir {
-        searcher = searcher.with_cache_dir(dir);
-    }
     let mut search = ng_dse::SearchSpec::for_space(&cli.spec);
     search.strategy = strategy;
     if let Some(budget) = cli.budget {
@@ -372,17 +364,10 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
     if let Some(seed) = cli.seed {
         search.seed = seed;
     }
-    let outcome = searcher.run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
+    let outcome =
+        ng_dse::Searcher::new().run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
     let _span = ng_obs::span("report");
     ng_dse::report::print_search_report(&outcome, &cli.constraints, cli.top);
-    if let (true, Some(path)) = (cli.cache_stats, &outcome.cache_path) {
-        println!(
-            "cache stats: {} hits, {} evaluated; store: {}",
-            outcome.stats.cache_hits,
-            outcome.stats.evaluations,
-            path.display(),
-        );
-    }
 
     if cli.check_headline || cli.spec.name == "guided-lanes" {
         let headline = outcome
@@ -457,9 +442,10 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
                 let pct = it
                     .next()
                     .ok_or_else(|| usage_err("--min-coverage needs a percent".to_string()))?;
-                min_coverage = pct
-                    .parse()
-                    .map_err(|_| usage_err(format!("--min-coverage: `{pct}` is not a number")))?;
+                min_coverage =
+                    pct.parse().ok().filter(|p| (0.0..=100.0).contains(p)).ok_or_else(|| {
+                        usage_err(format!("--min-coverage: `{pct}` is not a percent in 0..=100"))
+                    })?;
             }
             other if !other.starts_with("--") && ledger_path.is_none() => {
                 ledger_path = Some(other.to_string())
@@ -538,7 +524,7 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     }
     if verdict.invariant_violations.is_empty() {
         println!(
-            "counter invariant (hits + fresh == points): holds for {} sweeping process(es)",
+            "counter invariant (fresh_evals == points): holds for {} sweeping process(es)",
             verdict.sweeping_pids
         );
     } else {
@@ -600,8 +586,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // event.
     if let Some(path) = &cli.trace {
         ng_obs::sink::enable(path).map_err(|e| format!("--trace {path}: {e}"))?;
-    } else {
-        ng_obs::sink::init_from_env();
     }
     let counters_before = ng_obs::counter::snapshot();
     let result = {
@@ -628,26 +612,11 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(threads) = cli.threads {
         engine = engine.with_threads(threads);
     }
-    if let Some(dir) = &cli.cache_dir {
-        engine = engine.with_cache_dir(dir);
-    }
     let outcome = engine.run(&cli.spec).map_err(|e| usage_err(e.to_string()))?;
     // Frontier extraction + table rendering is real work on large
     // sweeps — span it so the ledger's coverage accounting sees it.
     let _span = ng_obs::span("report");
     print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
-    if let (true, Some(dir)) = (cli.cache_stats, &cli.cache_dir) {
-        println!("{}", ng_dse::report::cache_stats_line(&outcome));
-        println!(
-            "{}",
-            ng_dse::report::store_stats_line(
-                &ng_dse::EvalCache::new(dir).shard_stats(),
-                ng_dse::obs_counters::store_lock_wait_us().get(),
-                ng_dse::obs_counters::store_tail_heals().get(),
-                ng_dse::obs_counters::cache_rows_skipped().get(),
-            )
-        );
-    }
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
     let headline = if judge_headline { headline_check(&outcome, &cli.constraints) } else { None };

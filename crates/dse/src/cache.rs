@@ -1,9 +1,13 @@
-//! The opt-in point store behind `dse --cache-dir DIR`.
+//! A CSV point store, kept only for the benchmark's replay.
 //!
-//! Runs are uncached by default: the model evaluates a point in about
-//! 0.7 µs, which is cheaper than parsing it back from disk. The store
-//! pays off only when a spec grows or overlaps one already swept, so
-//! it evaluates only its delta.
+//! No product path uses it: `dse` sweeps and searches evaluate every
+//! point, because the model evaluates a point in about 0.7 µs, which is
+//! cheaper than parsing it back from disk. `perfbench/replay` still
+//! links [`EvalCache::new`], [`EvalCache::lookup`] and
+//! [`EvalCache::append`] (with [`crate::model_fingerprint`],
+//! `SweepStats::{cache_hits, cache_hit}`, `SweepOutcome::cache_path`
+//! and `Searcher::without_cache`) to time its `store` workload. The
+//! benchmark change that drops that workload deletes them all.
 //!
 //! * **Key** — [`EvalCache::point_key`]: FNV-1a over the point's axis
 //!   tuple (everything except its spec-local `index`), the
@@ -16,20 +20,13 @@
 //! * **Concurrency** — every append holds the shard's exclusive
 //!   advisory file lock ([`std::fs::File::lock`]) for its whole
 //!   critical section (torn-tail probe, header creation, row write),
-//!   so concurrent writers — threads or processes — never interleave
-//!   mid-line and a fresh shard gets exactly one header. The lock is
-//!   released by the kernel even if the writer dies, and readers never
-//!   lock (a reader racing an append sees either the old or the new
-//!   tail, both parseable). Filesystems without lock support degrade
-//!   to unlocked appends.
+//!   so concurrent writers never interleave mid-line and a fresh shard
+//!   gets exactly one header. Readers never lock. Filesystems without
+//!   lock support degrade to unlocked appends.
 //! * **Degradation** — a torn line, a duplicate or interior header, a
 //!   corrupted shard, or a key mismatch (the stored axes no longer
 //!   hash to the stored key) makes exactly the affected points misses;
 //!   everything else keeps hitting.
-//!
-//! [`crate::sweep::SweepEngine::run`] partitions a spec into stored and
-//! missing points through [`EvalCache::lookup`], evaluates only the
-//! misses, and appends them back.
 
 use std::collections::HashMap;
 use std::fs;
@@ -38,7 +35,6 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::emit::{point_from_row, point_to_row};
-use crate::obs_counters;
 use crate::spec::DesignPoint;
 use crate::sweep::EvaluatedPoint;
 use crate::{model_fingerprint, MODEL_VERSION};
@@ -85,18 +81,13 @@ impl EvalCache {
     /// The generation directory all shards of the current model version
     /// live in. A model change (tag bump or fingerprint drift) lands in
     /// a fresh directory and the stale one is never read again.
-    pub fn store_dir(&self) -> PathBuf {
+    fn store_dir(&self) -> PathBuf {
         self.dir.join(format!("{MODEL_VERSION}-{:016x}", model_fingerprint()))
     }
 
     /// The shard index a key lives in (its top nibble).
-    pub fn shard_of(key: u64) -> usize {
+    fn shard_of(key: u64) -> usize {
         (key >> 60) as usize
-    }
-
-    /// The shard file a key lives in.
-    pub fn shard_path(&self, key: u64) -> PathBuf {
-        self.shard_file(Self::shard_of(key))
     }
 
     fn shard_file(&self, shard: usize) -> PathBuf {
@@ -109,16 +100,11 @@ impl EvalCache {
     /// longer hash to its stated key is rejected (guards against
     /// truncation splices and rows copied across generations). A later
     /// duplicate of a key wins, matching append order.
-    ///
-    /// Skipped data lines are points that will silently re-evaluate, so
-    /// they are counted into `cache.rows_skipped` (surfaced by `dse
-    /// --cache-stats`).
     fn load_shard(&self, shard: usize) -> HashMap<u64, EvaluatedPoint> {
         let Ok(text) = fs::read_to_string(self.shard_file(shard)) else {
             return HashMap::new();
         };
         let mut rows = HashMap::new();
-        let mut skipped = 0u64;
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') || line.starts_with("key,") {
@@ -130,15 +116,9 @@ impl EvalCache {
                     Some((u64::from_str_radix(key_hex, 16).ok()?, point_from_row(row).ok()?))
                 })
                 .filter(|(stated, point)| Self::point_key(&point.point) == *stated);
-            match parsed {
-                Some((key, point)) => {
-                    rows.insert(key, point);
-                }
-                None => skipped += 1,
+            if let Some((key, point)) = parsed {
+                rows.insert(key, point);
             }
-        }
-        if skipped > 0 {
-            obs_counters::cache_rows_skipped().add(skipped);
         }
         rows
     }
@@ -182,16 +162,14 @@ impl EvalCache {
             return Ok(());
         }
         fs::create_dir_all(self.store_dir())?;
-        let mut by_shard: Vec<(String, u64)> = vec![(String::new(), 0); SHARD_COUNT];
+        let mut by_shard: Vec<String> = vec![String::new(); SHARD_COUNT];
         for p in points {
             let key = Self::point_key(&p.point);
-            let (body, rows) = &mut by_shard[Self::shard_of(key)];
-            body.push_str(&format!("{key:016x},{}\n", point_to_row(p)));
-            *rows += 1;
+            by_shard[Self::shard_of(key)].push_str(&format!("{key:016x},{}\n", point_to_row(p)));
         }
-        for (shard, (body, rows)) in by_shard.iter().enumerate() {
+        for (shard, body) in by_shard.iter().enumerate() {
             if !body.is_empty() {
-                Self::append_shard(&self.shard_file(shard), body, *rows)?;
+                Self::append_shard(&self.shard_file(shard), body)?;
             }
         }
         Ok(())
@@ -203,15 +181,13 @@ impl EvalCache {
     /// by the kernel if the writer crashes. A filesystem that does not
     /// support locking degrades to an unlocked append; any *other* lock
     /// failure is a real error.
-    fn append_shard(path: &Path, body: &str, rows: u64) -> io::Result<()> {
-        let lock_started = std::time::Instant::now();
+    fn append_shard(path: &Path, body: &str) -> io::Result<()> {
         let mut file = fs::OpenOptions::new().read(true).create(true).append(true).open(path)?;
         if let Err(e) = file.lock() {
             if e.kind() != io::ErrorKind::Unsupported {
                 return Err(e);
             }
         }
-        obs_counters::store_lock_wait_us().add(lock_started.elapsed().as_micros() as u64);
         // The length must be read *after* the lock: another writer
         // may have created the header between open and lock.
         let len = file.metadata()?.len();
@@ -232,33 +208,9 @@ impl EvalCache {
             file.read_exact(&mut last)?;
             if last != [b'\n'] {
                 file.write_all(b"\n")?;
-                obs_counters::store_tail_heals().incr();
             }
         }
-        file.write_all(body.as_bytes())?;
-        obs_counters::store_rows_appended().add(rows);
-        Ok(())
-    }
-
-    /// Per-shard `(rows, bytes)` of the store, indexed by shard,
-    /// counting only parseable data rows (comments, headers and torn
-    /// lines excluded — the same rows [`EvalCache::lookup`] could
-    /// serve). Powers `dse --cache-stats`.
-    pub fn shard_stats(&self) -> Vec<(usize, u64)> {
-        (0..SHARD_COUNT)
-            .map(|shard| {
-                let bytes = fs::metadata(self.shard_file(shard)).map(|m| m.len()).unwrap_or(0);
-                (self.load_shard(shard).len(), bytes)
-            })
-            .collect()
-    }
-
-    /// Load every shard of the current generation into one in-memory
-    /// map — the bulk entry point for guided search, which probes
-    /// points one at a time and must not re-read shard files per probe
-    /// the way per-sweep [`EvalCache::lookup`] may.
-    pub fn load_all(&self) -> HashMap<u64, EvaluatedPoint> {
-        (0..SHARD_COUNT).flat_map(|shard| self.load_shard(shard)).collect()
+        file.write_all(body.as_bytes())
     }
 }
 
@@ -367,7 +319,7 @@ mod tests {
         cache.append(&outcome.points).unwrap();
         // Truncate one shard's last line mid-row (a crashed append).
         let victim_key = EvalCache::point_key(&outcome.points[0].point);
-        let path = cache.shard_path(victim_key);
+        let path = cache.shard_file(EvalCache::shard_of(victim_key));
         let text = fs::read_to_string(&path).unwrap();
         let keep_lines: Vec<&str> = text.lines().collect();
         let torn = format!(
@@ -403,7 +355,7 @@ mod tests {
         let cache = EvalCache::new(&dir);
         cache.append(&outcome.points[..8]).unwrap();
         for key in outcome.points[..8].iter().map(|p| EvalCache::point_key(&p.point)) {
-            let path = cache.shard_path(key);
+            let path = cache.shard_file(EvalCache::shard_of(key));
             let mut text = fs::read_to_string(&path).unwrap();
             text.push_str("# ng-dse point cache | duplicate interior header\n");
             fs::write(&path, text).unwrap();
@@ -447,41 +399,6 @@ mod tests {
             loaded.into_iter().collect::<Option<Vec<_>>>().expect("no torn or lost rows"),
             outcome.points,
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn engine_integrates_the_cache() {
-        let dir = tmpdir("engine");
-        let spec = SweepSpec::quick();
-        let engine = SweepEngine::new().with_cache_dir(&dir);
-        let first = engine.run(&spec).unwrap();
-        assert!(!first.stats.cache_hit);
-        assert_eq!(first.stats.evaluated, spec.point_count());
-        assert_eq!(first.stats.cache_hits, 0);
-        let second = engine.run(&spec).unwrap();
-        assert!(second.stats.cache_hit);
-        assert_eq!(second.stats.evaluated, 0);
-        assert_eq!(second.stats.cache_hits, spec.point_count());
-        assert_eq!(first.points, second.points, "cache returns bit-identical results");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn grown_spec_evaluates_only_the_delta() {
-        let dir = tmpdir("delta");
-        let engine = SweepEngine::new().with_cache_dir(&dir);
-        let base = SweepSpec::quick();
-        engine.run(&base).unwrap();
-        let mut grown = base.clone();
-        grown.clock_ghz.push(1.25);
-        let outcome = engine.run(&grown).unwrap();
-        let added = grown.point_count() - base.point_count();
-        assert_eq!(outcome.stats.evaluated, added, "only the new clock's points evaluated");
-        assert_eq!(outcome.stats.cache_hits, base.point_count());
-        // ... and the merged result equals an uncached full evaluation.
-        let reference = SweepEngine::new().run(&grown).unwrap();
-        assert_eq!(outcome.points, reference.points);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,14 +16,13 @@
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.
 //! * [`emit`] — CSV/JSON emitters.
-//! * [`cache`] — the opt-in point store behind `dse --cache-dir DIR`:
-//!   sharded CSV files of evaluated points, so an overlapping or grown
-//!   spec evaluates only its delta. Runs are uncached by default —
-//!   evaluating a point (~0.7 µs) is cheaper than reading it back.
+//! * [`cache`] — a CSV point store that no product path uses, kept only
+//!   for the benchmark's replay: evaluating a point (~0.7 µs) is cheaper
+//!   than reading it back, so every run is a pure in-memory pipeline.
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
-//!   `dse --trace PATH` (or `NG_DSE_TRACE`) records a JSONL run ledger,
+//!   `dse --trace PATH` records a JSONL run ledger,
 //!   `dse trace PATH` summarizes one, and `dse --metrics` prints the
 //!   in-process profile and counters after any run.
 //!
@@ -52,13 +51,14 @@ pub mod spec;
 pub mod sweep;
 
 pub use cache::EvalCache;
-pub use pareto::{pareto_indices, Constraints, Objectives, StreamingFrontier};
+pub use pareto::{Constraints, Objectives, StreamingFrontier};
 pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
 pub use sweep::{ArchPoint, EvaluatedPoint, SweepEngine, SweepOutcome, SweepStats};
 
 /// Version tag of the underlying evaluation models, mixed into every
-/// point-store key. **Bump this whenever `ngpc`'s emulator, the GPU
+/// [`EvalCache`] key (kept, like the store, only for the benchmark's
+/// replay). **Bump this whenever `ngpc`'s emulator, the GPU
 /// model or the area/power substrate changes results** so store
 /// generations stay humanly tellable apart on disk — though since
 /// [`model_fingerprint`] is also folded into every key, a forgotten
@@ -79,7 +79,7 @@ pub const MODEL_VERSION: &str = "ngpc-models-v4";
 /// Folded into every point-store key next to [`MODEL_VERSION`]; the
 /// pinned value in `tests/model_fingerprint.rs` turns silent drift into
 /// a test failure with bump instructions. Computed once per process,
-/// and only by runs that use a store: 512 evaluations, about 0.1 ms.
+/// and only by [`EvalCache`] users: 512 evaluations, about 0.1 ms.
 /// The probe is bookkeeping, not user work, so it evaluates through
 /// its own [`ngpc::EmulationContext`] and never counts into the
 /// `sweep.*` or `eval.ticks` counters.

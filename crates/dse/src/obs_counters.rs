@@ -23,42 +23,19 @@ macro_rules! hoisted {
 }
 
 hoisted!(
-    /// Design points a sweep was asked for (hits + misses).
+    /// Design points a sweep was asked for.
     sweep_points => "sweep.points"
 );
 hoisted!(
-    /// Points served from the point store without evaluation.
-    sweep_cache_hits => "sweep.cache_hits"
-);
-hoisted!(
-    /// Points that had to be evaluated. Invariant (checked by
-    /// `ng_obs::Ledger::check`): `sweep.cache_hits + sweep.fresh_evals
-    /// == sweep.points` per process.
+    /// Points a sweep evaluated. Invariant (checked by
+    /// `ng_obs::Ledger::check`): `sweep.fresh_evals == sweep.points`
+    /// per process.
     sweep_fresh_evals => "sweep.fresh_evals"
 );
 hoisted!(
     /// Per-point tick from inside the evaluation pool and the guided
     /// searcher — the live counter the progress meter samples.
     eval_ticks => "eval.ticks"
-);
-hoisted!(
-    /// Microseconds spent waiting for shard file locks in
-    /// `EvalCache::append`.
-    store_lock_wait_us => "store.lock_wait_us"
-);
-hoisted!(
-    /// Torn shard tails terminated before appending.
-    store_tail_heals => "store.tail_heals"
-);
-hoisted!(
-    /// Rows appended to the point store.
-    store_rows_appended => "store.rows_appended"
-);
-hoisted!(
-    /// Torn or corrupt rows skipped while loading shards — rows that
-    /// silently became misses. Non-zero after a crash is expected;
-    /// growth during steady state is a store bug.
-    cache_rows_skipped => "cache.rows_skipped"
 );
 hoisted!(
     /// Points accepted into a streaming Pareto frontier.

@@ -61,56 +61,16 @@ impl Constraints {
     }
 }
 
-/// Indices (ascending) of the non-dominated points of `objectives`.
-///
-/// Candidates are visited best-speedup-first, so a point only needs
-/// checking against the frontier built so far — `O(n log n + n·f)` with
-/// `f` the frontier size, instead of the naive all-pairs scan. Ties on
-/// all three objectives are all kept (none dominates another).
-pub fn pareto_indices(objectives: &[Objectives]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..objectives.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (oa, ob) = (&objectives[a], &objectives[b]);
-        ob.speedup
-            .total_cmp(&oa.speedup)
-            .then(oa.area_pct.total_cmp(&ob.area_pct))
-            .then(oa.power_pct.total_cmp(&ob.power_pct))
-            .then(a.cmp(&b))
-    });
-    let mut frontier: Vec<usize> = Vec::new();
-    'candidates: for &i in &order {
-        for &j in &frontier {
-            if objectives[j].dominates(&objectives[i]) {
-                continue 'candidates;
-            }
-        }
-        frontier.push(i);
-    }
-    frontier.sort_unstable();
-    frontier
-}
-
-/// [`pareto_indices`] over only the points admitted by `constraints`
-/// (indices still refer to the input slice).
-pub fn constrained_pareto(objectives: &[Objectives], constraints: &Constraints) -> Vec<usize> {
-    let admitted: Vec<usize> =
-        (0..objectives.len()).filter(|&i| constraints.admits(&objectives[i])).collect();
-    let sub: Vec<Objectives> = admitted.iter().map(|&i| objectives[i]).collect();
-    pareto_indices(&sub).into_iter().map(|k| admitted[k]).collect()
-}
-
 /// An incremental Pareto frontier: points stream in one at a time and
 /// the structure maintains exactly the non-dominated set seen so far.
 ///
 /// Each insert checks the candidate against the *current frontier only*
 /// (dominated candidates are rejected, newly dominated members are
 /// evicted in the same pass), so a full pass over `n` points costs
-/// `O(n·f)` with `f` the running frontier size — replacing the
-/// collect-everything-then-filter [`constrained_pareto`] pass and, more
-/// importantly, letting a guided searcher keep its archive current
-/// without ever materialising the visited set's objectives. Exact ties
-/// on all three objectives are all kept (equal points do not dominate
-/// each other), matching the batch extractor.
+/// `O(n·f)` with `f` the running frontier size, and a guided searcher
+/// keeps its archive current without ever materialising the visited
+/// set's objectives. Exact ties on all three objectives are all kept
+/// (equal points do not dominate each other).
 #[derive(Debug, Clone, Default)]
 pub struct StreamingFrontier<T> {
     entries: Vec<(Objectives, T)>,
@@ -187,6 +147,28 @@ mod tests {
         Objectives { speedup, area_pct, power_pct }
     }
 
+    /// Indices the streaming frontier keeps, ascending.
+    fn streamed(objs: &[Objectives], constraints: &Constraints) -> Vec<usize> {
+        let mut f = StreamingFrontier::new();
+        for (i, &ob) in objs.iter().enumerate() {
+            f.insert_constrained(ob, i, constraints);
+        }
+        let mut kept = f.into_payloads();
+        kept.sort_unstable();
+        kept
+    }
+
+    /// The all-pairs definition: admitted points no admitted point
+    /// dominates.
+    fn oracle(objs: &[Objectives], constraints: &Constraints) -> Vec<usize> {
+        let admitted = |ob: &Objectives| constraints.admits(ob);
+        (0..objs.len())
+            .filter(|&i| {
+                admitted(&objs[i]) && !objs.iter().any(|ob| admitted(ob) && ob.dominates(&objs[i]))
+            })
+            .collect()
+    }
+
     #[test]
     fn dominance_is_strict() {
         assert!(o(2.0, 1.0, 1.0).dominates(&o(1.0, 1.0, 1.0)));
@@ -199,19 +181,19 @@ mod tests {
     fn frontier_of_a_chain_is_its_best_point() {
         // Strictly improving chain: only the last survives.
         let objs = vec![o(1.0, 3.0, 3.0), o(2.0, 2.0, 2.0), o(3.0, 1.0, 1.0)];
-        assert_eq!(pareto_indices(&objs), vec![2]);
+        assert_eq!(streamed(&objs, &Constraints::NONE), vec![2]);
     }
 
     #[test]
     fn trade_offs_are_all_kept() {
         let objs = vec![o(3.0, 3.0, 1.0), o(2.0, 2.0, 2.0), o(1.0, 1.0, 3.0)];
-        assert_eq!(pareto_indices(&objs), vec![0, 1, 2]);
+        assert_eq!(streamed(&objs, &Constraints::NONE), vec![0, 1, 2]);
     }
 
     #[test]
     fn exact_ties_are_all_kept() {
         let objs = vec![o(2.0, 1.0, 1.0), o(2.0, 1.0, 1.0), o(1.0, 2.0, 2.0)];
-        assert_eq!(pareto_indices(&objs), vec![0, 1]);
+        assert_eq!(streamed(&objs, &Constraints::NONE), vec![0, 1]);
     }
 
     #[test]
@@ -219,9 +201,9 @@ mod tests {
         // The unconstrained winner busts the area budget; under the
         // budget the dominated-by-it point becomes frontier.
         let objs = vec![o(10.0, 8.0, 2.0), o(5.0, 2.0, 2.0)];
-        assert_eq!(pareto_indices(&objs), vec![0, 1]);
+        assert_eq!(streamed(&objs, &Constraints::NONE), vec![0, 1]);
         let budget = Constraints { max_area_pct: Some(3.0), ..Constraints::default() };
-        assert_eq!(constrained_pareto(&objs, &budget), vec![1]);
+        assert_eq!(streamed(&objs, &budget), vec![1]);
         assert!(budget.is_constrained());
         assert!(!Constraints::NONE.is_constrained());
         assert!(Constraints::NONE.admits(&objs[0]));
@@ -229,8 +211,7 @@ mod tests {
 
     #[test]
     fn empty_input_gives_empty_frontier() {
-        assert!(pareto_indices(&[]).is_empty());
-        assert!(constrained_pareto(&[], &Constraints::NONE).is_empty());
+        assert!(streamed(&[], &Constraints::NONE).is_empty());
     }
 
     #[test]
@@ -263,9 +244,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_frontier_matches_batch_extractor() {
-        // A mixed cloud with chains, trade-offs and exact ties: the
-        // streamed survivors must be set-equal to `constrained_pareto`.
+    fn streaming_frontier_matches_the_all_pairs_oracle() {
+        // A mixed cloud with chains, trade-offs and exact ties.
         let objs = vec![
             o(1.0, 3.0, 3.0),
             o(2.0, 2.0, 2.0),
@@ -274,12 +254,8 @@ mod tests {
             o(0.5, 0.5, 9.0),
             o(9.0, 9.0, 0.5),
         ];
-        let mut f = StreamingFrontier::new();
-        for (i, &ob) in objs.iter().enumerate() {
-            f.insert(ob, i);
+        for c in [Constraints::NONE, Constraints { max_area_pct: Some(2.5), ..Constraints::NONE }] {
+            assert_eq!(streamed(&objs, &c), oracle(&objs, &c), "{c:?}");
         }
-        let mut streamed: Vec<usize> = f.into_payloads();
-        streamed.sort_unstable();
-        assert_eq!(streamed, constrained_pareto(&objs, &Constraints::NONE));
     }
 }

@@ -111,52 +111,6 @@ pub fn per_app_table(points: &[EvaluatedPoint], limit: usize) -> String {
     out
 }
 
-/// The `--cache-stats` line: per-run hit/miss/evaluated counts, so
-/// users can see the incremental reuse they are getting.
-pub fn cache_stats_line(outcome: &SweepOutcome) -> String {
-    let stats = &outcome.stats;
-    let rate = if stats.total_points == 0 {
-        0.0
-    } else {
-        100.0 * stats.cache_hits as f64 / stats.total_points as f64
-    };
-    // Misses and evaluated coincide today (every miss is evaluated),
-    // but are derived independently so the line stays honest if a
-    // partial-evaluation mode ever splits them.
-    let misses = stats.total_points - stats.cache_hits;
-    format!(
-        "cache stats: {} hits, {misses} misses, {} evaluated ({rate:.1}% hit rate{})",
-        stats.cache_hits,
-        stats.evaluated,
-        match &outcome.cache_path {
-            Some(p) => format!("; store: {}", p.display()),
-            None => "; cache disabled".to_string(),
-        },
-    )
-}
-
-/// The `--cache-stats` store line: per-shard row counts, total rows
-/// and bytes on disk, and this process's shard lock-wait, torn-tail
-/// heal and skipped-row counters. `shards` is one
-/// [`crate::cache::EvalCache::shard_stats`] snapshot.
-pub fn store_stats_line(
-    shards: &[(usize, u64)],
-    lock_wait_us: u64,
-    heals: u64,
-    rows_skipped: u64,
-) -> String {
-    let counts: Vec<String> = shards.iter().map(|(rows, _)| rows.to_string()).collect();
-    let rows: usize = shards.iter().map(|(rows, _)| rows).sum();
-    let bytes: u64 = shards.iter().map(|(_, bytes)| bytes).sum();
-    format!(
-        "store: [{}] rows ({rows} rows, {:.1} KiB on disk); lock wait {:.2} ms; \
-         {heals} torn tail(s) healed; {rows_skipped} corrupt row(s) skipped",
-        counts.join(" "),
-        bytes as f64 / 1024.0,
-        lock_wait_us as f64 / 1000.0,
-    )
-}
-
 /// The terminal report of a guided search: space/budget summary and the
 /// recovered frontier (filtered through `constraints`).
 pub fn print_search_report(
@@ -176,12 +130,11 @@ pub fn print_search_report(
         if stats.exhaustive { " — budget covers the space: exhaustive scan" } else { "" },
     );
     println!(
-        "visited {} of {} architectures in {} round(s), {:.1} ms ({} cache hits)",
+        "visited {} of {} architectures in {} round(s), {:.1} ms",
         stats.archs_visited,
         stats.space_archs,
         stats.rounds,
         stats.wall.as_secs_f64() * 1e3,
-        stats.cache_hits,
     );
     println!("constraints: {}", describe_constraints(constraints));
     let shown: Vec<ArchPoint> =
@@ -230,31 +183,13 @@ pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usiz
         spec.lanes_per_engine.len(),
         spec.input_fifo_depth.len(),
     );
-    if stats.cache_hit {
-        println!(
-            "evaluation: cache HIT ({} points loaded in {:.1} ms from {})",
-            stats.total_points,
-            stats.wall.as_secs_f64() * 1e3,
-            outcome.cache_path.as_deref().map(|p| p.display().to_string()).unwrap_or_default(),
-        );
-    } else {
-        let hits = if stats.cache_hits > 0 {
-            format!(" + {} from cache", stats.cache_hits)
-        } else {
-            String::new()
-        };
-        println!(
-            "evaluation: {} points on {} threads{hits} in {:.1} ms ({:.0} points/sec){}",
-            stats.evaluated,
-            stats.threads,
-            stats.wall.as_secs_f64() * 1e3,
-            stats.points_per_sec(),
-            match &outcome.cache_path {
-                Some(p) => format!(", cached to {}", p.display()),
-                None => String::new(),
-            },
-        );
-    }
+    println!(
+        "evaluation: {} points on {} threads in {:.1} ms ({:.0} points/sec)",
+        stats.evaluated,
+        stats.threads,
+        stats.wall.as_secs_f64() * 1e3,
+        stats.points_per_sec(),
+    );
     println!("constraints: {}", describe_constraints(constraints));
 
     let frontier = outcome.cross_app_frontier(constraints);

@@ -28,27 +28,22 @@
 //!
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
-//! * a [`PointEvaluator`] owns ONE [`ngpc::EmulationContext`] (and,
-//!   with an opt-in point store, one preloaded view of it) for the
+//! * a `PointEvaluator` owns ONE [`ngpc::EmulationContext`] for the
 //!   whole search — the hot path of a probe is an emulator call, with
-//!   no per-point context construction, no per-probe shard reads and
-//!   no intermediate vectors;
-//! * revisited architectures are free (an in-search memo), stored
-//!   points are free, and only *fresh model evaluations* consume the
-//!   budget.
+//!   no per-point context construction and no intermediate vectors;
+//! * revisited architectures are free (an in-search memo), and only
+//!   *model evaluations* consume the budget.
 //!
 //! Determinism: all randomness comes from one seeded
 //! [`ng_neural::math::Pcg32`]; a given `(spec, SearchSpec)` pair
 //! explores the same trajectory on every machine.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ng_neural::math::Pcg32;
 use ngpc::EmulationContext;
 
-use crate::cache::EvalCache;
 use crate::obs_counters;
 use crate::pareto::StreamingFrontier;
 use crate::spec::{DesignPoint, SpecError, SweepSpec};
@@ -87,8 +82,8 @@ impl SearchStrategy {
 pub struct SearchSpec {
     /// Strategy to run.
     pub strategy: SearchStrategy,
-    /// Maximum *fresh model evaluations* (design points, not
-    /// architectures). Revisits and point-cache hits are free. A budget
+    /// Maximum *model evaluations* (design points, not
+    /// architectures). Revisits are free. A budget
     /// at or above the space's point count degenerates to an exhaustive
     /// scan — guided search never does worse than the sweep it
     /// replaces, just never better than its budget.
@@ -140,10 +135,8 @@ pub struct SearchStats {
     pub space_archs: usize,
     /// Distinct architectures actually visited.
     pub archs_visited: usize,
-    /// Fresh model evaluations spent (the budgeted quantity).
+    /// Model evaluations spent (the budgeted quantity).
     pub evaluations: usize,
-    /// Point-store hits (free under the budget).
-    pub cache_hits: usize,
     /// The configured budget.
     pub budget: usize,
     /// Restarts (hill climb) or generations (evolutionary) executed.
@@ -178,103 +171,26 @@ pub struct SearchOutcome {
     pub frontier: Vec<ArchPoint>,
     /// How the search executed.
     pub stats: SearchStats,
-    /// Point-store generation directory, when the search used a store.
-    pub cache_path: Option<PathBuf>,
 }
 
 /// Allocation-lean point evaluation for guided search: one
-/// [`EmulationContext`] and, with a point store, one in-memory view of
-/// it serve every probe; fresh results are buffered and appended to the
-/// store in a single batch by [`PointEvaluator::flush`].
-pub struct PointEvaluator {
+/// [`EmulationContext`] serves every probe.
+struct PointEvaluator {
     ctx: EmulationContext,
-    cache: Option<EvalCache>,
-    view: HashMap<u64, EvaluatedPoint>,
-    fresh: Vec<EvaluatedPoint>,
-    /// Fresh model evaluations performed.
-    pub evaluations: usize,
-    /// Probes served from the preloaded store view.
-    pub cache_hits: usize,
+    /// Model evaluations performed.
+    evaluations: usize,
 }
 
 impl PointEvaluator {
-    /// A fresh evaluator; `cache` (if any) is bulk-loaded once, here.
-    pub fn new(cache: Option<EvalCache>) -> Self {
-        let view = match &cache {
-            Some(cache) => {
-                let _span = ng_obs::span("load-view");
-                cache.load_all()
-            }
-            None => HashMap::new(),
-        };
-        PointEvaluator {
-            ctx: EmulationContext::new(),
-            cache,
-            view,
-            fresh: Vec::new(),
-            evaluations: 0,
-            cache_hits: 0,
-        }
+    fn new() -> Self {
+        PointEvaluator { ctx: EmulationContext::new(), evaluations: 0 }
     }
 
-    /// Whether a probe for `point` would be served by the preloaded
-    /// store view (i.e. cost zero fresh evaluations).
-    pub fn is_cached(&self, point: &DesignPoint) -> bool {
-        if self.cache.is_none() {
-            return false;
-        }
-        match self.view.get(&EvalCache::point_key(point)) {
-            Some(stored) => {
-                stored.point.arch_key() == point.arch_key() && stored.point.app == point.app
-            }
-            None => false,
-        }
-    }
-
-    /// Evaluate one design point: store-view hit, or emulator call.
-    pub fn eval(&mut self, point: &DesignPoint) -> EvaluatedPoint {
-        // Without a store, no key is computed: keys fold in the model
-        // fingerprint, whose probe an uncached search never pays.
-        let key = self.cache.as_ref().map(|_| EvalCache::point_key(point));
-        if let Some(stored) = key.and_then(|key| self.view.get(&key)) {
-            // Rule out a 64-bit collision the same way the sweep store
-            // does before trusting the hit.
-            if stored.point.arch_key() == point.arch_key() && stored.point.app == point.app {
-                self.cache_hits += 1;
-                return EvaluatedPoint { point: *point, ..*stored };
-            }
-        }
-        let r = self.ctx.eval(&point.emulator_input());
-        let ep = EvaluatedPoint {
-            point: *point,
-            speedup: r.speedup,
-            area_pct_of_gpu: r.area_pct_of_gpu,
-            power_pct_of_gpu: r.power_pct_of_gpu,
-            gpu_ms: r.gpu_ms,
-            ngpc_frame_ms: r.ngpc_frame_ms,
-            amdahl_bound: r.amdahl_bound,
-            plateaued: r.plateaued,
-        };
+    /// Evaluate one design point.
+    fn eval(&mut self, point: &DesignPoint) -> EvaluatedPoint {
         self.evaluations += 1;
         obs_counters::eval_ticks().incr();
-        if let Some(key) = key {
-            self.view.insert(key, ep);
-            self.fresh.push(ep);
-        }
-        ep
-    }
-
-    /// Append buffered fresh evaluations to the point store (a failed
-    /// append warns, like the sweep engine) and return the generation
-    /// dir.
-    pub fn flush(&mut self) -> Option<PathBuf> {
-        let cache = self.cache.as_ref()?;
-        let _span = ng_obs::span("flush");
-        if let Err(e) = cache.append(&self.fresh) {
-            eprintln!("dse: could not append to the point store ({e}); results are unaffected");
-        }
-        self.fresh.clear();
-        Some(cache.store_dir())
+        EvaluatedPoint::evaluate(&mut self.ctx, point)
     }
 }
 
@@ -371,33 +287,23 @@ struct SearchState<'a> {
 }
 
 impl SearchState<'_> {
-    /// Whether the search has budget left for at least one more fresh
-    /// evaluation. (Architectures served entirely by the point store
-    /// are free and individually exempt from the budget gate — see
-    /// [`SearchState::eval_arch`].)
+    /// Whether the search has budget left for at least one more
+    /// evaluation.
     fn can_afford_arch(&self) -> bool {
         self.evaluator.evaluations < self.budget
     }
 
-    /// Fresh evaluations probing `idx` would cost: its points not
-    /// already in the store view.
-    fn arch_cost(&self, idx: &ArchIdx) -> usize {
-        (0..self.space.spec.apps.len())
-            .filter(|&app_i| !self.evaluator.is_cached(&self.space.point(idx, app_i)))
-            .count()
-    }
-
     /// Evaluate (or recall) one architecture. Returns `None` only when
-    /// the architecture's *fresh* evaluations (stored points are free,
-    /// as the budget contract promises) do not fit the budget.
+    /// the architecture's evaluations (one per app) do not fit the
+    /// budget.
     fn eval_arch(&mut self, idx: &ArchIdx) -> Option<ArchEval> {
         if let Some(hit) = self.visited.get(idx) {
             return Some(*hit);
         }
-        if self.evaluator.evaluations + self.arch_cost(idx) > self.budget {
+        let apps = self.space.spec.apps.len();
+        if self.evaluator.evaluations + apps > self.budget {
             return None;
         }
-        let apps = self.space.spec.apps.len();
         let mut avg_speedup = 0.0;
         let mut first: Option<EvaluatedPoint> = None;
         for app_i in 0..apps {
@@ -486,34 +392,20 @@ impl Weights {
     }
 }
 
-/// The guided searcher: its point-store policy mirrors
-/// [`crate::SweepEngine`] (none by default).
-#[derive(Debug, Clone)]
-pub struct Searcher {
-    cache_dir: Option<PathBuf>,
-}
-
-impl Default for Searcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The guided searcher. It holds no state: every search starts from
+/// an empty memo and archive.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Searcher;
 
 impl Searcher {
-    /// A searcher without a point store.
+    /// A searcher.
     pub fn new() -> Self {
-        Searcher { cache_dir: None }
+        Searcher
     }
 
-    /// Keep evaluations in a point store under `dir`.
-    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Run without a point store (the default).
-    pub fn without_cache(mut self) -> Self {
-        self.cache_dir = None;
+    /// The searcher itself: there is no point store to turn off. Kept
+    /// only until the benchmark's replay stops calling it.
+    pub fn without_cache(self) -> Self {
         self
     }
 
@@ -525,10 +417,9 @@ impl Searcher {
         }
         let _span = ng_obs::span("search");
         let started = Instant::now();
-        let cache = self.cache_dir.as_ref().map(|dir| EvalCache::new(dir.clone()));
         let mut state = SearchState {
             space: Space::new(spec),
-            evaluator: PointEvaluator::new(cache),
+            evaluator: PointEvaluator::new(),
             visited: HashMap::new(),
             archive: StreamingFrontier::new(),
             archive_generation: 0,
@@ -556,7 +447,6 @@ impl Searcher {
                 }
             }
         };
-        let cache_path = state.evaluator.flush();
         let mut frontier: Vec<ArchPoint> =
             state.archive.into_payloads().into_iter().map(|(_, a)| a).collect();
         frontier.sort_by(|a, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
@@ -569,13 +459,11 @@ impl Searcher {
                 space_archs,
                 archs_visited: state.visited.len(),
                 evaluations: state.evaluator.evaluations,
-                cache_hits: state.evaluator.cache_hits,
                 budget: search.budget,
                 rounds,
                 exhaustive,
                 wall: started.elapsed(),
             },
-            cache_path,
         })
     }
 }
@@ -807,21 +695,5 @@ mod tests {
         let spec = small_spec();
         let search = SearchSpec { budget: 0, ..SearchSpec::default() };
         assert!(Searcher::new().run(&spec, &search).is_err());
-    }
-
-    #[test]
-    fn point_cache_makes_revisits_free_across_runs() {
-        let dir = std::env::temp_dir().join(format!("ng-dse-search-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec();
-        let search = SearchSpec { budget: spec.point_count(), ..SearchSpec::default() };
-        let cold = Searcher::new().with_cache_dir(&dir).run(&spec, &search).unwrap();
-        assert!(cold.stats.evaluations > 0);
-        assert!(cold.cache_path.is_some());
-        let warm = Searcher::new().with_cache_dir(&dir).run(&spec, &search).unwrap();
-        assert_eq!(warm.stats.evaluations, 0, "every probe served from the store");
-        assert_eq!(warm.stats.cache_hits, cold.stats.evaluations + cold.stats.cache_hits);
-        assert_eq!(canon(&warm.frontier), canon(&cold.frontier));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -183,8 +183,8 @@ pub struct SweepSpec {
     pub lanes_per_engine: Vec<u32>,
     /// Fusion input-FIFO depths in entries.
     pub input_fifo_depth: Vec<u32>,
-    /// Default reporting constraints (not part of the cache key: the
-    /// full sweep is always evaluated and cached; constraints filter).
+    /// Default reporting constraints: the full sweep is always
+    /// evaluated, and constraints only filter what is reported.
     pub constraints: Constraints,
 }
 

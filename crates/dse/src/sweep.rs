@@ -7,7 +7,6 @@ use std::time::{Duration, Instant};
 use ng_neural::apps::{AppKind, EncodingKind};
 use ngpc::EmulationContext;
 
-use crate::cache::EvalCache;
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
 use crate::pool;
@@ -36,6 +35,21 @@ pub struct EvaluatedPoint {
 }
 
 impl EvaluatedPoint {
+    /// Evaluate `point` through the memoizing `ctx`.
+    pub(crate) fn evaluate(ctx: &mut EmulationContext, point: &DesignPoint) -> Self {
+        let r = ctx.eval(&point.emulator_input());
+        EvaluatedPoint {
+            point: *point,
+            speedup: r.speedup,
+            area_pct_of_gpu: r.area_pct_of_gpu,
+            power_pct_of_gpu: r.power_pct_of_gpu,
+            gpu_ms: r.gpu_ms,
+            ngpc_frame_ms: r.ngpc_frame_ms,
+            amdahl_bound: r.amdahl_bound,
+            plateaued: r.plateaued,
+        }
+    }
+
     /// This point's position in objective space.
     pub fn objectives(&self) -> Objectives {
         Objectives {
@@ -104,7 +118,8 @@ impl ArchPoint {
     /// the paper's 1 lane / 64 entries, so the match is exact there.
     /// Shared by every headline regression guard (`dse
     /// --check-headline` in both sweep and search modes, and
-    /// `bench_dse --check-warm`) so the guards cannot drift apart.
+    /// `bench_dse`'s `recovered_headline`) so the guards cannot drift
+    /// apart.
     pub fn is_paper_organisation(&self) -> bool {
         self.encoding == EncodingKind::MultiResHashGrid
             && self.pixels == crate::spec::FHD_PIXELS
@@ -123,12 +138,13 @@ impl ArchPoint {
 pub struct SweepStats {
     /// Points in the sweep.
     pub total_points: usize,
-    /// Points actually evaluated this run (every point, unless a point
-    /// store served some).
+    /// Points evaluated this run (every point).
     pub evaluated: usize,
-    /// Points served from the point store.
+    /// Always 0: sweeps have no point store. Kept, with
+    /// [`SweepStats::cache_hit`] and [`SweepOutcome::cache_path`], only
+    /// until the benchmark's replay stops building them.
     pub cache_hits: usize,
-    /// Whether *every* point came from the point store.
+    /// Always `false` (see [`SweepStats::cache_hits`]).
     pub cache_hit: bool,
     /// Worker threads used.
     pub threads: usize,
@@ -137,8 +153,8 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Evaluation throughput (points per second); 0 when the point
-    /// store served every point.
+    /// Evaluation throughput (points per second); 0 for an empty or
+    /// untimed run.
     pub fn points_per_sec(&self) -> f64 {
         if self.evaluated == 0 || self.wall.is_zero() {
             0.0
@@ -158,8 +174,7 @@ pub struct SweepOutcome {
     pub points: Vec<EvaluatedPoint>,
     /// How the run executed.
     pub stats: SweepStats,
-    /// The point-store generation directory, when the run used a
-    /// point store.
+    /// Always `None` (see [`SweepStats::cache_hits`]).
     pub cache_path: Option<PathBuf>,
 }
 
@@ -245,26 +260,19 @@ pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedP
     let _span = ng_obs::span("evaluate");
     let ticks = obs_counters::eval_ticks();
     pool::map_stateful(points, threads, EmulationContext::new, |ctx, p: &DesignPoint| {
-        let r = ctx.eval(&p.emulator_input());
         ticks.incr();
-        EvaluatedPoint {
-            point: *p,
-            speedup: r.speedup,
-            area_pct_of_gpu: r.area_pct_of_gpu,
-            power_pct_of_gpu: r.power_pct_of_gpu,
-            gpu_ms: r.gpu_ms,
-            ngpc_frame_ms: r.ngpc_frame_ms,
-            amdahl_bound: r.amdahl_bound,
-            plateaued: r.plateaued,
-        }
+        EvaluatedPoint::evaluate(ctx, p)
     })
 }
 
-/// The sweep executor: thread count + an optional point store.
+/// The sweep executor: a thread count and a progress switch.
 #[derive(Debug, Clone)]
 pub struct SweepEngine {
-    threads: usize,
-    cache_dir: Option<PathBuf>,
+    /// Worker threads; `None` means every available core, looked up
+    /// inside [`SweepEngine::run`]'s `sweep` span (the lookup reads
+    /// cgroup files and costs ~0.1 ms, which the trace should charge to
+    /// the sweep).
+    threads: Option<usize>,
     quiet: bool,
 }
 
@@ -275,9 +283,9 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine using every available core and no point store.
+    /// An engine using every available core.
     pub fn new() -> Self {
-        SweepEngine { threads: pool::available_threads(), cache_dir: None, quiet: false }
+        SweepEngine { threads: None, quiet: false }
     }
 
     /// Suppress the live stderr progress line even when stderr is a
@@ -290,112 +298,45 @@ impl SweepEngine {
 
     /// Use exactly `threads` workers (min 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.threads = Some(threads.max(1));
         self
-    }
-
-    /// Keep evaluations in a point store under `dir` (`dse
-    /// --cache-dir`): later runs read stored points back instead of
-    /// evaluating them.
-    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Worker threads this engine will use.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Run a sweep: validate, evaluate every point in parallel, and
-    /// return the results in spec order. With a point store, only the
-    /// points it does not hold are evaluated, and those are appended.
-    ///
-    /// Borrowing callers pay one spec clone (the outcome owns its
-    /// spec); callers that can part with the spec should prefer
-    /// [`SweepEngine::run_owned`], which runs clone-free.
+    /// return the results in spec order.
     pub fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SpecError> {
-        self.run_owned(spec.clone())
-    }
-
-    /// [`SweepEngine::run`] taking the spec by value: no spec clone,
-    /// and the merge fills stored points and fresh evaluations into a
-    /// single result vector instead of collecting intermediates.
-    pub fn run_owned(&self, spec: SweepSpec) -> Result<SweepOutcome, SpecError> {
         spec.validate()?;
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
-        let cache = self.cache_dir.as_ref().map(|dir| EvalCache::new(dir.clone()));
-
+        let threads = self.threads.unwrap_or_else(pool::available_threads);
         let design_points = spec.points();
-        // `slots` doubles as the hit/miss partition and the result
-        // buffer: hits are already final, the gaps are filled from the
-        // pool's output below.
-        let mut slots: Vec<Option<EvaluatedPoint>> = match &cache {
-            Some(cache) => {
-                let _span = ng_obs::span("lookup");
-                cache.lookup(&design_points)
-            }
-            None => vec![None; design_points.len()],
-        };
-        let missing: Vec<DesignPoint> = design_points
-            .iter()
-            .zip(&slots)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(p, _)| *p)
-            .collect();
-        drop(design_points);
-        let cache_hits = slots.len() - missing.len();
-        obs_counters::sweep_points().add(slots.len() as u64);
-        obs_counters::sweep_cache_hits().add(cache_hits as u64);
+        obs_counters::sweep_points().add(design_points.len() as u64);
 
-        // The work-stealing pool sees only the misses; results come
-        // back in `missing` (= spec) order. The meter samples the
-        // shared eval-tick counter from a side thread, so the pool
-        // never blocks on terminal i/o.
+        // The meter samples the shared eval-tick counter from a side
+        // thread, so the pool never blocks on terminal i/o.
         let meter = ng_obs::Meter::start(
             "sweep",
             obs_counters::eval_ticks().clone(),
-            missing.len() as u64,
+            design_points.len() as u64,
             "points",
-            !missing.is_empty() && ng_obs::stderr_wants_progress(self.quiet),
+            !design_points.is_empty() && ng_obs::stderr_wants_progress(self.quiet),
         );
-        let evaluated = evaluate_points(&missing, self.threads);
+        let points = evaluate_points(&design_points, threads);
         meter.finish();
-        obs_counters::sweep_fresh_evals().add(evaluated.len() as u64);
-
-        // The results never depend on the store: a failed append costs
-        // the next run its hits, not this run its outcome.
-        let cache_path = cache.as_ref().map(|cache| {
-            let _span = ng_obs::span("append");
-            if let Err(e) = cache.append(&evaluated) {
-                eprintln!("dse: could not append to the point store ({e}); results are unaffected");
-            }
-            cache.store_dir()
-        });
-
-        // Merge in place: stored points keep their slot, fresh
-        // evaluations fill the gaps in order — both sides are already
-        // in spec order.
-        let mut fresh = evaluated.into_iter();
-        for slot in slots.iter_mut().filter(|s| s.is_none()) {
-            *slot = fresh.next();
-        }
-        let points: Vec<EvaluatedPoint> =
-            slots.into_iter().map(|s| s.expect("every slot filled")).collect();
+        obs_counters::sweep_fresh_evals().add(points.len() as u64);
 
         Ok(SweepOutcome {
-            spec,
+            spec: spec.clone(),
             stats: SweepStats {
                 total_points: points.len(),
-                evaluated: missing.len(),
-                cache_hits,
-                cache_hit: cache.is_some() && missing.is_empty(),
-                threads: self.threads,
+                evaluated: points.len(),
+                cache_hits: 0,
+                cache_hit: false,
+                threads,
                 wall: started.elapsed(),
             },
             points,
-            cache_path,
+            cache_path: None,
         })
     }
 }
@@ -420,7 +361,6 @@ mod tests {
             assert_eq!(ep.speedup, direct.speedup, "point {i}");
             assert_eq!(ep.area_pct_of_gpu, direct.area_pct_of_gpu);
         }
-        assert!(!outcome.stats.cache_hit);
         assert_eq!(outcome.stats.evaluated, spec.point_count());
     }
 

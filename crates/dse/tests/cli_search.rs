@@ -1,7 +1,9 @@
 //! End-to-end CLI checks of guided-search mode: `--search` runs the
 //! budgeted searcher instead of the exhaustive sweep, honours
 //! `--budget`/`--seed`, and `--check-headline` gates on recovery. Spec
-//! and constraint mistakes in either mode exit 2.
+//! and constraint mistakes in either mode exit 2, and so do values the
+//! run could not honour (`--threads 0`, `--budget`/`--seed` without
+//! `--search`).
 
 use std::process::Command;
 
@@ -92,4 +94,21 @@ fn non_finite_constraint_bounds_exit_2() {
     std::fs::remove_file(&spec).unwrap();
     assert_eq!(code, Some(2), "a NaN bound in a spec file must exit 2:\n{err}");
     assert!(err.contains("max_area_pct"), "{err}");
+}
+
+#[test]
+fn values_dse_cannot_honour_exit_2() {
+    for (args, names) in [
+        (&["--preset", "quick", "--threads", "0"][..], "--threads"),
+        (&["--preset", "quick", "--budget", "5"][..], "--budget"),
+        (&["--preset", "quick", "--seed", "9"][..], "--seed"),
+        (&["--seed", "9", "--preset", "quick", "--no-cache"][..], "--seed"),
+    ] {
+        let (err, code) = dse_code(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains(names), "{args:?}: the message names {names}: {err}");
+    }
+    // `--threads` still takes any positive count in sweep mode.
+    let (err, code) = dse_code(&["--preset", "quick", "--threads", "1", "--quiet"]);
+    assert_eq!(code, Some(0), "{err}");
 }

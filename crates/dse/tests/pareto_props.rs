@@ -1,9 +1,9 @@
-//! Property tests of the Pareto module (ISSUE satellite): frontier
-//! internal consistency, permutation invariance, and constraint
-//! soundness over randomized objective clouds.
+//! Property tests of the Pareto module: the streaming frontier against
+//! an all-pairs oracle, its internal consistency, insertion-order
+//! invariance, and constraint soundness over randomized objective
+//! clouds.
 
-use ng_dse::pareto::constrained_pareto;
-use ng_dse::{pareto_indices, Constraints, Objectives, StreamingFrontier};
+use ng_dse::{Constraints, Objectives, StreamingFrontier};
 use proptest::prelude::*;
 
 /// Build an objective cloud from a flat coordinate vector (3 per point).
@@ -11,6 +11,28 @@ fn cloud(coords: &[f64]) -> Vec<Objectives> {
     coords
         .chunks_exact(3)
         .map(|c| Objectives { speedup: c[0], area_pct: c[1], power_pct: c[2] })
+        .collect()
+}
+
+/// Indices the streaming frontier keeps, ascending.
+fn streamed(objs: &[Objectives], constraints: &Constraints) -> Vec<usize> {
+    let mut f = StreamingFrontier::new();
+    for (i, &o) in objs.iter().enumerate() {
+        f.insert_constrained(o, i, constraints);
+    }
+    let mut kept = f.into_payloads();
+    kept.sort_unstable();
+    kept
+}
+
+/// The O(n²) definition of the frontier: admitted points that no
+/// admitted point dominates, ascending.
+fn oracle(objs: &[Objectives], constraints: &Constraints) -> Vec<usize> {
+    let admitted = |o: &Objectives| constraints.admits(o);
+    (0..objs.len())
+        .filter(|&i| {
+            admitted(&objs[i]) && !objs.iter().any(|o| admitted(o) && o.dominates(&objs[i]))
+        })
         .collect()
 }
 
@@ -45,7 +67,7 @@ proptest! {
         coords in prop::collection::vec(0.0f64..100.0, 0..120),
     ) {
         let objs = cloud(&coords);
-        let frontier = pareto_indices(&objs);
+        let frontier = streamed(&objs, &Constraints::NONE);
         for &i in &frontier {
             for &j in &frontier {
                 prop_assert!(
@@ -61,7 +83,7 @@ proptest! {
         coords in prop::collection::vec(0.0f64..50.0, 0..90),
     ) {
         let objs = cloud(&coords);
-        let frontier = pareto_indices(&objs);
+        let frontier = streamed(&objs, &Constraints::NONE);
         for i in 0..objs.len() {
             if frontier.contains(&i) {
                 continue;
@@ -71,20 +93,6 @@ proptest! {
                 "excluded point {i} is dominated by no frontier point"
             );
         }
-    }
-
-    #[test]
-    fn frontier_is_invariant_under_permutation(
-        coords in prop::collection::vec(0.0f64..100.0, 0..120),
-        seed in 0u64..1_000_000,
-    ) {
-        let objs = cloud(&coords);
-        let shuffled = permute(&objs, seed);
-        let a: Vec<Objectives> =
-            pareto_indices(&objs).into_iter().map(|i| objs[i]).collect();
-        let b: Vec<Objectives> =
-            pareto_indices(&shuffled).into_iter().map(|i| shuffled[i]).collect();
-        prop_assert_eq!(canonicalize(&a), canonicalize(&b));
     }
 
     #[test]
@@ -100,8 +108,7 @@ proptest! {
             max_power_pct: Some(max_power),
             min_speedup: Some(min_speedup),
         };
-        let kept = ng_dse::pareto::constrained_pareto(&objs, &budget);
-        for &i in &kept {
+        for &i in &streamed(&objs, &budget) {
             prop_assert!(objs[i].area_pct <= max_area);
             prop_assert!(objs[i].power_pct <= max_power);
             prop_assert!(objs[i].speedup >= min_speedup);
@@ -120,7 +127,7 @@ proptest! {
     }
 
     #[test]
-    fn streaming_frontier_is_set_equal_to_naive_constrained_pareto(
+    fn streaming_frontier_is_set_equal_to_the_all_pairs_oracle(
         coords in prop::collection::vec(0.0f64..50.0, 0..120),
         dup_seed in 0u64..1_000_000,
         max_area in 0.0f64..70.0,
@@ -150,17 +157,7 @@ proptest! {
                 ..Constraints::NONE
             }
         };
-        // Naive batch extraction...
-        let expected: Vec<Objectives> =
-            constrained_pareto(&objs, &constraints).into_iter().map(|i| objs[i]).collect();
-        // ... must be set-equal to streamed insert-with-dominance-pruning.
-        let mut streaming = StreamingFrontier::new();
-        for (i, &o) in objs.iter().enumerate() {
-            streaming.insert_constrained(o, i, &constraints);
-        }
-        let streamed: Vec<Objectives> =
-            streaming.into_payloads().into_iter().map(|i| objs[i]).collect();
-        prop_assert_eq!(canonicalize(&streamed), canonicalize(&expected));
+        prop_assert_eq!(streamed(&objs, &constraints), oracle(&objs, &constraints));
     }
 
     #[test]
@@ -185,11 +182,11 @@ proptest! {
         coords in prop::collection::vec(0.0f64..100.0, 3..60),
     ) {
         let objs = cloud(&coords);
-        let frontier = pareto_indices(&objs);
+        let frontier = streamed(&objs, &Constraints::NONE);
         if let Some(&i) = frontier.first() {
             let mut doubled = objs.clone();
             doubled.push(objs[i]);
-            let f2 = pareto_indices(&doubled);
+            let f2 = streamed(&doubled, &Constraints::NONE);
             prop_assert!(f2.contains(&i));
             prop_assert!(f2.contains(&(doubled.len() - 1)), "equal duplicate must survive");
         }

@@ -14,7 +14,7 @@
 //! and a reset would yank the rug from under every other reader.
 //!
 //! Naming convention: dotted lowercase paths, subsystem first —
-//! `sweep.points`, `store.lock_wait_us`, `search.hill.accepted`.
+//! `sweep.points`, `eval.ticks`, `search.hill.accepted`.
 //! Counters measuring time carry a `_us` suffix and count microseconds.
 
 use std::collections::BTreeMap;

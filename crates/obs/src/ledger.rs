@@ -14,8 +14,8 @@
 //!   stack, mirroring [`crate::span`]'s in-process accounting.
 //! * [`Ledger::check`] — the run health verdict: do spans balance, do
 //!   the named stages cover the root span's wall time, and does
-//!   `sweep.cache_hits + sweep.fresh_evals == sweep.points` hold for
-//!   every process that swept points.
+//!   `sweep.fresh_evals == sweep.points` hold for every process that
+//!   swept points.
 //! * [`Ledger::chrome_trace`] — the same events as Chrome
 //!   `trace.json` (open in chrome://tracing or ui.perfetto.dev).
 
@@ -190,8 +190,8 @@ pub struct LedgerCheck {
     pub coverage: f64,
     /// Path and total of the root span coverage was measured on.
     pub root: Option<(String, u64)>,
-    /// Violations of `sweep.cache_hits + sweep.fresh_evals ==
-    /// sweep.points`, one message per offending process.
+    /// Violations of `sweep.fresh_evals == sweep.points`, one message
+    /// per offending process.
     pub invariant_violations: Vec<String>,
     /// Processes whose final counters included `sweep.points`.
     pub sweeping_pids: usize,
@@ -297,7 +297,7 @@ impl Ledger {
     }
 
     /// Run the health checks: span balance, stage coverage of the
-    /// largest root span, and the cache-accounting invariant.
+    /// largest root span, and the sweep-accounting invariant.
     pub fn check(&self) -> LedgerCheck {
         let mut check = LedgerCheck::default();
 
@@ -344,20 +344,19 @@ impl Ledger {
             }
         }
 
-        // Invariant: per sweeping process, hits + fresh == points.
+        // Invariant: per sweeping process, every point was evaluated.
         let counters = self.final_counters();
         for ((pid, name), &points) in counters.iter() {
             if name != "sweep.points" || points == 0 {
                 continue;
             }
             check.sweeping_pids += 1;
-            let hits = counters.get(&(*pid, "sweep.cache_hits".to_string())).copied().unwrap_or(0);
             let fresh =
                 counters.get(&(*pid, "sweep.fresh_evals".to_string())).copied().unwrap_or(0);
-            if hits + fresh != points {
-                check.invariant_violations.push(format!(
-                    "pid {pid}: cache_hits ({hits}) + fresh_evals ({fresh}) != points ({points})"
-                ));
+            if fresh != points {
+                check
+                    .invariant_violations
+                    .push(format!("pid {pid}: fresh_evals ({fresh}) != points ({points})"));
             }
         }
         check
@@ -475,10 +474,8 @@ mod tests {
     fn counter_invariant_is_per_process() {
         let good = [
             ctr(1, "sweep.points", 100),
-            ctr(1, "sweep.cache_hits", 40),
-            ctr(1, "sweep.fresh_evals", 60),
+            ctr(1, "sweep.fresh_evals", 100),
             ctr(2, "sweep.points", 10),
-            ctr(2, "sweep.cache_hits", 0),
             ctr(2, "sweep.fresh_evals", 10),
         ]
         .join("\n");

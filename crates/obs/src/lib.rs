@@ -1,8 +1,8 @@
 //! # ng-obs — structured observability for the DSE pipeline
 //!
 //! The pipeline behind `dse` spans sweep → frontier → report, plus
-//! guided search and an opt-in point store; this crate is the one place all of it
-//! reports *how* a run went, not just what it produced. It is
+//! guided search; this crate is the one place all of it reports *how*
+//! a run went, not just what it produced. It is
 //! deliberately dependency-free (not even the vendored workspace
 //! stubs): instrumentation must never constrain who can link it.
 //!
@@ -11,19 +11,16 @@
 //! * [`counter`] — process-global named counters
 //!   ([`counter::counter`]): lock-free atomic adds on the hot path, a
 //!   registry snapshot for end-of-run metrics, and the raw material for
-//!   run invariants (`sweep.cache_hits + sweep.fresh_evals ==
-//!   sweep.points`).
+//!   run invariants (`sweep.fresh_evals == sweep.points`).
 //! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
 //!   thread-local stack tracks nesting, every span end folds into an
 //!   in-process profile (call counts, total vs. *self* time), and —
 //!   when recording is on — emits begin/end events to the ledger.
 //! * [`sink`] — the recording layer: a crash-safe append-only JSONL
-//!   event ledger using the same file discipline as the point store
-//!   (exclusive advisory lock per append, every write a whole
-//!   newline-terminated line, torn tails tolerated by readers).
-//!   Enabled by [`sink::enable`] (the `dse --trace` path) or the
-//!   `NG_DSE_TRACE` environment variable; a disabled sink costs one
-//!   relaxed atomic load per would-be event.
+//!   event ledger (exclusive advisory lock per append, every write a
+//!   whole newline-terminated line, torn tails tolerated by readers).
+//!   Enabled by [`sink::enable`] (the `dse --trace` path); a disabled
+//!   sink costs one relaxed atomic load per would-be event.
 //! * [`ledger`] — the read side: parse a ledger (tolerating a torn
 //!   final line), rebuild the per-stage profile, check span balance,
 //!   stage coverage and counter invariants, and export Chrome
@@ -39,12 +36,12 @@
 //! Counters are one `AtomicU64::fetch_add` each (~1 ns); handles are
 //! looked up once and hoisted out of loops. Spans cost two
 //! `Instant::now` calls plus one short mutex section at end — they are
-//! meant for *stages* (a sweep's lookup/evaluate/append phases), never
+//! meant for *stages* (a sweep's evaluate phase, a search's drive loop), never
 //! for per-point work. With recording off nothing touches a file; with
 //! recording on, span begin/end events each pay one locked append. The
 //! contract, guarded by `bench_dse --check-overhead`: tracing off must
-//! keep cold sweep throughput within noise of the tracked
-//! `BENCH_dse.json` trajectory.
+//! keep sweep throughput within noise of the tracked `BENCH_dse.json`
+//! trajectory.
 
 pub mod counter;
 pub mod ledger;

@@ -1,15 +1,13 @@
 //! The recording layer: a crash-safe append-only JSONL event ledger.
 //!
 //! One file, one JSON object per line, appended under an exclusive
-//! advisory file lock — the discipline the point store uses, for the
-//! same reason: any number of threads *and processes* pointed at the
-//! same `NG_DSE_TRACE` path may interleave events without ever tearing
+//! advisory file lock: any number of threads *and processes* pointed
+//! at the same ledger path may interleave events without ever tearing
 //! a line, and a crashed writer leaves at worst one torn final line,
 //! which [`crate::ledger`] skips.
 //!
 //! Recording is process-global and off by default. [`enable`] turns it
-//! on (the `dse --trace PATH` path); [`init_from_env`] turns it on
-//! when `NG_DSE_TRACE` names a path. When off, every emit helper
+//! on (the `dse --trace PATH` path). When off, every emit helper
 //! returns after one relaxed atomic load.
 //!
 //! ## Event schema (one object per line)
@@ -64,22 +62,6 @@ pub fn enable(path: impl Into<PathBuf>) -> io::Result<()> {
 /// Stop recording (the path is kept so a re-enable appends).
 pub fn disable() {
     RECORDING.store(false, Ordering::Relaxed);
-}
-
-/// The environment variable naming the trace ledger path.
-pub const TRACE_ENV: &str = "NG_DSE_TRACE";
-
-/// Enable recording from `NG_DSE_TRACE` when it names a path (empty,
-/// `0` and `off` mean disabled). Returns the path when enabled.
-pub fn init_from_env() -> Option<PathBuf> {
-    let value = std::env::var(TRACE_ENV).ok()?;
-    let trimmed = value.trim();
-    if trimmed.is_empty() || trimmed == "0" || trimmed.eq_ignore_ascii_case("off") {
-        return None;
-    }
-    let path = PathBuf::from(trimmed);
-    enable(&path).ok()?;
-    Some(path)
 }
 
 /// The current ledger path, when recording.
