@@ -501,14 +501,6 @@ impl EmulationContext {
     }
 }
 
-/// Batch-evaluate a slice of points through one shared
-/// [`EmulationContext`] — the entry point design-space sweeps feed
-/// per-worker chunks through.
-pub fn emulate_many(inputs: &[EmulatorInput]) -> Vec<EmulationResult> {
-    let mut ctx = EmulationContext::new();
-    inputs.iter().map(|input| ctx.eval(input)).collect()
-}
-
 /// Batched emulation: the same pipeline evaluated at finite batch
 /// granularity through the Fig. 10-b schedule model instead of the
 /// steady-state `max()`.
@@ -876,7 +868,6 @@ mod tests {
         for input in &inputs {
             assert_eq!(ctx.eval(input), emulate(input));
         }
-        assert_eq!(emulate_many(&inputs), inputs.iter().map(emulate).collect::<Vec<_>>());
     }
 
     #[test]

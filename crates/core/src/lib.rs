@@ -43,7 +43,7 @@ pub mod sched;
 
 pub use config::{NfpConfig, NgpcConfig};
 pub use emulator::{
-    emulate, emulate_batched, emulate_many, mac_engine_factor, mlp_layer_shapes, mlp_query_cycles,
+    emulate, emulate_batched, mac_engine_factor, mlp_layer_shapes, mlp_query_cycles,
     per_sample_cycles, EmulationContext, EmulationResult, EmulatorInput, EmulatorInputBuilder,
 };
 pub use error::{NgpcError, Result};

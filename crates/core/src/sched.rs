@@ -163,7 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_stream_validates() {
+    fn frame_stream_validates() {
         let (app, enc) = apps();
         let buf = frame_stream(app, enc, 1 << 20, 1_000_000, 16);
         buf.validate().unwrap();

@@ -13,7 +13,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ng_dse::report::{describe_constraints, print_report};
-use ng_dse::{Constraints, SweepEngine, SweepSpec};
+use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepOutcome, SweepSpec};
 
 const USAGE: &str = "\
 dse — NGPC design-space exploration with Pareto frontier extraction
@@ -311,15 +311,16 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 }
 
 /// Whether the paper's NGPC-64 headline configuration survived frontier
-/// extraction. Returns `None` when the headline point was not evaluated
-/// (axis overrides can sweep it away entirely), `Some(on_frontier)`
-/// otherwise.
-fn headline_check(outcome: &ng_dse::SweepOutcome, constraints: &Constraints) -> Option<bool> {
-    if !outcome.cross_app().iter().any(|a| a.is_paper_organisation()) {
+/// extraction, read off the constrained `frontier` the report printed.
+/// Returns `None` when the headline point was not evaluated (axis
+/// overrides can sweep it away entirely), `Some(on_frontier)`
+/// otherwise. Only a headline missing from the frontier pays a second
+/// fold, to tell "not evaluated" from "dropped".
+fn headline_check(outcome: &SweepOutcome, frontier: &[ArchPoint], c: &Constraints) -> Option<bool> {
+    let headline = frontier.iter().find(|a| a.is_paper_organisation());
+    if headline.is_none() && !outcome.cross_app().iter().any(|a| a.is_paper_organisation()) {
         return None;
     }
-    let frontier = outcome.cross_app_frontier(constraints);
-    let headline = frontier.iter().find(|a| a.is_paper_organisation());
     match headline {
         Some(a) => println!(
             "\npaper check: NGPC-64 (hashgrid, 1 GHz, 1MB/8-bank, 64x64/16e) is on the frontier — \
@@ -328,7 +329,7 @@ fn headline_check(outcome: &ng_dse::SweepOutcome, constraints: &Constraints) -> 
         ),
         None => println!(
             "\npaper check: NGPC-64 headline point is NOT on the frontier under constraints [{}]",
-            describe_constraints(constraints)
+            describe_constraints(c)
         ),
     }
     Some(headline.is_some())
@@ -615,11 +616,12 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     let outcome = engine.run(&cli.spec).map_err(|e| usage_err(e.to_string()))?;
     // Frontier extraction + table rendering is real work on large
     // sweeps — span it so the ledger's coverage accounting sees it.
-    let _span = ng_obs::span("report");
-    print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
+    let report_span = ng_obs::span("report");
+    let frontier = print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
-    let headline = if judge_headline { headline_check(&outcome, &cli.constraints) } else { None };
+    let headline =
+        if judge_headline { headline_check(&outcome, &frontier, &cli.constraints) } else { None };
     if cli.check_headline {
         match headline {
             Some(true) => {}
@@ -637,14 +639,16 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
             }
         }
     }
+    drop(report_span);
 
     if let Some(path) = &cli.csv {
+        let _span = ng_obs::span("emit/csv");
         let csv = ng_dse::emit::points_to_csv(&outcome.points);
         std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {} points to {path}", outcome.points.len());
     }
     if let Some(path) = &cli.json {
-        let frontier = outcome.cross_app_frontier(&cli.constraints);
+        let _span = ng_obs::span("emit/json");
         let json = ng_dse::emit::outcome_to_json(&outcome, &frontier);
         std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote outcome JSON to {path}");

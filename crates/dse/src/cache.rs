@@ -139,7 +139,7 @@ impl EvalCache {
                 let stored = shard.get(&key)?;
                 // A 64-bit collision between different axis tuples is
                 // astronomically unlikely but cheap to rule out.
-                if stored.point.arch_key() != point.arch_key() || stored.point.app != point.app {
+                if (DesignPoint { index: point.index, ..stored.point }) != *point {
                     return None;
                 }
                 Some(EvaluatedPoint { point: *point, ..*stored })
@@ -288,7 +288,7 @@ mod tests {
         let twin = re_spec
             .points()
             .into_iter()
-            .find(|p| p.arch_key() == base.arch_key() && p.app == base.app)
+            .find(|p| DesignPoint { index: p.index, ..base } == *p)
             .expect("grown spec still contains the paper point");
         assert_eq!(key, EvalCache::point_key(&twin));
     }

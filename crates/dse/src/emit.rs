@@ -1,12 +1,10 @@
-//! Results serialisation: CSV (also the cache's on-disk format) and
-//! JSON.
+//! Results serialisation: CSV (also the point store's row format) and
+//! JSON, each written into one `String` through [`std::fmt::Write`].
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so a
-//! parse of our own output reproduces every value bit-for-bit — which
-//! is what lets the evaluation cache return results indistinguishable
-//! from a fresh run.
+//! parse of our own output reproduces every value bit-for-bit.
 
-use ng_neural::apps::{AppKind, EncodingKind};
+use std::fmt::{self, Write};
 
 use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
 use crate::sweep::{ArchPoint, EvaluatedPoint, SweepOutcome};
@@ -19,11 +17,20 @@ pub const CSV_HEADER: &str = "index,app,encoding,pixels,nfp_units,clock_ghz,grid
                               ngpc_frame_ms,amdahl_bound,plateaued";
 
 /// One CSV data row of an evaluated point (no trailing newline) — the
-/// unit both the full-sweep CSV and the point-level cache shards are
-/// built from.
+/// row format of both the full-sweep CSV and the point store's shards.
 pub fn point_to_row(p: &EvaluatedPoint) -> String {
+    let mut row = String::new();
+    write_row(&mut row, p).expect(STRING_WRITE);
+    row
+}
+
+/// Why every `fmt::Result` of a write into a `String` can be unwrapped.
+const STRING_WRITE: &str = "writing into a String cannot fail";
+
+fn write_row(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
     let d = &p.point;
-    format!(
+    write!(
+        out,
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
         d.index,
         app_slug(d.app),
@@ -83,83 +90,72 @@ pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
 
 /// Render evaluated points as CSV (header + one row per point).
 pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
-    let mut out = String::with_capacity(64 * (points.len() + 1));
+    // ~164 bytes a row on guided-lanes: one allocation, no regrowth.
+    let mut out = String::with_capacity(168 * (points.len() + 1));
     out.push_str(CSV_HEADER);
     out.push('\n');
     for p in points {
-        out.push_str(&point_to_row(p));
+        write_row(&mut out, p).expect(STRING_WRITE);
         out.push('\n');
     }
     out
 }
 
-/// Parse [`points_to_csv`] output (used by the evaluation cache).
-/// Lines starting with `#` are ignored.
-pub fn points_from_csv(text: &str) -> Result<Vec<EvaluatedPoint>, String> {
-    let mut points = Vec::new();
-    let mut saw_header = false;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if !saw_header {
-            // First non-comment line must be the header.
-            if line != CSV_HEADER {
-                return Err(format!("line {}: unexpected header `{line}`", i + 1));
-            }
-            saw_header = true;
-            continue;
-        }
-        points.push(point_from_row(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    if !saw_header {
-        return Err("empty CSV".to_string());
-    }
-    Ok(points)
-}
-
 /// A JSON number: finite floats via shortest-round-trip `Display`,
 /// non-finite as `null` (JSON has no inf/nan).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
+struct JsonF64(f64);
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
         }
     }
-    out.push('"');
-    out
 }
 
-fn app_list(apps: &[AppKind]) -> String {
-    let items: Vec<String> = apps.iter().map(|&a| json_str(app_slug(a))).collect();
-    format!("[{}]", items.join(","))
+/// A quoted, escaped JSON string.
+struct JsonStr<'a>(&'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
 }
 
-fn encoding_list(encodings: &[EncodingKind]) -> String {
-    let items: Vec<String> = encodings.iter().map(|&e| json_str(encoding_slug(e))).collect();
-    format!("[{}]", items.join(","))
+/// Write `items` through `write_item`, separated by `sep`.
+fn write_joined<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    sep: &str,
+    mut write_item: impl FnMut(&mut String, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        write_item(out, item)?;
+    }
+    Ok(())
 }
 
-fn json_point(p: &EvaluatedPoint) -> String {
+fn write_json_point(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
     let d = &p.point;
-    format!(
+    write!(
+        out,
         "{{\"index\":{},\"app\":{},\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\
          \"clock_ghz\":{},\"grid_sram_kb\":{},\"grid_sram_banks\":{},\"encoding_engines\":{},\
          \"mac_rows\":{},\"mac_cols\":{},\"lanes_per_engine\":{},\"input_fifo_depth\":{},\
@@ -167,11 +163,11 @@ fn json_point(p: &EvaluatedPoint) -> String {
          \"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{},\"gpu_ms\":{},\"ngpc_frame_ms\":{},\
          \"amdahl_bound\":{},\"plateaued\":{}}}",
         d.index,
-        json_str(app_slug(d.app)),
-        json_str(encoding_slug(d.encoding)),
+        JsonStr(app_slug(d.app)),
+        JsonStr(encoding_slug(d.encoding)),
         d.pixels,
         d.nfp_units,
-        json_f64(d.clock_ghz),
+        JsonF64(d.clock_ghz),
         d.grid_sram_kb,
         d.grid_sram_banks,
         d.encoding_engines,
@@ -179,27 +175,28 @@ fn json_point(p: &EvaluatedPoint) -> String {
         d.mac_cols,
         d.lanes_per_engine,
         d.input_fifo_depth,
-        json_f64(p.speedup),
-        json_f64(p.area_pct_of_gpu),
-        json_f64(p.power_pct_of_gpu),
-        json_f64(p.gpu_ms),
-        json_f64(p.ngpc_frame_ms),
-        json_f64(p.amdahl_bound),
+        JsonF64(p.speedup),
+        JsonF64(p.area_pct_of_gpu),
+        JsonF64(p.power_pct_of_gpu),
+        JsonF64(p.gpu_ms),
+        JsonF64(p.ngpc_frame_ms),
+        JsonF64(p.amdahl_bound),
         p.plateaued,
     )
 }
 
-fn json_arch(a: &ArchPoint) -> String {
-    format!(
+fn write_json_arch(out: &mut String, a: &ArchPoint) -> fmt::Result {
+    write!(
+        out,
         "{{\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\"clock_ghz\":{},\"grid_sram_kb\":{},\
          \"grid_sram_banks\":{},\"encoding_engines\":{},\"mac_rows\":{},\"mac_cols\":{},\
          \"lanes_per_engine\":{},\"input_fifo_depth\":{},\
          \"apps\":{},\"avg_speedup\":{},\"area_pct_of_gpu\":{},\
          \"power_pct_of_gpu\":{}}}",
-        json_str(encoding_slug(a.encoding)),
+        JsonStr(encoding_slug(a.encoding)),
         a.pixels,
         a.nfp_units,
-        json_f64(a.clock_ghz),
+        JsonF64(a.clock_ghz),
         a.grid_sram_kb,
         a.grid_sram_banks,
         a.encoding_engines,
@@ -208,21 +205,25 @@ fn json_arch(a: &ArchPoint) -> String {
         a.lanes_per_engine,
         a.input_fifo_depth,
         a.apps,
-        json_f64(a.avg_speedup),
-        json_f64(a.area_pct_of_gpu),
-        json_f64(a.power_pct_of_gpu),
+        JsonF64(a.avg_speedup),
+        JsonF64(a.area_pct_of_gpu),
+        JsonF64(a.power_pct_of_gpu),
     )
 }
 
-fn json_spec(spec: &SweepSpec) -> String {
-    format!(
-        "{{\"name\":{},\"apps\":{},\"encodings\":{},\"pixels\":{:?},\"nfp_units\":{:?},\
+fn write_json_spec(out: &mut String, spec: &SweepSpec) -> fmt::Result {
+    write!(out, "{{\"name\":{},\"apps\":[", JsonStr(&spec.name))?;
+    write_joined(out, &spec.apps, ",", |out, &a| write!(out, "{}", JsonStr(app_slug(a))))?;
+    out.push_str("],\"encodings\":[");
+    write_joined(out, &spec.encodings, ",", |out, &e| {
+        write!(out, "{}", JsonStr(encoding_slug(e)))
+    })?;
+    write!(
+        out,
+        "],\"pixels\":{:?},\"nfp_units\":{:?},\
          \"clock_ghz\":{:?},\"grid_sram_kb\":{:?},\"grid_sram_banks\":{:?},\
          \"encoding_engines\":{:?},\"mac_rows\":{:?},\"mac_cols\":{:?},\
          \"lanes_per_engine\":{:?},\"input_fifo_depth\":{:?}}}",
-        json_str(&spec.name),
-        app_list(&spec.apps),
-        encoding_list(&spec.encodings),
         spec.pixels,
         spec.nfp_units,
         spec.clock_ghz,
@@ -239,24 +240,38 @@ fn json_spec(spec: &SweepSpec) -> String {
 /// Render a full outcome — spec, stats, every point, and the cross-app
 /// frontier — as a single JSON document.
 pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
-    let points: Vec<String> = outcome.points.iter().map(json_point).collect();
-    let archs: Vec<String> = frontier.iter().map(json_arch).collect();
+    // ~440 bytes a point on guided-lanes.
+    let mut out = String::with_capacity(448 * (outcome.points.len() + frontier.len() + 1));
+    write_outcome_json(&mut out, outcome, frontier).expect(STRING_WRITE);
+    out
+}
+
+fn write_outcome_json(
+    out: &mut String,
+    outcome: &SweepOutcome,
+    frontier: &[ArchPoint],
+) -> fmt::Result {
     let s = &outcome.stats;
-    format!(
-        "{{\n\"spec\":{},\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
+    out.push_str("{\n\"spec\":");
+    write_json_spec(out, &outcome.spec)?;
+    write!(
+        out,
+        ",\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
          \"cache_hit\":{},\"threads\":{},\"wall_ms\":{},\"points_per_sec\":{}}},\n\
-         \"frontier\":[{}],\n\"points\":[\n{}\n]\n}}\n",
-        json_spec(&outcome.spec),
+         \"frontier\":[",
         s.total_points,
         s.evaluated,
         s.cache_hits,
         s.cache_hit,
         s.threads,
-        json_f64(s.wall.as_secs_f64() * 1e3),
-        json_f64(s.points_per_sec()),
-        archs.join(","),
-        points.join(",\n"),
-    )
+        JsonF64(s.wall.as_secs_f64() * 1e3),
+        JsonF64(s.points_per_sec()),
+    )?;
+    write_joined(out, frontier, ",", write_json_arch)?;
+    out.push_str("],\n\"points\":[\n");
+    write_joined(out, &outcome.points, ",\n", write_json_point)?;
+    out.push_str("\n]\n}\n");
+    Ok(())
 }
 
 #[cfg(test)]
@@ -274,25 +289,20 @@ mod tests {
     fn csv_round_trips_bit_exactly() {
         let outcome = outcome();
         let csv = points_to_csv(&outcome.points);
-        let parsed = points_from_csv(&csv).unwrap();
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some(CSV_HEADER));
+        let parsed: Vec<EvaluatedPoint> = lines.map(|row| point_from_row(row).unwrap()).collect();
         assert_eq!(parsed, outcome.points);
+        assert_eq!(point_to_row(&outcome.points[3]), csv.lines().nth(4).unwrap());
     }
 
     #[test]
-    fn csv_rejects_malformed_input() {
-        assert!(points_from_csv("").is_err());
-        assert!(points_from_csv("not,a,header\n").is_err());
-        let outcome = outcome();
-        let mut csv = points_to_csv(&outcome.points[..1]);
-        csv.push_str("1,nerf,hashgrid,bad\n");
-        assert!(points_from_csv(&csv).is_err());
-    }
-
-    #[test]
-    fn csv_ignores_comment_lines() {
-        let outcome = outcome();
-        let csv = format!("# cache header\n{}", points_to_csv(&outcome.points));
-        assert_eq!(points_from_csv(&csv).unwrap(), outcome.points);
+    fn csv_rejects_malformed_rows() {
+        assert!(point_from_row("").is_err());
+        assert!(point_from_row("1,nerf,hashgrid,bad").is_err());
+        let row = point_to_row(&outcome().points[0]);
+        assert!(point_from_row(&row.replacen(",nerf,", ",quake,", 1)).is_err());
+        assert!(point_from_row(&row.replace("true", "maybe").replace("false", "maybe")).is_err());
     }
 
     #[test]
@@ -317,8 +327,9 @@ mod tests {
 
     #[test]
     fn json_strings_escape_controls() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(JsonStr("a\"b\\c\n").to_string(), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(JsonStr("\u{1}").to_string(), "\"\\u0001\"");
+        assert_eq!(JsonF64(f64::NAN).to_string(), "null");
+        assert_eq!(JsonF64(1.5).to_string(), "1.5");
     }
 }

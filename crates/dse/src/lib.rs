@@ -7,11 +7,15 @@
 //!
 //! * [`spec`] — a declarative [`SweepSpec`]: cartesian axes over every
 //!   swept parameter, loadable from a TOML subset or built from presets
-//!   ([`SweepSpec::paper`], [`SweepSpec::quick`], ...).
+//!   ([`SweepSpec::paper`], [`SweepSpec::quick`], ...), and its one
+//!   index space [`spec::Space`] (apps outermost, so design point
+//!   `flat` is architecture `flat % arch_count`). Enumeration, the
+//!   cross-app fold and the guided searcher all read positions from it.
 //! * [`sweep`] — the [`SweepEngine`]: expands the spec into
 //!   [`DesignPoint`]s and evaluates them through `ngpc`'s emulator on a
 //!   work-stealing thread pool ([`pool`]), with results in deterministic
 //!   spec order regardless of scheduling.
+//! * [`search`] — the budgeted guided [`Searcher`] over the same space.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.

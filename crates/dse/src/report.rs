@@ -4,7 +4,7 @@ use ng_neural::apps::AppKind;
 
 use crate::pareto::Constraints;
 use crate::spec::encoding_slug;
-use crate::sweep::{ArchPoint, EvaluatedPoint, SweepOutcome};
+use crate::sweep::{arch_frontier, ArchPoint, EvaluatedPoint, SweepOutcome};
 
 /// Render a fixed-width table: header row, rule, data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -162,8 +162,14 @@ pub fn describe_constraints(c: &Constraints) -> String {
 }
 
 /// The full terminal report: spec/run summary, cross-app frontier, and
-/// (optionally) per-app frontiers.
-pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usize, per_app: bool) {
+/// (optionally) per-app frontiers. Folds the outcome once and returns
+/// the constrained cross-app frontier it printed, for callers to reuse.
+pub fn print_report(
+    outcome: &SweepOutcome,
+    constraints: &Constraints,
+    top: usize,
+    per_app: bool,
+) -> Vec<ArchPoint> {
     let spec = &outcome.spec;
     let stats = &outcome.stats;
     println!(
@@ -192,11 +198,12 @@ pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usiz
     );
     println!("constraints: {}", describe_constraints(constraints));
 
-    let frontier = outcome.cross_app_frontier(constraints);
+    let archs = outcome.cross_app();
+    let frontier = arch_frontier(&archs, constraints);
     println!(
         "\ncross-app-average Pareto frontier ({} of {} architectures):",
         frontier.len(),
-        outcome.cross_app().len(),
+        archs.len(),
     );
     print!("{}", frontier_table(&frontier, top));
 
@@ -210,6 +217,7 @@ pub fn print_report(outcome: &SweepOutcome, constraints: &Constraints, top: usiz
             print!("{}", per_app_table(&f, top));
         }
     }
+    frontier
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! cartesian product.
 //!
 //! This module implements two budgeted strategies over the arch space
-//! (the cartesian product of every [`SweepSpec`] axis *except* `apps`;
+//! of [`crate::spec::Space`] (every [`SweepSpec`] axis *except* `apps`;
 //! evaluating one architecture costs one design-point evaluation per
 //! app, since the objective is the cross-app average of the paper's
 //! Fig. 12):
@@ -26,6 +26,10 @@
 //!
 //! Both strategies share the machinery that makes guided search cheap:
 //!
+//! * an architecture is an [`ArchIdx`] of axis positions in the
+//!   sweep's own index space; its app points come from
+//!   [`Space::point`] and fold through [`ArchPoint::from_app_points`],
+//!   exactly as [`crate::SweepOutcome::cross_app`] folds them;
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
 //! * a `PointEvaluator` owns ONE [`ngpc::EmulationContext`] for the
@@ -46,7 +50,7 @@ use ngpc::EmulationContext;
 
 use crate::obs_counters;
 use crate::pareto::StreamingFrontier;
-use crate::spec::{DesignPoint, SpecError, SweepSpec};
+use crate::spec::{ArchIdx, DesignPoint, Space, SpecError, SweepSpec, ARCH_AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint};
 
 /// Which guided strategy to run.
@@ -194,93 +198,12 @@ impl PointEvaluator {
     }
 }
 
-/// An architecture = one index per arch axis (everything but `apps`),
-/// in [`SweepSpec`] field order.
-const ARCH_AXES: usize = 11;
-type ArchIdx = [u16; ARCH_AXES];
-
-/// The per-axis sizes of a spec's arch space, plus index→point mapping.
-struct Space<'a> {
-    spec: &'a SweepSpec,
-    dims: [usize; ARCH_AXES],
-}
-
-impl<'a> Space<'a> {
-    fn new(spec: &'a SweepSpec) -> Self {
-        let dims = [
-            spec.encodings.len(),
-            spec.pixels.len(),
-            spec.nfp_units.len(),
-            spec.clock_ghz.len(),
-            spec.grid_sram_kb.len(),
-            spec.grid_sram_banks.len(),
-            spec.encoding_engines.len(),
-            spec.mac_rows.len(),
-            spec.mac_cols.len(),
-            spec.lanes_per_engine.len(),
-            spec.input_fifo_depth.len(),
-        ];
-        Space { spec, dims }
-    }
-
-    fn arch_count(&self) -> usize {
-        self.dims.iter().product()
-    }
-
-    /// The design point of architecture `idx` under app number
-    /// `app_i`.
-    fn point(&self, idx: &ArchIdx, app_i: usize) -> DesignPoint {
-        let s = self.spec;
-        DesignPoint {
-            index: 0, // spec-local index is meaningless off-sweep; not part of identity
-            app: s.apps[app_i],
-            encoding: s.encodings[idx[0] as usize],
-            pixels: s.pixels[idx[1] as usize],
-            nfp_units: s.nfp_units[idx[2] as usize],
-            clock_ghz: s.clock_ghz[idx[3] as usize],
-            grid_sram_kb: s.grid_sram_kb[idx[4] as usize],
-            grid_sram_banks: s.grid_sram_banks[idx[5] as usize],
-            encoding_engines: s.encoding_engines[idx[6] as usize],
-            mac_rows: s.mac_rows[idx[7] as usize],
-            mac_cols: s.mac_cols[idx[8] as usize],
-            lanes_per_engine: s.lanes_per_engine[idx[9] as usize],
-            input_fifo_depth: s.input_fifo_depth[idx[10] as usize],
-        }
-    }
-
-    /// A uniformly random architecture.
-    fn random(&self, rng: &mut Pcg32) -> ArchIdx {
-        let mut idx = [0u16; ARCH_AXES];
-        for (i, &d) in self.dims.iter().enumerate() {
-            idx[i] = rng.bounded(d as u32) as u16;
-        }
-        idx
-    }
-
-    /// Decode a flat arch number (row-major over `dims`) — the
-    /// exhaustive-degeneration path.
-    fn decode(&self, mut flat: usize) -> ArchIdx {
-        let mut idx = [0u16; ARCH_AXES];
-        for i in (0..ARCH_AXES).rev() {
-            idx[i] = (flat % self.dims[i]) as u16;
-            flat /= self.dims[i];
-        }
-        idx
-    }
-}
-
-/// The cross-app evaluation of one architecture.
-#[derive(Debug, Clone, Copy)]
-struct ArchEval {
-    arch: ArchPoint,
-}
-
 /// Shared search state: the evaluator, the visited memo, the streaming
 /// archive and the budget.
 struct SearchState<'a> {
     space: Space<'a>,
     evaluator: PointEvaluator,
-    visited: HashMap<ArchIdx, ArchEval>,
+    visited: HashMap<ArchIdx, ArchPoint>,
     archive: StreamingFrontier<(ArchIdx, ArchPoint)>,
     archive_generation: u64,
     budget: usize,
@@ -296,7 +219,7 @@ impl SearchState<'_> {
     /// Evaluate (or recall) one architecture. Returns `None` only when
     /// the architecture's evaluations (one per app) do not fit the
     /// budget.
-    fn eval_arch(&mut self, idx: &ArchIdx) -> Option<ArchEval> {
+    fn eval_arch(&mut self, idx: &ArchIdx) -> Option<ArchPoint> {
         if let Some(hit) = self.visited.get(idx) {
             return Some(*hit);
         }
@@ -304,40 +227,15 @@ impl SearchState<'_> {
         if self.evaluator.evaluations + apps > self.budget {
             return None;
         }
-        let mut avg_speedup = 0.0;
-        let mut first: Option<EvaluatedPoint> = None;
-        for app_i in 0..apps {
-            let point = self.space.point(idx, app_i);
-            let ep = self.evaluator.eval(&point);
-            avg_speedup += ep.speedup;
-            first.get_or_insert(ep);
-        }
-        let sample = first.expect("specs validate non-empty app axes");
-        let d = &sample.point;
-        let arch = ArchPoint {
-            encoding: d.encoding,
-            pixels: d.pixels,
-            nfp_units: d.nfp_units,
-            clock_ghz: d.clock_ghz,
-            grid_sram_kb: d.grid_sram_kb,
-            grid_sram_banks: d.grid_sram_banks,
-            encoding_engines: d.encoding_engines,
-            mac_rows: d.mac_rows,
-            mac_cols: d.mac_cols,
-            lanes_per_engine: d.lanes_per_engine,
-            input_fifo_depth: d.input_fifo_depth,
-            apps: apps as u32,
-            avg_speedup: avg_speedup / apps as f64,
-            // Area and power are app-independent.
-            area_pct_of_gpu: sample.area_pct_of_gpu,
-            power_pct_of_gpu: sample.power_pct_of_gpu,
-        };
-        let eval = ArchEval { arch };
-        self.visited.insert(*idx, eval);
+        let (space, evaluator) = (&self.space, &mut self.evaluator);
+        let arch = ArchPoint::from_app_points(
+            (0..apps).map(|app_i| evaluator.eval(&space.point(idx, app_i))),
+        );
+        self.visited.insert(*idx, arch);
         if self.archive.insert(arch.objectives(), (*idx, arch)) {
             self.archive_generation += 1;
         }
-        Some(eval)
+        Some(arch)
     }
 
     /// Pareto local search: walk the archive's neighbourhood until no
@@ -353,13 +251,8 @@ impl SearchState<'_> {
             let Some(current) = next else { return };
             explored.insert(current);
             for axis in 0..ARCH_AXES {
-                for dir in [-1isize, 1] {
-                    let pos = current[axis] as isize + dir;
-                    if pos < 0 || pos >= self.space.dims[axis] as isize {
-                        continue;
-                    }
-                    let mut neighbour = current;
-                    neighbour[axis] = pos as u16;
+                for dir in [-1, 1] {
+                    let Some(neighbour) = self.space.step(&current, axis, dir) else { continue };
                     if self.eval_arch(&neighbour).is_none() {
                         return; // budget exhausted
                     }
@@ -494,18 +387,13 @@ fn hill_climb(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32)
         // probing the 2·AXES neighbours in a random rotation.
         'climb: loop {
             let offset = rng.bounded(2 * ARCH_AXES as u32) as usize;
-            let current_fit = weights.fitness(&current_eval.arch);
+            let current_fit = weights.fitness(&current_eval);
             for probe in 0..2 * ARCH_AXES {
                 let which = (probe + offset) % (2 * ARCH_AXES);
-                let (axis, dir) = (which / 2, if which.is_multiple_of(2) { -1isize } else { 1 });
-                let pos = current[axis] as isize + dir;
-                if pos < 0 || pos >= state.space.dims[axis] as isize {
-                    continue;
-                }
-                let mut neighbour = current;
-                neighbour[axis] = pos as u16;
+                let (axis, dir) = (which / 2, if which.is_multiple_of(2) { -1 } else { 1 });
+                let Some(neighbour) = state.space.step(&current, axis, dir) else { continue };
                 let Some(eval) = state.eval_arch(&neighbour) else { break 'climb };
-                if weights.fitness(&eval.arch) > current_fit {
+                if weights.fitness(&eval) > current_fit {
                     accepted.incr();
                     current = neighbour;
                     current_eval = eval;
@@ -540,7 +428,7 @@ fn evolve(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32) -> 
     }
 
     let dominates = |state: &SearchState<'_>, a: &ArchIdx, b: &ArchIdx| -> bool {
-        let (ea, eb) = (&state.visited[a].arch, &state.visited[b].arch);
+        let (ea, eb) = (&state.visited[a], &state.visited[b]);
         ea.objectives().dominates(&eb.objectives())
     };
 
@@ -581,7 +469,7 @@ fn evolve(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32) -> 
                 if rng.bounded(ARCH_AXES as u32 / 2) == 0 {
                     let d = state.space.dims[axis] as isize;
                     let step = if rng.next_u32() & 1 == 0 { -1isize } else { 1 };
-                    *gene = (*gene as isize + step).clamp(0, d - 1) as u16;
+                    *gene = (*gene as isize + step).clamp(0, d - 1) as u32;
                 }
             }
             // An offspring "proposal" is accepted when it moved the
@@ -688,6 +576,24 @@ mod tests {
         for w in outcome.frontier.windows(2) {
             assert!(w[0].area_pct_of_gpu <= w[1].area_pct_of_gpu);
         }
+    }
+
+    #[test]
+    fn exhaustive_scan_visits_every_arch_on_an_axis_past_u16() {
+        // 65,537 positions on one axis: a 16-bit position type would
+        // wrap and revisit arch 0 instead of reaching the last one.
+        let spec = SweepSpec {
+            apps: vec![ng_neural::apps::AppKind::Gia],
+            nfp_units: vec![64],
+            pixels: (1..=65_537).map(|i| i * 1_000).collect(),
+            ..SweepSpec::default()
+        };
+        let search = SearchSpec { budget: 70_000, ..SearchSpec::default() };
+        let outcome = Searcher::new().run(&spec, &search).unwrap();
+        assert!(outcome.stats.exhaustive);
+        assert_eq!(outcome.stats.space_archs, 65_537);
+        assert_eq!(outcome.stats.archs_visited, outcome.stats.space_archs);
+        assert_eq!(outcome.stats.evaluations, 65_537);
     }
 
     #[test]

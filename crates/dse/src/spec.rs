@@ -1,11 +1,13 @@
 //! Declarative sweep specifications.
 //!
 //! A [`SweepSpec`] is a set of axes; the sweep is their cartesian
-//! product, enumerated in a fixed row-major order (apps outermost,
-//! banks innermost) so that point indices — and therefore result files,
-//! cache contents and reports — are stable for a given spec.
+//! product. [`Space`] owns its one layout, row-major with apps
+//! outermost and the input-FIFO depth innermost, so that point indices
+//! — and therefore result files and reports — are stable for a given
+//! spec.
 
 use ng_neural::apps::{AppKind, EncodingKind};
+use ng_neural::math::Pcg32;
 use ngpc::{EmulatorInput, NfpConfig};
 
 use crate::pareto::Constraints;
@@ -112,10 +114,6 @@ pub struct DesignPoint {
     pub input_fifo_depth: u32,
 }
 
-/// Hashable identity of the architecture axes of a [`DesignPoint`]
-/// (everything except the app).
-pub type ArchKey = (EncodingKind, u64, u32, u64, u32, u32, u32, u32, u32, u32, u32);
-
 impl DesignPoint {
     /// The emulator input for this point.
     pub fn emulator_input(&self) -> EmulatorInput {
@@ -133,24 +131,6 @@ impl DesignPoint {
             .lanes_per_engine(self.lanes_per_engine)
             .input_fifo_depth(self.input_fifo_depth)
             .build()
-    }
-
-    /// Hashable identity of the *architecture* axes (everything except
-    /// the app), used to group points for cross-app averaging.
-    pub fn arch_key(&self) -> ArchKey {
-        (
-            self.encoding,
-            self.pixels,
-            self.nfp_units,
-            self.clock_ghz.to_bits(),
-            self.grid_sram_kb,
-            self.grid_sram_banks,
-            self.encoding_engines,
-            self.mac_rows,
-            self.mac_cols,
-            self.lanes_per_engine,
-            self.input_fifo_depth,
-        )
     }
 }
 
@@ -321,40 +301,33 @@ impl SweepSpec {
 
     /// Number of points in the sweep.
     pub fn point_count(&self) -> usize {
-        self.apps.len()
-            * self.encodings.len()
-            * self.pixels.len()
-            * self.nfp_units.len()
-            * self.clock_ghz.len()
-            * self.grid_sram_kb.len()
-            * self.grid_sram_banks.len()
-            * self.encoding_engines.len()
-            * self.mac_rows.len()
-            * self.mac_cols.len()
-            * self.lanes_per_engine.len()
-            * self.input_fifo_depth.len()
+        self.apps.len() * Space::new(self).arch_count()
     }
 
     /// Check the sweep is non-empty and every axis value is one the
     /// emulator accepts.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let axes: [(&str, bool); 12] = [
-            ("apps", self.apps.is_empty()),
-            ("encodings", self.encodings.is_empty()),
-            ("pixels", self.pixels.is_empty()),
-            ("nfp_units", self.nfp_units.is_empty()),
-            ("clock_ghz", self.clock_ghz.is_empty()),
-            ("grid_sram_kb", self.grid_sram_kb.is_empty()),
-            ("grid_sram_banks", self.grid_sram_banks.is_empty()),
-            ("encoding_engines", self.encoding_engines.is_empty()),
-            ("mac_rows", self.mac_rows.is_empty()),
-            ("mac_cols", self.mac_cols.is_empty()),
-            ("lanes_per_engine", self.lanes_per_engine.is_empty()),
-            ("input_fifo_depth", self.input_fifo_depth.is_empty()),
+        let axes: [(&str, usize); 12] = [
+            ("apps", self.apps.len()),
+            ("encodings", self.encodings.len()),
+            ("pixels", self.pixels.len()),
+            ("nfp_units", self.nfp_units.len()),
+            ("clock_ghz", self.clock_ghz.len()),
+            ("grid_sram_kb", self.grid_sram_kb.len()),
+            ("grid_sram_banks", self.grid_sram_banks.len()),
+            ("encoding_engines", self.encoding_engines.len()),
+            ("mac_rows", self.mac_rows.len()),
+            ("mac_cols", self.mac_cols.len()),
+            ("lanes_per_engine", self.lanes_per_engine.len()),
+            ("input_fifo_depth", self.input_fifo_depth.len()),
         ];
-        for (name, empty) in axes {
-            if empty {
+        for (name, len) in axes {
+            if len == 0 {
                 return Err(SpecError::Invalid(format!("axis `{name}` is empty")));
+            }
+            // `ArchIdx` positions are `u32`.
+            if u32::try_from(len).is_err() {
+                return Err(SpecError::Invalid(format!("axis `{name}` has over 2^32 values")));
             }
         }
         // Duplicate axis values would double-weight cross-app averages
@@ -444,73 +417,21 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Expand the cartesian product in deterministic order.
+    /// Expand the cartesian product in [`Space`] order: point `i` has
+    /// `index == i`. The arch positions advance as an odometer (last
+    /// axis fastest), which is cheaper than decoding every index.
     pub fn points(&self) -> Vec<DesignPoint> {
+        let space = Space::new(self);
         let mut out = Vec::with_capacity(self.point_count());
-        let mut index = 0;
-        for &app in &self.apps {
-            for &encoding in &self.encodings {
-                for &pixels in &self.pixels {
-                    for &nfp_units in &self.nfp_units {
-                        for &clock_ghz in &self.clock_ghz {
-                            for &grid_sram_kb in &self.grid_sram_kb {
-                                for &grid_sram_banks in &self.grid_sram_banks {
-                                    for &encoding_engines in &self.encoding_engines {
-                                        for &mac_rows in &self.mac_rows {
-                                            for &mac_cols in &self.mac_cols {
-                                                for &lanes in &self.lanes_per_engine {
-                                                    for &fifo in &self.input_fifo_depth {
-                                                        out.push(DesignPoint {
-                                                            index,
-                                                            app,
-                                                            encoding,
-                                                            pixels,
-                                                            nfp_units,
-                                                            clock_ghz,
-                                                            grid_sram_kb,
-                                                            grid_sram_banks,
-                                                            encoding_engines,
-                                                            mac_rows,
-                                                            mac_cols,
-                                                            lanes_per_engine: lanes,
-                                                            input_fifo_depth: fifo,
-                                                        });
-                                                        index += 1;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        let mut idx = [0; ARCH_AXES];
+        let mut app_i = 0;
+        for index in 0..self.point_count() {
+            out.push(space.at(&idx, app_i, index));
+            if space.advance(&mut idx) {
+                app_i += 1;
             }
         }
         out
-    }
-
-    /// Stable text encoding of the evaluated axes (not the name or the
-    /// constraints) — the content that determines evaluation results,
-    /// hashed into the cache key.
-    pub fn canonical(&self) -> String {
-        let join = |it: Vec<String>| it.join(",");
-        format!(
-            "apps=[{}];encodings=[{}];pixels=[{}];nfp_units=[{}];clock_ghz=[{}];grid_sram_kb=[{}];grid_sram_banks=[{}];encoding_engines=[{}];mac_rows=[{}];mac_cols=[{}];lanes_per_engine=[{}];input_fifo_depth=[{}]",
-            join(self.apps.iter().map(|&a| app_slug(a).to_string()).collect()),
-            join(self.encodings.iter().map(|&e| encoding_slug(e).to_string()).collect()),
-            join(self.pixels.iter().map(|p| p.to_string()).collect()),
-            join(self.nfp_units.iter().map(|n| n.to_string()).collect()),
-            join(self.clock_ghz.iter().map(|c| format!("{:016x}", c.to_bits())).collect()),
-            join(self.grid_sram_kb.iter().map(|k| k.to_string()).collect()),
-            join(self.grid_sram_banks.iter().map(|b| b.to_string()).collect()),
-            join(self.encoding_engines.iter().map(|e| e.to_string()).collect()),
-            join(self.mac_rows.iter().map(|r| r.to_string()).collect()),
-            join(self.mac_cols.iter().map(|c| c.to_string()).collect()),
-            join(self.lanes_per_engine.iter().map(|l| l.to_string()).collect()),
-            join(self.input_fifo_depth.iter().map(|d| d.to_string()).collect()),
-        )
     }
 
     /// Parse a spec from the TOML subset documented in the README:
@@ -548,6 +469,127 @@ impl SweepSpec {
         }
         spec.validate()?;
         Ok(spec)
+    }
+}
+
+/// Number of architecture axes: every [`SweepSpec`] axis except `apps`.
+pub const ARCH_AXES: usize = 11;
+
+/// An architecture: one position per arch axis, in [`SweepSpec`] field
+/// order (`encodings` first, `input_fifo_depth` last).
+pub type ArchIdx = [u32; ARCH_AXES];
+
+/// A spec's index space: the mixed-radix layout every consumer reads
+/// positions from.
+///
+/// Apps are the most significant digit, then the 11 arch axes in
+/// [`SweepSpec`] field order, so design point `flat` is app
+/// `flat / arch_count` on architecture `flat % arch_count`, and
+/// architecture `k`'s app points are `k`, `k + arch_count`, ...
+/// [`SweepSpec::points`] enumerates in this order, the cross-app fold
+/// strides through it, and the guided searcher moves on [`ArchIdx`]
+/// positions of it.
+#[derive(Debug, Clone, Copy)]
+pub struct Space<'a> {
+    /// The spec whose axes this space indexes.
+    pub(crate) spec: &'a SweepSpec,
+    /// Length of each arch axis.
+    pub(crate) dims: [usize; ARCH_AXES],
+}
+
+impl<'a> Space<'a> {
+    /// The index space of `spec`.
+    pub fn new(spec: &'a SweepSpec) -> Self {
+        let dims = [
+            spec.encodings.len(),
+            spec.pixels.len(),
+            spec.nfp_units.len(),
+            spec.clock_ghz.len(),
+            spec.grid_sram_kb.len(),
+            spec.grid_sram_banks.len(),
+            spec.encoding_engines.len(),
+            spec.mac_rows.len(),
+            spec.mac_cols.len(),
+            spec.lanes_per_engine.len(),
+            spec.input_fifo_depth.len(),
+        ];
+        Space { spec, dims }
+    }
+
+    /// Architectures in the space (design points per app).
+    pub fn arch_count(&self) -> usize {
+        self.dims.iter().product()
+    }
+
+    /// Decode a flat arch number, row-major over the arch axes.
+    pub fn decode(&self, mut flat: usize) -> ArchIdx {
+        let mut idx = [0; ARCH_AXES];
+        for i in (0..ARCH_AXES).rev() {
+            idx[i] = (flat % self.dims[i]) as u32;
+            flat /= self.dims[i];
+        }
+        idx
+    }
+
+    /// A uniformly random architecture: one bounded draw per axis, in
+    /// axis order.
+    pub fn random(&self, rng: &mut Pcg32) -> ArchIdx {
+        let mut idx = [0; ARCH_AXES];
+        for (i, &d) in self.dims.iter().enumerate() {
+            idx[i] = rng.bounded(d as u32);
+        }
+        idx
+    }
+
+    /// `idx` moved one position along `axis` (`dir` is -1 or +1), or
+    /// `None` past either end of the axis.
+    pub fn step(&self, idx: &ArchIdx, axis: usize, dir: i32) -> Option<ArchIdx> {
+        let pos = idx[axis].checked_add_signed(dir)?;
+        let mut moved = *idx;
+        moved[axis] = pos;
+        ((pos as usize) < self.dims[axis]).then_some(moved)
+    }
+
+    /// The design point of architecture `idx` under app number `app_i`,
+    /// carrying its spec index `app_i * arch_count + arch`.
+    pub fn point(&self, idx: &ArchIdx, app_i: usize) -> DesignPoint {
+        let arch = idx.iter().zip(&self.dims).fold(0, |flat, (&i, &d)| flat * d + i as usize);
+        self.at(idx, app_i, app_i * self.arch_count() + arch)
+    }
+
+    /// The position → value mapping: the point at `idx` under app
+    /// `app_i`, stamped with `index`.
+    fn at(&self, idx: &ArchIdx, app_i: usize, index: usize) -> DesignPoint {
+        let s = self.spec;
+        DesignPoint {
+            index,
+            app: s.apps[app_i],
+            encoding: s.encodings[idx[0] as usize],
+            pixels: s.pixels[idx[1] as usize],
+            nfp_units: s.nfp_units[idx[2] as usize],
+            clock_ghz: s.clock_ghz[idx[3] as usize],
+            grid_sram_kb: s.grid_sram_kb[idx[4] as usize],
+            grid_sram_banks: s.grid_sram_banks[idx[5] as usize],
+            encoding_engines: s.encoding_engines[idx[6] as usize],
+            mac_rows: s.mac_rows[idx[7] as usize],
+            mac_cols: s.mac_cols[idx[8] as usize],
+            lanes_per_engine: s.lanes_per_engine[idx[9] as usize],
+            input_fifo_depth: s.input_fifo_depth[idx[10] as usize],
+        }
+    }
+
+    /// Step `idx` to the next architecture in row-major order. Returns
+    /// `true` when it wraps from the last architecture back to the
+    /// first.
+    fn advance(&self, idx: &mut ArchIdx) -> bool {
+        for i in (0..ARCH_AXES).rev() {
+            idx[i] += 1;
+            if (idx[i] as usize) < self.dims[i] {
+                return false;
+            }
+            idx[i] = 0;
+        }
+        true
     }
 }
 
@@ -713,10 +755,47 @@ mod tests {
     }
 
     #[test]
-    fn points_are_indexed_in_order() {
-        let points = SweepSpec::quick().points();
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(p.index, i);
+    fn points_follow_the_space_layout() {
+        // Mixed axis lengths catch a swapped radix that equal lengths
+        // would hide.
+        let mixed = SweepSpec {
+            apps: vec![AppKind::Nerf, AppKind::Gia],
+            encodings: EncodingKind::ALL.to_vec(),
+            nfp_units: vec![8, 16, 64],
+            lanes_per_engine: vec![1, 2],
+            input_fifo_depth: vec![8, 64],
+            ..SweepSpec::default()
+        };
+        for spec in [SweepSpec::mac_arrays(), mixed] {
+            let space = Space::new(&spec);
+            let archs = space.arch_count();
+            let points = spec.points();
+            assert_eq!(points.len(), spec.point_count());
+            assert_eq!(archs * spec.apps.len(), spec.point_count());
+            for (i, p) in points.iter().enumerate() {
+                assert_eq!(p.index, i);
+                // Mixed-radix digits of `i`, least significant first.
+                let mut rest = i;
+                let mut digit = |len: usize| {
+                    let d = rest % len;
+                    rest /= len;
+                    d
+                };
+                assert_eq!(p.input_fifo_depth, spec.input_fifo_depth[digit(space.dims[10])]);
+                assert_eq!(p.lanes_per_engine, spec.lanes_per_engine[digit(space.dims[9])]);
+                assert_eq!(p.mac_cols, spec.mac_cols[digit(space.dims[8])]);
+                assert_eq!(p.mac_rows, spec.mac_rows[digit(space.dims[7])]);
+                assert_eq!(p.encoding_engines, spec.encoding_engines[digit(space.dims[6])]);
+                assert_eq!(p.grid_sram_banks, spec.grid_sram_banks[digit(space.dims[5])]);
+                assert_eq!(p.grid_sram_kb, spec.grid_sram_kb[digit(space.dims[4])]);
+                assert_eq!(p.clock_ghz, spec.clock_ghz[digit(space.dims[3])]);
+                assert_eq!(p.nfp_units, spec.nfp_units[digit(space.dims[2])]);
+                assert_eq!(p.pixels, spec.pixels[digit(space.dims[1])]);
+                assert_eq!(p.encoding, spec.encodings[digit(space.dims[0])]);
+                assert_eq!(p.app, spec.apps[digit(spec.apps.len())]);
+                assert_eq!(rest, 0);
+                assert_eq!(space.point(&space.decode(i % archs), i / archs), *p);
+            }
         }
     }
 
@@ -748,18 +827,6 @@ mod tests {
         assert_eq!(input.nfp.mac_cols, 128);
         assert_eq!(input.nfp.lanes_per_engine, 2);
         assert_eq!(input.nfp.input_fifo_depth, 32);
-    }
-
-    #[test]
-    fn canonical_ignores_name_and_constraints() {
-        let a = SweepSpec::quick();
-        let mut b = a.clone();
-        b.name = "renamed".to_string();
-        b.constraints.max_area_pct = Some(3.0);
-        assert_eq!(a.canonical(), b.canonical());
-        let mut c = a.clone();
-        c.nfp_units.push(128);
-        assert_ne!(a.canonical(), c.canonical());
     }
 
     #[test]
@@ -959,15 +1026,6 @@ mod tests {
         // Degenerate values error at parse time through validate().
         let err = SweepSpec::from_toml_str("lanes_per_engine = [0]\n").unwrap_err();
         assert!(matches!(err, SpecError::Invalid(_)), "{err}");
-        // The canonical encoding covers both axes: growing either
-        // changes the sweep identity.
-        let base = SweepSpec::quick();
-        let mut lanes = base.clone();
-        lanes.lanes_per_engine.push(2);
-        assert_ne!(base.canonical(), lanes.canonical());
-        let mut fifo = base.clone();
-        fifo.input_fifo_depth.push(16);
-        assert_ne!(base.canonical(), fifo.canonical());
     }
 
     #[test]

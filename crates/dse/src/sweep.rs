@@ -1,6 +1,5 @@
 //! The sweep engine: spec in, deterministic evaluated points out.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -10,7 +9,7 @@ use ngpc::EmulationContext;
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
 use crate::pool;
-use crate::spec::{DesignPoint, SpecError, SweepSpec};
+use crate::spec::{DesignPoint, Space, SpecError, SweepSpec};
 
 /// One evaluated configuration: the point plus the emulator outputs the
 /// frontier and reports read.
@@ -97,6 +96,38 @@ pub struct ArchPoint {
 }
 
 impl ArchPoint {
+    /// Fold one architecture's per-app points, in app order, into its
+    /// cross-app average: speedups summed in that order, then divided.
+    /// Area and power are app-independent, so they come from the first
+    /// point.
+    pub fn from_app_points(points: impl IntoIterator<Item = EvaluatedPoint>) -> Self {
+        let mut points = points.into_iter();
+        let first = points.next().expect("an architecture has at least one app");
+        let (mut apps, mut speedup_sum) = (1u32, first.speedup);
+        for p in points {
+            apps += 1;
+            speedup_sum += p.speedup;
+        }
+        let d = &first.point;
+        ArchPoint {
+            encoding: d.encoding,
+            pixels: d.pixels,
+            nfp_units: d.nfp_units,
+            clock_ghz: d.clock_ghz,
+            grid_sram_kb: d.grid_sram_kb,
+            grid_sram_banks: d.grid_sram_banks,
+            encoding_engines: d.encoding_engines,
+            mac_rows: d.mac_rows,
+            mac_cols: d.mac_cols,
+            lanes_per_engine: d.lanes_per_engine,
+            input_fifo_depth: d.input_fifo_depth,
+            apps,
+            avg_speedup: speedup_sum / apps as f64,
+            area_pct_of_gpu: first.area_pct_of_gpu,
+            power_pct_of_gpu: first.power_pct_of_gpu,
+        }
+    }
+
     /// This architecture's position in objective space.
     pub fn objectives(&self) -> Objectives {
         Objectives {
@@ -179,11 +210,6 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Per-app evaluated points, in spec order.
-    pub fn for_app(&self, app: AppKind) -> Vec<EvaluatedPoint> {
-        self.points.iter().copied().filter(|p| p.point.app == app).collect()
-    }
-
     /// The constrained Pareto frontier of one app's points, sorted by
     /// ascending area (the natural reading order of a frontier).
     ///
@@ -201,57 +227,45 @@ impl SweepOutcome {
     }
 
     /// Fold per-app results into one [`ArchPoint`] per architecture
-    /// (cross-app average speedup), in a deterministic order.
+    /// (cross-app average speedup), in arch order. Architecture `k`'s
+    /// app points sit at `k + a * arch_count` ([`Space`]).
+    ///
+    /// # Panics
+    ///
+    /// If `points` does not hold one point per spec point (a hand-built
+    /// outcome can be short).
     pub fn cross_app(&self) -> Vec<ArchPoint> {
-        let mut by_arch: HashMap<crate::spec::ArchKey, ArchPoint> = HashMap::new();
-        let mut order: Vec<crate::spec::ArchKey> = Vec::new();
-        for p in &self.points {
-            let key = p.point.arch_key();
-            let entry = by_arch.entry(key).or_insert_with(|| {
-                order.push(key);
-                ArchPoint {
-                    encoding: p.point.encoding,
-                    pixels: p.point.pixels,
-                    nfp_units: p.point.nfp_units,
-                    clock_ghz: p.point.clock_ghz,
-                    grid_sram_kb: p.point.grid_sram_kb,
-                    grid_sram_banks: p.point.grid_sram_banks,
-                    encoding_engines: p.point.encoding_engines,
-                    mac_rows: p.point.mac_rows,
-                    mac_cols: p.point.mac_cols,
-                    lanes_per_engine: p.point.lanes_per_engine,
-                    input_fifo_depth: p.point.input_fifo_depth,
-                    apps: 0,
-                    avg_speedup: 0.0,
-                    area_pct_of_gpu: p.area_pct_of_gpu,
-                    power_pct_of_gpu: p.power_pct_of_gpu,
-                }
-            });
-            entry.apps += 1;
-            entry.avg_speedup += p.speedup; // divided once all apps folded
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let mut a = by_arch[&key];
-                a.avg_speedup /= a.apps as f64;
-                a
-            })
+        assert_eq!(
+            self.points.len(),
+            self.spec.point_count(),
+            "cross_app needs one evaluated point per spec point, in spec order"
+        );
+        let apps = self.spec.apps.len();
+        let archs = if apps == 0 { 0 } else { Space::new(&self.spec).arch_count() };
+        (0..archs)
+            .map(|k| ArchPoint::from_app_points((0..apps).map(|a| self.points[a * archs + k])))
             .collect()
     }
 
     /// The constrained Pareto frontier of the cross-app-average
-    /// objective, sorted by ascending area. Objectives are computed
-    /// once per architecture and streamed with dominance pruning.
+    /// objective, sorted by ascending area. Folds once; a caller that
+    /// already holds [`SweepOutcome::cross_app`] uses [`arch_frontier`].
     pub fn cross_app_frontier(&self, constraints: &Constraints) -> Vec<ArchPoint> {
-        let mut frontier = StreamingFrontier::new();
-        for a in self.cross_app() {
-            frontier.insert_constrained(a.objectives(), a, constraints);
-        }
-        let mut out = frontier.into_payloads();
-        out.sort_by(|a: &ArchPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
-        out
+        arch_frontier(&self.cross_app(), constraints)
     }
+}
+
+/// The constrained Pareto frontier of `archs`, sorted by ascending
+/// area. Objectives are computed once per architecture and streamed
+/// with dominance pruning.
+pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<ArchPoint> {
+    let mut frontier = StreamingFrontier::new();
+    for a in archs {
+        frontier.insert_constrained(a.objectives(), *a, constraints);
+    }
+    let mut out = frontier.into_payloads();
+    out.sort_by(|a: &ArchPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
+    out
 }
 
 /// Evaluate design points on the work-stealing pool: one result per
@@ -382,6 +396,59 @@ mod tests {
             assert_eq!(a.apps, 4);
             assert!((a.avg_speedup - target).abs() < target * 0.01, "{}: {}", n, a.avg_speedup);
         }
+    }
+
+    #[test]
+    fn cross_app_matches_a_keyed_reference_fold_bit_for_bit() {
+        for spec in [SweepSpec::paper(), SweepSpec::mac_arrays()] {
+            let outcome = engine().run(&spec).unwrap();
+            // Group by the arch axes (the point with its index and app
+            // blanked), in first-seen order, summing speedups in point
+            // order.
+            let arch_of = |p: &DesignPoint| DesignPoint { index: 0, app: AppKind::Nerf, ..*p };
+            let mut reference: Vec<(DesignPoint, u32, f64, &EvaluatedPoint)> = Vec::new();
+            for p in &outcome.points {
+                let key = arch_of(&p.point);
+                match reference.iter_mut().find(|(k, ..)| *k == key) {
+                    Some((_, apps, sum, _)) => {
+                        *apps += 1;
+                        *sum += p.speedup;
+                    }
+                    None => reference.push((key, 1, 0.0 + p.speedup, p)),
+                }
+            }
+            let archs = outcome.cross_app();
+            assert_eq!(archs.len(), reference.len(), "{}", spec.name);
+            for (a, (k, apps, sum, first)) in archs.iter().zip(&reference) {
+                let expected = ArchPoint {
+                    encoding: k.encoding,
+                    pixels: k.pixels,
+                    nfp_units: k.nfp_units,
+                    clock_ghz: k.clock_ghz,
+                    grid_sram_kb: k.grid_sram_kb,
+                    grid_sram_banks: k.grid_sram_banks,
+                    encoding_engines: k.encoding_engines,
+                    mac_rows: k.mac_rows,
+                    mac_cols: k.mac_cols,
+                    lanes_per_engine: k.lanes_per_engine,
+                    input_fifo_depth: k.input_fifo_depth,
+                    apps: *apps,
+                    avg_speedup: sum / *apps as f64,
+                    area_pct_of_gpu: first.area_pct_of_gpu,
+                    power_pct_of_gpu: first.power_pct_of_gpu,
+                };
+                assert_eq!(a.avg_speedup.to_bits(), expected.avg_speedup.to_bits());
+                assert_eq!(*a, expected, "{}", spec.name);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cross_app needs one evaluated point per spec point")]
+    fn cross_app_rejects_a_truncated_outcome() {
+        let mut outcome = engine().run(&SweepSpec::quick()).unwrap();
+        outcome.points.pop();
+        outcome.cross_app();
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn permute<T: Clone>(items: &[T], mut seed: u64) -> Vec<T> {
 }
 
 /// Sort objective triples for set comparison (values, not indices).
-fn canonicalize(objs: &[Objectives]) -> Vec<(u64, u64, u64)> {
+fn sorted_bits(objs: &[Objectives]) -> Vec<(u64, u64, u64)> {
     let mut keys: Vec<(u64, u64, u64)> = objs
         .iter()
         .map(|o| (o.speedup.to_bits(), o.area_pct.to_bits(), o.power_pct.to_bits()))
@@ -174,7 +174,7 @@ proptest! {
             }
             f.into_payloads()
         };
-        prop_assert_eq!(canonicalize(&run(&objs)), canonicalize(&run(&shuffled)));
+        prop_assert_eq!(sorted_bits(&run(&objs)), sorted_bits(&run(&shuffled)));
     }
 
     #[test]

@@ -126,3 +126,34 @@ fn quiet_keeps_stdout_byte_identical() {
     let quiet: Vec<&str> = quiet.lines().filter(varying).collect();
     assert_eq!(loud, quiet, "stdout differs with/without the progress meter");
 }
+
+/// A sweep folds its outcome and builds the cross-app frontier once:
+/// `--json` reuses the frontier the report printed, so a run with it
+/// makes exactly as many frontier inserts as a run without it.
+#[test]
+fn json_reuses_the_reported_frontier() {
+    let json_path = temp_path("inserts.json");
+    let json_s = json_path.display().to_string();
+    let inserts = |tag: &str, extra: &[&str]| -> u64 {
+        let ledger_path = temp_path(&format!("inserts-{tag}.jsonl"));
+        let _ = std::fs::remove_file(&ledger_path);
+        let ledger_s = ledger_path.display().to_string();
+        let mut args = vec!["--preset", "paper", "--quiet", "--trace", &ledger_s];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = dse(&args, &[]);
+        assert!(ok, "{tag} run failed:\nstdout:\n{out}\nstderr:\n{err}");
+        let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+        let _ = std::fs::remove_file(&ledger_path);
+        ledger
+            .final_counters()
+            .into_iter()
+            .find(|((_, name), _)| name == "frontier.inserts")
+            .map(|(_, v)| v)
+            .expect("frontier.inserts recorded")
+    };
+    let plain = inserts("plain", &[]);
+    let with_json = inserts("json", &["--json", &json_s]);
+    let _ = std::fs::remove_file(&json_path);
+    assert!(plain > 0);
+    assert_eq!(with_json, plain, "--json rebuilt the cross-app frontier");
+}
