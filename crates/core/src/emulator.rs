@@ -393,9 +393,8 @@ pub struct EmulationResult {
     pub power_pct_of_gpu: f64,
 }
 
-/// Compose the timing model from a precomputed GPU breakdown,
-/// area/power report and effective slope (shared by [`emulate`] and
-/// [`EmulationContext`]).
+/// Compose the timing model from a GPU breakdown, area/power report
+/// and effective slope.
 fn compose(
     input: &EmulatorInput,
     g: f64,
@@ -437,67 +436,20 @@ pub fn emulate(input: &EmulatorInput) -> EmulationResult {
     compose(input, effective_slope(input), &breakdown, &hw)
 }
 
-/// The NFP-architecture axes an [`NfpConfig`]'s derived quantities
-/// (floorplan, slope factors) depend on — hashable, so the context can
-/// key its memo tables on it.
-type NfpKey = (u64, usize, u32, u32, u32, u32, u32, u32);
-
-fn nfp_key(nfp: &NfpConfig) -> NfpKey {
-    (
-        nfp.clock_ghz.to_bits(),
-        nfp.grid_sram_bytes,
-        nfp.grid_sram_banks,
-        nfp.encoding_engines,
-        nfp.lanes_per_engine,
-        nfp.mac_rows,
-        nfp.mac_cols,
-        nfp.input_fifo_depth,
-    )
-}
-
-/// Reusable emulation state for sweeps: hoists every per-point invariant
-/// out of the hot path. Memoized per context:
-///
-/// * the GPU kernel breakdown per `(app, encoding, pixels)` workload
-///   (behind it, the encoding tables and the calibrated ratio layer);
-/// * the area/power synthesis per floorplan (engine geometry and SRAM
-///   bank layout through `ng_hw`);
-/// * the effective pipeline slope per `(app, encoding, NFP config)` —
-///   the SRAM-capacity and bank-conflict factors only change when those
-///   axes do.
-///
-/// Results are bit-identical to [`emulate`]; a design-space sweep
-/// touching `W` workloads and `F` floorplans pays for `W + F` model
-/// builds no matter how many points it evaluates, and a sweep that
-/// varies only clocks or resolution reuses all of the heavy setup.
+/// A field-less wrapper whose `eval` is [`emulate`]. Kept only because
+/// the benchmark's replay links it; nothing in the workspace uses it.
 #[derive(Debug, Default)]
-pub struct EmulationContext {
-    breakdowns: std::collections::HashMap<(AppKind, EncodingKind, u64), ng_gpu::KernelBreakdown>,
-    hw: ng_hw::AreaPowerCache,
-    floorplans: std::collections::HashMap<NfpKey, ng_hw::NfpFloorplan>,
-    slopes: std::collections::HashMap<(AppKind, EncodingKind, NfpKey), f64>,
-}
+pub struct EmulationContext;
 
 impl EmulationContext {
-    /// A fresh context with empty memo tables.
+    /// A context.
     pub fn new() -> Self {
-        Self::default()
+        EmulationContext
     }
 
-    /// Evaluate one point, reusing every previously built model input.
+    /// [`emulate`].
     pub fn eval(&mut self, input: &EmulatorInput) -> EmulationResult {
-        let breakdown = *self
-            .breakdowns
-            .entry((input.app, input.encoding, input.pixels))
-            .or_insert_with(|| ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels));
-        let key = nfp_key(&input.nfp);
-        let floorplan = *self.floorplans.entry(key).or_insert_with(|| input.nfp.floorplan());
-        let hw = self.hw.lookup(&floorplan, input.nfp_units, ng_hw::gpu_ref::RTX3090);
-        let g = *self
-            .slopes
-            .entry((input.app, input.encoding, key))
-            .or_insert_with(|| effective_slope(input));
-        compose(input, g, &breakdown, &hw)
+        emulate(input)
     }
 }
 
@@ -843,31 +795,6 @@ mod tests {
         assert_eq!(p.nfp.input_fifo_depth, 32);
         // Unset axes keep the paper defaults.
         assert_eq!(EmulatorInput::builder().build().nfp.mac_rows, NfpConfig::default().mac_rows);
-    }
-
-    #[test]
-    fn context_is_bit_identical_to_emulate() {
-        let mut ctx = EmulationContext::new();
-        let mut inputs = Vec::new();
-        for app in AppKind::ALL {
-            for enc in EncodingKind::ALL {
-                for n in [8u32, 64] {
-                    for clock in [1.0, 2.0] {
-                        inputs.push(
-                            EmulatorInput::builder()
-                                .app(app)
-                                .encoding(enc)
-                                .nfp_units(n)
-                                .clock_ghz(clock)
-                                .build(),
-                        );
-                    }
-                }
-            }
-        }
-        for input in &inputs {
-            assert_eq!(ctx.eval(input), emulate(input));
-        }
     }
 
     #[test]

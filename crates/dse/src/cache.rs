@@ -1,7 +1,7 @@
 //! A CSV point store, kept only for the benchmark's replay.
 //!
 //! No product path uses it: `dse` sweeps and searches evaluate every
-//! point, because the model evaluates a point in about 0.7 µs, which is
+//! point, because the model evaluates a point in under 0.5 µs, which is
 //! cheaper than parsing it back from disk. `perfbench/replay` still
 //! links [`EvalCache::new`], [`EvalCache::lookup`] and
 //! [`EvalCache::append`] (with [`crate::model_fingerprint`],

@@ -12,17 +12,18 @@
 //!   `flat` is architecture `flat % arch_count`). Enumeration, the
 //!   cross-app fold and the guided searcher all read positions from it.
 //! * [`sweep`] — the [`SweepEngine`]: expands the spec into
-//!   [`DesignPoint`]s and evaluates them through `ngpc`'s emulator on a
-//!   work-stealing thread pool ([`pool`]), with results in deterministic
-//!   spec order regardless of scheduling.
+//!   [`DesignPoint`]s and evaluates each with one stateless
+//!   [`ngpc::emulate`] call, split into static contiguous chunks over
+//!   scoped threads, with results in spec order at any thread count.
 //! * [`search`] — the budgeted guided [`Searcher`] over the same space.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.
 //! * [`emit`] — CSV/JSON emitters.
 //! * [`cache`] — a CSV point store that no product path uses, kept only
-//!   for the benchmark's replay: evaluating a point (~0.7 µs) is cheaper
-//!   than reading it back, so every run is a pure in-memory pipeline.
+//!   for the benchmark's replay: evaluating a point (under 0.5 µs on one
+//!   thread) is cheaper than reading it back, so every run is a pure
+//!   in-memory pipeline.
 //! * [`report`] — the compact terminal report behind the `dse` binary.
 //! * [`obs_counters`] — the crate's hoisted [`ng_obs`] counter handles.
 //!   Every stage is instrumented with `ng-obs` spans and counters:
@@ -48,7 +49,6 @@ pub mod cache;
 pub mod emit;
 pub mod obs_counters;
 pub mod pareto;
-pub mod pool;
 pub mod report;
 pub mod search;
 pub mod spec;
@@ -83,10 +83,10 @@ pub const MODEL_VERSION: &str = "ngpc-models-v4";
 /// Folded into every point-store key next to [`MODEL_VERSION`]; the
 /// pinned value in `tests/model_fingerprint.rs` turns silent drift into
 /// a test failure with bump instructions. Computed once per process,
-/// and only by [`EvalCache`] users: 512 evaluations, about 0.1 ms.
-/// The probe is bookkeeping, not user work, so it evaluates through
-/// its own [`ngpc::EmulationContext`] and never counts into the
-/// `sweep.*` or `eval.ticks` counters.
+/// and only by [`EvalCache`] users: 512 evaluations, under 1 ms.
+/// The probe is bookkeeping, not user work, so it calls
+/// [`ngpc::emulate`] directly and never counts into the `sweep.*` or
+/// `eval.ticks` counters.
 pub fn model_fingerprint() -> u64 {
     static FINGERPRINT: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     *FINGERPRINT.get_or_init(|| {
@@ -96,10 +96,9 @@ pub fn model_fingerprint() -> u64 {
         probe.mac_cols = vec![32, 64];
         probe.lanes_per_engine = vec![1, 2];
         probe.input_fifo_depth = vec![4, 64];
-        let mut ctx = ngpc::EmulationContext::new();
         let mut text = String::new();
         for p in probe.points() {
-            let r = ctx.eval(&p.emulator_input());
+            let r = ngpc::emulate(&p.emulator_input());
             text.push_str(&format!(
                 "{:.9e},{:.9e},{:.9e};",
                 r.speedup, r.area_pct_of_gpu, r.power_pct_of_gpu

@@ -33,7 +33,7 @@ hoisted!(
     sweep_fresh_evals => "sweep.fresh_evals"
 );
 hoisted!(
-    /// Per-point tick from inside the evaluation pool and the guided
+    /// Per-point tick from inside the sweep's workers and the guided
     /// searcher — the live counter the progress meter samples.
     eval_ticks => "eval.ticks"
 );
@@ -44,10 +44,6 @@ hoisted!(
 hoisted!(
     /// Archived points evicted by a newly dominant one.
     frontier_prunes => "frontier.prunes"
-);
-hoisted!(
-    /// Successful steals in the work-stealing pool.
-    pool_steals => "pool.steals"
 );
 hoisted!(
     /// Hill-climb proposals that improved the incumbent.

@@ -32,9 +32,8 @@
 //!   exactly as [`crate::SweepOutcome::cross_app`] folds them;
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
-//! * a `PointEvaluator` owns ONE [`ngpc::EmulationContext`] for the
-//!   whole search — the hot path of a probe is an emulator call, with
-//!   no per-point context construction and no intermediate vectors;
+//! * a probe is one stateless [`ngpc::emulate`] call per app, folded
+//!   without intermediate vectors;
 //! * revisited architectures are free (an in-search memo), and only
 //!   *model evaluations* consume the budget.
 //!
@@ -46,11 +45,10 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use ng_neural::math::Pcg32;
-use ngpc::EmulationContext;
 
 use crate::obs_counters;
 use crate::pareto::StreamingFrontier;
-use crate::spec::{ArchIdx, DesignPoint, Space, SpecError, SweepSpec, ARCH_AXES};
+use crate::spec::{ArchIdx, Space, SpecError, SweepSpec, ARCH_AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint};
 
 /// Which guided strategy to run.
@@ -177,32 +175,12 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Allocation-lean point evaluation for guided search: one
-/// [`EmulationContext`] serves every probe.
-struct PointEvaluator {
-    ctx: EmulationContext,
-    /// Model evaluations performed.
-    evaluations: usize,
-}
-
-impl PointEvaluator {
-    fn new() -> Self {
-        PointEvaluator { ctx: EmulationContext::new(), evaluations: 0 }
-    }
-
-    /// Evaluate one design point.
-    fn eval(&mut self, point: &DesignPoint) -> EvaluatedPoint {
-        self.evaluations += 1;
-        obs_counters::eval_ticks().incr();
-        EvaluatedPoint::evaluate(&mut self.ctx, point)
-    }
-}
-
-/// Shared search state: the evaluator, the visited memo, the streaming
-/// archive and the budget.
+/// Shared search state: the evaluation count, the visited memo, the
+/// streaming archive and the budget.
 struct SearchState<'a> {
     space: Space<'a>,
-    evaluator: PointEvaluator,
+    /// Model evaluations performed.
+    evaluations: usize,
     visited: HashMap<ArchIdx, ArchPoint>,
     archive: StreamingFrontier<(ArchIdx, ArchPoint)>,
     archive_generation: u64,
@@ -213,7 +191,7 @@ impl SearchState<'_> {
     /// Whether the search has budget left for at least one more
     /// evaluation.
     fn can_afford_arch(&self) -> bool {
-        self.evaluator.evaluations < self.budget
+        self.evaluations < self.budget
     }
 
     /// Evaluate (or recall) one architecture. Returns `None` only when
@@ -224,13 +202,15 @@ impl SearchState<'_> {
             return Some(*hit);
         }
         let apps = self.space.spec.apps.len();
-        if self.evaluator.evaluations + apps > self.budget {
+        if self.evaluations + apps > self.budget {
             return None;
         }
-        let (space, evaluator) = (&self.space, &mut self.evaluator);
-        let arch = ArchPoint::from_app_points(
-            (0..apps).map(|app_i| evaluator.eval(&space.point(idx, app_i))),
-        );
+        self.evaluations += apps;
+        let space = &self.space;
+        let arch = ArchPoint::from_app_points((0..apps).map(|app_i| {
+            obs_counters::eval_ticks().incr();
+            EvaluatedPoint::evaluate(&space.point(idx, app_i))
+        }));
         self.visited.insert(*idx, arch);
         if self.archive.insert(arch.objectives(), (*idx, arch)) {
             self.archive_generation += 1;
@@ -312,7 +292,7 @@ impl Searcher {
         let started = Instant::now();
         let mut state = SearchState {
             space: Space::new(spec),
-            evaluator: PointEvaluator::new(),
+            evaluations: 0,
             visited: HashMap::new(),
             archive: StreamingFrontier::new(),
             archive_generation: 0,
@@ -351,7 +331,7 @@ impl Searcher {
                 space_points,
                 space_archs,
                 archs_visited: state.visited.len(),
-                evaluations: state.evaluator.evaluations,
+                evaluations: state.evaluations,
                 budget: search.budget,
                 rounds,
                 exhaustive,

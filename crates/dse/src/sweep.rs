@@ -4,11 +4,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
-use ngpc::EmulationContext;
 
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
-use crate::pool;
 use crate::spec::{DesignPoint, Space, SpecError, SweepSpec};
 
 /// One evaluated configuration: the point plus the emulator outputs the
@@ -34,9 +32,9 @@ pub struct EvaluatedPoint {
 }
 
 impl EvaluatedPoint {
-    /// Evaluate `point` through the memoizing `ctx`.
-    pub(crate) fn evaluate(ctx: &mut EmulationContext, point: &DesignPoint) -> Self {
-        let r = ctx.eval(&point.emulator_input());
+    /// Evaluate `point` through [`ngpc::emulate`].
+    pub(crate) fn evaluate(point: &DesignPoint) -> Self {
+        let r = ngpc::emulate(&point.emulator_input());
         EvaluatedPoint {
             point: *point,
             speedup: r.speedup,
@@ -46,6 +44,21 @@ impl EvaluatedPoint {
             ngpc_frame_ms: r.ngpc_frame_ms,
             amdahl_bound: r.amdahl_bound,
             plateaued: r.plateaued,
+        }
+    }
+
+    /// `point` with every output zeroed: the slot [`evaluate_points`]
+    /// overwrites in place.
+    fn pending(point: DesignPoint) -> Self {
+        EvaluatedPoint {
+            point,
+            speedup: 0.0,
+            area_pct_of_gpu: 0.0,
+            power_pct_of_gpu: 0.0,
+            gpu_ms: 0.0,
+            ngpc_frame_ms: 0.0,
+            amdahl_bound: 0.0,
+            plateaued: false,
         }
     }
 
@@ -268,15 +281,29 @@ pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<Arch
     out
 }
 
-/// Evaluate design points on the work-stealing pool: one result per
+/// Evaluate design points on up to `threads` scoped workers, each over
+/// one contiguous chunk of a single result buffer: one result per
 /// point, in input order, bit-identical regardless of thread count.
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
     let _span = ng_obs::span("evaluate");
+    if points.is_empty() {
+        return Vec::new();
+    }
     let ticks = obs_counters::eval_ticks();
-    pool::map_stateful(points, threads, EmulationContext::new, |ctx, p: &DesignPoint| {
-        ticks.incr();
-        EvaluatedPoint::evaluate(ctx, p)
-    })
+    let mut out: Vec<EvaluatedPoint> =
+        points.iter().copied().map(EvaluatedPoint::pending).collect();
+    let chunk = points.len().div_ceil(threads.clamp(1, points.len()));
+    std::thread::scope(|scope| {
+        for slots in out.chunks_mut(chunk) {
+            scope.spawn(move || {
+                for slot in slots {
+                    ticks.incr();
+                    *slot = EvaluatedPoint::evaluate(&slot.point);
+                }
+            });
+        }
+    });
+    out
 }
 
 /// The sweep executor: a thread count and a progress switch.
@@ -322,7 +349,7 @@ impl SweepEngine {
         spec.validate()?;
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
-        let threads = self.threads.unwrap_or_else(pool::available_threads);
+        let threads = self.threads.unwrap_or_else(available_threads);
         let design_points = spec.points();
         obs_counters::sweep_points().add(design_points.len() as u64);
 
@@ -355,6 +382,11 @@ impl SweepEngine {
     }
 }
 
+/// `std::thread::available_parallelism`, defaulting to 1 when unknown.
+fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,10 +412,23 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
-        let spec = SweepSpec::quick();
-        let one = engine().with_threads(1).run(&spec).unwrap();
-        let many = engine().with_threads(16).run(&spec).unwrap();
+        let one = engine().with_threads(1).run(&SweepSpec::quick()).unwrap();
+        let many = engine().with_threads(16).run(&SweepSpec::quick()).unwrap();
         assert_eq!(one.points, many.points);
+        // More threads than points (quick has 16), and the uneven chunk
+        // boundaries of paper's 1,440 points.
+        for spec in [SweepSpec::quick(), SweepSpec::paper()] {
+            let points = spec.points();
+            let one = evaluate_points(&points, 1);
+            assert!(one.iter().map(|ep| ep.point).eq(points.iter().copied()), "{}", spec.name);
+            for threads in [2, 3, 7, 64] {
+                let many = evaluate_points(&points, threads);
+                assert_eq!(many, one, "{} at {threads} threads", spec.name);
+            }
+        }
+        assert!(evaluate_points(&[], 8).is_empty());
+        let single = &SweepSpec::quick().points()[..1];
+        assert_eq!(evaluate_points(single, 8), evaluate_points(single, 1));
     }
 
     #[test]

@@ -88,12 +88,27 @@ fn non_finite_constraint_bounds_exit_2() {
         assert!(err.contains("must be a finite number"), "{args:?}: {err}");
     }
 
-    let spec = std::env::temp_dir().join(format!("ng-dse-nan-bound-{}.toml", std::process::id()));
-    std::fs::write(&spec, "name = \"nan-bound\"\n[constraints]\nmax_area_pct = nan\n").unwrap();
-    let (err, code) = dse_code(&["--spec", spec.to_str().unwrap(), "--quiet"]);
+    for (args, bound) in [
+        (["--preset", "quick", "--max-area", "-1"], "--max-area"),
+        (["--preset", "quick", "--max-power", "-0.5"], "--max-power"),
+    ] {
+        let (err, code) = dse_code(&args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains(bound) && err.contains("negative"), "{args:?}: {err}");
+    }
+
+    let spec = std::env::temp_dir().join(format!("ng-dse-bad-bound-{}.toml", std::process::id()));
+    for (line, key) in [
+        ("max_area_pct = nan", "max_area_pct"),
+        ("max_area_pct = -1", "max_area_pct"),
+        ("max_power_pct = -2.5", "max_power_pct"),
+    ] {
+        std::fs::write(&spec, format!("name = \"bad-bound\"\n[constraints]\n{line}\n")).unwrap();
+        let (err, code) = dse_code(&["--spec", spec.to_str().unwrap(), "--quiet"]);
+        assert_eq!(code, Some(2), "`{line}` in a spec file must exit 2:\n{err}");
+        assert!(err.contains(key), "{line}: {err}");
+    }
     std::fs::remove_file(&spec).unwrap();
-    assert_eq!(code, Some(2), "a NaN bound in a spec file must exit 2:\n{err}");
-    assert!(err.contains("max_area_pct"), "{err}");
 }
 
 #[test]

@@ -21,6 +21,4 @@ pub mod report;
 pub mod scaling;
 pub mod synth;
 
-pub use report::{
-    ngpc_area_power, ngpc_area_power_vs, AreaPowerCache, AreaPowerReport, NfpFloorplan,
-};
+pub use report::{ngpc_area_power, ngpc_area_power_vs, AreaPowerReport, NfpFloorplan};

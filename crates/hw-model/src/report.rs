@@ -197,79 +197,6 @@ pub fn ngpc_area_power(nfp_units: u32) -> AreaPowerReport {
     ngpc_area_power_vs(&NfpFloorplan::default(), nfp_units, RTX3090)
 }
 
-/// Bit-exact hash key of a floorplan (clock keyed by its bit pattern).
-fn floorplan_key(f: &NfpFloorplan) -> [u64; 8] {
-    [
-        ((f.lanes_per_engine as u64) << 32) | f.encoding_engines as u64,
-        f.grid_sram_bytes,
-        f.grid_sram_banks as u64,
-        ((f.mac_rows as u64) << 32) | f.mac_cols as u64,
-        f.weight_sram_bytes,
-        f.activation_sram_bytes,
-        f.input_fifo_depth as u64,
-        f.clock_ghz.to_bits(),
-    ]
-}
-
-/// Memoized area/power lookups for design-space sweeps.
-///
-/// A sweep evaluates many `(floorplan, nfp_units)` points but only a
-/// handful of distinct floorplans; since cluster area and power are
-/// exactly linear in the NFP count (see
-/// `area_and_power_scale_linearly_in_nfp_count`), one synthesis +
-/// CACTI pass per floorplan serves every unit count. Repeat lookups are
-/// a hash probe plus four multiplies.
-#[derive(Debug, Default)]
-pub struct AreaPowerCache {
-    per_nfp: std::collections::HashMap<[u64; 8], AreaPowerReport>,
-    hits: u64,
-    misses: u64,
-}
-
-impl AreaPowerCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Area/power of `nfp_units` NFPs of this floorplan vs `gpu`,
-    /// synthesising the floorplan at most once.
-    pub fn lookup(
-        &mut self,
-        floorplan: &NfpFloorplan,
-        nfp_units: u32,
-        gpu: GpuReference,
-    ) -> AreaPowerReport {
-        let key = floorplan_key(floorplan);
-        let base = match self.per_nfp.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                self.hits += 1;
-                e.into_mut()
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                self.misses += 1;
-                v.insert(ngpc_area_power_vs(floorplan, 1, gpu))
-            }
-        };
-        // Recompute the cluster rollup with the exact expressions of
-        // `ngpc_area_power_vs`, so cached lookups are bit-identical to
-        // direct calls.
-        let k = nfp_units as f64;
-        let mut r = base.clone();
-        r.nfp_units = nfp_units;
-        r.cluster_area_mm2_7 = r.nfp_area_mm2_7 * k;
-        r.cluster_watts_7 = r.nfp_watts_7 * k;
-        r.area_pct_of_gpu = 100.0 * r.cluster_area_mm2_7 / gpu.die_area_mm2;
-        r.power_pct_of_gpu = 100.0 * r.cluster_watts_7 / gpu.tdp_watts;
-        r
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,26 +251,6 @@ mod tests {
     fn seven_nm_nfp_is_a_few_mm2() {
         let r = ngpc_area_power(8);
         assert!(r.nfp_area_mm2_7 > 1.0 && r.nfp_area_mm2_7 < 8.0, "{}", r.nfp_area_mm2_7);
-    }
-
-    #[test]
-    fn cache_is_bit_identical_to_direct_calls() {
-        let mut cache = AreaPowerCache::new();
-        let plans = [
-            NfpFloorplan::default(),
-            NfpFloorplan { grid_sram_bytes: 512 * 1024, ..NfpFloorplan::default() },
-            NfpFloorplan { clock_ghz: 2.0, grid_sram_banks: 4, ..NfpFloorplan::default() },
-        ];
-        for plan in &plans {
-            for n in [1u32, 8, 64, 512] {
-                let cached = cache.lookup(plan, n, RTX3090);
-                let direct = ngpc_area_power_vs(plan, n, RTX3090);
-                assert_eq!(cached, direct, "plan {plan:?} n={n}");
-            }
-        }
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 3, "one synthesis per distinct floorplan");
-        assert_eq!(hits, 9);
     }
 
     #[test]
