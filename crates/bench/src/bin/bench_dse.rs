@@ -1,117 +1,168 @@
 //! `bench_dse` — the tracked perf harness of the DSE pipeline.
 //!
-//! For each tracked preset, times one sweep (every point evaluated in
-//! memory, as `dse` runs it) and writes a machine-readable
-//! `BENCH_dse.json` with one entry per preset (`{preset, cold_s,
-//! points, cold_points_per_sec, counters_cold}`) for the paper and
-//! mac-arrays presets, plus a `guided` entry for the budgeted searcher
-//! over the exploded guided-lanes space (`{space_points, budget,
-//! evaluations, wall_s, points_per_sec, recovered_headline}`).
-//! `counters_cold` holds the `ng-obs` counter deltas of the sweep, and
-//! the file closes with a `stage_profile_us` breakdown of where this
-//! process's wall time went (per span path). "Cold" means the first
-//! sweep of the preset in this process.
+//! Times each tracked preset's sweep (every point evaluated in memory,
+//! as `dse` runs it) [`RUNS`] times in one process, and the budgeted
+//! guided searcher over the exploded guided-lanes space as often. It
+//! writes a machine-readable `BENCH_dse.json`: one entry per preset
+//! (`{preset, points, runs, median_s, min_s, max_s,
+//! median_points_per_sec, counters_per_run}`) for the paper, mac-arrays
+//! and guided-lanes presets, a `guided` entry for the searcher
+//! (`{space_points, budget, evaluations, runs, median_s, min_s, max_s,
+//! recovered_headline}`), and a closing `stage_profile_us` breakdown of
+//! where this process's wall time went (per span path, summed over the
+//! runs). `counters_per_run` holds the `ng-obs` counter growth of one
+//! sweep.
 //!
 //! ```text
 //! bench_dse [--quick] [--check-overhead] [--out PATH]
 //! ```
 //!
 //! `--quick` benches the 16-point quick preset instead of the tracked
-//! paper + mac-arrays presets; `--check-overhead` compares this run's
-//! tracing-off throughput on the paper preset against the committed
-//! `BENCH_dse.json` and fails if it fell below half the recorded
-//! baseline — a deliberately generous floor (CI machines are noisy)
-//! whose job is to catch the instrumentation becoming accidentally
-//! hot, not 5% regressions.
+//! presets; `--check-overhead` compares this run's median paper-preset
+//! throughput (tracing off) against the median recorded in the
+//! committed `BENCH_dse.json` and fails if it fell below half of it — a
+//! deliberately generous floor (CI machines are noisy) whose job is to
+//! catch the instrumentation becoming accidentally hot, not 5%
+//! regressions.
 
 use std::fs;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepSpec};
 
-struct PresetBench {
-    name: String,
-    cold_s: f64,
-    points: usize,
-    cold_points_per_sec: f64,
-    /// Counter growth during the sweep, `(name, delta)` in name order —
-    /// the observability cross-check that the timing numbers measured
-    /// what they claim (e.g. `sweep.fresh_evals == points`).
-    counters_cold: Vec<(String, u64)>,
+/// Timed repetitions of every row.
+const RUNS: usize = 7;
+
+/// Median, minimum and maximum of a row's run times, in seconds.
+struct Spread {
+    median_s: f64,
+    min_s: f64,
+    max_s: f64,
 }
 
-fn bench_preset(spec: &SweepSpec) -> PresetBench {
-    let before = ng_obs::counter::snapshot();
-    let started = Instant::now();
-    let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
-    let cold_s = started.elapsed().as_secs_f64();
-    let counters_cold: Vec<(String, u64)> = ng_obs::counter::snapshot()
-        .delta_since(&before)
-        .iter()
-        .map(|(name, v)| (name.to_string(), v))
-        .collect();
+impl Spread {
+    fn of(mut times: Vec<Duration>) -> Self {
+        times.sort_unstable();
+        Spread {
+            median_s: times[times.len() / 2].as_secs_f64(),
+            min_s: times[0].as_secs_f64(),
+            max_s: times[times.len() - 1].as_secs_f64(),
+        }
+    }
 
-    println!("[{}]", spec.name);
-    println!(
-        "sweep:       {:8.1} ms  ({} points evaluated)",
-        cold_s * 1e3,
-        outcome.stats.evaluated
-    );
-    PresetBench {
-        name: spec.name.clone(),
-        cold_s,
-        points: spec.point_count(),
-        cold_points_per_sec: outcome.stats.points_per_sec(),
-        counters_cold,
+    /// The spread's JSON fields, each line after the first indented by
+    /// `indent`.
+    fn json(&self, indent: &str) -> String {
+        format!(
+            "\"runs\": {RUNS},\n{indent}\"median_s\": {},\n{indent}\"min_s\": {},\n{indent}\
+             \"max_s\": {}",
+            self.median_s, self.min_s, self.max_s
+        )
+    }
+
+    fn line(&self) -> String {
+        format!(
+            "{:8.2} ms median  [{:.2}–{:.2}] over {RUNS} runs",
+            self.median_s * 1e3,
+            self.min_s * 1e3,
+            self.max_s * 1e3
+        )
     }
 }
 
-/// One guided search over the exploded preset.
+struct PresetBench {
+    name: String,
+    points: usize,
+    spread: Spread,
+    /// Counter growth during one sweep, `(name, delta)` in name order —
+    /// the observability cross-check that the timing numbers measured
+    /// what they claim (e.g. `sweep.fresh_evals == points`).
+    counters_per_run: Vec<(String, u64)>,
+}
+
+impl PresetBench {
+    fn median_points_per_sec(&self) -> f64 {
+        self.points as f64 / self.spread.median_s
+    }
+}
+
+fn bench_preset(spec: &SweepSpec) -> PresetBench {
+    let mut counters_per_run = Vec::new();
+    let times = (0..RUNS)
+        .map(|run| {
+            let before = ng_obs::counter::snapshot();
+            let started = Instant::now();
+            let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
+            let elapsed = started.elapsed();
+            assert_eq!(outcome.stats.evaluated, spec.point_count());
+            if run == 0 {
+                counters_per_run = ng_obs::counter::snapshot()
+                    .delta_since(&before)
+                    .iter()
+                    .map(|(name, v)| (name.to_string(), v))
+                    .collect();
+            }
+            elapsed
+        })
+        .collect();
+    let bench = PresetBench {
+        name: spec.name.clone(),
+        points: spec.point_count(),
+        spread: Spread::of(times),
+        counters_per_run,
+    };
+    println!("[{}]", bench.name);
+    println!("sweep:  {}  ({} points)", bench.spread.line(), bench.points);
+    bench
+}
+
+/// The guided search over the exploded preset.
 struct GuidedBench {
     space_points: usize,
     budget: usize,
     evaluations: usize,
-    wall_s: f64,
-    points_per_sec: f64,
+    spread: Spread,
     recovered_headline: bool,
 }
 
 fn bench_guided() -> GuidedBench {
     let spec = SweepSpec::guided_lanes();
     let search = SearchSpec::for_space(&spec);
-    let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
+    let outcomes: Vec<_> =
+        (0..RUNS).map(|_| Searcher::new().run(&spec, &search).expect("preset validates")).collect();
+    let outcome = &outcomes[0];
     let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
     let stats = &outcome.stats;
-    let wall_s = stats.wall.as_secs_f64();
+    let bench = GuidedBench {
+        space_points: stats.space_points,
+        budget: stats.budget,
+        evaluations: stats.evaluations,
+        spread: Spread::of(outcomes.iter().map(|o| o.stats.wall).collect()),
+        recovered_headline: recovered,
+    };
     println!("[guided-lanes --search]");
     println!(
-        "search:      {:8.1} ms  ({} of {} points evaluated, {:.2}% of the space, headline {})",
-        wall_s * 1e3,
+        "search: {}  ({} of {} points evaluated, {:.2}% of the space, headline {})",
+        bench.spread.line(),
         stats.evaluations,
         stats.space_points,
         100.0 * stats.budget_fraction_used(),
         if recovered { "recovered" } else { "MISSED" },
     );
-    GuidedBench {
-        space_points: stats.space_points,
-        budget: stats.budget,
-        evaluations: stats.evaluations,
-        wall_s,
-        points_per_sec: if wall_s > 0.0 { stats.evaluations as f64 / wall_s } else { 0.0 },
-        recovered_headline: recovered,
-    }
+    bench
 }
 
-/// The `cold_points_per_sec` recorded for `preset` in the committed
+/// The `median_points_per_sec` recorded for `preset` in the committed
 /// trajectory file, extracted with a string scan (the file is written
 /// by this binary, so the shape is known; no JSON dependency needed).
-fn baseline_cold_throughput(path: &str, preset: &str) -> Option<f64> {
+fn baseline_median_throughput(path: &str, preset: &str) -> Option<f64> {
     let text = fs::read_to_string(path).ok()?;
     let entry = text.find(&format!("\"preset\": \"{preset}\""))?;
     let tail = &text[entry..];
-    let field = tail.find("\"cold_points_per_sec\":")?;
-    let value = tail[field + "\"cold_points_per_sec\":".len()..].trim_start();
+    let key = "\"median_points_per_sec\":";
+    let field = tail.find(key)?;
+    let value = tail[field + key.len()..].trim_start();
     let end = value.find([',', '\n', '}'])?;
     value[..end].trim().parse().ok()
 }
@@ -144,7 +195,7 @@ fn main() -> ExitCode {
     // The overhead baseline comes from the *committed* trajectory file,
     // read before anything overwrites it.
     let overhead_baseline = if check_overhead {
-        match baseline_cold_throughput("BENCH_dse.json", "paper") {
+        match baseline_median_throughput("BENCH_dse.json", "paper") {
             Some(t) => Some(t),
             None => {
                 eprintln!(
@@ -159,12 +210,12 @@ fn main() -> ExitCode {
     };
 
     // GPU-model calibration is memoized per process, so only the
-    // *first* preset's sweep pays it (~0.02 ms). Keep `paper` first so
-    // the trajectory stays comparable across PRs.
+    // *first* preset's first sweep pays it (~0.02 ms). Keep `paper`
+    // first so the trajectory stays comparable across PRs.
     let specs: Vec<SweepSpec> = if quick {
         vec![SweepSpec::quick()]
     } else {
-        vec![SweepSpec::paper(), SweepSpec::mac_arrays()]
+        vec![SweepSpec::paper(), SweepSpec::mac_arrays(), SweepSpec::guided_lanes()]
     };
     // The tracked repo-root trajectory covers the full presets only; a
     // casual --quick run must not silently overwrite it.
@@ -185,18 +236,18 @@ fn main() -> ExitCode {
         .iter()
         .map(|b| {
             let counters: Vec<String> = b
-                .counters_cold
+                .counters_per_run
                 .iter()
                 .map(|(name, v)| format!("        \"{name}\": {v}"))
                 .collect();
             format!(
-                "    {{\n      \"preset\": \"{}\",\n      \"cold_s\": {},\n      \
-                 \"points\": {},\n      \"cold_points_per_sec\": {},\n      \
-                 \"counters_cold\": {{\n{}\n      }}\n    }}",
+                "    {{\n      \"preset\": \"{}\",\n      \"points\": {},\n      {},\n      \
+                 \"median_points_per_sec\": {},\n      \"counters_per_run\": {{\n{}\n      }}\n    \
+                 }}",
                 b.name,
-                b.cold_s,
                 b.points,
-                b.cold_points_per_sec,
+                b.spread.json("      "),
+                b.median_points_per_sec(),
                 counters.join(",\n"),
             )
         })
@@ -207,13 +258,11 @@ fn main() -> ExitCode {
             format!(
                 ",\n  \"guided\": {{\n    \"preset\": \"guided-lanes\",\n    \
                  \"space_points\": {},\n    \"budget\": {},\n    \"evaluations\": {},\n    \
-                 \"wall_s\": {},\n    \"points_per_sec\": {},\n    \
-                 \"recovered_headline\": {}\n  }}",
+                 {},\n    \"recovered_headline\": {}\n  }}",
                 g.space_points,
                 g.budget,
                 g.evaluations,
-                g.wall_s,
-                g.points_per_sec,
+                g.spread.json("    "),
                 g.recovered_headline,
             )
         })
@@ -248,26 +297,20 @@ fn main() -> ExitCode {
     println!("wrote {out_path}");
 
     if let Some(baseline) = overhead_baseline {
-        let paper = benches.iter().find(|b| b.name == "paper");
-        match paper {
-            Some(b) if b.cold_points_per_sec < baseline * 0.5 => {
-                eprintln!(
-                    "bench_dse: REGRESSION — tracing-off throughput on `paper` fell to \
-                     {:.0} points/sec, below half the committed baseline ({:.0}); the \
-                     instrumentation has become hot",
-                    b.cold_points_per_sec, baseline
-                );
-                return ExitCode::FAILURE;
-            }
-            Some(b) => println!(
-                "overhead check: {:.0} points/sec vs {:.0} baseline — ok",
-                b.cold_points_per_sec, baseline
-            ),
-            None => {
-                eprintln!("bench_dse: --check-overhead needs the `paper` preset (drop --quick)");
-                return ExitCode::FAILURE;
-            }
+        let Some(paper) = benches.iter().find(|b| b.name == "paper") else {
+            eprintln!("bench_dse: --check-overhead needs the `paper` preset (drop --quick)");
+            return ExitCode::FAILURE;
+        };
+        let median = paper.median_points_per_sec();
+        if median < baseline * 0.5 {
+            eprintln!(
+                "bench_dse: REGRESSION — median tracing-off throughput on `paper` fell to \
+                 {median:.0} points/sec, below half the committed median ({baseline:.0}); the \
+                 instrumentation has become hot"
+            );
+            return ExitCode::FAILURE;
         }
+        println!("overhead check: median {median:.0} points/sec vs {baseline:.0} baseline — ok");
     }
 
     ExitCode::SUCCESS

@@ -32,28 +32,28 @@ fn main() {
         &[
             vec![
                 "grid SRAMs (16 x 1 MB)".to_string(),
-                format!("{:.2}", r.grid_srams.area_mm2_45),
-                format!("{:.2}", r.grid_srams.watts_45),
+                format!("{:.2}", r.nfp.grid_srams.area_mm2_45),
+                format!("{:.2}", r.nfp.grid_srams.watts_45),
             ],
             vec![
                 "MLP engine (64x64 MACs + SRAMs)".to_string(),
-                format!("{:.2}", r.mlp_engine.area_mm2_45),
-                format!("{:.2}", r.mlp_engine.watts_45),
+                format!("{:.2}", r.nfp.mlp_engine.area_mm2_45),
+                format!("{:.2}", r.nfp.mlp_engine.watts_45),
             ],
             vec![
                 "encoding datapaths (16 engines)".to_string(),
-                format!("{:.2}", r.encoding_logic.area_mm2_45),
-                format!("{:.2}", r.encoding_logic.watts_45),
+                format!("{:.2}", r.nfp.encoding_logic.area_mm2_45),
+                format!("{:.2}", r.nfp.encoding_logic.watts_45),
             ],
             vec![
                 "NFP total (w/ integration overhead)".to_string(),
-                format!("{:.2}", r.nfp_area_mm2_45),
-                format!("{:.2}", r.nfp_watts_45),
+                format!("{:.2}", r.nfp.area_mm2_45),
+                format!("{:.2}", r.nfp.watts_45),
             ],
             vec![
                 "NFP total at 7 nm".to_string(),
-                format!("{:.2}", r.nfp_area_mm2_7),
-                format!("{:.2}", r.nfp_watts_7),
+                format!("{:.2}", r.nfp.area_mm2_7),
+                format!("{:.2}", r.nfp.watts_7),
             ],
         ],
     );

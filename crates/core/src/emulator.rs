@@ -66,9 +66,10 @@ use crate::kernels::REST_FUSION_SPEEDUP;
 /// Order: NeRF, NSDF, GIA, NVR.
 ///
 /// NOTE: changing any calibrated constant in this module changes sweep
-/// results — bump `ng_dse::MODEL_VERSION` in the same commit so cached
-/// design-space evaluations self-invalidate.
-fn calibrated_residual(app: AppKind, encoding: EncodingKind) -> f64 {
+/// results and the model fingerprint pinned in
+/// `crates/dse/tests/model_fingerprint.rs`: update that test in the
+/// same commit.
+pub fn calibrated_residual(app: AppKind, encoding: EncodingKind) -> f64 {
     match encoding {
         EncodingKind::MultiResHashGrid => match app {
             AppKind::Nerf => 0.75,
@@ -129,7 +130,7 @@ fn tables_per_engine(nfp: &NfpConfig, encoding: EncodingKind) -> u32 {
 /// `k` tables on-chip. The uncovered fraction of corner fetches pays
 /// [`SPILL_PENALTY`]. Exactly 1.0 at the paper's 1 MB / 16-engine
 /// provision.
-fn sram_capacity_factor(nfp: &NfpConfig, encoding: EncodingKind) -> f64 {
+pub fn sram_capacity_factor(nfp: &NfpConfig, encoding: EncodingKind) -> f64 {
     let required = tables_per_engine(nfp, encoding) as f64 * resident_table_bytes(encoding);
     let have = nfp.grid_sram_bytes as f64;
     if have >= required {
@@ -144,7 +145,7 @@ fn sram_capacity_factor(nfp: &NfpConfig, encoding: EncodingKind) -> f64 {
 /// `2^d` corners, and with fewer banks than corners the fetches
 /// serialise over multiple cycles (the fused pipeline is rate-limited
 /// by its encoding stage). Exactly 1.0 at the paper's 8 banks.
-fn bank_conflict_factor(nfp: &NfpConfig, app: AppKind) -> f64 {
+pub fn bank_conflict_factor(nfp: &NfpConfig, app: AppKind) -> f64 {
     let corners = 1u32 << app.spatial_dim();
     let cycles = corners.div_ceil(nfp.grid_sram_banks.min(corners).max(1));
     1.0 / cycles as f64
@@ -216,16 +217,43 @@ pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) 
     per_sample_cycles(app, encoding, &NfpConfig::default()) / per_sample_cycles(app, encoding, nfp)
 }
 
-/// The end-to-end NFP throughput slope for one configuration: the
-/// calibrated per-(app, encoding) residual, scaled by clock, by the
-/// SRAM capacity/banking factors, and by the compositional MAC-array /
-/// engine-count cycle ratio (all exactly 1.0 at the paper's NFP).
-fn effective_slope(input: &EmulatorInput) -> f64 {
-    calibrated_residual(input.app, input.encoding)
-        * input.nfp.clock_ghz
-        * sram_capacity_factor(&input.nfp, input.encoding)
-        * bank_conflict_factor(&input.nfp, input.app)
-        * mac_engine_factor(input.app, input.encoding, &input.nfp)
+/// The factors of the end-to-end NFP throughput slope `g`. Each reads
+/// only a few axes of a point, so a sweep can evaluate each once per
+/// distinct axis tuple and [`SlopeFactors::slope`] them per point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlopeFactors {
+    /// [`calibrated_residual`]: (app, encoding).
+    pub residual: f64,
+    /// The NFP clock in GHz.
+    pub clock_ghz: f64,
+    /// [`sram_capacity_factor`]: (encoding, grid-SRAM size, engines).
+    pub sram_capacity: f64,
+    /// [`bank_conflict_factor`]: (app, banks).
+    pub bank_conflict: f64,
+    /// [`mac_engine_factor`]: (app, encoding, engines, MAC rows and
+    /// columns, lanes, FIFO depth).
+    pub mac_engine: f64,
+}
+
+impl SlopeFactors {
+    /// The factors of one emulator input.
+    pub fn of(input: &EmulatorInput) -> Self {
+        SlopeFactors {
+            residual: calibrated_residual(input.app, input.encoding),
+            clock_ghz: input.nfp.clock_ghz,
+            sram_capacity: sram_capacity_factor(&input.nfp, input.encoding),
+            bank_conflict: bank_conflict_factor(&input.nfp, input.app),
+            mac_engine: mac_engine_factor(input.app, input.encoding, &input.nfp),
+        }
+    }
+
+    /// The slope: the calibrated residual, scaled by clock, by the SRAM
+    /// capacity/banking factors, and by the compositional MAC-array /
+    /// engine-count cycle ratio (all exactly 1.0 at the paper's NFP).
+    /// The one place the product's order is fixed.
+    pub fn slope(&self) -> f64 {
+        self.residual * self.clock_ghz * self.sram_capacity * self.bank_conflict * self.mac_engine
+    }
 }
 
 /// Emulator inputs (the four arrows into the paper's Fig. 11 box).
@@ -393,10 +421,15 @@ pub struct EmulationResult {
     pub power_pct_of_gpu: f64,
 }
 
-/// Compose the timing model from a GPU breakdown, area/power report
-/// and effective slope.
-fn compose(
-    input: &EmulatorInput,
+/// The GPU the NGPC is attached to: the baseline of the kernel
+/// breakdown and the reference of the area/power percentages.
+pub const REFERENCE_GPU: ng_hw::gpu_ref::GpuReference = ng_hw::gpu_ref::RTX3090;
+
+/// Compose the timing model of a cluster of `nfp_units` NFPs from its
+/// factors: the GPU breakdown, the slope `g` ([`SlopeFactors::slope`])
+/// and the cluster's area/power report.
+pub fn compose(
+    nfp_units: u32,
     g: f64,
     breakdown: &ng_gpu::KernelBreakdown,
     hw: &ng_hw::AreaPowerReport,
@@ -407,7 +440,7 @@ fn compose(
 
     // Pipeline slope scaled by clock (relative to the paper's 1 GHz NFP)
     // and by the SRAM capacity/banking throughput factors.
-    let ngpc_accel_ms = gpu_ms / (g * input.nfp_units as f64);
+    let ngpc_accel_ms = gpu_ms / (g * nfp_units as f64);
     let fused_rest_ms = gpu_rest_ms / REST_FUSION_SPEEDUP;
     let ngpc_frame_ms = ngpc_accel_ms.max(fused_rest_ms);
     let speedup = gpu_ms / ngpc_frame_ms;
@@ -428,12 +461,12 @@ fn compose(
     }
 }
 
-/// Run the emulator for one configuration.
+/// Run the emulator for one configuration: its factors, then
+/// [`compose`].
 pub fn emulate(input: &EmulatorInput) -> EmulationResult {
     let breakdown = ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels);
-    let hw =
-        ng_hw::ngpc_area_power_vs(&input.nfp.floorplan(), input.nfp_units, ng_hw::gpu_ref::RTX3090);
-    compose(input, effective_slope(input), &breakdown, &hw)
+    let hw = ng_hw::ngpc_area_power_vs(&input.nfp.floorplan(), input.nfp_units, REFERENCE_GPU);
+    compose(input.nfp_units, SlopeFactors::of(input).slope(), &breakdown, &hw)
 }
 
 /// A field-less wrapper whose `eval` is [`emulate`]. Kept only because
@@ -682,7 +715,7 @@ mod tests {
                 let factor = mac_engine_factor(app, enc, &nfp);
                 assert_eq!(factor, 1.0, "{app}/{enc}: factor {factor}");
                 let input = EmulatorInput { app, encoding: enc, ..EmulatorInput::default() };
-                let g = effective_slope(&input);
+                let g = SlopeFactors::of(&input).slope();
                 let legacy = calibrated_residual(app, enc);
                 assert!((g - legacy).abs() < 1e-9, "{app}/{enc}: {g} vs {legacy}");
                 assert_eq!(g, legacy, "paper-NFP slope must be byte-identical");

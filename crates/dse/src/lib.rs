@@ -11,10 +11,11 @@
 //!   index space [`spec::Space`] (apps outermost, so design point
 //!   `flat` is architecture `flat % arch_count`). Enumeration, the
 //!   cross-app fold and the guided searcher all read positions from it.
-//! * [`sweep`] — the [`SweepEngine`]: expands the spec into
-//!   [`DesignPoint`]s and evaluates each with one stateless
-//!   [`ngpc::emulate`] call, split into static contiguous chunks over
-//!   scoped threads, with results in spec order at any thread count.
+//! * [`sweep`] — the [`SweepEngine`]: builds one dense table per model
+//!   factor (each once per distinct tuple of the axes it reads), then
+//!   evaluates every point as table reads plus [`ngpc::compose`] over
+//!   static contiguous chunks on scoped threads — bit-identical to
+//!   [`ngpc::emulate`], with results in spec order at any thread count.
 //! * [`search`] — the budgeted guided [`Searcher`] over the same space.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
@@ -47,6 +48,7 @@
 
 pub mod cache;
 pub mod emit;
+mod factors;
 pub mod obs_counters;
 pub mod pareto;
 pub mod report;

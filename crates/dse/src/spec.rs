@@ -559,7 +559,7 @@ impl<'a> Space<'a> {
 
     /// The position → value mapping: the point at `idx` under app
     /// `app_i`, stamped with `index`.
-    fn at(&self, idx: &ArchIdx, app_i: usize, index: usize) -> DesignPoint {
+    pub(crate) fn at(&self, idx: &ArchIdx, app_i: usize, index: usize) -> DesignPoint {
         let s = self.spec;
         DesignPoint {
             index,
@@ -581,7 +581,7 @@ impl<'a> Space<'a> {
     /// Step `idx` to the next architecture in row-major order. Returns
     /// `true` when it wraps from the last architecture back to the
     /// first.
-    fn advance(&self, idx: &mut ArchIdx) -> bool {
+    pub(crate) fn advance(&self, idx: &mut ArchIdx) -> bool {
         for i in (0..ARCH_AXES).rev() {
             idx[i] += 1;
             if (idx[i] as usize) < self.dims[i] {

@@ -5,9 +5,10 @@ use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
+use crate::factors::FactorTables;
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
-use crate::spec::{DesignPoint, Space, SpecError, SweepSpec};
+use crate::spec::{DesignPoint, Space, SpecError, SweepSpec, ARCH_AXES};
 
 /// One evaluated configuration: the point plus the emulator outputs the
 /// frontier and reports read.
@@ -34,9 +35,13 @@ pub struct EvaluatedPoint {
 impl EvaluatedPoint {
     /// Evaluate `point` through [`ngpc::emulate`].
     pub(crate) fn evaluate(point: &DesignPoint) -> Self {
-        let r = ngpc::emulate(&point.emulator_input());
+        Self::from_result(*point, &ngpc::emulate(&point.emulator_input()))
+    }
+
+    /// `point` with the emulator outputs the frontier and reports read.
+    pub(crate) fn from_result(point: DesignPoint, r: &ngpc::EmulationResult) -> Self {
         EvaluatedPoint {
-            point: *point,
+            point,
             speedup: r.speedup,
             area_pct_of_gpu: r.area_pct_of_gpu,
             power_pct_of_gpu: r.power_pct_of_gpu,
@@ -281,29 +286,57 @@ pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<Arch
     out
 }
 
-/// Evaluate design points on up to `threads` scoped workers, each over
-/// one contiguous chunk of a single result buffer: one result per
-/// point, in input order, bit-identical regardless of thread count.
+/// Evaluate design points one [`ngpc::emulate`] call each, on up to
+/// `threads` scoped workers: one result per point, in input order,
+/// bit-identical regardless of thread count. The sweep evaluates from
+/// factor tables instead; this is the reference it is tested against.
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
     let _span = ng_obs::span("evaluate");
-    if points.is_empty() {
-        return Vec::new();
-    }
     let ticks = obs_counters::eval_ticks();
     let mut out: Vec<EvaluatedPoint> =
         points.iter().copied().map(EvaluatedPoint::pending).collect();
-    let chunk = points.len().div_ceil(threads.clamp(1, points.len()));
-    std::thread::scope(|scope| {
-        for slots in out.chunks_mut(chunk) {
-            scope.spawn(move || {
-                for slot in slots {
-                    ticks.incr();
-                    *slot = EvaluatedPoint::evaluate(&slot.point);
-                }
-            });
+    fill_chunks(&mut out, threads, |_, slots| {
+        for slot in slots.iter_mut() {
+            *slot = EvaluatedPoint::evaluate(&slot.point);
         }
+        ticks.add(slots.len() as u64);
     });
     out
+}
+
+/// Evaluate every point of `space`, in spec order, from its
+/// [`FactorTables`]: the tables are built on the calling thread, then up
+/// to `threads` scoped workers each fill one contiguous chunk.
+fn evaluate_space(space: Space, threads: usize) -> Vec<EvaluatedPoint> {
+    let _span = ng_obs::span("evaluate");
+    let tables = {
+        let _span = ng_obs::span("tables");
+        FactorTables::new(space)
+    };
+    let blank = EvaluatedPoint::pending(space.point(&[0; ARCH_AXES], 0));
+    let mut out = vec![blank; space.spec.point_count()];
+    fill_chunks(&mut out, threads, |start, slots| tables.fill(start, slots));
+    out
+}
+
+/// Split `out` into at most `threads` contiguous chunks and run
+/// `fill(start, chunk)` on each in its own scoped thread, where `start`
+/// is the chunk's offset in `out`.
+fn fill_chunks(
+    out: &mut [EvaluatedPoint],
+    threads: usize,
+    fill: impl Fn(usize, &mut [EvaluatedPoint]) + Sync,
+) {
+    if out.is_empty() {
+        return;
+    }
+    let chunk = out.len().div_ceil(threads.clamp(1, out.len()));
+    let fill = &fill;
+    std::thread::scope(|scope| {
+        for (i, slots) in out.chunks_mut(chunk).enumerate() {
+            scope.spawn(move || fill(i * chunk, slots));
+        }
+    });
 }
 
 /// The sweep executor: a thread count and a progress switch.
@@ -343,26 +376,26 @@ impl SweepEngine {
         self
     }
 
-    /// Run a sweep: validate, evaluate every point in parallel, and
-    /// return the results in spec order.
+    /// Run a sweep: validate, evaluate every point in parallel from the
+    /// spec's factor tables, and return the results in spec order.
     pub fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SpecError> {
-        spec.validate()?;
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
+        spec.validate()?;
         let threads = self.threads.unwrap_or_else(available_threads);
-        let design_points = spec.points();
-        obs_counters::sweep_points().add(design_points.len() as u64);
+        let total = spec.point_count();
+        obs_counters::sweep_points().add(total as u64);
 
         // The meter samples the shared eval-tick counter from a side
-        // thread, so the pool never blocks on terminal i/o.
+        // thread, so the workers never block on terminal i/o.
         let meter = ng_obs::Meter::start(
             "sweep",
             obs_counters::eval_ticks().clone(),
-            design_points.len() as u64,
+            total as u64,
             "points",
-            !design_points.is_empty() && ng_obs::stderr_wants_progress(self.quiet),
+            ng_obs::stderr_wants_progress(self.quiet),
         );
-        let points = evaluate_points(&design_points, threads);
+        let points = evaluate_space(Space::new(spec), threads);
         meter.finish();
         obs_counters::sweep_fresh_evals().add(points.len() as u64);
 

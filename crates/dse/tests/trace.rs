@@ -1,8 +1,9 @@
 //! End-to-end checks of the observability surface: a traced
 //! quick-preset run must produce a balanced, invariant-satisfying
-//! ledger; `dse trace` must summarize and export it, and reject a
-//! coverage floor that is not a percent; and the progress meter must
-//! never leak into stdout (`--quiet` byte-parity).
+//! ledger; a traced multi-block sweep must show its factor-table stage
+//! and count every point once; `dse trace` must summarize and export
+//! it, and reject a coverage floor that is not a percent; and the
+//! progress meter must never leak into stdout (`--quiet` byte-parity).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -78,6 +79,60 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
         assert_eq!(out.status.code(), Some(2), "--min-coverage {pct} must exit 2:\n{err}");
         assert!(err.contains("--min-coverage"), "{pct}: {err}");
     }
+
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// The sweep builds its factor tables under `evaluate/tables`, and its
+/// workers add `eval.ticks` once per block of points: over a sweep
+/// whose two chunks each span several blocks and an app boundary, the
+/// ticks must still sum to the point count.
+#[test]
+fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
+    let ledger_path = temp_path("tables.jsonl");
+    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_s = ledger_path.display().to_string();
+
+    // 4 apps x 3 encodings x 10 NFP counts x 3 SRAM sizes x 3 bank
+    // counts x 3 engine counts x 3 lane counts = 9,720 points.
+    let (out, err, ok) = dse(
+        &[
+            "--preset",
+            "paper",
+            "--sram-kb",
+            "256,512,1024",
+            "--engines",
+            "8,16,32",
+            "--lanes",
+            "1,2,4",
+            "--quiet",
+            "--threads",
+            "2",
+            "--trace",
+            &ledger_s,
+        ],
+        &[],
+    );
+    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
+    assert!(
+        stages.iter().any(|p| p == "dse/sweep/evaluate/tables"),
+        "no evaluate/tables span: {stages:?}"
+    );
+    let counters = ledger.final_counters();
+    let get = |name: &str| {
+        counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
+    };
+    assert_eq!(get("sweep.points"), 9720);
+    assert_eq!(get("sweep.fresh_evals"), 9720, "fresh_evals != points");
+    assert_eq!(get("eval.ticks"), 9720, "eval.ticks != points");
+
+    let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
+    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
+    assert!(out.contains("dse/sweep/evaluate/tables"), "stage table lacks the tables:\n{out}");
+    assert!(out.contains("counter invariant (fresh_evals == points): holds"), "{out}");
 
     let _ = std::fs::remove_file(&ledger_path);
 }

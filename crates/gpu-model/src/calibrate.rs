@@ -117,10 +117,9 @@ fn compute_ratio_table() -> Vec<((AppKind, EncodingKind), f64)> {
 fn model_ratio(app: AppKind, encoding: EncodingKind) -> f64 {
     static CACHE: OnceLock<Vec<((AppKind, EncodingKind), f64)>> = OnceLock::new();
     let table = CACHE.get_or_init(|| {
-        // The span lands on whichever thread first needs a ratio —
-        // usually a pool worker mid-sweep, so it shows up as its own
-        // root in a trace while the charged wall time stays inside the
-        // main thread's `evaluate` span (which is waiting on this).
+        // The span nests under whatever span the first caller holds:
+        // in a sweep that is the calling thread's `evaluate/tables`,
+        // which builds the GPU breakdowns before any worker starts.
         let _span = ng_obs::span("calib-ratios");
         ng_obs::counter("calib.computes").incr();
         compute_ratio_table()

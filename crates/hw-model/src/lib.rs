@@ -21,4 +21,7 @@ pub mod report;
 pub mod scaling;
 pub mod synth;
 
-pub use report::{ngpc_area_power, ngpc_area_power_vs, AreaPowerReport, NfpFloorplan};
+pub use report::{
+    cluster_area_power, nfp_budget, ngpc_area_power, ngpc_area_power_vs, AreaPowerReport,
+    NfpBudget, NfpFloorplan,
+};

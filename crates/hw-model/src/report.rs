@@ -59,25 +59,33 @@ pub struct ComponentBudget {
     pub watts_45: f64,
 }
 
+/// Area/power of one NFP: the part of the Fig. 15 rollup that depends
+/// only on the floorplan. [`cluster_area_power`] scales it to a cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NfpBudget {
+    /// Grid SRAM budget (45 nm).
+    pub grid_srams: ComponentBudget,
+    /// MLP engine budget (45 nm).
+    pub mlp_engine: ComponentBudget,
+    /// Encoding-engine datapath budget (45 nm).
+    pub encoding_logic: ComponentBudget,
+    /// NFP area at 45 nm (mm^2), including integration overhead.
+    pub area_mm2_45: f64,
+    /// NFP power at 45 nm (W), including integration overhead.
+    pub watts_45: f64,
+    /// NFP area at 7 nm (mm^2).
+    pub area_mm2_7: f64,
+    /// NFP power at 7 nm (W).
+    pub watts_7: f64,
+}
+
 /// Full area/power report for an NGPC configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AreaPowerReport {
     /// NFP units in the cluster.
     pub nfp_units: u32,
-    /// Grid SRAM budget (per NFP, 45 nm).
-    pub grid_srams: ComponentBudget,
-    /// MLP engine budget (per NFP, 45 nm).
-    pub mlp_engine: ComponentBudget,
-    /// Encoding-engine datapath budget (per NFP, 45 nm).
-    pub encoding_logic: ComponentBudget,
-    /// One NFP total at 45 nm (mm^2, W), including integration overhead.
-    pub nfp_area_mm2_45: f64,
-    /// One NFP total power at 45 nm (W).
-    pub nfp_watts_45: f64,
-    /// One NFP at 7 nm.
-    pub nfp_area_mm2_7: f64,
-    /// One NFP power at 7 nm.
-    pub nfp_watts_7: f64,
+    /// One NFP's budget.
+    pub nfp: NfpBudget,
     /// Whole-cluster area at 7 nm.
     pub cluster_area_mm2_7: f64,
     /// Whole-cluster power at 7 nm.
@@ -99,13 +107,8 @@ const MAC_UTILISATION: f64 = 0.9;
 /// Grid-SRAM read accesses per engine per cycle (corner fetch rate).
 const SRAM_READS_PER_CYCLE: f64 = 2.0;
 
-/// Estimate the Fig. 15 area/power of an NGPC with `nfp_units` NFPs
-/// against a GPU reference.
-pub fn ngpc_area_power_vs(
-    floorplan: &NfpFloorplan,
-    nfp_units: u32,
-    gpu: GpuReference,
-) -> AreaPowerReport {
+/// Synthesise one NFP's area/power budget from its floorplan.
+pub fn nfp_budget(floorplan: &NfpFloorplan) -> NfpBudget {
     let clk = floorplan.clock_ghz;
 
     // --- Grid SRAMs (CACTI-lite) ---
@@ -165,31 +168,47 @@ pub fn ngpc_area_power_vs(
     let encoding_logic =
         ComponentBudget { area_mm2_45: enc_synth.area_mm2, watts_45: enc_synth.total_watts() };
 
-    let nfp_area_mm2_45 =
+    let area_mm2_45 =
         (grid_srams.area_mm2_45 + mlp_engine.area_mm2_45 + encoding_logic.area_mm2_45)
             * INTEGRATION_OVERHEAD;
-    let nfp_watts_45 = (grid_srams.watts_45 + mlp_engine.watts_45 + encoding_logic.watts_45)
+    let watts_45 = (grid_srams.watts_45 + mlp_engine.watts_45 + encoding_logic.watts_45)
         * INTEGRATION_OVERHEAD;
 
-    let nfp_area_mm2_7 = area_45_to_7(nfp_area_mm2_45);
-    let nfp_watts_7 = power_45_to_7(nfp_watts_45);
-    let cluster_area_mm2_7 = nfp_area_mm2_7 * nfp_units as f64;
-    let cluster_watts_7 = nfp_watts_7 * nfp_units as f64;
-
-    AreaPowerReport {
-        nfp_units,
+    NfpBudget {
         grid_srams,
         mlp_engine,
         encoding_logic,
-        nfp_area_mm2_45,
-        nfp_watts_45,
-        nfp_area_mm2_7,
-        nfp_watts_7,
+        area_mm2_45,
+        watts_45,
+        area_mm2_7: area_45_to_7(area_mm2_45),
+        watts_7: power_45_to_7(watts_45),
+    }
+}
+
+/// Scale one NFP's budget to a cluster of `nfp_units` and normalise it
+/// against a GPU reference.
+pub fn cluster_area_power(nfp: &NfpBudget, nfp_units: u32, gpu: GpuReference) -> AreaPowerReport {
+    let cluster_area_mm2_7 = nfp.area_mm2_7 * nfp_units as f64;
+    let cluster_watts_7 = nfp.watts_7 * nfp_units as f64;
+    AreaPowerReport {
+        nfp_units,
+        nfp: *nfp,
         cluster_area_mm2_7,
         cluster_watts_7,
         area_pct_of_gpu: 100.0 * cluster_area_mm2_7 / gpu.die_area_mm2,
         power_pct_of_gpu: 100.0 * cluster_watts_7 / gpu.tdp_watts,
     }
+}
+
+/// Estimate the Fig. 15 area/power of an NGPC with `nfp_units` NFPs
+/// against a GPU reference: [`nfp_budget`] scaled by
+/// [`cluster_area_power`].
+pub fn ngpc_area_power_vs(
+    floorplan: &NfpFloorplan,
+    nfp_units: u32,
+    gpu: GpuReference,
+) -> AreaPowerReport {
+    cluster_area_power(&nfp_budget(floorplan), nfp_units, gpu)
 }
 
 /// [`ngpc_area_power_vs`] against the RTX 3090 with the default NFP.
@@ -242,15 +261,15 @@ mod tests {
         // 16 MB of SRAM dwarfs the datapaths — the architectural reason
         // the paper sizes the SRAM to exactly one level's table.
         let r = ngpc_area_power(8);
-        assert!(r.grid_srams.area_mm2_45 > r.mlp_engine.area_mm2_45);
-        assert!(r.grid_srams.area_mm2_45 > r.encoding_logic.area_mm2_45);
-        assert!(r.grid_srams.area_mm2_45 / (r.nfp_area_mm2_45 / INTEGRATION_OVERHEAD) > 0.6);
+        assert!(r.nfp.grid_srams.area_mm2_45 > r.nfp.mlp_engine.area_mm2_45);
+        assert!(r.nfp.grid_srams.area_mm2_45 > r.nfp.encoding_logic.area_mm2_45);
+        assert!(r.nfp.grid_srams.area_mm2_45 / (r.nfp.area_mm2_45 / INTEGRATION_OVERHEAD) > 0.6);
     }
 
     #[test]
     fn seven_nm_nfp_is_a_few_mm2() {
         let r = ngpc_area_power(8);
-        assert!(r.nfp_area_mm2_7 > 1.0 && r.nfp_area_mm2_7 < 8.0, "{}", r.nfp_area_mm2_7);
+        assert!(r.nfp.area_mm2_7 > 1.0 && r.nfp.area_mm2_7 < 8.0, "{}", r.nfp.area_mm2_7);
     }
 
     #[test]

@@ -33,7 +33,11 @@ use std::sync::Mutex;
 use crate::{epoch_us, json_escape, trace_tid};
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
-static LEDGER_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
+/// The ledger's path and one handle on it, opened for appending by
+/// [`enable`] and kept for the run: an event costs a lock, a write and
+/// an unlock, not an open and a close as well. Inside a traced `dse`
+/// run those per-event costs are the root span's untimed overhead.
+static LEDGER: Mutex<Option<(PathBuf, fs::File)>> = Mutex::new(None);
 
 /// Whether a ledger is being recorded. One relaxed load — the guard
 /// every emit helper takes first.
@@ -50,23 +54,23 @@ pub fn enable(path: impl Into<PathBuf>) -> io::Result<()> {
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         fs::create_dir_all(dir)?;
     }
-    // Probe writability now, so a bad path fails the run loudly instead
-    // of silently dropping every event later.
-    fs::OpenOptions::new().create(true).append(true).open(&path)?;
-    *LEDGER_PATH.lock().expect("ledger path lock never poisoned") = Some(path);
+    // Opening now also probes writability, so a bad path fails the run
+    // loudly instead of silently dropping every event later.
+    let file = fs::OpenOptions::new().create(true).append(true).open(&path)?;
+    *LEDGER.lock().expect("ledger lock never poisoned") = Some((path, file));
     RECORDING.store(true, Ordering::Relaxed);
     emit_meta("attach", &format!("pid {}", std::process::id()));
     Ok(())
 }
 
-/// Stop recording (the path is kept so a re-enable appends).
+/// Stop recording.
 pub fn disable() {
     RECORDING.store(false, Ordering::Relaxed);
 }
 
 /// The current ledger path, when recording.
 pub fn ledger_path() -> Option<PathBuf> {
-    LEDGER_PATH.lock().expect("ledger path lock never poisoned").clone()
+    LEDGER.lock().expect("ledger lock never poisoned").as_ref().map(|(path, _)| path.clone())
 }
 
 /// Append one already-serialised JSON line to `path` under the file's
@@ -76,6 +80,13 @@ pub fn ledger_path() -> Option<PathBuf> {
 /// without lock support degrades to a plain append.
 pub fn append_jsonl_line(path: &Path, line: &str) -> io::Result<()> {
     let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
+    append_locked(&mut file, line)
+}
+
+/// [`append_jsonl_line`] on an open append-mode handle: lock, one
+/// `write_all`, unlock (the kernel also releases the lock if the
+/// process dies holding it).
+fn append_locked(file: &mut fs::File, line: &str) -> io::Result<()> {
     if let Err(e) = file.lock() {
         if e.kind() != io::ErrorKind::Unsupported {
             return Err(e);
@@ -84,8 +95,9 @@ pub fn append_jsonl_line(path: &Path, line: &str) -> io::Result<()> {
     let mut buf = String::with_capacity(line.len() + 1);
     buf.push_str(line);
     buf.push('\n');
-    file.write_all(buf.as_bytes())
-    // Lock released when `file` drops (kernel-released even on crash).
+    let written = file.write_all(buf.as_bytes());
+    let _ = file.unlock();
+    written
 }
 
 /// Emit one event line to the ledger, if recording. Emission is best
@@ -95,8 +107,8 @@ fn emit(line: &str) {
     if !is_recording() {
         return;
     }
-    if let Some(path) = ledger_path() {
-        let _ = append_jsonl_line(&path, line);
+    if let Some((_, file)) = LEDGER.lock().expect("ledger lock never poisoned").as_mut() {
+        let _ = append_locked(file, line);
     }
 }
 
