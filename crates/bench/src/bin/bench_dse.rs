@@ -77,7 +77,7 @@ struct PresetBench {
     spread: Spread,
     /// Counter growth during one sweep, `(name, delta)` in name order —
     /// the observability cross-check that the timing numbers measured
-    /// what they claim (e.g. `sweep.fresh_evals == points`).
+    /// what they claim (e.g. `eval.ticks == points`).
     counters_per_run: Vec<(String, u64)>,
 }
 

@@ -283,116 +283,6 @@ impl Default for EmulatorInput {
     }
 }
 
-impl EmulatorInput {
-    /// Start building a point from the paper's default configuration.
-    pub fn builder() -> EmulatorInputBuilder {
-        EmulatorInputBuilder::default()
-    }
-}
-
-/// Cheap, clonable point-builder for sweeps: every setter is a field
-/// write on a `Copy` value, so design-space enumerators can fork a
-/// partially-specified point per axis without allocation.
-///
-/// ```
-/// use ngpc::emulator::EmulatorInput;
-/// use ng_neural::apps::AppKind;
-///
-/// let base = EmulatorInput::builder().app(AppKind::Gia).clock_ghz(1.5);
-/// let (a, b) = (base.clone().nfp_units(16).build(), base.nfp_units(64).build());
-/// assert_eq!(a.nfp.clock_ghz, 1.5);
-/// assert_eq!(b.nfp_units, 64);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EmulatorInputBuilder {
-    input: EmulatorInput,
-}
-
-impl EmulatorInputBuilder {
-    /// Application under evaluation.
-    pub fn app(mut self, app: AppKind) -> Self {
-        self.input.app = app;
-        self
-    }
-
-    /// Input-encoding scheme.
-    pub fn encoding(mut self, encoding: EncodingKind) -> Self {
-        self.input.encoding = encoding;
-        self
-    }
-
-    /// Frame resolution in pixels.
-    pub fn pixels(mut self, pixels: u64) -> Self {
-        self.input.pixels = pixels;
-        self
-    }
-
-    /// NGPC scaling factor (NFP count).
-    pub fn nfp_units(mut self, nfp_units: u32) -> Self {
-        self.input.nfp_units = nfp_units;
-        self
-    }
-
-    /// Full NFP configuration (replaces any prior per-field setters).
-    pub fn nfp(mut self, nfp: NfpConfig) -> Self {
-        self.input.nfp = nfp;
-        self
-    }
-
-    /// NFP clock in GHz.
-    pub fn clock_ghz(mut self, clock_ghz: f64) -> Self {
-        self.input.nfp.clock_ghz = clock_ghz;
-        self
-    }
-
-    /// Grid SRAM per encoding engine in bytes.
-    pub fn grid_sram_bytes(mut self, bytes: usize) -> Self {
-        self.input.nfp.grid_sram_bytes = bytes;
-        self
-    }
-
-    /// Banks per grid SRAM.
-    pub fn grid_sram_banks(mut self, banks: u32) -> Self {
-        self.input.nfp.grid_sram_banks = banks;
-        self
-    }
-
-    /// Input-encoding engines per NFP.
-    pub fn encoding_engines(mut self, engines: u32) -> Self {
-        self.input.nfp.encoding_engines = engines;
-        self
-    }
-
-    /// MAC array rows of the MLP engine.
-    pub fn mac_rows(mut self, rows: u32) -> Self {
-        self.input.nfp.mac_rows = rows;
-        self
-    }
-
-    /// MAC array columns of the MLP engine.
-    pub fn mac_cols(mut self, cols: u32) -> Self {
-        self.input.nfp.mac_cols = cols;
-        self
-    }
-
-    /// Query lanes per encoding engine.
-    pub fn lanes_per_engine(mut self, lanes: u32) -> Self {
-        self.input.nfp.lanes_per_engine = lanes;
-        self
-    }
-
-    /// Fusion input-FIFO depth in entries.
-    pub fn input_fifo_depth(mut self, depth: u32) -> Self {
-        self.input.nfp.input_fifo_depth = depth;
-        self
-    }
-
-    /// Finish the point.
-    pub fn build(self) -> EmulatorInput {
-        self.input
-    }
-}
-
 /// Emulator outputs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmulationResult {
@@ -796,38 +686,6 @@ mod tests {
             &NfpConfig { input_fifo_depth: 16, ..NfpConfig::default() },
         );
         assert_eq!(at_knee, deep);
-    }
-
-    #[test]
-    fn builder_round_trips_every_axis() {
-        let p = EmulatorInput::builder()
-            .app(AppKind::Nvr)
-            .encoding(EncodingKind::LowResDenseGrid)
-            .pixels(3840 * 2160)
-            .nfp_units(32)
-            .clock_ghz(1.5)
-            .grid_sram_bytes(512 * 1024)
-            .grid_sram_banks(4)
-            .encoding_engines(8)
-            .mac_rows(32)
-            .mac_cols(128)
-            .lanes_per_engine(2)
-            .input_fifo_depth(32)
-            .build();
-        assert_eq!(p.app, AppKind::Nvr);
-        assert_eq!(p.encoding, EncodingKind::LowResDenseGrid);
-        assert_eq!(p.pixels, 3840 * 2160);
-        assert_eq!(p.nfp_units, 32);
-        assert_eq!(p.nfp.clock_ghz, 1.5);
-        assert_eq!(p.nfp.grid_sram_bytes, 512 * 1024);
-        assert_eq!(p.nfp.grid_sram_banks, 4);
-        assert_eq!(p.nfp.encoding_engines, 8);
-        assert_eq!(p.nfp.mac_rows, 32);
-        assert_eq!(p.nfp.mac_cols, 128);
-        assert_eq!(p.nfp.lanes_per_engine, 2);
-        assert_eq!(p.nfp.input_fifo_depth, 32);
-        // Unset axes keep the paper defaults.
-        assert_eq!(EmulatorInput::builder().build().nfp.mac_rows, NfpConfig::default().mac_rows);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub use config::{NfpConfig, NgpcConfig};
 pub use emulator::{
     bank_conflict_factor, calibrated_residual, compose, emulate, emulate_batched,
     mac_engine_factor, mlp_layer_shapes, mlp_query_cycles, per_sample_cycles, sram_capacity_factor,
-    EmulationContext, EmulationResult, EmulatorInput, EmulatorInputBuilder, SlopeFactors,
-    REFERENCE_GPU,
+    EmulationContext, EmulationResult, EmulatorInput, SlopeFactors, REFERENCE_GPU,
 };
 pub use error::{NgpcError, Result};

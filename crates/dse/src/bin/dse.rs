@@ -533,7 +533,7 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     }
     if verdict.invariant_violations.is_empty() {
         println!(
-            "counter invariant (fresh_evals == points): holds for {} sweeping process(es)",
+            "counter invariant (eval.ticks == sweep.points): holds for {} sweeping process(es)",
             verdict.sweeping_pids
         );
     } else {

@@ -1,4 +1,5 @@
-//! Factorised sweep evaluation.
+//! Factorised evaluation: the one evaluator of the sweep and the guided
+//! searcher.
 //!
 //! The emulator is a composition of separable factors (paper Fig. 11):
 //! the GPU kernel breakdown reads (app, encoding, pixels), the per-NFP
@@ -12,14 +13,16 @@
 //! bit-identical to `emulate` by construction.
 //!
 //! A table's key is a subset of the space's axes, so no table is larger
-//! than the point count.
+//! than the point count. The sweep fills every point in spec order
+//! ([`FactorTables::fill`]); the searcher folds one architecture's app
+//! points at a time ([`FactorTables::arch`]).
 
 use ng_gpu::KernelBreakdown;
 use ng_hw::NfpBudget;
 
 use crate::obs_counters;
 use crate::spec::{ArchIdx, DesignPoint, Space, ARCH_AXES};
-use crate::sweep::EvaluatedPoint;
+use crate::sweep::{ArchPoint, EvaluatedPoint};
 
 // Axis numbers of a table key: the arch axes in `Space` order, then
 // the app axis.
@@ -88,7 +91,7 @@ impl<T> Table<T> {
 }
 
 /// Every model factor of a space, one dense table each.
-pub(crate) struct FactorTables<'a> {
+pub struct FactorTables<'a> {
     space: Space<'a>,
     /// GPU kernel breakdown per (app, encoding, pixels).
     gpu: Table<KernelBreakdown>,
@@ -107,7 +110,7 @@ pub(crate) struct FactorTables<'a> {
 
 impl<'a> FactorTables<'a> {
     /// Build every table of `space` on the calling thread.
-    pub(crate) fn new(space: Space<'a>) -> Self {
+    pub fn new(space: Space<'a>) -> Self {
         let s = &space;
         let nfp = |p: &DesignPoint| p.emulator_input().nfp;
         FactorTables {
@@ -153,8 +156,23 @@ impl<'a> FactorTables<'a> {
         }
     }
 
+    /// Architecture `idx` folded over its app points, evaluated in app
+    /// order, as [`crate::SweepOutcome::cross_app`] folds a sweep's.
+    /// Adds the app count to `eval.ticks`.
+    pub fn arch(&self, idx: &ArchIdx) -> ArchPoint {
+        let (apps, arch_count) = (self.space.spec.apps.len(), self.space.arch_count());
+        let flat = self.space.flat(idx);
+        obs_counters::eval_ticks().add(apps as u64);
+        ArchPoint::from_app_points(
+            (0..apps).map(|app| self.evaluate(idx, app, app * arch_count + flat)),
+        )
+    }
+
     /// The point at `idx` under app number `app`, stamped with `index`:
-    /// table reads, the cluster scaling and [`ngpc::compose`].
+    /// table reads, the cluster scaling and [`ngpc::compose`]. Forced
+    /// inline: with two callers the compiler otherwise emits it out of
+    /// line, a call per point in the sweep's loop.
+    #[inline(always)]
     fn evaluate(&self, idx: &ArchIdx, app: usize, index: usize) -> EvaluatedPoint {
         let point = self.space.at(idx, app, index);
         let slope = ngpc::SlopeFactors {

@@ -17,6 +17,11 @@
 //!   static contiguous chunks on scoped threads — bit-identical to
 //!   [`ngpc::emulate`], with results in spec order at any thread count.
 //! * [`search`] — the budgeted guided [`Searcher`] over the same space.
+//! * [`factors`] — the [`factors::FactorTables`] the sweep and the
+//!   searcher both evaluate from: the sweep fills every point, the
+//!   searcher folds one architecture at a time.
+//!   [`sweep::evaluate_points`] (one [`ngpc::emulate`] call a point) is
+//!   the reference they are tested against.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.
@@ -48,7 +53,7 @@
 
 pub mod cache;
 pub mod emit;
-mod factors;
+pub mod factors;
 pub mod obs_counters;
 pub mod pareto;
 pub mod report;

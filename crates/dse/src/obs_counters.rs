@@ -27,14 +27,11 @@ hoisted!(
     sweep_points => "sweep.points"
 );
 hoisted!(
-    /// Points a sweep evaluated. Invariant (checked by
-    /// `ng_obs::Ledger::check`): `sweep.fresh_evals == sweep.points`
-    /// per process.
-    sweep_fresh_evals => "sweep.fresh_evals"
-);
-hoisted!(
-    /// Per-point tick from inside the sweep's workers and the guided
-    /// searcher — the live counter the progress meter samples.
+    /// Points evaluated, added from inside the sweep's workers (once
+    /// per block) and the guided searcher (once per architecture) — the
+    /// live counter the progress meter samples. Invariant (checked by
+    /// `ng_obs::Ledger::check`): `eval.ticks == sweep.points` per
+    /// sweeping process.
     eval_ticks => "eval.ticks"
 );
 hoisted!(

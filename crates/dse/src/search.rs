@@ -27,13 +27,14 @@
 //! Both strategies share the machinery that makes guided search cheap:
 //!
 //! * an architecture is an [`ArchIdx`] of axis positions in the
-//!   sweep's own index space; its app points come from
-//!   [`Space::point`] and fold through [`ArchPoint::from_app_points`],
-//!   exactly as [`crate::SweepOutcome::cross_app`] folds them;
+//!   sweep's own index space, and a probe reads the same
+//!   [`FactorTables`] the sweep evaluates from, built once per search:
+//!   [`FactorTables::arch`] evaluates the architecture's app points and
+//!   folds them through [`ArchPoint::from_app_points`], exactly as
+//!   [`crate::SweepOutcome::cross_app`] folds a sweep's, without
+//!   intermediate vectors;
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
-//! * a probe is one stateless [`ngpc::emulate`] call per app, folded
-//!   without intermediate vectors;
 //! * revisited architectures are free (an in-search memo), and only
 //!   *model evaluations* consume the budget.
 //!
@@ -46,10 +47,11 @@ use std::time::{Duration, Instant};
 
 use ng_neural::math::Pcg32;
 
+use crate::factors::FactorTables;
 use crate::obs_counters;
 use crate::pareto::StreamingFrontier;
 use crate::spec::{ArchIdx, Space, SpecError, SweepSpec, ARCH_AXES};
-use crate::sweep::{ArchPoint, EvaluatedPoint};
+use crate::sweep::ArchPoint;
 
 /// Which guided strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -175,10 +177,11 @@ pub struct SearchOutcome {
     pub stats: SearchStats,
 }
 
-/// Shared search state: the evaluation count, the visited memo, the
-/// streaming archive and the budget.
+/// Shared search state: the factor tables, the evaluation count, the
+/// visited memo, the streaming archive and the budget.
 struct SearchState<'a> {
     space: Space<'a>,
+    tables: FactorTables<'a>,
     /// Model evaluations performed.
     evaluations: usize,
     visited: HashMap<ArchIdx, ArchPoint>,
@@ -206,11 +209,7 @@ impl SearchState<'_> {
             return None;
         }
         self.evaluations += apps;
-        let space = &self.space;
-        let arch = ArchPoint::from_app_points((0..apps).map(|app_i| {
-            obs_counters::eval_ticks().incr();
-            EvaluatedPoint::evaluate(&space.point(idx, app_i))
-        }));
+        let arch = self.tables.arch(idx);
         self.visited.insert(*idx, arch);
         if self.archive.insert(arch.objectives(), (*idx, arch)) {
             self.archive_generation += 1;
@@ -282,16 +281,23 @@ impl Searcher {
         self
     }
 
-    /// Run a guided search over `spec`'s space.
+    /// Run a guided search over `spec`'s space: build its factor
+    /// tables on the calling thread, then drive the strategy.
     pub fn run(&self, spec: &SweepSpec, search: &SearchSpec) -> Result<SearchOutcome, SpecError> {
+        let _span = ng_obs::span("search");
+        let started = Instant::now();
         spec.validate()?;
         if search.budget == 0 {
             return Err(SpecError::Invalid("search budget must be nonzero".to_string()));
         }
-        let _span = ng_obs::span("search");
-        let started = Instant::now();
+        let space = Space::new(spec);
+        let tables = {
+            let _span = ng_obs::span("tables");
+            FactorTables::new(space)
+        };
         let mut state = SearchState {
-            space: Space::new(spec),
+            space,
+            tables,
             evaluations: 0,
             visited: HashMap::new(),
             archive: StreamingFrontier::new(),

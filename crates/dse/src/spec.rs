@@ -8,7 +8,7 @@
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::math::Pcg32;
-use ngpc::{EmulatorInput, NfpConfig};
+use ngpc::{EmulatorInput, NfpConfig, NgpcConfig};
 
 use crate::pareto::Constraints;
 
@@ -117,20 +117,22 @@ pub struct DesignPoint {
 impl DesignPoint {
     /// The emulator input for this point.
     pub fn emulator_input(&self) -> EmulatorInput {
-        EmulatorInput::builder()
-            .app(self.app)
-            .encoding(self.encoding)
-            .pixels(self.pixels)
-            .nfp_units(self.nfp_units)
-            .clock_ghz(self.clock_ghz)
-            .grid_sram_bytes(self.grid_sram_kb as usize * 1024)
-            .grid_sram_banks(self.grid_sram_banks)
-            .encoding_engines(self.encoding_engines)
-            .mac_rows(self.mac_rows)
-            .mac_cols(self.mac_cols)
-            .lanes_per_engine(self.lanes_per_engine)
-            .input_fifo_depth(self.input_fifo_depth)
-            .build()
+        EmulatorInput {
+            app: self.app,
+            encoding: self.encoding,
+            pixels: self.pixels,
+            nfp_units: self.nfp_units,
+            nfp: NfpConfig {
+                encoding_engines: self.encoding_engines,
+                grid_sram_bytes: self.grid_sram_kb as usize * 1024,
+                grid_sram_banks: self.grid_sram_banks,
+                lanes_per_engine: self.lanes_per_engine,
+                mac_rows: self.mac_rows,
+                mac_cols: self.mac_cols,
+                input_fifo_depth: self.input_fifo_depth,
+                clock_ghz: self.clock_ghz,
+            },
+        }
     }
 }
 
@@ -177,7 +179,7 @@ impl Default for SweepSpec {
             apps: AppKind::ALL.to_vec(),
             encodings: vec![EncodingKind::MultiResHashGrid],
             pixels: vec![FHD_PIXELS],
-            nfp_units: ngpc::NgpcConfig::SCALING_FACTORS.to_vec(),
+            nfp_units: NgpcConfig::SCALING_FACTORS.to_vec(),
             clock_ghz: vec![1.0],
             grid_sram_kb: vec![1024],
             grid_sram_banks: vec![8],
@@ -366,54 +368,36 @@ impl SweepSpec {
                 )));
             }
         }
-        for &n in &self.nfp_units {
-            if n == 0 || n > 1024 {
-                return Err(SpecError::Invalid(format!("nfp_units {n} outside 1..=1024")));
-            }
+        // Every other bound is the model's own: each value of
+        // `nfp_units` and of every NFP axis, set on the default spec's
+        // first point, must pass `NgpcConfig::validate`. Its field
+        // checks are independent, so this accepts exactly the specs
+        // whose every point is valid.
+        fn each<T: Copy + std::fmt::Display>(
+            axis: &str,
+            values: &[T],
+            set: impl Fn(&mut DesignPoint, T),
+        ) -> Result<(), SpecError> {
+            let default = SweepSpec::default();
+            let base = Space::new(&default).point(&[0; ARCH_AXES], 0);
+            values.iter().try_for_each(|&v| {
+                let mut point = base;
+                set(&mut point, v);
+                let input = point.emulator_input();
+                NgpcConfig { nfp_units: input.nfp_units, nfp: input.nfp }
+                    .validate()
+                    .map_err(|e| SpecError::Invalid(format!("axis `{axis}` value {v}: {e}")))
+            })
         }
-        // Degenerate NFP-microarchitecture values get spec-level errors
-        // (a sweep must fail fast, not panic mid-evaluation). The
-        // bounds mirror `NfpConfig::validate`.
-        for &e in &self.encoding_engines {
-            if e == 0 || e > 64 {
-                return Err(SpecError::Invalid(format!("encoding_engines {e} outside 1..=64")));
-            }
-        }
-        for &r in &self.mac_rows {
-            if r == 0 || r > 1024 {
-                return Err(SpecError::Invalid(format!("mac_rows {r} outside 1..=1024")));
-            }
-        }
-        for &c in &self.mac_cols {
-            if c == 0 || c > 1024 {
-                return Err(SpecError::Invalid(format!("mac_cols {c} outside 1..=1024")));
-            }
-        }
-        for &l in &self.lanes_per_engine {
-            if l == 0 || l > 16 {
-                return Err(SpecError::Invalid(format!("lanes_per_engine {l} outside 1..=16")));
-            }
-        }
-        for &d in &self.input_fifo_depth {
-            if d == 0 || d > 4096 {
-                return Err(SpecError::Invalid(format!("input_fifo_depth {d} outside 1..=4096")));
-            }
-        }
-        // One emulator-level validation per NFP-axis combination; the
-        // product of the three swept NFP axes is small by construction.
-        for &clock in &self.clock_ghz {
-            for &kb in &self.grid_sram_kb {
-                for &banks in &self.grid_sram_banks {
-                    let nfp = NfpConfig {
-                        clock_ghz: clock,
-                        grid_sram_bytes: kb as usize * 1024,
-                        grid_sram_banks: banks,
-                        ..NfpConfig::default()
-                    };
-                    nfp.validate().map_err(|e| SpecError::Invalid(e.to_string()))?;
-                }
-            }
-        }
+        each("nfp_units", &self.nfp_units, |p, v| p.nfp_units = v)?;
+        each("clock_ghz", &self.clock_ghz, |p, v| p.clock_ghz = v)?;
+        each("grid_sram_kb", &self.grid_sram_kb, |p, v| p.grid_sram_kb = v)?;
+        each("grid_sram_banks", &self.grid_sram_banks, |p, v| p.grid_sram_banks = v)?;
+        each("encoding_engines", &self.encoding_engines, |p, v| p.encoding_engines = v)?;
+        each("mac_rows", &self.mac_rows, |p, v| p.mac_rows = v)?;
+        each("mac_cols", &self.mac_cols, |p, v| p.mac_cols = v)?;
+        each("lanes_per_engine", &self.lanes_per_engine, |p, v| p.lanes_per_engine = v)?;
+        each("input_fifo_depth", &self.input_fifo_depth, |p, v| p.input_fifo_depth = v)?;
         Ok(())
     }
 
@@ -553,8 +537,12 @@ impl<'a> Space<'a> {
     /// The design point of architecture `idx` under app number `app_i`,
     /// carrying its spec index `app_i * arch_count + arch`.
     pub fn point(&self, idx: &ArchIdx, app_i: usize) -> DesignPoint {
-        let arch = idx.iter().zip(&self.dims).fold(0, |flat, (&i, &d)| flat * d + i as usize);
-        self.at(idx, app_i, app_i * self.arch_count() + arch)
+        self.at(idx, app_i, app_i * self.arch_count() + self.flat(idx))
+    }
+
+    /// The flat arch number of `idx`: the inverse of [`Space::decode`].
+    pub(crate) fn flat(&self, idx: &ArchIdx) -> usize {
+        idx.iter().zip(&self.dims).fold(0, |flat, (&i, &d)| flat * d + i as usize)
     }
 
     /// The position → value mapping: the point at `idx` under app
@@ -907,31 +895,36 @@ mod tests {
         assert_eq!(paper_points, 4 * 4);
     }
 
+    /// Validate `spec` after `mutate`, expecting a spec-level error
+    /// (not a mid-sweep panic) that names the axis and the value.
+    fn assert_rejected(mutate: fn(&mut SweepSpec), axis_and_value: &str) {
+        let mut spec = SweepSpec::quick();
+        mutate(&mut spec);
+        match spec.validate() {
+            Err(SpecError::Invalid(m)) => {
+                assert!(m.starts_with(&format!("{axis_and_value}: ")), "{m}")
+            }
+            other => panic!("{axis_and_value}: expected Invalid, got {other:?}"),
+        }
+    }
+
     #[test]
     fn validation_rejects_degenerate_engine_and_mac_axes() {
-        // Each degenerate value must fail at the spec layer with its
-        // own message, not panic mid-sweep.
-        type Mutator = fn(&mut SweepSpec);
-        let cases: [(&str, Mutator, &str); 6] = [
-            ("zero engines", |s| s.encoding_engines = vec![0], "encoding_engines 0 outside 1..=64"),
-            (
-                "huge engines",
-                |s| s.encoding_engines = vec![128],
-                "encoding_engines 128 outside 1..=64",
-            ),
-            ("zero mac_rows", |s| s.mac_rows = vec![0], "mac_rows 0 outside 1..=1024"),
-            ("huge mac_rows", |s| s.mac_rows = vec![2048], "mac_rows 2048 outside 1..=1024"),
-            ("zero mac_cols", |s| s.mac_cols = vec![0], "mac_cols 0 outside 1..=1024"),
-            ("huge mac_cols", |s| s.mac_cols = vec![4096], "mac_cols 4096 outside 1..=1024"),
-        ];
-        for (what, mutate, message) in cases {
-            let mut spec = SweepSpec::quick();
-            mutate(&mut spec);
-            match spec.validate() {
-                Err(SpecError::Invalid(m)) => assert_eq!(m, message, "{what}"),
-                other => panic!("{what}: expected Invalid, got {other:?}"),
-            }
-        }
+        assert_rejected(|s| s.encoding_engines = vec![0], "axis `encoding_engines` value 0");
+        assert_rejected(
+            |s| s.encoding_engines = vec![16, 128],
+            "axis `encoding_engines` value 128",
+        );
+        assert_rejected(|s| s.mac_rows = vec![0], "axis `mac_rows` value 0");
+        assert_rejected(|s| s.mac_rows = vec![2048], "axis `mac_rows` value 2048");
+        assert_rejected(|s| s.mac_cols = vec![0], "axis `mac_cols` value 0");
+        assert_rejected(|s| s.mac_cols = vec![4096], "axis `mac_cols` value 4096");
+        assert_rejected(|s| s.nfp_units = vec![8, 0], "axis `nfp_units` value 0");
+        assert_rejected(|s| s.nfp_units = vec![1025], "axis `nfp_units` value 1025");
+        assert_rejected(|s| s.grid_sram_kb = vec![2], "axis `grid_sram_kb` value 2");
+        assert_rejected(|s| s.grid_sram_banks = vec![8, 3], "axis `grid_sram_banks` value 3");
+        assert_rejected(|s| s.clock_ghz = vec![0.05], "axis `clock_ghz` value 0.05");
+        assert_rejected(|s| s.clock_ghz = vec![f64::NAN], "axis `clock_ghz` value NaN");
         // Empty axes are rejected like every other axis.
         let mut spec = SweepSpec::quick();
         spec.mac_rows.clear();
@@ -939,6 +932,23 @@ mod tests {
             spec.validate(),
             Err(SpecError::Invalid("axis `mac_rows` is empty".to_string()))
         );
+    }
+
+    #[test]
+    fn validation_accepts_every_bound_of_the_model() {
+        let spec = SweepSpec {
+            nfp_units: vec![1, 1024],
+            clock_ghz: vec![0.1, 5.0],
+            grid_sram_kb: vec![4, 1 << 20],
+            grid_sram_banks: vec![1, 1 << 31],
+            encoding_engines: vec![1, 64],
+            mac_rows: vec![1, 1024],
+            mac_cols: vec![1, 1024],
+            lanes_per_engine: vec![1, 16],
+            input_fifo_depth: vec![1, 4096],
+            ..SweepSpec::quick()
+        };
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]
@@ -984,26 +994,10 @@ mod tests {
 
     #[test]
     fn validation_rejects_degenerate_lane_and_fifo_axes() {
-        // Spec-level errors, not mid-sweep panics, for the new axes.
-        type Mutator = fn(&mut SweepSpec);
-        let cases: [(&str, Mutator, &str); 4] = [
-            ("zero lanes", |s| s.lanes_per_engine = vec![0], "lanes_per_engine 0 outside 1..=16"),
-            ("huge lanes", |s| s.lanes_per_engine = vec![32], "lanes_per_engine 32 outside 1..=16"),
-            ("zero fifo", |s| s.input_fifo_depth = vec![0], "input_fifo_depth 0 outside 1..=4096"),
-            (
-                "huge fifo",
-                |s| s.input_fifo_depth = vec![8192],
-                "input_fifo_depth 8192 outside 1..=4096",
-            ),
-        ];
-        for (what, mutate, message) in cases {
-            let mut spec = SweepSpec::quick();
-            mutate(&mut spec);
-            match spec.validate() {
-                Err(SpecError::Invalid(m)) => assert_eq!(m, message, "{what}"),
-                other => panic!("{what}: expected Invalid, got {other:?}"),
-            }
-        }
+        assert_rejected(|s| s.lanes_per_engine = vec![0], "axis `lanes_per_engine` value 0");
+        assert_rejected(|s| s.lanes_per_engine = vec![32], "axis `lanes_per_engine` value 32");
+        assert_rejected(|s| s.input_fifo_depth = vec![0], "axis `input_fifo_depth` value 0");
+        assert_rejected(|s| s.input_fifo_depth = vec![8192], "axis `input_fifo_depth` value 8192");
         let mut spec = SweepSpec::quick();
         spec.input_fifo_depth.clear();
         assert_eq!(

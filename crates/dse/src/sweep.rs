@@ -33,11 +33,6 @@ pub struct EvaluatedPoint {
 }
 
 impl EvaluatedPoint {
-    /// Evaluate `point` through [`ngpc::emulate`].
-    pub(crate) fn evaluate(point: &DesignPoint) -> Self {
-        Self::from_result(*point, &ngpc::emulate(&point.emulator_input()))
-    }
-
     /// `point` with the emulator outputs the frontier and reports read.
     pub(crate) fn from_result(point: DesignPoint, r: &ngpc::EmulationResult) -> Self {
         EvaluatedPoint {
@@ -288,8 +283,9 @@ pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<Arch
 
 /// Evaluate design points one [`ngpc::emulate`] call each, on up to
 /// `threads` scoped workers: one result per point, in input order,
-/// bit-identical regardless of thread count. The sweep evaluates from
-/// factor tables instead; this is the reference it is tested against.
+/// bit-identical regardless of thread count. The sweep and the searcher
+/// evaluate from factor tables instead; this is the reference they are
+/// tested against.
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
     let _span = ng_obs::span("evaluate");
     let ticks = obs_counters::eval_ticks();
@@ -297,7 +293,10 @@ pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedP
         points.iter().copied().map(EvaluatedPoint::pending).collect();
     fill_chunks(&mut out, threads, |_, slots| {
         for slot in slots.iter_mut() {
-            *slot = EvaluatedPoint::evaluate(&slot.point);
+            *slot = EvaluatedPoint::from_result(
+                slot.point,
+                &ngpc::emulate(&slot.point.emulator_input()),
+            );
         }
         ticks.add(slots.len() as u64);
     });
@@ -397,7 +396,6 @@ impl SweepEngine {
         );
         let points = evaluate_space(Space::new(spec), threads);
         meter.finish();
-        obs_counters::sweep_fresh_evals().add(points.len() as u64);
 
         Ok(SweepOutcome {
             spec: spec.clone(),
@@ -433,13 +431,8 @@ mod tests {
     fn sweep_matches_direct_emulation_in_spec_order() {
         let spec = SweepSpec::quick();
         let outcome = engine().run(&spec).unwrap();
-        assert_eq!(outcome.points.len(), spec.point_count());
-        for (i, ep) in outcome.points.iter().enumerate() {
-            assert_eq!(ep.point.index, i);
-            let direct = ngpc::emulate(&ep.point.emulator_input());
-            assert_eq!(ep.speedup, direct.speedup, "point {i}");
-            assert_eq!(ep.area_pct_of_gpu, direct.area_pct_of_gpu);
-        }
+        assert_eq!(outcome.points, evaluate_points(&spec.points(), 1));
+        assert!(outcome.points.iter().enumerate().all(|(i, ep)| ep.point.index == i));
         assert_eq!(outcome.stats.evaluated, spec.point_count());
     }
 

@@ -5,10 +5,14 @@
 //! over every axis: random subsets in random order, single-value axes,
 //! the app axis out of enum order, and thread counts whose chunks cross
 //! app boundaries. A table keyed on fewer axes than its factor reads
-//! fails here.
+//! fails here. The searcher's per-architecture fold,
+//! [`FactorTables::arch`], is pinned the same way on random
+//! architectures of the same specs.
 
+use ng_dse::factors::FactorTables;
+use ng_dse::spec::Space;
 use ng_dse::sweep::evaluate_points;
-use ng_dse::{EvaluatedPoint, SweepEngine, SweepSpec};
+use ng_dse::{ArchPoint, EvaluatedPoint, SweepEngine, SweepSpec};
 use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::math::Pcg32;
 use proptest::prelude::*;
@@ -99,6 +103,37 @@ proptest! {
                     want
                 );
             }
+        }
+    }
+}
+
+/// The bits of every objective of an architecture, with the rest of it.
+fn arch_bits(a: &ArchPoint) -> (ArchPoint, [u64; 3]) {
+    (*a, [a.avg_speedup, a.area_pct_of_gpu, a.power_pct_of_gpu].map(f64::to_bits))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn arch_fold_matches_emulate_bit_for_bit(seed in 0u64..u64::MAX) {
+        let spec = random_spec(seed);
+        let space = Space::new(&spec);
+        let tables = FactorTables::new(space);
+        let mut rng = Pcg32::new(seed ^ 0xa5c4);
+        for _ in 0..16 {
+            let idx = space.random(&mut rng);
+            let points: Vec<_> = (0..spec.apps.len()).map(|a| space.point(&idx, a)).collect();
+            let want = ArchPoint::from_app_points(evaluate_points(&points, 1));
+            let got = tables.arch(&idx);
+            prop_assert!(
+                arch_bits(&got) == arch_bits(&want),
+                "{} arch {:?}: {:?} vs {:?}",
+                spec.name,
+                idx,
+                got,
+                want
+            );
         }
     }
 }

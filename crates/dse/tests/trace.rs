@@ -55,7 +55,6 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
     };
     let points = get("sweep.points");
     assert!(points > 0, "traced run evaluated no points");
-    assert_eq!(get("sweep.fresh_evals"), points, "fresh_evals != points");
     assert_eq!(get("eval.ticks"), points, "eval.ticks != points");
 
     // The `dse trace --check` subcommand agrees, on its own exit code.
@@ -126,13 +125,48 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
         counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
     };
     assert_eq!(get("sweep.points"), 9720);
-    assert_eq!(get("sweep.fresh_evals"), 9720, "fresh_evals != points");
     assert_eq!(get("eval.ticks"), 9720, "eval.ticks != points");
 
     let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
     assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
     assert!(out.contains("dse/sweep/evaluate/tables"), "stage table lacks the tables:\n{out}");
-    assert!(out.contains("counter invariant (fresh_evals == points): holds"), "{out}");
+    assert!(out.contains("counter invariant (eval.ticks == sweep.points): holds"), "{out}");
+
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// A guided search builds the same factor tables under `search/tables`
+/// and ticks once per evaluated point; it sweeps nothing, so the sweep
+/// invariant has no process to hold for.
+#[test]
+fn traced_search_shows_the_table_stage_and_ticks_every_evaluation() {
+    let ledger_path = temp_path("search.jsonl");
+    let _ = std::fs::remove_file(&ledger_path);
+    let ledger_s = ledger_path.display().to_string();
+
+    let (out, err, ok) = dse(
+        &["--search", "--preset", "paper", "--budget", "400", "--quiet", "--trace", &ledger_s],
+        &[],
+    );
+    assert!(ok, "traced search failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
+    for stage in ["dse/search/tables", "dse/search/drive"] {
+        assert!(stages.iter().any(|p| p == stage), "no {stage} span: {stages:?}");
+    }
+    let counters = ledger.final_counters();
+    let ticks = counters.iter().find(|((_, n), _)| n == "eval.ticks").map(|(_, v)| *v);
+    // "guided search `paper` (hill): N of 1440 points evaluated ..."
+    let evaluations = out.split("): ").nth(1).and_then(|rest| rest.split(' ').next());
+    let evaluations = evaluations.and_then(|n| n.parse::<u64>().ok());
+    assert!(evaluations.is_some_and(|n| n > 0 && n <= 400), "{out}");
+    assert_eq!(ticks, evaluations, "eval.ticks != evaluations:\n{out}");
+    assert!(counters.iter().all(|((_, n), _)| n != "sweep.points"));
+
+    let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
+    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
+    assert!(out.contains("holds for 0 sweeping process(es)"), "{out}");
 
     let _ = std::fs::remove_file(&ledger_path);
 }

@@ -118,8 +118,9 @@ fn model_ratio(app: AppKind, encoding: EncodingKind) -> f64 {
     static CACHE: OnceLock<Vec<((AppKind, EncodingKind), f64)>> = OnceLock::new();
     let table = CACHE.get_or_init(|| {
         // The span nests under whatever span the first caller holds:
-        // in a sweep that is the calling thread's `evaluate/tables`,
-        // which builds the GPU breakdowns before any worker starts.
+        // the calling thread's `sweep/evaluate/tables` in a sweep, or
+        // `search/tables` in a search. Both build the GPU breakdowns
+        // before anything reads them.
         let _span = ng_obs::span("calib-ratios");
         ng_obs::counter("calib.computes").incr();
         compute_ratio_table()

@@ -14,8 +14,8 @@
 //!   stack, mirroring [`crate::span`]'s in-process accounting.
 //! * [`Ledger::check`] — the run health verdict: do spans balance, do
 //!   the named stages cover the root span's wall time, and does
-//!   `sweep.fresh_evals == sweep.points` hold for every process that
-//!   swept points.
+//!   `eval.ticks == sweep.points` hold for every process that swept
+//!   points (a skipped or doubled chunk of work breaks it).
 //! * [`Ledger::chrome_trace`] — the same events as Chrome
 //!   `trace.json` (open in chrome://tracing or ui.perfetto.dev).
 
@@ -190,8 +190,8 @@ pub struct LedgerCheck {
     pub coverage: f64,
     /// Path and total of the root span coverage was measured on.
     pub root: Option<(String, u64)>,
-    /// Violations of `sweep.fresh_evals == sweep.points`, one message
-    /// per offending process.
+    /// Violations of `eval.ticks == sweep.points`, one message per
+    /// offending process.
     pub invariant_violations: Vec<String>,
     /// Processes whose final counters included `sweep.points`.
     pub sweeping_pids: usize,
@@ -344,19 +344,19 @@ impl Ledger {
             }
         }
 
-        // Invariant: per sweeping process, every point was evaluated.
+        // Invariant: per sweeping process, every point was evaluated
+        // exactly once.
         let counters = self.final_counters();
         for ((pid, name), &points) in counters.iter() {
             if name != "sweep.points" || points == 0 {
                 continue;
             }
             check.sweeping_pids += 1;
-            let fresh =
-                counters.get(&(*pid, "sweep.fresh_evals".to_string())).copied().unwrap_or(0);
-            if fresh != points {
+            let ticks = counters.get(&(*pid, "eval.ticks".to_string())).copied().unwrap_or(0);
+            if ticks != points {
                 check
                     .invariant_violations
-                    .push(format!("pid {pid}: fresh_evals ({fresh}) != points ({points})"));
+                    .push(format!("pid {pid}: eval.ticks ({ticks}) != points ({points})"));
             }
         }
         check
@@ -474,19 +474,35 @@ mod tests {
     fn counter_invariant_is_per_process() {
         let good = [
             ctr(1, "sweep.points", 100),
-            ctr(1, "sweep.fresh_evals", 100),
+            ctr(1, "eval.ticks", 100),
             ctr(2, "sweep.points", 10),
-            ctr(2, "sweep.fresh_evals", 10),
+            ctr(2, "eval.ticks", 10),
+            // A search ticks without sweeping: not a sweeping process.
+            ctr(4, "eval.ticks", 36),
         ]
         .join("\n");
         let check = Ledger::parse(&good).check();
         assert_eq!(check.sweeping_pids, 2);
         assert!(check.invariant_violations.is_empty());
 
-        let bad = [ctr(3, "sweep.points", 100), ctr(3, "sweep.fresh_evals", 60)].join("\n");
+        // A doubled chunk: ticks overshoot.
+        let bad = [ctr(3, "sweep.points", 100), ctr(3, "eval.ticks", 160)].join("\n");
         let check = Ledger::parse(&bad).check();
         assert_eq!(check.invariant_violations.len(), 1);
         assert!(check.invariant_violations[0].contains("pid 3"));
+    }
+
+    #[test]
+    fn counter_invariant_fails_when_ticks_fall_short() {
+        // A skipped chunk: fewer ticks than points, or none at all.
+        for ticks in [ctr(5, "eval.ticks", 96), String::new()] {
+            let text = [ctr(5, "sweep.points", 100), ticks].join("\n");
+            let check = Ledger::parse(&text).check();
+            assert_eq!(check.sweeping_pids, 1);
+            assert_eq!(check.invariant_violations.len(), 1, "{text}");
+            assert!(check.invariant_violations[0].contains("eval.ticks"));
+            assert!(!check.ok(0.0));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`counter`] — process-global named counters
 //!   ([`counter::counter`]): lock-free atomic adds on the hot path, a
 //!   registry snapshot for end-of-run metrics, and the raw material for
-//!   run invariants (`sweep.fresh_evals == sweep.points`).
+//!   run invariants (`eval.ticks == sweep.points`).
 //! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
 //!   thread-local stack tracks nesting, every span end folds into an
 //!   in-process profile (call counts, total vs. *self* time), and —

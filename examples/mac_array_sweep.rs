@@ -1,5 +1,5 @@
 //! The MAC-array / engine-count axes end to end: probe single points
-//! through the public `EmulatorInput` builder, then sweep the
+//! through the public `EmulatorInput` fields, then sweep the
 //! `mac-arrays` preset with `ng-dse` and read off which NFP
 //! microarchitectures are worth their silicon.
 //!
@@ -18,13 +18,13 @@ use ngpc::emulator::{emulate, mac_engine_factor, per_sample_cycles, EmulatorInpu
 use ngpc::NfpConfig;
 
 fn main() {
-    // 1. Single points through the builder: shrink the MAC array,
-    //    shrink the engine gang, and watch the cycle model charge both.
-    let paper = EmulatorInput::builder().app(AppKind::Nsdf).nfp_units(16).build();
-    let narrow =
-        EmulatorInput::builder().app(AppKind::Nsdf).nfp_units(16).mac_rows(32).mac_cols(32).build();
-    let few_engines =
-        EmulatorInput::builder().app(AppKind::Nsdf).nfp_units(16).encoding_engines(8).build();
+    // 1. Single points: shrink the MAC array, shrink the engine gang,
+    //    and watch the cycle model charge both.
+    let nsdf_16 =
+        |nfp| EmulatorInput { app: AppKind::Nsdf, nfp_units: 16, nfp, ..Default::default() };
+    let paper = nsdf_16(NfpConfig::default());
+    let narrow = nsdf_16(NfpConfig { mac_rows: 32, mac_cols: 32, ..NfpConfig::default() });
+    let few_engines = nsdf_16(NfpConfig { encoding_engines: 8, ..NfpConfig::default() });
     println!("NSDF on NGPC-16 (hashgrid):");
     for (label, input) in [
         ("64x64 / 16 engines", &paper),
