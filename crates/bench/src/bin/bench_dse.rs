@@ -1,16 +1,19 @@
 //! `bench_dse` — the tracked perf harness of the DSE pipeline.
 //!
 //! Times each tracked preset's sweep (every point evaluated in memory,
-//! as `dse` runs it) [`RUNS`] times in one process, and the budgeted
-//! guided searcher over the exploded guided-lanes space as often. It
-//! writes a machine-readable `BENCH_dse.json`: one entry per preset
-//! (`{preset, points, runs, median_s, min_s, max_s,
-//! median_points_per_sec, counters_per_run}`) for the paper, mac-arrays
-//! and guided-lanes presets, a `guided` entry for the searcher
-//! (`{space_points, budget, evaluations, runs, median_s, min_s, max_s,
+//! as `dse` runs it) [`RUNS`] times in one process with `ng-obs`
+//! recording off and [`RUNS`] times with it on, alternating, and the
+//! budgeted guided searcher over the exploded guided-lanes space the
+//! same way. It writes a machine-readable `BENCH_dse.json`: one entry
+//! per preset (`{preset, points, runs, median_s, min_s, max_s,
+//! median_points_per_sec, recording_on_median_s, counters_per_run}`)
+//! for the paper, mac-arrays and guided-lanes presets, a `guided` entry
+//! for the searcher (`{space_points, budget, evaluations, runs,
+//! median_s, min_s, max_s, recording_on_median_s,
 //! recovered_headline}`), and a closing `stage_profile_us` breakdown of
-//! where this process's wall time went (per span path, summed over the
-//! runs). `counters_per_run` holds the `ng-obs` counter growth of one
+//! where the recording-on runs' wall time went (per span path, summed
+//! over the runs, from their ledgers). The row medians are recording
+//! off. `counters_per_run` holds the `ng-obs` counter growth of one
 //! sweep.
 //!
 //! ```text
@@ -18,12 +21,11 @@
 //! ```
 //!
 //! `--quick` benches the 16-point quick preset instead of the tracked
-//! presets; `--check-overhead` compares this run's median paper-preset
-//! throughput (tracing off) against the median recorded in the
-//! committed `BENCH_dse.json` and fails if it fell below half of it — a
-//! deliberately generous floor (CI machines are noisy) whose job is to
-//! catch the instrumentation becoming accidentally hot, not 5%
-//! regressions.
+//! presets; `--check-overhead` fails if the paper preset's median
+//! throughput with recording on fell below half of its median with
+//! recording off, both measured in this run — a deliberately generous
+//! floor (CI machines are noisy) whose job is to catch the
+//! instrumentation becoming accidentally hot, not 5% regressions.
 
 use std::fs;
 use std::process::ExitCode;
@@ -71,10 +73,27 @@ impl Spread {
     }
 }
 
+/// Time `run` [`RUNS`] times with recording off and [`RUNS`] times with
+/// it on, alternating (off first, so a first-run cost lands on the
+/// off side), and append each recorded run's ledger to `ledger`.
+/// Returns the (off, on) spreads.
+fn alternate(ledger: &mut String, mut run: impl FnMut() -> Duration) -> (Spread, Spread) {
+    let mut off = Vec::with_capacity(RUNS);
+    let mut on = Vec::with_capacity(RUNS);
+    for _ in 0..RUNS {
+        off.push(run());
+        ng_obs::sink::enable();
+        on.push(run());
+        ledger.push_str(&ng_obs::sink::finish());
+    }
+    (Spread::of(off), Spread::of(on))
+}
+
 struct PresetBench {
     name: String,
     points: usize,
     spread: Spread,
+    recording_on: Spread,
     /// Counter growth during one sweep, `(name, delta)` in name order —
     /// the observability cross-check that the timing numbers measured
     /// what they claim (e.g. `eval.ticks == points`).
@@ -87,33 +106,33 @@ impl PresetBench {
     }
 }
 
-fn bench_preset(spec: &SweepSpec) -> PresetBench {
-    let mut counters_per_run = Vec::new();
-    let times = (0..RUNS)
-        .map(|run| {
-            let before = ng_obs::counter::snapshot();
-            let started = Instant::now();
-            let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
-            let elapsed = started.elapsed();
-            assert_eq!(outcome.stats.evaluated, spec.point_count());
-            if run == 0 {
-                counters_per_run = ng_obs::counter::snapshot()
-                    .delta_since(&before)
-                    .iter()
-                    .map(|(name, v)| (name.to_string(), v))
-                    .collect();
-            }
-            elapsed
-        })
-        .collect();
+fn bench_preset(spec: &SweepSpec, ledger: &mut String) -> PresetBench {
+    let mut counters_per_run = None;
+    let (spread, recording_on) = alternate(ledger, || {
+        let before = ng_obs::counter::snapshot();
+        let started = Instant::now();
+        let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
+        let elapsed = started.elapsed();
+        assert_eq!(outcome.stats.evaluated, spec.point_count());
+        counters_per_run.get_or_insert_with(|| {
+            ng_obs::counter::snapshot()
+                .delta_since(&before)
+                .iter()
+                .map(|(name, v)| (name.to_string(), v))
+                .collect()
+        });
+        elapsed
+    });
     let bench = PresetBench {
         name: spec.name.clone(),
         points: spec.point_count(),
-        spread: Spread::of(times),
-        counters_per_run,
+        spread,
+        recording_on,
+        counters_per_run: counters_per_run.expect("RUNS > 0"),
     };
     println!("[{}]", bench.name);
     println!("sweep:  {}  ({} points)", bench.spread.line(), bench.points);
+    println!("traced: {}", bench.recording_on.line());
     bench
 }
 
@@ -123,22 +142,29 @@ struct GuidedBench {
     budget: usize,
     evaluations: usize,
     spread: Spread,
+    recording_on: Spread,
     recovered_headline: bool,
 }
 
-fn bench_guided() -> GuidedBench {
+fn bench_guided(ledger: &mut String) -> GuidedBench {
     let spec = SweepSpec::guided_lanes();
     let search = SearchSpec::for_space(&spec);
-    let outcomes: Vec<_> =
-        (0..RUNS).map(|_| Searcher::new().run(&spec, &search).expect("preset validates")).collect();
-    let outcome = &outcomes[0];
+    let mut first = None;
+    let (spread, recording_on) = alternate(ledger, || {
+        let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
+        let wall = outcome.stats.wall;
+        first.get_or_insert(outcome);
+        wall
+    });
+    let outcome = first.expect("RUNS > 0");
     let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
     let stats = &outcome.stats;
     let bench = GuidedBench {
         space_points: stats.space_points,
         budget: stats.budget,
         evaluations: stats.evaluations,
-        spread: Spread::of(outcomes.iter().map(|o| o.stats.wall).collect()),
+        spread,
+        recording_on,
         recovered_headline: recovered,
     };
     println!("[guided-lanes --search]");
@@ -150,21 +176,8 @@ fn bench_guided() -> GuidedBench {
         100.0 * stats.budget_fraction_used(),
         if recovered { "recovered" } else { "MISSED" },
     );
+    println!("traced: {}", bench.recording_on.line());
     bench
-}
-
-/// The `median_points_per_sec` recorded for `preset` in the committed
-/// trajectory file, extracted with a string scan (the file is written
-/// by this binary, so the shape is known; no JSON dependency needed).
-fn baseline_median_throughput(path: &str, preset: &str) -> Option<f64> {
-    let text = fs::read_to_string(path).ok()?;
-    let entry = text.find(&format!("\"preset\": \"{preset}\""))?;
-    let tail = &text[entry..];
-    let key = "\"median_points_per_sec\":";
-    let field = tail.find(key)?;
-    let value = tail[field + key.len()..].trim_start();
-    let end = value.find([',', '\n', '}'])?;
-    value[..end].trim().parse().ok()
 }
 
 fn main() -> ExitCode {
@@ -192,23 +205,6 @@ fn main() -> ExitCode {
         }
     }
 
-    // The overhead baseline comes from the *committed* trajectory file,
-    // read before anything overwrites it.
-    let overhead_baseline = if check_overhead {
-        match baseline_median_throughput("BENCH_dse.json", "paper") {
-            Some(t) => Some(t),
-            None => {
-                eprintln!(
-                    "bench_dse: --check-overhead needs a committed BENCH_dse.json with a \
-                     `paper` preset entry"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     // GPU-model calibration is memoized per process, so only the
     // *first* preset's first sweep pays it (~0.02 ms). Keep `paper`
     // first so the trajectory stays comparable across PRs.
@@ -227,10 +223,11 @@ fn main() -> ExitCode {
         }
     });
 
-    let benches: Vec<PresetBench> = specs.iter().map(bench_preset).collect();
+    let mut ledger = String::new();
+    let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &mut ledger)).collect();
     // The guided searcher is benched on the full runs only (its space
     // is a full preset; a --quick run has nothing to search).
-    let guided = if quick { None } else { Some(bench_guided()) };
+    let guided = if quick { None } else { Some(bench_guided(&mut ledger)) };
 
     let entries: Vec<String> = benches
         .iter()
@@ -242,12 +239,13 @@ fn main() -> ExitCode {
                 .collect();
             format!(
                 "    {{\n      \"preset\": \"{}\",\n      \"points\": {},\n      {},\n      \
-                 \"median_points_per_sec\": {},\n      \"counters_per_run\": {{\n{}\n      }}\n    \
-                 }}",
+                 \"median_points_per_sec\": {},\n      \"recording_on_median_s\": {},\n      \
+                 \"counters_per_run\": {{\n{}\n      }}\n    }}",
                 b.name,
                 b.points,
                 b.spread.json("      "),
                 b.median_points_per_sec(),
+                b.recording_on.median_s,
                 counters.join(",\n"),
             )
         })
@@ -258,24 +256,25 @@ fn main() -> ExitCode {
             format!(
                 ",\n  \"guided\": {{\n    \"preset\": \"guided-lanes\",\n    \
                  \"space_points\": {},\n    \"budget\": {},\n    \"evaluations\": {},\n    \
-                 {},\n    \"recovered_headline\": {}\n  }}",
+                 {},\n    \"recording_on_median_s\": {},\n    \"recovered_headline\": {}\n  }}",
                 g.space_points,
                 g.budget,
                 g.evaluations,
                 g.spread.json("    "),
+                g.recording_on.median_s,
                 g.recovered_headline,
             )
         })
         .unwrap_or_default();
-    // Where this process's wall time went, per span path — the same
-    // stage breakdown `dse trace` reconstructs from a ledger, taken
-    // from the in-process profile registry.
-    let stage_rows: Vec<String> = ng_obs::profile_snapshot()
+    // Where the recording-on runs' wall time went, per span path — the
+    // stage breakdown `dse trace` prints, from the same ledgers.
+    let stage_rows: Vec<String> = ng_obs::Ledger::parse(&ledger)
+        .profile()
         .iter()
-        .map(|(path, s)| {
+        .map(|s| {
             format!(
-                "    \"{path}\": {{ \"calls\": {}, \"total_us\": {}, \"self_us\": {} }}",
-                s.calls, s.total_us, s.self_us
+                "    \"{}\": {{ \"calls\": {}, \"total_us\": {}, \"self_us\": {} }}",
+                s.path, s.calls, s.total_us, s.self_us
             )
         })
         .collect();
@@ -296,21 +295,22 @@ fn main() -> ExitCode {
     }
     println!("wrote {out_path}");
 
-    if let Some(baseline) = overhead_baseline {
+    if check_overhead {
         let Some(paper) = benches.iter().find(|b| b.name == "paper") else {
             eprintln!("bench_dse: --check-overhead needs the `paper` preset (drop --quick)");
             return ExitCode::FAILURE;
         };
-        let median = paper.median_points_per_sec();
-        if median < baseline * 0.5 {
+        let off = paper.median_points_per_sec();
+        let on = paper.points as f64 / paper.recording_on.median_s;
+        if on < off * 0.5 {
             eprintln!(
-                "bench_dse: REGRESSION — median tracing-off throughput on `paper` fell to \
-                 {median:.0} points/sec, below half the committed median ({baseline:.0}); the \
+                "bench_dse: REGRESSION — median throughput on `paper` with recording on fell to \
+                 {on:.0} points/sec, below half the recording-off median ({off:.0}); the \
                  instrumentation has become hot"
             );
             return ExitCode::FAILURE;
         }
-        println!("overhead check: median {median:.0} points/sec vs {baseline:.0} baseline — ok");
+        println!("overhead check: median {on:.0} points/sec recording on vs {off:.0} off — ok");
     }
 
     ExitCode::SUCCESS

@@ -9,6 +9,8 @@
 //! dse --search evolve --preset guided-lanes --budget 8000 --seed 7
 //! ```
 
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -58,21 +60,22 @@ EXECUTION:
                          is asked for
 
 OBSERVABILITY:
-    --trace PATH         record a JSONL run ledger (spans, counters) to
-                         PATH
-    --metrics            print the in-process stage profile and counter
-                         deltas to stderr after the run
+    --trace PATH         record a JSONL run ledger (spans, counters) and
+                         write it to PATH after the run (overwrites)
+    --metrics            record the run and print the `dse trace`
+                         summary of it to stderr
     --quiet              suppress the live stderr progress line (stdout
                          output is byte-identical either way)
 
     dse trace LEDGER     summarize a recorded ledger: per-stage profile
-                         table, per-process counters, balance/invariant
+                         table, final counters, balance/invariant
                          verdict
       --chrome OUT.json  also export the ledger as a Chrome trace
                          (chrome://tracing, Perfetto)
-      --check            exit non-zero on unbalanced spans, counter
-                         invariant violations, or stage coverage < 95%
-                         of the root span's wall time
+      --check            exit non-zero on a ledger with no root span or
+                         with unparseable lines, unbalanced spans, a
+                         counter invariant violation, or stage coverage
+                         < 95% of the root span's wall time
       --min-coverage P   coverage floor for --check, a percent in
                          0..=100; default 95. Use 0 on very short runs,
                          where fixed startup costs dominate the root span
@@ -93,8 +96,8 @@ OUTPUT:
 EXIT CODES:
     0    success
     1    run failed (I/O, failed paper check)
-    2    usage or spec mistake (flags, spec file, constraint bounds) —
-         retrying the same invocation cannot help
+    2    usage or spec mistake (flags, spec file, ledger file,
+         constraint bounds) — retrying the same invocation cannot help
     4    a --check audit (trace --check) failed
 ";
 
@@ -425,7 +428,7 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
 }
 
 /// `dse trace LEDGER.jsonl`: summarize a recorded run ledger — the
-/// per-stage profile, per-process counters, and the balance/invariant
+/// per-stage profile, final counters, and the balance/invariant
 /// verdict — with optional Chrome trace export and CI-gate mode.
 fn run_trace(args: &[String]) -> Result<(), CliError> {
     let mut ledger_path: Option<String> = None;
@@ -466,21 +469,43 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     }
     let path =
         ledger_path.ok_or_else(|| usage_err("trace: need a LEDGER.jsonl path".to_string()))?;
-    let ledger = ng_obs::Ledger::read(Path::new(&path)).map_err(|e| format!("{path}: {e}"))?;
-    let verdict = ledger.check();
-
-    let pids: std::collections::BTreeSet<u64> =
-        ledger.events.iter().filter_map(|e| e.num_field("pid")).collect();
+    let ledger =
+        ng_obs::Ledger::read(Path::new(&path)).map_err(|e| usage_err(format!("{path}: {e}")))?;
     println!(
-        "ledger {path}: {} events from {} process(es), {} skipped line(s)",
+        "ledger {path}: {} events, {} skipped line(s)",
         ledger.events.len(),
-        pids.len(),
         ledger.skipped_lines
     );
+    print!("{}", summary(&ledger));
 
+    if let Some(out) = chrome {
+        std::fs::write(&out, ledger.chrome_trace())
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        println!("wrote Chrome trace to {out} (load in chrome://tracing or Perfetto)");
+    }
+    let verdict = ledger.check();
+    if check && !verdict.ok(min_coverage / 100.0) {
+        return Err(check_err(format!(
+            "trace --check failed: root span {}, {} skipped line(s), coverage {:.1}% \
+             (need >= {min_coverage}%), {} unbalanced span(s), counter invariant {}",
+            if verdict.root.is_some() { "recorded" } else { "missing" },
+            verdict.skipped_lines,
+            100.0 * verdict.coverage,
+            verdict.unbalanced.len(),
+            if verdict.invariant_violated() { "violated" } else { "holds" },
+        )));
+    }
+    Ok(())
+}
+
+/// What `dse trace` and `--metrics` print about a recorded run: the
+/// per-stage profile, the final counters and the health verdict.
+fn summary(ledger: &ng_obs::Ledger) -> String {
+    let verdict = ledger.check();
+    let mut out = String::new();
     let profile = ledger.profile();
     if profile.is_empty() {
-        println!("no spans recorded");
+        out.push_str("no spans recorded\n");
     } else {
         let root_total = verdict.root.as_ref().map(|(_, t)| *t).unwrap_or(0);
         let rows: Vec<Vec<String>> = profile
@@ -500,90 +525,47 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
                 ]
             })
             .collect();
-        print!(
-            "\n{}",
-            ng_dse::report::render_table(
-                &["stage", "calls", "total ms", "self ms", "% of root"],
-                &rows
-            )
-        );
+        out.push('\n');
+        out.push_str(&ng_dse::report::render_table(
+            &["stage", "calls", "total ms", "self ms", "% of root"],
+            &rows,
+        ));
     }
 
     let counters = ledger.final_counters();
     if !counters.is_empty() {
-        println!("\ncounters (final cumulative value per process):");
-        for ((pid, name), val) in &counters {
-            println!("  pid {pid}  {name} = {val}");
+        out.push_str("\ncounters (final values):\n");
+        for (name, val) in &counters {
+            let _ = writeln!(out, "  {name} = {val}");
         }
     }
 
-    println!();
-    match verdict.root {
-        Some((ref root, total)) => println!(
+    out.push('\n');
+    let _ = match verdict.root {
+        Some((ref root, total)) => writeln!(
+            out,
             "root span: {root} ({:.2} ms); stage coverage {:.1}%",
             total as f64 / 1000.0,
             100.0 * verdict.coverage
         ),
-        None => println!("root span: none recorded"),
-    }
-    if verdict.unbalanced.is_empty() {
-        println!("spans: balanced");
+        None => writeln!(out, "root span: none recorded"),
+    };
+    let _ = if verdict.unbalanced.is_empty() {
+        writeln!(out, "spans: balanced")
     } else {
-        println!("spans: UNBALANCED — {}", verdict.unbalanced.join(", "));
-    }
-    if verdict.invariant_violations.is_empty() {
-        println!(
-            "counter invariant (eval.ticks == sweep.points): holds for {} sweeping process(es)",
-            verdict.sweeping_pids
-        );
-    } else {
-        for v in &verdict.invariant_violations {
-            println!("counter invariant VIOLATED: {v}");
+        writeln!(out, "spans: UNBALANCED — {}", verdict.unbalanced.join(", "))
+    };
+    let _ = match verdict.sweep {
+        None => writeln!(out, "counter invariant (eval.ticks == sweep.points): no sweep recorded"),
+        Some((ticks, points)) if ticks == points => {
+            writeln!(out, "counter invariant (eval.ticks == sweep.points): holds ({points} points)")
         }
-    }
-
-    if let Some(out) = chrome {
-        std::fs::write(&out, ledger.chrome_trace())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote Chrome trace to {out} (load in chrome://tracing or Perfetto)");
-    }
-    if check && !verdict.ok(min_coverage / 100.0) {
-        return Err(check_err(format!(
-            "trace --check failed: coverage {:.1}% (need >= {min_coverage}%), \
-             {} unbalanced span(s), {} invariant violation(s)",
-            100.0 * verdict.coverage,
-            verdict.unbalanced.len(),
-            verdict.invariant_violations.len()
-        )));
-    }
-    Ok(())
-}
-
-/// `--metrics`: the in-process stage profile and counter growth for
-/// this run, on stderr (stdout stays reserved for the report).
-fn print_metrics(before: &ng_obs::CounterSnapshot) {
-    let profile = ng_obs::profile_snapshot();
-    eprintln!("\n-- stage profile (this process) --");
-    let rows: Vec<Vec<String>> = profile
-        .iter()
-        .map(|(path, s)| {
-            vec![
-                path.clone(),
-                s.calls.to_string(),
-                format!("{:.2}", s.total_us as f64 / 1000.0),
-                format!("{:.2}", s.self_us as f64 / 1000.0),
-            ]
-        })
-        .collect();
-    eprint!("{}", ng_dse::report::render_table(&["stage", "calls", "total ms", "self ms"], &rows));
-    eprintln!("\n-- counters (growth this run) --");
-    let delta = ng_obs::counter::snapshot().delta_since(before);
-    if delta.is_empty() {
-        eprintln!("(no counters moved)");
-    }
-    for (name, val) in delta.iter() {
-        eprintln!("{name} = {val}");
-    }
+        Some((ticks, points)) => writeln!(
+            out,
+            "counter invariant VIOLATED: eval.ticks ({ticks}) != sweep.points ({points})"
+        ),
+    };
+    out
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
@@ -591,23 +573,36 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return run_trace(&args[1..]);
     }
     let Some(cli) = parse_args(args).map_err(usage_err)? else { return Ok(()) };
-    // Recording starts before the root span so the ledger sees every
-    // event.
-    if let Some(path) = &cli.trace {
-        ng_obs::sink::enable(path).map_err(|e| format!("--trace {path}: {e}"))?;
+    // Create the ledger before any work, so a bad path fails the run
+    // at once; it is written only after the root span has closed.
+    let ledger = match &cli.trace {
+        Some(path) => {
+            Some((path, std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?))
+        }
+        None => None,
+    };
+    let record = ledger.is_some() || cli.metrics;
+    if record {
+        ng_obs::sink::enable();
     }
-    let counters_before = ng_obs::counter::snapshot();
     let result = {
         let _root = ng_obs::span("dse");
         run_mode(&cli)
     };
-    // The root span is closed: flush final counter values, then the
-    // optional in-process summary.
-    ng_obs::emit_counters();
-    if cli.metrics {
-        print_metrics(&counters_before);
+    if !record {
+        return result;
     }
-    result
+    let text = ng_obs::sink::finish();
+    if cli.metrics {
+        eprint!("{}", summary(&ng_obs::Ledger::parse(&text)));
+    }
+    let written = match ledger {
+        Some((path, mut file)) => {
+            file.write_all(text.as_bytes()).map_err(|e| format!("--trace {path}: {e}").into())
+        }
+        None => Ok(()),
+    };
+    result.and(written)
 }
 
 /// Everything between the `dse` root span's open and close: mode

@@ -35,7 +35,7 @@
 //!   Every stage is instrumented with `ng-obs` spans and counters:
 //!   `dse --trace PATH` records a JSONL run ledger,
 //!   `dse trace PATH` summarizes one, and `dse --metrics` prints the
-//!   in-process profile and counters after any run.
+//!   same summary of the run it records.
 //!
 //! ## Quickstart
 //!

@@ -30,8 +30,8 @@ hoisted!(
     /// Points evaluated, added from inside the sweep's workers (once
     /// per block) and the guided searcher (once per architecture) — the
     /// live counter the progress meter samples. Invariant (checked by
-    /// `ng_obs::Ledger::check`): `eval.ticks == sweep.points` per
-    /// sweeping process.
+    /// `ng_obs::Ledger::check`): `eval.ticks == sweep.points` for a
+    /// sweep.
     eval_ticks => "eval.ticks"
 );
 hoisted!(

@@ -1,9 +1,12 @@
 //! End-to-end checks of the observability surface: a traced
 //! quick-preset run must produce a balanced, invariant-satisfying
-//! ledger; a traced multi-block sweep must show its factor-table stage
-//! and count every point once; `dse trace` must summarize and export
-//! it, and reject a coverage floor that is not a percent; and the
-//! progress meter must never leak into stdout (`--quiet` byte-parity).
+//! ledger, and a rerun must overwrite it; a traced multi-block sweep
+//! must show its factor-table stage and count every point once;
+//! `dse trace` must summarize and export it, reject a coverage floor
+//! that is not a percent, a missing ledger and one with no run in it;
+//! `--metrics` must print the same stages without touching stdout; and
+//! the progress meter must never leak into stdout (`--quiet`
+//! byte-parity).
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -40,22 +43,15 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
     assert_eq!(ledger.skipped_lines, 0, "ledger contains malformed lines");
     let verdict = ledger.check();
     assert!(verdict.unbalanced.is_empty(), "unbalanced spans: {:?}", verdict.unbalanced);
-    assert!(
-        verdict.invariant_violations.is_empty(),
-        "counter invariant violated: {:?}",
-        verdict.invariant_violations
-    );
-    assert!(verdict.sweeping_pids >= 1, "no process recorded sweep counters");
+    assert!(!verdict.invariant_violated(), "counter invariant violated: {:?}", verdict.sweep);
+    assert!(verdict.sweep.is_some(), "the run recorded no sweep counters");
 
     // Check the invariant directly from the raw counters too, rather
     // than trusting the checker alone.
     let counters = ledger.final_counters();
-    let get = |name: &str| {
-        counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
-    };
-    let points = get("sweep.points");
+    let points = counters.get("sweep.points").copied().unwrap_or_default();
     assert!(points > 0, "traced run evaluated no points");
-    assert_eq!(get("eval.ticks"), points, "eval.ticks != points");
+    assert_eq!(counters.get("eval.ticks"), Some(&points), "eval.ticks != points");
 
     // The `dse trace --check` subcommand agrees, on its own exit code.
     // The coverage floor is waived: on a sub-millisecond quick sweep,
@@ -121,11 +117,8 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
         "no evaluate/tables span: {stages:?}"
     );
     let counters = ledger.final_counters();
-    let get = |name: &str| {
-        counters.iter().find(|((_, n), _)| n == name).map(|(_, v)| *v).unwrap_or_default()
-    };
-    assert_eq!(get("sweep.points"), 9720);
-    assert_eq!(get("eval.ticks"), 9720, "eval.ticks != points");
+    assert_eq!(counters.get("sweep.points"), Some(&9720));
+    assert_eq!(counters.get("eval.ticks"), Some(&9720), "eval.ticks != points");
 
     let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
     assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
@@ -156,18 +149,87 @@ fn traced_search_shows_the_table_stage_and_ticks_every_evaluation() {
         assert!(stages.iter().any(|p| p == stage), "no {stage} span: {stages:?}");
     }
     let counters = ledger.final_counters();
-    let ticks = counters.iter().find(|((_, n), _)| n == "eval.ticks").map(|(_, v)| *v);
+    let ticks = counters.get("eval.ticks").copied();
     // "guided search `paper` (hill): N of 1440 points evaluated ..."
     let evaluations = out.split("): ").nth(1).and_then(|rest| rest.split(' ').next());
     let evaluations = evaluations.and_then(|n| n.parse::<u64>().ok());
     assert!(evaluations.is_some_and(|n| n > 0 && n <= 400), "{out}");
     assert_eq!(ticks, evaluations, "eval.ticks != evaluations:\n{out}");
-    assert!(counters.iter().all(|((_, n), _)| n != "sweep.points"));
+    assert!(!counters.contains_key("sweep.points"));
 
     let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"], &[]);
     assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
-    assert!(out.contains("holds for 0 sweeping process(es)"), "{out}");
+    assert!(out.contains("(eval.ticks == sweep.points): no sweep recorded"), "{out}");
 
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// A ledger is written once per run: a rerun into the same path
+/// overwrites it, like `--csv` and `--json` do.
+#[test]
+fn rerun_overwrites_the_ledger() {
+    let ledger_path = temp_path("rerun.jsonl");
+    let ledger_s = ledger_path.display().to_string();
+    for _ in 0..2 {
+        let (out, err, ok) = dse(&["--preset", "quick", "--quiet", "--trace", &ledger_s], &[]);
+        assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    }
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let root = ledger.profile().into_iter().find(|s| s.path == "dse").expect("a dse root span");
+    assert_eq!(root.calls, 1, "the second run appended to the first run's ledger");
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// A missing ledger is a usage mistake (2), as a missing spec file is;
+/// a file that records no run fails the audit (4) even with the
+/// coverage floor waived.
+#[test]
+fn trace_rejects_a_missing_ledger_and_one_with_no_run() {
+    let code = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_dse")).args(args).output().expect("dse runs");
+        out.status.code()
+    };
+    let missing = temp_path("missing.jsonl");
+    let _ = std::fs::remove_file(&missing);
+    assert_eq!(code(&["trace", &missing.display().to_string()]), Some(2));
+
+    let empty = temp_path("empty.jsonl");
+    std::fs::write(&empty, "").expect("write empty ledger");
+    let empty_s = empty.display().to_string();
+    assert_eq!(code(&["trace", &empty_s]), Some(0), "without --check the summary still prints");
+    assert_eq!(code(&["trace", &empty_s, "--check", "--min-coverage", "0"]), Some(4));
+    let _ = std::fs::remove_file(&empty);
+}
+
+/// `--metrics` records the run and prints the `dse trace` summary of it
+/// to stderr: the same stages the `--trace` ledger of that run holds,
+/// and stdout byte-identical to a run without it, except for the
+/// wall-clock throughput line.
+#[test]
+fn metrics_prints_the_ledger_stages_and_leaves_stdout_alone() {
+    let varying = |line: &&str| !line.starts_with("evaluation:");
+    let ledger_path = temp_path("metrics.jsonl");
+    let ledger_s = ledger_path.display().to_string();
+
+    let (plain, err, ok) = dse(&["--preset", "quick", "--quiet"], &[]);
+    assert!(ok, "plain run failed:\n{err}");
+    let (metered, err, ok) =
+        dse(&["--preset", "quick", "--quiet", "--metrics", "--trace", &ledger_s], &[]);
+    assert!(ok, "--metrics run failed:\n{err}");
+    let plain: Vec<&str> = plain.lines().filter(varying).collect();
+    let metered: Vec<&str> = metered.lines().filter(varying).collect();
+    assert_eq!(plain, metered, "--metrics changed stdout");
+
+    let printed: Vec<&str> = err
+        .lines()
+        .filter_map(|line| line.split_whitespace().next())
+        .filter(|first| *first == "dse" || first.starts_with("dse/"))
+        .collect();
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let recorded: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
+    assert!(recorded.iter().any(|p| p == "dse/sweep/evaluate"), "{recorded:?}");
+    assert_eq!(printed, recorded, "--metrics stages differ from the ledger's:\n{err}");
+    assert!(err.contains("spans: balanced"), "{err}");
     let _ = std::fs::remove_file(&ledger_path);
 }
 
@@ -233,12 +295,7 @@ fn json_reuses_the_reported_frontier() {
         assert!(ok, "{tag} run failed:\nstdout:\n{out}\nstderr:\n{err}");
         let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
         let _ = std::fs::remove_file(&ledger_path);
-        ledger
-            .final_counters()
-            .into_iter()
-            .find(|((_, name), _)| name == "frontier.inserts")
-            .map(|(_, v)| v)
-            .expect("frontier.inserts recorded")
+        ledger.final_counters().get("frontier.inserts").copied().expect("frontier.inserts recorded")
     };
     let plain = inserts("plain", &[]);
     let with_json = inserts("json", &["--json", &json_s]);

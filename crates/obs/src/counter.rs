@@ -7,9 +7,9 @@
 //! `OnceLock`s.
 //!
 //! Counters are *cumulative for the process lifetime*. Callers that
-//! want per-run numbers (the `--metrics` summary, `bench_dse`'s
-//! per-phase snapshots) take a [`snapshot`] before and after and diff
-//! with [`CounterSnapshot::delta_since`]. There is deliberately no
+//! want per-run numbers (`bench_dse`'s per-sweep counters) take a
+//! [`snapshot`] before and after and diff with
+//! [`CounterSnapshot::delta_since`]. There is deliberately no
 //! global reset: tests and benches run concurrently in one process,
 //! and a reset would yank the rug from under every other reader.
 //!

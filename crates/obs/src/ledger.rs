@@ -1,20 +1,21 @@
 //! The read side of the event ledger: parse, profile, check, export.
 //!
-//! A ledger is whatever [`crate::sink`] appended — possibly from
-//! several processes, possibly ending in a torn line if a writer
-//! crashed mid-append. [`Ledger::read`] therefore parses leniently:
-//! every line that is a well-formed flat JSON object becomes an
-//! [`Event`]; anything else (torn tail, stray garbage) is counted in
-//! [`Ledger::skipped_lines`] and ignored.
+//! A ledger is the text [`crate::sink::finish`] returned for one run,
+//! but the file handed to `dse trace` is input from outside the
+//! program. [`Ledger::read`] therefore parses leniently: every line
+//! that is a well-formed flat JSON object becomes an [`Event`];
+//! anything else (a truncated file, stray garbage) is counted in
+//! [`Ledger::skipped_lines`] and ignored, and [`LedgerCheck::ok`]
+//! rejects it.
 //!
-//! From the events we rebuild exactly what the live process knew:
+//! From the events we rebuild what the run measured:
 //!
 //! * [`Ledger::profile`] — per-stage aggregates (calls, total, self
-//!   time) reconstructed by replaying `sb`/`se` per `(pid, tid)`
-//!   stack, mirroring [`crate::span`]'s in-process accounting.
-//! * [`Ledger::check`] — the run health verdict: do spans balance, do
-//!   the named stages cover the root span's wall time, and does
-//!   `eval.ticks == sweep.points` hold for every process that swept
+//!   time) reconstructed by replaying `sb`/`se` through one stack per
+//!   thread.
+//! * [`Ledger::check`] — the run health verdict: is there a root span,
+//!   do spans balance, do the named stages cover the root span's wall
+//!   time, and does `eval.ticks == sweep.points` hold if the run swept
 //!   points (a skipped or doubled chunk of work breaks it).
 //! * [`Ledger::chrome_trace`] — the same events as Chrome
 //!   `trace.json` (open in chrome://tracing or ui.perfetto.dev).
@@ -41,7 +42,7 @@ enum Field {
 }
 
 impl Event {
-    /// The event kind (`meta`, `sb`, `se`, `ctr`), or `""`.
+    /// The event kind (`sb`, `se`, `ctr`), or `""`.
     pub fn kind(&self) -> &str {
         self.str_field("ev").unwrap_or("")
     }
@@ -159,13 +160,12 @@ fn parse_event(line: &str) -> Option<Event> {
 pub struct Ledger {
     /// Events in file order.
     pub events: Vec<Event>,
-    /// Lines that did not parse as events (a torn final line from a
-    /// crashed writer lands here, by design).
+    /// Lines that did not parse as events.
     pub skipped_lines: usize,
 }
 
 /// Per-stage aggregate reconstructed from the ledger, one per span
-/// path (summed across processes and threads).
+/// path (summed across threads).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageProfile {
     /// `/`-joined span path, e.g. `dse/sweep/evaluate`.
@@ -190,18 +190,27 @@ pub struct LedgerCheck {
     pub coverage: f64,
     /// Path and total of the root span coverage was measured on.
     pub root: Option<(String, u64)>,
-    /// Violations of `eval.ticks == sweep.points`, one message per
-    /// offending process.
-    pub invariant_violations: Vec<String>,
-    /// Processes whose final counters included `sweep.points`.
-    pub sweeping_pids: usize,
+    /// The run's final `(eval.ticks, sweep.points)`, when it swept
+    /// points; the invariant is that the two are equal.
+    pub sweep: Option<(u64, u64)>,
+    /// [`Ledger::skipped_lines`]: a written ledger has none.
+    pub skipped_lines: usize,
 }
 
 impl LedgerCheck {
-    /// Overall verdict at a given coverage floor.
+    /// Whether the run swept points and counted a different number of
+    /// evaluations.
+    pub fn invariant_violated(&self) -> bool {
+        self.sweep.is_some_and(|(ticks, points)| ticks != points)
+    }
+
+    /// Overall verdict at a given coverage floor: a ledger with no root
+    /// span, or with lines that did not parse, records no whole run.
     pub fn ok(&self, coverage_min: f64) -> bool {
-        self.unbalanced.is_empty()
-            && self.invariant_violations.is_empty()
+        self.root.is_some()
+            && self.skipped_lines == 0
+            && self.unbalanced.is_empty()
+            && !self.invariant_violated()
             && self.coverage >= coverage_min
     }
 }
@@ -234,30 +243,28 @@ impl Ledger {
         self.events.iter().filter(move |e| e.kind() == kind)
     }
 
-    /// Final value of every counter, per process: the last `ctr` event
-    /// wins for each `(pid, name)`.
-    pub fn final_counters(&self) -> BTreeMap<(u64, String), u64> {
+    /// Final value of every counter: the last `ctr` event wins for
+    /// each name.
+    pub fn final_counters(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
         for ev in self.of_kind("ctr") {
-            if let (Some(pid), Some(name), Some(val)) =
-                (ev.num_field("pid"), ev.str_field("name"), ev.num_field("val"))
-            {
-                out.insert((pid, name.to_string()), val);
+            if let (Some(name), Some(val)) = (ev.str_field("name"), ev.num_field("val")) {
+                out.insert(name.to_string(), val);
             }
         }
         out
     }
 
     /// Rebuild the per-stage profile by replaying `sb`/`se` through a
-    /// stack per `(pid, tid)` — the offline mirror of the in-process
-    /// accounting in [`crate::span`]. Unbalanced events are tolerated
-    /// here (dropped); [`Ledger::check`] is where they become errors.
+    /// stack per thread: self time is a span's duration minus its
+    /// direct children's. Unbalanced events are tolerated here
+    /// (dropped); [`Ledger::check`] is where they become errors.
     pub fn profile(&self) -> Vec<StageProfile> {
-        // Per-(pid,tid) stack of (path, child_us).
-        let mut stacks: BTreeMap<(u64, u64), Vec<(String, u64)>> = BTreeMap::new();
+        // Per-tid stack of (path, child_us).
+        let mut stacks: BTreeMap<u64, Vec<(String, u64)>> = BTreeMap::new();
         let mut agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
         for ev in self.events.iter() {
-            let key = (ev.num_field("pid").unwrap_or(0), ev.num_field("tid").unwrap_or(0));
+            let key = ev.num_field("tid").unwrap_or(0);
             match ev.kind() {
                 "sb" => {
                     if let Some(path) = ev.str_field("path") {
@@ -299,12 +306,12 @@ impl Ledger {
     /// Run the health checks: span balance, stage coverage of the
     /// largest root span, and the sweep-accounting invariant.
     pub fn check(&self) -> LedgerCheck {
-        let mut check = LedgerCheck::default();
+        let mut check = LedgerCheck { skipped_lines: self.skipped_lines, ..Default::default() };
 
         // Balance: replay stacks; a close must match the innermost open.
-        let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
+        let mut stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
         for ev in self.events.iter() {
-            let key = (ev.num_field("pid").unwrap_or(0), ev.num_field("tid").unwrap_or(0));
+            let key = ev.num_field("tid").unwrap_or(0);
             match ev.kind() {
                 "sb" => {
                     if let Some(path) = ev.str_field("path") {
@@ -331,9 +338,9 @@ impl Ledger {
         check.unbalanced.sort();
         check.unbalanced.dedup();
 
-        // Coverage: on the largest root span (the process-level root on
-        // the main thread), how much wall time did named child stages
-        // account for? 1 − self/total, from the reconstructed profile.
+        // Coverage: on the largest root span (the run's root on the main
+        // thread), how much wall time did named child stages account
+        // for? 1 − self/total, from the reconstructed profile.
         let profile = self.profile();
         if let Some(root) =
             profile.iter().filter(|p| !p.path.contains('/')).max_by_key(|p| p.total_us)
@@ -344,20 +351,10 @@ impl Ledger {
             }
         }
 
-        // Invariant: per sweeping process, every point was evaluated
-        // exactly once.
+        // Invariant: a sweep evaluated every point exactly once.
         let counters = self.final_counters();
-        for ((pid, name), &points) in counters.iter() {
-            if name != "sweep.points" || points == 0 {
-                continue;
-            }
-            check.sweeping_pids += 1;
-            let ticks = counters.get(&(*pid, "eval.ticks".to_string())).copied().unwrap_or(0);
-            if ticks != points {
-                check
-                    .invariant_violations
-                    .push(format!("pid {pid}: eval.ticks ({ticks}) != points ({points})"));
-            }
+        if let Some(&points) = counters.get("sweep.points").filter(|&&points| points > 0) {
+            check.sweep = Some((counters.get("eval.ticks").copied().unwrap_or(0), points));
         }
         check
     }
@@ -399,23 +396,23 @@ impl Ledger {
 mod tests {
     use super::*;
 
-    fn sb(pid: u64, tid: u64, path: &str, ts: u64) -> String {
-        format!("{{\"ev\":\"sb\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"path\":\"{path}\"}}")
+    fn sb(tid: u64, path: &str, ts: u64) -> String {
+        format!("{{\"ev\":\"sb\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\"path\":\"{path}\"}}")
     }
-    fn se(pid: u64, tid: u64, path: &str, ts: u64, dur: u64) -> String {
+    fn se(tid: u64, path: &str, ts: u64, dur: u64) -> String {
         format!(
-            "{{\"ev\":\"se\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
+            "{{\"ev\":\"se\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\
              \"path\":\"{path}\",\"dur\":{dur}}}"
         )
     }
-    fn ctr(pid: u64, name: &str, val: u64) -> String {
-        format!("{{\"ev\":\"ctr\",\"ts\":0,\"pid\":{pid},\"name\":\"{name}\",\"val\":{val}}}")
+    fn ctr(name: &str, val: u64) -> String {
+        format!("{{\"ev\":\"ctr\",\"ts\":0,\"pid\":1,\"name\":\"{name}\",\"val\":{val}}}")
     }
 
     #[test]
     fn parses_writer_shapes_and_skips_garbage() {
         let text = [
-            "{\"ev\":\"meta\",\"ts\":1,\"pid\":7,\"k\":\"preset\",\"v\":\"quick \\\"q\\\"\"}",
+            "{\"ev\":\"sb\",\"ts\":1,\"pid\":7,\"tid\":0,\"path\":\"quick \\\"q\\\"\"}",
             "",
             "not json",
             "{\"ev\":\"ctr\",\"ts\":2,\"pid\":7,\"name\":\"sweep.points\",\"val\":128}",
@@ -425,20 +422,20 @@ mod tests {
         let ledger = Ledger::parse(&text);
         assert_eq!(ledger.events.len(), 2);
         assert_eq!(ledger.skipped_lines, 2);
-        assert_eq!(ledger.events[0].str_field("v"), Some("quick \"q\""));
+        assert_eq!(ledger.events[0].str_field("path"), Some("quick \"q\""));
         assert_eq!(ledger.events[1].num_field("val"), Some(128));
     }
 
     #[test]
-    fn profile_mirrors_in_process_accounting() {
-        // root(100) wrapping child(60), plus a second process's root.
+    fn profile_charges_self_time_per_thread() {
+        // root(100) wrapping child(60), plus a second thread's root.
         let text = [
-            sb(1, 0, "dse", 0),
-            sb(1, 0, "dse/sweep", 10),
-            se(1, 0, "dse/sweep", 70, 60),
-            se(1, 0, "dse", 100, 100),
-            sb(2, 0, "dse", 0),
-            se(2, 0, "dse", 40, 40),
+            sb(0, "dse", 0),
+            sb(0, "dse/sweep", 10),
+            sb(1, "dse", 20),
+            se(0, "dse/sweep", 70, 60),
+            se(1, "dse", 60, 40),
+            se(0, "dse", 100, 100),
         ]
         .join("\n");
         let profile = Ledger::parse(&text).profile();
@@ -451,10 +448,10 @@ mod tests {
     #[test]
     fn check_flags_imbalance_and_measures_coverage() {
         let balanced = [
-            sb(1, 0, "dse", 0),
-            sb(1, 0, "dse/sweep", 0),
-            se(1, 0, "dse/sweep", 96, 96),
-            se(1, 0, "dse", 100, 100),
+            sb(0, "dse", 0),
+            sb(0, "dse/sweep", 0),
+            se(0, "dse/sweep", 96, 96),
+            se(0, "dse", 100, 100),
         ]
         .join("\n");
         let check = Ledger::parse(&balanced).check();
@@ -463,51 +460,79 @@ mod tests {
         assert!(check.ok(0.95));
         assert!(!check.ok(0.97));
 
-        let torn =
-            [sb(1, 0, "dse", 0), sb(1, 0, "dse/sweep", 0), se(1, 0, "dse", 100, 100)].join("\n");
+        let torn = [sb(0, "dse", 0), sb(0, "dse/sweep", 0), se(0, "dse", 100, 100)].join("\n");
         let check = Ledger::parse(&torn).check();
         assert!(!check.unbalanced.is_empty());
         assert!(!check.ok(0.0));
     }
 
+    /// `dse trace --check --min-coverage 0` must not pass a file that
+    /// records no run: an empty file, unparseable lines, or counters
+    /// without any span.
     #[test]
-    fn counter_invariant_is_per_process() {
-        let good = [
-            ctr(1, "sweep.points", 100),
-            ctr(1, "eval.ticks", 100),
-            ctr(2, "sweep.points", 10),
-            ctr(2, "eval.ticks", 10),
-            // A search ticks without sweeping: not a sweeping process.
-            ctr(4, "eval.ticks", 36),
-        ]
-        .join("\n");
-        let check = Ledger::parse(&good).check();
-        assert_eq!(check.sweeping_pids, 2);
-        assert!(check.invariant_violations.is_empty());
+    fn check_rejects_a_ledger_with_no_run() {
+        let counters_only = [ctr("sweep.points", 16), ctr("eval.ticks", 16)].join("\n");
+        for text in ["", "not json\n{\"ev\":\"sb\",\"ts\":3,\"pa", &counters_only] {
+            let check = Ledger::parse(text).check();
+            assert!(check.root.is_none(), "{text:?}");
+            assert!(!check.ok(0.0), "{text:?} passed the check");
+        }
+
+        // A whole run with one foreign line appended is no longer the
+        // ledger the run wrote.
+        let run = [sb(0, "dse", 0), se(0, "dse", 100, 100), "garbage".to_string()].join("\n");
+        let check = Ledger::parse(&run).check();
+        assert_eq!(check.skipped_lines, 1);
+        assert!(check.unbalanced.is_empty() && check.root.is_some());
+        assert!(!check.ok(0.0));
+    }
+
+    #[test]
+    fn counter_invariant_reads_the_final_values() {
+        let run = |lines: &[String]| {
+            let mut text = vec![sb(0, "dse", 0), se(0, "dse", 100, 100)];
+            text.extend_from_slice(lines);
+            Ledger::parse(&text.join("\n")).check()
+        };
+        // Cumulative values: the last line per name wins.
+        let good = run(&[
+            ctr("sweep.points", 10),
+            ctr("eval.ticks", 10),
+            ctr("sweep.points", 100),
+            ctr("eval.ticks", 100),
+        ]);
+        assert_eq!(good.sweep, Some((100, 100)));
+        assert!(!good.invariant_violated());
+        assert!(good.ok(0.0));
+
+        // A search ticks without sweeping: there is no sweep to check.
+        let search = run(&[ctr("eval.ticks", 36)]);
+        assert_eq!(search.sweep, None);
+        assert!(search.ok(0.0));
 
         // A doubled chunk: ticks overshoot.
-        let bad = [ctr(3, "sweep.points", 100), ctr(3, "eval.ticks", 160)].join("\n");
-        let check = Ledger::parse(&bad).check();
-        assert_eq!(check.invariant_violations.len(), 1);
-        assert!(check.invariant_violations[0].contains("pid 3"));
+        let bad = run(&[ctr("sweep.points", 100), ctr("eval.ticks", 160)]);
+        assert_eq!(bad.sweep, Some((160, 100)));
+        assert!(bad.invariant_violated());
+        assert!(!bad.ok(0.0));
     }
 
     #[test]
     fn counter_invariant_fails_when_ticks_fall_short() {
         // A skipped chunk: fewer ticks than points, or none at all.
-        for ticks in [ctr(5, "eval.ticks", 96), String::new()] {
-            let text = [ctr(5, "sweep.points", 100), ticks].join("\n");
-            let check = Ledger::parse(&text).check();
-            assert_eq!(check.sweeping_pids, 1);
-            assert_eq!(check.invariant_violations.len(), 1, "{text}");
-            assert!(check.invariant_violations[0].contains("eval.ticks"));
+        for (ticks, seen) in [(vec![ctr("eval.ticks", 96)], 96), (vec![], 0)] {
+            let mut text = vec![sb(0, "dse", 0), se(0, "dse", 100, 100), ctr("sweep.points", 100)];
+            text.extend(ticks);
+            let check = Ledger::parse(&text.join("\n")).check();
+            assert_eq!(check.sweep, Some((seen, 100)));
+            assert!(check.invariant_violated());
             assert!(!check.ok(0.0));
         }
     }
 
     #[test]
     fn chrome_trace_pairs_b_and_e() {
-        let text = [sb(1, 0, "dse/sweep", 5), se(1, 0, "dse/sweep", 25, 20)].join("\n");
+        let text = [sb(0, "dse/sweep", 5), se(0, "dse/sweep", 25, 20)].join("\n");
         let trace = Ledger::parse(&text).chrome_trace();
         assert!(trace.trim_start().starts_with('['));
         assert!(trace.trim_end().ends_with(']'));

@@ -13,18 +13,16 @@
 //!   registry snapshot for end-of-run metrics, and the raw material for
 //!   run invariants (`eval.ticks == sweep.points`).
 //! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
-//!   thread-local stack tracks nesting, every span end folds into an
-//!   in-process profile (call counts, total vs. *self* time), and —
-//!   when recording is on — emits begin/end events to the ledger.
-//! * [`sink`] — the recording layer: a crash-safe append-only JSONL
-//!   event ledger (exclusive advisory lock per append, every write a
-//!   whole newline-terminated line, torn tails tolerated by readers).
-//!   Enabled by [`sink::enable`] (the `dse --trace` path); a disabled
-//!   sink costs one relaxed atomic load per would-be event.
-//! * [`ledger`] — the read side: parse a ledger (tolerating a torn
-//!   final line), rebuild the per-stage profile, check span balance,
-//!   stage coverage and counter invariants, and export Chrome
-//!   `trace.json` for chrome://tracing.
+//!   thread-local stack tracks nesting, and while recording is on each
+//!   span emits begin/end events to the ledger.
+//! * [`sink`] — the recording layer: one run's JSONL event ledger, held
+//!   in memory from [`sink::enable`] to [`sink::finish`], which appends
+//!   the final counter values and hands back the text for the caller
+//!   to write once (the `dse --trace` and `--metrics` path).
+//! * [`ledger`] — the read side: parse a ledger (skipping lines it
+//!   cannot read), rebuild the per-stage profile with self time, check
+//!   for a root span, span balance, stage coverage and the counter
+//!   invariant, and export Chrome `trace.json` for chrome://tracing.
 //!
 //! [`progress`] is the small extra: a single-line stderr meter that
 //! samples a counter in the background — long sweeps get a live
@@ -34,14 +32,15 @@
 //! ## Overhead budget
 //!
 //! Counters are one `AtomicU64::fetch_add` each (~1 ns); handles are
-//! looked up once and hoisted out of loops. Spans cost two
-//! `Instant::now` calls plus one short mutex section at end — they are
-//! meant for *stages* (a sweep's evaluate phase, a search's drive loop), never
-//! for per-point work. With recording off nothing touches a file; with
-//! recording on, span begin/end events each pay one locked append. The
-//! contract, guarded by `bench_dse --check-overhead`: tracing off must
-//! keep sweep throughput within noise of the tracked `BENCH_dse.json`
-//! trajectory.
+//! looked up once and hoisted out of loops. With recording off a span
+//! is one relaxed atomic load and an inert guard. With recording on it
+//! costs two `Instant::now` calls and two formatted lines pushed under
+//! a short mutex section — spans are meant for *stages* (a sweep's
+//! evaluate phase, a search's drive loop), never for per-point work.
+//! Nothing touches a file until the run is over. The contract, guarded
+//! by `bench_dse --check-overhead`: recording on must keep the paper
+//! preset's median sweep throughput above half of recording off's,
+//! both measured in the same process.
 
 pub mod counter;
 pub mod ledger;
@@ -52,14 +51,11 @@ pub mod span;
 pub use counter::{counter, Counter, CounterSnapshot};
 pub use ledger::{Ledger, LedgerCheck, StageProfile};
 pub use progress::{stderr_wants_progress, Meter};
-pub use sink::{append_jsonl_line, emit_counters, emit_meta};
-pub use span::{profile_snapshot, span, SpanGuard};
+pub use span::{span, SpanGuard};
 
 /// Microseconds since the UNIX epoch — the wall-clock timestamp every
-/// ledger event carries. Wall time (not a process-local monotonic
-/// anchor) so events from several processes sharing one ledger land
-/// on one comparable axis; durations, by contrast, are always measured
-/// with `Instant`.
+/// ledger event carries, so a Chrome trace shows when the run happened;
+/// durations, by contrast, are always measured with `Instant`.
 pub fn epoch_us() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)

@@ -3,27 +3,22 @@
 //! [`span`] opens a named span on the current thread and returns a
 //! [`SpanGuard`]; dropping the guard closes it. A thread-local stack
 //! tracks nesting, so a span opened while another is live becomes its
-//! child and its duration is charged to the parent's *child time*. At
-//! close, the span folds into a process-global profile keyed by its
-//! `/`-joined path (`dse/sweep/evaluate`): call count, total time, and
-//! *self* time (total minus time spent in children) — the number that
-//! makes a profile sum to ~100% instead of double-counting nesting.
+//! child, and its path is the `/`-joined chain of names
+//! (`dse/sweep/evaluate`).
 //!
-//! When the [`crate::sink`] is recording, each span additionally emits
-//! an `sb` event at open and an `se` event (with measured duration) at
-//! close, so the ledger can rebuild the same profile offline, check
-//! that spans balance, and export a Chrome trace.
+//! Spans only exist while the [`crate::sink`] is recording: then each
+//! span pushes an `sb` event at open and an `se` event (with measured
+//! duration) at close, and [`crate::Ledger::profile`] rebuilds the
+//! per-stage calls, total and *self* time from them. With recording
+//! off, [`span`] returns an inert guard after one relaxed load.
 //!
-//! Spans are for *stages* — a sweep's lookup/evaluate/append phases, a
-//! search's drive loop — never per-point work; the per-call cost (two
-//! `Instant::now`s and a short mutex section at close, plus two locked
-//! file appends when recording) is trivial at stage granularity and
-//! ruinous at point granularity. Per-point visibility is what
-//! [`crate::counter`] is for.
+//! Spans are for *stages* — a sweep's evaluate phase, a search's drive
+//! loop — never per-point work; the per-call cost when recording (two
+//! `Instant::now`s, two formatted lines and two short mutex sections)
+//! is trivial at stage granularity and ruinous at point granularity.
+//! Per-point visibility is what [`crate::counter`] is for.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::sink;
@@ -32,8 +27,6 @@ struct Frame {
     /// `/`-joined path down to and including this span.
     path: String,
     start: Instant,
-    /// Accumulated durations of direct children, in microseconds.
-    child_us: u64,
 }
 
 thread_local! {
@@ -51,22 +44,25 @@ thread_local! {
 /// } // both close here, innermost first
 /// ```
 pub fn span(name: &'static str) -> SpanGuard {
+    if !sink::recording() {
+        return SpanGuard { armed: false };
+    }
     let path = STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         let path = match stack.last() {
             Some(parent) => format!("{}/{name}", parent.path),
             None => name.to_string(),
         };
-        stack.push(Frame { path: path.clone(), start: Instant::now(), child_us: 0 });
+        stack.push(Frame { path: path.clone(), start: Instant::now() });
         path
     });
-    sink::emit_span_begin(&path);
+    sink::span_begin(&path);
     SpanGuard { armed: true }
 }
 
 /// Closes its span when dropped. Guards must drop in reverse open
 /// order (the natural result of lexical scoping); a guard that
-/// outlives a later-opened one would mis-attribute child time.
+/// outlives a later-opened one would close the wrong path.
 #[must_use = "a span measures the extent of its guard — bind it with `let _s = span(..)`"]
 pub struct SpanGuard {
     armed: bool,
@@ -77,113 +73,79 @@ impl Drop for SpanGuard {
         if !self.armed {
             return;
         }
-        let closed = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let frame = stack.pop()?;
-            let total_us = frame.start.elapsed().as_micros() as u64;
-            if let Some(parent) = stack.last_mut() {
-                parent.child_us += total_us;
-            }
-            Some((frame, total_us))
-        });
-        let Some((frame, total_us)) = closed else {
-            return;
-        };
-        let self_us = total_us.saturating_sub(frame.child_us);
-        {
-            let mut profile = profile().lock().expect("span profile never poisoned");
-            let stat = profile.entry(frame.path.clone()).or_default();
-            stat.calls += 1;
-            stat.total_us += total_us;
-            stat.self_us += self_us;
+        if let Some(frame) = STACK.with(|stack| stack.borrow_mut().pop()) {
+            sink::span_end(&frame.path, frame.start.elapsed().as_micros() as u64);
         }
-        sink::emit_span_end(&frame.path, total_us);
     }
-}
-
-/// Per-path aggregate across every closed span with that path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Number of spans closed at this path.
-    pub calls: u64,
-    /// Sum of span durations, microseconds.
-    pub total_us: u64,
-    /// Sum of durations minus time in child spans, microseconds.
-    pub self_us: u64,
-}
-
-fn profile() -> &'static Mutex<BTreeMap<String, SpanStat>> {
-    static PROFILE: OnceLock<Mutex<BTreeMap<String, SpanStat>>> = OnceLock::new();
-    PROFILE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// The in-process profile: every closed span path with its aggregate
-/// stats, in path order. Like counters, cumulative for the process —
-/// diff two snapshots for a per-run view.
-pub fn profile_snapshot() -> Vec<(String, SpanStat)> {
-    let profile = profile().lock().expect("span profile never poisoned");
-    profile.iter().map(|(path, stat)| (path.clone(), *stat)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StageProfile;
+    use std::sync::Mutex;
     use std::time::Duration;
 
-    fn stat(path: &str) -> SpanStat {
-        profile_snapshot().into_iter().find(|(p, _)| p == path).map(|(_, s)| s).unwrap_or_default()
+    /// Run `f` with recording on and return the profile of its ledger.
+    /// Recording is process-global and tests run concurrently, so the
+    /// tests that record take turns.
+    fn record(f: impl FnOnce()) -> Vec<StageProfile> {
+        static TURN: Mutex<()> = Mutex::new(());
+        let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        sink::enable();
+        f();
+        crate::Ledger::parse(&sink::finish()).profile()
+    }
+
+    fn stat<'a>(profile: &'a [StageProfile], path: &str) -> &'a StageProfile {
+        profile.iter().find(|p| p.path == path).unwrap_or_else(|| panic!("no {path}: {profile:?}"))
     }
 
     #[test]
     fn nesting_builds_paths_and_charges_self_time() {
-        // Distinct root name: the profile is process-global and shared
-        // with every other test in this binary.
-        let before_root = stat("test-nest");
-        let before_child = stat("test-nest/child");
-        {
+        let profile = record(|| {
             let _root = span("test-nest");
             std::thread::sleep(Duration::from_millis(4));
             {
                 let _child = span("child");
                 std::thread::sleep(Duration::from_millis(4));
             }
-        }
-        let root = stat("test-nest");
-        let child = stat("test-nest/child");
-        assert_eq!(root.calls - before_root.calls, 1);
-        assert_eq!(child.calls - before_child.calls, 1);
-        let root_total = root.total_us - before_root.total_us;
-        let root_self = root.self_us - before_root.self_us;
-        let child_total = child.total_us - before_child.total_us;
+        });
+        let root = stat(&profile, "test-nest");
+        let child = stat(&profile, "test-nest/child");
+        assert_eq!(root.calls, 1);
+        assert_eq!(child.calls, 1);
         // Root total covers both sleeps; its self time excludes the child.
-        assert!(root_total >= child_total);
-        assert_eq!(root_self, root_total - child_total);
-        assert!(child_total >= 3_000, "child slept ~4ms, saw {child_total}us");
-        assert!(root_self >= 3_000, "root slept ~4ms outside child, saw {root_self}us");
+        assert!(root.total_us >= child.total_us);
+        assert_eq!(root.self_us, root.total_us - child.total_us);
+        assert!(child.total_us >= 3_000, "child slept ~4ms, saw {}us", child.total_us);
+        assert!(root.self_us >= 3_000, "root slept ~4ms outside child, saw {}us", root.self_us);
     }
 
     #[test]
     fn sibling_threads_do_not_nest() {
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| {
-                    let _s = span("test-thread-root");
-                    std::thread::sleep(Duration::from_millis(1));
-                });
-            }
+        let profile = record(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        let _s = span("test-thread-root");
+                        std::thread::sleep(Duration::from_millis(1));
+                    });
+                }
+            })
         });
         // Each thread rooted its own span: no "test-thread-root/test-thread-root".
-        assert!(profile_snapshot().iter().all(|(p, _)| p != "test-thread-root/test-thread-root"));
-        assert!(stat("test-thread-root").calls >= 2);
+        assert!(profile.iter().all(|p| p.path != "test-thread-root/test-thread-root"));
+        assert_eq!(stat(&profile, "test-thread-root").calls, 2);
     }
 
     #[test]
     fn repeated_calls_accumulate() {
-        let before = stat("test-repeat");
-        for _ in 0..5 {
-            let _s = span("test-repeat");
-        }
-        let after = stat("test-repeat");
-        assert_eq!(after.calls - before.calls, 5);
+        let profile = record(|| {
+            for _ in 0..5 {
+                let _s = span("test-repeat");
+            }
+        });
+        assert_eq!(stat(&profile, "test-repeat").calls, 5);
     }
 }
