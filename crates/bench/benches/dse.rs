@@ -3,7 +3,7 @@
 //! extraction on large objective clouds.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ng_dse::{Objectives, StreamingFrontier, SweepEngine, SweepSpec};
+use ng_dse::{Constraints, Objectives, StreamingFrontier, SweepEngine, SweepSpec};
 
 fn bench_sweep_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("dse_sweep");
@@ -11,14 +11,14 @@ fn bench_sweep_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(spec.point_count() as u64));
     group.bench_function("quick_preset", |b| {
         let engine = SweepEngine::new();
-        b.iter(|| engine.run(&spec).expect("valid spec"))
+        b.iter(|| engine.run(&spec, &Constraints::NONE, false).expect("valid spec").stats)
     });
     let paper = SweepSpec::paper();
     group.throughput(Throughput::Elements(paper.point_count() as u64));
     group.sample_size(10);
     group.bench_function("paper_preset_1440pts", |b| {
         let engine = SweepEngine::new();
-        b.iter(|| engine.run(&paper).expect("valid spec"))
+        b.iter(|| engine.run(&paper, &Constraints::NONE, false).expect("valid spec").stats)
     });
     group.finish();
 }

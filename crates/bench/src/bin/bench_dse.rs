@@ -1,7 +1,8 @@
 //! `bench_dse` — the tracked perf harness of the DSE pipeline.
 //!
-//! Times each tracked preset's sweep (every point evaluated in memory,
-//! as `dse` runs it) [`RUNS`] times in one process with `ng-obs`
+//! Times each tracked preset's sweep as `dse` runs it without output
+//! files — one streamed pass of evaluation, the cross-app fold and the
+//! frontier — [`RUNS`] times in one process with `ng-obs`
 //! recording off and [`RUNS`] times with it on, alternating, and the
 //! budgeted guided searcher over the exploded guided-lanes space the
 //! same way. It writes a machine-readable `BENCH_dse.json`: one entry
@@ -31,7 +32,7 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use ng_dse::{SearchSpec, Searcher, SweepEngine, SweepSpec};
+use ng_dse::{Constraints, SearchSpec, Searcher, SweepEngine, SweepSpec};
 
 /// Timed repetitions of every row.
 const RUNS: usize = 7;
@@ -106,14 +107,17 @@ impl PresetBench {
     }
 }
 
+/// Time one preset's sweep: evaluation, the cross-app fold and the
+/// unconstrained frontier, as `dse --preset NAME` runs them before it
+/// prints.
 fn bench_preset(spec: &SweepSpec, ledger: &mut String) -> PresetBench {
     let mut counters_per_run = None;
     let (spread, recording_on) = alternate(ledger, || {
         let before = ng_obs::counter::snapshot();
         let started = Instant::now();
-        let outcome = SweepEngine::new().run(spec).expect("preset specs validate");
+        let sweep = SweepEngine::new().run(spec, &Constraints::NONE, false);
         let elapsed = started.elapsed();
-        assert_eq!(outcome.stats.evaluated, spec.point_count());
+        assert_eq!(sweep.expect("preset specs validate").stats.evaluated, spec.point_count());
         counters_per_run.get_or_insert_with(|| {
             ng_obs::counter::snapshot()
                 .delta_since(&before)

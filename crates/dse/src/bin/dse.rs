@@ -10,12 +10,13 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use ng_dse::report::{describe_constraints, print_report};
-use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepOutcome, SweepSpec};
+use ng_dse::report::{describe_constraints, write_report, write_search_report};
+use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepSpec};
 
 const USAGE: &str = "\
 dse — NGPC design-space exploration with Pareto frontier extraction
@@ -94,7 +95,8 @@ OUTPUT:
     --help               this text
 
 EXIT CODES:
-    0    success
+    0    success (a reader that closes stdout early, as
+         `dse ... | head` does, only cuts the report short)
     1    run failed (I/O, failed paper check)
     2    usage or spec mistake (flags, spec file, ledger file,
          constraint bounds) — retrying the same invocation cannot help
@@ -107,7 +109,8 @@ const EXIT_USAGE: u8 = 2;
 const EXIT_CHECK_FAILED: u8 = 4;
 
 /// A CLI failure carrying the process exit code. Plain `String` errors
-/// convert at code 1 (generic failure).
+/// convert at code 1 (generic failure); an empty message prints
+/// nothing.
 struct CliError {
     code: u8,
     message: String,
@@ -127,6 +130,66 @@ fn usage_err(message: String) -> CliError {
 /// A `--check` audit found defects in the artifact it examined.
 fn check_err(message: String) -> CliError {
     CliError { code: EXIT_CHECK_FAILED, message }
+}
+
+/// A write to stdout failed for a reason other than a closed pipe.
+fn stdout_err(e: io::Error) -> CliError {
+    CliError { code: 1, message: format!("cannot write to stdout: {e}") }
+}
+
+/// The locked stdout every report line goes through. A reader that
+/// closed the pipe early (`dse ... | head`) wants no more output: from
+/// the first broken-pipe write on, writes are dropped silently. The run
+/// goes on, so its checks and file writes still decide the exit code.
+struct Stdout {
+    inner: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    fn lock() -> Self {
+        Stdout { inner: io::stdout().lock(), closed: false }
+    }
+
+    /// `result`, with a broken pipe turned into success that closes
+    /// this handle.
+    fn unless_closed<T>(&mut self, result: io::Result<T>, closed: T) -> io::Result<T> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(closed)
+            }
+            result => result,
+        }
+    }
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        let result = self.inner.write(buf);
+        self.unless_closed(result, buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        let result = self.inner.flush();
+        self.unless_closed(result, ())
+    }
+}
+
+/// Create `path` and hand it to `write` behind a `BufWriter`.
+fn write_file(
+    path: &str,
+    write: impl FnOnce(BufWriter<File>) -> io::Result<()>,
+) -> Result<(), CliError> {
+    File::create(path)
+        .and_then(|file| write(BufWriter::new(file)))
+        .map_err(|e| format!("cannot write {path}: {e}").into())
 }
 
 struct Cli {
@@ -191,10 +254,7 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(None);
-            }
+            "--help" | "-h" => return Ok(None),
             "--preset" => preset = Some(value("--preset")?),
             "--spec" => spec_file = Some(value("--spec")?),
             "--apps" | "--encodings" | "--nfp-units" | "--clocks" | "--pixels" | "--sram-kb"
@@ -323,27 +383,33 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
 
 /// Whether the paper's NGPC-64 headline configuration survived frontier
 /// extraction, read off the constrained `frontier` the report printed.
-/// Returns `None` when the headline point was not evaluated (axis
-/// overrides can sweep it away entirely), `Some(on_frontier)`
-/// otherwise. Only a headline missing from the frontier pays a second
-/// fold, to tell "not evaluated" from "dropped".
-fn headline_check(outcome: &SweepOutcome, frontier: &[ArchPoint], c: &Constraints) -> Option<bool> {
-    let headline = frontier.iter().find(|a| a.is_paper_organisation());
-    if headline.is_none() && !outcome.cross_app().iter().any(|a| a.is_paper_organisation()) {
-        return None;
+/// Returns `None` when the spec does not contain the headline
+/// organisation (axis overrides can sweep it away entirely),
+/// `Some(on_frontier)` otherwise.
+fn headline_check(
+    out: &mut impl Write,
+    spec: &SweepSpec,
+    frontier: &[ArchPoint],
+    c: &Constraints,
+) -> io::Result<Option<bool>> {
+    if !spec.contains_paper_organisation() {
+        return Ok(None);
     }
+    let headline = frontier.iter().find(|a| a.is_paper_organisation());
     match headline {
-        Some(a) => println!(
+        Some(a) => writeln!(
+            out,
             "\npaper check: NGPC-64 (hashgrid, 1 GHz, 1MB/8-bank, 64x64/16e) is on the frontier — \
              {:.2}x avg, {:.2}% area, {:.2}% power (paper: 39.04x, ~36.2%, ~22.1%)",
             a.avg_speedup, a.area_pct_of_gpu, a.power_pct_of_gpu
-        ),
-        None => println!(
+        )?,
+        None => writeln!(
+            out,
             "\npaper check: NGPC-64 headline point is NOT on the frontier under constraints [{}]",
             describe_constraints(c)
-        ),
+        )?,
     }
-    Some(headline.is_some())
+    Ok(Some(headline.is_some()))
 }
 
 /// Guided-search mode: run the searcher instead of the exhaustive
@@ -379,7 +445,8 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
     let outcome =
         ng_dse::Searcher::new().run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
     let _span = ng_obs::span("report");
-    ng_dse::report::print_search_report(&outcome, &cli.constraints, cli.top);
+    let mut out = Stdout::lock();
+    write_search_report(&mut out, &outcome, &cli.constraints, cli.top).map_err(stdout_err)?;
 
     if cli.check_headline || cli.spec.name == "guided-lanes" {
         let headline = outcome
@@ -388,7 +455,8 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
             .filter(|a| cli.constraints.admits(&a.objectives()))
             .find(|a| a.is_paper_organisation());
         match headline {
-            Some(a) => println!(
+            Some(a) => writeln!(
+                out,
                 "\npaper check: guided search recovered the NGPC-64 organisation (hashgrid, \
                  1 GHz, 1MB/8-bank, 64x64/16e; FIFO right-sized to {} entries, {} lane(s)) \
                  with {} of {} evaluations ({:.2}% of the space) — {:.2}x avg, {:.2}% area, \
@@ -402,12 +470,14 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
                 a.area_pct_of_gpu,
                 a.power_pct_of_gpu
             ),
-            None => println!(
+            None => writeln!(
+                out,
                 "\npaper check: guided search did NOT recover the NGPC-64 headline point \
                  (budget {}, {} evaluations)",
                 outcome.stats.budget, outcome.stats.evaluations
             ),
         }
+        .map_err(stdout_err)?;
         if cli.check_headline {
             if headline.is_none() {
                 return Err("--check-headline: guided search failed to recover the paper's \
@@ -431,6 +501,7 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
 /// per-stage profile, final counters, and the balance/invariant
 /// verdict — with optional Chrome trace export and CI-gate mode.
 fn run_trace(args: &[String]) -> Result<(), CliError> {
+    let mut out = Stdout::lock();
     let mut ledger_path: Option<String> = None;
     let mut chrome: Option<String> = None;
     let mut check = false;
@@ -438,10 +509,7 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--help" | "-h" => {
-                print!("{USAGE}");
-                return Ok(());
-            }
+            "--help" | "-h" => return write!(out, "{USAGE}").map_err(stdout_err),
             "--chrome" => {
                 chrome = Some(
                     it.next()
@@ -471,17 +539,20 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
         ledger_path.ok_or_else(|| usage_err("trace: need a LEDGER.jsonl path".to_string()))?;
     let ledger =
         ng_obs::Ledger::read(Path::new(&path)).map_err(|e| usage_err(format!("{path}: {e}")))?;
-    println!(
-        "ledger {path}: {} events, {} skipped line(s)",
+    write!(
+        out,
+        "ledger {path}: {} events, {} skipped line(s)\n{}",
         ledger.events.len(),
-        ledger.skipped_lines
-    );
-    print!("{}", summary(&ledger));
+        ledger.skipped_lines,
+        summary(&ledger)
+    )
+    .map_err(stdout_err)?;
 
-    if let Some(out) = chrome {
-        std::fs::write(&out, ledger.chrome_trace())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("wrote Chrome trace to {out} (load in chrome://tracing or Perfetto)");
+    if let Some(chrome_out) = chrome {
+        std::fs::write(&chrome_out, ledger.chrome_trace())
+            .map_err(|e| format!("cannot write {chrome_out}: {e}"))?;
+        writeln!(out, "wrote Chrome trace to {chrome_out} (load in chrome://tracing or Perfetto)")
+            .map_err(stdout_err)?;
     }
     let verdict = ledger.check();
     if check && !verdict.ok(min_coverage / 100.0) {
@@ -572,7 +643,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if args.first().map(String::as_str) == Some("trace") {
         return run_trace(&args[1..]);
     }
-    let Some(cli) = parse_args(args).map_err(usage_err)? else { return Ok(()) };
+    let Some(cli) = parse_args(args).map_err(usage_err)? else {
+        return write!(Stdout::lock(), "{USAGE}").map_err(stdout_err);
+    };
     // Create the ledger before any work, so a bad path fails the run
     // at once; it is written only after the root span has closed.
     let ledger = match &cli.trace {
@@ -606,7 +679,8 @@ fn run(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Everything between the `dse` root span's open and close: mode
-/// dispatch and reporting.
+/// dispatch, reporting and emission. Every line of stdout goes through
+/// one [`Stdout`] handle.
 fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(strategy) = cli.search {
         return run_search(cli, strategy);
@@ -616,15 +690,23 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(threads) = cli.threads {
         engine = engine.with_threads(threads);
     }
-    let outcome = engine.run(&cli.spec).map_err(|e| usage_err(e.to_string()))?;
-    // Frontier extraction + table rendering is real work on large
-    // sweeps — span it so the ledger's coverage accounting sees it.
+    let sweep = engine
+        .run(&cli.spec, &cli.constraints, cli.per_app)
+        .map_err(|e| usage_err(e.to_string()))?;
+    // Table rendering is real work on wide frontiers — span it so the
+    // ledger's coverage accounting sees it.
     let report_span = ng_obs::span("report");
-    let frontier = print_report(&outcome, &cli.constraints, cli.top, cli.per_app);
+    let mut out = Stdout::lock();
+    write_report(&mut out, &cli.spec, &sweep.stats, &sweep.frontiers, &cli.constraints, cli.top)
+        .map_err(stdout_err)?;
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
-    let headline =
-        if judge_headline { headline_check(&outcome, &frontier, &cli.constraints) } else { None };
+    let headline = if judge_headline {
+        headline_check(&mut out, &cli.spec, &sweep.frontiers.cross_app, &cli.constraints)
+            .map_err(stdout_err)?
+    } else {
+        None
+    };
     if cli.check_headline {
         match headline {
             Some(true) => {}
@@ -646,20 +728,14 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
 
     if let Some(path) = &cli.csv {
         let _span = ng_obs::span("emit/csv");
-        let csv = ng_dse::emit::points_to_csv(&outcome.points);
-        std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {} points to {path}", outcome.points.len());
+        write_file(path, |file| sweep.write_csv(file))?;
+        writeln!(out, "wrote {} points to {path}", sweep.stats.total_points).map_err(stdout_err)?;
     }
     if let Some(path) = &cli.json {
         let _span = ng_obs::span("emit/json");
-        let json = ng_dse::emit::outcome_to_json(&outcome, &frontier);
-        std::fs::write(path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote outcome JSON to {path}");
+        write_file(path, |file| sweep.write_json(file))?;
+        writeln!(out, "wrote outcome JSON to {path}").map_err(stdout_err)?;
     }
-    // Freeing the points takes tens of microseconds, a few percent of a
-    // paper run: span it so the ledger's coverage accounting sees it.
-    let _span = ng_obs::span("free");
-    drop((outcome, frontier));
     Ok(())
 }
 
@@ -668,7 +744,9 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("dse: {}", e.message);
+            if !e.message.is_empty() {
+                eprintln!("dse: {}", e.message);
+            }
             ExitCode::from(e.code)
         }
     }

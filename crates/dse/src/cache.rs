@@ -218,7 +218,7 @@ impl EvalCache {
 mod tests {
     use super::*;
     use crate::spec::SweepSpec;
-    use crate::sweep::SweepEngine;
+    use crate::sweep::evaluate_points;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -231,15 +231,15 @@ mod tests {
     fn append_then_lookup_round_trips() {
         let dir = tmpdir("roundtrip");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().run(&spec).unwrap();
+        let evaluated = evaluate_points(&spec.points(), 2);
         let cache = EvalCache::new(&dir);
         let points = spec.points();
         assert!(cache.lookup(&points).iter().all(Option::is_none), "cold cache");
-        cache.append(&outcome.points).unwrap();
+        cache.append(&evaluated).unwrap();
         let loaded = cache.lookup(&points);
         assert_eq!(
             loaded.into_iter().collect::<Option<Vec<_>>>().unwrap(),
-            outcome.points,
+            evaluated,
             "every point hits, bit-identical"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -299,14 +299,14 @@ mod tests {
         // the *current* spec assigns it.
         let dir = tmpdir("reindex");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().run(&spec).unwrap();
+        let evaluated = evaluate_points(&spec.points(), 2);
         let cache = EvalCache::new(&dir);
-        cache.append(&outcome.points).unwrap();
+        cache.append(&evaluated).unwrap();
         let mut moved = spec.points()[5];
         moved.index = 0;
         let hit = cache.lookup(&[moved])[0].expect("hit");
         assert_eq!(hit.point.index, 0);
-        assert_eq!(hit.speedup, outcome.points[5].speedup);
+        assert_eq!(hit.speedup, evaluated[5].speedup);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -314,11 +314,11 @@ mod tests {
     fn torn_lines_are_misses_for_only_their_points() {
         let dir = tmpdir("torn");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().run(&spec).unwrap();
+        let evaluated = evaluate_points(&spec.points(), 2);
         let cache = EvalCache::new(&dir);
-        cache.append(&outcome.points).unwrap();
+        cache.append(&evaluated).unwrap();
         // Truncate one shard's last line mid-row (a crashed append).
-        let victim_key = EvalCache::point_key(&outcome.points[0].point);
+        let victim_key = EvalCache::point_key(&evaluated[0].point);
         let path = cache.shard_file(EvalCache::shard_of(victim_key));
         let text = fs::read_to_string(&path).unwrap();
         let keep_lines: Vec<&str> = text.lines().collect();
@@ -338,7 +338,7 @@ mod tests {
             .iter()
             .zip(&loaded)
             .filter(|(_, hit)| hit.is_none())
-            .map(|(p, _)| outcome.points[p.index])
+            .map(|(p, _)| evaluated[p.index])
             .collect();
         cache.append(&missing).unwrap();
         assert!(cache.lookup(&spec.points()).iter().all(Option::is_some), "healed in one cycle");
@@ -351,16 +351,16 @@ mod tests {
         // shard; the reader must keep every data row around it.
         let dir = tmpdir("dup-header");
         let spec = SweepSpec::quick();
-        let outcome = SweepEngine::new().run(&spec).unwrap();
+        let evaluated = evaluate_points(&spec.points(), 2);
         let cache = EvalCache::new(&dir);
-        cache.append(&outcome.points[..8]).unwrap();
-        for key in outcome.points[..8].iter().map(|p| EvalCache::point_key(&p.point)) {
+        cache.append(&evaluated[..8]).unwrap();
+        for key in evaluated[..8].iter().map(|p| EvalCache::point_key(&p.point)) {
             let path = cache.shard_file(EvalCache::shard_of(key));
             let mut text = fs::read_to_string(&path).unwrap();
             text.push_str("# ng-dse point cache | duplicate interior header\n");
             fs::write(&path, text).unwrap();
         }
-        cache.append(&outcome.points[8..]).unwrap();
+        cache.append(&evaluated[8..]).unwrap();
         assert!(
             cache.lookup(&spec.points()).iter().all(Option::is_some),
             "rows on both sides of an interior header must survive"
@@ -374,16 +374,12 @@ mod tests {
         // intact (the locked-append contract, exercised in-process).
         let dir = tmpdir("concurrent");
         let spec = SweepSpec::mac_arrays();
-        let outcome = SweepEngine::new().run(&spec).unwrap();
+        let evaluated = evaluate_points(&spec.points(), 2);
         let writers = 8;
         std::thread::scope(|scope| {
             for w in 0..writers {
-                let slice: Vec<EvaluatedPoint> = outcome
-                    .points
-                    .iter()
-                    .filter(|p| p.point.index % writers == w)
-                    .copied()
-                    .collect();
+                let slice: Vec<EvaluatedPoint> =
+                    evaluated.iter().filter(|p| p.point.index % writers == w).copied().collect();
                 let cache = EvalCache::new(&dir);
                 scope.spawn(move || {
                     // One-row appends maximise interleaving pressure.
@@ -397,7 +393,7 @@ mod tests {
         let loaded = cache.lookup(&spec.points());
         assert_eq!(
             loaded.into_iter().collect::<Option<Vec<_>>>().expect("no torn or lost rows"),
-            outcome.points,
+            evaluated,
         );
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,13 +1,20 @@
 //! Results serialisation: CSV (also the point store's row format) and
-//! JSON, each written into one `String` through [`std::fmt::Write`].
+//! JSON.
+//!
+//! A [`Sweep`] writes both straight to an [`io::Write`]: it refills its
+//! points one block at a time from its factor tables, renders each block
+//! into a reused `String` and writes it out, so no output holds the
+//! whole sweep. [`points_to_csv`] and [`outcome_to_json`] render a held
+//! point slice with the same row writers, for the benchmark's replay.
 //!
 //! Floats are written with Rust's shortest-round-trip `Display`, so a
 //! parse of our own output reproduces every value bit-for-bit.
 
 use std::fmt::{self, Write};
+use std::io;
 
 use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
-use crate::sweep::{ArchPoint, EvaluatedPoint, SweepOutcome};
+use crate::sweep::{ArchPoint, EvaluatedPoint, Sweep, SweepOutcome, SweepStats};
 
 /// Column header of the points CSV.
 pub const CSV_HEADER: &str = "index,app,encoding,pixels,nfp_units,clock_ghz,grid_sram_kb,\
@@ -88,16 +95,21 @@ pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
     })
 }
 
+/// Append one CSV line per point.
+fn csv_lines(out: &mut String, points: &[EvaluatedPoint]) {
+    for p in points {
+        write_row(out, p).expect(STRING_WRITE);
+        out.push('\n');
+    }
+}
+
 /// Render evaluated points as CSV (header + one row per point).
 pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
     // ~164 bytes a row on guided-lanes: one allocation, no regrowth.
     let mut out = String::with_capacity(168 * (points.len() + 1));
     out.push_str(CSV_HEADER);
     out.push('\n');
-    for p in points {
-        write_row(&mut out, p).expect(STRING_WRITE);
-        out.push('\n');
-    }
+    csv_lines(&mut out, points);
     out
 }
 
@@ -242,18 +254,22 @@ fn write_json_spec(out: &mut String, spec: &SweepSpec) -> fmt::Result {
 pub fn outcome_to_json(outcome: &SweepOutcome, frontier: &[ArchPoint]) -> String {
     // ~440 bytes a point on guided-lanes.
     let mut out = String::with_capacity(448 * (outcome.points.len() + frontier.len() + 1));
-    write_outcome_json(&mut out, outcome, frontier).expect(STRING_WRITE);
+    write_json_head(&mut out, &outcome.spec, &outcome.stats, frontier).expect(STRING_WRITE);
+    write_json_points(&mut out, &outcome.points, true).expect(STRING_WRITE);
+    out.push_str(JSON_TAIL);
     out
 }
 
-fn write_outcome_json(
+/// Everything of the JSON document before its first point: the spec,
+/// the stats, the frontier and the opening of the point array.
+fn write_json_head(
     out: &mut String,
-    outcome: &SweepOutcome,
+    spec: &SweepSpec,
+    s: &SweepStats,
     frontier: &[ArchPoint],
 ) -> fmt::Result {
-    let s = &outcome.stats;
     out.push_str("{\n\"spec\":");
-    write_json_spec(out, &outcome.spec)?;
+    write_json_spec(out, spec)?;
     write!(
         out,
         ",\n\"stats\":{{\"total_points\":{},\"evaluated\":{},\"cache_hits\":{},\
@@ -269,9 +285,54 @@ fn write_outcome_json(
     )?;
     write_joined(out, frontier, ",", write_json_arch)?;
     out.push_str("],\n\"points\":[\n");
-    write_joined(out, &outcome.points, ",\n", write_json_point)?;
-    out.push_str("\n]\n}\n");
     Ok(())
+}
+
+/// Append `points` to the JSON point array, each after a `,\n`
+/// separator except the document's `first`.
+fn write_json_points(out: &mut String, points: &[EvaluatedPoint], first: bool) -> fmt::Result {
+    if !first && !points.is_empty() {
+        out.push_str(",\n");
+    }
+    write_joined(out, points, ",\n", write_json_point)
+}
+
+/// Everything of the JSON document after its last point.
+const JSON_TAIL: &str = "\n]\n}\n";
+
+impl Sweep<'_> {
+    /// Write every point as CSV (header + one row per point, in spec
+    /// order) to `out`, then flush it.
+    pub fn write_csv(&self, mut out: impl io::Write) -> io::Result<()> {
+        let mut text = format!("{CSV_HEADER}\n");
+        out.write_all(text.as_bytes())?;
+        self.tables.each_block(|block| {
+            text.clear();
+            csv_lines(&mut text, block);
+            out.write_all(text.as_bytes())
+        })?;
+        out.flush()
+    }
+
+    /// Write the spec, the stats, the constrained cross-app frontier and
+    /// every point (in spec order) as one JSON document to `out`, then
+    /// flush it.
+    pub fn write_json(&self, mut out: impl io::Write) -> io::Result<()> {
+        let mut text = String::new();
+        let spec = self.tables.space.spec;
+        write_json_head(&mut text, spec, &self.stats, &self.frontiers.cross_app)
+            .expect(STRING_WRITE);
+        out.write_all(text.as_bytes())?;
+        let mut first = true;
+        self.tables.each_block(|block| {
+            text.clear();
+            write_json_points(&mut text, block, first).expect(STRING_WRITE);
+            first = false;
+            out.write_all(text.as_bytes())
+        })?;
+        out.write_all(JSON_TAIL.as_bytes())?;
+        out.flush()
+    }
 }
 
 #[cfg(test)]
@@ -279,37 +340,41 @@ mod tests {
     use super::*;
     use crate::pareto::Constraints;
     use crate::spec::SweepSpec;
-    use crate::sweep::SweepEngine;
+    use crate::sweep::{evaluate_points, SweepEngine};
 
-    fn outcome() -> SweepOutcome {
-        SweepEngine::new().run(&SweepSpec::quick()).unwrap()
+    fn written(write: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+        let mut out = Vec::new();
+        write(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
     fn csv_round_trips_bit_exactly() {
-        let outcome = outcome();
-        let csv = points_to_csv(&outcome.points);
+        let spec = SweepSpec::quick();
+        let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let csv = written(|out| sweep.write_csv(out));
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(CSV_HEADER));
         let parsed: Vec<EvaluatedPoint> = lines.map(|row| point_from_row(row).unwrap()).collect();
-        assert_eq!(parsed, outcome.points);
-        assert_eq!(point_to_row(&outcome.points[3]), csv.lines().nth(4).unwrap());
+        let points = evaluate_points(&spec.points(), 1);
+        assert_eq!(parsed, points);
+        assert_eq!(point_to_row(&points[3]), csv.lines().nth(4).unwrap());
     }
 
     #[test]
     fn csv_rejects_malformed_rows() {
         assert!(point_from_row("").is_err());
         assert!(point_from_row("1,nerf,hashgrid,bad").is_err());
-        let row = point_to_row(&outcome().points[0]);
+        let row = point_to_row(&evaluate_points(&SweepSpec::quick().points()[..1], 1)[0]);
         assert!(point_from_row(&row.replacen(",nerf,", ",quake,", 1)).is_err());
         assert!(point_from_row(&row.replace("true", "maybe").replace("false", "maybe")).is_err());
     }
 
     #[test]
     fn json_has_the_expected_shape() {
-        let outcome = outcome();
-        let frontier = outcome.cross_app_frontier(&Constraints::NONE);
-        let json = outcome_to_json(&outcome, &frontier);
+        let spec = SweepSpec::quick();
+        let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let json = written(|out| sweep.write_json(out));
         assert!(json.contains("\"spec\":"));
         assert!(json.contains("\"frontier\":["));
         assert!(json.contains("\"points\":["));

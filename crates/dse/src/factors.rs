@@ -13,9 +13,12 @@
 //! bit-identical to `emulate` by construction.
 //!
 //! A table's key is a subset of the space's axes, so no table is larger
-//! than the point count. The sweep fills every point in spec order
-//! ([`FactorTables::fill`]); the searcher folds one architecture's app
-//! points at a time ([`FactorTables::arch`]).
+//! than the point count. The sweep's workers and the guided searcher
+//! fold one architecture's app points at a time
+//! ([`FactorTables::arch`]); the emitters refill the points in spec
+//! order, one block at a time, instead of holding them.
+
+use std::io;
 
 use ng_gpu::KernelBreakdown;
 use ng_hw::NfpBudget;
@@ -42,9 +45,10 @@ const APP: usize = ARCH_AXES;
 /// axes, so a point's floorplan sits at `arch % floorplan_count`.
 const FLOORPLAN: [usize; 8] = [CLOCK, SRAM_KB, BANKS, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO];
 
-/// Points a worker evaluates between two `eval.ticks` updates: one
-/// shared atomic add per block rather than per point.
-const BLOCK: usize = 4096;
+/// Points per block: a sweep worker adds to `eval.ticks` once per
+/// block (one shared atomic add rather than one per point), and the
+/// emitters refill and write one block at a time.
+pub(crate) const BLOCK: usize = 4096;
 
 /// One factor's values over the axes it reads, row-major in key order.
 struct Table<T> {
@@ -92,7 +96,7 @@ impl<T> Table<T> {
 
 /// Every model factor of a space, one dense table each.
 pub struct FactorTables<'a> {
-    space: Space<'a>,
+    pub(crate) space: Space<'a>,
     /// GPU kernel breakdown per (app, encoding, pixels).
     gpu: Table<KernelBreakdown>,
     /// Per-NFP area/power budget per floorplan.
@@ -138,27 +142,43 @@ impl<'a> FactorTables<'a> {
 
     /// Evaluate the points `start..start + out.len()` into `out`:
     /// decode `start` once, then walk the positions as an odometer.
-    pub(crate) fn fill(&self, start: usize, out: &mut [EvaluatedPoint]) {
-        let ticks = obs_counters::eval_ticks();
+    fn fill(&self, start: usize, out: &mut [EvaluatedPoint]) {
         let arch_count = self.space.arch_count();
         let mut idx = self.space.decode(start % arch_count);
         let mut app = start / arch_count;
-        let mut index = start;
-        for block in out.chunks_mut(BLOCK) {
-            for slot in block.iter_mut() {
-                *slot = self.evaluate(&idx, app, index);
-                index += 1;
-                if self.space.advance(&mut idx) {
-                    app += 1;
-                }
+        for (index, slot) in (start..).zip(out.iter_mut()) {
+            *slot = self.evaluate(&idx, app, index);
+            if self.space.advance(&mut idx) {
+                app += 1;
             }
-            ticks.add(block.len() as u64);
         }
     }
 
+    /// Hand every point of the space to `write`, in spec order, one
+    /// refilled block of at most [`BLOCK`] points at a time: what the
+    /// emitters read instead of a point vector. Adds nothing to
+    /// `eval.ticks`: re-evaluating for output is bookkeeping, and the
+    /// sweep already counted every point.
+    pub(crate) fn each_block(
+        &self,
+        mut write: impl FnMut(&[EvaluatedPoint]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let total = self.space.spec.point_count();
+        let blank = EvaluatedPoint::pending(self.space.point(&[0; ARCH_AXES], 0));
+        let mut block = vec![blank; BLOCK.min(total)];
+        for start in (0..total).step_by(BLOCK) {
+            let slots = &mut block[..BLOCK.min(total - start)];
+            self.fill(start, slots);
+            write(slots)?;
+        }
+        Ok(())
+    }
+
     /// Architecture `idx` folded over its app points, evaluated in app
-    /// order, as [`crate::SweepOutcome::cross_app`] folds a sweep's.
-    /// Adds the app count to `eval.ticks`.
+    /// order, as the sweep's workers fold theirs.
+    /// Adds the app count to `eval.ticks`. A loop of its own rather
+    /// than a `fold_arch` call, so that the searcher's hot path carries
+    /// no visitor.
     pub fn arch(&self, idx: &ArchIdx) -> ArchPoint {
         let (apps, arch_count) = (self.space.spec.apps.len(), self.space.arch_count());
         let flat = self.space.flat(idx);
@@ -166,6 +186,23 @@ impl<'a> FactorTables<'a> {
         ArchPoint::from_app_points(
             (0..apps).map(|app| self.evaluate(idx, app, app * arch_count + flat)),
         )
+    }
+
+    /// Architecture `idx`, flat number `flat`, folded over its app
+    /// points through [`ArchPoint::from_app_points`]. Each point is
+    /// shown to `visit`, with its app number, as it is evaluated.
+    pub(crate) fn fold_arch(
+        &self,
+        idx: &ArchIdx,
+        flat: usize,
+        mut visit: impl FnMut(usize, &EvaluatedPoint),
+    ) -> ArchPoint {
+        let arch_count = self.space.arch_count();
+        ArchPoint::from_app_points((0..self.space.spec.apps.len()).map(|app| {
+            let p = self.evaluate(idx, app, app * arch_count + flat);
+            visit(app, &p);
+            p
+        }))
     }
 
     /// The point at `idx` under app number `app`, stamped with `index`:

@@ -13,19 +13,23 @@
 //!   cross-app fold and the guided searcher all read positions from it.
 //! * [`sweep`] — the [`SweepEngine`]: builds one dense table per model
 //!   factor (each once per distinct tuple of the axes it reads), then
-//!   evaluates every point as table reads plus [`ngpc::compose`] over
-//!   static contiguous chunks on scoped threads — bit-identical to
-//!   [`ngpc::emulate`], with results in spec order at any thread count.
+//!   streams the space in one pass: each worker (the calling thread
+//!   and scoped threads) evaluates a static contiguous range of
+//!   architectures as table reads plus
+//!   [`ngpc::compose`] (bit-identical to [`ngpc::emulate`]), folds
+//!   each over its apps and keeps only its own constrained frontiers,
+//!   which merge to the same [`Sweep`] at any thread count. No point
+//!   vector is held, so memory does not grow with the point count.
 //! * [`search`] — the budgeted guided [`Searcher`] over the same space.
 //! * [`factors`] — the [`factors::FactorTables`] the sweep and the
-//!   searcher both evaluate from: the sweep fills every point, the
-//!   searcher folds one architecture at a time.
+//!   searcher both evaluate from, one architecture at a time; the
+//!   emitters refill blocks of points from them.
 //!   [`sweep::evaluate_points`] (one [`ngpc::emulate`] call a point) is
 //!   the reference they are tested against.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over
 //!   {speedup, area % of GPU, power % of GPU}, with budget
 //!   [`Constraints`] and per-app / cross-app-average objectives.
-//! * [`emit`] — CSV/JSON emitters.
+//! * [`emit`] — CSV/JSON emitters, written block by block.
 //! * [`cache`] — a CSV point store that no product path uses, kept only
 //!   for the benchmark's replay: evaluating a point (under 0.5 µs on one
 //!   thread) is cheaper than reading it back, so every run is a pure
@@ -42,11 +46,12 @@
 //! ```
 //! use ng_dse::{Constraints, SweepEngine, SweepSpec};
 //!
-//! let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
-//! // Architectures within an area budget of 10% of the GPU die, best
-//! // cross-app speedup first.
+//! // The cross-app frontier of architectures within an area budget of
+//! // 10% of the GPU die, by ascending area.
 //! let budget = Constraints { max_area_pct: Some(10.0), ..Constraints::default() };
-//! let frontier = outcome.cross_app_frontier(&budget);
+//! let spec = SweepSpec::quick();
+//! let sweep = SweepEngine::new().run(&spec, &budget, false).unwrap();
+//! let frontier = &sweep.frontiers.cross_app;
 //! assert!(!frontier.is_empty());
 //! assert!(frontier.iter().all(|a| a.area_pct_of_gpu <= 10.0));
 //! ```
@@ -65,7 +70,9 @@ pub use cache::EvalCache;
 pub use pareto::{Constraints, Objectives, StreamingFrontier};
 pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
-pub use sweep::{ArchPoint, EvaluatedPoint, SweepEngine, SweepOutcome, SweepStats};
+pub use sweep::{
+    ArchPoint, EvaluatedPoint, Frontiers, Sweep, SweepEngine, SweepOutcome, SweepStats,
+};
 
 /// Version tag of the underlying evaluation models, mixed into every
 /// [`EvalCache`] key (kept, like the store, only for the benchmark's

@@ -112,6 +112,20 @@ impl<T> StreamingFrontier<T> {
         constraints.admits(&objectives) && self.insert(objectives, payload)
     }
 
+    /// Fold `later`'s survivors into this frontier, in their insertion
+    /// order. When every point offered to `later` came after every point
+    /// offered to `self`, the result is the frontier of one pass over
+    /// both, in the same order: the maxima of a union are the maxima of
+    /// the union of each part's maxima (Kung, Luccio & Preparata, JACM
+    /// 1975), survivors keep their insertion order, and exact ties are
+    /// all kept either way. The re-inserted survivors count into
+    /// `frontier.inserts` and `frontier.prunes` again.
+    pub fn merge(&mut self, later: StreamingFrontier<T>) {
+        for (objectives, payload) in later.entries {
+            self.insert(objectives, payload);
+        }
+    }
+
     /// Current frontier size.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -142,6 +156,7 @@ impl<T> StreamingFrontier<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn o(speedup: f64, area_pct: f64, power_pct: f64) -> Objectives {
         Objectives { speedup, area_pct, power_pct }
@@ -256,6 +271,71 @@ mod tests {
         ];
         for c in [Constraints::NONE, Constraints { max_area_pct: Some(2.5), ..Constraints::NONE }] {
             assert_eq!(streamed(&objs, &c), oracle(&objs, &c), "{c:?}");
+        }
+    }
+
+    /// `objs` offered in order to one frontier, as (payload, objective
+    /// bits) in survivor order.
+    fn one_pass(objs: &[Objectives], c: &Constraints) -> Vec<(usize, [u64; 3])> {
+        let mut f = StreamingFrontier::new();
+        for (i, &ob) in objs.iter().enumerate() {
+            f.insert_constrained(ob, i, c);
+        }
+        survivors(f)
+    }
+
+    fn survivors(f: StreamingFrontier<usize>) -> Vec<(usize, [u64; 3])> {
+        f.iter()
+            .map(|(o, i)| (*i, [o.speedup, o.area_pct, o.power_pct].map(f64::to_bits)))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Splitting a stream into consecutive parts, one frontier each,
+        /// and merging them in part order keeps what one pass keeps, in
+        /// the same order, exact ties included.
+        #[test]
+        fn merged_parts_equal_one_pass(
+            coords in prop::collection::vec(0u8..6, 0..150),
+            ties in prop::collection::vec(0usize..1000, 0..20),
+            cuts in prop::collection::vec(0usize..1000, 0..6),
+            max_area in 0u8..6,
+            max_power in 0u8..6,
+        ) {
+            // A coarse grid makes exact ties and dominance chains common;
+            // `ties` splices in more copies of existing points.
+            let mut objs: Vec<Objectives> = coords
+                .chunks_exact(3)
+                .map(|c| o(c[0] as f64, c[1] as f64, c[2] as f64))
+                .collect();
+            if !objs.is_empty() {
+                for &t in &ties {
+                    let copy = objs[t % objs.len()];
+                    objs.insert(t % (objs.len() + 1), copy);
+                }
+            }
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (objs.len() + 1)).collect();
+            bounds.push(0);
+            bounds.push(objs.len());
+            bounds.sort_unstable();
+            let budget = Constraints {
+                max_area_pct: Some(max_area as f64),
+                max_power_pct: Some(max_power as f64),
+                ..Constraints::NONE
+            };
+            for c in [Constraints::NONE, budget] {
+                let mut merged = StreamingFrontier::new();
+                for part in bounds.windows(2) {
+                    let mut f = StreamingFrontier::new();
+                    for (i, &ob) in objs.iter().enumerate().take(part[1]).skip(part[0]) {
+                        f.insert_constrained(ob, i, &c);
+                    }
+                    merged.merge(f);
+                }
+                prop_assert_eq!(survivors(merged), one_pass(&objs, &c));
+            }
         }
     }
 }

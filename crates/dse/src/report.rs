@@ -1,10 +1,15 @@
-//! Compact terminal reporting for sweep outcomes.
+//! Compact terminal reporting for sweeps and searches. The report
+//! writers take any [`Write`] and return its errors, so `dse` can stop
+//! quietly when the reader of its stdout goes away.
 
-use ng_neural::apps::AppKind;
+use std::io::{self, Write};
 
 use crate::pareto::Constraints;
-use crate::spec::encoding_slug;
-use crate::sweep::{arch_frontier, ArchPoint, EvaluatedPoint, SweepOutcome};
+use crate::spec::{encoding_slug, SweepSpec};
+use crate::sweep::{
+    apps_in_report_order, arch_frontier, ArchPoint, EvaluatedPoint, Frontiers, SweepOutcome,
+    SweepStats,
+};
 
 /// Render a fixed-width table: header row, rule, data rows.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -113,13 +118,15 @@ pub fn per_app_table(points: &[EvaluatedPoint], limit: usize) -> String {
 
 /// The terminal report of a guided search: space/budget summary and the
 /// recovered frontier (filtered through `constraints`).
-pub fn print_search_report(
+pub fn write_search_report(
+    out: &mut impl Write,
     outcome: &crate::search::SearchOutcome,
     constraints: &Constraints,
     top: usize,
-) {
+) -> io::Result<()> {
     let stats = &outcome.stats;
-    println!(
+    writeln!(
+        out,
         "guided search `{}` ({}): {} of {} points evaluated ({:.2}% of the space, budget {}){}",
         outcome.spec.name,
         outcome.search.strategy.slug(),
@@ -128,19 +135,20 @@ pub fn print_search_report(
         100.0 * stats.budget_fraction_used(),
         stats.budget,
         if stats.exhaustive { " — budget covers the space: exhaustive scan" } else { "" },
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "visited {} of {} architectures in {} round(s), {:.1} ms",
         stats.archs_visited,
         stats.space_archs,
         stats.rounds,
         stats.wall.as_secs_f64() * 1e3,
-    );
-    println!("constraints: {}", describe_constraints(constraints));
+    )?;
+    writeln!(out, "constraints: {}", describe_constraints(constraints))?;
     let shown: Vec<ArchPoint> =
         outcome.frontier.iter().filter(|a| constraints.admits(&a.objectives())).copied().collect();
-    println!("\nrecovered cross-app Pareto frontier ({} architectures):", shown.len());
-    print!("{}", frontier_table(&shown, top));
+    writeln!(out, "\nrecovered cross-app Pareto frontier ({} architectures):", shown.len())?;
+    write!(out, "{}", frontier_table(&shown, top))
 }
 
 /// Describe configured constraints, or "none".
@@ -161,18 +169,18 @@ pub fn describe_constraints(c: &Constraints) -> String {
     parts.join(", ")
 }
 
-/// The full terminal report: spec/run summary, cross-app frontier, and
-/// (optionally) per-app frontiers. Folds the outcome once and returns
-/// the constrained cross-app frontier it printed, for callers to reuse.
-pub fn print_report(
-    outcome: &SweepOutcome,
+/// The full terminal report of a sweep: spec/run summary, the
+/// cross-app frontier, and each per-app frontier in `frontiers`.
+pub fn write_report(
+    out: &mut impl Write,
+    spec: &SweepSpec,
+    stats: &SweepStats,
+    frontiers: &Frontiers,
     constraints: &Constraints,
     top: usize,
-    per_app: bool,
-) -> Vec<ArchPoint> {
-    let spec = &outcome.spec;
-    let stats = &outcome.stats;
-    println!(
+) -> io::Result<()> {
+    writeln!(
+        out,
         "sweep `{}`: {} points ({} apps x {} encodings x {} resolutions x {} nfp x {} clocks x {} srams x {} banks x {} engines x {} mac-rows x {} mac-cols x {} lanes x {} fifos)",
         spec.name,
         stats.total_points,
@@ -188,48 +196,78 @@ pub fn print_report(
         spec.mac_cols.len(),
         spec.lanes_per_engine.len(),
         spec.input_fifo_depth.len(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "evaluation: {} points on {} threads in {:.1} ms ({:.0} points/sec)",
         stats.evaluated,
         stats.threads,
         stats.wall.as_secs_f64() * 1e3,
         stats.points_per_sec(),
-    );
-    println!("constraints: {}", describe_constraints(constraints));
-
-    let archs = outcome.cross_app();
-    let frontier = arch_frontier(&archs, constraints);
-    println!(
+    )?;
+    writeln!(out, "constraints: {}", describe_constraints(constraints))?;
+    writeln!(
+        out,
         "\ncross-app-average Pareto frontier ({} of {} architectures):",
-        frontier.len(),
-        archs.len(),
-    );
-    print!("{}", frontier_table(&frontier, top));
-
-    if per_app {
-        for app in AppKind::ALL {
-            if !spec.apps.contains(&app) {
-                continue;
-            }
-            let f = outcome.per_app_frontier(app, constraints);
-            println!("\n{app} Pareto frontier ({} points):", f.len());
-            print!("{}", per_app_table(&f, top));
-        }
+        frontiers.cross_app.len(),
+        frontiers.archs,
+    )?;
+    write!(out, "{}", frontier_table(&frontiers.cross_app, top))?;
+    for (app, f) in &frontiers.per_app {
+        writeln!(out, "\n{app} Pareto frontier ({} points):", f.len())?;
+        write!(out, "{}", per_app_table(f, top))?;
     }
-    frontier
+    Ok(())
+}
+
+/// [`write_report`] of a held outcome to stdout, folding it first, and
+/// the constrained cross-app frontier it printed. Kept only for the
+/// benchmark's replay (see [`SweepOutcome`]).
+///
+/// # Panics
+///
+/// If stdout cannot be written, as `println!` does.
+pub fn print_report(
+    outcome: &SweepOutcome,
+    constraints: &Constraints,
+    top: usize,
+    per_app: bool,
+) -> Vec<ArchPoint> {
+    let archs = outcome.cross_app();
+    let per_app = if per_app {
+        apps_in_report_order(&outcome.spec)
+            .map(|(app, _)| (app, outcome.per_app_frontier(app, constraints)))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let frontiers =
+        Frontiers { archs: archs.len(), cross_app: arch_frontier(&archs, constraints), per_app };
+    write_report(
+        &mut io::stdout().lock(),
+        &outcome.spec,
+        &outcome.stats,
+        &frontiers,
+        constraints,
+        top,
+    )
+    .expect("failed printing to stdout");
+    frontiers.cross_app
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
     use crate::sweep::SweepEngine;
+
+    fn quick_frontier() -> Vec<ArchPoint> {
+        let spec = SweepSpec::quick();
+        SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap().frontiers.cross_app
+    }
 
     #[test]
     fn tables_render_aligned() {
-        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
-        let frontier = outcome.cross_app_frontier(&Constraints::NONE);
+        let frontier = quick_frontier();
         let table = frontier_table(&frontier, 10);
         let lines: Vec<&str> = table.lines().collect();
         assert!(lines.len() >= 3, "header, rule, at least one row");
@@ -239,8 +277,7 @@ mod tests {
 
     #[test]
     fn truncation_is_reported() {
-        let outcome = SweepEngine::new().run(&SweepSpec::quick()).unwrap();
-        let frontier = outcome.cross_app_frontier(&Constraints::NONE);
+        let frontier = quick_frontier();
         assert!(frontier.len() > 1);
         let table = frontier_table(&frontier, 1);
         assert!(table.contains("more frontier points"));

@@ -519,8 +519,8 @@ mod tests {
     #[test]
     fn saturated_budget_degenerates_to_the_exhaustive_frontier() {
         let spec = small_spec();
-        let exhaustive = crate::SweepEngine::new().run(&spec).unwrap();
-        let expected = exhaustive.cross_app_frontier(&Constraints::NONE);
+        let exhaustive = crate::SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let expected = exhaustive.frontiers.cross_app;
         for strategy in [SearchStrategy::HillClimb, SearchStrategy::Evolutionary] {
             let search =
                 SearchSpec { strategy, budget: spec.point_count(), ..SearchSpec::default() };

@@ -18,6 +18,25 @@ pub const FHD_PIXELS: u64 = 1920 * 1080;
 /// 3840x2160.
 pub const UHD_PIXELS: u64 = 3840 * 2160;
 
+/// The paper's published NGPC-64 headline *organisation*, one value per
+/// arch axis it fixes: hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid
+/// SRAMs, 16 engines, 64x64 MACs. The lane and FIFO axes are left free
+/// (see [`crate::ArchPoint::is_paper_organisation`]). Every headline
+/// guard reads these values, so the guards cannot drift apart.
+pub(crate) mod paper_organisation {
+    use ng_neural::apps::EncodingKind;
+
+    pub const ENCODING: EncodingKind = EncodingKind::MultiResHashGrid;
+    pub const PIXELS: u64 = super::FHD_PIXELS;
+    pub const NFP_UNITS: u32 = 64;
+    pub const CLOCK_GHZ: f64 = 1.0;
+    pub const GRID_SRAM_KB: u32 = 1024;
+    pub const GRID_SRAM_BANKS: u32 = 8;
+    pub const ENCODING_ENGINES: u32 = 16;
+    pub const MAC_ROWS: u32 = 64;
+    pub const MAC_COLS: u32 = 64;
+}
+
 /// Error raised by spec parsing or validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
@@ -304,6 +323,24 @@ impl SweepSpec {
     /// Number of points in the sweep.
     pub fn point_count(&self) -> usize {
         self.apps.len() * Space::new(self).arch_count()
+    }
+
+    /// Whether the sweep evaluates the paper's NGPC-64 organisation
+    /// ([`crate::ArchPoint::is_paper_organisation`]): some app is swept
+    /// and every axis the organisation fixes holds its value. Decided
+    /// from the axes alone, with no point evaluated.
+    pub fn contains_paper_organisation(&self) -> bool {
+        use paper_organisation as paper;
+        !self.apps.is_empty()
+            && self.encodings.contains(&paper::ENCODING)
+            && self.pixels.contains(&paper::PIXELS)
+            && self.nfp_units.contains(&paper::NFP_UNITS)
+            && self.clock_ghz.contains(&paper::CLOCK_GHZ)
+            && self.grid_sram_kb.contains(&paper::GRID_SRAM_KB)
+            && self.grid_sram_banks.contains(&paper::GRID_SRAM_BANKS)
+            && self.encoding_engines.contains(&paper::ENCODING_ENGINES)
+            && self.mac_rows.contains(&paper::MAC_ROWS)
+            && self.mac_cols.contains(&paper::MAC_COLS)
     }
 
     /// Check the sweep is non-empty and every axis value is one the

@@ -1,14 +1,16 @@
-//! The sweep engine: spec in, deterministic evaluated points out.
+//! The sweep engine: a spec in, its constrained Pareto frontiers out,
+//! in one streamed pass that holds no point vector.
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
-use crate::factors::FactorTables;
+use crate::factors::{FactorTables, BLOCK};
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
-use crate::spec::{DesignPoint, Space, SpecError, SweepSpec, ARCH_AXES};
+use crate::spec::{DesignPoint, Space, SpecError, SweepSpec};
 
 /// One evaluated configuration: the point plus the emulator outputs the
 /// frontier and reports read.
@@ -47,9 +49,9 @@ impl EvaluatedPoint {
         }
     }
 
-    /// `point` with every output zeroed: the slot [`evaluate_points`]
-    /// overwrites in place.
-    fn pending(point: DesignPoint) -> Self {
+    /// `point` with every output zeroed: a slot that
+    /// [`evaluate_points`] or a block refill overwrites in place.
+    pub(crate) fn pending(point: DesignPoint) -> Self {
         EvaluatedPoint {
             point,
             speedup: 0.0,
@@ -162,18 +164,20 @@ impl ArchPoint {
     /// the paper's 1 lane / 64 entries, so the match is exact there.
     /// Shared by every headline regression guard (`dse
     /// --check-headline` in both sweep and search modes, and
-    /// `bench_dse`'s `recovered_headline`) so the guards cannot drift
-    /// apart.
+    /// `bench_dse`'s `recovered_headline`), and its values with
+    /// [`SweepSpec::contains_paper_organisation`], so the guards cannot
+    /// drift apart.
     pub fn is_paper_organisation(&self) -> bool {
-        self.encoding == EncodingKind::MultiResHashGrid
-            && self.pixels == crate::spec::FHD_PIXELS
-            && self.nfp_units == 64
-            && self.clock_ghz == 1.0
-            && self.grid_sram_kb == 1024
-            && self.grid_sram_banks == 8
-            && self.encoding_engines == 16
-            && self.mac_rows == 64
-            && self.mac_cols == 64
+        use crate::spec::paper_organisation as paper;
+        self.encoding == paper::ENCODING
+            && self.pixels == paper::PIXELS
+            && self.nfp_units == paper::NFP_UNITS
+            && self.clock_ghz == paper::CLOCK_GHZ
+            && self.grid_sram_kb == paper::GRID_SRAM_KB
+            && self.grid_sram_banks == paper::GRID_SRAM_BANKS
+            && self.encoding_engines == paper::ENCODING_ENGINES
+            && self.mac_rows == paper::MAC_ROWS
+            && self.mac_cols == paper::MAC_COLS
     }
 }
 
@@ -192,7 +196,8 @@ pub struct SweepStats {
     pub cache_hit: bool,
     /// Worker threads used.
     pub threads: usize,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run: evaluation, the cross-app fold and
+    /// the frontiers.
     pub wall: Duration,
 }
 
@@ -208,8 +213,35 @@ impl SweepStats {
     }
 }
 
-/// A completed sweep: the spec, every evaluated point (in spec order),
-/// and execution stats.
+/// The constrained Pareto frontiers a sweep report prints, each sorted
+/// by ascending area.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Frontiers {
+    /// Architectures swept (the "of N architectures" of the report).
+    pub archs: usize,
+    /// The cross-app-average frontier.
+    pub cross_app: Vec<ArchPoint>,
+    /// Each swept app's own frontier, in [`AppKind::ALL`] order; empty
+    /// unless asked for.
+    pub per_app: Vec<(AppKind, Vec<EvaluatedPoint>)>,
+}
+
+/// A streamed sweep: its stats and frontiers, and the factor tables
+/// the emitters (`write_csv`, `write_json`) refill blocks of points
+/// from. It holds no point vector, so its size does not grow with the
+/// point count.
+pub struct Sweep<'a> {
+    /// How the run executed.
+    pub stats: SweepStats,
+    /// The constrained frontiers.
+    pub frontiers: Frontiers,
+    pub(crate) tables: FactorTables<'a>,
+}
+
+/// A sweep with every point in memory, in spec order. Kept, with
+/// [`crate::report::print_report`], [`crate::emit::points_to_csv`] and
+/// [`crate::emit::outcome_to_json`], only for the benchmark's replay;
+/// `dse` runs a [`Sweep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome {
     /// The spec that was swept.
@@ -224,19 +256,13 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// The constrained Pareto frontier of one app's points, sorted by
-    /// ascending area (the natural reading order of a frontier).
-    ///
-    /// Streams the points through a [`StreamingFrontier`] — each
-    /// point's objectives are computed exactly once and no intermediate
-    /// per-app or per-objective vectors are materialised.
+    /// ascending area.
     pub fn per_app_frontier(&self, app: AppKind, constraints: &Constraints) -> Vec<EvaluatedPoint> {
         let mut frontier = StreamingFrontier::new();
         for p in self.points.iter().filter(|p| p.point.app == app) {
             frontier.insert_constrained(p.objectives(), *p, constraints);
         }
-        let mut out = frontier.into_payloads();
-        out.sort_by(|a: &EvaluatedPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
-        out
+        by_area(frontier.into_payloads(), |p| p.area_pct_of_gpu)
     }
 
     /// Fold per-app results into one [`ArchPoint`] per architecture
@@ -261,8 +287,7 @@ impl SweepOutcome {
     }
 
     /// The constrained Pareto frontier of the cross-app-average
-    /// objective, sorted by ascending area. Folds once; a caller that
-    /// already holds [`SweepOutcome::cross_app`] uses [`arch_frontier`].
+    /// objective, sorted by ascending area.
     pub fn cross_app_frontier(&self, constraints: &Constraints) -> Vec<ArchPoint> {
         arch_frontier(&self.cross_app(), constraints)
     }
@@ -276,9 +301,24 @@ pub fn arch_frontier(archs: &[ArchPoint], constraints: &Constraints) -> Vec<Arch
     for a in archs {
         frontier.insert_constrained(a.objectives(), *a, constraints);
     }
-    let mut out = frontier.into_payloads();
-    out.sort_by(|a: &ArchPoint, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
-    out
+    by_area(frontier.into_payloads(), |a| a.area_pct_of_gpu)
+}
+
+/// A frontier's payloads in ascending area, in a stable sort: equal
+/// areas keep their insertion (spec) order.
+fn by_area<T>(mut payloads: Vec<T>, area: impl Fn(&T) -> f64) -> Vec<T> {
+    payloads.sort_by(|a, b| area(a).total_cmp(&area(b)));
+    payloads
+}
+
+/// The swept apps in report order ([`AppKind::ALL`] order), each with
+/// its position on the spec's app axis.
+pub(crate) fn apps_in_report_order(
+    spec: &SweepSpec,
+) -> impl Iterator<Item = (AppKind, usize)> + '_ {
+    AppKind::ALL
+        .into_iter()
+        .filter_map(|app| Some((app, spec.apps.iter().position(|&a| a == app)?)))
 }
 
 /// Evaluate design points one [`ngpc::emulate`] call each, on up to
@@ -291,51 +331,118 @@ pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedP
     let ticks = obs_counters::eval_ticks();
     let mut out: Vec<EvaluatedPoint> =
         points.iter().copied().map(EvaluatedPoint::pending).collect();
-    fill_chunks(&mut out, threads, |_, slots| {
-        for slot in slots.iter_mut() {
-            *slot = EvaluatedPoint::from_result(
-                slot.point,
-                &ngpc::emulate(&slot.point.emulator_input()),
-            );
-        }
-        ticks.add(slots.len() as u64);
-    });
-    out
-}
-
-/// Evaluate every point of `space`, in spec order, from its
-/// [`FactorTables`]: the tables are built on the calling thread, then up
-/// to `threads` scoped workers each fill one contiguous chunk.
-fn evaluate_space(space: Space, threads: usize) -> Vec<EvaluatedPoint> {
-    let _span = ng_obs::span("evaluate");
-    let tables = {
-        let _span = ng_obs::span("tables");
-        FactorTables::new(space)
-    };
-    let blank = EvaluatedPoint::pending(space.point(&[0; ARCH_AXES], 0));
-    let mut out = vec![blank; space.spec.point_count()];
-    fill_chunks(&mut out, threads, |start, slots| tables.fill(start, slots));
-    out
-}
-
-/// Split `out` into at most `threads` contiguous chunks and run
-/// `fill(start, chunk)` on each in its own scoped thread, where `start`
-/// is the chunk's offset in `out`.
-fn fill_chunks(
-    out: &mut [EvaluatedPoint],
-    threads: usize,
-    fill: impl Fn(usize, &mut [EvaluatedPoint]) + Sync,
-) {
     if out.is_empty() {
-        return;
+        return out;
     }
     let chunk = out.len().div_ceil(threads.clamp(1, out.len()));
-    let fill = &fill;
     std::thread::scope(|scope| {
-        for (i, slots) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || fill(i * chunk, slots));
+        for slots in out.chunks_mut(chunk) {
+            scope.spawn(move || {
+                for slot in slots.iter_mut() {
+                    *slot = EvaluatedPoint::from_result(
+                        slot.point,
+                        &ngpc::emulate(&slot.point.emulator_input()),
+                    );
+                }
+                ticks.add(slots.len() as u64);
+            });
         }
     });
+    out
+}
+
+/// One range's share of a sweep: the constrained frontiers of a
+/// contiguous range of architectures.
+struct Part {
+    cross_app: StreamingFrontier<ArchPoint>,
+    /// One frontier per app-axis position; empty unless asked for.
+    per_app: Vec<StreamingFrontier<EvaluatedPoint>>,
+}
+
+/// Evaluate the architectures `archs` (flat numbers, ascending), fold
+/// each over its apps, and offer the folds (and, with `per_app`, every
+/// app point) to the worker's own frontiers. Adds to `eval.ticks` once
+/// per [`BLOCK`] points.
+fn fold_archs(
+    tables: &FactorTables,
+    archs: Range<usize>,
+    constraints: &Constraints,
+    per_app: bool,
+) -> Part {
+    let ticks = obs_counters::eval_ticks();
+    let space = &tables.space;
+    let apps = space.spec.apps.len();
+    let mut part = Part {
+        cross_app: StreamingFrontier::new(),
+        per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
+    };
+    let mut idx = space.decode(archs.start);
+    let mut unticked = 0;
+    for flat in archs {
+        let arch = tables.fold_arch(&idx, flat, |app, p| {
+            if let Some(frontier) = part.per_app.get_mut(app) {
+                frontier.insert_constrained(p.objectives(), *p, constraints);
+            }
+        });
+        part.cross_app.insert_constrained(arch.objectives(), arch, constraints);
+        space.advance(&mut idx);
+        unticked += apps;
+        if unticked >= BLOCK {
+            ticks.add(unticked as u64);
+            unticked = 0;
+        }
+    }
+    ticks.add(unticked as u64);
+    part
+}
+
+/// Split the space's architectures into at most `threads` static,
+/// contiguous ranges in [`Space`] order and fold each: the calling
+/// thread folds the first range while one scoped thread each folds the
+/// others. Then merge the frontiers in range order. Each frontier keeps
+/// its survivors in insertion order, so the merge yields the
+/// single-pass frontier in the same order
+/// ([`StreamingFrontier::merge`]), and the stable area sort then gives
+/// the same frontier at any thread count.
+fn fold_space(
+    tables: &FactorTables,
+    threads: usize,
+    constraints: &Constraints,
+    per_app: bool,
+) -> Frontiers {
+    let archs = tables.space.arch_count();
+    let chunk = archs.div_ceil(threads.clamp(1, archs));
+    let mut whole = std::thread::scope(|scope| {
+        let mut ranges = (0..archs).step_by(chunk).map(|lo| lo..(lo + chunk).min(archs));
+        let first = ranges.next().expect("a validated space has an architecture");
+        let workers: Vec<_> = ranges
+            .map(|range| scope.spawn(move || fold_archs(tables, range, constraints, per_app)))
+            .collect();
+        let mut whole = fold_archs(tables, first, constraints, per_app);
+        for worker in workers {
+            let part = worker.join().expect("a sweep worker panicked");
+            whole.cross_app.merge(part.cross_app);
+            for (frontier, later) in whole.per_app.iter_mut().zip(part.per_app) {
+                frontier.merge(later);
+            }
+        }
+        whole
+    });
+    let per_app = if per_app {
+        apps_in_report_order(tables.space.spec)
+            .map(|(app, a)| {
+                let frontier = std::mem::replace(&mut whole.per_app[a], StreamingFrontier::new());
+                (app, by_area(frontier.into_payloads(), |p| p.area_pct_of_gpu))
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    Frontiers {
+        archs,
+        cross_app: by_area(whole.cross_app.into_payloads(), |a| a.area_pct_of_gpu),
+        per_app,
+    }
 }
 
 /// The sweep executor: a thread count and a progress switch.
@@ -375,9 +482,17 @@ impl SweepEngine {
         self
     }
 
-    /// Run a sweep: validate, evaluate every point in parallel from the
-    /// spec's factor tables, and return the results in spec order.
-    pub fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SpecError> {
+    /// Run a sweep in one streamed pass: validate, build the spec's
+    /// factor tables, then have each worker evaluate a contiguous range
+    /// of architectures, fold each over its apps and keep only its own
+    /// constrained frontiers (and, with `per_app`, each app's). The
+    /// merged frontiers are the same at any thread count.
+    pub fn run<'a>(
+        &self,
+        spec: &'a SweepSpec,
+        constraints: &Constraints,
+        per_app: bool,
+    ) -> Result<Sweep<'a>, SpecError> {
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
         spec.validate()?;
@@ -394,21 +509,28 @@ impl SweepEngine {
             "points",
             ng_obs::stderr_wants_progress(self.quiet),
         );
-        let points = evaluate_space(Space::new(spec), threads);
+        let (tables, frontiers) = {
+            let _span = ng_obs::span("evaluate");
+            let tables = {
+                let _span = ng_obs::span("tables");
+                FactorTables::new(Space::new(spec))
+            };
+            let frontiers = fold_space(&tables, threads, constraints, per_app);
+            (tables, frontiers)
+        };
         meter.finish();
 
-        Ok(SweepOutcome {
-            spec: spec.clone(),
+        Ok(Sweep {
             stats: SweepStats {
-                total_points: points.len(),
-                evaluated: points.len(),
+                total_points: total,
+                evaluated: total,
                 cache_hits: 0,
                 cache_hit: false,
                 threads,
                 wall: started.elapsed(),
             },
-            points,
-            cache_path: None,
+            frontiers,
+            tables,
         })
     }
 }
@@ -421,26 +543,31 @@ fn available_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::FHD_PIXELS;
 
-    fn engine() -> SweepEngine {
-        SweepEngine::new()
+    /// The held-points reference of `spec`: one `emulate` call a point.
+    fn oracle(spec: &SweepSpec) -> SweepOutcome {
+        let points = evaluate_points(&spec.points(), 1);
+        SweepOutcome {
+            spec: spec.clone(),
+            stats: SweepStats {
+                total_points: points.len(),
+                evaluated: points.len(),
+                cache_hits: 0,
+                cache_hit: false,
+                threads: 1,
+                wall: Duration::ZERO,
+            },
+            points,
+            cache_path: None,
+        }
+    }
+
+    fn sweep<'a>(spec: &'a SweepSpec, threads: usize, c: &Constraints) -> Sweep<'a> {
+        SweepEngine::new().with_threads(threads).run(spec, c, true).unwrap()
     }
 
     #[test]
-    fn sweep_matches_direct_emulation_in_spec_order() {
-        let spec = SweepSpec::quick();
-        let outcome = engine().run(&spec).unwrap();
-        assert_eq!(outcome.points, evaluate_points(&spec.points(), 1));
-        assert!(outcome.points.iter().enumerate().all(|(i, ep)| ep.point.index == i));
-        assert_eq!(outcome.stats.evaluated, spec.point_count());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let one = engine().with_threads(1).run(&SweepSpec::quick()).unwrap();
-        let many = engine().with_threads(16).run(&SweepSpec::quick()).unwrap();
-        assert_eq!(one.points, many.points);
+    fn evaluate_points_is_thread_count_invariant() {
         // More threads than points (quick has 16), and the uneven chunk
         // boundaries of paper's 1,440 points.
         for spec in [SweepSpec::quick(), SweepSpec::paper()] {
@@ -457,13 +584,46 @@ mod tests {
         assert_eq!(evaluate_points(single, 8), evaluate_points(single, 1));
     }
 
+    /// On every preset, the streamed frontiers equal the held-points
+    /// reference's at every thread count from 1 to 8 (static ranges of
+    /// uneven length, and more workers than quick has architectures),
+    /// with and without a budget: equal-area survivors keep their
+    /// single-pass order, which `clocks` shows.
     #[test]
-    fn fig12a_averages_via_cross_app() {
-        // The cross-app fold must reproduce the paper's Fig. 12-a bars.
-        let outcome = engine().run(&SweepSpec::quick()).unwrap();
-        let archs = outcome.cross_app();
+    fn streamed_frontiers_match_the_held_points_at_any_thread_count() {
+        let budget =
+            Constraints { max_area_pct: Some(10.0), max_power_pct: Some(6.0), min_speedup: None };
+        for spec in SweepSpec::PRESETS.map(|name| SweepSpec::preset(name).unwrap()) {
+            let oracle = oracle(&spec);
+            for c in [Constraints::NONE, budget] {
+                let want = Frontiers {
+                    archs: oracle.cross_app().len(),
+                    cross_app: oracle.cross_app_frontier(&c),
+                    per_app: apps_in_report_order(&spec)
+                        .map(|(app, _)| (app, oracle.per_app_frontier(app, &c)))
+                        .collect(),
+                };
+                for threads in 1..=8 {
+                    let got = sweep(&spec, threads, &c);
+                    assert_eq!(got.frontiers, want, "{} at {threads} threads, {c:?}", spec.name);
+                    assert_eq!(got.stats.total_points, spec.point_count());
+                }
+            }
+        }
+        let spec = SweepSpec::quick();
+        let without = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        assert!(without.frontiers.per_app.is_empty());
+    }
+
+    #[test]
+    fn fig12a_averages_via_the_cross_app_frontier() {
+        // The cross-app fold must reproduce the paper's Fig. 12-a bars;
+        // on quick every NFP count is Pareto-optimal.
+        let spec = SweepSpec::quick();
+        let frontier = sweep(&spec, 2, &Constraints::NONE).frontiers.cross_app;
+        assert_eq!(frontier.len(), 4);
         for (n, target) in [(8u32, 12.94f64), (16, 20.85), (32, 33.73), (64, 39.04)] {
-            let a = archs.iter().find(|a| a.nfp_units == n).unwrap();
+            let a = frontier.iter().find(|a| a.nfp_units == n).unwrap();
             assert_eq!(a.apps, 4);
             assert!((a.avg_speedup - target).abs() < target * 0.01, "{}: {}", n, a.avg_speedup);
         }
@@ -472,7 +632,7 @@ mod tests {
     #[test]
     fn cross_app_matches_a_keyed_reference_fold_bit_for_bit() {
         for spec in [SweepSpec::paper(), SweepSpec::mac_arrays()] {
-            let outcome = engine().run(&spec).unwrap();
+            let outcome = oracle(&spec);
             // Group by the arch axes (the point with its index and app
             // blanked), in first-seen order, summing speedups in point
             // order.
@@ -517,43 +677,63 @@ mod tests {
     #[test]
     #[should_panic(expected = "cross_app needs one evaluated point per spec point")]
     fn cross_app_rejects_a_truncated_outcome() {
-        let mut outcome = engine().run(&SweepSpec::quick()).unwrap();
+        let mut outcome = oracle(&SweepSpec::quick());
         outcome.points.pop();
         outcome.cross_app();
     }
 
     #[test]
     fn paper_headline_point_is_on_the_cross_app_frontier() {
-        let outcome = engine().run(&SweepSpec::paper()).unwrap();
-        let frontier = outcome.cross_app_frontier(&Constraints::NONE);
-        let headline = frontier.iter().find(|a| {
-            a.encoding == EncodingKind::MultiResHashGrid
-                && a.nfp_units == 64
-                && a.clock_ghz == 1.0
-                && a.grid_sram_kb == 1024
-                && a.grid_sram_banks == 8
-                && a.pixels == FHD_PIXELS
-        });
-        let arch = headline.expect("NGPC-64 must be Pareto-optimal");
+        let spec = SweepSpec::paper();
+        let frontier = sweep(&spec, 2, &Constraints::NONE).frontiers.cross_app;
+        let arch = frontier
+            .iter()
+            .find(|a| a.is_paper_organisation())
+            .expect("NGPC-64 must be Pareto-optimal");
         assert!((arch.avg_speedup - 39.04).abs() < 0.4, "{}", arch.avg_speedup);
+    }
+
+    /// Whether a spec contains the paper's organisation is decided from
+    /// its axes, and agrees with folding every architecture.
+    #[test]
+    fn paper_organisation_is_a_spec_predicate() {
+        let folded = |spec: &SweepSpec| {
+            spec.points().into_iter().any(|p| {
+                ArchPoint::from_app_points([EvaluatedPoint::pending(p)]).is_paper_organisation()
+            })
+        };
+        for name in SweepSpec::PRESETS {
+            let spec = SweepSpec::preset(name).unwrap();
+            assert!(spec.contains_paper_organisation(), "{name}");
+            assert!(folded(&spec), "{name}");
+        }
+        for nfp_units in [vec![8], vec![8, 16, 32]] {
+            let spec = SweepSpec { nfp_units, ..SweepSpec::paper() };
+            assert!(!spec.contains_paper_organisation());
+            assert!(!folded(&spec));
+        }
+        let no_apps = SweepSpec { apps: Vec::new(), ..SweepSpec::paper() };
+        assert!(!no_apps.contains_paper_organisation());
     }
 
     #[test]
     fn per_app_frontier_respects_constraints_and_dominance() {
-        let outcome = engine().run(&SweepSpec::paper()).unwrap();
+        let spec = SweepSpec::paper();
         let budget = Constraints {
             max_area_pct: Some(10.0),
             max_power_pct: Some(6.0),
             ..Constraints::default()
         };
-        let frontier = outcome.per_app_frontier(AppKind::Gia, &budget);
+        let sweep = sweep(&spec, 2, &budget);
+        let (app, frontier) =
+            sweep.frontiers.per_app.iter().find(|(app, _)| *app == AppKind::Gia).unwrap();
         assert!(!frontier.is_empty());
-        for p in &frontier {
+        for p in frontier {
             assert!(p.area_pct_of_gpu <= 10.0 && p.power_pct_of_gpu <= 6.0);
-            assert_eq!(p.point.app, AppKind::Gia);
+            assert_eq!(p.point.app, *app);
         }
-        for a in &frontier {
-            for b in &frontier {
+        for a in frontier {
+            for b in frontier {
                 assert!(!a.objectives().dominates(&b.objectives()) || a == b);
             }
         }

@@ -5,7 +5,6 @@
 //! itself updates the values below and says why; on a mismatch the
 //! failure message prints the whole table as it now is.
 
-use ng_dse::emit::points_to_csv;
 use ng_dse::{
     ArchPoint, Constraints, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec,
 };
@@ -43,9 +42,12 @@ fn preset_csvs_and_frontiers_are_pinned() {
     let got: Vec<(&str, u64, u64)> = PRESETS
         .iter()
         .map(|&(name, ..)| {
-            let outcome = SweepEngine::new().run(&SweepSpec::preset(name).unwrap()).unwrap();
-            let csv = fnv1a64(&points_to_csv(&outcome.points));
-            (name, csv, frontier_digest(&outcome.cross_app_frontier(&Constraints::NONE)))
+            let spec = SweepSpec::preset(name).unwrap();
+            let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+            let mut csv = Vec::new();
+            sweep.write_csv(&mut csv).unwrap();
+            let csv = fnv1a64(std::str::from_utf8(&csv).unwrap());
+            (name, csv, frontier_digest(&sweep.frontiers.cross_app))
         })
         .collect();
     let table: String =

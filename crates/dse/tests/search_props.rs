@@ -161,8 +161,10 @@ proptest! {
             ..SweepSpec::default()
         };
         prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
-        let outcome = SweepEngine::new().with_threads(1).run(&spec).unwrap();
-        let p = &outcome.points[0];
+        let sweep = SweepEngine::new().with_threads(1).run(&spec, &Constraints::NONE, true);
+        let sweep = sweep.unwrap();
+        // One point is its own app's whole frontier.
+        let p = &sweep.frontiers.per_app[0].1[0];
         for (name, value) in [
             ("speedup", p.speedup),
             ("area %", p.area_pct_of_gpu),

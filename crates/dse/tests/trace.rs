@@ -1,7 +1,8 @@
 //! End-to-end checks of the observability surface: a traced
 //! quick-preset run must produce a balanced, invariant-satisfying
 //! ledger, and a rerun must overwrite it; a traced multi-block sweep
-//! must show its factor-table stage and count every point once;
+//! must show its factor-table stage and count every point once, with
+//! or without `--csv --json`;
 //! `dse trace` must summarize and export it, reject a coverage floor
 //! that is not a percent, a missing ledger and one with no run in it;
 //! `--metrics` must print the same stages without touching stdout; and
@@ -80,8 +81,8 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
 
 /// The sweep builds its factor tables under `evaluate/tables`, and its
 /// workers add `eval.ticks` once per block of points: over a sweep
-/// whose two chunks each span several blocks and an app boundary, the
-/// ticks must still sum to the point count.
+/// whose two architecture ranges each span several blocks, the ticks
+/// must still sum to the point count.
 #[test]
 fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
     let ledger_path = temp_path("tables.jsonl");
@@ -126,6 +127,39 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
     assert!(out.contains("counter invariant (eval.ticks == sweep.points): holds"), "{out}");
 
     let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// The emitters refill their blocks from the factor tables. That is
+/// bookkeeping, not evaluation: a run that writes both files still
+/// ticks every point exactly once, and its ledger passes the audit.
+#[test]
+fn traced_emitting_run_ticks_every_point_once() {
+    let [ledger_path, csv_path, json_path] = ["emit.jsonl", "emit.csv", "emit.json"].map(temp_path);
+    let [ledger_s, csv_s, json_s] =
+        [&ledger_path, &csv_path, &json_path].map(|p| p.display().to_string());
+
+    let (out, err, ok) = dse(
+        &["--preset", "paper", "--quiet", "--csv", &csv_s, "--json", &json_s, "--trace", &ledger_s],
+        &[],
+    );
+    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
+    for stage in ["dse/emit/csv", "dse/emit/json"] {
+        assert!(stages.iter().any(|p| p == stage), "no {stage} span: {stages:?}");
+    }
+    let counters = ledger.final_counters();
+    assert_eq!(counters.get("sweep.points"), Some(&1440));
+    assert_eq!(counters.get("eval.ticks"), Some(&1440), "eval.ticks != points");
+
+    let (out, err, ok) = dse(&["trace", &ledger_s, "--check"], &[]);
+    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
+    assert!(out.contains("counter invariant (eval.ticks == sweep.points): holds"), "{out}");
+
+    for path in [ledger_path, csv_path, json_path] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// A guided search builds the same factor tables under `search/tables`
@@ -278,9 +312,9 @@ fn quiet_keeps_stdout_byte_identical() {
     assert_eq!(loud, quiet, "stdout differs with/without the progress meter");
 }
 
-/// A sweep folds its outcome and builds the cross-app frontier once:
-/// `--json` reuses the frontier the report printed, so a run with it
-/// makes exactly as many frontier inserts as a run without it.
+/// A sweep builds the cross-app frontier once: `--json` writes the
+/// frontier the sweep built, so a run with it makes exactly as many
+/// frontier inserts as a run without it.
 #[test]
 fn json_reuses_the_reported_frontier() {
     let json_path = temp_path("inserts.json");

@@ -17,25 +17,27 @@ fn main() {
         clock_ghz: vec![0.5, 1.0, 2.0],
         ..SweepSpec::default()
     };
-    let outcome = SweepEngine::new().run(&spec).expect("valid spec");
+    let engine = SweepEngine::new();
+    let sweep = engine.run(&spec, &Constraints::NONE, false).expect("valid spec");
     println!(
         "evaluated {} points in {:.1} ms ({} threads)\n",
-        outcome.stats.total_points,
-        outcome.stats.wall.as_secs_f64() * 1e3,
-        outcome.stats.threads,
+        sweep.stats.total_points,
+        sweep.stats.wall.as_secs_f64() * 1e3,
+        sweep.stats.threads,
     );
 
     println!("unconstrained cross-app frontier (hashgrid, FHD):");
-    print!("{}", frontier_table(&outcome.cross_app_frontier(&Constraints::NONE), 20));
+    print!("{}", frontier_table(&sweep.frontiers.cross_app, 20));
 
     // The budget question the paper's Fig. 15 invites: what is the best
-    // architecture costing at most 10% of the die and 10% of TDP?
+    // architecture costing at most 10% of the die and 10% of TDP? The
+    // budget filters points before the frontier, so it is its own sweep.
     let budget = Constraints {
         max_area_pct: Some(10.0),
         max_power_pct: Some(10.0),
         ..Constraints::default()
     };
-    let affordable = outcome.cross_app_frontier(&budget);
+    let affordable = engine.run(&spec, &budget, false).expect("valid spec").frontiers.cross_app;
     println!("\nwithin a 10% area / 10% power budget:");
     print!("{}", frontier_table(&affordable, 20));
     if let Some(best) = affordable.iter().max_by(|a, b| a.avg_speedup.total_cmp(&b.avg_speedup)) {

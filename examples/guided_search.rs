@@ -78,8 +78,8 @@ fn main() {
     small.nfp_units = vec![8, 16, 32, 64];
     small.lanes_per_engine = vec![1, 2];
     small.input_fifo_depth = vec![8, 64];
-    let exhaustive = SweepEngine::new().run(&small).expect("valid");
-    let full_frontier = exhaustive.cross_app_frontier(&Constraints::NONE);
+    let exhaustive = SweepEngine::new().run(&small, &Constraints::NONE, false).expect("valid");
+    let full_frontier = exhaustive.frontiers.cross_app;
     let saturated = SearchSpec { budget: small.point_count(), ..search };
     let degenerate = Searcher::new().run(&small, &saturated).expect("valid");
     assert_eq!(degenerate.frontier.len(), full_frontier.len());

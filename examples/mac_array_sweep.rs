@@ -54,14 +54,16 @@ fn main() {
 
     // 3. The preset sweep: {32,64,128}^2 MAC shapes x {8,16,32} engines
     //    at the paper's scaling factors, Pareto-reduced.
-    let outcome = SweepEngine::new().run(&SweepSpec::mac_arrays()).expect("preset validates");
+    let spec = SweepSpec::mac_arrays();
+    let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false);
+    let sweep = sweep.expect("preset validates");
     println!(
         "\nswept {} points in {:.1} ms ({} threads)",
-        outcome.stats.total_points,
-        outcome.stats.wall.as_secs_f64() * 1e3,
-        outcome.stats.threads,
+        sweep.stats.total_points,
+        sweep.stats.wall.as_secs_f64() * 1e3,
+        sweep.stats.threads,
     );
-    let frontier = outcome.cross_app_frontier(&Constraints::NONE);
+    let frontier = sweep.frontiers.cross_app;
     println!("cross-app Pareto frontier of the MAC-array / engine-count space:");
     print!("{}", frontier_table(&frontier, 16));
 
