@@ -1,21 +1,30 @@
-//! `bench_dse` — the tracked perf harness of the DSE pipeline.
+//! `bench_dse` — the tracked perf harness of the DSE pipeline and its
+//! model layers.
 //!
-//! Times each tracked preset's sweep as `dse` runs it without output
-//! files — one streamed pass of evaluation, the cross-app fold and the
-//! frontier — [`RUNS`] times in one process with `ng-obs`
-//! recording off and [`RUNS`] times with it on, alternating, and the
-//! budgeted guided searcher over the exploded guided-lanes space the
-//! same way. It writes a machine-readable `BENCH_dse.json`: one entry
-//! per preset (`{preset, points, runs, median_s, min_s, max_s,
-//! median_points_per_sec, recording_on_median_s, counters_per_run}`)
-//! for the paper, mac-arrays and guided-lanes presets, a `guided` entry
-//! for the searcher (`{space_points, budget, evaluations, runs,
-//! median_s, min_s, max_s, recording_on_median_s,
-//! recovered_headline}`), and a closing `stage_profile_us` breakdown of
-//! where the recording-on runs' wall time went (per span path, summed
-//! over the runs, from their ledgers). The row medians are recording
+//! Times the budgeted guided searcher over the exploded guided-lanes
+//! space, then each tracked preset's sweep as `dse` runs it without
+//! output files — one streamed pass of evaluation, the cross-app fold
+//! and the frontier — [`RUNS`] times each in one process with `ng-obs`
+//! recording off and [`RUNS`] times with it on, alternating. The search
+//! row runs first, so that no sweep row's freed memory changes its
+//! allocator state. It writes a machine-readable `BENCH_dse.json`: a
+//! `guided` entry for the searcher (`{space_points, budget,
+//! evaluations, runs, median_s, min_s, max_s, recording_on_median_s,
+//! recovered_headline}`), and one entry per preset (`{preset, points,
+//! runs, median_s, min_s, max_s, median_points_per_sec,
+//! recording_on_median_s, counters_per_run}`) for the paper,
+//! mac-arrays and guided-lanes presets. The row medians are recording
 //! off. `counters_per_run` holds the `ng-obs` counter growth of one
 //! sweep.
+//!
+//! Each entry also reads its recording-on runs' ledgers: `layers` has
+//! one row per factor table (`{layer, entries, us_per_build,
+//! ns_per_entry}`: the table's distinct tuples and its span's mean
+//! time), and `stage_profile_us` has that row's calls, total and self
+//! time per span path, summed over the runs. Spans record whole
+//! microseconds and include their own begin event (~1 µs while
+//! recording), so a table that builds in a few µs reads mostly
+//! recording cost.
 //!
 //! ```text
 //! bench_dse [--quick] [--check-overhead] [--out PATH]
@@ -32,6 +41,8 @@ use std::fs;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use ng_dse::factors::FactorTables;
+use ng_dse::spec::Space;
 use ng_dse::{Constraints, SearchSpec, Searcher, SweepEngine, SweepSpec};
 
 /// Timed repetitions of every row.
@@ -90,6 +101,46 @@ fn alternate(ledger: &mut String, mut run: impl FnMut() -> Duration) -> (Spread,
     (Spread::of(off), Spread::of(on))
 }
 
+/// The `layers` and `stage_profile_us` fields of a row whose
+/// recording-on runs wrote `ledger`, with each line after the first
+/// indented by `indent`. The layer rows are `spec`'s factor tables,
+/// whose spans sit under the span path `tables`; each is also printed.
+fn profile_json(ledger: &str, spec: &SweepSpec, tables: &str, indent: &str) -> String {
+    let stages = ng_obs::Ledger::parse(ledger).profile();
+    let layers: Vec<String> = FactorTables::new(Space::new(spec))
+        .layers()
+        .iter()
+        .map(|&(layer, entries)| {
+            let path = format!("{tables}/{layer}");
+            let span = stages.iter().find(|s| s.path == path).expect("every table has a span");
+            let us_per_build = span.total_us as f64 / span.calls as f64;
+            let ns_per_entry = us_per_build * 1e3 / entries as f64;
+            println!(
+                "  {layer:<13} {entries:>6} entries  {us_per_build:9.1} µs/build  \
+                 {ns_per_entry:8.1} ns/entry"
+            );
+            format!(
+                "{indent}  {{ \"layer\": \"{layer}\", \"entries\": {entries}, \
+                 \"us_per_build\": {us_per_build}, \"ns_per_entry\": {ns_per_entry} }}"
+            )
+        })
+        .collect();
+    let stages: Vec<String> = stages
+        .iter()
+        .map(|s| {
+            format!(
+                "{indent}  \"{}\": {{ \"calls\": {}, \"total_us\": {}, \"self_us\": {} }}",
+                s.path, s.calls, s.total_us, s.self_us
+            )
+        })
+        .collect();
+    format!(
+        "\"layers\": [\n{}\n{indent}],\n{indent}\"stage_profile_us\": {{\n{}\n{indent}}}",
+        layers.join(",\n"),
+        stages.join(",\n")
+    )
+}
+
 struct PresetBench {
     name: String,
     points: usize,
@@ -99,6 +150,8 @@ struct PresetBench {
     /// the observability cross-check that the timing numbers measured
     /// what they claim (e.g. `eval.ticks == points`).
     counters_per_run: Vec<(String, u64)>,
+    /// The `layers` and `stage_profile_us` JSON fields.
+    profile: String,
 }
 
 impl PresetBench {
@@ -110,9 +163,10 @@ impl PresetBench {
 /// Time one preset's sweep: evaluation, the cross-app fold and the
 /// unconstrained frontier, as `dse --preset NAME` runs them before it
 /// prints.
-fn bench_preset(spec: &SweepSpec, ledger: &mut String) -> PresetBench {
+fn bench_preset(spec: &SweepSpec) -> PresetBench {
     let mut counters_per_run = None;
-    let (spread, recording_on) = alternate(ledger, || {
+    let mut ledger = String::new();
+    let (spread, recording_on) = alternate(&mut ledger, || {
         let before = ng_obs::counter::snapshot();
         let started = Instant::now();
         let sweep = SweepEngine::new().run(spec, &Constraints::NONE, false);
@@ -127,17 +181,17 @@ fn bench_preset(spec: &SweepSpec, ledger: &mut String) -> PresetBench {
         });
         elapsed
     });
-    let bench = PresetBench {
+    println!("[{}]", spec.name);
+    println!("sweep:  {}  ({} points)", spread.line(), spec.point_count());
+    println!("traced: {}", recording_on.line());
+    PresetBench {
         name: spec.name.clone(),
         points: spec.point_count(),
         spread,
         recording_on,
         counters_per_run: counters_per_run.expect("RUNS > 0"),
-    };
-    println!("[{}]", bench.name);
-    println!("sweep:  {}  ({} points)", bench.spread.line(), bench.points);
-    println!("traced: {}", bench.recording_on.line());
-    bench
+        profile: profile_json(&ledger, spec, "sweep/evaluate/tables", "      "),
+    }
 }
 
 /// The guided search over the exploded preset.
@@ -148,13 +202,16 @@ struct GuidedBench {
     spread: Spread,
     recording_on: Spread,
     recovered_headline: bool,
+    /// The `layers` and `stage_profile_us` JSON fields.
+    profile: String,
 }
 
-fn bench_guided(ledger: &mut String) -> GuidedBench {
+fn bench_guided() -> GuidedBench {
     let spec = SweepSpec::guided_lanes();
     let search = SearchSpec::for_space(&spec);
     let mut first = None;
-    let (spread, recording_on) = alternate(ledger, || {
+    let mut ledger = String::new();
+    let (spread, recording_on) = alternate(&mut ledger, || {
         let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
         let wall = outcome.stats.wall;
         first.get_or_insert(outcome);
@@ -163,25 +220,25 @@ fn bench_guided(ledger: &mut String) -> GuidedBench {
     let outcome = first.expect("RUNS > 0");
     let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
     let stats = &outcome.stats;
-    let bench = GuidedBench {
+    println!("[guided-lanes --search]");
+    println!(
+        "search: {}  ({} of {} points evaluated, {:.2}% of the space, headline {})",
+        spread.line(),
+        stats.evaluations,
+        stats.space_points,
+        100.0 * stats.budget_fraction_used(),
+        if recovered { "recovered" } else { "MISSED" },
+    );
+    println!("traced: {}", recording_on.line());
+    GuidedBench {
         space_points: stats.space_points,
         budget: stats.budget,
         evaluations: stats.evaluations,
         spread,
         recording_on,
         recovered_headline: recovered,
-    };
-    println!("[guided-lanes --search]");
-    println!(
-        "search: {}  ({} of {} points evaluated, {:.2}% of the space, headline {})",
-        bench.spread.line(),
-        stats.evaluations,
-        stats.space_points,
-        100.0 * stats.budget_fraction_used(),
-        if recovered { "recovered" } else { "MISSED" },
-    );
-    println!("traced: {}", bench.recording_on.line());
-    bench
+        profile: profile_json(&ledger, &spec, "search/tables", "    "),
+    }
 }
 
 fn main() -> ExitCode {
@@ -210,8 +267,7 @@ fn main() -> ExitCode {
     }
 
     // GPU-model calibration is memoized per process, so only the
-    // *first* preset's first sweep pays it (~0.02 ms). Keep `paper`
-    // first so the trajectory stays comparable across PRs.
+    // first row's first run pays it (~0.02 ms).
     let specs: Vec<SweepSpec> = if quick {
         vec![SweepSpec::quick()]
     } else {
@@ -227,11 +283,12 @@ fn main() -> ExitCode {
         }
     });
 
-    let mut ledger = String::new();
-    let benches: Vec<PresetBench> = specs.iter().map(|s| bench_preset(s, &mut ledger)).collect();
     // The guided searcher is benched on the full runs only (its space
-    // is a full preset; a --quick run has nothing to search).
-    let guided = if quick { None } else { Some(bench_guided(&mut ledger)) };
+    // is a full preset; a --quick run has nothing to search), and
+    // first: its row then does not depend on what the sweep rows
+    // allocated and freed.
+    let guided = if quick { None } else { Some(bench_guided()) };
+    let benches: Vec<PresetBench> = specs.iter().map(bench_preset).collect();
 
     let entries: Vec<String> = benches
         .iter()
@@ -244,13 +301,14 @@ fn main() -> ExitCode {
             format!(
                 "    {{\n      \"preset\": \"{}\",\n      \"points\": {},\n      {},\n      \
                  \"median_points_per_sec\": {},\n      \"recording_on_median_s\": {},\n      \
-                 \"counters_per_run\": {{\n{}\n      }}\n    }}",
+                 \"counters_per_run\": {{\n{}\n      }},\n      {}\n    }}",
                 b.name,
                 b.points,
                 b.spread.json("      "),
                 b.median_points_per_sec(),
                 b.recording_on.median_s,
                 counters.join(",\n"),
+                b.profile,
             )
         })
         .collect();
@@ -260,39 +318,19 @@ fn main() -> ExitCode {
             format!(
                 ",\n  \"guided\": {{\n    \"preset\": \"guided-lanes\",\n    \
                  \"space_points\": {},\n    \"budget\": {},\n    \"evaluations\": {},\n    \
-                 {},\n    \"recording_on_median_s\": {},\n    \"recovered_headline\": {}\n  }}",
+                 {},\n    \"recording_on_median_s\": {},\n    \"recovered_headline\": {},\n    \
+                 {}\n  }}",
                 g.space_points,
                 g.budget,
                 g.evaluations,
                 g.spread.json("    "),
                 g.recording_on.median_s,
                 g.recovered_headline,
+                g.profile,
             )
         })
         .unwrap_or_default();
-    // Where the recording-on runs' wall time went, per span path — the
-    // stage breakdown `dse trace` prints, from the same ledgers.
-    let stage_rows: Vec<String> = ng_obs::Ledger::parse(&ledger)
-        .profile()
-        .iter()
-        .map(|s| {
-            format!(
-                "    \"{}\": {{ \"calls\": {}, \"total_us\": {}, \"self_us\": {} }}",
-                s.path, s.calls, s.total_us, s.self_us
-            )
-        })
-        .collect();
-    let stage_json = if stage_rows.is_empty() {
-        String::new()
-    } else {
-        format!(",\n  \"stage_profile_us\": {{\n{}\n  }}", stage_rows.join(",\n"))
-    };
-    let json = format!(
-        "{{\n  \"presets\": [\n{}\n  ]{}{}\n}}\n",
-        entries.join(",\n"),
-        guided_json,
-        stage_json
-    );
+    let json = format!("{{\n  \"presets\": [\n{}\n  ]{}\n}}\n", entries.join(",\n"), guided_json);
     if let Err(e) = fs::write(&out_path, &json) {
         eprintln!("bench_dse: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -16,9 +16,10 @@
 //! | `fig15_area_power` | Fig. 15 (area/power vs RTX 3090) |
 //! | `table3_bandwidth` | Table III (NGPC bandwidth/access time) |
 //!
-//! Criterion benches (`cargo bench -p ng-bench`) measure the software
-//! substrate itself: encoding throughput, MLP inference, the hash/modulo
-//! ablation, the NFP engine models and the figure generators.
+//! `bench_dse` is the tracked perf harness of the `dse` pipeline: it
+//! times the guided search and each preset's sweep, and reads each
+//! factor table's build time (the model layers) from the `ng-obs`
+//! spans of its traced runs, into `BENCH_dse.json`.
 
 use std::fmt::Display;
 

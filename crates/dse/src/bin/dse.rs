@@ -55,7 +55,7 @@ CONSTRAINTS (filter the reported frontier, not the evaluation):
     --min-speedup X      keep architectures with cross-app speedup ≥ X
 
 EXECUTION:
-    --threads N          worker threads, at least 1 (default: all cores)
+    --threads N          worker threads, 1 to 256 (default: all cores)
     --no-cache           accepted and ignored: every run evaluates every
                          point in memory and writes only the files it
                          is asked for
@@ -102,6 +102,9 @@ EXIT CODES:
          constraint bounds) — retrying the same invocation cannot help
     4    a --check audit (trace --check) failed
 ";
+
+/// Most `--threads` a sweep takes: each worker is one OS thread.
+const MAX_THREADS: usize = 256;
 
 /// Exit code of a usage or spec mistake.
 const EXIT_USAGE: u8 = 2;
@@ -294,8 +297,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             }
             "--threads" => {
                 let n: usize = value(arg)?.parse().map_err(|_| "--threads: not a number")?;
-                if n == 0 {
-                    return Err("--threads: need at least 1 worker".to_string());
+                if !(1..=MAX_THREADS).contains(&n) {
+                    return Err(format!("--threads: need 1 to {MAX_THREADS} workers"));
                 }
                 cli.threads = Some(n);
             }

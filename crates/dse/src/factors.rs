@@ -52,6 +52,8 @@ pub(crate) const BLOCK: usize = 4096;
 
 /// One factor's values over the axes it reads, row-major in key order.
 struct Table<T> {
+    /// The model layer the table holds: its span name under `tables`.
+    layer: &'static str,
     /// Stride of each axis (by axis number); 0 for the axes the factor
     /// does not read.
     strides: [usize; ARCH_AXES + 1],
@@ -59,10 +61,16 @@ struct Table<T> {
 }
 
 impl<T> Table<T> {
-    /// Evaluate `factor` once per distinct tuple of the `key` axes. It
-    /// sees the point at those positions with every other axis at
-    /// position 0.
-    fn build(space: &Space, key: &[usize], factor: impl Fn(&DesignPoint) -> T) -> Self {
+    /// Evaluate `factor` once per distinct tuple of the `key` axes,
+    /// under a span named `layer`. It sees the point at those positions
+    /// with every other axis at position 0.
+    fn build(
+        space: &Space,
+        layer: &'static str,
+        key: &[usize],
+        factor: impl Fn(&DesignPoint) -> T,
+    ) -> Self {
+        let _span = ng_obs::span(layer);
         let radix =
             |axis: usize| if axis == APP { space.spec.apps.len() } else { space.dims[axis] };
         let mut strides = [0; ARCH_AXES + 1];
@@ -81,7 +89,12 @@ impl<T> Table<T> {
                 factor(&space.point(&idx, pos[APP] as usize))
             })
             .collect();
-        Table { strides, values }
+        Table { layer, strides, values }
+    }
+
+    /// The layer name and entry count.
+    fn layer(&self) -> (&'static str, usize) {
+        (self.layer, self.values.len())
     }
 
     /// The entry of the point at `idx` under app number `app`.
@@ -113,31 +126,49 @@ pub struct FactorTables<'a> {
 }
 
 impl<'a> FactorTables<'a> {
-    /// Build every table of `space` on the calling thread.
+    /// Build every table of `space` on the calling thread, under a
+    /// `tables` span with one child span per model layer.
     pub fn new(space: Space<'a>) -> Self {
+        let _span = ng_obs::span("tables");
         let s = &space;
         let nfp = |p: &DesignPoint| p.emulator_input().nfp;
         FactorTables {
-            gpu: Table::build(s, &[APP, ENCODING, PIXELS], |p| {
+            gpu: Table::build(s, "gpu", &[APP, ENCODING, PIXELS], |p| {
                 ng_gpu::kernel_breakdown(p.app, p.encoding, p.pixels)
             }),
-            budget: Table::build(s, &FLOORPLAN, |p| ng_hw::nfp_budget(&nfp(p).floorplan())),
-            residual: Table::build(s, &[APP, ENCODING], |p| {
+            budget: Table::build(s, "budget", &FLOORPLAN, |p| {
+                ng_hw::nfp_budget(&nfp(p).floorplan())
+            }),
+            residual: Table::build(s, "residual", &[APP, ENCODING], |p| {
                 ngpc::calibrated_residual(p.app, p.encoding)
             }),
-            sram_capacity: Table::build(s, &[ENCODING, SRAM_KB, ENGINES], |p| {
+            sram_capacity: Table::build(s, "sram_capacity", &[ENCODING, SRAM_KB, ENGINES], |p| {
                 ngpc::sram_capacity_factor(&nfp(p), p.encoding)
             }),
-            bank_conflict: Table::build(s, &[APP, BANKS], |p| {
+            bank_conflict: Table::build(s, "bank_conflict", &[APP, BANKS], |p| {
                 ngpc::bank_conflict_factor(&nfp(p), p.app)
             }),
             mac_engine: Table::build(
                 s,
+                "mac_engine",
                 &[APP, ENCODING, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO],
                 |p| ngpc::mac_engine_factor(p.app, p.encoding, &nfp(p)),
             ),
             space,
         }
+    }
+
+    /// Each table's layer name and entry count (one entry per distinct
+    /// tuple of the axes it reads), in build order.
+    pub fn layers(&self) -> [(&'static str, usize); 6] {
+        [
+            self.gpu.layer(),
+            self.budget.layer(),
+            self.residual.layer(),
+            self.sram_capacity.layer(),
+            self.bank_conflict.layer(),
+            self.mac_engine.layer(),
+        ]
     }
 
     /// Evaluate the points `start..start + out.len()` into `out`:
@@ -247,14 +278,7 @@ mod tests {
     fn guided_lanes_tables_hold_one_entry_per_distinct_axis_tuple() {
         let spec = SweepSpec::guided_lanes();
         let t = FactorTables::new(Space::new(&spec));
-        let lens = [
-            t.gpu.values.len(),
-            t.budget.values.len(),
-            t.residual.values.len(),
-            t.sram_capacity.values.len(),
-            t.bank_conflict.values.len(),
-            t.mac_engine.values.len(),
-        ];
+        let lens = t.layers().map(|(_, entries)| entries);
         // 12 GPU breakdowns, 2,187 floorplans, 12 residuals, 27 SRAM
         // factors, 12 bank factors and 2,916 MAC/engine tuples.
         assert_eq!(lens, [12, 2187, 12, 27, 12, 2916]);

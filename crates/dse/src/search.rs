@@ -291,13 +291,9 @@ impl Searcher {
             return Err(SpecError::Invalid("search budget must be nonzero".to_string()));
         }
         let space = Space::new(spec);
-        let tables = {
-            let _span = ng_obs::span("tables");
-            FactorTables::new(space)
-        };
         let mut state = SearchState {
             space,
-            tables,
+            tables: FactorTables::new(space),
             evaluations: 0,
             visited: HashMap::new(),
             archive: StreamingFrontier::new(),

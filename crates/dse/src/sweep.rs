@@ -511,10 +511,7 @@ impl SweepEngine {
         );
         let (tables, frontiers) = {
             let _span = ng_obs::span("evaluate");
-            let tables = {
-                let _span = ng_obs::span("tables");
-                FactorTables::new(Space::new(spec))
-            };
+            let tables = FactorTables::new(Space::new(spec));
             let frontiers = fold_space(&tables, threads, constraints, per_app);
             (tables, frontiers)
         };

@@ -115,6 +115,7 @@ fn non_finite_constraint_bounds_exit_2() {
 fn values_dse_cannot_honour_exit_2() {
     for (args, names) in [
         (&["--preset", "quick", "--threads", "0"][..], "--threads"),
+        (&["--preset", "quick", "--threads", "100000"][..], "--threads"),
         (&["--preset", "quick", "--budget", "5"][..], "--budget"),
         (&["--preset", "quick", "--seed", "9"][..], "--seed"),
         (&["--seed", "9", "--preset", "quick", "--no-cache"][..], "--seed"),
@@ -123,7 +124,9 @@ fn values_dse_cannot_honour_exit_2() {
         assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
         assert!(err.contains(names), "{args:?}: the message names {names}: {err}");
     }
-    // `--threads` still takes any positive count in sweep mode.
-    let (err, code) = dse_code(&["--preset", "quick", "--threads", "1", "--quiet"]);
-    assert_eq!(code, Some(0), "{err}");
+    // `--threads` takes any count from 1 to 256 in sweep mode.
+    for threads in ["1", "256"] {
+        let (err, code) = dse_code(&["--preset", "quick", "--threads", threads, "--quiet"]);
+        assert_eq!(code, Some(0), "{err}");
+    }
 }

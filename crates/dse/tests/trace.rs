@@ -1,8 +1,9 @@
 //! End-to-end checks of the observability surface: a traced
 //! quick-preset run must produce a balanced, invariant-satisfying
 //! ledger, and a rerun must overwrite it; a traced multi-block sweep
-//! must show its factor-table stage and count every point once, with
-//! or without `--csv --json`;
+//! must show its factor-table stage, with one span per model layer,
+//! and count every point once, with or without `--csv --json`; a
+//! traced guided-lanes sweep must pass the default coverage floor;
 //! `dse trace` must summarize and export it, reject a coverage floor
 //! that is not a percent, a missing ledger and one with no run in it;
 //! `--metrics` must print the same stages without touching stdout; and
@@ -11,6 +12,10 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use ng_dse::factors::FactorTables;
+use ng_dse::spec::Space;
+use ng_dse::SweepSpec;
 
 fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, bool) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dse"));
@@ -28,6 +33,18 @@ fn dse(args: &[&str], envs: &[(&str, &str)]) -> (String, String, bool) {
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ng-dse-trace-{tag}-{}", std::process::id()))
+}
+
+/// Assert that `stages` holds `tables` and one child span of it per
+/// model layer, named as `FactorTables::layers` names them.
+fn assert_layer_spans(stages: &[String], tables: &str) {
+    let spec = SweepSpec::paper();
+    let layers = FactorTables::new(Space::new(&spec)).layers();
+    for stage in std::iter::once(tables.to_string())
+        .chain(layers.iter().map(|(layer, _)| format!("{tables}/{layer}")))
+    {
+        assert!(stages.contains(&stage), "no {stage} span: {stages:?}");
+    }
 }
 
 #[test]
@@ -79,10 +96,11 @@ fn traced_quick_run_balances_spans_and_satisfies_counter_invariant() {
     let _ = std::fs::remove_file(&ledger_path);
 }
 
-/// The sweep builds its factor tables under `evaluate/tables`, and its
-/// workers add `eval.ticks` once per block of points: over a sweep
-/// whose two architecture ranges each span several blocks, the ticks
-/// must still sum to the point count.
+/// The sweep builds its factor tables under `evaluate/tables`, one
+/// child span per model layer, and its workers add `eval.ticks` once
+/// per block of points: over a sweep whose two architecture ranges
+/// each span several blocks, the ticks must still sum to the point
+/// count.
 #[test]
 fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
     let ledger_path = temp_path("tables.jsonl");
@@ -113,10 +131,7 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
 
     let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
     let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
-    assert!(
-        stages.iter().any(|p| p == "dse/sweep/evaluate/tables"),
-        "no evaluate/tables span: {stages:?}"
-    );
+    assert_layer_spans(&stages, "dse/sweep/evaluate/tables");
     let counters = ledger.final_counters();
     assert_eq!(counters.get("sweep.points"), Some(&9720));
     assert_eq!(counters.get("eval.ticks"), Some(&9720), "eval.ticks != points");
@@ -125,6 +140,25 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
     assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
     assert!(out.contains("dse/sweep/evaluate/tables"), "stage table lacks the tables:\n{out}");
     assert!(out.contains("counter invariant (eval.ticks == sweep.points): holds"), "{out}");
+
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
+/// A traced guided-lanes sweep (262,440 points, six layer spans under
+/// `tables`) passes `dse trace --check` at the default 95% coverage
+/// floor: the layer spans cost no coverage.
+#[test]
+fn traced_guided_lanes_sweep_passes_the_default_coverage_check() {
+    let ledger_path = temp_path("guided.jsonl");
+    let ledger_s = ledger_path.display().to_string();
+    let (out, err, ok) = dse(&["--preset", "guided-lanes", "--quiet", "--trace", &ledger_s], &[]);
+    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+
+    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+    let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
+    assert_layer_spans(&stages, "dse/sweep/evaluate/tables");
+    let (out, err, ok) = dse(&["trace", &ledger_s, "--check"], &[]);
+    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
 
     let _ = std::fs::remove_file(&ledger_path);
 }
@@ -162,9 +196,9 @@ fn traced_emitting_run_ticks_every_point_once() {
     }
 }
 
-/// A guided search builds the same factor tables under `search/tables`
-/// and ticks once per evaluated point; it sweeps nothing, so the sweep
-/// invariant has no process to hold for.
+/// A guided search builds the same factor tables, with the same layer
+/// spans, under `search/tables` and ticks once per evaluated point; it
+/// sweeps nothing, so the sweep invariant has no process to hold for.
 #[test]
 fn traced_search_shows_the_table_stage_and_ticks_every_evaluation() {
     let ledger_path = temp_path("search.jsonl");
@@ -179,9 +213,8 @@ fn traced_search_shows_the_table_stage_and_ticks_every_evaluation() {
 
     let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
     let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
-    for stage in ["dse/search/tables", "dse/search/drive"] {
-        assert!(stages.iter().any(|p| p == stage), "no {stage} span: {stages:?}");
-    }
+    assert!(stages.iter().any(|p| p == "dse/search/drive"), "no search/drive span: {stages:?}");
+    assert_layer_spans(&stages, "dse/search/tables");
     let counters = ledger.final_counters();
     let ticks = counters.get("eval.ticks").copied();
     // "guided search `paper` (hill): N of 1440 points evaluated ..."
