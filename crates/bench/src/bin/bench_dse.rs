@@ -22,9 +22,8 @@
 //! ns_per_entry}`: the table's distinct tuples and its span's mean
 //! time), and `stage_profile_us` has that row's calls, total and self
 //! time per span path, summed over the runs. Spans record whole
-//! microseconds and include their own begin event (~1 µs while
-//! recording), so a table that builds in a few µs reads mostly
-//! recording cost.
+//! microseconds, so a table that builds in a few µs reads mostly
+//! rounding.
 //!
 //! ```text
 //! bench_dse [--quick] [--check-overhead] [--out PATH]

@@ -16,7 +16,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ng_dse::report::{describe_constraints, write_report, write_search_report};
-use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepSpec};
+use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepSpec, MAX_THREADS};
 
 const USAGE: &str = "\
 dse — NGPC design-space exploration with Pareto frontier extraction
@@ -102,9 +102,6 @@ EXIT CODES:
          constraint bounds) — retrying the same invocation cannot help
     4    a --check audit (trace --check) failed
 ";
-
-/// Most `--threads` a sweep takes: each worker is one OS thread.
-const MAX_THREADS: usize = 256;
 
 /// Exit code of a usage or spec mistake.
 const EXIT_USAGE: u8 = 2;

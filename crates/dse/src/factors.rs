@@ -14,16 +14,19 @@
 //!
 //! A table's key is a subset of the space's axes, so no table is larger
 //! than the point count. The sweep's workers and the guided searcher
-//! fold one architecture's app points at a time
-//! ([`FactorTables::arch`]); the emitters refill the points in spec
-//! order, one block at a time, instead of holding them.
+//! share one per-architecture fold, [`FactorTables::arch`]. It computes
+//! each table's slot for the architecture once and reaches app `a` at
+//! the slot plus `a` times the table's app stride. It scales the
+//! cluster's area/power once, since no app reads it, sums the apps'
+//! speedups in app order and builds the [`ArchPoint`] directly, with no
+//! per-app point record. The emitters refill the points in spec order,
+//! one block at a time, instead of holding them.
 
 use std::io;
 
 use ng_gpu::KernelBreakdown;
 use ng_hw::NfpBudget;
 
-use crate::obs_counters;
 use crate::spec::{ArchIdx, DesignPoint, Space, ARCH_AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint};
 
@@ -97,14 +100,28 @@ impl<T> Table<T> {
         (self.layer, self.values.len())
     }
 
-    /// The entry of the point at `idx` under app number `app`.
-    fn get(&self, idx: &ArchIdx, app: usize) -> &T {
-        let slot = idx
-            .iter()
-            .zip(&self.strides)
-            .fold(app * self.strides[APP], |slot, (&i, &stride)| slot + i as usize * stride);
-        &self.values[slot]
+    /// The slot of architecture `idx` under app number 0: [`Table::at`]
+    /// reaches app `a`'s entry from it.
+    fn slot(&self, idx: &ArchIdx) -> usize {
+        idx.iter().zip(&self.strides).fold(0, |slot, (&i, &stride)| slot + i as usize * stride)
     }
+
+    /// The entry under app number `app` of the architecture whose
+    /// [`Table::slot`] is `slot`: `slot` plus `app` times the app
+    /// stride.
+    fn at(&self, slot: usize, app: usize) -> &T {
+        &self.values[slot + app * self.strides[APP]]
+    }
+}
+
+/// One architecture's [`Table::slot`] in each table.
+struct Slots {
+    gpu: usize,
+    budget: usize,
+    residual: usize,
+    sram_capacity: usize,
+    bank_conflict: usize,
+    mac_engine: usize,
 }
 
 /// Every model factor of a space, one dense table each.
@@ -205,59 +222,78 @@ impl<'a> FactorTables<'a> {
         Ok(())
     }
 
-    /// Architecture `idx` folded over its app points, evaluated in app
-    /// order, as the sweep's workers fold theirs.
-    /// Adds the app count to `eval.ticks`. A loop of its own rather
-    /// than a `fold_arch` call, so that the searcher's hot path carries
-    /// no visitor.
-    pub fn arch(&self, idx: &ArchIdx) -> ArchPoint {
-        let (apps, arch_count) = (self.space.spec.apps.len(), self.space.arch_count());
-        let flat = self.space.flat(idx);
-        obs_counters::eval_ticks().add(apps as u64);
-        ArchPoint::from_app_points(
-            (0..apps).map(|app| self.evaluate(idx, app, app * arch_count + flat)),
-        )
-    }
-
-    /// Architecture `idx`, flat number `flat`, folded over its app
-    /// points through [`ArchPoint::from_app_points`]. Each point is
-    /// shown to `visit`, with its app number, as it is evaluated.
-    pub(crate) fn fold_arch(
+    /// Architecture `idx` folded over its app points: the one
+    /// per-architecture fold, of the sweep's workers and the guided
+    /// searcher. It computes each table's slot and the cluster's
+    /// area/power (which no app reads) once, then each app's result in
+    /// app order, which it shows to `visit` with its app number, and
+    /// folds the speedups through [`ArchPoint::from_speedups`]. Forced
+    /// inline: out of line, the sweep's loop ran ~20% slower.
+    #[inline(always)]
+    pub fn arch(
         &self,
         idx: &ArchIdx,
-        flat: usize,
-        mut visit: impl FnMut(usize, &EvaluatedPoint),
+        mut visit: impl FnMut(usize, &ngpc::EmulationResult),
     ) -> ArchPoint {
-        let arch_count = self.space.arch_count();
-        ArchPoint::from_app_points((0..self.space.spec.apps.len()).map(|app| {
-            let p = self.evaluate(idx, app, app * arch_count + flat);
-            visit(app, &p);
-            p
-        }))
+        let arch = self.space.at(idx, 0, 0);
+        let slots = self.slots(idx);
+        let hw = self.area_power(&slots, &arch);
+        let speedups = (0..self.space.spec.apps.len()).map(|app| {
+            let result = self.compose(&slots, app, &arch, &hw);
+            visit(app, &result);
+            result.speedup
+        });
+        ArchPoint::from_speedups(&arch, speedups, hw.area_pct_of_gpu, hw.power_pct_of_gpu)
     }
 
     /// The point at `idx` under app number `app`, stamped with `index`:
-    /// table reads, the cluster scaling and [`ngpc::compose`]. Forced
-    /// inline: with two callers the compiler otherwise emits it out of
-    /// line, a call per point in the sweep's loop.
-    #[inline(always)]
+    /// what the emitters' block refill evaluates, one point at a time.
     fn evaluate(&self, idx: &ArchIdx, app: usize, index: usize) -> EvaluatedPoint {
         let point = self.space.at(idx, app, index);
+        let slots = self.slots(idx);
+        let hw = self.area_power(&slots, &point);
+        EvaluatedPoint::from_result(point, &self.compose(&slots, app, &point, &hw))
+    }
+
+    /// Architecture `idx`'s slot in each table.
+    fn slots(&self, idx: &ArchIdx) -> Slots {
+        Slots {
+            gpu: self.gpu.slot(idx),
+            budget: self.budget.slot(idx),
+            residual: self.residual.slot(idx),
+            sram_capacity: self.sram_capacity.slot(idx),
+            bank_conflict: self.bank_conflict.slot(idx),
+            mac_engine: self.mac_engine.slot(idx),
+        }
+    }
+
+    /// The cluster area/power of architecture `arch`: its NFP budget
+    /// scaled to its NFP count. The budget reads no app.
+    fn area_power(&self, slots: &Slots, arch: &DesignPoint) -> ng_hw::AreaPowerReport {
+        let budget = self.budget.at(slots.budget, 0);
+        ng_hw::cluster_area_power(budget, arch.nfp_units, ngpc::REFERENCE_GPU)
+    }
+
+    /// App number `app` of architecture `arch`: its table entries,
+    /// the slope in [`ngpc::SlopeFactors::slope`]'s order, and
+    /// [`ngpc::compose`]. Not forced inline: inlined into
+    /// [`FactorTables::arch`], the sweep's loop measured slower.
+    fn compose(
+        &self,
+        slots: &Slots,
+        app: usize,
+        arch: &DesignPoint,
+        hw: &ng_hw::AreaPowerReport,
+    ) -> ngpc::EmulationResult {
         let slope = ngpc::SlopeFactors {
-            residual: *self.residual.get(idx, app),
-            clock_ghz: point.clock_ghz,
-            sram_capacity: *self.sram_capacity.get(idx, app),
-            bank_conflict: *self.bank_conflict.get(idx, app),
-            mac_engine: *self.mac_engine.get(idx, app),
+            residual: *self.residual.at(slots.residual, app),
+            clock_ghz: arch.clock_ghz,
+            sram_capacity: *self.sram_capacity.at(slots.sram_capacity, app),
+            bank_conflict: *self.bank_conflict.at(slots.bank_conflict, app),
+            mac_engine: *self.mac_engine.at(slots.mac_engine, app),
         }
         .slope();
-        let hw = ng_hw::cluster_area_power(
-            self.budget.get(idx, app),
-            point.nfp_units,
-            ngpc::REFERENCE_GPU,
-        );
-        let result = ngpc::compose(point.nfp_units, slope, self.gpu.get(idx, app), &hw);
-        EvaluatedPoint::from_result(point, &result)
+        ngpc::compose(arch.nfp_units, slope, self.gpu.at(slots.gpu, app), hw)
     }
 }
 

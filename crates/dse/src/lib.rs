@@ -71,7 +71,7 @@ pub use pareto::{Constraints, Objectives, StreamingFrontier};
 pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
 pub use sweep::{
-    ArchPoint, EvaluatedPoint, Frontiers, Sweep, SweepEngine, SweepOutcome, SweepStats,
+    ArchPoint, EvaluatedPoint, Frontiers, Sweep, SweepEngine, SweepOutcome, SweepStats, MAX_THREADS,
 };
 
 /// Version tag of the underlying evaluation models, mixed into every

@@ -27,12 +27,13 @@
 //! Both strategies share the machinery that makes guided search cheap:
 //!
 //! * an architecture is an [`ArchIdx`] of axis positions in the
-//!   sweep's own index space, and a probe reads the same
-//!   [`FactorTables`] the sweep evaluates from, built once per search:
-//!   [`FactorTables::arch`] evaluates the architecture's app points and
-//!   folds them through [`ArchPoint::from_app_points`], exactly as
-//!   [`crate::SweepOutcome::cross_app`] folds a sweep's, without
-//!   intermediate vectors;
+//!   sweep's own index space, and a probe is the sweep workers' own
+//!   per-architecture fold over the same [`FactorTables`], built once
+//!   per search: [`FactorTables::arch`] reads each table's slot and
+//!   the cluster's area/power once, sums the apps' speedups in app
+//!   order and builds the [`ArchPoint`] directly, with the mean that
+//!   [`ArchPoint::from_app_points`] (and so
+//!   [`crate::SweepOutcome::cross_app`]) computes;
 //! * a [`StreamingFrontier`] archive maintains the non-dominated set
 //!   incrementally (no collect-then-O(n²) pass at the end);
 //! * revisited architectures are free (an in-search memo), and only
@@ -209,7 +210,8 @@ impl SearchState<'_> {
             return None;
         }
         self.evaluations += apps;
-        let arch = self.tables.arch(idx);
+        obs_counters::eval_ticks().add(apps as u64);
+        let arch = self.tables.arch(idx, |_, _| {});
         self.visited.insert(*idx, arch);
         if self.archive.insert(arch.objectives(), (*idx, arch)) {
             self.archive_generation += 1;

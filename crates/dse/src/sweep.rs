@@ -112,18 +112,37 @@ pub struct ArchPoint {
 
 impl ArchPoint {
     /// Fold one architecture's per-app points, in app order, into its
-    /// cross-app average: speedups summed in that order, then divided.
-    /// Area and power are app-independent, so they come from the first
-    /// point.
+    /// cross-app average ([`ArchPoint::from_speedups`]). Area and power
+    /// are app-independent, so they come from the first point.
     pub fn from_app_points(points: impl IntoIterator<Item = EvaluatedPoint>) -> Self {
-        let mut points = points.into_iter();
-        let first = points.next().expect("an architecture has at least one app");
-        let (mut apps, mut speedup_sum) = (1u32, first.speedup);
-        for p in points {
+        let mut points = points.into_iter().peekable();
+        let first = *points.peek().expect("an architecture has at least one app");
+        Self::from_speedups(
+            &first.point,
+            points.map(|p| p.speedup),
+            first.area_pct_of_gpu,
+            first.power_pct_of_gpu,
+        )
+    }
+
+    /// The architecture of `d` (its app and index are not read) with
+    /// its per-app `speedups`, in app order, folded into the cross-app
+    /// average: summed in that order, then divided. The one
+    /// implementation of the mean, shared by [`ArchPoint::from_app_points`]
+    /// and [`crate::factors::FactorTables::arch`].
+    pub(crate) fn from_speedups(
+        d: &DesignPoint,
+        speedups: impl IntoIterator<Item = f64>,
+        area_pct_of_gpu: f64,
+        power_pct_of_gpu: f64,
+    ) -> Self {
+        let mut speedups = speedups.into_iter();
+        let first = speedups.next().expect("an architecture has at least one app");
+        let (mut apps, mut speedup_sum) = (1u32, first);
+        for speedup in speedups {
             apps += 1;
-            speedup_sum += p.speedup;
+            speedup_sum += speedup;
         }
-        let d = &first.point;
         ArchPoint {
             encoding: d.encoding,
             pixels: d.pixels,
@@ -138,8 +157,8 @@ impl ArchPoint {
             input_fifo_depth: d.input_fifo_depth,
             apps,
             avg_speedup: speedup_sum / apps as f64,
-            area_pct_of_gpu: first.area_pct_of_gpu,
-            power_pct_of_gpu: first.power_pct_of_gpu,
+            area_pct_of_gpu,
+            power_pct_of_gpu,
         }
     }
 
@@ -321,11 +340,22 @@ pub(crate) fn apps_in_report_order(
         .filter_map(|app| Some((app, spec.apps.iter().position(|&a| a == app)?)))
 }
 
+/// Most workers a sweep or [`evaluate_points`] runs: each is one OS
+/// thread.
+pub const MAX_THREADS: usize = 256;
+
+/// The length of the static, contiguous ranges that `len` items
+/// (nonzero) split into for `threads` workers: at most `threads`, at
+/// most [`MAX_THREADS`] and at most `len` ranges.
+fn range_len(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.clamp(1, MAX_THREADS.min(len)))
+}
+
 /// Evaluate design points one [`ngpc::emulate`] call each, on up to
-/// `threads` scoped workers: one result per point, in input order,
-/// bit-identical regardless of thread count. The sweep and the searcher
-/// evaluate from factor tables instead; this is the reference they are
-/// tested against.
+/// `threads` (at most [`MAX_THREADS`]) scoped workers: one result per
+/// point, in input order, bit-identical regardless of thread count.
+/// The sweep and the searcher evaluate from factor tables instead; this
+/// is the reference they are tested against.
 pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedPoint> {
     let _span = ng_obs::span("evaluate");
     let ticks = obs_counters::eval_ticks();
@@ -334,7 +364,7 @@ pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedP
     if out.is_empty() {
         return out;
     }
-    let chunk = out.len().div_ceil(threads.clamp(1, out.len()));
+    let chunk = range_len(out.len(), threads);
     std::thread::scope(|scope| {
         for slots in out.chunks_mut(chunk) {
             scope.spawn(move || {
@@ -360,9 +390,9 @@ struct Part {
 }
 
 /// Evaluate the architectures `archs` (flat numbers, ascending), fold
-/// each over its apps, and offer the folds (and, with `per_app`, every
-/// app point) to the worker's own frontiers. Adds to `eval.ticks` once
-/// per [`BLOCK`] points.
+/// each over its apps ([`FactorTables::arch`]), and offer the folds
+/// (and, with `per_app`, every app point) to the worker's own
+/// frontiers. Adds to `eval.ticks` once per [`BLOCK`] points.
 fn fold_archs(
     tables: &FactorTables,
     archs: Range<usize>,
@@ -371,7 +401,7 @@ fn fold_archs(
 ) -> Part {
     let ticks = obs_counters::eval_ticks();
     let space = &tables.space;
-    let apps = space.spec.apps.len();
+    let (apps, arch_count) = (space.spec.apps.len(), space.arch_count());
     let mut part = Part {
         cross_app: StreamingFrontier::new(),
         per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
@@ -379,11 +409,15 @@ fn fold_archs(
     let mut idx = space.decode(archs.start);
     let mut unticked = 0;
     for flat in archs {
-        let arch = tables.fold_arch(&idx, flat, |app, p| {
-            if let Some(frontier) = part.per_app.get_mut(app) {
-                frontier.insert_constrained(p.objectives(), *p, constraints);
-            }
-        });
+        let arch = if per_app {
+            tables.arch(&idx, |app, result| {
+                let point = space.at(&idx, app, app * arch_count + flat);
+                let p = EvaluatedPoint::from_result(point, result);
+                part.per_app[app].insert_constrained(p.objectives(), p, constraints);
+            })
+        } else {
+            tables.arch(&idx, |_, _| {})
+        };
         part.cross_app.insert_constrained(arch.objectives(), arch, constraints);
         space.advance(&mut idx);
         unticked += apps;
@@ -411,7 +445,7 @@ fn fold_space(
     per_app: bool,
 ) -> Frontiers {
     let archs = tables.space.arch_count();
-    let chunk = archs.div_ceil(threads.clamp(1, archs));
+    let chunk = range_len(archs, threads);
     let mut whole = std::thread::scope(|scope| {
         let mut ranges = (0..archs).step_by(chunk).map(|lo| lo..(lo + chunk).min(archs));
         let first = ranges.next().expect("a validated space has an architecture");
@@ -476,9 +510,9 @@ impl SweepEngine {
         self
     }
 
-    /// Use exactly `threads` workers (min 1).
+    /// Use `threads` workers, clamped to 1..=[`MAX_THREADS`].
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.threads = Some(threads.clamp(1, MAX_THREADS));
         self
     }
 
@@ -532,9 +566,10 @@ impl SweepEngine {
     }
 }
 
-/// `std::thread::available_parallelism`, defaulting to 1 when unknown.
+/// `std::thread::available_parallelism`, defaulting to 1 when unknown,
+/// at most [`MAX_THREADS`].
 fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
 }
 
 #[cfg(test)]
@@ -563,6 +598,29 @@ mod tests {
         SweepEngine::new().with_threads(threads).run(spec, c, true).unwrap()
     }
 
+    /// No caller gets more than [`MAX_THREADS`] workers: the engine
+    /// clamps its count, and the ranges a count splits a space into are
+    /// at most that many (checked on the arithmetic; no thread starts).
+    #[test]
+    fn worker_counts_are_clamped_to_max_threads() {
+        for (asked, kept) in [(0, 1), (1, 1), (7, 7), (MAX_THREADS, MAX_THREADS)] {
+            assert_eq!(SweepEngine::new().with_threads(asked).threads, Some(kept));
+        }
+        for asked in [MAX_THREADS + 1, 100_000, usize::MAX] {
+            assert_eq!(SweepEngine::new().with_threads(asked).threads, Some(MAX_THREADS));
+        }
+        assert!(available_threads() <= MAX_THREADS);
+        // Guided-lanes' 65,610 architectures, and the point counts
+        // `evaluate_points` splits.
+        for len in [1usize, 16, 1_440, 65_610, 262_440] {
+            for threads in [0, 1, 3, MAX_THREADS, MAX_THREADS + 1, 100_000, usize::MAX] {
+                let ranges = len.div_ceil(range_len(len, threads));
+                assert!(ranges <= MAX_THREADS.min(len), "{len} items, {threads} threads");
+                assert!(ranges <= threads.max(1), "{len} items, {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn evaluate_points_is_thread_count_invariant() {
         // More threads than points (quick has 16), and the uneven chunk
@@ -584,7 +642,8 @@ mod tests {
     /// On every preset, the streamed frontiers equal the held-points
     /// reference's at every thread count from 1 to 8 (static ranges of
     /// uneven length, and more workers than quick has architectures),
-    /// with and without a budget: equal-area survivors keep their
+    /// with and without a budget, and with and without the per-app
+    /// frontiers (`dse`'s default): equal-area survivors keep their
     /// single-pass order, which `clocks` shows.
     #[test]
     fn streamed_frontiers_match_the_held_points_at_any_thread_count() {
@@ -604,12 +663,13 @@ mod tests {
                     let got = sweep(&spec, threads, &c);
                     assert_eq!(got.frontiers, want, "{} at {threads} threads, {c:?}", spec.name);
                     assert_eq!(got.stats.total_points, spec.point_count());
+                    let engine = SweepEngine::new().with_threads(threads);
+                    let default = engine.run(&spec, &c, false).unwrap().frontiers;
+                    let want = Frontiers { per_app: Vec::new(), ..want.clone() };
+                    assert_eq!(default, want, "{} at {threads} threads, {c:?}", spec.name);
                 }
             }
         }
-        let spec = SweepSpec::quick();
-        let without = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
-        assert!(without.frontiers.per_app.is_empty());
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! every preset the CSV and JSON a streamed sweep writes are compared
 //! byte for byte with the held-points writers' output. The frontiers
 //! the sweep's workers fold and merge are compared with the oracle's
-//! on the random specs, under a budget and without. The searcher's
-//! per-architecture fold, [`FactorTables::arch`], is pinned against the
-//! oracle on random architectures of the same specs.
+//! on the random specs, under a budget and without, with and without
+//! the per-app frontiers. The per-architecture fold the workers and the
+//! searcher share, [`FactorTables::arch`], is pinned against the oracle
+//! on random architectures of the same specs.
 
 use std::io;
 use std::time::Duration;
@@ -137,7 +138,7 @@ proptest! {
     /// The refilled CSV equals the oracle's, and the frontiers the
     /// workers fold from their architecture ranges equal the oracle's
     /// at thread counts that split the architectures unevenly, with and
-    /// without a budget.
+    /// without a budget, and with and without the per-app frontiers.
     #[test]
     fn table_path_matches_emulate_bit_for_bit(seed in 0u64..u64::MAX) {
         let spec = random_spec(seed);
@@ -171,6 +172,11 @@ proptest! {
                 prop_assert_eq!(frontiers.archs, cross_app.len());
                 prop_assert_eq!(&frontiers.cross_app, &want_cross_app, "{} threads", threads);
                 prop_assert_eq!(&frontiers.per_app, &want_per_app, "{} threads", threads);
+                // `dse`'s default: the cross-app frontier alone.
+                let frontiers = sweep.run(&spec, &constraints, false).unwrap().frontiers;
+                prop_assert_eq!(frontiers.archs, cross_app.len());
+                prop_assert_eq!(&frontiers.cross_app, &want_cross_app, "{} threads", threads);
+                prop_assert!(frontiers.per_app.is_empty());
             }
         }
     }
@@ -184,6 +190,8 @@ fn arch_bits(a: &ArchPoint) -> (ArchPoint, [u64; 3]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The fold, and each app result it shows its visitor in app order,
+    /// equal the oracle's bit for bit.
     #[test]
     fn arch_fold_matches_emulate_bit_for_bit(seed in 0u64..u64::MAX) {
         let spec = random_spec(seed);
@@ -193,8 +201,35 @@ proptest! {
         for _ in 0..16 {
             let idx = space.random(&mut rng);
             let points: Vec<_> = (0..spec.apps.len()).map(|a| space.point(&idx, a)).collect();
-            let want = ArchPoint::from_app_points(evaluate_points(&points, 1));
-            let got = tables.arch(&idx);
+            let oracle = evaluate_points(&points, 1);
+            let want_seen: Vec<_> = oracle
+                .iter()
+                .enumerate()
+                .map(|(app, p)| {
+                    let outputs = [
+                        p.speedup,
+                        p.area_pct_of_gpu,
+                        p.power_pct_of_gpu,
+                        p.gpu_ms,
+                        p.ngpc_frame_ms,
+                        p.amdahl_bound,
+                    ];
+                    (app, outputs.map(f64::to_bits), p.plateaued)
+                })
+                .collect();
+            let want = ArchPoint::from_app_points(oracle);
+            let mut seen = Vec::new();
+            let got = tables.arch(&idx, |app, r| {
+                let outputs = [
+                    r.speedup,
+                    r.area_pct_of_gpu,
+                    r.power_pct_of_gpu,
+                    r.gpu_ms,
+                    r.ngpc_frame_ms,
+                    r.amdahl_bound,
+                ];
+                seen.push((app, outputs.map(f64::to_bits), r.plateaued));
+            });
             prop_assert!(
                 arch_bits(&got) == arch_bits(&want),
                 "{} arch {:?}: {:?} vs {:?}",
@@ -203,6 +238,7 @@ proptest! {
                 got,
                 want
             );
+            prop_assert_eq!(seen, want_seen, "{} arch {:?}", &spec.name, idx);
         }
     }
 }

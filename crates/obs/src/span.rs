@@ -47,16 +47,15 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !sink::recording() {
         return SpanGuard { armed: false };
     }
-    let path = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let path = match stack.last() {
-            Some(parent) => format!("{}/{name}", parent.path),
-            None => name.to_string(),
-        };
-        stack.push(Frame { path: path.clone(), start: Instant::now() });
-        path
+    let path = STACK.with(|stack| match stack.borrow().last() {
+        Some(parent) => format!("{}/{name}", parent.path),
+        None => name.to_string(),
     });
     sink::span_begin(&path);
+    // The clock starts once the begin event is recorded, so a span's
+    // duration holds none of its own bookkeeping.
+    let start = Instant::now();
+    STACK.with(|stack| stack.borrow_mut().push(Frame { path, start }));
     SpanGuard { armed: true }
 }
 
