@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 use ng_dse::factors::FactorTables;
 use ng_dse::spec::Space;
 use ng_dse::{Constraints, SearchSpec, Searcher, SweepEngine, SweepSpec};
+use ng_obs::Ledger;
 
 /// Timed repetitions of every row.
 const RUNS: usize = 7;
@@ -88,14 +89,14 @@ impl Spread {
 /// it on, alternating (off first, so a first-run cost lands on the
 /// off side), and append each recorded run's ledger to `ledger`.
 /// Returns the (off, on) spreads.
-fn alternate(ledger: &mut String, mut run: impl FnMut() -> Duration) -> (Spread, Spread) {
+fn alternate(ledger: &mut Ledger, mut run: impl FnMut() -> Duration) -> (Spread, Spread) {
     let mut off = Vec::with_capacity(RUNS);
     let mut on = Vec::with_capacity(RUNS);
     for _ in 0..RUNS {
         off.push(run());
         ng_obs::sink::enable();
         on.push(run());
-        ledger.push_str(&ng_obs::sink::finish());
+        ledger.events.extend(ng_obs::sink::finish().events);
     }
     (Spread::of(off), Spread::of(on))
 }
@@ -104,8 +105,8 @@ fn alternate(ledger: &mut String, mut run: impl FnMut() -> Duration) -> (Spread,
 /// recording-on runs wrote `ledger`, with each line after the first
 /// indented by `indent`. The layer rows are `spec`'s factor tables,
 /// whose spans sit under the span path `tables`; each is also printed.
-fn profile_json(ledger: &str, spec: &SweepSpec, tables: &str, indent: &str) -> String {
-    let stages = ng_obs::Ledger::parse(ledger).profile();
+fn profile_json(ledger: &Ledger, spec: &SweepSpec, tables: &str, indent: &str) -> String {
+    let stages = ledger.profile();
     let layers: Vec<String> = FactorTables::new(Space::new(spec))
         .layers()
         .iter()
@@ -164,7 +165,7 @@ impl PresetBench {
 /// prints.
 fn bench_preset(spec: &SweepSpec) -> PresetBench {
     let mut counters_per_run = None;
-    let mut ledger = String::new();
+    let mut ledger = Ledger::default();
     let (spread, recording_on) = alternate(&mut ledger, || {
         let before = ng_obs::counter::snapshot();
         let started = Instant::now();
@@ -209,7 +210,7 @@ fn bench_guided() -> GuidedBench {
     let spec = SweepSpec::guided_lanes();
     let search = SearchSpec::for_space(&spec);
     let mut first = None;
-    let mut ledger = String::new();
+    let mut ledger = Ledger::default();
     let (spread, recording_on) = alternate(&mut ledger, || {
         let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
         let wall = outcome.stats.wall;

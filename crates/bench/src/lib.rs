@@ -23,31 +23,14 @@
 
 use std::fmt::Display;
 
-/// Render a fixed-width text table with a header rule.
+/// Print `== title ==` and a fixed-width text table with a header rule
+/// ([`ng_dse::report::render_table`]).
 pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[Vec<C>]) {
-    println!("\n== {title} ==");
+    let heads: Vec<String> = headers.iter().map(ToString::to_string).collect();
+    let heads: Vec<&str> = heads.iter().map(String::as_str).collect();
     let cells: Vec<Vec<String>> =
-        rows.iter().map(|r| r.iter().map(|c| c.to_string()).collect()).collect();
-    let heads: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    let cols = heads.len();
-    let mut widths: Vec<usize> = heads.iter().map(|h| h.len()).collect();
-    for row in &cells {
-        for (i, c) in row.iter().enumerate().take(cols) {
-            widths[i] = widths[i].max(c.len());
-        }
-    }
-    let line = |row: &[String]| {
-        let mut out = String::new();
-        for (i, c) in row.iter().enumerate().take(cols) {
-            out.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        out
-    };
-    println!("{}", line(&heads));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * cols));
-    for row in &cells {
-        println!("{}", line(row));
-    }
+        rows.iter().map(|row| row.iter().map(ToString::to_string).collect()).collect();
+    print!("\n== {title} ==\n{}", ng_dse::report::render_table(&heads, &cells));
 }
 
 /// Format a ratio as `12.34x`.

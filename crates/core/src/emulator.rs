@@ -107,21 +107,11 @@ fn resident_table_bytes(encoding: EncodingKind) -> f64 {
 /// on-chip hit (GPU-L2 service of the miss traffic).
 const SPILL_PENALTY: f64 = 3.0;
 
-/// Resolution levels an encoding folds over the engine gang (Table I:
-/// 16 hashgrid, 8 densegrid, 2 low-res levels — app-independent).
-fn encoding_levels(encoding: EncodingKind) -> u32 {
-    match encoding {
-        EncodingKind::MultiResHashGrid => 16,
-        EncodingKind::MultiResDenseGrid => 8,
-        EncodingKind::LowResDenseGrid => 2,
-    }
-}
-
 /// Level tables one engine must keep serving: 1 with an engine per
 /// level (the paper's gang), more when the level count exceeds the
 /// engine count and engines multiplex levels.
 fn tables_per_engine(nfp: &NfpConfig, encoding: EncodingKind) -> u32 {
-    encoding_levels(encoding).div_ceil(nfp.encoding_engines.max(1))
+    (encoding.levels() as u32).div_ceil(nfp.encoding_engines.max(1))
 }
 
 /// Throughput factor for grid SRAMs smaller than the resident working
@@ -174,7 +164,7 @@ const FULL_OVERLAP_FIFO_DEPTH: f64 = 16.0;
 ///   pipeline runs at the slower stage's rate; shallow FIFOs slide
 ///   toward the serial sum.
 pub fn per_sample_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    let levels = encoding_levels(encoding);
+    let levels = encoding.levels() as u32;
     let engines = nfp.encoding_engines.max(1);
     let rounds = levels.div_ceil(engines);
     let parallel = (engines / levels).max(1) * nfp.lanes_per_engine.max(1);

@@ -646,15 +646,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cli) = parse_args(args).map_err(usage_err)? else {
         return write!(Stdout::lock(), "{USAGE}").map_err(stdout_err);
     };
-    // Create the ledger before any work, so a bad path fails the run
-    // at once; it is written only after the root span has closed.
-    let ledger = match &cli.trace {
+    // Create the ledger file before any work, so a bad path fails the
+    // run at once; it is written only after the root span has closed.
+    let trace_file = match &cli.trace {
         Some(path) => {
             Some((path, std::fs::File::create(path).map_err(|e| format!("--trace {path}: {e}"))?))
         }
         None => None,
     };
-    let record = ledger.is_some() || cli.metrics;
+    let record = trace_file.is_some() || cli.metrics;
     if record {
         ng_obs::sink::enable();
     }
@@ -665,14 +665,14 @@ fn run(args: &[String]) -> Result<(), CliError> {
     if !record {
         return result;
     }
-    let text = ng_obs::sink::finish();
+    let ledger = ng_obs::sink::finish();
     if cli.metrics {
-        eprint!("{}", summary(&ng_obs::Ledger::parse(&text)));
+        eprint!("{}", summary(&ledger));
     }
-    let written = match ledger {
-        Some((path, mut file)) => {
-            file.write_all(text.as_bytes()).map_err(|e| format!("--trace {path}: {e}").into())
-        }
+    let written = match trace_file {
+        Some((path, mut file)) => file
+            .write_all(ledger.to_string().as_bytes())
+            .map_err(|e| format!("--trace {path}: {e}").into()),
         None => Ok(()),
     };
     result.and(written)

@@ -213,7 +213,9 @@ pub struct SweepStats {
     pub cache_hits: usize,
     /// Always `false` (see [`SweepStats::cache_hits`]).
     pub cache_hit: bool,
-    /// Worker threads used.
+    /// Worker threads that ran: the calling thread and the scoped ones,
+    /// one per range of architectures (at most the count asked for,
+    /// and at most the architecture count).
     pub threads: usize,
     /// Wall-clock time of the run: evaluation, the cross-app fold and
     /// the frontiers.
@@ -437,21 +439,23 @@ fn fold_archs(
 /// its survivors in insertion order, so the merge yields the
 /// single-pass frontier in the same order
 /// ([`StreamingFrontier::merge`]), and the stable area sort then gives
-/// the same frontier at any thread count.
+/// the same frontier at any thread count. Returns the frontiers and
+/// the number of ranges, which is the number of threads that ran.
 fn fold_space(
     tables: &FactorTables,
     threads: usize,
     constraints: &Constraints,
     per_app: bool,
-) -> Frontiers {
+) -> (Frontiers, usize) {
     let archs = tables.space.arch_count();
     let chunk = range_len(archs, threads);
-    let mut whole = std::thread::scope(|scope| {
+    let (mut whole, ran) = std::thread::scope(|scope| {
         let mut ranges = (0..archs).step_by(chunk).map(|lo| lo..(lo + chunk).min(archs));
         let first = ranges.next().expect("a validated space has an architecture");
         let workers: Vec<_> = ranges
             .map(|range| scope.spawn(move || fold_archs(tables, range, constraints, per_app)))
             .collect();
+        let ran = 1 + workers.len();
         let mut whole = fold_archs(tables, first, constraints, per_app);
         for worker in workers {
             let part = worker.join().expect("a sweep worker panicked");
@@ -460,7 +464,7 @@ fn fold_space(
                 frontier.merge(later);
             }
         }
-        whole
+        (whole, ran)
     });
     let per_app = if per_app {
         apps_in_report_order(tables.space.spec)
@@ -472,11 +476,8 @@ fn fold_space(
     } else {
         Vec::new()
     };
-    Frontiers {
-        archs,
-        cross_app: by_area(whole.cross_app.into_payloads(), |a| a.area_pct_of_gpu),
-        per_app,
-    }
+    let cross_app = by_area(whole.cross_app.into_payloads(), |a| a.area_pct_of_gpu);
+    (Frontiers { archs, cross_app, per_app }, ran)
 }
 
 /// The sweep executor: a thread count and a progress switch.
@@ -543,11 +544,12 @@ impl SweepEngine {
             "points",
             ng_obs::stderr_wants_progress(self.quiet),
         );
-        let (tables, frontiers) = {
+        // `threads` becomes the count that ran.
+        let (tables, (frontiers, threads)) = {
             let _span = ng_obs::span("evaluate");
             let tables = FactorTables::new(Space::new(spec));
-            let frontiers = fold_space(&tables, threads, constraints, per_app);
-            (tables, frontiers)
+            let folded = fold_space(&tables, threads, constraints, per_app);
+            (tables, folded)
         };
         meter.finish();
 
@@ -663,6 +665,11 @@ mod tests {
                     let got = sweep(&spec, threads, &c);
                     assert_eq!(got.frontiers, want, "{} at {threads} threads, {c:?}", spec.name);
                     assert_eq!(got.stats.total_points, spec.point_count());
+                    // One thread per range: quick's 4 architectures
+                    // run on 4 threads when 5 to 8 are asked for.
+                    let archs = got.frontiers.archs;
+                    assert_eq!(got.stats.threads, archs.div_ceil(archs.div_ceil(threads)));
+                    assert!(got.stats.threads <= threads.min(archs), "{} at {threads}", spec.name);
                     let engine = SweepEngine::new().with_threads(threads);
                     let default = engine.run(&spec, &c, false).unwrap().frontiers;
                     let want = Frontiers { per_app: Vec::new(), ..want.clone() };

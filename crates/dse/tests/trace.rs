@@ -247,6 +247,25 @@ fn rerun_overwrites_the_ledger() {
     let _ = std::fs::remove_file(&ledger_path);
 }
 
+/// The ledger's writer and reader cannot drift: a traced run's file
+/// holds every event kind, reads back with nothing skipped, and writes
+/// back out byte for byte.
+#[test]
+fn a_traced_ledger_round_trips_byte_for_byte() {
+    let ledger_path = temp_path("round-trip.jsonl");
+    let ledger_s = ledger_path.display().to_string();
+    let (out, err, ok) = dse(&["--preset", "paper", "--quiet", "--trace", &ledger_s], &[]);
+    assert!(ok, "traced run failed:\nstdout:\n{out}\nstderr:\n{err}");
+    let text = std::fs::read_to_string(&ledger_path).expect("ledger written");
+    let ledger = ng_obs::Ledger::parse(&text);
+    assert_eq!(ledger.skipped_lines, 0);
+    for kind in ["sb", "se", "ctr"] {
+        assert!(text.contains(&format!("{{\"ev\":\"{kind}\",")), "no {kind} event");
+    }
+    assert_eq!(ledger.to_string(), text);
+    let _ = std::fs::remove_file(&ledger_path);
+}
+
 /// A missing ledger is a usage mistake (2), as a missing spec file is;
 /// a file that records no run fails the audit (4) even with the
 /// coverage floor waived.

@@ -91,6 +91,16 @@ impl EncodingKind {
         }
     }
 
+    /// Resolution levels of the encoding's grid (Table I: 16 hashgrid,
+    /// 8 densegrid, 2 low-res levels, the same for every application).
+    pub fn levels(self) -> usize {
+        match self {
+            EncodingKind::MultiResHashGrid => 16,
+            EncodingKind::MultiResDenseGrid => 8,
+            EncodingKind::LowResDenseGrid => 2,
+        }
+    }
+
     /// Long name as used in the paper's prose.
     pub fn name(self) -> &'static str {
         match self {

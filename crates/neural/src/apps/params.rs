@@ -2,7 +2,7 @@
 //! application x encoding configuration.
 
 use super::{AppKind, EncodingKind};
-use crate::encoding::{GridConfig, GridKind};
+use crate::encoding::GridConfig;
 use crate::math::Activation;
 use crate::mlp::MlpConfig;
 
@@ -41,42 +41,19 @@ fn grid_for(app: AppKind, encoding: EncodingKind) -> GridConfig {
         _ => 19,
     };
     match encoding {
-        EncodingKind::MultiResHashGrid => {
-            // Per-application growth factors from Table I.
-            let b = match app {
+        // Per-application growth factors from Table I.
+        EncodingKind::MultiResHashGrid => GridConfig::hashgrid(
+            dim,
+            log2_t,
+            match app {
                 AppKind::Nerf => 1.51572,
                 AppKind::Nsdf => 1.38191,
                 AppKind::Nvr => 1.275,
                 AppKind::Gia => 1.25992,
-            };
-            GridConfig {
-                dim,
-                n_levels: 16,
-                features_per_level: 2,
-                log2_table_size: log2_t,
-                base_resolution: 16,
-                growth_factor: b,
-                kind: GridKind::Hash,
-            }
-        }
-        EncodingKind::MultiResDenseGrid => GridConfig {
-            dim,
-            n_levels: 8,
-            features_per_level: 2,
-            log2_table_size: log2_t,
-            base_resolution: 16,
-            growth_factor: 1.405,
-            kind: GridKind::Dense,
-        },
-        EncodingKind::LowResDenseGrid => GridConfig {
-            dim,
-            n_levels: 2,
-            features_per_level: 8,
-            log2_table_size: log2_t,
-            base_resolution: 128,
-            growth_factor: 1.0,
-            kind: GridKind::Tiled,
-        },
+            },
+        ),
+        EncodingKind::MultiResDenseGrid => GridConfig::densegrid(dim, log2_t),
+        EncodingKind::LowResDenseGrid => GridConfig::low_res_densegrid(dim, log2_t),
     }
 }
 

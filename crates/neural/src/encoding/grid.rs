@@ -11,6 +11,7 @@
 use super::hash::{dense_index, dense_vertex_count, spatial_hash, table_mask};
 use super::interp::CellPosition;
 use super::{check_dim, Encoding};
+use crate::apps::EncodingKind;
 use crate::error::{NgError, Result};
 use crate::math::Pcg32;
 
@@ -61,7 +62,7 @@ impl GridConfig {
     pub fn hashgrid(dim: usize, log2_table_size: u32, growth_factor: f32) -> Self {
         GridConfig {
             dim,
-            n_levels: 16,
+            n_levels: EncodingKind::MultiResHashGrid.levels(),
             features_per_level: 2,
             log2_table_size,
             base_resolution: 16,
@@ -75,7 +76,7 @@ impl GridConfig {
     pub fn densegrid(dim: usize, log2_table_size: u32) -> Self {
         GridConfig {
             dim,
-            n_levels: 8,
+            n_levels: EncodingKind::MultiResDenseGrid.levels(),
             features_per_level: 2,
             log2_table_size,
             base_resolution: 16,
@@ -89,7 +90,7 @@ impl GridConfig {
     pub fn low_res_densegrid(dim: usize, log2_table_size: u32) -> Self {
         GridConfig {
             dim,
-            n_levels: 2,
+            n_levels: EncodingKind::LowResDenseGrid.levels(),
             features_per_level: 8,
             log2_table_size,
             base_resolution: 128,

@@ -1,167 +1,195 @@
-//! The read side of the event ledger: parse, profile, check, export.
+//! The run ledger: typed events, their JSONL form, and what a run's
+//! events say — profile, check, export.
 //!
-//! A ledger is the text [`crate::sink::finish`] returned for one run,
-//! but the file handed to `dse trace` is input from outside the
-//! program. [`Ledger::read`] therefore parses leniently: every line
-//! that is a well-formed flat JSON object becomes an [`Event`];
-//! anything else (a truncated file, stray garbage) is counted in
-//! [`Ledger::skipped_lines`] and ignored, and [`LedgerCheck::ok`]
-//! rejects it.
+//! A [`Ledger`] is the [`Event`]s one run recorded ([`crate::sink::finish`]
+//! returns it) or read back from a file. Its `Display` is the JSONL
+//! text, one event per line; [`Ledger::parse`] and [`Ledger::read`] are
+//! its inverse. A file handed to `dse trace` is input from outside the
+//! program, so they parse leniently: a line that is not a flat JSON
+//! object, names no event kind, or lacks a field of its kind (or has
+//! one of the wrong type) is counted in [`Ledger::skipped_lines`] and
+//! ignored, and [`LedgerCheck::ok`] rejects it.
 //!
-//! From the events we rebuild what the run measured:
+//! From the events we rebuild what the run measured, by replaying the
+//! span events through one stack per thread, once:
 //!
 //! * [`Ledger::profile`] — per-stage aggregates (calls, total, self
-//!   time) reconstructed by replaying `sb`/`se` through one stack per
-//!   thread.
+//!   time).
 //! * [`Ledger::check`] — the run health verdict: is there a root span,
 //!   do spans balance, do the named stages cover the root span's wall
 //!   time, and does `eval.ticks == sweep.points` hold if the run swept
 //!   points (a skipped or doubled chunk of work breaks it).
-//! * [`Ledger::chrome_trace`] — the same events as Chrome
-//!   `trace.json` (open in chrome://tracing or ui.perfetto.dev).
+//! * [`Ledger::chrome_trace`] — the span events as Chrome `trace.json`
+//!   (open in chrome://tracing or ui.perfetto.dev).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
+use std::iter::Peekable;
 use std::path::Path;
+use std::str::Chars;
 
-use crate::json_escape;
-
-/// One parsed ledger event: the `ev` discriminator plus its fields.
-/// Fields are flat — strings or unsigned integers — by construction
-/// of the writer.
+/// One ledger event, written as one JSON object per line and
+/// discriminated by `ev`. `ts` is wall-clock microseconds since the
+/// epoch ([`crate::epoch_us`]); `dur` is measured monotonically.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    fields: BTreeMap<String, Field>,
+pub enum Event {
+    /// `sb`: span `path` opened on thread `tid`.
+    SpanBegin { ts: u64, pid: u64, tid: u64, path: String },
+    /// `se`: span `path` closed on thread `tid` after `dur` µs.
+    SpanEnd { ts: u64, pid: u64, tid: u64, path: String, dur: u64 },
+    /// `ctr`: counter `name`'s *cumulative* value; readers take the
+    /// last value per name.
+    Counter { ts: u64, pid: u64, name: String, val: u64 },
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Field {
-    Num(u64),
-    Str(String),
-}
-
-impl Event {
-    /// The event kind (`sb`, `se`, `ctr`), or `""`.
-    pub fn kind(&self) -> &str {
-        self.str_field("ev").unwrap_or("")
-    }
-
-    /// A string field, when present and a string.
-    pub fn str_field(&self, name: &str) -> Option<&str> {
-        match self.fields.get(name)? {
-            Field::Str(s) => Some(s),
-            Field::Num(_) => None,
-        }
-    }
-
-    /// A numeric field, when present and a number.
-    pub fn num_field(&self, name: &str) -> Option<u64> {
-        match self.fields.get(name)? {
-            Field::Num(n) => Some(*n),
-            Field::Str(_) => None,
+impl fmt::Display for Event {
+    /// The event's JSONL line, without the newline.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Event::SpanBegin { ts, pid, tid, path } => write!(
+                f,
+                "{{\"ev\":\"sb\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"path\":\"{}\"}}",
+                Escaped(path)
+            ),
+            Event::SpanEnd { ts, pid, tid, path, dur } => write!(
+                f,
+                "{{\"ev\":\"se\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"path\":\"{}\",\
+                 \"dur\":{dur}}}",
+                Escaped(path)
+            ),
+            Event::Counter { ts, pid, name, val } => write!(
+                f,
+                "{{\"ev\":\"ctr\",\"ts\":{ts},\"pid\":{pid},\"name\":\"{}\",\"val\":{val}}}",
+                Escaped(name)
+            ),
         }
     }
 }
 
-/// Parse one line as a flat JSON object (string and unsigned-integer
-/// values only — the only shapes the writer produces). `None` on
-/// anything else; callers treat that as a skippable line.
-fn parse_event(line: &str) -> Option<Event> {
-    let mut chars = line.trim().char_indices().peekable();
-    let s = line.trim();
-    let mut fields = BTreeMap::new();
+/// A string as the body of a JSON string literal.
+struct Escaped<'a>(&'a str);
 
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while chars.next_if(|&(_, c)| c.is_ascii_whitespace()).is_some() {}
-    }
-    fn parse_string(
-        s: &str,
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Option<String> {
-        let (_, quote) = chars.next()?;
-        if quote != '"' {
-            return None;
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                '\r' => f.write_str("\\r")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
         }
+        Ok(())
+    }
+}
+
+/// A cursor over one line of flat JSON: string and unsigned-integer
+/// values only, the only shapes the writer produces.
+struct Cursor<'a>(Peekable<Chars<'a>>);
+
+impl Cursor<'_> {
+    fn skip_ws(&mut self) {
+        while self.0.next_if(char::is_ascii_whitespace).is_some() {}
+    }
+
+    /// The next non-blank character, if it is `want`.
+    fn eat(&mut self, want: char) -> Option<()> {
+        self.skip_ws();
+        self.0.next_if_eq(&want).map(drop)
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.eat('"')?;
         let mut out = String::new();
         loop {
-            let (_, c) = chars.next()?;
-            match c {
+            let c = match self.0.next()? {
                 '"' => return Some(out),
-                '\\' => {
-                    let (i, esc) = chars.next()?;
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'u' => {
-                            let hex = s.get(i + 1..i + 5)?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            for _ in 0..4 {
-                                chars.next()?;
-                            }
-                        }
-                        _ => return None,
+                '\\' => match self.0.next()? {
+                    'n' => '\n',
+                    't' => '\t',
+                    'r' => '\r',
+                    'u' => {
+                        let hex: String = (0..4).map(|_| self.0.next()).collect::<Option<_>>()?;
+                        char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
                     }
-                }
-                c => out.push(c),
-            }
+                    c @ ('"' | '\\' | '/') => c,
+                    _ => return None,
+                },
+                c => c,
+            };
+            out.push(c);
         }
     }
 
-    skip_ws(&mut chars);
-    let (_, open) = chars.next()?;
-    if open != '{' {
-        return None;
-    }
-    skip_ws(&mut chars);
-    if chars.next_if(|&(_, c)| c == '}').is_some() {
-        skip_ws(&mut chars);
-        return chars.next().is_none().then_some(Event { fields });
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(s, &mut chars)?;
-        skip_ws(&mut chars);
-        let (_, colon) = chars.next()?;
-        if colon != ':' {
-            return None;
+    fn number(&mut self) -> Option<u64> {
+        self.skip_ws();
+        let mut n = None;
+        while let Some(d) = self.0.next_if(char::is_ascii_digit) {
+            let digit = u64::from(d.to_digit(10)?);
+            n = Some(n.unwrap_or(0u64).checked_mul(10)?.checked_add(digit)?);
         }
-        skip_ws(&mut chars);
-        let value = match chars.peek()? {
-            (_, '"') => Field::Str(parse_string(s, &mut chars)?),
-            (_, c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some((_, d)) = chars.next_if(|&(_, c)| c.is_ascii_digit()) {
-                    n = n.checked_mul(10)?.checked_add(d as u64 - '0' as u64)?;
-                }
-                Field::Num(n)
-            }
-            _ => return None,
-        };
-        fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next()? {
-            (_, ',') => continue,
-            (_, '}') => break,
-            _ => return None,
-        }
+        n
     }
-    skip_ws(&mut chars);
-    chars.next().is_none().then_some(Event { fields })
 }
 
-/// A parsed ledger: the event stream plus what had to be skipped.
+/// Parse one line as an event: a flat JSON object whose keys (in any
+/// order) are `ev` and the fields of its kind. `None` on anything else;
+/// the caller counts that as a skipped line.
+fn parse_event(line: &str) -> Option<Event> {
+    let mut line = Cursor(line.chars().peekable());
+    let (mut ev, mut path, mut name) = (None, None, None);
+    let [mut ts, mut pid, mut tid, mut dur, mut val] = [None; 5];
+    line.eat('{')?;
+    loop {
+        let key = line.string()?;
+        line.eat(':')?;
+        match key.as_str() {
+            "ev" => ev = Some(line.string()?),
+            "path" => path = Some(line.string()?),
+            "name" => name = Some(line.string()?),
+            "ts" => ts = Some(line.number()?),
+            "pid" => pid = Some(line.number()?),
+            "tid" => tid = Some(line.number()?),
+            "dur" => dur = Some(line.number()?),
+            "val" => val = Some(line.number()?),
+            _ => return None,
+        }
+        if line.eat(',').is_none() {
+            break;
+        }
+    }
+    line.eat('}')?;
+    line.skip_ws();
+    if line.0.next().is_some() {
+        return None;
+    }
+    let (ts, pid) = (ts?, pid?);
+    match ev?.as_str() {
+        "sb" => Some(Event::SpanBegin { ts, pid, tid: tid?, path: path? }),
+        "se" => Some(Event::SpanEnd { ts, pid, tid: tid?, path: path?, dur: dur? }),
+        "ctr" => Some(Event::Counter { ts, pid, name: name?, val: val? }),
+        _ => None,
+    }
+}
+
+/// One run's events, plus the lines a read had to skip.
 #[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    /// Events in file order.
+    /// Events in record (file) order.
     pub events: Vec<Event>,
-    /// Lines that did not parse as events.
+    /// Lines that did not parse as events; a recorded ledger has none.
     pub skipped_lines: usize,
+}
+
+impl fmt::Display for Ledger {
+    /// The JSONL text: one line per event, each newline-terminated.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.events.iter().try_for_each(|ev| writeln!(f, "{ev}"))
+    }
 }
 
 /// Per-stage aggregate reconstructed from the ledger, one per span
@@ -222,14 +250,11 @@ impl Ledger {
         Ok(Self::parse(&String::from_utf8_lossy(&bytes)))
     }
 
-    /// Parse ledger text leniently: unparseable lines are counted, not
-    /// fatal.
+    /// Parse ledger text leniently: blank lines are ignored and
+    /// unparseable ones counted, not fatal.
     pub fn parse(text: &str) -> Ledger {
         let mut ledger = Ledger::default();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
+        for line in text.lines().filter(|line| !line.trim().is_empty()) {
             match parse_event(line) {
                 Some(ev) => ledger.events.push(ev),
                 None => ledger.skipped_lines += 1,
@@ -238,117 +263,92 @@ impl Ledger {
         ledger
     }
 
-    /// Iterate events of one kind.
-    pub fn of_kind<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a Event> {
-        self.events.iter().filter(move |e| e.kind() == kind)
-    }
-
     /// Final value of every counter: the last `ctr` event wins for
     /// each name.
     pub fn final_counters(&self) -> BTreeMap<String, u64> {
         let mut out = BTreeMap::new();
-        for ev in self.of_kind("ctr") {
-            if let (Some(name), Some(val)) = (ev.str_field("name"), ev.num_field("val")) {
-                out.insert(name.to_string(), val);
+        for ev in &self.events {
+            if let Event::Counter { name, val, .. } = ev {
+                out.insert(name.clone(), *val);
             }
         }
         out
     }
 
-    /// Rebuild the per-stage profile by replaying `sb`/`se` through a
-    /// stack per thread: self time is a span's duration minus its
-    /// direct children's. Unbalanced events are tolerated here
-    /// (dropped); [`Ledger::check`] is where they become errors.
-    pub fn profile(&self) -> Vec<StageProfile> {
-        // Per-tid stack of (path, child_us).
-        let mut stacks: BTreeMap<u64, Vec<(String, u64)>> = BTreeMap::new();
-        let mut agg: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-        for ev in self.events.iter() {
-            let key = ev.num_field("tid").unwrap_or(0);
-            match ev.kind() {
-                "sb" => {
-                    if let Some(path) = ev.str_field("path") {
-                        stacks.entry(key).or_default().push((path.to_string(), 0));
-                    }
+    /// Replay the span events through one stack per thread. Returns the
+    /// per-stage profile — self time is a span's duration minus its
+    /// direct children's — and the spans that did not balance: a close
+    /// that does not match the innermost open is reported and left out
+    /// of the profile, and so is an open that never closes.
+    fn replay(&self) -> (Vec<StageProfile>, Vec<String>) {
+        // Per-tid stack of (path, child_us); per-path (calls, total, self).
+        let mut stacks: BTreeMap<u64, Vec<(&str, u64)>> = BTreeMap::new();
+        let mut agg: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+        let mut unbalanced = Vec::new();
+        for ev in &self.events {
+            match ev {
+                Event::SpanBegin { tid, path, .. } => {
+                    stacks.entry(*tid).or_default().push((path, 0))
                 }
-                "se" => {
-                    let (Some(path), Some(dur)) = (ev.str_field("path"), ev.num_field("dur"))
-                    else {
+                Event::SpanEnd { tid, path, dur, .. } => {
+                    let stack = stacks.entry(*tid).or_default();
+                    if stack.last().is_none_or(|&(top, _)| top != path) {
+                        unbalanced.push(format!("close without matching open: {path}"));
                         continue;
-                    };
-                    let stack = stacks.entry(key).or_default();
-                    // Only a close matching the innermost open counts;
-                    // anything else is an imbalance check() will flag.
-                    if stack.last().is_some_and(|(top, _)| top == path) {
-                        let (_, child_us) = stack.pop().expect("guarded by last()");
-                        if let Some((_, parent_child)) = stack.last_mut() {
-                            *parent_child += dur;
-                        }
-                        let entry = agg.entry(path.to_string()).or_default();
-                        entry.0 += 1;
-                        entry.1 += dur;
-                        entry.2 += dur.saturating_sub(child_us);
                     }
+                    let (_, child_us) = stack.pop().expect("guarded by last()");
+                    if let Some((_, parent_child)) = stack.last_mut() {
+                        *parent_child += dur;
+                    }
+                    let entry = agg.entry(path).or_default();
+                    entry.0 += 1;
+                    entry.1 += dur;
+                    entry.2 += dur.saturating_sub(child_us);
                 }
-                _ => {}
+                Event::Counter { .. } => {}
             }
         }
-        agg.into_iter()
+        for (path, _) in stacks.into_values().flatten() {
+            unbalanced.push(format!("open without close: {path}"));
+        }
+        unbalanced.sort();
+        unbalanced.dedup();
+        let profile = agg
+            .into_iter()
             .map(|(path, (calls, total_us, self_us))| StageProfile {
-                path,
+                path: path.to_string(),
                 calls,
                 total_us,
                 self_us,
             })
-            .collect()
+            .collect();
+        (profile, unbalanced)
+    }
+
+    /// The per-stage profile, one entry per span path in path order.
+    /// Unbalanced spans are left out; [`Ledger::check`] is where they
+    /// become errors.
+    pub fn profile(&self) -> Vec<StageProfile> {
+        self.replay().0
     }
 
     /// Run the health checks: span balance, stage coverage of the
     /// largest root span, and the sweep-accounting invariant.
     pub fn check(&self) -> LedgerCheck {
-        let mut check = LedgerCheck { skipped_lines: self.skipped_lines, ..Default::default() };
-
-        // Balance: replay stacks; a close must match the innermost open.
-        let mut stacks: BTreeMap<u64, Vec<String>> = BTreeMap::new();
-        for ev in self.events.iter() {
-            let key = ev.num_field("tid").unwrap_or(0);
-            match ev.kind() {
-                "sb" => {
-                    if let Some(path) = ev.str_field("path") {
-                        stacks.entry(key).or_default().push(path.to_string());
-                    }
-                }
-                "se" => {
-                    let Some(path) = ev.str_field("path") else { continue };
-                    let stack = stacks.entry(key).or_default();
-                    if stack.last().is_some_and(|top| top == path) {
-                        stack.pop();
-                    } else {
-                        check.unbalanced.push(format!("close without matching open: {path}"));
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (_, stack) in stacks {
-            for path in stack {
-                check.unbalanced.push(format!("open without close: {path}"));
-            }
-        }
-        check.unbalanced.sort();
-        check.unbalanced.dedup();
+        let (profile, unbalanced) = self.replay();
+        let mut check =
+            LedgerCheck { unbalanced, skipped_lines: self.skipped_lines, ..Default::default() };
 
         // Coverage: on the largest root span (the run's root on the main
         // thread), how much wall time did named child stages account
-        // for? 1 − self/total, from the reconstructed profile.
-        let profile = self.profile();
+        // for? 1 − self/total.
         if let Some(root) =
-            profile.iter().filter(|p| !p.path.contains('/')).max_by_key(|p| p.total_us)
+            profile.into_iter().filter(|p| !p.path.contains('/')).max_by_key(|p| p.total_us)
         {
-            check.root = Some((root.path.clone(), root.total_us));
             if root.total_us > 0 {
                 check.coverage = 1.0 - (root.self_us as f64 / root.total_us as f64);
             }
+            check.root = Some((root.path, root.total_us));
         }
 
         // Invariant: a sweep evaluated every point exactly once.
@@ -365,13 +365,12 @@ impl Ledger {
     pub fn chrome_trace(&self) -> String {
         let mut out = String::from("[\n");
         let mut first = true;
-        for ev in self.events.iter() {
-            let ph = match ev.kind() {
-                "sb" => "B",
-                "se" => "E",
-                _ => continue,
+        for ev in &self.events {
+            let (ph, ts, pid, tid, path) = match ev {
+                Event::SpanBegin { ts, pid, tid, path } => ("B", ts, pid, tid, path),
+                Event::SpanEnd { ts, pid, tid, path, .. } => ("E", ts, pid, tid, path),
+                Event::Counter { .. } => continue,
             };
-            let Some(path) = ev.str_field("path") else { continue };
             let name = path.rsplit('/').next().unwrap_or(path);
             if !first {
                 out.push_str(",\n");
@@ -379,12 +378,9 @@ impl Ledger {
             first = false;
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"dse\",\"ph\":\"{ph}\",\"ts\":{},\
-                 \"pid\":{},\"tid\":{}}}",
-                json_escape(name),
-                ev.num_field("ts").unwrap_or(0),
-                ev.num_field("pid").unwrap_or(0),
-                ev.num_field("tid").unwrap_or(0),
+                "{{\"name\":\"{}\",\"cat\":\"dse\",\"ph\":\"{ph}\",\"ts\":{ts},\
+                 \"pid\":{pid},\"tid\":{tid}}}",
+                Escaped(name),
             );
         }
         out.push_str("\n]\n");
@@ -422,8 +418,51 @@ mod tests {
         let ledger = Ledger::parse(&text);
         assert_eq!(ledger.events.len(), 2);
         assert_eq!(ledger.skipped_lines, 2);
-        assert_eq!(ledger.events[0].str_field("path"), Some("quick \"q\""));
-        assert_eq!(ledger.events[1].num_field("val"), Some(128));
+        assert!(
+            matches!(&ledger.events[0], Event::SpanBegin { path, .. } if path == "quick \"q\"")
+        );
+        assert!(matches!(ledger.events[1], Event::Counter { val: 128, .. }));
+    }
+
+    /// `Ledger::parse` inverts `Display` for any string, and a line that
+    /// misses a field of its kind, or has one of the wrong type, or
+    /// names no kind, is skipped rather than read as half an event.
+    #[test]
+    fn display_and_parse_are_inverse_and_fields_are_checked() {
+        let odd = "a \"q\" \\ / \n\t\r \u{1} é/leaf".to_string();
+        let ledger = Ledger {
+            events: vec![
+                Event::SpanBegin { ts: 1, pid: 2, tid: 3, path: odd.clone() },
+                Event::SpanEnd { ts: 4, pid: 2, tid: 3, path: odd.clone(), dur: u64::MAX },
+                Event::Counter { ts: 5, pid: 2, name: odd, val: 0 },
+            ],
+            skipped_lines: 0,
+        };
+        let text = ledger.to_string();
+        assert_eq!(text.lines().count(), 3);
+        let back = Ledger::parse(&text);
+        assert_eq!((back.events, back.skipped_lines), (ledger.events, 0));
+
+        // Keys in another order, and blanks between tokens, still read.
+        let reordered = "{ \"path\" : \"p\", \"tid\":3,\"pid\":2,\"ts\":1,\"ev\":\"sb\" }";
+        let back = Ledger::parse(reordered);
+        assert_eq!(back.events, [Event::SpanBegin { ts: 1, pid: 2, tid: 3, path: "p".into() }]);
+
+        let broken = [
+            "{\"ev\":\"se\",\"ts\":1,\"pid\":1,\"tid\":0,\"path\":\"dse\"}", // no dur
+            "{\"ev\":\"sb\",\"ts\":1,\"pid\":1,\"tid\":\"0\",\"path\":\"dse\"}", // tid a string
+            "{\"ev\":\"ctr\",\"ts\":1,\"pid\":1,\"name\":7,\"val\":1}",      // name a number
+            "{\"ev\":\"ctr\",\"ts\":1,\"pid\":1,\"val\":1}",                 // no name
+            "{\"ev\":\"xx\",\"ts\":1,\"pid\":1}",                            // no such kind
+            "{\"ts\":1,\"pid\":1,\"tid\":0,\"path\":\"dse\"}",               // no kind
+            "{\"ev\":\"sb\",\"ts\":1,\"pid\":1,\"tid\":0,\"path\":\"dse\",\"x\":1}", // stray key
+            "{\"ev\":\"sb\",\"ts\":-1,\"pid\":1,\"tid\":0,\"path\":\"dse\"}", // signed
+            "{\"ev\":\"sb\",\"ts\":1,\"pid\":1,\"tid\":0,\"path\":\"dse\"} x", // trailing
+            "{}",
+        ];
+        let back = Ledger::parse(&broken.join("\n"));
+        assert!(back.events.is_empty(), "{:?}", back.events);
+        assert_eq!(back.skipped_lines, broken.len());
     }
 
     #[test]
@@ -472,8 +511,23 @@ mod tests {
     #[test]
     fn check_rejects_a_ledger_with_no_run() {
         let counters_only = [ctr("sweep.points", 16), ctr("eval.ticks", 16)].join("\n");
-        for text in ["", "not json\n{\"ev\":\"sb\",\"ts\":3,\"pa", &counters_only] {
+        // An inner `se` without its `dur` is a skipped line, and the
+        // outer close then no longer matches the innermost open.
+        let inner_end_without_dur = [
+            sb(0, "dse", 0),
+            sb(0, "dse/sweep", 0),
+            "{\"ev\":\"se\",\"ts\":96,\"pid\":1,\"tid\":0,\"path\":\"dse/sweep\"}".to_string(),
+            se(0, "dse", 100, 100),
+        ]
+        .join("\n");
+        for (text, skipped) in [
+            ("", 0),
+            ("not json\n{\"ev\":\"sb\",\"ts\":3,\"pa", 2),
+            (&counters_only, 0),
+            (&inner_end_without_dur, 1),
+        ] {
             let check = Ledger::parse(text).check();
+            assert_eq!(check.skipped_lines, skipped, "{text:?}");
             assert!(check.root.is_none(), "{text:?}");
             assert!(!check.ok(0.0), "{text:?} passed the check");
         }

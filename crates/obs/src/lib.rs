@@ -14,15 +14,19 @@
 //!   run invariants (`eval.ticks == sweep.points`).
 //! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
 //!   thread-local stack tracks nesting, and while recording is on each
-//!   span emits begin/end events to the ledger.
-//! * [`sink`] — the recording layer: one run's JSONL event ledger, held
-//!   in memory from [`sink::enable`] to [`sink::finish`], which appends
-//!   the final counter values and hands back the text for the caller
-//!   to write once (the `dse --trace` and `--metrics` path).
-//! * [`ledger`] — the read side: parse a ledger (skipping lines it
-//!   cannot read), rebuild the per-stage profile with self time, check
-//!   for a root span, span balance, stage coverage and the counter
-//!   invariant, and export Chrome `trace.json` for chrome://tracing.
+//!   span records begin/end events.
+//! * [`sink`] — the recording layer: one run's events, held in memory
+//!   from [`sink::enable`] to [`sink::finish`], which appends the final
+//!   counter values and hands back the [`Ledger`] for the caller to
+//!   read in place or write once (the `dse --trace` and `--metrics`
+//!   path).
+//! * [`ledger`] — the typed run ledger: [`ledger::Event`] (span begin,
+//!   span end, counter), whose `Display` is the JSONL line and
+//!   [`Ledger::parse`] its lenient inverse; one replay of the span
+//!   events rebuilds the per-stage profile with self time and the
+//!   balance verdict, and [`Ledger::check`] adds the root span, stage
+//!   coverage and the counter invariant. It also exports Chrome
+//!   `trace.json` for chrome://tracing.
 //!
 //! [`progress`] is the small extra: a single-line stderr meter that
 //! samples a counter in the background — long sweeps get a live
@@ -34,8 +38,8 @@
 //! Counters are one `AtomicU64::fetch_add` each (~1 ns); handles are
 //! looked up once and hoisted out of loops. With recording off a span
 //! is one relaxed atomic load and an inert guard. With recording on it
-//! costs two `Instant::now` calls and two formatted lines pushed under
-//! a short mutex section — spans are meant for *stages* (a sweep's
+//! costs two `Instant::now` calls and two events, each pushed under a
+//! short mutex section — spans are meant for *stages* (a sweep's
 //! evaluate phase, a search's drive loop), never for per-point work.
 //! Nothing touches a file until the run is over. The contract, guarded
 //! by `bench_dse --check-overhead`: recording on must keep the paper
@@ -49,7 +53,7 @@ pub mod sink;
 pub mod span;
 
 pub use counter::{counter, Counter, CounterSnapshot};
-pub use ledger::{Ledger, LedgerCheck, StageProfile};
+pub use ledger::{Event, Ledger, LedgerCheck, StageProfile};
 pub use progress::{stderr_wants_progress, Meter};
 pub use span::{span, SpanGuard};
 
@@ -63,6 +67,11 @@ pub fn epoch_us() -> u64 {
         .unwrap_or(0)
 }
 
+/// This process's id, as trace events carry it.
+pub(crate) fn trace_pid() -> u64 {
+    u64::from(std::process::id())
+}
+
 /// A small process-stable thread id for trace events (`ThreadId` has no
 /// stable numeric form): the first thread to ask is 0, the next 1, ...
 pub fn trace_tid() -> u64 {
@@ -72,21 +81,4 @@ pub fn trace_tid() -> u64 {
         static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
     TID.with(|t| *t)
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

@@ -7,21 +7,23 @@
 //! (`dse/sweep/evaluate`).
 //!
 //! Spans only exist while the [`crate::sink`] is recording: then each
-//! span pushes an `sb` event at open and an `se` event (with measured
-//! duration) at close, and [`crate::Ledger::profile`] rebuilds the
-//! per-stage calls, total and *self* time from them. With recording
-//! off, [`span`] returns an inert guard after one relaxed load.
+//! span records an [`Event::SpanBegin`] at open and an
+//! [`Event::SpanEnd`] (with measured duration) at close, and
+//! [`crate::Ledger::profile`] rebuilds the per-stage calls, total and
+//! *self* time from them. With recording off, [`span`] returns an
+//! inert guard after one relaxed load.
 //!
 //! Spans are for *stages* — a sweep's evaluate phase, a search's drive
 //! loop — never per-point work; the per-call cost when recording (two
-//! `Instant::now`s, two formatted lines and two short mutex sections)
-//! is trivial at stage granularity and ruinous at point granularity.
+//! `Instant::now`s, two events and two short mutex sections) is
+//! trivial at stage granularity and ruinous at point granularity.
 //! Per-point visibility is what [`crate::counter`] is for.
 
 use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::sink;
+use crate::ledger::Event;
+use crate::{epoch_us, sink, trace_pid, trace_tid};
 
 struct Frame {
     /// `/`-joined path down to and including this span.
@@ -51,7 +53,12 @@ pub fn span(name: &'static str) -> SpanGuard {
         Some(parent) => format!("{}/{name}", parent.path),
         None => name.to_string(),
     });
-    sink::span_begin(&path);
+    sink::record(Event::SpanBegin {
+        ts: epoch_us(),
+        pid: trace_pid(),
+        tid: trace_tid(),
+        path: path.clone(),
+    });
     // The clock starts once the begin event is recorded, so a span's
     // duration holds none of its own bookkeeping.
     let start = Instant::now();
@@ -72,8 +79,15 @@ impl Drop for SpanGuard {
         if !self.armed {
             return;
         }
-        if let Some(frame) = STACK.with(|stack| stack.borrow_mut().pop()) {
-            sink::span_end(&frame.path, frame.start.elapsed().as_micros() as u64);
+        if let Some(Frame { path, start }) = STACK.with(|stack| stack.borrow_mut().pop()) {
+            let dur = start.elapsed().as_micros() as u64;
+            sink::record(Event::SpanEnd {
+                ts: epoch_us(),
+                pid: trace_pid(),
+                tid: trace_tid(),
+                path,
+                dur,
+            });
         }
     }
 }
@@ -93,7 +107,7 @@ mod tests {
         let _turn = TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         sink::enable();
         f();
-        crate::Ledger::parse(&sink::finish()).profile()
+        sink::finish().profile()
     }
 
     fn stat<'a>(profile: &'a [StageProfile], path: &str) -> &'a StageProfile {
