@@ -118,8 +118,8 @@ fn tables_per_engine(nfp: &NfpConfig, encoding: EncodingKind) -> u32 {
 /// set — every level table the engine serves must stay resident for
 /// full-rate corner fetches, so an engine multiplexing `k` levels needs
 /// `k` tables on-chip. The uncovered fraction of corner fetches pays
-/// [`SPILL_PENALTY`]. Exactly 1.0 at the paper's 1 MB / 16-engine
-/// provision.
+/// the spill penalty of a fetch served off-chip. Exactly 1.0 at the
+/// paper's 1 MB / 16-engine provision.
 pub fn sram_capacity_factor(nfp: &NfpConfig, encoding: EncodingKind) -> f64 {
     let required = tables_per_engine(nfp, encoding) as f64 * resident_table_bytes(encoding);
     let have = nfp.grid_sram_bytes as f64;

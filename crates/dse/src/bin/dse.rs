@@ -539,12 +539,13 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
         ledger_path.ok_or_else(|| usage_err("trace: need a LEDGER.jsonl path".to_string()))?;
     let ledger =
         ng_obs::Ledger::read(Path::new(&path)).map_err(|e| usage_err(format!("{path}: {e}")))?;
+    let verdict = ledger.check();
     write!(
         out,
         "ledger {path}: {} events, {} skipped line(s)\n{}",
         ledger.events.len(),
         ledger.skipped_lines,
-        summary(&ledger)
+        summary(&ledger, &verdict)
     )
     .map_err(stdout_err)?;
 
@@ -554,7 +555,6 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
         writeln!(out, "wrote Chrome trace to {chrome_out} (load in chrome://tracing or Perfetto)")
             .map_err(stdout_err)?;
     }
-    let verdict = ledger.check();
     if check && !verdict.ok(min_coverage / 100.0) {
         return Err(check_err(format!(
             "trace --check failed: root span {}, {} skipped line(s), coverage {:.1}% \
@@ -570,11 +570,11 @@ fn run_trace(args: &[String]) -> Result<(), CliError> {
 }
 
 /// What `dse trace` and `--metrics` print about a recorded run: the
-/// per-stage profile, the final counters and the health verdict.
-fn summary(ledger: &ng_obs::Ledger) -> String {
-    let verdict = ledger.check();
+/// per-stage profile, the final counters and the health verdict, all
+/// but the counters from `ledger`'s one [`ng_obs::Ledger::check`].
+fn summary(ledger: &ng_obs::Ledger, verdict: &ng_obs::LedgerCheck) -> String {
     let mut out = String::new();
-    let profile = ledger.profile();
+    let profile = &verdict.profile;
     if profile.is_empty() {
         out.push_str("no spans recorded\n");
     } else {
@@ -667,7 +667,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
     let ledger = ng_obs::sink::finish();
     if cli.metrics {
-        eprint!("{}", summary(&ledger));
+        eprint!("{}", summary(&ledger, &ledger.check()));
     }
     let written = match trace_file {
         Some((path, mut file)) => file

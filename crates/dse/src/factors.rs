@@ -4,10 +4,13 @@
 //! The emulator is a composition of separable factors (paper Fig. 11):
 //! the GPU kernel breakdown reads (app, encoding, pixels), the per-NFP
 //! area/power budget reads the floorplan, and each slope factor reads a
-//! few more axes. [`FactorTables`] evaluates each factor once per
-//! distinct tuple of the axes it reads, into a dense table indexed by
-//! [`Space`] positions, so a point costs a few table reads, the cluster
-//! scaling and [`ngpc::compose`]. Every entry comes from the function
+//! few more axes. The budget is the combine of three components, each
+//! reading fewer axes than the floorplan, so each component has its own
+//! table and a budget entry combines three component entries.
+//! [`FactorTables`] evaluates each factor once per distinct tuple of the
+//! axes it reads, into a dense table indexed by [`Space`] positions, so
+//! a point costs a few table reads, the cluster scaling and
+//! [`ngpc::compose`]. Every entry comes from the function
 //! [`ngpc::emulate`] calls, and the slope is multiplied in
 //! [`ngpc::SlopeFactors::slope`]'s order, so the results are
 //! bit-identical to `emulate` by construction.
@@ -25,7 +28,7 @@
 use std::io;
 
 use ng_gpu::KernelBreakdown;
-use ng_hw::NfpBudget;
+use ng_hw::{ComponentBudget, NfpBudget};
 
 use crate::spec::{ArchIdx, DesignPoint, Space, ARCH_AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint};
@@ -73,6 +76,18 @@ impl<T> Table<T> {
         key: &[usize],
         factor: impl Fn(&DesignPoint) -> T,
     ) -> Self {
+        Self::build_at(space, layer, key, |idx, app| factor(&space.point(idx, app)))
+    }
+
+    /// [`Table::build`] over positions: `factor` sees the architecture
+    /// and app number of each entry. The key positions are walked as an
+    /// odometer, last key axis fastest, which is row-major key order.
+    fn build_at(
+        space: &Space,
+        layer: &'static str,
+        key: &[usize],
+        mut factor: impl FnMut(&ArchIdx, usize) -> T,
+    ) -> Self {
         let _span = ng_obs::span(layer);
         let radix =
             |axis: usize| if axis == APP { space.spec.apps.len() } else { space.dims[axis] };
@@ -82,16 +97,19 @@ impl<T> Table<T> {
             strides[axis] = len;
             len *= radix(axis);
         }
-        let values = (0..len)
-            .map(|slot| {
-                let mut pos = [0; ARCH_AXES + 1];
-                for &axis in key {
-                    pos[axis] = (slot / strides[axis] % radix(axis)) as u32;
+        let mut pos = [0u32; ARCH_AXES + 1];
+        let mut values = Vec::with_capacity(len);
+        for _ in 0..len {
+            let idx = pos[..ARCH_AXES].try_into().expect("ARCH_AXES positions");
+            values.push(factor(idx, pos[APP] as usize));
+            for &axis in key.iter().rev() {
+                pos[axis] += 1;
+                if (pos[axis] as usize) < radix(axis) {
+                    break;
                 }
-                let idx: ArchIdx = pos[..ARCH_AXES].try_into().expect("ARCH_AXES positions");
-                factor(&space.point(&idx, pos[APP] as usize))
-            })
-            .collect();
+                pos[axis] = 0;
+            }
+        }
         Table { layer, strides, values }
     }
 
@@ -129,7 +147,15 @@ pub struct FactorTables<'a> {
     pub(crate) space: Space<'a>,
     /// GPU kernel breakdown per (app, encoding, pixels).
     gpu: Table<KernelBreakdown>,
-    /// Per-NFP area/power budget per floorplan.
+    /// Grid-SRAM budget per (clock, grid-SRAM size, banks, engines,
+    /// lanes).
+    grid_srams: Table<ComponentBudget>,
+    /// MLP-engine budget per (clock, MAC rows, MAC columns).
+    mlp_engine: Table<ComponentBudget>,
+    /// Encoding-logic budget per (clock, engines, lanes, FIFO depth).
+    encoding_logic: Table<ComponentBudget>,
+    /// Per-NFP area/power budget per floorplan: the combine of its
+    /// three component entries.
     budget: Table<NfpBudget>,
     /// Calibrated residual per (app, encoding).
     residual: Table<f64>,
@@ -149,13 +175,33 @@ impl<'a> FactorTables<'a> {
         let _span = ng_obs::span("tables");
         let s = &space;
         let nfp = |p: &DesignPoint| p.emulator_input().nfp;
+        let gpu = Table::build(s, "gpu", &[APP, ENCODING, PIXELS], |p| {
+            ng_gpu::kernel_breakdown(p.app, p.encoding, p.pixels)
+        });
+        let grid_srams =
+            Table::build(s, "grid_srams", &[CLOCK, SRAM_KB, BANKS, ENGINES, LANES], |p| {
+                ng_hw::grid_srams_budget(&nfp(p).floorplan())
+            });
+        let mlp_engine = Table::build(s, "mlp_engine", &[CLOCK, MAC_ROWS, MAC_COLS], |p| {
+            ng_hw::mlp_engine_budget(&nfp(p).floorplan())
+        });
+        let encoding_logic =
+            Table::build(s, "encoding_logic", &[CLOCK, ENGINES, LANES, FIFO], |p| {
+                ng_hw::encoding_logic_budget(&nfp(p).floorplan())
+            });
+        let budget = Table::build_at(s, "budget", &FLOORPLAN, |idx, _| {
+            NfpBudget::combine(
+                *grid_srams.at(grid_srams.slot(idx), 0),
+                *mlp_engine.at(mlp_engine.slot(idx), 0),
+                *encoding_logic.at(encoding_logic.slot(idx), 0),
+            )
+        });
         FactorTables {
-            gpu: Table::build(s, "gpu", &[APP, ENCODING, PIXELS], |p| {
-                ng_gpu::kernel_breakdown(p.app, p.encoding, p.pixels)
-            }),
-            budget: Table::build(s, "budget", &FLOORPLAN, |p| {
-                ng_hw::nfp_budget(&nfp(p).floorplan())
-            }),
+            gpu,
+            grid_srams,
+            mlp_engine,
+            encoding_logic,
+            budget,
             residual: Table::build(s, "residual", &[APP, ENCODING], |p| {
                 ngpc::calibrated_residual(p.app, p.encoding)
             }),
@@ -177,9 +223,12 @@ impl<'a> FactorTables<'a> {
 
     /// Each table's layer name and entry count (one entry per distinct
     /// tuple of the axes it reads), in build order.
-    pub fn layers(&self) -> [(&'static str, usize); 6] {
+    pub fn layers(&self) -> [(&'static str, usize); 9] {
         [
             self.gpu.layer(),
+            self.grid_srams.layer(),
+            self.mlp_engine.layer(),
+            self.encoding_logic.layer(),
             self.budget.layer(),
             self.residual.layer(),
             self.sram_capacity.layer(),
@@ -227,7 +276,7 @@ impl<'a> FactorTables<'a> {
     /// searcher. It computes each table's slot and the cluster's
     /// area/power (which no app reads) once, then each app's result in
     /// app order, which it shows to `visit` with its app number, and
-    /// folds the speedups through [`ArchPoint::from_speedups`]. Forced
+    /// folds the speedups into the cross-app average. Forced
     /// inline: out of line, the sweep's loop ran ~20% slower.
     #[inline(always)]
     pub fn arch(
@@ -315,9 +364,10 @@ mod tests {
         let spec = SweepSpec::guided_lanes();
         let t = FactorTables::new(Space::new(&spec));
         let lens = t.layers().map(|(_, entries)| entries);
-        // 12 GPU breakdowns, 2,187 floorplans, 12 residuals, 27 SRAM
-        // factors, 12 bank factors and 2,916 MAC/engine tuples.
-        assert_eq!(lens, [12, 2187, 12, 27, 12, 2916]);
+        // 12 GPU breakdowns, 81 grid-SRAM, 9 MLP-engine and 27
+        // encoding-logic budgets, 2,187 floorplans, 12 residuals, 27
+        // SRAM factors, 12 bank factors and 2,916 MAC/engine tuples.
+        assert_eq!(lens, [12, 81, 9, 27, 2187, 12, 27, 12, 2916]);
         assert!(lens.iter().all(|&n| n <= spec.point_count()));
     }
 }

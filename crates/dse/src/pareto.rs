@@ -71,15 +71,38 @@ impl Constraints {
 /// keeps its archive current without ever materialising the visited
 /// set's objectives. Exact ties on all three objectives are all kept
 /// (equal points do not dominate each other).
+///
+/// Most candidates of a sweep are dominated, and neighbours in spec
+/// order tend to be dominated by the same member, so the frontier
+/// remembers the position of the member that last rejected a candidate
+/// and tests it first (Kung, Luccio & Preparata, JACM 1975): a rejection
+/// usually costs one comparison instead of a scan up to its dominator.
+/// Only a miss scans the members in insertion order, and the dominator
+/// that scan finds becomes the new hint. The hint orders the scan and
+/// nothing else, so which candidates are accepted and evicted, the
+/// survivors' order and the `frontier.*` counts do not depend on it; an
+/// eviction may leave it stale, past the end or on another member,
+/// which costs at most one wasted comparison.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingFrontier<T> {
     entries: Vec<(Objectives, T)>,
+    /// Position of the member that last rejected a candidate.
+    hint: usize,
 }
 
 impl<T> StreamingFrontier<T> {
     /// An empty frontier.
     pub fn new() -> Self {
-        StreamingFrontier { entries: Vec::new() }
+        StreamingFrontier { entries: Vec::new(), hint: 0 }
+    }
+
+    /// Position of a member that dominates `objectives`, if any: the
+    /// hinted member first, then the rest in insertion order.
+    fn dominator(&self, objectives: &Objectives) -> Option<usize> {
+        if self.entries.get(self.hint).is_some_and(|(o, _)| o.dominates(objectives)) {
+            return Some(self.hint);
+        }
+        self.entries.iter().position(|(o, _)| o.dominates(objectives))
     }
 
     /// Offer one point. Returns `true` if it joined the frontier
@@ -88,7 +111,8 @@ impl<T> StreamingFrontier<T> {
     /// eviction into `frontier.prunes` — the churn pair that tells a
     /// trace reader whether a search kept improving or went flat.
     pub fn insert(&mut self, objectives: Objectives, payload: T) -> bool {
-        if self.entries.iter().any(|(o, _)| o.dominates(&objectives)) {
+        if let Some(at) = self.dominator(&objectives) {
+            self.hint = at;
             return false;
         }
         let before = self.entries.len();
@@ -136,9 +160,11 @@ impl<T> StreamingFrontier<T> {
         self.entries.is_empty()
     }
 
-    /// Whether `objectives` is dominated by a current member.
+    /// Whether `objectives` is dominated by a current member. Tests the
+    /// hinted member first, like [`StreamingFrontier::insert`], but
+    /// leaves the hint as it is.
     pub fn dominated(&self, objectives: &Objectives) -> bool {
-        self.entries.iter().any(|(o, _)| o.dominates(objectives))
+        self.dominator(objectives).is_some()
     }
 
     /// Iterate the frontier in insertion order (survivors only).
@@ -272,6 +298,46 @@ mod tests {
         for c in [Constraints::NONE, Constraints { max_area_pct: Some(2.5), ..Constraints::NONE }] {
             assert_eq!(streamed(&objs, &c), oracle(&objs, &c), "{c:?}");
         }
+    }
+
+    #[test]
+    fn a_stale_hint_changes_no_decision() {
+        let objs = [
+            o(1.0, 1.0, 5.0),
+            o(2.0, 2.0, 4.0),
+            o(3.0, 3.0, 1.0),
+            o(2.5, 3.5, 1.5), // 3: rejected by 2 only, which becomes the hint
+            o(2.0, 1.0, 4.0), // 4: evicts 0 and 1, so the hint is past the end
+            o(2.9, 3.2, 1.2), // 5: rejected by 2, now at position 0
+            o(1.5, 1.5, 4.5), // 6: rejected by 4, at position 1
+            o(3.0, 2.5, 1.0), // 7: evicts 2, so the hint points at 7
+            o(1.8, 1.2, 4.2), // 8: rejected by 4 (position 0), not by 7
+            o(3.0, 2.5, 1.0), // 9: an exact tie with 7 joins
+            o(0.5, 0.5, 9.0), // 10: a trade-off joins
+        ];
+        let mut f = StreamingFrontier::new();
+        let mut offers = objs.iter().copied().enumerate();
+        for (i, ob) in offers.by_ref().take(4) {
+            f.insert(ob, i);
+        }
+        assert_eq!(f.hint, 2);
+        let (i, ob) = offers.next().unwrap();
+        assert!(f.insert(ob, i));
+        assert!(f.hint >= f.len(), "hint {} of {} members", f.hint, f.len());
+        for (i, ob) in offers.by_ref().take(2) {
+            assert!(!f.insert(ob, i), "{i} is dominated");
+        }
+        assert_eq!(f.hint, 1);
+        let (i, ob) = offers.next().unwrap();
+        assert!(f.insert(ob, i));
+        assert_eq!(f.entries[f.hint].1, 7, "the hint now names another member");
+        for (i, ob) in offers {
+            assert_eq!(f.insert(ob, i), i != 8, "{i}");
+        }
+        assert!(f.dominated(&objs[8]) && !f.dominated(&objs[10]));
+        let kept: Vec<usize> = f.iter().map(|&(_, i)| i).collect();
+        assert_eq!(kept, vec![4, 7, 9, 10]);
+        assert_eq!(streamed(&objs, &Constraints::NONE), oracle(&objs, &Constraints::NONE));
     }
 
     /// `objs` offered in order to one frontier, as (payload, objective

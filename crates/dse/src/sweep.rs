@@ -112,8 +112,9 @@ pub struct ArchPoint {
 
 impl ArchPoint {
     /// Fold one architecture's per-app points, in app order, into its
-    /// cross-app average ([`ArchPoint::from_speedups`]). Area and power
-    /// are app-independent, so they come from the first point.
+    /// cross-app average: their speedups summed in that order, then
+    /// divided. Area and power are app-independent, so they come from
+    /// the first point.
     pub fn from_app_points(points: impl IntoIterator<Item = EvaluatedPoint>) -> Self {
         let mut points = points.into_iter().peekable();
         let first = *points.peek().expect("an architecture has at least one app");

@@ -4,7 +4,7 @@
 //! actual MLP topologies, lookup counts from the grid dimensionality and
 //! level count, and table footprints from the exact
 //! [`ng_neural::encoding::GridLayout`] a real
-//! [`ng_neural::encoding::MultiResGrid`](ng_neural::encoding::MultiResGrid)
+//! [`ng_neural::encoding::MultiResGrid`]
 //! would allocate (shapes only — deriving a workload does not
 //! materialise the tables).
 

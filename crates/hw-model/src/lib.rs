@@ -13,7 +13,8 @@
 //!   published by Stillmaker & Baas (2017),
 //! * [`gpu_ref`] — the RTX 3090 die area/power used for normalisation,
 //! * [`report`] — the Fig. 15 rollup: NGPC area/power relative to the
-//!   GPU for scaling factors 8/16/32/64.
+//!   GPU for scaling factors 8/16/32/64, from one NFP's grid-SRAM,
+//!   MLP-engine and encoding-logic budgets.
 
 pub mod cacti;
 pub mod gpu_ref;
@@ -22,6 +23,6 @@ pub mod scaling;
 pub mod synth;
 
 pub use report::{
-    cluster_area_power, nfp_budget, ngpc_area_power, ngpc_area_power_vs, AreaPowerReport,
-    NfpBudget, NfpFloorplan,
+    cluster_area_power, encoding_logic_budget, grid_srams_budget, mlp_engine_budget, nfp_budget,
+    ngpc_area_power, ngpc_area_power_vs, AreaPowerReport, ComponentBudget, NfpBudget, NfpFloorplan,
 };

@@ -107,11 +107,20 @@ const MAC_UTILISATION: f64 = 0.9;
 /// Grid-SRAM read accesses per engine per cycle (corner fetch rate).
 const SRAM_READS_PER_CYCLE: f64 = 2.0;
 
-/// Synthesise one NFP's area/power budget from its floorplan.
+/// Synthesise one NFP's area/power budget from its floorplan: the
+/// [`NfpBudget::combine`] of its three components.
 pub fn nfp_budget(floorplan: &NfpFloorplan) -> NfpBudget {
-    let clk = floorplan.clock_ghz;
+    NfpBudget::combine(
+        grid_srams_budget(floorplan),
+        mlp_engine_budget(floorplan),
+        encoding_logic_budget(floorplan),
+    )
+}
 
-    // --- Grid SRAMs (CACTI-lite) ---
+/// The grid SRAMs (CACTI-lite) of one NFP. Reads the clock, the grid
+/// SRAM size and banks, the encoding engines and their lanes.
+pub fn grid_srams_budget(floorplan: &NfpFloorplan) -> ComponentBudget {
+    let clk = floorplan.clock_ghz;
     let grid = sram_estimate(SramMacro {
         capacity_bytes: floorplan.grid_sram_bytes,
         word_bits: 32,
@@ -123,12 +132,17 @@ pub fn nfp_budget(floorplan: &NfpFloorplan) -> NfpBudget {
     let lanes = floorplan.lanes_per_engine.max(1) as f64;
     let grid_dynamic =
         n_eng * lanes * SRAM_READS_PER_CYCLE * clk * 1e9 * grid.access_energy_pj * 1e-12;
-    let grid_srams = ComponentBudget {
+    ComponentBudget {
         area_mm2_45: n_eng * grid.area_mm2,
         watts_45: grid_dynamic + n_eng * grid.leakage_watts,
-    };
+    }
+}
 
-    // --- MLP engine: MAC array + weight/activation SRAMs ---
+/// The MLP engine of one NFP: its MAC array and its weight and
+/// activation SRAMs. Reads the clock, the MAC rows and columns and the
+/// two SRAM sizes.
+pub fn mlp_engine_budget(floorplan: &NfpFloorplan) -> ComponentBudget {
+    let clk = floorplan.clock_ghz;
     let mut mlp_synth = SynthEstimate::default();
     let macs = (floorplan.mac_rows * floorplan.mac_cols) as u64;
     mlp_synth.add(Module::MacFp16, macs, clk);
@@ -144,16 +158,20 @@ pub fn nfp_budget(floorplan: &NfpFloorplan) -> NfpBudget {
         banks: 2,
     });
     let sram_access_w = (wsram.access_energy_pj + asram.access_energy_pj) * 1e-12 * clk * 1e9;
-    let mlp_engine = ComponentBudget {
+    ComponentBudget {
         area_mm2_45: mlp_synth.area_mm2 + wsram.area_mm2 + asram.area_mm2,
         watts_45: mlp_synth.dynamic_watts * MAC_UTILISATION
             + mlp_synth.leakage_watts
             + sram_access_w
             + wsram.leakage_watts
             + asram.leakage_watts,
-    };
+    }
+}
 
-    // --- Encoding-engine datapaths ---
+/// The encoding-engine datapaths of one NFP. Reads the clock, the
+/// encoding engines, their lanes and the input FIFO depth.
+pub fn encoding_logic_budget(floorplan: &NfpFloorplan) -> ComponentBudget {
+    let clk = floorplan.clock_ghz;
     let mut enc_synth = SynthEstimate::default();
     let n = floorplan.encoding_engines as u64;
     // The corner-fetch pipeline is replicated per query lane; control
@@ -165,23 +183,31 @@ pub fn nfp_budget(floorplan: &NfpFloorplan) -> NfpBudget {
     enc_synth.add(Module::InterpolWeights, n_lanes, clk);
     enc_synth.add(Module::EngineControl, n, clk);
     enc_synth.add(Module::FifoEntry96b, n * floorplan.input_fifo_depth as u64, clk);
-    let encoding_logic =
-        ComponentBudget { area_mm2_45: enc_synth.area_mm2, watts_45: enc_synth.total_watts() };
+    ComponentBudget { area_mm2_45: enc_synth.area_mm2, watts_45: enc_synth.total_watts() }
+}
 
-    let area_mm2_45 =
-        (grid_srams.area_mm2_45 + mlp_engine.area_mm2_45 + encoding_logic.area_mm2_45)
+impl NfpBudget {
+    /// One NFP's budget from its components: their sum with the
+    /// integration overhead, and that scaled from 45 nm to 7 nm.
+    pub fn combine(
+        grid_srams: ComponentBudget,
+        mlp_engine: ComponentBudget,
+        encoding_logic: ComponentBudget,
+    ) -> NfpBudget {
+        let area_mm2_45 =
+            (grid_srams.area_mm2_45 + mlp_engine.area_mm2_45 + encoding_logic.area_mm2_45)
+                * INTEGRATION_OVERHEAD;
+        let watts_45 = (grid_srams.watts_45 + mlp_engine.watts_45 + encoding_logic.watts_45)
             * INTEGRATION_OVERHEAD;
-    let watts_45 = (grid_srams.watts_45 + mlp_engine.watts_45 + encoding_logic.watts_45)
-        * INTEGRATION_OVERHEAD;
-
-    NfpBudget {
-        grid_srams,
-        mlp_engine,
-        encoding_logic,
-        area_mm2_45,
-        watts_45,
-        area_mm2_7: area_45_to_7(area_mm2_45),
-        watts_7: power_45_to_7(watts_45),
+        NfpBudget {
+            grid_srams,
+            mlp_engine,
+            encoding_logic,
+            area_mm2_45,
+            watts_45,
+            area_mm2_7: area_45_to_7(area_mm2_45),
+            watts_7: power_45_to_7(watts_45),
+        }
     }
 }
 
@@ -295,6 +321,88 @@ mod tests {
         // Lanes replicate datapath only, not the dominant grid SRAMs:
         // the area premium is real but small.
         assert!(r_four.area_pct_of_gpu < r_one.area_pct_of_gpu * 1.25);
+    }
+
+    /// Every field of a budget, as bits.
+    fn bits(b: &NfpBudget) -> Vec<u64> {
+        [b.grid_srams, b.mlp_engine, b.encoding_logic]
+            .iter()
+            .flat_map(|c| [c.area_mm2_45, c.watts_45])
+            .chain([b.area_mm2_45, b.watts_45, b.area_mm2_7, b.watts_7])
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    #[test]
+    fn nfp_budget_is_the_combine_of_its_components() {
+        let base = NfpFloorplan::default();
+        // Every combination of two or three values per field.
+        for mut k in 0..3 * 2 * 2 * 2 * 2 * 3 * 2 {
+            let mut pick = |n: usize| {
+                let i = k % n;
+                k /= n;
+                i
+            };
+            let (mac_rows, mac_cols) = [(16, 64), (64, 64), (128, 32)][pick(3)];
+            let macs = (mac_rows * mac_cols) as u64;
+            let fp = NfpFloorplan {
+                clock_ghz: [0.5, 1.0, 1.7][pick(3)],
+                grid_sram_bytes: [256 << 10, 1 << 20][pick(2)],
+                grid_sram_banks: [1, 8][pick(2)],
+                encoding_engines: [8, 16][pick(2)],
+                lanes_per_engine: [1, 3][pick(2)],
+                mac_rows,
+                mac_cols,
+                weight_sram_bytes: 32 * macs,
+                activation_sram_bytes: 8 * macs,
+                input_fifo_depth: [16, 64][pick(2)],
+            };
+            let combined = NfpBudget::combine(
+                grid_srams_budget(&fp),
+                mlp_engine_budget(&fp),
+                encoding_logic_budget(&fp),
+            );
+            assert_eq!(bits(&nfp_budget(&fp)), bits(&combined), "{fp:?}");
+            // Each component reads only the fields its doc names:
+            // resetting the others to the default floorplan's moves no
+            // bit of it.
+            let grid_only = NfpFloorplan {
+                clock_ghz: fp.clock_ghz,
+                grid_sram_bytes: fp.grid_sram_bytes,
+                grid_sram_banks: fp.grid_sram_banks,
+                encoding_engines: fp.encoding_engines,
+                lanes_per_engine: fp.lanes_per_engine,
+                ..base
+            };
+            let mlp_only = NfpFloorplan {
+                clock_ghz: fp.clock_ghz,
+                mac_rows,
+                mac_cols,
+                weight_sram_bytes: fp.weight_sram_bytes,
+                activation_sram_bytes: fp.activation_sram_bytes,
+                ..base
+            };
+            let encoding_only = NfpFloorplan {
+                clock_ghz: fp.clock_ghz,
+                encoding_engines: fp.encoding_engines,
+                lanes_per_engine: fp.lanes_per_engine,
+                input_fifo_depth: fp.input_fifo_depth,
+                ..base
+            };
+            let component_bits = |c: ComponentBudget| [c.area_mm2_45, c.watts_45].map(f64::to_bits);
+            assert_eq!(
+                component_bits(grid_srams_budget(&grid_only)),
+                component_bits(combined.grid_srams)
+            );
+            assert_eq!(
+                component_bits(mlp_engine_budget(&mlp_only)),
+                component_bits(combined.mlp_engine)
+            );
+            assert_eq!(
+                component_bits(encoding_logic_budget(&encoding_only)),
+                component_bits(combined.encoding_logic)
+            );
+        }
     }
 
     #[test]

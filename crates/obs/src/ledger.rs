@@ -223,6 +223,8 @@ pub struct LedgerCheck {
     pub sweep: Option<(u64, u64)>,
     /// [`Ledger::skipped_lines`]: a written ledger has none.
     pub skipped_lines: usize,
+    /// [`Ledger::profile`], from the same replay as the verdict.
+    pub profile: Vec<StageProfile>,
 }
 
 impl LedgerCheck {
@@ -343,13 +345,14 @@ impl Ledger {
         // thread), how much wall time did named child stages account
         // for? 1 − self/total.
         if let Some(root) =
-            profile.into_iter().filter(|p| !p.path.contains('/')).max_by_key(|p| p.total_us)
+            profile.iter().filter(|p| !p.path.contains('/')).max_by_key(|p| p.total_us)
         {
             if root.total_us > 0 {
                 check.coverage = 1.0 - (root.self_us as f64 / root.total_us as f64);
             }
-            check.root = Some((root.path, root.total_us));
+            check.root = Some((root.path.clone(), root.total_us));
         }
+        check.profile = profile;
 
         // Invariant: a sweep evaluated every point exactly once.
         let counters = self.final_counters();

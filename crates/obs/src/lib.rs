@@ -8,11 +8,12 @@
 //!
 //! Four pieces, composable but independently usable:
 //!
-//! * [`counter`] — process-global named counters
-//!   ([`counter::counter`]): lock-free atomic adds on the hot path, a
+//! * [`counter`](mod@counter) — process-global named counters
+//!   ([`counter::counter`](fn@counter::counter)): lock-free atomic adds on the hot path, a
 //!   registry snapshot for end-of-run metrics, and the raw material for
 //!   run invariants (`eval.ticks == sweep.points`).
-//! * [`span`] — hierarchical wall-clock spans ([`span::span`]): a
+//! * [`span`](mod@span) — hierarchical wall-clock spans
+//!   ([`span::span`](fn@span::span)): a
 //!   thread-local stack tracks nesting, and while recording is on each
 //!   span records begin/end events.
 //! * [`sink`] — the recording layer: one run's events, held in memory

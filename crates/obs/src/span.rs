@@ -17,7 +17,7 @@
 //! loop — never per-point work; the per-call cost when recording (two
 //! `Instant::now`s, two events and two short mutex sections) is
 //! trivial at stage granularity and ruinous at point granularity.
-//! Per-point visibility is what [`crate::counter`] is for.
+//! Per-point visibility is what [`crate::counter`](mod@crate::counter) is for.
 
 use std::cell::RefCell;
 use std::time::Instant;
