@@ -1,12 +1,15 @@
-//! "Same outputs" as a test: pins FNV-1a digests of every preset's CSV
-//! and cross-app frontier, and of the guided searcher's frontier and
-//! accounting on guided-lanes, so that a change meant to keep outputs
-//! byte-identical fails here if it does not. A change to the model
+//! "Same outputs" as a test: pins FNV-1a digests of every preset's CSV,
+//! JSON, report and cross-app frontier, and of the guided searcher's
+//! frontier and accounting on guided-lanes, so that a change meant to
+//! keep outputs byte-identical fails here if it does not. A change to the model
 //! itself updates the values below and says why; on a mismatch the
 //! failure message prints the whole table as it now is.
 
+use std::io;
+
+use ng_dse::report::write_report;
 use ng_dse::{
-    ArchPoint, Constraints, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec,
+    ArchPoint, Constraints, Frontiers, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec,
 };
 use ng_neural::math::fnv1a64;
 
@@ -18,6 +21,19 @@ const PRESETS: [(&str, u64, u64); 6] = [
     ("resolutions", 0xc6b48187902d5717, 0x56dec31a09875f58),
     ("mac-arrays", 0x2b4afa5e406af015, 0x00fdb999dd6eb01a),
     ("guided-lanes", 0xf2457d6118f4a87b, 0x389c6d58902c10db),
+];
+
+/// `(preset, JSON digest, report digest, `--per-app` report digest)`:
+/// the JSON without its `"stats":` line and each report (`dse`'s
+/// default 16 rows, no constraints) without its `evaluation:` line, the
+/// lines that hold the wall time and the thread count.
+const OUTPUTS: [(&str, u64, u64, u64); 6] = [
+    ("quick", 0xb6821b59f02faa93, 0xb4f0daf4a367a53b, 0x0ae7c266225a0255),
+    ("paper", 0xb5bbe80895bf67ea, 0xf007ed5cfb7c5519, 0xfb2d6bb634de8410),
+    ("clocks", 0xe7372583f6cc84e3, 0x44721c1fd9f621bd, 0xb07cee412997d8af),
+    ("resolutions", 0x6dba2dcffcdee633, 0xa9b83e2d81be9b22, 0x853c758335b3ef52),
+    ("mac-arrays", 0x4be78f6047635a9e, 0xc5a2e8256507a120, 0x109aa5dfac66be78),
+    ("guided-lanes", 0x8230cf8d8dff418a, 0x1bd175818ce998f7, 0x68d98fba863b215b),
 ];
 
 /// `(strategy, seed, frontier digest, evaluations, archs visited)` on
@@ -53,6 +69,78 @@ fn preset_csvs_and_frontiers_are_pinned() {
     let table: String =
         got.iter().map(|(n, csv, f)| format!("    (\"{n}\", {csv:#018x}, {f:#018x}),\n")).collect();
     assert!(got == PRESETS, "preset digests changed; now:\n{table}");
+}
+
+/// The FNV-1a digest of the lines written to it, leaving out each line
+/// that starts with `mask`.
+struct MaskedDigest {
+    mask: &'static str,
+    hash: u64,
+    line: Vec<u8>,
+}
+
+impl MaskedDigest {
+    fn new(mask: &'static str) -> Self {
+        MaskedDigest { mask, hash: fnv1a64(""), line: Vec::new() }
+    }
+
+    fn finish(mut self) -> u64 {
+        self.end_line();
+        self.hash
+    }
+
+    fn end_line(&mut self) {
+        if !self.line.starts_with(self.mask.as_bytes()) {
+            for &b in &self.line {
+                self.hash = (self.hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        self.line.clear();
+    }
+}
+
+impl io::Write for MaskedDigest {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        for piece in buf.split_inclusive(|&b| b == b'\n') {
+            self.line.extend_from_slice(piece);
+            if piece.ends_with(b"\n") {
+                self.end_line();
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn preset_json_and_reports_are_pinned() {
+    let got: Vec<(&str, u64, u64, u64)> = OUTPUTS
+        .iter()
+        .map(|&(name, ..)| {
+            let spec = SweepSpec::preset(name).unwrap();
+            let c = Constraints::NONE;
+            let sweep = SweepEngine::new().run(&spec, &c, true).unwrap();
+            let mut json = MaskedDigest::new("\"stats\":");
+            sweep.write_json(&mut json).unwrap();
+            let report = |frontiers: &Frontiers| {
+                let mut out = MaskedDigest::new("evaluation:");
+                write_report(&mut out, &spec, &sweep.stats, frontiers, &c, 16).unwrap();
+                out.finish()
+            };
+            let default = Frontiers { per_app: Vec::new(), ..sweep.frontiers.clone() };
+            (name, json.finish(), report(&default), report(&sweep.frontiers))
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(n, json, r, per_app)| {
+            format!("    (\"{n}\", {json:#018x}, {r:#018x}, {per_app:#018x}),\n")
+        })
+        .collect();
+    assert!(got == OUTPUTS, "preset outputs changed; now:\n{table}");
 }
 
 #[test]
