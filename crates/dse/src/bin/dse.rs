@@ -16,6 +16,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use ng_dse::report::{describe_constraints, write_report, write_search_report};
+use ng_dse::spec::{Axis, AXES};
 use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepSpec, MAX_THREADS};
 
 const USAGE: &str = "\
@@ -209,23 +210,6 @@ struct Cli {
     quiet: bool,
 }
 
-fn parse_list<T>(
-    flag: &str,
-    value: &str,
-    parse: impl Fn(&str) -> Option<T>,
-) -> Result<Vec<T>, String> {
-    let items: Vec<T> = value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| parse(s).ok_or_else(|| format!("{flag}: cannot parse `{s}`")))
-        .collect::<Result<_, _>>()?;
-    if items.is_empty() {
-        return Err(format!("{flag}: empty list"));
-    }
-    Ok(items)
-}
-
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut preset: Option<String> = None;
     let mut spec_file: Option<String> = None;
@@ -246,22 +230,21 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         quiet: false,
     };
     // Axis overrides are applied after the base spec is chosen.
-    let mut overrides: Vec<(String, String)> = Vec::new();
+    let mut overrides: Vec<(&Axis, String)> = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
             it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
         };
+        if let Some(axis) = AXES.iter().find(|a| a.flag == arg) {
+            overrides.push((axis, value(arg)?));
+            continue;
+        }
         match arg.as_str() {
             "--help" | "-h" => return Ok(None),
             "--preset" => preset = Some(value("--preset")?),
             "--spec" => spec_file = Some(value("--spec")?),
-            "--apps" | "--encodings" | "--nfp-units" | "--clocks" | "--pixels" | "--sram-kb"
-            | "--banks" | "--engines" | "--mac-rows" | "--mac-cols" | "--lanes" | "--fifo" => {
-                let v = value(arg)?;
-                overrides.push((arg.clone(), v));
-            }
             "--search" => {
                 // The strategy operand is optional: `--search` alone
                 // means hill climbing.
@@ -359,25 +342,12 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         }
     }
 
-    for (flag, v) in overrides {
-        match flag.as_str() {
-            "--apps" => cli.spec.apps = parse_list(&flag, &v, ng_dse::spec::parse_app)?,
-            "--encodings" => {
-                cli.spec.encodings = parse_list(&flag, &v, ng_dse::spec::parse_encoding)?
-            }
-            "--nfp-units" => cli.spec.nfp_units = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--clocks" => cli.spec.clock_ghz = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--pixels" => cli.spec.pixels = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--sram-kb" => cli.spec.grid_sram_kb = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--banks" => cli.spec.grid_sram_banks = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--engines" => cli.spec.encoding_engines = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--mac-rows" => cli.spec.mac_rows = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--mac-cols" => cli.spec.mac_cols = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--lanes" => cli.spec.lanes_per_engine = parse_list(&flag, &v, |s| s.parse().ok())?,
-            "--fifo" => cli.spec.input_fifo_depth = parse_list(&flag, &v, |s| s.parse().ok())?,
-            _ => unreachable!("override flags are filtered above"),
-        }
+    for (axis, list) in overrides {
+        axis.set_list(&mut cli.spec, &list)?;
     }
+    // The overrides are unchecked, and a search reads the point count
+    // before anything else would validate the spec.
+    cli.spec.validate().map_err(|e| e.to_string())?;
     Ok(Some(cli))
 }
 

@@ -12,16 +12,21 @@
 
 use std::fmt::{self, Write};
 use std::io;
+use std::sync::LazyLock;
 
-use crate::spec::{app_slug, encoding_slug, parse_app, parse_encoding, DesignPoint, SweepSpec};
+use crate::spec::{Axis, DesignPoint, SweepSpec, AXES, STRING_WRITE};
 use crate::sweep::{ArchPoint, EvaluatedPoint, Sweep, SweepOutcome, SweepStats};
 
-/// Column header of the points CSV.
-pub const CSV_HEADER: &str = "index,app,encoding,pixels,nfp_units,clock_ghz,grid_sram_kb,\
-                              grid_sram_banks,encoding_engines,mac_rows,mac_cols,\
-                              lanes_per_engine,input_fifo_depth,speedup,\
-                              area_pct_of_gpu,power_pct_of_gpu,gpu_ms,\
-                              ngpc_frame_ms,amdahl_bound,plateaued";
+/// Column header of the points CSV: `index`, each axis's column in
+/// [`AXES`] order, then the outputs.
+pub static CSV_HEADER: LazyLock<String> = LazyLock::new(|| {
+    let axes: Vec<&str> = AXES.iter().map(|a| a.column).collect();
+    format!("index,{},{OUTPUTS}", axes.join(","))
+});
+
+/// The output columns of a CSV row.
+const OUTPUTS: &str =
+    "speedup,area_pct_of_gpu,power_pct_of_gpu,gpu_ms,ngpc_frame_ms,amdahl_bound,plateaued";
 
 /// One CSV data row of an evaluated point (no trailing newline) — the
 /// row format of both the full-sweep CSV and the point store's shards.
@@ -31,27 +36,15 @@ pub fn point_to_row(p: &EvaluatedPoint) -> String {
     row
 }
 
-/// Why every `fmt::Result` of a write into a `String` can be unwrapped.
-const STRING_WRITE: &str = "writing into a String cannot fail";
-
 fn write_row(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
-    let d = &p.point;
+    write!(out, "{}", p.point.index)?;
+    for axis in &AXES {
+        out.push(',');
+        axis.field.write(&p.point, out, false)?;
+    }
     write!(
         out,
-        "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-        d.index,
-        app_slug(d.app),
-        encoding_slug(d.encoding),
-        d.pixels,
-        d.nfp_units,
-        d.clock_ghz,
-        d.grid_sram_kb,
-        d.grid_sram_banks,
-        d.encoding_engines,
-        d.mac_rows,
-        d.mac_cols,
-        d.lanes_per_engine,
-        d.input_fifo_depth,
+        ",{},{},{},{},{},{},{}",
         p.speedup,
         p.area_pct_of_gpu,
         p.power_pct_of_gpu,
@@ -65,33 +58,26 @@ fn write_row(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
 /// Parse one [`point_to_row`] data row.
 pub fn point_from_row(line: &str) -> Result<EvaluatedPoint, String> {
     let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 20 {
-        return Err(format!("expected 20 fields, got {}", fields.len()));
+    let width = 1 + AXES.len() + 7;
+    if fields.len() != width {
+        return Err(format!("expected {width} fields, got {}", fields.len()));
     }
     let err = |what: &str| format!("bad {what}");
+    let mut point = DesignPoint::base();
+    point.index = fields[0].parse().map_err(|_| err("index"))?;
+    for (axis, cell) in AXES.iter().zip(&fields[1..]) {
+        axis.field.read(&mut point, cell).ok_or_else(|| err(axis.column))?;
+    }
+    let out = &fields[1 + AXES.len()..];
     Ok(EvaluatedPoint {
-        point: DesignPoint {
-            index: fields[0].parse().map_err(|_| err("index"))?,
-            app: parse_app(fields[1]).ok_or_else(|| err("app"))?,
-            encoding: parse_encoding(fields[2]).ok_or_else(|| err("encoding"))?,
-            pixels: fields[3].parse().map_err(|_| err("pixels"))?,
-            nfp_units: fields[4].parse().map_err(|_| err("nfp_units"))?,
-            clock_ghz: fields[5].parse().map_err(|_| err("clock_ghz"))?,
-            grid_sram_kb: fields[6].parse().map_err(|_| err("grid_sram_kb"))?,
-            grid_sram_banks: fields[7].parse().map_err(|_| err("grid_sram_banks"))?,
-            encoding_engines: fields[8].parse().map_err(|_| err("encoding_engines"))?,
-            mac_rows: fields[9].parse().map_err(|_| err("mac_rows"))?,
-            mac_cols: fields[10].parse().map_err(|_| err("mac_cols"))?,
-            lanes_per_engine: fields[11].parse().map_err(|_| err("lanes_per_engine"))?,
-            input_fifo_depth: fields[12].parse().map_err(|_| err("input_fifo_depth"))?,
-        },
-        speedup: fields[13].parse().map_err(|_| err("speedup"))?,
-        area_pct_of_gpu: fields[14].parse().map_err(|_| err("area_pct_of_gpu"))?,
-        power_pct_of_gpu: fields[15].parse().map_err(|_| err("power_pct_of_gpu"))?,
-        gpu_ms: fields[16].parse().map_err(|_| err("gpu_ms"))?,
-        ngpc_frame_ms: fields[17].parse().map_err(|_| err("ngpc_frame_ms"))?,
-        amdahl_bound: fields[18].parse().map_err(|_| err("amdahl_bound"))?,
-        plateaued: fields[19].parse().map_err(|_| err("plateaued"))?,
+        point,
+        speedup: out[0].parse().map_err(|_| err("speedup"))?,
+        area_pct_of_gpu: out[1].parse().map_err(|_| err("area_pct_of_gpu"))?,
+        power_pct_of_gpu: out[2].parse().map_err(|_| err("power_pct_of_gpu"))?,
+        gpu_ms: out[3].parse().map_err(|_| err("gpu_ms"))?,
+        ngpc_frame_ms: out[4].parse().map_err(|_| err("ngpc_frame_ms"))?,
+        amdahl_bound: out[5].parse().map_err(|_| err("amdahl_bound"))?,
+        plateaued: out[6].parse().map_err(|_| err("plateaued"))?,
     })
 }
 
@@ -107,7 +93,7 @@ fn csv_lines(out: &mut String, points: &[EvaluatedPoint]) {
 pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
     // ~164 bytes a row on guided-lanes: one allocation, no regrowth.
     let mut out = String::with_capacity(168 * (points.len() + 1));
-    out.push_str(CSV_HEADER);
+    out.push_str(&CSV_HEADER);
     out.push('\n');
     csv_lines(&mut out, points);
     out
@@ -115,7 +101,7 @@ pub fn points_to_csv(points: &[EvaluatedPoint]) -> String {
 
 /// A JSON number: finite floats via shortest-round-trip `Display`,
 /// non-finite as `null` (JSON has no inf/nan).
-struct JsonF64(f64);
+pub(crate) struct JsonF64(pub(crate) f64);
 
 impl fmt::Display for JsonF64 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -149,7 +135,7 @@ impl fmt::Display for JsonStr<'_> {
 }
 
 /// Write `items` through `write_item`, separated by `sep`.
-fn write_joined<T>(
+pub(crate) fn write_joined<T>(
     out: &mut String,
     items: impl IntoIterator<Item = T>,
     sep: &str,
@@ -165,28 +151,14 @@ fn write_joined<T>(
 }
 
 fn write_json_point(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
-    let d = &p.point;
+    out.push_str("{\"index\":");
+    write!(out, "{}", p.point.index)?;
+    out.push(',');
+    write_json_axes(out, &AXES, &p.point)?;
     write!(
         out,
-        "{{\"index\":{},\"app\":{},\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\
-         \"clock_ghz\":{},\"grid_sram_kb\":{},\"grid_sram_banks\":{},\"encoding_engines\":{},\
-         \"mac_rows\":{},\"mac_cols\":{},\"lanes_per_engine\":{},\"input_fifo_depth\":{},\
-         \"speedup\":{},\
-         \"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{},\"gpu_ms\":{},\"ngpc_frame_ms\":{},\
-         \"amdahl_bound\":{},\"plateaued\":{}}}",
-        d.index,
-        JsonStr(app_slug(d.app)),
-        JsonStr(encoding_slug(d.encoding)),
-        d.pixels,
-        d.nfp_units,
-        JsonF64(d.clock_ghz),
-        d.grid_sram_kb,
-        d.grid_sram_banks,
-        d.encoding_engines,
-        d.mac_rows,
-        d.mac_cols,
-        d.lanes_per_engine,
-        d.input_fifo_depth,
+        ",\"speedup\":{},\"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{},\"gpu_ms\":{},\
+         \"ngpc_frame_ms\":{},\"amdahl_bound\":{},\"plateaued\":{}}}",
         JsonF64(p.speedup),
         JsonF64(p.area_pct_of_gpu),
         JsonF64(p.power_pct_of_gpu),
@@ -198,24 +170,11 @@ fn write_json_point(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
 }
 
 fn write_json_arch(out: &mut String, a: &ArchPoint) -> fmt::Result {
+    out.push('{');
+    write_json_axes(out, &AXES[1..], &a.point())?;
     write!(
         out,
-        "{{\"encoding\":{},\"pixels\":{},\"nfp_units\":{},\"clock_ghz\":{},\"grid_sram_kb\":{},\
-         \"grid_sram_banks\":{},\"encoding_engines\":{},\"mac_rows\":{},\"mac_cols\":{},\
-         \"lanes_per_engine\":{},\"input_fifo_depth\":{},\
-         \"apps\":{},\"avg_speedup\":{},\"area_pct_of_gpu\":{},\
-         \"power_pct_of_gpu\":{}}}",
-        JsonStr(encoding_slug(a.encoding)),
-        a.pixels,
-        a.nfp_units,
-        JsonF64(a.clock_ghz),
-        a.grid_sram_kb,
-        a.grid_sram_banks,
-        a.encoding_engines,
-        a.mac_rows,
-        a.mac_cols,
-        a.lanes_per_engine,
-        a.input_fifo_depth,
+        ",\"apps\":{},\"avg_speedup\":{},\"area_pct_of_gpu\":{},\"power_pct_of_gpu\":{}}}",
         a.apps,
         JsonF64(a.avg_speedup),
         JsonF64(a.area_pct_of_gpu),
@@ -223,30 +182,24 @@ fn write_json_arch(out: &mut String, a: &ArchPoint) -> fmt::Result {
     )
 }
 
+/// `p`'s value on each of `axes` as `"column":value`, comma-separated.
+fn write_json_axes(out: &mut String, axes: &[Axis], p: &DesignPoint) -> fmt::Result {
+    write_joined(out, axes, ",", |out, axis| {
+        out.push('"');
+        out.push_str(axis.column);
+        out.push_str("\":");
+        axis.field.write(p, out, true)
+    })
+}
+
 fn write_json_spec(out: &mut String, spec: &SweepSpec) -> fmt::Result {
-    write!(out, "{{\"name\":{},\"apps\":[", JsonStr(&spec.name))?;
-    write_joined(out, &spec.apps, ",", |out, &a| write!(out, "{}", JsonStr(app_slug(a))))?;
-    out.push_str("],\"encodings\":[");
-    write_joined(out, &spec.encodings, ",", |out, &e| {
-        write!(out, "{}", JsonStr(encoding_slug(e)))
-    })?;
-    write!(
-        out,
-        "],\"pixels\":{:?},\"nfp_units\":{:?},\
-         \"clock_ghz\":{:?},\"grid_sram_kb\":{:?},\"grid_sram_banks\":{:?},\
-         \"encoding_engines\":{:?},\"mac_rows\":{:?},\"mac_cols\":{:?},\
-         \"lanes_per_engine\":{:?},\"input_fifo_depth\":{:?}}}",
-        spec.pixels,
-        spec.nfp_units,
-        spec.clock_ghz,
-        spec.grid_sram_kb,
-        spec.grid_sram_banks,
-        spec.encoding_engines,
-        spec.mac_rows,
-        spec.mac_cols,
-        spec.lanes_per_engine,
-        spec.input_fifo_depth,
-    )
+    write!(out, "{{\"name\":{}", JsonStr(&spec.name))?;
+    for axis in &AXES {
+        write!(out, ",\"{}\":", axis.key)?;
+        axis.field.write_values(spec, out)?;
+    }
+    out.push('}');
+    Ok(())
 }
 
 /// Render a full outcome — spec, stats, every point, and the cross-app
@@ -304,7 +257,7 @@ impl Sweep<'_> {
     /// Write every point as CSV (header + one row per point, in spec
     /// order) to `out`, then flush it.
     pub fn write_csv(&self, mut out: impl io::Write) -> io::Result<()> {
-        let mut text = format!("{CSV_HEADER}\n");
+        let mut text = format!("{}\n", *CSV_HEADER);
         out.write_all(text.as_bytes())?;
         self.tables.each_block(|block| {
             text.clear();
@@ -354,11 +307,27 @@ mod tests {
         let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
         let csv = written(|out| sweep.write_csv(out));
         let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(CSV_HEADER));
+        assert_eq!(lines.next(), Some(CSV_HEADER.as_str()));
         let parsed: Vec<EvaluatedPoint> = lines.map(|row| point_from_row(row).unwrap()).collect();
         let points = evaluate_points(&spec.points(), 1);
         assert_eq!(parsed, points);
         assert_eq!(point_to_row(&points[3]), csv.lines().nth(4).unwrap());
+    }
+
+    #[test]
+    fn csv_header_is_the_index_each_axis_then_the_outputs() {
+        let columns: Vec<&str> = CSV_HEADER.split(',').collect();
+        let axes: Vec<&str> = AXES.iter().map(|a| a.column).collect();
+        assert_eq!(columns[0], "index");
+        assert_eq!(columns[1..=AXES.len()], axes);
+        assert_eq!(columns[1 + AXES.len()..], OUTPUTS.split(',').collect::<Vec<_>>());
+        assert_eq!(OUTPUTS.split(',').count(), 7);
+        assert_eq!(
+            *CSV_HEADER,
+            "index,app,encoding,pixels,nfp_units,clock_ghz,grid_sram_kb,grid_sram_banks,\
+             encoding_engines,mac_rows,mac_cols,lanes_per_engine,input_fifo_depth,speedup,\
+             area_pct_of_gpu,power_pct_of_gpu,gpu_ms,ngpc_frame_ms,amdahl_bound,plateaued"
+        );
     }
 
     #[test]

@@ -30,25 +30,25 @@ use std::io;
 use ng_gpu::KernelBreakdown;
 use ng_hw::{ComponentBudget, NfpBudget};
 
-use crate::spec::{ArchIdx, DesignPoint, Space, ARCH_AXES};
+use crate::spec::{axis, ArchIdx, DesignPoint, Space, ARCH_AXES, AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint};
 
-// Axis numbers of a table key: the arch axes in `Space` order, then
-// the app axis.
-const ENCODING: usize = 0;
-const PIXELS: usize = 1;
-const CLOCK: usize = 3;
-const SRAM_KB: usize = 4;
-const BANKS: usize = 5;
-const ENGINES: usize = 6;
-const MAC_ROWS: usize = 7;
-const MAC_COLS: usize = 8;
-const LANES: usize = 9;
-const FIFO: usize = 10;
-const APP: usize = ARCH_AXES;
+// Axis numbers of a table key: rows of `AXES`, so the app axis is 0 and
+// arch axis `i` of an `ArchIdx` is `i + 1`.
+const APP: usize = axis("apps");
+const ENCODING: usize = axis("encodings");
+const PIXELS: usize = axis("pixels");
+const CLOCK: usize = axis("clock_ghz");
+const SRAM_KB: usize = axis("grid_sram_kb");
+const BANKS: usize = axis("grid_sram_banks");
+const ENGINES: usize = axis("encoding_engines");
+const MAC_ROWS: usize = axis("mac_rows");
+const MAC_COLS: usize = axis("mac_cols");
+const LANES: usize = axis("lanes_per_engine");
+const FIFO: usize = axis("input_fifo_depth");
 
-/// The floorplan axes: every NFP axis, which are the trailing arch
-/// axes, so a point's floorplan sits at `arch % floorplan_count`.
+/// The floorplan axes: every NFP axis, which are the trailing axes, so
+/// a point's floorplan sits at `arch % floorplan_count`.
 const FLOORPLAN: [usize; 8] = [CLOCK, SRAM_KB, BANKS, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO];
 
 /// Points per block: a sweep worker adds to `eval.ticks` once per
@@ -62,7 +62,7 @@ struct Table<T> {
     layer: &'static str,
     /// Stride of each axis (by axis number); 0 for the axes the factor
     /// does not read.
-    strides: [usize; ARCH_AXES + 1],
+    strides: [usize; AXES.len()],
     values: Vec<T>,
 }
 
@@ -90,17 +90,17 @@ impl<T> Table<T> {
     ) -> Self {
         let _span = ng_obs::span(layer);
         let radix =
-            |axis: usize| if axis == APP { space.spec.apps.len() } else { space.dims[axis] };
-        let mut strides = [0; ARCH_AXES + 1];
+            |axis: usize| if axis == APP { space.spec.apps.len() } else { space.dims[axis - 1] };
+        let mut strides = [0; AXES.len()];
         let mut len = 1;
         for &axis in key.iter().rev() {
             strides[axis] = len;
             len *= radix(axis);
         }
-        let mut pos = [0u32; ARCH_AXES + 1];
+        let mut pos = [0u32; AXES.len()];
         let mut values = Vec::with_capacity(len);
         for _ in 0..len {
-            let idx = pos[..ARCH_AXES].try_into().expect("ARCH_AXES positions");
+            let idx = pos[APP + 1..].try_into().expect("ARCH_AXES positions");
             values.push(factor(idx, pos[APP] as usize));
             for &axis in key.iter().rev() {
                 pos[axis] += 1;
@@ -121,7 +121,9 @@ impl<T> Table<T> {
     /// The slot of architecture `idx` under app number 0: [`Table::at`]
     /// reaches app `a`'s entry from it.
     fn slot(&self, idx: &ArchIdx) -> usize {
-        idx.iter().zip(&self.strides).fold(0, |slot, (&i, &stride)| slot + i as usize * stride)
+        idx.iter()
+            .zip(&self.strides[APP + 1..])
+            .fold(0, |slot, (&i, &stride)| slot + i as usize * stride)
     }
 
     /// The entry under app number `app` of the architecture whose
@@ -355,7 +357,7 @@ mod tests {
     fn floorplan_axes_are_the_trailing_arch_axes() {
         assert_eq!(
             FLOORPLAN.to_vec(),
-            (ARCH_AXES - FLOORPLAN.len()..ARCH_AXES).collect::<Vec<_>>()
+            (AXES.len() - FLOORPLAN.len()..AXES.len()).collect::<Vec<_>>()
         );
     }
 

@@ -5,7 +5,7 @@
 use std::io::{self, Write};
 
 use crate::pareto::Constraints;
-use crate::spec::{encoding_slug, SweepSpec};
+use crate::spec::{encoding_slug, SweepSpec, AXES};
 use crate::sweep::{
     apps_in_report_order, arch_frontier, ArchPoint, EvaluatedPoint, Frontiers, SweepOutcome,
     SweepStats,
@@ -148,7 +148,16 @@ pub fn write_search_report(
     let shown: Vec<ArchPoint> =
         outcome.frontier.iter().filter(|a| constraints.admits(&a.objectives())).copied().collect();
     writeln!(out, "\nrecovered cross-app Pareto frontier ({} architectures):", shown.len())?;
-    write!(out, "{}", frontier_table(&shown, top))
+    write!(out, "{}", frontier_table(&shown, top))?;
+    if stats.archs_visited < stats.space_archs {
+        writeln!(
+            out,
+            "(unconfirmed: these rows are non-dominated among the {} architectures visited; \
+             an exhaustive sweep of all {} may dominate some of them)",
+            stats.archs_visited, stats.space_archs,
+        )?;
+    }
+    Ok(())
 }
 
 /// Describe configured constraints, or "none".
@@ -179,24 +188,9 @@ pub fn write_report(
     constraints: &Constraints,
     top: usize,
 ) -> io::Result<()> {
-    writeln!(
-        out,
-        "sweep `{}`: {} points ({} apps x {} encodings x {} resolutions x {} nfp x {} clocks x {} srams x {} banks x {} engines x {} mac-rows x {} mac-cols x {} lanes x {} fifos)",
-        spec.name,
-        stats.total_points,
-        spec.apps.len(),
-        spec.encodings.len(),
-        spec.pixels.len(),
-        spec.nfp_units.len(),
-        spec.clock_ghz.len(),
-        spec.grid_sram_kb.len(),
-        spec.grid_sram_banks.len(),
-        spec.encoding_engines.len(),
-        spec.mac_rows.len(),
-        spec.mac_cols.len(),
-        spec.lanes_per_engine.len(),
-        spec.input_fifo_depth.len(),
-    )?;
+    let axes: Vec<String> =
+        AXES.iter().map(|a| format!("{} {}", a.field.len(spec), a.label)).collect();
+    writeln!(out, "sweep `{}`: {} points ({})", spec.name, stats.total_points, axes.join(" x "))?;
     writeln!(
         out,
         "evaluation: {} points on {} threads in {:.1} ms ({:.0} points/sec)",

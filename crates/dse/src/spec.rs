@@ -1,15 +1,19 @@
 //! Declarative sweep specifications.
 //!
 //! A [`SweepSpec`] is a set of axes; the sweep is their cartesian
-//! product. [`Space`] owns its one layout, row-major with apps
-//! outermost and the input-FIFO depth innermost, so that point indices
-//! — and therefore result files and reports — are stable for a given
-//! spec.
+//! product. [`AXES`] declares each axis once, and [`Space`] owns its one
+//! layout, row-major with apps outermost and the input-FIFO depth
+//! innermost, so that point indices — and therefore result files and
+//! reports — are stable for a given spec.
+
+use std::fmt::{self, Write as _};
+use std::sync::LazyLock;
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::math::Pcg32;
 use ngpc::{EmulatorInput, NfpConfig, NgpcConfig};
 
+use crate::emit::{write_joined, JsonF64};
 use crate::pareto::Constraints;
 
 /// 1920x1080, the paper's evaluation resolution.
@@ -18,23 +22,382 @@ pub const FHD_PIXELS: u64 = 1920 * 1080;
 /// 3840x2160.
 pub const UHD_PIXELS: u64 = 3840 * 2160;
 
-/// The paper's published NGPC-64 headline *organisation*, one value per
-/// arch axis it fixes: hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid
-/// SRAMs, 16 engines, 64x64 MACs. The lane and FIFO axes are left free
-/// (see [`crate::ArchPoint::is_paper_organisation`]). Every headline
-/// guard reads these values, so the guards cannot drift apart.
-pub(crate) mod paper_organisation {
-    use ng_neural::apps::EncodingKind;
+/// One swept parameter, declared once in [`AXES`].
+pub struct Axis {
+    /// Key of the TOML spec and of the JSON spec block; validation
+    /// errors name it.
+    pub key: &'static str,
+    /// Column of a point in the CSV and the JSON.
+    pub column: &'static str,
+    /// `dse`'s flag that overrides the axis.
+    pub flag: &'static str,
+    /// Label of the axis in the report's `sweep` line.
+    pub label: &'static str,
+    /// Where the axis's values live, and the paper organisation's value.
+    pub(crate) field: &'static dyn Column,
+}
 
-    pub const ENCODING: EncodingKind = EncodingKind::MultiResHashGrid;
-    pub const PIXELS: u64 = super::FHD_PIXELS;
-    pub const NFP_UNITS: u32 = 64;
-    pub const CLOCK_GHZ: f64 = 1.0;
-    pub const GRID_SRAM_KB: u32 = 1024;
-    pub const GRID_SRAM_BANKS: u32 = 8;
-    pub const ENCODING_ENGINES: u32 = 16;
-    pub const MAC_ROWS: u32 = 64;
-    pub const MAC_COLS: u32 = 64;
+/// Every axis of a [`SweepSpec`]: `apps` first, then the arch axes in
+/// [`Space`] order, so a row's position is its axis number. Validation,
+/// the TOML parser, `dse`'s override flags, [`Space::new`], the CSV and
+/// JSON writers and the report iterate this table; a new axis adds a
+/// row here, its fields in [`SweepSpec`], [`DesignPoint`] and
+/// [`crate::ArchPoint`], and the model code that reads it.
+///
+/// The paper values are the published NGPC-64 headline *organisation*:
+/// hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid SRAMs, 16 engines,
+/// 64x64 MACs, over any apps. The lane and FIFO axes are left free (see
+/// [`crate::ArchPoint::is_paper_organisation`]). Every headline guard
+/// reads these values, so the guards cannot drift apart.
+pub static AXES: [Axis; 12] = [
+    Axis {
+        key: "apps",
+        column: "app",
+        flag: "--apps",
+        label: "apps",
+        field: &Field(None, |s| &s.apps, |s| &mut s.apps, |p| &mut p.app),
+    },
+    Axis {
+        key: "encodings",
+        column: "encoding",
+        flag: "--encodings",
+        label: "encodings",
+        field: &Field(
+            Some(EncodingKind::MultiResHashGrid),
+            |s| &s.encodings,
+            |s| &mut s.encodings,
+            |p| &mut p.encoding,
+        ),
+    },
+    Axis {
+        key: "pixels",
+        column: "pixels",
+        flag: "--pixels",
+        label: "resolutions",
+        field: &Field(Some(FHD_PIXELS), |s| &s.pixels, |s| &mut s.pixels, |p| &mut p.pixels),
+    },
+    Axis {
+        key: "nfp_units",
+        column: "nfp_units",
+        flag: "--nfp-units",
+        label: "nfp",
+        field: &Field(Some(64), |s| &s.nfp_units, |s| &mut s.nfp_units, |p| &mut p.nfp_units),
+    },
+    Axis {
+        key: "clock_ghz",
+        column: "clock_ghz",
+        flag: "--clocks",
+        label: "clocks",
+        field: &Field(Some(1.0), |s| &s.clock_ghz, |s| &mut s.clock_ghz, |p| &mut p.clock_ghz),
+    },
+    Axis {
+        key: "grid_sram_kb",
+        column: "grid_sram_kb",
+        flag: "--sram-kb",
+        label: "srams",
+        field: &Field(
+            Some(1024),
+            |s| &s.grid_sram_kb,
+            |s| &mut s.grid_sram_kb,
+            |p| &mut p.grid_sram_kb,
+        ),
+    },
+    Axis {
+        key: "grid_sram_banks",
+        column: "grid_sram_banks",
+        flag: "--banks",
+        label: "banks",
+        field: &Field(
+            Some(8),
+            |s| &s.grid_sram_banks,
+            |s| &mut s.grid_sram_banks,
+            |p| &mut p.grid_sram_banks,
+        ),
+    },
+    Axis {
+        key: "encoding_engines",
+        column: "encoding_engines",
+        flag: "--engines",
+        label: "engines",
+        field: &Field(
+            Some(16),
+            |s| &s.encoding_engines,
+            |s| &mut s.encoding_engines,
+            |p| &mut p.encoding_engines,
+        ),
+    },
+    Axis {
+        key: "mac_rows",
+        column: "mac_rows",
+        flag: "--mac-rows",
+        label: "mac-rows",
+        field: &Field(Some(64), |s| &s.mac_rows, |s| &mut s.mac_rows, |p| &mut p.mac_rows),
+    },
+    Axis {
+        key: "mac_cols",
+        column: "mac_cols",
+        flag: "--mac-cols",
+        label: "mac-cols",
+        field: &Field(Some(64), |s| &s.mac_cols, |s| &mut s.mac_cols, |p| &mut p.mac_cols),
+    },
+    Axis {
+        key: "lanes_per_engine",
+        column: "lanes_per_engine",
+        flag: "--lanes",
+        label: "lanes",
+        field: &Field(
+            None,
+            |s| &s.lanes_per_engine,
+            |s| &mut s.lanes_per_engine,
+            |p| &mut p.lanes_per_engine,
+        ),
+    },
+    Axis {
+        key: "input_fifo_depth",
+        column: "input_fifo_depth",
+        flag: "--fifo",
+        label: "fifos",
+        field: &Field(
+            None,
+            |s| &s.input_fifo_depth,
+            |s| &mut s.input_fifo_depth,
+            |p| &mut p.input_fifo_depth,
+        ),
+    },
+];
+
+/// The number of the axis whose key is `key`: its row in [`AXES`]. An
+/// unknown key fails the build where it is evaluated in a constant.
+pub(crate) const fn axis(key: &str) -> usize {
+    let mut i = 0;
+    // Keys are lower case, so this is key equality.
+    while !AXES[i].key.eq_ignore_ascii_case(key) {
+        i += 1;
+    }
+    i
+}
+
+impl Axis {
+    /// Set the axis of `spec` to the comma-separated values of `list`,
+    /// as `dse`'s override flag does.
+    pub fn set_list(&self, spec: &mut SweepSpec, list: &str) -> Result<(), String> {
+        let flag = self.flag;
+        let items: Vec<&str> = list.split(',').map(str::trim).filter(|s| !s.is_empty()).collect();
+        if items.is_empty() {
+            return Err(format!("{flag}: empty list"));
+        }
+        self.field.set_items(spec, &items).map_err(|s| format!("{flag}: cannot parse `{s}`"))
+    }
+}
+
+/// What the loops over [`AXES`] ask of an axis, whatever its value type.
+pub(crate) trait Column: Sync {
+    /// The number of values `spec` sweeps.
+    fn len(&self, spec: &SweepSpec) -> usize;
+    /// `spec`'s values as CSV cells.
+    fn cells(&self, spec: &SweepSpec) -> Vec<String>;
+    /// Whether `spec` sweeps the paper organisation's value, or any
+    /// value where the organisation leaves the axis free.
+    fn sweeps_paper(&self, spec: &SweepSpec) -> bool;
+    /// Write `spec`'s values as the JSON spec block's array.
+    fn write_values(&self, spec: &SweepSpec, out: &mut String) -> fmt::Result;
+    /// Set `spec`'s values from the TOML value of axis `key`.
+    fn set_toml(&self, spec: &mut SweepSpec, value: TomlValue, key: &str) -> Result<(), String>;
+    /// Set `spec`'s values from CLI list items; `Err` holds the first
+    /// item that does not parse.
+    fn set_items<'a>(&self, spec: &mut SweepSpec, items: &[&'a str]) -> Result<(), &'a str>;
+    /// Whether `p` holds the paper organisation's value (any value
+    /// where the organisation leaves the axis free).
+    fn is_paper(&self, p: &DesignPoint) -> bool;
+    /// Write `p`'s value as a CSV cell or, with `json`, a JSON value.
+    fn write(&self, p: &DesignPoint, out: &mut String, json: bool) -> fmt::Result;
+    /// Set `p`'s value from a CSV cell; `None` if the cell does not parse.
+    fn read(&self, p: &mut DesignPoint, cell: &str) -> Option<()>;
+}
+
+/// An axis's fields: the paper organisation's value (`None` where the
+/// organisation leaves the axis free), the spec's values (read, then
+/// write) and the point's value.
+struct Field<T>(
+    Option<T>,
+    fn(&SweepSpec) -> &Vec<T>,
+    fn(&mut SweepSpec) -> &mut Vec<T>,
+    fn(&mut DesignPoint) -> &mut T,
+);
+
+impl<T: AxisValue> Field<T> {
+    /// `p`'s value, read from a copy of `p`.
+    fn get(&self, p: &DesignPoint) -> T {
+        *(self.3)(&mut { *p })
+    }
+}
+
+impl<T: AxisValue> Column for Field<T> {
+    fn len(&self, spec: &SweepSpec) -> usize {
+        (self.1)(spec).len()
+    }
+
+    fn cells(&self, spec: &SweepSpec) -> Vec<String> {
+        let cell = |&v: &T| {
+            let mut cell = String::new();
+            v.write(&mut cell, false).map(|()| cell)
+        };
+        (self.1)(spec).iter().map(cell).collect::<Result<_, _>>().expect(STRING_WRITE)
+    }
+
+    fn sweeps_paper(&self, spec: &SweepSpec) -> bool {
+        let values = (self.1)(spec);
+        self.0.map_or(!values.is_empty(), |paper| values.contains(&paper))
+    }
+
+    fn write_values(&self, spec: &SweepSpec, out: &mut String) -> fmt::Result {
+        T::write_all((self.1)(spec), out)
+    }
+
+    fn set_toml(&self, spec: &mut SweepSpec, value: TomlValue, key: &str) -> Result<(), String> {
+        *(self.2)(spec) = coerce_vec(value, |v| T::from_toml(v, key))?;
+        Ok(())
+    }
+
+    fn set_items<'a>(&self, spec: &mut SweepSpec, items: &[&'a str]) -> Result<(), &'a str> {
+        *(self.2)(spec) = items.iter().map(|&s| T::parse(s).ok_or(s)).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+
+    fn is_paper(&self, p: &DesignPoint) -> bool {
+        self.0.is_none_or(|paper| self.get(p) == paper)
+    }
+
+    fn write(&self, p: &DesignPoint, out: &mut String, json: bool) -> fmt::Result {
+        self.get(p).write(out, json)
+    }
+
+    fn read(&self, p: &mut DesignPoint, cell: &str) -> Option<()> {
+        *(self.3)(p) = T::parse(cell)?;
+        Some(())
+    }
+}
+
+/// Why every `fmt::Result` of a write into a `String` can be unwrapped.
+pub(crate) const STRING_WRITE: &str = "writing into a String cannot fail";
+
+/// How one axis value reads and prints.
+pub(crate) trait AxisValue: Copy + PartialEq + fmt::Debug + Sync {
+    /// The value of a CLI list item or a CSV cell.
+    fn parse(s: &str) -> Option<Self>;
+    /// The value of a TOML item of axis `key`.
+    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String>;
+    /// Write the value as a CSV cell or, with `json`, as a JSON value.
+    fn write(self, out: &mut String, json: bool) -> fmt::Result;
+    /// Write `values` as the JSON spec block's array.
+    fn write_all(values: &[Self], out: &mut String) -> fmt::Result {
+        write!(out, "{values:?}")
+    }
+}
+
+impl AxisValue for AppKind {
+    fn parse(s: &str) -> Option<Self> {
+        parse_app(s)
+    }
+
+    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
+        let s = as_text(v)?;
+        parse_app(s).ok_or(format!("unknown app `{s}` (nerf/nsdf/gia/nvr)"))
+    }
+
+    fn write(self, out: &mut String, json: bool) -> fmt::Result {
+        write_slug(out, app_slug(self), json)
+    }
+
+    fn write_all(values: &[Self], out: &mut String) -> fmt::Result {
+        write_slugs(out, values)
+    }
+}
+
+impl AxisValue for EncodingKind {
+    fn parse(s: &str) -> Option<Self> {
+        parse_encoding(s)
+    }
+
+    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
+        let s = as_text(v)?;
+        parse_encoding(s).ok_or(format!("unknown encoding `{s}` (hashgrid/densegrid/lowres)"))
+    }
+
+    fn write(self, out: &mut String, json: bool) -> fmt::Result {
+        write_slug(out, encoding_slug(self), json)
+    }
+
+    fn write_all(values: &[Self], out: &mut String) -> fmt::Result {
+        write_slugs(out, values)
+    }
+}
+
+impl AxisValue for u64 {
+    fn parse(s: &str) -> Option<Self> {
+        s.parse().ok()
+    }
+
+    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String> {
+        as_integer(v, key)
+    }
+
+    fn write(self, out: &mut String, _: bool) -> fmt::Result {
+        write!(out, "{self}")
+    }
+}
+
+impl AxisValue for u32 {
+    fn parse(s: &str) -> Option<Self> {
+        s.parse().ok()
+    }
+
+    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String> {
+        as_u32(v, key)
+    }
+
+    fn write(self, out: &mut String, _: bool) -> fmt::Result {
+        write!(out, "{self}")
+    }
+}
+
+impl AxisValue for f64 {
+    fn parse(s: &str) -> Option<Self> {
+        s.parse().ok()
+    }
+
+    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
+        as_number(v)
+    }
+
+    fn write(self, out: &mut String, json: bool) -> fmt::Result {
+        if json {
+            write!(out, "{}", JsonF64(self))
+        } else {
+            write!(out, "{self}")
+        }
+    }
+}
+
+/// A slug: bare in a CSV cell, quoted in JSON.
+fn write_slug(out: &mut String, slug: &str, json: bool) -> fmt::Result {
+    // A slug is lower-case ASCII letters, which JSON does not escape.
+    if json {
+        out.push('"');
+    }
+    out.push_str(slug);
+    if json {
+        out.push('"');
+    }
+    Ok(())
+}
+
+/// A JSON array of slugs.
+fn write_slugs<T: AxisValue>(out: &mut String, values: &[T]) -> fmt::Result {
+    out.push('[');
+    write_joined(out, values, ",", |out, &v| v.write(out, true))?;
+    out.push(']');
+    Ok(())
 }
 
 /// Error raised by spec parsing or validation.
@@ -74,13 +437,7 @@ pub fn app_slug(app: AppKind) -> &'static str {
 
 /// Parse an application slug (case-insensitive).
 pub fn parse_app(s: &str) -> Option<AppKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "nerf" => Some(AppKind::Nerf),
-        "nsdf" => Some(AppKind::Nsdf),
-        "gia" => Some(AppKind::Gia),
-        "nvr" => Some(AppKind::Nvr),
-        _ => None,
-    }
+    AppKind::ALL.into_iter().find(|&a| app_slug(a).eq_ignore_ascii_case(s))
 }
 
 /// Short machine-readable name of an encoding (CSV/TOML vocabulary).
@@ -94,12 +451,9 @@ pub fn encoding_slug(encoding: EncodingKind) -> &'static str {
 
 /// Parse an encoding slug or paper abbreviation (case-insensitive).
 pub fn parse_encoding(s: &str) -> Option<EncodingKind> {
-    match s.to_ascii_lowercase().as_str() {
-        "hashgrid" | "mrhg" => Some(EncodingKind::MultiResHashGrid),
-        "densegrid" | "mrdg" => Some(EncodingKind::MultiResDenseGrid),
-        "lowres" | "lrdg" => Some(EncodingKind::LowResDenseGrid),
-        _ => None,
-    }
+    EncodingKind::ALL
+        .into_iter()
+        .find(|&e| encoding_slug(e).eq_ignore_ascii_case(s) || e.abbrev().eq_ignore_ascii_case(s))
 }
 
 /// One concrete configuration drawn from a sweep.
@@ -134,6 +488,14 @@ pub struct DesignPoint {
 }
 
 impl DesignPoint {
+    /// The first point of [`SweepSpec::default`]: what validation and
+    /// the CSV reader set one axis at a time.
+    pub(crate) fn base() -> Self {
+        static BASE: LazyLock<DesignPoint> =
+            LazyLock::new(|| Space::new(&SweepSpec::default()).point(&[0; ARCH_AXES], 0));
+        *BASE
+    }
+
     /// The emulator input for this point.
     pub fn emulator_input(&self) -> EmulatorInput {
         EmulatorInput {
@@ -158,7 +520,7 @@ impl DesignPoint {
 /// A declarative design-space sweep: the cartesian product of its axes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
-    /// Human-readable sweep name (reported, not part of the cache key).
+    /// Human-readable sweep name (reported).
     pub name: String,
     /// Applications to evaluate.
     pub apps: Vec<AppKind>,
@@ -330,111 +692,60 @@ impl SweepSpec {
     /// and every axis the organisation fixes holds its value. Decided
     /// from the axes alone, with no point evaluated.
     pub fn contains_paper_organisation(&self) -> bool {
-        use paper_organisation as paper;
-        !self.apps.is_empty()
-            && self.encodings.contains(&paper::ENCODING)
-            && self.pixels.contains(&paper::PIXELS)
-            && self.nfp_units.contains(&paper::NFP_UNITS)
-            && self.clock_ghz.contains(&paper::CLOCK_GHZ)
-            && self.grid_sram_kb.contains(&paper::GRID_SRAM_KB)
-            && self.grid_sram_banks.contains(&paper::GRID_SRAM_BANKS)
-            && self.encoding_engines.contains(&paper::ENCODING_ENGINES)
-            && self.mac_rows.contains(&paper::MAC_ROWS)
-            && self.mac_cols.contains(&paper::MAC_COLS)
+        AXES.iter().all(|a| a.field.sweeps_paper(self))
     }
 
-    /// Check the sweep is non-empty and every axis value is one the
-    /// emulator accepts.
+    /// Check the sweep is non-empty, its point count fits in a `usize`,
+    /// and every axis value is one the emulator accepts.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let axes: [(&str, usize); 12] = [
-            ("apps", self.apps.len()),
-            ("encodings", self.encodings.len()),
-            ("pixels", self.pixels.len()),
-            ("nfp_units", self.nfp_units.len()),
-            ("clock_ghz", self.clock_ghz.len()),
-            ("grid_sram_kb", self.grid_sram_kb.len()),
-            ("grid_sram_banks", self.grid_sram_banks.len()),
-            ("encoding_engines", self.encoding_engines.len()),
-            ("mac_rows", self.mac_rows.len()),
-            ("mac_cols", self.mac_cols.len()),
-            ("lanes_per_engine", self.lanes_per_engine.len()),
-            ("input_fifo_depth", self.input_fifo_depth.len()),
-        ];
-        for (name, len) in axes {
+        let invalid = |message: String| Err(SpecError::Invalid(message));
+        let mut points = Some(1usize);
+        for Axis { key, field, .. } in &AXES {
+            let len = field.len(self);
             if len == 0 {
-                return Err(SpecError::Invalid(format!("axis `{name}` is empty")));
+                return invalid(format!("axis `{key}` is empty"));
             }
             // `ArchIdx` positions are `u32`.
             if u32::try_from(len).is_err() {
-                return Err(SpecError::Invalid(format!("axis `{name}` has over 2^32 values")));
+                return invalid(format!("axis `{key}` has over 2^32 values"));
             }
+            points = points.and_then(|n| n.checked_mul(len));
+        }
+        if points.is_none() {
+            return invalid(format!("the sweep has more than {} points", usize::MAX));
         }
         // Duplicate axis values would double-weight cross-app averages
-        // (and duplicate frontier rows), so reject them outright.
-        fn unique<T, K: Ord>(
-            name: &str,
-            values: &[T],
-            key: impl Fn(&T) -> K,
-        ) -> Result<(), SpecError> {
-            let mut keys: Vec<K> = values.iter().map(key).collect();
-            keys.sort_unstable();
-            if keys.windows(2).any(|w| w[0] == w[1]) {
-                return Err(SpecError::Invalid(format!("axis `{name}` has duplicate values")));
+        // (and duplicate frontier rows), so reject them outright: two
+        // values that print the same cell are duplicates.
+        for Axis { key, field, .. } in &AXES {
+            let mut cells = field.cells(self);
+            cells.sort_unstable();
+            if cells.windows(2).any(|w| w[0] == w[1]) {
+                return invalid(format!("axis `{key}` has duplicate values"));
             }
-            Ok(())
         }
-        unique("apps", &self.apps, |&a| a as u8)?;
-        unique("encodings", &self.encodings, |&e| e as u8)?;
-        unique("pixels", &self.pixels, |&p| p)?;
-        unique("nfp_units", &self.nfp_units, |&n| n)?;
-        unique("clock_ghz", &self.clock_ghz, |&c| c.to_bits())?;
-        unique("grid_sram_kb", &self.grid_sram_kb, |&k| k)?;
-        unique("grid_sram_banks", &self.grid_sram_banks, |&b| b)?;
-        unique("encoding_engines", &self.encoding_engines, |&e| e)?;
-        unique("mac_rows", &self.mac_rows, |&r| r)?;
-        unique("mac_cols", &self.mac_cols, |&c| c)?;
-        unique("lanes_per_engine", &self.lanes_per_engine, |&l| l)?;
-        unique("input_fifo_depth", &self.input_fifo_depth, |&d| d)?;
         // Upper bound well past 16K-per-eye but far from the u64
         // overflow of downstream `pixels * samples` workload math.
         const MAX_PIXELS: u64 = 1 << 33;
         for &px in &self.pixels {
             if px == 0 || px > MAX_PIXELS {
-                return Err(SpecError::Invalid(format!(
-                    "pixels must be in 1..={MAX_PIXELS}, got {px}"
-                )));
+                return invalid(format!("pixels must be in 1..={MAX_PIXELS}, got {px}"));
             }
         }
-        // Every other bound is the model's own: each value of
-        // `nfp_units` and of every NFP axis, set on the default spec's
-        // first point, must pass `NgpcConfig::validate`. Its field
-        // checks are independent, so this accepts exactly the specs
-        // whose every point is valid.
-        fn each<T: Copy + std::fmt::Display>(
-            axis: &str,
-            values: &[T],
-            set: impl Fn(&mut DesignPoint, T),
-        ) -> Result<(), SpecError> {
-            let default = SweepSpec::default();
-            let base = Space::new(&default).point(&[0; ARCH_AXES], 0);
-            values.iter().try_for_each(|&v| {
-                let mut point = base;
-                set(&mut point, v);
+        // Every other bound is the model's own: each value of every
+        // axis, set on the default spec's first point, must pass
+        // `NgpcConfig::validate`. Its field checks are independent, so
+        // this accepts exactly the specs whose every point is valid.
+        for Axis { key, field, .. } in &AXES {
+            for cell in field.cells(self) {
+                let mut point = DesignPoint::base();
+                field.read(&mut point, &cell).expect("an axis reads back the cells it writes");
                 let input = point.emulator_input();
                 NgpcConfig { nfp_units: input.nfp_units, nfp: input.nfp }
                     .validate()
-                    .map_err(|e| SpecError::Invalid(format!("axis `{axis}` value {v}: {e}")))
-            })
+                    .map_err(|e| SpecError::Invalid(format!("axis `{key}` value {cell}: {e}")))?;
+            }
         }
-        each("nfp_units", &self.nfp_units, |p, v| p.nfp_units = v)?;
-        each("clock_ghz", &self.clock_ghz, |p, v| p.clock_ghz = v)?;
-        each("grid_sram_kb", &self.grid_sram_kb, |p, v| p.grid_sram_kb = v)?;
-        each("grid_sram_banks", &self.grid_sram_banks, |p, v| p.grid_sram_banks = v)?;
-        each("encoding_engines", &self.encoding_engines, |p, v| p.encoding_engines = v)?;
-        each("mac_rows", &self.mac_rows, |p, v| p.mac_rows = v)?;
-        each("mac_cols", &self.mac_cols, |p, v| p.mac_cols = v)?;
-        each("lanes_per_engine", &self.lanes_per_engine, |p, v| p.lanes_per_engine = v)?;
-        each("input_fifo_depth", &self.input_fifo_depth, |p, v| p.input_fifo_depth = v)?;
         Ok(())
     }
 
@@ -494,7 +805,7 @@ impl SweepSpec {
 }
 
 /// Number of architecture axes: every [`SweepSpec`] axis except `apps`.
-pub const ARCH_AXES: usize = 11;
+pub const ARCH_AXES: usize = AXES.len() - 1;
 
 /// An architecture: one position per arch axis, in [`SweepSpec`] field
 /// order (`encodings` first, `input_fifo_depth` last).
@@ -521,20 +832,7 @@ pub struct Space<'a> {
 impl<'a> Space<'a> {
     /// The index space of `spec`.
     pub fn new(spec: &'a SweepSpec) -> Self {
-        let dims = [
-            spec.encodings.len(),
-            spec.pixels.len(),
-            spec.nfp_units.len(),
-            spec.clock_ghz.len(),
-            spec.grid_sram_kb.len(),
-            spec.grid_sram_banks.len(),
-            spec.encoding_engines.len(),
-            spec.mac_rows.len(),
-            spec.mac_cols.len(),
-            spec.lanes_per_engine.len(),
-            spec.input_fifo_depth.len(),
-        ];
-        Space { spec, dims }
+        Space { spec, dims: std::array::from_fn(|i| AXES[i + 1].field.len(spec)) }
     }
 
     /// Architectures in the space (design points per app).
@@ -620,7 +918,7 @@ impl<'a> Space<'a> {
 
 /// A parsed TOML value (subset: scalars and flat arrays).
 #[derive(Debug, Clone, PartialEq)]
-enum TomlValue {
+pub(crate) enum TomlValue {
     Number(f64),
     Text(String),
     Array(Vec<TomlValue>),
@@ -718,42 +1016,12 @@ fn apply_key(
         }
         return Ok(());
     }
-    match key {
-        "name" => spec.name = as_text(&value)?.to_string(),
-        "apps" => {
-            spec.apps = coerce_vec(value, |v| {
-                let s = as_text(v)?;
-                parse_app(s).ok_or(format!("unknown app `{s}` (nerf/nsdf/gia/nvr)"))
-            })?
-        }
-        "encodings" => {
-            spec.encodings = coerce_vec(value, |v| {
-                let s = as_text(v)?;
-                parse_encoding(s)
-                    .ok_or(format!("unknown encoding `{s}` (hashgrid/densegrid/lowres)"))
-            })?
-        }
-        "pixels" => spec.pixels = coerce_vec(value, |v| as_integer(v, "pixels"))?,
-        "nfp_units" => spec.nfp_units = coerce_vec(value, |v| as_u32(v, "nfp_units"))?,
-        "clock_ghz" => spec.clock_ghz = coerce_vec(value, as_number)?,
-        "grid_sram_kb" => spec.grid_sram_kb = coerce_vec(value, |v| as_u32(v, "grid_sram_kb"))?,
-        "grid_sram_banks" => {
-            spec.grid_sram_banks = coerce_vec(value, |v| as_u32(v, "grid_sram_banks"))?
-        }
-        "encoding_engines" => {
-            spec.encoding_engines = coerce_vec(value, |v| as_u32(v, "encoding_engines"))?
-        }
-        "mac_rows" => spec.mac_rows = coerce_vec(value, |v| as_u32(v, "mac_rows"))?,
-        "mac_cols" => spec.mac_cols = coerce_vec(value, |v| as_u32(v, "mac_cols"))?,
-        "lanes_per_engine" => {
-            spec.lanes_per_engine = coerce_vec(value, |v| as_u32(v, "lanes_per_engine"))?
-        }
-        "input_fifo_depth" => {
-            spec.input_fifo_depth = coerce_vec(value, |v| as_u32(v, "input_fifo_depth"))?
-        }
-        _ => return Err(format!("unknown key `{key}`")),
+    if key == "name" {
+        spec.name = as_text(&value)?.to_string();
+        return Ok(());
     }
-    Ok(())
+    let axis = AXES.iter().find(|a| a.key == key).ok_or(format!("unknown key `{key}`"))?;
+    axis.field.set_toml(spec, value, key)
 }
 
 #[cfg(test)]
@@ -1079,6 +1347,50 @@ mod tests {
         assert!(matches!(err, SpecError::Parse { line: 1, .. }), "{err}");
         let err = SweepSpec::from_toml_str("nfp_units = [4294967297]").unwrap_err();
         assert!(matches!(err, SpecError::Parse { line: 1, .. }), "{err}");
+    }
+
+    /// Every value of this spec is one `validate` accepts, but its
+    /// architectures number 2^64, so the point count overflows. Only
+    /// `validate` runs on it: nothing may build its tables.
+    #[test]
+    fn validation_rejects_a_point_count_that_overflows_usize() {
+        let mut spec = SweepSpec {
+            apps: vec![AppKind::Nerf],
+            nfp_units: (1..=1024).collect(),
+            clock_ghz: (0..128).map(|i| 0.1 + 0.03 * i as f64).collect(),
+            grid_sram_banks: (0..32).map(|b| 1 << b).collect(),
+            encoding_engines: (1..=64).collect(),
+            mac_rows: (1..=1024).collect(),
+            mac_cols: (1..=1024).collect(),
+            lanes_per_engine: (1..=16).collect(),
+            input_fifo_depth: (1..=4096).collect(),
+            ..SweepSpec::quick()
+        };
+        let overflow = format!("the sweep has more than {} points", usize::MAX);
+        assert_eq!(spec.validate(), Err(SpecError::Invalid(overflow)));
+        // With one lane count, 2^60 architectures: every value passes.
+        spec.lanes_per_engine.truncate(1);
+        assert_eq!(spec.validate(), Ok(()));
+    }
+
+    /// Each axis reads from its TOML key, and the key sets that axis
+    /// alone: two of its values through the TOML parser give the spec
+    /// that `dse`'s list flag gives, which differs from the default on
+    /// that axis only.
+    #[test]
+    fn each_axis_parses_from_its_toml_key_alone() {
+        let presets = SweepSpec::PRESETS.map(|name| SweepSpec::preset(name).unwrap());
+        for axis in &AXES {
+            // The first two values of the preset that sweeps the most.
+            let source = presets.iter().max_by_key(|s| axis.field.len(s)).unwrap();
+            let mut want = SweepSpec::default();
+            axis.set_list(&mut want, &axis.field.cells(source)[..2].join(",")).unwrap();
+            assert_ne!(want, SweepSpec::default(), "{}", axis.key);
+            let mut array = String::new();
+            axis.field.write_values(&want, &mut array).unwrap();
+            let got = SweepSpec::from_toml_str(&format!("{} = {array}", axis.key));
+            assert_eq!(got, Ok(want), "{}", axis.key);
+        }
     }
 
     #[test]

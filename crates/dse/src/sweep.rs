@@ -10,7 +10,7 @@ use ng_neural::apps::{AppKind, EncodingKind};
 use crate::factors::{FactorTables, BLOCK};
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
-use crate::spec::{DesignPoint, Space, SpecError, SweepSpec};
+use crate::spec::{DesignPoint, Space, SpecError, SweepSpec, AXES};
 
 /// One evaluated configuration: the point plus the emulator outputs the
 /// frontier and reports read.
@@ -172,9 +172,31 @@ impl ArchPoint {
         }
     }
 
+    /// This architecture as a design point, at index 0 under the first
+    /// app (neither of which an architecture has): what the loops over
+    /// [`AXES`] read its values from.
+    pub(crate) fn point(&self) -> DesignPoint {
+        DesignPoint {
+            index: 0,
+            app: AppKind::Nerf,
+            encoding: self.encoding,
+            pixels: self.pixels,
+            nfp_units: self.nfp_units,
+            clock_ghz: self.clock_ghz,
+            grid_sram_kb: self.grid_sram_kb,
+            grid_sram_banks: self.grid_sram_banks,
+            encoding_engines: self.encoding_engines,
+            mac_rows: self.mac_rows,
+            mac_cols: self.mac_cols,
+            lanes_per_engine: self.lanes_per_engine,
+            input_fifo_depth: self.input_fifo_depth,
+        }
+    }
+
     /// Whether this is the paper's published NGPC-64 headline
-    /// *organisation*: hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank
-    /// grid SRAMs, 16 engines, 64x64 MACs. The lane/FIFO
+    /// *organisation*: every arch axis holds its paper value in
+    /// [`AXES`] (hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid SRAMs,
+    /// 16 engines, 64x64 MACs). The lane/FIFO
     /// microarchitecture axes are deliberately left free: in the
     /// exploded lane/FIFO space the model (correctly) finds the
     /// paper's 64-deep FIFO oversized at plateau scale — every app is
@@ -188,16 +210,8 @@ impl ArchPoint {
     /// [`SweepSpec::contains_paper_organisation`], so the guards cannot
     /// drift apart.
     pub fn is_paper_organisation(&self) -> bool {
-        use crate::spec::paper_organisation as paper;
-        self.encoding == paper::ENCODING
-            && self.pixels == paper::PIXELS
-            && self.nfp_units == paper::NFP_UNITS
-            && self.clock_ghz == paper::CLOCK_GHZ
-            && self.grid_sram_kb == paper::GRID_SRAM_KB
-            && self.grid_sram_banks == paper::GRID_SRAM_BANKS
-            && self.encoding_engines == paper::ENCODING_ENGINES
-            && self.mac_rows == paper::MAC_ROWS
-            && self.mac_cols == paper::MAC_COLS
+        let point = self.point();
+        AXES[1..].iter().all(|a| a.field.is_paper(&point))
     }
 }
 

@@ -26,6 +26,8 @@ fn saturated_search_on_quick_recovers_the_headline() {
     assert!(out.contains("guided search `quick` (hill)"), "{out}");
     assert!(out.contains("budget covers the space"), "{out}");
     assert!(out.contains("recovered the NGPC-64 organisation"), "{out}");
+    // Every architecture was visited, so the frontier is confirmed.
+    assert!(!out.contains("unconfirmed"), "{out}");
 }
 
 #[test]
@@ -46,6 +48,17 @@ fn explicit_strategy_and_seed_are_accepted() {
     let (_, err, ok) = dse(&["--search", "anneal", "--preset", "quick"]);
     assert!(!ok, "unknown strategy must fail");
     assert!(err.contains("unknown strategy"), "{err}");
+}
+
+/// A search that visits part of the space says that its frontier rows
+/// are non-dominated only among the architectures it visited.
+#[test]
+fn a_partial_search_calls_its_frontier_unconfirmed() {
+    let (out, err, ok) = dse(&["--search", "--preset", "paper"]);
+    assert!(ok, "search run failed:\nstdout: {out}\nstderr: {err}");
+    assert!(!out.contains("exhaustive scan"), "{out}");
+    assert!(out.contains("(unconfirmed: these rows are non-dominated among the "), "{out}");
+    assert!(out.contains("an exhaustive sweep of all 360 may dominate some of them)"), "{out}");
 }
 
 #[test]
