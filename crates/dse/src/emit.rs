@@ -14,7 +14,7 @@ use std::fmt::{self, Write};
 use std::io;
 use std::sync::LazyLock;
 
-use crate::spec::{Axis, DesignPoint, SweepSpec, AXES, STRING_WRITE};
+use crate::spec::{Axis, DesignPoint, SweepSpec, AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint, Sweep, SweepOutcome, SweepStats};
 
 /// Column header of the points CSV: `index`, each axis's column in
@@ -35,6 +35,9 @@ pub fn point_to_row(p: &EvaluatedPoint) -> String {
     write_row(&mut row, p).expect(STRING_WRITE);
     row
 }
+
+/// Why every `fmt::Result` of a write into a `String` can be unwrapped.
+pub(crate) const STRING_WRITE: &str = "writing into a String cannot fail";
 
 fn write_row(out: &mut String, p: &EvaluatedPoint) -> fmt::Result {
     write!(out, "{}", p.point.index)?;

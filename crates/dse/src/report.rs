@@ -149,7 +149,7 @@ pub fn write_search_report(
         outcome.frontier.iter().filter(|a| constraints.admits(&a.objectives())).copied().collect();
     writeln!(out, "\nrecovered cross-app Pareto frontier ({} architectures):", shown.len())?;
     write!(out, "{}", frontier_table(&shown, top))?;
-    if stats.archs_visited < stats.space_archs {
+    if !shown.is_empty() && stats.archs_visited < stats.space_archs {
         writeln!(
             out,
             "(unconfirmed: these rows are non-dominated among the {} architectures visited; \

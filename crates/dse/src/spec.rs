@@ -13,7 +13,7 @@ use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::math::Pcg32;
 use ngpc::{EmulatorInput, NfpConfig, NgpcConfig};
 
-use crate::emit::{write_joined, JsonF64};
+use crate::emit::{write_joined, JsonF64, STRING_WRITE};
 use crate::pareto::Constraints;
 
 /// 1920x1080, the paper's evaluation resolution.
@@ -240,9 +240,10 @@ impl<T: AxisValue> Column for Field<T> {
     fn cells(&self, spec: &SweepSpec) -> Vec<String> {
         let cell = |&v: &T| {
             let mut cell = String::new();
-            v.write(&mut cell, false).map(|()| cell)
+            v.write(&mut cell, false).expect(STRING_WRITE);
+            cell
         };
-        (self.1)(spec).iter().map(cell).collect::<Result<_, _>>().expect(STRING_WRITE)
+        (self.1)(spec).iter().map(cell).collect()
     }
 
     fn sweeps_paper(&self, spec: &SweepSpec) -> bool {
@@ -277,9 +278,6 @@ impl<T: AxisValue> Column for Field<T> {
         Some(())
     }
 }
-
-/// Why every `fmt::Result` of a write into a `String` can be unwrapped.
-pub(crate) const STRING_WRITE: &str = "writing into a String cannot fail";
 
 /// How one axis value reads and prints.
 pub(crate) trait AxisValue: Copy + PartialEq + fmt::Debug + Sync {
