@@ -40,9 +40,11 @@ pub struct Axis {
 /// Every axis of a [`SweepSpec`]: `apps` first, then the arch axes in
 /// [`Space`] order, so a row's position is its axis number. Validation,
 /// the TOML parser, `dse`'s override flags, [`Space::new`], the CSV and
-/// JSON writers and the report iterate this table; a new axis adds a
-/// row here, its fields in [`SweepSpec`], [`DesignPoint`] and
-/// [`crate::ArchPoint`], and the model code that reads it.
+/// JSON writers and the report iterate this table. A new axis adds a
+/// row here; its fields in [`SweepSpec`], [`DesignPoint`] and
+/// [`crate::ArchPoint`], with the field code that copies between them
+/// (`Space::at` and the `ArchPoint` conversions); its line in `dse`'s
+/// help text; and the model code that reads it.
 ///
 /// The paper values are the published NGPC-64 headline *organisation*:
 /// hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid SRAMs, 16 engines,
