@@ -60,14 +60,14 @@ EXECUTION:
     --no-cache           accepted and ignored: every run evaluates every
                          point in memory and writes only the files it
                          is asked for
+    --quiet              accepted and ignored: stderr carries only
+                         errors and the --metrics summary
 
 OBSERVABILITY:
     --trace PATH         record a JSONL run ledger (spans, counters) and
                          write it to PATH after the run (overwrites)
     --metrics            record the run and print the `dse trace`
                          summary of it to stderr
-    --quiet              suppress the live stderr progress line (stdout
-                         output is byte-identical either way)
 
     dse trace LEDGER     summarize a recorded ledger: per-stage profile
                          table, final counters, balance/invariant
@@ -207,7 +207,6 @@ struct Cli {
     seed: Option<u64>,
     trace: Option<String>,
     metrics: bool,
-    quiet: bool,
 }
 
 fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
@@ -227,7 +226,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         seed: None,
         trace: None,
         metrics: false,
-        quiet: false,
     };
     // Axis overrides are applied after the base spec is chosen.
     let mut overrides: Vec<(&Axis, String)> = Vec::new();
@@ -282,12 +280,10 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 }
                 cli.threads = Some(n);
             }
-            // Every run is uncached; the flag stays accepted so existing
-            // scripts keep working.
-            "--no-cache" => {}
+            // No-ops, accepted so existing scripts keep working.
+            "--no-cache" | "--quiet" => {}
             "--trace" => cli.trace = Some(value(arg)?),
             "--metrics" => cli.metrics = true,
-            "--quiet" => cli.quiet = true,
             "--top" => cli.top = value(arg)?.parse().map_err(|_| "--top: not a number")?,
             "--per-app" => cli.per_app = true,
             "--csv" => cli.csv = Some(value(arg)?),
@@ -656,7 +652,7 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
         return run_search(cli, strategy);
     }
 
-    let mut engine = SweepEngine::new().with_quiet(cli.quiet);
+    let mut engine = SweepEngine::new();
     if let Some(threads) = cli.threads {
         engine = engine.with_threads(threads);
     }

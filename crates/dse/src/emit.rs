@@ -14,6 +14,8 @@ use std::fmt::{self, Write};
 use std::io;
 use std::sync::LazyLock;
 
+use ng_obs::ledger::Escaped;
+
 use crate::spec::{Axis, DesignPoint, SweepSpec, AXES};
 use crate::sweep::{ArchPoint, EvaluatedPoint, Sweep, SweepOutcome, SweepStats};
 
@@ -116,27 +118,6 @@ impl fmt::Display for JsonF64 {
     }
 }
 
-/// A quoted, escaped JSON string.
-struct JsonStr<'a>(&'a str);
-
-impl fmt::Display for JsonStr<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_char('"')?;
-        for c in self.0.chars() {
-            match c {
-                '"' => f.write_str("\\\"")?,
-                '\\' => f.write_str("\\\\")?,
-                '\n' => f.write_str("\\n")?,
-                '\t' => f.write_str("\\t")?,
-                '\r' => f.write_str("\\r")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => f.write_char(c)?,
-            }
-        }
-        f.write_char('"')
-    }
-}
-
 /// Write `items` through `write_item`, separated by `sep`.
 pub(crate) fn write_joined<T>(
     out: &mut String,
@@ -196,7 +177,7 @@ fn write_json_axes(out: &mut String, axes: &[Axis], p: &DesignPoint) -> fmt::Res
 }
 
 fn write_json_spec(out: &mut String, spec: &SweepSpec) -> fmt::Result {
-    write!(out, "{{\"name\":{}", JsonStr(&spec.name))?;
+    write!(out, "{{\"name\":\"{}\"", Escaped(&spec.name))?;
     for axis in &AXES {
         write!(out, ",\"{}\":", axis.key)?;
         axis.field.write_values(spec, out)?;
@@ -364,8 +345,8 @@ mod tests {
 
     #[test]
     fn json_strings_escape_controls() {
-        assert_eq!(JsonStr("a\"b\\c\n").to_string(), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(JsonStr("\u{1}").to_string(), "\"\\u0001\"");
+        assert_eq!(Escaped("a\"b\\c\n").to_string(), "a\\\"b\\\\c\\n");
+        assert_eq!(Escaped("\u{1}").to_string(), "\\u0001");
         assert_eq!(JsonF64(f64::NAN).to_string(), "null");
         assert_eq!(JsonF64(1.5).to_string(), "1.5");
     }

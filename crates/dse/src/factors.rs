@@ -51,9 +51,8 @@ const FIFO: usize = axis("input_fifo_depth");
 /// a point's floorplan sits at `arch % floorplan_count`.
 const FLOORPLAN: [usize; 8] = [CLOCK, SRAM_KB, BANKS, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO];
 
-/// Points per block: a sweep worker adds to `eval.ticks` once per
-/// block (one shared atomic add rather than one per point), and the
-/// emitters refill and write one block at a time.
+/// Points per block: the emitters refill and write one block at a
+/// time.
 pub(crate) const BLOCK: usize = 4096;
 
 /// One factor's values over the axes it reads, row-major in key order.

@@ -27,11 +27,10 @@ hoisted!(
     sweep_points => "sweep.points"
 );
 hoisted!(
-    /// Points evaluated, added from inside the sweep's workers (once
-    /// per block) and the guided searcher (once per architecture) — the
-    /// live counter the progress meter samples. Invariant (checked by
-    /// `ng_obs::Ledger::check`): `eval.ticks == sweep.points` for a
-    /// sweep.
+    /// Points evaluated, added by each sweep worker (once, after its
+    /// range) and the guided searcher (once per architecture).
+    /// Invariant (checked by `ng_obs::Ledger::check`):
+    /// `eval.ticks == sweep.points` for a sweep.
     eval_ticks => "eval.ticks"
 );
 hoisted!(

@@ -5,7 +5,7 @@
 use std::io::{self, Write};
 
 use crate::pareto::Constraints;
-use crate::spec::{encoding_slug, SweepSpec, AXES};
+use crate::spec::{encoding_slug, DesignPoint, SweepSpec, AXES};
 use crate::sweep::{
     apps_in_report_order, arch_frontier, ArchPoint, EvaluatedPoint, Frontiers, SweepOutcome,
     SweepStats,
@@ -40,18 +40,24 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-fn arch_row(a: &ArchPoint) -> Vec<String> {
+/// A frontier-table row: the design's cells (config .. lanes/fifo),
+/// then its speedup, area and power.
+fn design_row(d: &DesignPoint, speedup: f64, area_pct: f64, power_pct: f64) -> Vec<String> {
     vec![
-        format!("NGPC-{}", a.nfp_units),
-        encoding_slug(a.encoding).to_string(),
-        format!("{:.2}", a.clock_ghz),
-        format!("{}K/{}", a.grid_sram_kb, a.grid_sram_banks),
-        format!("{}x{}/{}e", a.mac_rows, a.mac_cols, a.encoding_engines),
-        format!("{}l/{}f", a.lanes_per_engine, a.input_fifo_depth),
-        format!("{:.2}x", a.avg_speedup),
-        format!("{:.2}%", a.area_pct_of_gpu),
-        format!("{:.2}%", a.power_pct_of_gpu),
+        format!("NGPC-{}", d.nfp_units),
+        encoding_slug(d.encoding).to_string(),
+        format!("{:.2}", d.clock_ghz),
+        format!("{}K/{}", d.grid_sram_kb, d.grid_sram_banks),
+        format!("{}x{}/{}e", d.mac_rows, d.mac_cols, d.encoding_engines),
+        format!("{}l/{}f", d.lanes_per_engine, d.input_fifo_depth),
+        format!("{speedup:.2}x"),
+        format!("{area_pct:.2}%"),
+        format!("{power_pct:.2}%"),
     ]
+}
+
+fn arch_row(a: &ArchPoint) -> Vec<String> {
+    design_row(&a.point(), a.avg_speedup, a.area_pct_of_gpu, a.power_pct_of_gpu)
 }
 
 const ARCH_HEADERS: [&str; 9] = [
@@ -78,19 +84,9 @@ pub fn frontier_table(frontier: &[ArchPoint], limit: usize) -> String {
 }
 
 fn point_row(p: &EvaluatedPoint) -> Vec<String> {
-    let d = &p.point;
-    vec![
-        format!("NGPC-{}", d.nfp_units),
-        encoding_slug(d.encoding).to_string(),
-        format!("{:.2}", d.clock_ghz),
-        format!("{}K/{}", d.grid_sram_kb, d.grid_sram_banks),
-        format!("{}x{}/{}e", d.mac_rows, d.mac_cols, d.encoding_engines),
-        format!("{}l/{}f", d.lanes_per_engine, d.input_fifo_depth),
-        format!("{:.2}x", p.speedup),
-        format!("{:.2}%", p.area_pct_of_gpu),
-        format!("{:.2}%", p.power_pct_of_gpu),
-        if p.plateaued { "yes".to_string() } else { "no".to_string() },
-    ]
+    let mut row = design_row(&p.point, p.speedup, p.area_pct_of_gpu, p.power_pct_of_gpu);
+    row.push(if p.plateaued { "yes" } else { "no" }.to_string());
+    row
 }
 
 const POINT_HEADERS: [&str; 10] = [

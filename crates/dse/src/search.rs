@@ -54,6 +54,13 @@ use crate::pareto::StreamingFrontier;
 use crate::spec::{ArchIdx, Space, SpecError, SweepSpec, ARCH_AXES};
 use crate::sweep::ArchPoint;
 
+/// Consecutive fruitless restarts (hill climb) or generations
+/// (evolutionary) — "fruitless" meaning the archive did not change —
+/// after which the search stops early, budget notwithstanding.
+const CONVERGENCE_WINDOW: usize = 24;
+/// Evolutionary population size.
+const POPULATION: usize = 24;
+
 /// Which guided strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchStrategy {
@@ -88,19 +95,14 @@ pub struct SearchSpec {
     /// Strategy to run.
     pub strategy: SearchStrategy,
     /// Maximum *model evaluations* (design points, not
-    /// architectures). Revisits are free. A budget
+    /// architectures), at least one architecture's points (the app
+    /// count; [`Searcher::run`] rejects less). Revisits are free. A budget
     /// at or above the space's point count degenerates to an exhaustive
     /// scan — guided search never does worse than the sweep it
     /// replaces, just never better than its budget.
     pub budget: usize,
     /// RNG seed; equal seeds reproduce the exact trajectory.
     pub seed: u64,
-    /// Consecutive fruitless restarts (hill climb) or generations
-    /// (evolutionary) — "fruitless" meaning the archive did not change —
-    /// after which the search stops early, budget notwithstanding.
-    pub convergence_window: usize,
-    /// Evolutionary population size.
-    pub population: usize,
 }
 
 impl SearchSpec {
@@ -108,26 +110,21 @@ impl SearchSpec {
     /// condition for the exploded preset).
     pub const DEFAULT_BUDGET_FRACTION: f64 = 0.05;
 
-    /// A search spec with the default 5%-of-space budget for `spec`.
+    /// A search spec with the default 5%-of-space budget for `spec`,
+    /// and at least one architecture's points (one per app).
     pub fn for_space(spec: &SweepSpec) -> Self {
         SearchSpec {
-            budget: ((spec.point_count() as f64 * Self::DEFAULT_BUDGET_FRACTION) as usize).max(1),
+            budget: ((spec.point_count() as f64 * Self::DEFAULT_BUDGET_FRACTION) as usize)
+                .max(spec.apps.len()),
             ..SearchSpec::default()
         }
     }
 }
 
 impl Default for SearchSpec {
-    /// Hill climbing, a 4096-point budget, a fixed seed, and a
-    /// 24-restart convergence window.
+    /// Hill climbing, a 4096-point budget and a fixed seed.
     fn default() -> Self {
-        SearchSpec {
-            strategy: SearchStrategy::HillClimb,
-            budget: 4096,
-            seed: 0x5eed_0001,
-            convergence_window: 24,
-            population: 24,
-        }
+        SearchSpec { strategy: SearchStrategy::HillClimb, budget: 4096, seed: 0x5eed_0001 }
     }
 }
 
@@ -289,8 +286,12 @@ impl Searcher {
         let _span = ng_obs::span("search");
         let started = Instant::now();
         spec.validate()?;
-        if search.budget == 0 {
-            return Err(SpecError::Invalid("search budget must be nonzero".to_string()));
+        if search.budget < spec.apps.len() {
+            return Err(SpecError::Invalid(format!(
+                "search budget must be nonzero and cover one architecture ({} points), got {}",
+                spec.apps.len(),
+                search.budget
+            )));
         }
         let space = Space::new(spec);
         let mut state = SearchState {
@@ -319,8 +320,8 @@ impl Searcher {
                 1
             } else {
                 match search.strategy {
-                    SearchStrategy::HillClimb => hill_climb(&mut state, search, &mut rng),
-                    SearchStrategy::Evolutionary => evolve(&mut state, search, &mut rng),
+                    SearchStrategy::HillClimb => hill_climb(&mut state, &mut rng),
+                    SearchStrategy::Evolutionary => evolve(&mut state, &mut rng),
                 }
             }
         };
@@ -356,13 +357,13 @@ impl Searcher {
 /// ([`SearchState::explore_archive`]), which crawls along the connected
 /// frontier segment the climb landed on and picks up the knee points no
 /// weight draw happens to select.
-fn hill_climb(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32) -> usize {
+fn hill_climb(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
     let mut restarts = 0;
     let mut fruitless = 0;
     let mut explored = std::collections::HashSet::new();
     let (accepted, rejected) =
         (obs_counters::search_hill_accepted(), obs_counters::search_hill_rejected());
-    while state.can_afford_arch() && fruitless < search.convergence_window {
+    while state.can_afford_arch() && fruitless < CONVERGENCE_WINDOW {
         let before = state.archive_generation;
         let weights = Weights::draw(rng);
         let mut current = state.space.random(rng);
@@ -400,10 +401,9 @@ fn hill_climb(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32)
 }
 
 /// μ+λ evolutionary search; returns generations executed.
-fn evolve(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32) -> usize {
-    let pop_size = search.population.max(4);
-    let mut population: Vec<ArchIdx> = Vec::with_capacity(pop_size);
-    while population.len() < pop_size {
+fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
+    let mut population: Vec<ArchIdx> = Vec::with_capacity(POPULATION);
+    while population.len() < POPULATION {
         let idx = state.space.random(rng);
         if state.eval_arch(&idx).is_none() {
             return 0;
@@ -418,14 +418,14 @@ fn evolve(state: &mut SearchState<'_>, search: &SearchSpec, rng: &mut Pcg32) -> 
 
     let mut generations = 0;
     let mut fruitless = 0;
-    while state.can_afford_arch() && fruitless < search.convergence_window {
+    while state.can_afford_arch() && fruitless < CONVERGENCE_WINDOW {
         let before = state.archive_generation;
-        let mut next: Vec<ArchIdx> = Vec::with_capacity(pop_size);
+        let mut next: Vec<ArchIdx> = Vec::with_capacity(POPULATION);
         // Elites: archive members re-enter the pool (up to half of it).
-        for (_, (idx, _)) in state.archive.iter().take(pop_size / 2) {
+        for (_, (idx, _)) in state.archive.iter().take(POPULATION / 2) {
             next.push(*idx);
         }
-        while next.len() < pop_size {
+        while next.len() < POPULATION {
             // Binary tournaments pick two parents...
             let mut parent = [population[0]; 2];
             for p in &mut parent {
@@ -583,7 +583,10 @@ mod tests {
     #[test]
     fn zero_budget_is_rejected() {
         let spec = small_spec();
-        let search = SearchSpec { budget: 0, ..SearchSpec::default() };
-        assert!(Searcher::new().run(&spec, &search).is_err());
+        // A budget below one architecture's points evaluates nothing.
+        for budget in [0, spec.apps.len() - 1] {
+            let search = SearchSpec { budget, ..SearchSpec::default() };
+            assert!(Searcher::new().run(&spec, &search).is_err(), "budget {budget}");
+        }
     }
 }

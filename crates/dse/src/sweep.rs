@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
-use crate::factors::{FactorTables, BLOCK};
+use crate::factors::FactorTables;
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
 use crate::spec::{DesignPoint, Space, SpecError, SweepSpec, AXES};
@@ -409,14 +409,14 @@ struct Part {
 /// Evaluate the architectures `archs` (flat numbers, ascending), fold
 /// each over its apps ([`FactorTables::arch`]), and offer the folds
 /// (and, with `per_app`, every app point) to the worker's own
-/// frontiers. Adds to `eval.ticks` once per [`BLOCK`] points.
+/// frontiers. Adds the points it folded to `eval.ticks` once, after
+/// its loop.
 fn fold_archs(
     tables: &FactorTables,
     archs: Range<usize>,
     constraints: &Constraints,
     per_app: bool,
 ) -> Part {
-    let ticks = obs_counters::eval_ticks();
     let space = &tables.space;
     let (apps, arch_count) = (space.spec.apps.len(), space.arch_count());
     let mut part = Part {
@@ -424,7 +424,7 @@ fn fold_archs(
         per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
     };
     let mut idx = space.decode(archs.start);
-    let mut unticked = 0;
+    let mut folded = 0;
     for flat in archs {
         let arch = if per_app {
             tables.arch(&idx, |app, result| {
@@ -437,13 +437,9 @@ fn fold_archs(
         };
         part.cross_app.insert_constrained(arch.objectives(), arch, constraints);
         space.advance(&mut idx);
-        unticked += apps;
-        if unticked >= BLOCK {
-            ticks.add(unticked as u64);
-            unticked = 0;
-        }
+        folded += apps;
     }
-    ticks.add(unticked as u64);
+    obs_counters::eval_ticks().add(folded as u64);
     part
 }
 
@@ -495,35 +491,20 @@ fn fold_space(
     (Frontiers { archs, cross_app, per_app }, ran)
 }
 
-/// The sweep executor: a thread count and a progress switch.
-#[derive(Debug, Clone)]
+/// The sweep executor: a thread count.
+#[derive(Debug, Clone, Default)]
 pub struct SweepEngine {
     /// Worker threads; `None` means every available core, looked up
     /// inside [`SweepEngine::run`]'s `sweep` span (the lookup reads
     /// cgroup files and costs ~0.1 ms, which the trace should charge to
     /// the sweep).
     threads: Option<usize>,
-    quiet: bool,
-}
-
-impl Default for SweepEngine {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SweepEngine {
     /// An engine using every available core.
     pub fn new() -> Self {
-        SweepEngine { threads: None, quiet: false }
-    }
-
-    /// Suppress the live stderr progress line even when stderr is a
-    /// terminal (`dse --quiet`). Progress never touches stdout either
-    /// way, so emitters stay byte-identical.
-    pub fn with_quiet(mut self, quiet: bool) -> Self {
-        self.quiet = quiet;
-        self
+        Self::default()
     }
 
     /// Use `threads` workers, clamped to 1..=[`MAX_THREADS`].
@@ -549,16 +530,6 @@ impl SweepEngine {
         let threads = self.threads.unwrap_or_else(available_threads);
         let total = spec.point_count();
         obs_counters::sweep_points().add(total as u64);
-
-        // The meter samples the shared eval-tick counter from a side
-        // thread, so the workers never block on terminal i/o.
-        let meter = ng_obs::Meter::start(
-            "sweep",
-            obs_counters::eval_ticks().clone(),
-            total as u64,
-            "points",
-            ng_obs::stderr_wants_progress(self.quiet),
-        );
         // `threads` becomes the count that ran.
         let (tables, (frontiers, threads)) = {
             let _span = ng_obs::span("evaluate");
@@ -566,7 +537,6 @@ impl SweepEngine {
             let folded = fold_space(&tables, threads, constraints, per_app);
             (tables, folded)
         };
-        meter.finish();
 
         Ok(Sweep {
             stats: SweepStats {

@@ -77,9 +77,14 @@ fn dse_code(args: &[&str]) -> (String, Option<i32>) {
 
 #[test]
 fn budget_zero_is_a_clean_error() {
-    let (err, code) = dse_code(&["--search", "--preset", "quick", "--no-cache", "--budget", "0"]);
-    assert_eq!(code, Some(2), "a spec mistake exits 2:\n{err}");
-    assert!(err.contains("budget must be nonzero"), "{err}");
+    // 3 is below one quick architecture's 4 points: it would evaluate
+    // nothing.
+    for budget in ["0", "3"] {
+        let (err, code) =
+            dse_code(&["--search", "--preset", "quick", "--no-cache", "--budget", budget]);
+        assert_eq!(code, Some(2), "a spec mistake exits 2:\n{err}");
+        assert!(err.contains("budget must be nonzero"), "{err}");
+    }
 }
 
 #[test]
@@ -142,4 +147,17 @@ fn values_dse_cannot_honour_exit_2() {
         let (err, code) = dse_code(&["--preset", "quick", "--threads", threads, "--quiet"]);
         assert_eq!(code, Some(0), "{err}");
     }
+}
+
+/// The default budget covers at least one architecture: on the 16-point
+/// quick preset (4 apps), 5% of the space is below one architecture's
+/// points, and the search must still evaluate one.
+#[test]
+fn default_budget_on_quick_evaluates_an_architecture() {
+    let (out, err, ok) = dse(&["--search", "--preset", "quick"]);
+    assert!(ok, "search run failed:\nstdout: {out}\nstderr: {err}");
+    // "guided search `quick` (hill): N of 16 points evaluated ..."
+    let evaluated = out.split("): ").nth(1).and_then(|rest| rest.split(' ').next());
+    let evaluated = evaluated.and_then(|n| n.parse::<u64>().ok());
+    assert!(evaluated.is_some_and(|n| n >= 4), "{out}");
 }

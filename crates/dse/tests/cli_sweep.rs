@@ -43,7 +43,8 @@ fn a_closed_stdout_still_runs_the_checks_and_writes_the_files() {
     let path = csv.to_str().unwrap();
     for args in [
         &["--preset", "paper", "--quiet", "--nfp-units", "8", "--check-headline", "--csv", path][..],
-        &["--search", "--preset", "guided-lanes", "--budget", "1", "--check-headline"],
+        // One architecture's points: the smallest budget a search takes.
+        &["--search", "--preset", "guided-lanes", "--budget", "4", "--check-headline"],
     ] {
         let out = dse_with_stdout_closed(args);
         let err = String::from_utf8_lossy(&out.stderr);

@@ -75,12 +75,7 @@ proptest! {
             if evolutionary == 1 { SearchStrategy::Evolutionary } else { SearchStrategy::HillClimb };
         let spec = small_spec(encodings, units, srams, lanes, fifos);
         let expected = arch_frontier(&reference_archs(&spec), &Constraints::NONE);
-        let search = SearchSpec {
-            strategy,
-            budget: spec.point_count(),
-            seed,
-            ..SearchSpec::default()
-        };
+        let search = SearchSpec { strategy, budget: spec.point_count(), seed };
         let outcome = Searcher::new().run(&spec, &search).unwrap();
         prop_assert!(outcome.stats.exhaustive);
         prop_assert_eq!(outcome.stats.evaluations, spec.point_count());

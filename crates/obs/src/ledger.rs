@@ -67,8 +67,10 @@ impl fmt::Display for Event {
     }
 }
 
-/// A string as the body of a JSON string literal.
-struct Escaped<'a>(&'a str);
+/// A string as the body of a JSON string literal (the caller writes the
+/// quotes): `"`, `\` and control characters escaped. The one JSON
+/// string escaper of the workspace; `ng-dse`'s emitters use it too.
+pub struct Escaped<'a>(pub &'a str);
 
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -29,10 +29,9 @@
 //!   coverage and the counter invariant. It also exports Chrome
 //!   `trace.json` for chrome://tracing.
 //!
-//! [`progress`] is the small extra: a single-line stderr meter that
-//! samples a counter in the background — long sweeps get a live
-//! `done/total (rate)` line without the evaluation loop knowing
-//! anything about terminals.
+//! The crate spawns no thread and writes nothing on its own: what a
+//! run recorded reaches a file or stderr only when the caller writes
+//! the [`Ledger`] (`dse --trace`, `--metrics`).
 //!
 //! ## Overhead budget
 //!
@@ -49,13 +48,11 @@
 
 pub mod counter;
 pub mod ledger;
-pub mod progress;
 pub mod sink;
 pub mod span;
 
 pub use counter::{counter, Counter, CounterSnapshot};
 pub use ledger::{Event, Ledger, LedgerCheck, StageProfile};
-pub use progress::{stderr_wants_progress, Meter};
 pub use span::{span, SpanGuard};
 
 /// Microseconds since the UNIX epoch — the wall-clock timestamp every
