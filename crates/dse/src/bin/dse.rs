@@ -17,7 +17,7 @@ use std::process::ExitCode;
 
 use ng_dse::report::{describe_constraints, write_report, write_search_report};
 use ng_dse::spec::{Axis, AXES};
-use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepSpec, MAX_THREADS};
+use ng_dse::{ArchPoint, SweepEngine, SweepSpec, MAX_THREADS};
 
 const USAGE: &str = "\
 dse — NGPC design-space exploration with Pareto frontier extraction
@@ -46,7 +46,8 @@ SPEC:
 SEARCH (budgeted guided exploration instead of the exhaustive sweep):
     --search [STRAT]     guided search: hill (default) | evolve
     --budget N           max point evaluations (default: 5% of the
-                         space); needs --search
+                         space, and at least one architecture's
+                         points); needs --search
     --seed N             search RNG seed (default: fixed; equal seeds
                          reproduce the exact trajectory); needs --search
 
@@ -89,10 +90,11 @@ OUTPUT:
     --json PATH          write spec + stats + points + frontier as JSON
     --check-headline     exit non-zero if the paper's NGPC-64 NFP
                          (hashgrid, 1 GHz, 1MB/8, 64x64 MACs, 16 engines,
-                         1 lane, 64-deep FIFO) was evaluated but is NOT on
-                         the cross-app Pareto frontier; under --search it
-                         additionally requires the searcher to *recover*
-                         that point within its budget (the CI guard)
+                         1 lane, 64-deep FIFO) is NOT on the cross-app
+                         Pareto frontier, or the space lacks it; under
+                         --search it additionally requires the searcher
+                         to *recover* that point within its budget (the
+                         CI guard)
     --help               this text
 
 EXIT CODES:
@@ -193,9 +195,22 @@ fn write_file(
         .map_err(|e| format!("cannot write {path}: {e}").into())
 }
 
+/// `dse`'s bound flags and the spec-file keys of the bounds they set
+/// through [`ng_dse::Constraints::set`].
+const BOUND_FLAGS: [(&str, &str); 3] = [
+    ("--max-area", "max_area_pct"),
+    ("--max-power", "max_power_pct"),
+    ("--min-speedup", "min_speedup"),
+];
+
+/// What `--check-headline` says of a space without the paper's NGPC-64
+/// organisation, in sweep and search mode alike.
+const NO_PAPER_POINT: &str = "--check-headline: the space does not contain the paper's NGPC-64 \
+                              point";
+
 struct Cli {
+    /// The sweep, with its bounds in `spec.constraints`.
     spec: SweepSpec,
-    constraints: Constraints,
     threads: Option<usize>,
     top: usize,
     per_app: bool,
@@ -214,7 +229,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     let mut spec_file: Option<String> = None;
     let mut cli = Cli {
         spec: SweepSpec::paper(),
-        constraints: Constraints::NONE,
         threads: None,
         top: 16,
         per_app: false,
@@ -227,8 +241,9 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         trace: None,
         metrics: false,
     };
-    // Axis overrides are applied after the base spec is chosen.
+    // Axis and bound overrides are applied after the base spec is chosen.
     let mut overrides: Vec<(&Axis, String)> = Vec::new();
+    let mut bounds: Vec<(&str, &str, String)> = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -237,6 +252,10 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         };
         if let Some(axis) = AXES.iter().find(|a| a.flag == arg) {
             overrides.push((axis, value(arg)?));
+            continue;
+        }
+        if let Some(&(flag, key)) = BOUND_FLAGS.iter().find(|(flag, _)| flag == arg) {
+            bounds.push((flag, key, value(flag)?));
             continue;
         }
         match arg.as_str() {
@@ -261,18 +280,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
                 cli.budget = Some(value(arg)?.parse().map_err(|_| "--budget: not a number")?)
             }
             "--seed" => cli.seed = Some(value(arg)?.parse().map_err(|_| "--seed: not a number")?),
-            "--max-area" => {
-                cli.constraints.max_area_pct =
-                    Some(value(arg)?.parse().map_err(|_| "--max-area: not a number")?)
-            }
-            "--max-power" => {
-                cli.constraints.max_power_pct =
-                    Some(value(arg)?.parse().map_err(|_| "--max-power: not a number")?)
-            }
-            "--min-speedup" => {
-                cli.constraints.min_speedup =
-                    Some(value(arg)?.parse().map_err(|_| "--min-speedup: not a number")?)
-            }
             "--threads" => {
                 let n: usize = value(arg)?.parse().map_err(|_| "--threads: not a number")?;
                 if !(1..=MAX_THREADS).contains(&n) {
@@ -311,33 +318,11 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
         cli.spec = SweepSpec::from_toml_str(&text).map_err(|e| e.to_string())?;
-        // A spec file may carry its own constraints; CLI flags override.
-        let file_c = cli.spec.constraints;
-        cli.constraints = Constraints {
-            max_area_pct: cli.constraints.max_area_pct.or(file_c.max_area_pct),
-            max_power_pct: cli.constraints.max_power_pct.or(file_c.max_power_pct),
-            min_speedup: cli.constraints.min_speedup.or(file_c.min_speedup),
-        };
     }
-    let c = cli.constraints;
-    for (name, bound) in [
-        ("--max-area (max_area_pct)", c.max_area_pct),
-        ("--max-power (max_power_pct)", c.max_power_pct),
-        ("--min-speedup (min_speedup)", c.min_speedup),
-    ] {
-        if let Some(b) = bound.filter(|b| !b.is_finite()) {
-            return Err(format!("{name}: bound must be a finite number, got {b}"));
-        }
+    // A spec file may carry its own constraints; the flags override them.
+    for (flag, key, text) in bounds {
+        cli.spec.constraints.set(key, &text).map_err(|e| format!("{flag}: {e}"))?;
     }
-    for (name, bound) in [
-        ("--max-area (max_area_pct)", c.max_area_pct),
-        ("--max-power (max_power_pct)", c.max_power_pct),
-    ] {
-        if let Some(b) = bound.filter(|b| *b < 0.0) {
-            return Err(format!("{name}: budget must not be negative, got {b}"));
-        }
-    }
-
     for (axis, list) in overrides {
         axis.set_list(&mut cli.spec, &list)?;
     }
@@ -356,7 +341,6 @@ fn headline_check(
     out: &mut impl Write,
     spec: &SweepSpec,
     frontier: &[ArchPoint],
-    c: &Constraints,
 ) -> io::Result<Option<bool>> {
     if !spec.contains_paper_organisation() {
         return Ok(None);
@@ -372,7 +356,7 @@ fn headline_check(
         None => writeln!(
             out,
             "\npaper check: NGPC-64 headline point is NOT on the frontier under constraints [{}]",
-            describe_constraints(c)
+            describe_constraints(&spec.constraints)
         )?,
     }
     Ok(Some(headline.is_some()))
@@ -381,7 +365,8 @@ fn headline_check(
 /// Guided-search mode: run the searcher instead of the exhaustive
 /// sweep, and (under `--check-headline`) require the NGPC-64 headline
 /// point to be *recovered* — found and kept non-dominated — within the
-/// budget.
+/// budget. A space without the paper's organisation gets no paper
+/// check, and fails `--check-headline`.
 fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliError> {
     if cli.csv.is_some() || cli.json.is_some() {
         return Err(usage_err(
@@ -412,13 +397,17 @@ fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliErro
         ng_dse::Searcher::new().run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
     let _span = ng_obs::span("report");
     let mut out = Stdout::lock();
-    write_search_report(&mut out, &outcome, &cli.constraints, cli.top).map_err(stdout_err)?;
+    let constraints = &cli.spec.constraints;
+    write_search_report(&mut out, &outcome, constraints, cli.top).map_err(stdout_err)?;
 
+    if !cli.spec.contains_paper_organisation() {
+        return if cli.check_headline { Err(NO_PAPER_POINT.to_string().into()) } else { Ok(()) };
+    }
     if cli.check_headline || cli.spec.name == "guided-lanes" {
         let headline = outcome
             .frontier
             .iter()
-            .filter(|a| cli.constraints.admits(&a.objectives()))
+            .filter(|a| constraints.admits(&a.objectives()))
             .find(|a| a.is_paper_organisation());
         match headline {
             Some(a) => writeln!(
@@ -657,19 +646,19 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
         engine = engine.with_threads(threads);
     }
     let sweep = engine
-        .run(&cli.spec, &cli.constraints, cli.per_app)
+        .run(&cli.spec, &cli.spec.constraints, cli.per_app)
         .map_err(|e| usage_err(e.to_string()))?;
     // Table rendering is real work on wide frontiers — span it so the
     // ledger's coverage accounting sees it.
     let report_span = ng_obs::span("report");
     let mut out = Stdout::lock();
-    write_report(&mut out, &cli.spec, &sweep.stats, &sweep.frontiers, &cli.constraints, cli.top)
+    let constraints = &cli.spec.constraints;
+    write_report(&mut out, &cli.spec, &sweep.stats, &sweep.frontiers, constraints, cli.top)
         .map_err(stdout_err)?;
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;
     let headline = if judge_headline {
-        headline_check(&mut out, &cli.spec, &sweep.frontiers.cross_app, &cli.constraints)
-            .map_err(stdout_err)?
+        headline_check(&mut out, &cli.spec, &sweep.frontiers.cross_app).map_err(stdout_err)?
     } else {
         None
     };
@@ -682,12 +671,7 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
                     .to_string()
                     .into())
             }
-            None => {
-                return Err("--check-headline: the sweep does not contain the paper's NGPC-64 \
-                            point"
-                    .to_string()
-                    .into())
-            }
+            None => return Err(NO_PAPER_POINT.to_string().into()),
         }
     }
     drop(report_span);

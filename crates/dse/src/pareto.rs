@@ -59,6 +59,29 @@ impl Constraints {
     pub fn is_constrained(&self) -> bool {
         self != &Constraints::NONE
     }
+
+    /// Set the bound whose spec-file key is `key` (`max_area_pct`,
+    /// `max_power_pct` or `min_speedup`) to the number `text`: the one
+    /// setter of the `[constraints]` lines and of `dse`'s bound flags.
+    /// A bound must be finite, and an area or power budget must not be
+    /// negative.
+    pub fn set(&mut self, key: &str, text: &str) -> Result<(), String> {
+        let (bound, budget) = match key {
+            "max_area_pct" => (&mut self.max_area_pct, true),
+            "max_power_pct" => (&mut self.max_power_pct, true),
+            "min_speedup" => (&mut self.min_speedup, false),
+            _ => return Err(format!("unknown constraint `{key}`")),
+        };
+        let b: f64 = text.parse().map_err(|_| format!("{key}: not a number: `{text}`"))?;
+        if !b.is_finite() {
+            return Err(format!("{key}: bound must be a finite number, got {b}"));
+        }
+        if budget && b < 0.0 {
+            return Err(format!("{key}: budget must not be negative, got {b}"));
+        }
+        *bound = Some(b);
+        Ok(())
+    }
 }
 
 /// An incremental Pareto frontier: points stream in one at a time and
@@ -160,13 +183,6 @@ impl<T> StreamingFrontier<T> {
         self.entries.is_empty()
     }
 
-    /// Whether `objectives` is dominated by a current member. Tests the
-    /// hinted member first, like [`StreamingFrontier::insert`], but
-    /// leaves the hint as it is.
-    pub fn dominated(&self, objectives: &Objectives) -> bool {
-        self.dominator(objectives).is_some()
-    }
-
     /// Iterate the frontier in insertion order (survivors only).
     pub fn iter(&self) -> impl Iterator<Item = &(Objectives, T)> {
         self.entries.iter()
@@ -265,7 +281,6 @@ mod tests {
         assert_eq!(f.len(), 1);
         // A dominated candidate is rejected outright...
         assert!(!f.insert(o(1.5, 1.5, 1.5), "late"));
-        assert!(f.dominated(&o(1.5, 1.5, 1.5)));
         // ... an exact tie is kept alongside.
         assert!(f.insert(o(2.0, 1.0, 1.0), "tie"));
         // ... and a trade-off joins.
@@ -334,7 +349,6 @@ mod tests {
         for (i, ob) in offers {
             assert_eq!(f.insert(ob, i), i != 8, "{i}");
         }
-        assert!(f.dominated(&objs[8]) && !f.dominated(&objs[10]));
         let kept: Vec<usize> = f.iter().map(|&(_, i)| i).collect();
         assert_eq!(kept, vec![4, 7, 9, 10]);
         assert_eq!(streamed(&objs, &Constraints::NONE), oracle(&objs, &Constraints::NONE));

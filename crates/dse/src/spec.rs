@@ -203,10 +203,8 @@ pub(crate) trait Column: Sync {
     fn sweeps_paper(&self, spec: &SweepSpec) -> bool;
     /// Write `spec`'s values as the JSON spec block's array.
     fn write_values(&self, spec: &SweepSpec, out: &mut String) -> fmt::Result;
-    /// Set `spec`'s values from the TOML value of axis `key`.
-    fn set_toml(&self, spec: &mut SweepSpec, value: TomlValue, key: &str) -> Result<(), String>;
-    /// Set `spec`'s values from CLI list items; `Err` holds the first
-    /// item that does not parse.
+    /// Set `spec`'s values from list items (of a flag or a spec line);
+    /// `Err` holds the first item that does not parse.
     fn set_items<'a>(&self, spec: &mut SweepSpec, items: &[&'a str]) -> Result<(), &'a str>;
     /// Whether `p` holds the paper organisation's value (any value
     /// where the organisation leaves the axis free).
@@ -257,11 +255,6 @@ impl<T: AxisValue> Column for Field<T> {
         T::write_all((self.1)(spec), out)
     }
 
-    fn set_toml(&self, spec: &mut SweepSpec, value: TomlValue, key: &str) -> Result<(), String> {
-        *(self.2)(spec) = coerce_vec(value, |v| T::from_toml(v, key))?;
-        Ok(())
-    }
-
     fn set_items<'a>(&self, spec: &mut SweepSpec, items: &[&'a str]) -> Result<(), &'a str> {
         *(self.2)(spec) = items.iter().map(|&s| T::parse(s).ok_or(s)).collect::<Result<_, _>>()?;
         Ok(())
@@ -283,10 +276,9 @@ impl<T: AxisValue> Column for Field<T> {
 
 /// How one axis value reads and prints.
 pub(crate) trait AxisValue: Copy + PartialEq + fmt::Debug + Sync {
-    /// The value of a CLI list item or a CSV cell.
+    /// The value of a flag's list item, a spec line's item or a CSV
+    /// cell: the one reader of an axis value.
     fn parse(s: &str) -> Option<Self>;
-    /// The value of a TOML item of axis `key`.
-    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String>;
     /// Write the value as a CSV cell or, with `json`, as a JSON value.
     fn write(self, out: &mut String, json: bool) -> fmt::Result;
     /// Write `values` as the JSON spec block's array.
@@ -298,11 +290,6 @@ pub(crate) trait AxisValue: Copy + PartialEq + fmt::Debug + Sync {
 impl AxisValue for AppKind {
     fn parse(s: &str) -> Option<Self> {
         parse_app(s)
-    }
-
-    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
-        let s = as_text(v)?;
-        parse_app(s).ok_or(format!("unknown app `{s}` (nerf/nsdf/gia/nvr)"))
     }
 
     fn write(self, out: &mut String, json: bool) -> fmt::Result {
@@ -319,11 +306,6 @@ impl AxisValue for EncodingKind {
         parse_encoding(s)
     }
 
-    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
-        let s = as_text(v)?;
-        parse_encoding(s).ok_or(format!("unknown encoding `{s}` (hashgrid/densegrid/lowres)"))
-    }
-
     fn write(self, out: &mut String, json: bool) -> fmt::Result {
         write_slug(out, encoding_slug(self), json)
     }
@@ -338,10 +320,6 @@ impl AxisValue for u64 {
         s.parse().ok()
     }
 
-    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String> {
-        as_integer(v, key)
-    }
-
     fn write(self, out: &mut String, _: bool) -> fmt::Result {
         write!(out, "{self}")
     }
@@ -352,10 +330,6 @@ impl AxisValue for u32 {
         s.parse().ok()
     }
 
-    fn from_toml(v: &TomlValue, key: &str) -> Result<Self, String> {
-        as_u32(v, key)
-    }
-
     fn write(self, out: &mut String, _: bool) -> fmt::Result {
         write!(out, "{self}")
     }
@@ -364,10 +338,6 @@ impl AxisValue for u32 {
 impl AxisValue for f64 {
     fn parse(s: &str) -> Option<Self> {
         s.parse().ok()
-    }
-
-    fn from_toml(v: &TomlValue, _: &str) -> Result<Self, String> {
-        as_number(v)
     }
 
     fn write(self, out: &mut String, json: bool) -> fmt::Result {
@@ -767,37 +737,31 @@ impl SweepSpec {
     }
 
     /// Parse a spec from the TOML subset documented in the README:
-    /// top-level `key = value` pairs (value: number, `"string"`, or a
-    /// single-line array of either) plus an optional `[constraints]`
-    /// table. Unspecified axes keep [`SweepSpec::default`] values.
+    /// top-level `key = value` pairs (value: a scalar or a single-line
+    /// array, items optionally quoted) plus an optional `[constraints]`
+    /// table. An item reads as the matching `dse` flag's list item does
+    /// ([`Axis::set_list`], [`Constraints::set`]). Unspecified axes keep
+    /// [`SweepSpec::default`] values.
     pub fn from_toml_str(text: &str) -> Result<Self, SpecError> {
         let mut spec = SweepSpec::default();
-        let mut section = String::new();
+        let mut in_constraints = false;
         for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = strip_comment(raw).trim().to_string();
+            let parse_err = |message: String| SpecError::Parse { line: i + 1, message };
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                section = name.trim().to_string();
-                if section != "constraints" {
-                    return Err(SpecError::Parse {
-                        line: lineno,
-                        message: format!("unknown table `[{section}]`"),
-                    });
+                if name.trim() != "constraints" {
+                    return Err(parse_err(format!("unknown table `[{}]`", name.trim())));
                 }
+                in_constraints = true;
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or(SpecError::Parse {
-                line: lineno,
-                message: "expected `key = value`".to_string(),
-            })?;
-            let key = key.trim();
-            let value = parse_value(value.trim())
-                .map_err(|message| SpecError::Parse { line: lineno, message })?;
-            apply_key(&mut spec, &section, key, value)
-                .map_err(|message| SpecError::Parse { line: lineno, message })?;
+            let (key, value) =
+                line.split_once('=').ok_or_else(|| parse_err("expected `key = value`".into()))?;
+            let items = spec_items(value.trim()).map_err(parse_err)?;
+            apply_key(&mut spec, in_constraints, key.trim(), &items).map_err(parse_err)?;
         }
         spec.validate()?;
         Ok(spec)
@@ -916,14 +880,6 @@ impl<'a> Space<'a> {
     }
 }
 
-/// A parsed TOML value (subset: scalars and flat arrays).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum TomlValue {
-    Number(f64),
-    Text(String),
-    Array(Vec<TomlValue>),
-}
-
 /// Strip a `#` comment, respecting (simple, escape-free) quoted strings.
 fn strip_comment(line: &str) -> &str {
     let mut in_string = false;
@@ -937,91 +893,43 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_scalar(s: &str) -> Result<TomlValue, String> {
-    let s = s.trim();
-    if let Some(stripped) = s.strip_prefix('"') {
-        let inner = stripped.strip_suffix('"').ok_or(format!("unterminated string: {s}"))?;
-        return Ok(TomlValue::Text(inner.to_string()));
-    }
-    s.parse::<f64>().map(TomlValue::Number).map_err(|_| format!("not a number: `{s}`"))
-}
-
-fn parse_value(s: &str) -> Result<TomlValue, String> {
-    if let Some(body) = s.strip_prefix('[') {
-        let body = body.strip_suffix(']').ok_or("array must close on the same line")?;
-        let body = body.trim();
-        if body.is_empty() {
-            return Ok(TomlValue::Array(Vec::new()));
+/// The items of a spec value, a scalar or a single-line `[a, b]` array,
+/// with their quotes stripped.
+fn spec_items(value: &str) -> Result<Vec<&str>, String> {
+    let items: Vec<&str> = match value.strip_prefix('[') {
+        Some(body) => {
+            body.strip_suffix(']').ok_or("array must close on the same line")?.split(',').collect()
         }
-        return body
-            .split(',')
-            .filter(|part| !part.trim().is_empty()) // tolerate trailing comma
-            .map(parse_scalar)
-            .collect::<Result<Vec<_>, _>>()
-            .map(TomlValue::Array);
-    }
-    parse_scalar(s)
+        None => vec![value],
+    };
+    items
+        .into_iter()
+        .map(str::trim)
+        .filter(|item| !item.is_empty()) // tolerate a trailing comma
+        .map(|item| match item.strip_prefix('"') {
+            Some(quoted) => quoted.strip_suffix('"').ok_or(format!("unterminated string: {item}")),
+            None => Ok(item),
+        })
+        .collect()
 }
 
-/// Coerce a scalar-or-array value into a vector of items parsed by `f`.
-fn coerce_vec<T>(
-    value: TomlValue,
-    f: impl Fn(&TomlValue) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    match value {
-        TomlValue::Array(items) => items.iter().map(&f).collect(),
-        scalar => Ok(vec![f(&scalar)?]),
-    }
-}
-
-fn as_number(v: &TomlValue) -> Result<f64, String> {
-    match v {
-        TomlValue::Number(n) => Ok(*n),
-        other => Err(format!("expected a number, got {other:?}")),
-    }
-}
-
-fn as_integer(v: &TomlValue, what: &str) -> Result<u64, String> {
-    let n = as_number(v)?;
-    if n.fract() != 0.0 || n < 0.0 || n > u64::MAX as f64 {
-        return Err(format!("{what} must be a non-negative integer, got {n}"));
-    }
-    Ok(n as u64)
-}
-
-fn as_u32(v: &TomlValue, what: &str) -> Result<u32, String> {
-    u32::try_from(as_integer(v, what)?).map_err(|_| format!("{what} must fit in 32 bits"))
-}
-
-fn as_text(v: &TomlValue) -> Result<&str, String> {
-    match v {
-        TomlValue::Text(s) => Ok(s),
-        other => Err(format!("expected a string, got {other:?}")),
-    }
-}
-
-fn apply_key(
-    spec: &mut SweepSpec,
-    section: &str,
-    key: &str,
-    value: TomlValue,
-) -> Result<(), String> {
-    if section == "constraints" {
-        let bound = Some(as_number(&value)?);
-        match key {
-            "max_area_pct" => spec.constraints.max_area_pct = bound,
-            "max_power_pct" => spec.constraints.max_power_pct = bound,
-            "min_speedup" => spec.constraints.min_speedup = bound,
-            _ => return Err(format!("unknown constraint `{key}`")),
-        }
-        return Ok(());
+/// Set `key` of `spec` to a spec line's `items`: a bound of
+/// `[constraints]` when `bound`, else the name or an axis. Bounds and
+/// axes read their items as the matching `dse` flag does.
+fn apply_key(spec: &mut SweepSpec, bound: bool, key: &str, items: &[&str]) -> Result<(), String> {
+    let one = || match items {
+        [text] => Ok(*text),
+        _ => Err(format!("{key}: expected one value")),
+    };
+    if bound {
+        return spec.constraints.set(key, one()?);
     }
     if key == "name" {
-        spec.name = as_text(&value)?.to_string();
+        spec.name = one()?.to_string();
         return Ok(());
     }
     let axis = AXES.iter().find(|a| a.key == key).ok_or(format!("unknown key `{key}`"))?;
-    axis.field.set_toml(spec, value, key)
+    axis.field.set_items(spec, items).map_err(|item| format!("{key}: cannot parse `{item}`"))
 }
 
 #[cfg(test)]
@@ -1127,9 +1035,9 @@ mod tests {
         let text = r#"
             # sweep for the area-budget study
             name = "budget"
-            apps = ["nerf", "gia"]
+            apps = ["nerf", gia]   # bare slugs and quoted numbers read as the flags read them
             encodings = ["hashgrid"]
-            nfp_units = [8, 16, 32, 64]
+            nfp_units = [8, "16", 32, 64]
             clock_ghz = [0.5, 1.0]
             grid_sram_kb = [512, 1024]
             grid_sram_banks = 8
@@ -1161,6 +1069,22 @@ mod tests {
         assert!(matches!(err, SpecError::Parse { line: 1, .. }), "{err}");
         let err = SweepSpec::from_toml_str("[weird]\n").unwrap_err();
         assert!(matches!(err, SpecError::Parse { line: 1, .. }), "{err}");
+        // A spec line reads its items as the matching flag does: no `8.0`
+        // or `1e6` on an integer axis, no NaN bound, no negative budget.
+        for (text, key) in [
+            ("[constraints]\nmax_area_pct = nan", "max_area_pct"),
+            ("[constraints]\nmax_power_pct = -1", "max_power_pct"),
+            ("[constraints]\nmin_speedup = inf", "min_speedup"),
+            ("name = \"x\"\nnfp_units = [8.0]", "nfp_units"),
+            ("name = \"x\"\npixels = 1e6", "pixels"),
+        ] {
+            match SweepSpec::from_toml_str(text) {
+                Err(SpecError::Parse { line: 2, message }) => {
+                    assert!(message.starts_with(&format!("{key}: ")), "{text}: {message}")
+                }
+                other => panic!("{text}: expected a line-2 parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1376,7 +1300,8 @@ mod tests {
     /// Each axis reads from its TOML key, and the key sets that axis
     /// alone: two of its values through the TOML parser give the spec
     /// that `dse`'s list flag gives, which differs from the default on
-    /// that axis only.
+    /// that axis only. An item the flag rejects, the spec line rejects
+    /// too.
     #[test]
     fn each_axis_parses_from_its_toml_key_alone() {
         let presets = SweepSpec::PRESETS.map(|name| SweepSpec::preset(name).unwrap());
@@ -1390,6 +1315,15 @@ mod tests {
             axis.field.write_values(&want, &mut array).unwrap();
             let got = SweepSpec::from_toml_str(&format!("{} = {array}", axis.key));
             assert_eq!(got, Ok(want), "{}", axis.key);
+
+            // `64.0` on an integer axis, `nerf.0`, `0.5.0`: no axis reads it.
+            let bad = format!("{}.0", axis.field.cells(source)[0]);
+            let mut spec = SweepSpec::default();
+            let err = axis.set_list(&mut spec, &bad).unwrap_err();
+            assert_eq!(err, format!("{}: cannot parse `{bad}`", axis.flag));
+            let err = SweepSpec::from_toml_str(&format!("{} = [{bad}]", axis.key)).unwrap_err();
+            let message = format!("{}: cannot parse `{bad}`", axis.key);
+            assert_eq!(err, SpecError::Parse { line: 1, message });
         }
     }
 

@@ -161,3 +161,19 @@ fn default_budget_on_quick_evaluates_an_architecture() {
     let evaluated = evaluated.and_then(|n| n.parse::<u64>().ok());
     assert!(evaluated.is_some_and(|n| n >= 4), "{out}");
 }
+
+/// A search space without the paper's NGPC-64 organisation gets no
+/// paper check, and `--check-headline` fails it as sweep mode does:
+/// no budget could recover a point the space lacks.
+#[test]
+fn a_search_space_without_the_paper_organisation_gets_no_paper_check() {
+    let (out, err, ok) = dse(&["--search", "--preset", "guided-lanes", "--nfp-units", "8,16"]);
+    assert!(ok, "search run failed:\nstdout: {out}\nstderr: {err}");
+    assert!(out.contains("guided search `guided-lanes`"), "{out}");
+    assert!(!out.contains("paper check"), "{out}");
+
+    let args = ["--search", "--preset", "quick", "--nfp-units", "8,16", "--check-headline"];
+    let (err, code) = dse_code(&args);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("does not contain"), "{err}");
+}

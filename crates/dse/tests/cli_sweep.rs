@@ -2,7 +2,8 @@
 //! stdout early (`dse ... | head`) only silences the report, so the
 //! run's checks and file writes still decide the exit code, and
 //! `--check-headline` fails a sweep whose axes leave out the paper's
-//! NGPC-64 organisation.
+//! NGPC-64 organisation. A spec file and the equivalent flags give the
+//! same report.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -82,4 +83,44 @@ fn check_headline_fails_a_sweep_without_the_paper_organisation() {
     assert!(err.contains("does not contain"), "{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("paper check"), "{stdout}");
+}
+
+/// The README's `sweep.toml`: the lines from `# sweep.toml` to the end
+/// of its code block.
+fn readme_sweep_toml() -> String {
+    let readme = include_str!("../../../README.md");
+    let start = readme.find("# sweep.toml").expect("README shows sweep.toml");
+    let end = start + readme[start..].find("```").expect("the code block closes");
+    readme[start..end].to_string()
+}
+
+/// `dse`'s stdout for `args` without its `sweep` and `evaluation:`
+/// lines (the spec name and the wall time).
+fn report_body(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_dse")).args(args).output().expect("dse runs");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let body =
+        stdout.lines().filter(|l| !l.starts_with("sweep `") && !l.starts_with("evaluation:"));
+    body.collect::<Vec<_>>().join("\n")
+}
+
+/// A spec file's axes and bounds read as the matching flags read them:
+/// the README's `sweep.toml` and its flags print the same frontier.
+#[test]
+fn the_readme_spec_and_its_flags_print_the_same_frontier() {
+    let spec = temp_path("readme.toml");
+    std::fs::write(&spec, readme_sweep_toml()).unwrap();
+    let from_file = report_body(&["--spec", spec.to_str().unwrap()]);
+    std::fs::remove_file(&spec).unwrap();
+    #[rustfmt::skip]
+    let from_flags = report_body(&[
+        "--preset", "quick", "--apps", "nerf,gia", "--encodings", "hashgrid",
+        "--nfp-units", "8,16,32,64", "--clocks", "0.5,1.0,2.0", "--sram-kb", "512,1024",
+        "--banks", "4,8", "--engines", "8,16", "--mac-rows", "32,64", "--mac-cols", "64",
+        "--lanes", "1,2", "--fifo", "8,64", "--max-area", "3.0", "--min-speedup", "2.0",
+    ]);
+    assert!(from_file.contains("constraints: area ≤ 3%, speedup ≥ 2x"), "{from_file}");
+    assert!(from_file.contains("Pareto frontier ("), "{from_file}");
+    assert_eq!(from_file, from_flags);
 }
