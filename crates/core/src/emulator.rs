@@ -199,12 +199,30 @@ pub fn mlp_layer_shapes(
         .flat_map(|mlp| (0..mlp.n_matrices()).map(move |m| mlp.matrix_shape(m)))
 }
 
+/// [`per_sample_cycles`] of the paper's NFP: the numerator of
+/// [`mac_engine_factor`], which reads only the app and the encoding.
+pub fn paper_sample_cycles(app: AppKind, encoding: EncodingKind) -> f64 {
+    per_sample_cycles(app, encoding, &NfpConfig::default())
+}
+
 /// Throughput factor of the MAC-array / engine-count / FIFO axes: the
 /// paper NFP's per-query cycles over this configuration's. Exactly 1.0
 /// at the paper's NFP (the ratio of a value with itself), above 1.0 for
 /// configurations that retire queries in fewer cycles.
 pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    per_sample_cycles(app, encoding, &NfpConfig::default()) / per_sample_cycles(app, encoding, nfp)
+    mac_engine_factor_over(paper_sample_cycles(app, encoding), app, encoding, nfp)
+}
+
+/// [`mac_engine_factor`] over a given numerator, `paper_cycles` =
+/// [`paper_sample_cycles`] of the same app and encoding: a sweep
+/// computes the numerator once per (app, encoding), not once per NFP.
+pub fn mac_engine_factor_over(
+    paper_cycles: f64,
+    app: AppKind,
+    encoding: EncodingKind,
+    nfp: &NfpConfig,
+) -> f64 {
+    paper_cycles / per_sample_cycles(app, encoding, nfp)
 }
 
 /// The factors of the end-to-end NFP throughput slope `g`. Each reads
@@ -229,20 +247,39 @@ impl SlopeFactors {
     /// The factors of one emulator input.
     pub fn of(input: &EmulatorInput) -> Self {
         SlopeFactors {
-            residual: calibrated_residual(input.app, input.encoding),
-            clock_ghz: input.nfp.clock_ghz,
-            sram_capacity: sram_capacity_factor(&input.nfp, input.encoding),
-            bank_conflict: bank_conflict_factor(&input.nfp, input.app),
             mac_engine: mac_engine_factor(input.app, input.encoding, &input.nfp),
+            ..Self::prefix_factors(input.app, input.encoding, &input.nfp)
         }
     }
 
-    /// The slope: the calibrated residual, scaled by clock, by the SRAM
-    /// capacity/banking factors, and by the compositional MAC-array /
-    /// engine-count cycle ratio (all exactly 1.0 at the paper's NFP).
-    /// The one place the product's order is fixed.
+    /// The factors [`SlopeFactors::prefix`] reads, with `mac_engine`
+    /// left at 1.0: what a sweep computes once per (app, encoding,
+    /// clock, grid-SRAM size, banks, engines), without the two cycle
+    /// counts of [`mac_engine_factor`].
+    pub fn prefix_factors(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> Self {
+        SlopeFactors {
+            residual: calibrated_residual(app, encoding),
+            clock_ghz: nfp.clock_ghz,
+            sram_capacity: sram_capacity_factor(nfp, encoding),
+            bank_conflict: bank_conflict_factor(nfp, app),
+            mac_engine: 1.0,
+        }
+    }
+
+    /// Every factor of the slope but the last, multiplied left to
+    /// right: the calibrated residual, scaled by clock and by the SRAM
+    /// capacity/banking factors.
+    pub fn prefix(&self) -> f64 {
+        self.residual * self.clock_ghz * self.sram_capacity * self.bank_conflict
+    }
+
+    /// The slope: [`SlopeFactors::prefix`] scaled by the compositional
+    /// MAC-array / engine-count cycle ratio (every factor is exactly 1.0
+    /// at the paper's NFP). The one place the product's order is fixed:
+    /// left to right, so a sweep that tabulates the prefix and
+    /// multiplies in `mac_engine` gets the same bits.
     pub fn slope(&self) -> f64 {
-        self.residual * self.clock_ghz * self.sram_capacity * self.bank_conflict * self.mac_engine
+        self.prefix() * self.mac_engine
     }
 }
 
@@ -305,39 +342,74 @@ pub struct EmulationResult {
 /// breakdown and the reference of the area/power percentages.
 pub const REFERENCE_GPU: ng_hw::gpu_ref::GpuReference = ng_hw::gpu_ref::RTX3090;
 
+/// The GPU side of [`compose`]: what it reads of a kernel breakdown.
+/// It depends on the app, the encoding and the pixel count only, so a
+/// sweep computes it once per such tuple, not once per point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GpuBaseline {
+    /// GPU baseline frame time (ms).
+    pub gpu_ms: f64,
+    /// GPU time in the accelerated (encoding + MLP) kernels (ms).
+    pub gpu_accel_ms: f64,
+    /// GPU time in the remaining kernels (ms).
+    pub gpu_rest_ms: f64,
+    /// Fused rest-kernel time on the GPU (ms).
+    pub fused_rest_ms: f64,
+}
+
+impl GpuBaseline {
+    /// The baseline of one kernel breakdown.
+    pub fn of(breakdown: &ng_gpu::KernelBreakdown) -> Self {
+        GpuBaseline {
+            gpu_ms: breakdown.total_ms(),
+            gpu_accel_ms: breakdown.encoding_ms + breakdown.mlp_ms,
+            gpu_rest_ms: breakdown.rest_ms,
+            fused_rest_ms: breakdown.rest_ms / REST_FUSION_SPEEDUP,
+        }
+    }
+
+    /// NGPC time of the accelerated kernels on a cluster of `nfp_units`
+    /// NFPs of pipeline slope `g` ([`SlopeFactors::slope`]).
+    pub fn accel_ms(&self, g: f64, nfp_units: u32) -> f64 {
+        self.gpu_ms / (g * nfp_units as f64)
+    }
+
+    /// End-to-end frame time: the slower of the two pipeline stages.
+    pub fn frame_ms(&self, accel_ms: f64) -> f64 {
+        accel_ms.max(self.fused_rest_ms)
+    }
+
+    /// End-to-end speedup over the GPU baseline of a cluster of
+    /// `nfp_units` NFPs of slope `g`: the one implementation of the
+    /// speedup, which [`compose`] and a sweep's scorer both call.
+    pub fn speedup(&self, g: f64, nfp_units: u32) -> f64 {
+        self.gpu_ms / self.frame_ms(self.accel_ms(g, nfp_units))
+    }
+}
+
 /// Compose the timing model of a cluster of `nfp_units` NFPs from its
-/// factors: the GPU breakdown, the slope `g` ([`SlopeFactors::slope`])
-/// and the cluster's area/power report.
+/// factors: the GPU baseline, the slope `g` ([`SlopeFactors::slope`])
+/// and the cluster's area and power as percentages of the GPU's.
 pub fn compose(
     nfp_units: u32,
     g: f64,
-    breakdown: &ng_gpu::KernelBreakdown,
-    hw: &ng_hw::AreaPowerReport,
+    gpu: &GpuBaseline,
+    area_pct_of_gpu: f64,
+    power_pct_of_gpu: f64,
 ) -> EmulationResult {
-    let gpu_ms = breakdown.total_ms();
-    let gpu_accel_ms = breakdown.encoding_ms + breakdown.mlp_ms;
-    let gpu_rest_ms = breakdown.rest_ms;
-
-    // Pipeline slope scaled by clock (relative to the paper's 1 GHz NFP)
-    // and by the SRAM capacity/banking throughput factors.
-    let ngpc_accel_ms = gpu_ms / (g * nfp_units as f64);
-    let fused_rest_ms = gpu_rest_ms / REST_FUSION_SPEEDUP;
-    let ngpc_frame_ms = ngpc_accel_ms.max(fused_rest_ms);
-    let speedup = gpu_ms / ngpc_frame_ms;
-    let amdahl_bound = gpu_ms / fused_rest_ms;
-
+    let ngpc_accel_ms = gpu.accel_ms(g, nfp_units);
     EmulationResult {
-        gpu_ms,
-        gpu_accel_ms,
-        gpu_rest_ms,
+        gpu_ms: gpu.gpu_ms,
+        gpu_accel_ms: gpu.gpu_accel_ms,
+        gpu_rest_ms: gpu.gpu_rest_ms,
         ngpc_accel_ms,
-        fused_rest_ms,
-        ngpc_frame_ms,
-        speedup,
-        amdahl_bound,
-        plateaued: ngpc_accel_ms <= fused_rest_ms,
-        area_pct_of_gpu: hw.area_pct_of_gpu,
-        power_pct_of_gpu: hw.power_pct_of_gpu,
+        fused_rest_ms: gpu.fused_rest_ms,
+        ngpc_frame_ms: gpu.frame_ms(ngpc_accel_ms),
+        speedup: gpu.speedup(g, nfp_units),
+        amdahl_bound: gpu.gpu_ms / gpu.fused_rest_ms,
+        plateaued: ngpc_accel_ms <= gpu.fused_rest_ms,
+        area_pct_of_gpu,
+        power_pct_of_gpu,
     }
 }
 
@@ -346,7 +418,13 @@ pub fn compose(
 pub fn emulate(input: &EmulatorInput) -> EmulationResult {
     let breakdown = ng_gpu::kernel_breakdown(input.app, input.encoding, input.pixels);
     let hw = ng_hw::ngpc_area_power_vs(&input.nfp.floorplan(), input.nfp_units, REFERENCE_GPU);
-    compose(input.nfp_units, SlopeFactors::of(input).slope(), &breakdown, &hw)
+    compose(
+        input.nfp_units,
+        SlopeFactors::of(input).slope(),
+        &GpuBaseline::of(&breakdown),
+        hw.area_pct_of_gpu,
+        hw.power_pct_of_gpu,
+    )
 }
 
 /// A field-less wrapper whose `eval` is [`emulate`]. Kept only because

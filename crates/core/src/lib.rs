@@ -44,7 +44,8 @@ pub mod sched;
 pub use config::{NfpConfig, NgpcConfig};
 pub use emulator::{
     bank_conflict_factor, calibrated_residual, compose, emulate, emulate_batched,
-    mac_engine_factor, mlp_layer_shapes, mlp_query_cycles, per_sample_cycles, sram_capacity_factor,
-    EmulationContext, EmulationResult, EmulatorInput, SlopeFactors, REFERENCE_GPU,
+    mac_engine_factor, mac_engine_factor_over, mlp_layer_shapes, mlp_query_cycles,
+    paper_sample_cycles, per_sample_cycles, sram_capacity_factor, EmulationContext,
+    EmulationResult, EmulatorInput, GpuBaseline, SlopeFactors, REFERENCE_GPU,
 };
 pub use error::{NgpcError, Result};

@@ -1,43 +1,50 @@
-//! Factorised evaluation: the one evaluator of the sweep and the guided
+//! Factorised evaluation: the one scorer of the sweep and the guided
 //! searcher.
 //!
 //! The emulator is a composition of separable factors (paper Fig. 11):
-//! the GPU kernel breakdown reads (app, encoding, pixels), the per-NFP
+//! the GPU baseline reads (app, encoding, pixels), the per-NFP
 //! area/power budget reads the floorplan, and each slope factor reads a
 //! few more axes. The budget is the combine of three components, each
 //! reading fewer axes than the floorplan, so each component has its own
 //! table and a budget entry combines three component entries.
 //! [`FactorTables`] evaluates each factor once per distinct tuple of the
-//! axes it reads, into a dense table indexed by [`Space`] positions, so
-//! a point costs a few table reads, the cluster scaling and
-//! [`ngpc::compose`]. Every entry comes from the function
-//! [`ngpc::emulate`] calls, and the slope is multiplied in
-//! [`ngpc::SlopeFactors::slope`]'s order, so the results are
-//! bit-identical to `emulate` by construction.
+//! axes it reads, into a dense table indexed by [`Space`] positions.
+//! Every entry comes from the function [`ngpc::emulate`] calls, and the
+//! slope is multiplied in [`ngpc::SlopeFactors::slope`]'s order (the
+//! `slope_prefix` table holds its left-to-right product up to the MAC/
+//! engine factor), so the results are bit-identical to `emulate` by
+//! construction.
 //!
 //! A table's key is a subset of the space's axes, so no table is larger
 //! than the point count. The sweep's workers and the guided searcher
-//! share one per-architecture fold, [`FactorTables::arch`]. It computes
-//! each table's slot for the architecture once and reaches app `a` at
-//! the slot plus `a` times the table's app stride. It scales the
-//! cluster's area/power once, since no app reads it, sums the apps'
-//! speedups in app order and builds the [`ArchPoint`] directly, with no
-//! per-app point record. The emitters refill the points in spec order,
-//! one block at a time, instead of holding them.
+//! share one scorer, which computes per architecture only what the
+//! frontiers read: the cluster's area and power percentages (once,
+//! since no app reads them), each app's speedup and their cross-app
+//! mean. A worker walks its range of architectures as an odometer: each
+//! table slot moves by a carry delta per table and axis, so no slot is
+//! rebuilt from the axis positions ([`FactorTables::walk`]); the
+//! searcher scores one architecture at a time
+//! ([`FactorTables::score_at`]). Their frontiers hold flat numbers, and
+//! only the survivors are decoded into [`ArchPoint`]s and
+//! [`EvaluatedPoint`]s. The emitters refill the points in spec order,
+//! one block at a time, through [`ngpc::compose`] on the same slots.
 
 use std::io;
+use std::ops::Range;
 
-use ng_gpu::KernelBreakdown;
-use ng_hw::{ComponentBudget, NfpBudget};
+use ng_neural::apps::AppKind;
+use ngpc::GpuBaseline;
 
+use crate::pareto::Objectives;
 use crate::spec::{axis, ArchIdx, DesignPoint, Space, ARCH_AXES, AXES};
-use crate::sweep::{ArchPoint, EvaluatedPoint};
+use crate::sweep::{cross_app_mean, ArchPoint, EvaluatedPoint};
 
 // Axis numbers of a table key: rows of `AXES`, so the app axis is 0 and
 // arch axis `i` of an `ArchIdx` is `i + 1`.
 const APP: usize = axis("apps");
 const ENCODING: usize = axis("encodings");
 const PIXELS: usize = axis("pixels");
+const NFP_UNITS: usize = axis("nfp_units");
 const CLOCK: usize = axis("clock_ghz");
 const SRAM_KB: usize = axis("grid_sram_kb");
 const BANKS: usize = axis("grid_sram_banks");
@@ -51,6 +58,9 @@ const FIFO: usize = axis("input_fifo_depth");
 /// a point's floorplan sits at `arch % floorplan_count`.
 const FLOORPLAN: [usize; 8] = [CLOCK, SRAM_KB, BANKS, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO];
 
+/// The most apps a space has: a valid spec's apps are distinct.
+const MAX_APPS: usize = AppKind::ALL.len();
+
 /// Points per block: the emitters refill and write one block at a
 /// time.
 pub(crate) const BLOCK: usize = 4096;
@@ -62,6 +72,10 @@ struct Table<T> {
     /// Stride of each axis (by axis number); 0 for the axes the factor
     /// does not read.
     strides: [usize; AXES.len()],
+    /// What a slot gains when an architecture's odometer step stops at
+    /// arch axis `i`: that axis's stride, less the strides of the later
+    /// axes that wrap back to position 0 (modulo `usize`).
+    carry: [usize; ARCH_AXES],
     values: Vec<T>,
 }
 
@@ -96,6 +110,12 @@ impl<T> Table<T> {
             strides[axis] = len;
             len *= radix(axis);
         }
+        let mut carry = [0; ARCH_AXES];
+        let mut wrapped = 0;
+        for i in (0..ARCH_AXES).rev() {
+            carry[i] = strides[i + 1].wrapping_sub(wrapped);
+            wrapped += (space.dims[i] - 1) * strides[i + 1];
+        }
         let mut pos = [0u32; AXES.len()];
         let mut values = Vec::with_capacity(len);
         for _ in 0..len {
@@ -109,7 +129,7 @@ impl<T> Table<T> {
                 pos[axis] = 0;
             }
         }
-        Table { layer, strides, values }
+        Table { layer, strides, carry, values }
     }
 
     /// The layer name and entry count.
@@ -133,40 +153,51 @@ impl<T> Table<T> {
     }
 }
 
-/// One architecture's [`Table::slot`] in each table.
-struct Slots {
+/// An architecture's axis positions and its [`Table::slot`] in each
+/// table the scorer reads.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    idx: ArchIdx,
     gpu: usize,
     budget: usize,
-    residual: usize,
-    sram_capacity: usize,
-    bank_conflict: usize,
+    prefix: usize,
     mac_engine: usize,
+}
+
+/// What the scorer computes for one architecture: its objectives and
+/// each app's speedup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Score {
+    /// The cross-app mean speedup and the cluster's area and power
+    /// percentages: the architecture's position in objective space.
+    pub objectives: Objectives,
+    speedups: [f64; MAX_APPS],
+    apps: usize,
+}
+
+impl Score {
+    /// Each app's speedup, in app-axis order.
+    pub fn speedups(&self) -> &[f64] {
+        &self.speedups[..self.apps]
+    }
 }
 
 /// Every model factor of a space, one dense table each.
 pub struct FactorTables<'a> {
     pub(crate) space: Space<'a>,
-    /// GPU kernel breakdown per (app, encoding, pixels).
-    gpu: Table<KernelBreakdown>,
-    /// Grid-SRAM budget per (clock, grid-SRAM size, banks, engines,
-    /// lanes).
-    grid_srams: Table<ComponentBudget>,
-    /// MLP-engine budget per (clock, MAC rows, MAC columns).
-    mlp_engine: Table<ComponentBudget>,
-    /// Encoding-logic budget per (clock, engines, lanes, FIFO depth).
-    encoding_logic: Table<ComponentBudget>,
-    /// Per-NFP area/power budget per floorplan: the combine of its
-    /// three component entries.
-    budget: Table<NfpBudget>,
-    /// Calibrated residual per (app, encoding).
-    residual: Table<f64>,
-    /// SRAM-capacity factor per (encoding, grid-SRAM size, engines).
-    sram_capacity: Table<f64>,
-    /// Bank-conflict factor per (app, banks).
-    bank_conflict: Table<f64>,
+    /// GPU baseline per (app, encoding, pixels).
+    gpu: Table<GpuBaseline>,
+    /// One NFP's 7 nm area and power per floorplan: the
+    /// [`ng_hw::NfpBudget::combine`] of its three component entries.
+    budget: Table<(f64, f64)>,
+    /// Slope prefix per (app, encoding, clock, grid-SRAM size, banks,
+    /// engines).
+    prefix: Table<f64>,
     /// MAC/engine factor per (app, encoding, engines, MAC rows, MAC
     /// columns, lanes, FIFO depth).
     mac_engine: Table<f64>,
+    /// Every table's layer name and entry count, in build order.
+    layers: [(&'static str, usize); 8],
 }
 
 impl<'a> FactorTables<'a> {
@@ -177,8 +208,12 @@ impl<'a> FactorTables<'a> {
         let s = &space;
         let nfp = |p: &DesignPoint| p.emulator_input().nfp;
         let gpu = Table::build(s, "gpu", &[APP, ENCODING, PIXELS], |p| {
-            ng_gpu::kernel_breakdown(p.app, p.encoding, p.pixels)
+            GpuBaseline::of(&ng_gpu::kernel_breakdown(p.app, p.encoding, p.pixels))
         });
+        // The budget's components: a grid-SRAM budget per (clock,
+        // grid-SRAM size, banks, engines, lanes), an MLP-engine budget
+        // per (clock, MAC rows, MAC columns) and an encoding-logic
+        // budget per (clock, engines, lanes, FIFO depth).
         let grid_srams =
             Table::build(s, "grid_srams", &[CLOCK, SRAM_KB, BANKS, ENGINES, LANES], |p| {
                 ng_hw::grid_srams_budget(&nfp(p).floorplan())
@@ -191,62 +226,169 @@ impl<'a> FactorTables<'a> {
                 ng_hw::encoding_logic_budget(&nfp(p).floorplan())
             });
         let budget = Table::build_at(s, "budget", &FLOORPLAN, |idx, _| {
-            NfpBudget::combine(
+            let nfp = ng_hw::NfpBudget::combine(
                 *grid_srams.at(grid_srams.slot(idx), 0),
                 *mlp_engine.at(mlp_engine.slot(idx), 0),
                 *encoding_logic.at(encoding_logic.slot(idx), 0),
-            )
+            );
+            (nfp.area_mm2_7, nfp.watts_7)
         });
-        FactorTables {
-            gpu,
-            grid_srams,
-            mlp_engine,
-            encoding_logic,
-            budget,
-            residual: Table::build(s, "residual", &[APP, ENCODING], |p| {
-                ngpc::calibrated_residual(p.app, p.encoding)
-            }),
-            sram_capacity: Table::build(s, "sram_capacity", &[ENCODING, SRAM_KB, ENGINES], |p| {
-                ngpc::sram_capacity_factor(&nfp(p), p.encoding)
-            }),
-            bank_conflict: Table::build(s, "bank_conflict", &[APP, BANKS], |p| {
-                ngpc::bank_conflict_factor(&nfp(p), p.app)
-            }),
-            mac_engine: Table::build(
-                s,
-                "mac_engine",
-                &[APP, ENCODING, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO],
-                |p| ngpc::mac_engine_factor(p.app, p.encoding, &nfp(p)),
-            ),
-            space,
-        }
+        let prefix = Table::build(
+            s,
+            "slope_prefix",
+            &[APP, ENCODING, CLOCK, SRAM_KB, BANKS, ENGINES],
+            |p| ngpc::SlopeFactors::prefix_factors(p.app, p.encoding, &nfp(p)).prefix(),
+        );
+        let paper_cycles = Table::build(s, "paper_cycles", &[APP, ENCODING], |p| {
+            ngpc::paper_sample_cycles(p.app, p.encoding)
+        });
+        let mac_engine = Table::build_at(
+            s,
+            "mac_engine",
+            &[APP, ENCODING, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO],
+            |idx, app| {
+                let p = s.point(idx, app);
+                let paper = *paper_cycles.at(paper_cycles.slot(idx), app);
+                ngpc::mac_engine_factor_over(paper, p.app, p.encoding, &nfp(&p))
+            },
+        );
+        let layers = [
+            gpu.layer(),
+            grid_srams.layer(),
+            mlp_engine.layer(),
+            encoding_logic.layer(),
+            budget.layer(),
+            prefix.layer(),
+            paper_cycles.layer(),
+            mac_engine.layer(),
+        ];
+        FactorTables { space, gpu, budget, prefix, mac_engine, layers }
     }
 
     /// Each table's layer name and entry count (one entry per distinct
-    /// tuple of the axes it reads), in build order.
-    pub fn layers(&self) -> [(&'static str, usize); 9] {
-        [
-            self.gpu.layer(),
-            self.grid_srams.layer(),
-            self.mlp_engine.layer(),
-            self.encoding_logic.layer(),
-            self.budget.layer(),
-            self.residual.layer(),
-            self.sram_capacity.layer(),
-            self.bank_conflict.layer(),
-            self.mac_engine.layer(),
-        ]
+    /// tuple of the axes it reads), in build order: the scorer's four
+    /// and the four it is built from.
+    pub fn layers(&self) -> [(&'static str, usize); 8] {
+        self.layers
+    }
+
+    /// Architecture `idx` with its slot in each table.
+    fn cursor(&self, idx: &ArchIdx) -> Cursor {
+        Cursor {
+            idx: *idx,
+            gpu: self.gpu.slot(idx),
+            budget: self.budget.slot(idx),
+            prefix: self.prefix.slot(idx),
+            mac_engine: self.mac_engine.slot(idx),
+        }
+    }
+
+    /// Step `c` to the next architecture in [`Space`] order, moving each
+    /// slot by its table's carry delta for the axis the step stops at.
+    /// Returns `true` when it wraps from the last architecture to the
+    /// first.
+    fn advance(&self, c: &mut Cursor) -> bool {
+        let Some(axis) = self.space.advance(&mut c.idx) else {
+            *c = self.cursor(&c.idx);
+            return true;
+        };
+        c.gpu = c.gpu.wrapping_add(self.gpu.carry[axis]);
+        c.budget = c.budget.wrapping_add(self.budget.carry[axis]);
+        c.prefix = c.prefix.wrapping_add(self.prefix.carry[axis]);
+        c.mac_engine = c.mac_engine.wrapping_add(self.mac_engine.carry[axis]);
+        false
+    }
+
+    /// The NFP count of the architecture at `c`.
+    fn nfp_units(&self, c: &Cursor) -> u32 {
+        self.space.spec.nfp_units[c.idx[NFP_UNITS - 1] as usize]
+    }
+
+    /// The cluster area and power of the architecture at `c`, as
+    /// percentages of the reference GPU's: its NFP's budget scaled to
+    /// its NFP count. The budget reads no app.
+    fn area_power_pct(&self, c: &Cursor, nfp_units: u32) -> (f64, f64) {
+        let &(area_mm2_7, watts_7) = self.budget.at(c.budget, 0);
+        ng_hw::cluster_pct_of_gpu(area_mm2_7, watts_7, nfp_units, ngpc::REFERENCE_GPU)
+    }
+
+    /// The slope of app number `app` at `c`: the tabulated prefix times
+    /// the MAC/engine factor, the product [`ngpc::SlopeFactors::slope`]
+    /// computes, in its order.
+    fn slope(&self, c: &Cursor, app: usize) -> f64 {
+        self.prefix.at(c.prefix, app) * self.mac_engine.at(c.mac_engine, app)
+    }
+
+    /// The scorer: the architecture at `c`'s area and power percentages
+    /// (once, since no app reads them), each app's speedup in app order
+    /// and their cross-app mean. Forced inline, so that a caller's
+    /// visitor sees the speedups in registers.
+    #[inline(always)]
+    fn score(&self, c: &Cursor) -> Score {
+        let nfp_units = self.nfp_units(c);
+        let (area_pct, power_pct) = self.area_power_pct(c, nfp_units);
+        let apps = self.space.spec.apps.len();
+        let mut speedups = [0.0; MAX_APPS];
+        for (app, speedup) in speedups[..apps].iter_mut().enumerate() {
+            *speedup = self.gpu.at(c.gpu, app).speedup(self.slope(c, app), nfp_units);
+        }
+        let speedup = cross_app_mean(speedups[..apps].iter().copied());
+        Score { objectives: Objectives { speedup, area_pct, power_pct }, speedups, apps }
+    }
+
+    /// Score the architectures `archs` (flat numbers, ascending) in
+    /// order, showing each to `visit` with its flat number: the sweep's
+    /// workers' walk. It decodes `archs.start` once and then steps an
+    /// odometer ([`Space`] order), moving each table slot by a carry
+    /// delta.
+    #[inline(always)]
+    pub fn walk(&self, archs: Range<usize>, mut visit: impl FnMut(usize, &Score)) {
+        let mut c = self.cursor(&self.space.decode(archs.start));
+        for flat in archs {
+            visit(flat, &self.score(&c));
+            self.advance(&mut c);
+        }
+    }
+
+    /// Score architecture `idx` alone, from its axis positions: the
+    /// searcher's probe, the same scorer as [`FactorTables::walk`].
+    pub fn score_at(&self, idx: &ArchIdx) -> Score {
+        self.score(&self.cursor(idx))
+    }
+
+    /// Architecture `idx` as a record, with the `objectives` the scorer
+    /// gave it: what a frontier survivor is decoded into.
+    pub(crate) fn arch_point(&self, idx: &ArchIdx, objectives: &Objectives) -> ArchPoint {
+        ArchPoint::new(&self.space.at(idx, 0, 0), self.space.spec.apps.len(), objectives)
+    }
+
+    /// The design point with spec index `index`, evaluated: what a
+    /// per-app frontier survivor is decoded into.
+    pub(crate) fn point(&self, index: usize) -> EvaluatedPoint {
+        let archs = self.space.arch_count();
+        self.evaluate(&self.cursor(&self.space.decode(index % archs)), index / archs, index)
+    }
+
+    /// The point at `c` under app number `app`, stamped with `index`:
+    /// its table entries, the slope and [`ngpc::compose`], which calls
+    /// the speedup and reads the percentages that the scorer computes.
+    fn evaluate(&self, c: &Cursor, app: usize, index: usize) -> EvaluatedPoint {
+        let point = self.space.at(&c.idx, app, index);
+        let (area_pct, power_pct) = self.area_power_pct(c, point.nfp_units);
+        let gpu = self.gpu.at(c.gpu, app);
+        let result = ngpc::compose(point.nfp_units, self.slope(c, app), gpu, area_pct, power_pct);
+        EvaluatedPoint::from_result(point, &result)
     }
 
     /// Evaluate the points `start..start + out.len()` into `out`:
     /// decode `start` once, then walk the positions as an odometer.
     fn fill(&self, start: usize, out: &mut [EvaluatedPoint]) {
         let arch_count = self.space.arch_count();
-        let mut idx = self.space.decode(start % arch_count);
+        let mut c = self.cursor(&self.space.decode(start % arch_count));
         let mut app = start / arch_count;
         for (index, slot) in (start..).zip(out.iter_mut()) {
-            *slot = self.evaluate(&idx, app, index);
-            if self.space.advance(&mut idx) {
+            *slot = self.evaluate(&c, app, index);
+            if self.advance(&mut c) {
                 app += 1;
             }
         }
@@ -271,80 +413,6 @@ impl<'a> FactorTables<'a> {
         }
         Ok(())
     }
-
-    /// Architecture `idx` folded over its app points: the one
-    /// per-architecture fold, of the sweep's workers and the guided
-    /// searcher. It computes each table's slot and the cluster's
-    /// area/power (which no app reads) once, then each app's result in
-    /// app order, which it shows to `visit` with its app number, and
-    /// folds the speedups into the cross-app average. Forced
-    /// inline: out of line, the sweep's loop ran ~20% slower.
-    #[inline(always)]
-    pub fn arch(
-        &self,
-        idx: &ArchIdx,
-        mut visit: impl FnMut(usize, &ngpc::EmulationResult),
-    ) -> ArchPoint {
-        let arch = self.space.at(idx, 0, 0);
-        let slots = self.slots(idx);
-        let hw = self.area_power(&slots, &arch);
-        let speedups = (0..self.space.spec.apps.len()).map(|app| {
-            let result = self.compose(&slots, app, &arch, &hw);
-            visit(app, &result);
-            result.speedup
-        });
-        ArchPoint::from_speedups(&arch, speedups, hw.area_pct_of_gpu, hw.power_pct_of_gpu)
-    }
-
-    /// The point at `idx` under app number `app`, stamped with `index`:
-    /// what the emitters' block refill evaluates, one point at a time.
-    fn evaluate(&self, idx: &ArchIdx, app: usize, index: usize) -> EvaluatedPoint {
-        let point = self.space.at(idx, app, index);
-        let slots = self.slots(idx);
-        let hw = self.area_power(&slots, &point);
-        EvaluatedPoint::from_result(point, &self.compose(&slots, app, &point, &hw))
-    }
-
-    /// Architecture `idx`'s slot in each table.
-    fn slots(&self, idx: &ArchIdx) -> Slots {
-        Slots {
-            gpu: self.gpu.slot(idx),
-            budget: self.budget.slot(idx),
-            residual: self.residual.slot(idx),
-            sram_capacity: self.sram_capacity.slot(idx),
-            bank_conflict: self.bank_conflict.slot(idx),
-            mac_engine: self.mac_engine.slot(idx),
-        }
-    }
-
-    /// The cluster area/power of architecture `arch`: its NFP budget
-    /// scaled to its NFP count. The budget reads no app.
-    fn area_power(&self, slots: &Slots, arch: &DesignPoint) -> ng_hw::AreaPowerReport {
-        let budget = self.budget.at(slots.budget, 0);
-        ng_hw::cluster_area_power(budget, arch.nfp_units, ngpc::REFERENCE_GPU)
-    }
-
-    /// App number `app` of architecture `arch`: its table entries,
-    /// the slope in [`ngpc::SlopeFactors::slope`]'s order, and
-    /// [`ngpc::compose`]. Not forced inline: inlined into
-    /// [`FactorTables::arch`], the sweep's loop measured slower.
-    fn compose(
-        &self,
-        slots: &Slots,
-        app: usize,
-        arch: &DesignPoint,
-        hw: &ng_hw::AreaPowerReport,
-    ) -> ngpc::EmulationResult {
-        let slope = ngpc::SlopeFactors {
-            residual: *self.residual.at(slots.residual, app),
-            clock_ghz: arch.clock_ghz,
-            sram_capacity: *self.sram_capacity.at(slots.sram_capacity, app),
-            bank_conflict: *self.bank_conflict.at(slots.bank_conflict, app),
-            mac_engine: *self.mac_engine.at(slots.mac_engine, app),
-        }
-        .slope();
-        ngpc::compose(arch.nfp_units, slope, self.gpu.at(slots.gpu, app), hw)
-    }
 }
 
 #[cfg(test)]
@@ -365,10 +433,25 @@ mod tests {
         let spec = SweepSpec::guided_lanes();
         let t = FactorTables::new(Space::new(&spec));
         let lens = t.layers().map(|(_, entries)| entries);
-        // 12 GPU breakdowns, 81 grid-SRAM, 9 MLP-engine and 27
-        // encoding-logic budgets, 2,187 floorplans, 12 residuals, 27
-        // SRAM factors, 12 bank factors and 2,916 MAC/engine tuples.
-        assert_eq!(lens, [12, 81, 9, 27, 2187, 12, 27, 12, 2916]);
+        // 12 GPU baselines, 81 grid-SRAM, 9 MLP-engine and 27
+        // encoding-logic budgets, 2,187 floorplans, 324 slope prefixes,
+        // 12 paper-NFP cycle counts and 2,916 MAC/engine tuples.
+        assert_eq!(lens, [12, 81, 9, 27, 2187, 324, 12, 2916]);
         assert!(lens.iter().all(|&n| n <= spec.point_count()));
+    }
+
+    /// Stepping a cursor by carry deltas lands every slot where decoding
+    /// the next architecture puts it, across every carry and the wrap.
+    #[test]
+    fn carried_slots_equal_decoded_slots() {
+        let spec = SweepSpec { nfp_units: vec![8, 64], ..SweepSpec::guided_lanes() };
+        let t = FactorTables::new(Space::new(&spec));
+        let mut c = t.cursor(&[0; ARCH_AXES]);
+        for flat in 1..=t.space.arch_count() {
+            t.advance(&mut c);
+            let want = t.cursor(&t.space.decode(flat % t.space.arch_count()));
+            let slots = |c: &Cursor| (c.idx, c.gpu, c.budget, c.prefix, c.mac_engine);
+            assert_eq!(slots(&c), slots(&want), "arch {flat}");
+        }
     }
 }

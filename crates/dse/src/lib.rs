@@ -14,16 +14,16 @@
 //! * [`sweep`] — the [`SweepEngine`]: builds one dense table per model
 //!   factor (each once per distinct tuple of the axes it reads), then
 //!   streams the space in one pass: each worker (the calling thread
-//!   and scoped threads) evaluates a static contiguous range of
-//!   architectures as table reads plus
-//!   [`ngpc::compose`] (bit-identical to [`ngpc::emulate`]), folds
-//!   each over its apps and keeps only its own constrained frontiers,
-//!   which merge to the same [`Sweep`] at any thread count. No point
+//!   and scoped threads) scores a static contiguous range of
+//!   architectures from the tables (bit-identical to
+//!   [`ngpc::emulate`]) and keeps only its own constrained frontiers
+//!   of flat numbers, which merge to the same [`Sweep`] at any thread
+//!   count; only their survivors are decoded into records. No point
 //!   vector is held, so memory does not grow with the point count.
 //! * [`search`] — the budgeted guided [`Searcher`] over the same space.
-//! * [`factors`] — the [`factors::FactorTables`] the sweep and the
-//!   searcher both evaluate from, one architecture at a time; the
-//!   emitters refill blocks of points from them.
+//! * [`factors`] — the [`factors::FactorTables`] and their one scorer,
+//!   which the sweep walks and the searcher probes one architecture at
+//!   a time; the emitters refill blocks of points from them.
 //!   [`sweep::evaluate_points`] (one [`ngpc::emulate`] call a point) is
 //!   the reference they are tested against.
 //! * [`pareto`] — n-dimensional non-dominated frontier extraction over

@@ -28,16 +28,17 @@
 //!
 //! * an architecture is an [`ArchIdx`] of axis positions in the
 //!   sweep's own index space, and a probe is the sweep workers' own
-//!   per-architecture fold over the same [`FactorTables`], built once
-//!   per search: [`FactorTables::arch`] reads each table's slot and
-//!   the cluster's area/power once, sums the apps' speedups in app
-//!   order and builds the [`ArchPoint`] directly, with the mean that
-//!   [`ArchPoint::from_app_points`] (and so
-//!   [`crate::SweepOutcome::cross_app`]) computes;
-//! * a [`StreamingFrontier`] archive maintains the non-dominated set
-//!   incrementally (no collect-then-O(n²) pass at the end);
-//! * revisited architectures are free (an in-search memo), and only
-//!   *model evaluations* consume the budget.
+//!   scorer over the same [`FactorTables`], built once per search:
+//!   [`FactorTables::score_at`] computes the architecture's table
+//!   slots from its positions, then its area/power percentages, each
+//!   app's speedup and the mean that [`ArchPoint::from_app_points`]
+//!   (and so [`crate::SweepOutcome::cross_app`]) computes;
+//! * a [`StreamingFrontier`] archive of architectures maintains the
+//!   non-dominated set incrementally (no collect-then-O(n²) pass at
+//!   the end), and only its final members are decoded into
+//!   [`ArchPoint`]s;
+//! * revisited architectures are free (an in-search memo of their
+//!   objectives), and only *model evaluations* consume the budget.
 //!
 //! Determinism: all randomness comes from one seeded
 //! [`ng_neural::math::Pcg32`]; a given `(spec, SearchSpec)` pair
@@ -50,7 +51,7 @@ use ng_neural::math::Pcg32;
 
 use crate::factors::FactorTables;
 use crate::obs_counters;
-use crate::pareto::StreamingFrontier;
+use crate::pareto::{Objectives, StreamingFrontier};
 use crate::spec::{ArchIdx, Space, SpecError, SweepSpec, ARCH_AXES};
 use crate::sweep::ArchPoint;
 
@@ -182,8 +183,8 @@ struct SearchState<'a> {
     tables: FactorTables<'a>,
     /// Model evaluations performed.
     evaluations: usize,
-    visited: HashMap<ArchIdx, ArchPoint>,
-    archive: StreamingFrontier<(ArchIdx, ArchPoint)>,
+    visited: HashMap<ArchIdx, Objectives>,
+    archive: StreamingFrontier<ArchIdx>,
     archive_generation: u64,
     budget: usize,
 }
@@ -195,10 +196,10 @@ impl SearchState<'_> {
         self.evaluations < self.budget
     }
 
-    /// Evaluate (or recall) one architecture. Returns `None` only when
-    /// the architecture's evaluations (one per app) do not fit the
-    /// budget.
-    fn eval_arch(&mut self, idx: &ArchIdx) -> Option<ArchPoint> {
+    /// Score (or recall) one architecture's objectives. Returns `None`
+    /// only when the architecture's evaluations (one per app) do not
+    /// fit the budget.
+    fn eval_arch(&mut self, idx: &ArchIdx) -> Option<Objectives> {
         if let Some(hit) = self.visited.get(idx) {
             return Some(*hit);
         }
@@ -208,12 +209,12 @@ impl SearchState<'_> {
         }
         self.evaluations += apps;
         obs_counters::eval_ticks().add(apps as u64);
-        let arch = self.tables.arch(idx, |_, _| {});
-        self.visited.insert(*idx, arch);
-        if self.archive.insert(arch.objectives(), (*idx, arch)) {
+        let objectives = self.tables.score_at(idx).objectives;
+        self.visited.insert(*idx, objectives);
+        if self.archive.insert(objectives, *idx) {
             self.archive_generation += 1;
         }
-        Some(arch)
+        Some(objectives)
     }
 
     /// Pareto local search: walk the archive's neighbourhood until no
@@ -224,8 +225,7 @@ impl SearchState<'_> {
     /// knee points no scalarisation happens to select.
     fn explore_archive(&mut self, explored: &mut std::collections::HashSet<ArchIdx>) {
         loop {
-            let next =
-                self.archive.iter().map(|(_, (idx, _))| *idx).find(|idx| !explored.contains(idx));
+            let next = self.archive.iter().map(|(_, idx)| *idx).find(|idx| !explored.contains(idx));
             let Some(current) = next else { return };
             explored.insert(current);
             for axis in 0..ARCH_AXES {
@@ -256,10 +256,10 @@ impl Weights {
     }
 
     /// Higher is better: weighted log-speedup minus weighted log-costs.
-    fn fitness(&self, a: &ArchPoint) -> f64 {
-        self.0[0] * a.avg_speedup.max(1e-12).ln()
-            - self.0[1] * a.area_pct_of_gpu.max(1e-12).ln()
-            - self.0[2] * a.power_pct_of_gpu.max(1e-12).ln()
+    fn fitness(&self, o: &Objectives) -> f64 {
+        self.0[0] * o.speedup.max(1e-12).ln()
+            - self.0[1] * o.area_pct.max(1e-12).ln()
+            - self.0[2] * o.power_pct.max(1e-12).ln()
     }
 }
 
@@ -326,7 +326,7 @@ impl Searcher {
             }
         };
         let mut frontier: Vec<ArchPoint> =
-            state.archive.into_payloads().into_iter().map(|(_, a)| a).collect();
+            state.archive.iter().map(|(o, idx)| state.tables.arch_point(idx, o)).collect();
         frontier.sort_by(|a, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
         Ok(SearchOutcome {
             spec: spec.clone(),
@@ -412,8 +412,7 @@ fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
     }
 
     let dominates = |state: &SearchState<'_>, a: &ArchIdx, b: &ArchIdx| -> bool {
-        let (ea, eb) = (&state.visited[a], &state.visited[b]);
-        ea.objectives().dominates(&eb.objectives())
+        state.visited[a].dominates(&state.visited[b])
     };
 
     let mut generations = 0;
@@ -422,7 +421,7 @@ fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
         let before = state.archive_generation;
         let mut next: Vec<ArchIdx> = Vec::with_capacity(POPULATION);
         // Elites: archive members re-enter the pool (up to half of it).
-        for (_, (idx, _)) in state.archive.iter().take(POPULATION / 2) {
+        for (_, idx) in state.archive.iter().take(POPULATION / 2) {
             next.push(*idx);
         }
         while next.len() < POPULATION {

@@ -729,7 +729,7 @@ impl SweepSpec {
         let mut app_i = 0;
         for index in 0..self.point_count() {
             out.push(space.at(&idx, app_i, index));
-            if space.advance(&mut idx) {
+            if space.advance(&mut idx).is_none() {
                 app_i += 1;
             }
         }
@@ -866,17 +866,18 @@ impl<'a> Space<'a> {
     }
 
     /// Step `idx` to the next architecture in row-major order. Returns
-    /// `true` when it wraps from the last architecture back to the
-    /// first.
-    pub(crate) fn advance(&self, idx: &mut ArchIdx) -> bool {
+    /// the arch axis the step stops at (every later axis wraps to
+    /// position 0), or `None` when it wraps from the last architecture
+    /// back to the first.
+    pub(crate) fn advance(&self, idx: &mut ArchIdx) -> Option<usize> {
         for i in (0..ARCH_AXES).rev() {
             idx[i] += 1;
             if (idx[i] as usize) < self.dims[i] {
-                return false;
+                return Some(i);
             }
             idx[i] = 0;
         }
-        true
+        None
     }
 }
 

@@ -112,38 +112,27 @@ pub struct ArchPoint {
 
 impl ArchPoint {
     /// Fold one architecture's per-app points, in app order, into its
-    /// cross-app average: their speedups summed in that order, then
-    /// divided. Area and power are app-independent, so they come from
-    /// the first point.
+    /// cross-app average (`cross_app_mean`). Area and power are
+    /// app-independent, so they come from the first point.
     pub fn from_app_points(points: impl IntoIterator<Item = EvaluatedPoint>) -> Self {
         let mut points = points.into_iter().peekable();
         let first = *points.peek().expect("an architecture has at least one app");
-        Self::from_speedups(
-            &first.point,
-            points.map(|p| p.speedup),
-            first.area_pct_of_gpu,
-            first.power_pct_of_gpu,
-        )
+        let mut apps = 0;
+        let speedup = cross_app_mean(points.map(|p| {
+            apps += 1;
+            p.speedup
+        }));
+        let objectives = Objectives {
+            speedup,
+            area_pct: first.area_pct_of_gpu,
+            power_pct: first.power_pct_of_gpu,
+        };
+        Self::new(&first.point, apps, &objectives)
     }
 
-    /// The architecture of `d` (its app and index are not read) with
-    /// its per-app `speedups`, in app order, folded into the cross-app
-    /// average: summed in that order, then divided. The one
-    /// implementation of the mean, shared by [`ArchPoint::from_app_points`]
-    /// and [`crate::factors::FactorTables::arch`].
-    pub(crate) fn from_speedups(
-        d: &DesignPoint,
-        speedups: impl IntoIterator<Item = f64>,
-        area_pct_of_gpu: f64,
-        power_pct_of_gpu: f64,
-    ) -> Self {
-        let mut speedups = speedups.into_iter();
-        let first = speedups.next().expect("an architecture has at least one app");
-        let (mut apps, mut speedup_sum) = (1u32, first);
-        for speedup in speedups {
-            apps += 1;
-            speedup_sum += speedup;
-        }
+    /// The architecture of `d` (its app and index are not read),
+    /// averaged over `apps` apps, at `objectives`.
+    pub(crate) fn new(d: &DesignPoint, apps: usize, objectives: &Objectives) -> Self {
         ArchPoint {
             encoding: d.encoding,
             pixels: d.pixels,
@@ -156,10 +145,10 @@ impl ArchPoint {
             mac_cols: d.mac_cols,
             lanes_per_engine: d.lanes_per_engine,
             input_fifo_depth: d.input_fifo_depth,
-            apps,
-            avg_speedup: speedup_sum / apps as f64,
-            area_pct_of_gpu,
-            power_pct_of_gpu,
+            apps: apps as u32,
+            avg_speedup: objectives.speedup,
+            area_pct_of_gpu: objectives.area_pct,
+            power_pct_of_gpu: objectives.power_pct,
         }
     }
 
@@ -213,6 +202,21 @@ impl ArchPoint {
         let point = self.point();
         AXES[1..].iter().all(|a| a.field.is_paper(&point))
     }
+}
+
+/// The cross-app mean of one architecture's per-app `speedups`, in app
+/// order: summed in that order, then divided by their count. The one
+/// implementation of the mean, shared by [`ArchPoint::from_app_points`]
+/// and the scorer of [`FactorTables`].
+pub(crate) fn cross_app_mean(speedups: impl IntoIterator<Item = f64>) -> f64 {
+    let mut speedups = speedups.into_iter();
+    let first = speedups.next().expect("an architecture has at least one app");
+    let (mut apps, mut sum) = (1u32, first);
+    for speedup in speedups {
+        apps += 1;
+        sum += speedup;
+    }
+    sum / apps as f64
 }
 
 /// How a sweep executed.
@@ -399,18 +403,18 @@ pub fn evaluate_points(points: &[DesignPoint], threads: usize) -> Vec<EvaluatedP
 }
 
 /// One range's share of a sweep: the constrained frontiers of a
-/// contiguous range of architectures.
+/// contiguous range of architectures, each survivor named by its flat
+/// architecture number (cross-app) or spec index (per app).
 struct Part {
-    cross_app: StreamingFrontier<ArchPoint>,
+    cross_app: StreamingFrontier<usize>,
     /// One frontier per app-axis position; empty unless asked for.
-    per_app: Vec<StreamingFrontier<EvaluatedPoint>>,
+    per_app: Vec<StreamingFrontier<usize>>,
 }
 
-/// Evaluate the architectures `archs` (flat numbers, ascending), fold
-/// each over its apps ([`FactorTables::arch`]), and offer the folds
-/// (and, with `per_app`, every app point) to the worker's own
-/// frontiers. Adds the points it folded to `eval.ticks` once, after
-/// its loop.
+/// Score the architectures `archs` (flat numbers, ascending) with
+/// [`FactorTables::walk`] and offer each architecture's objectives (and,
+/// with `per_app`, each app's) to the worker's own frontiers. Adds the
+/// points it scored to `eval.ticks` once, after its loop.
 fn fold_archs(
     tables: &FactorTables,
     archs: Range<usize>,
@@ -423,23 +427,25 @@ fn fold_archs(
         cross_app: StreamingFrontier::new(),
         per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
     };
-    let mut idx = space.decode(archs.start);
-    let mut folded = 0;
-    for flat in archs {
-        let arch = if per_app {
-            tables.arch(&idx, |app, result| {
-                let point = space.at(&idx, app, app * arch_count + flat);
-                let p = EvaluatedPoint::from_result(point, result);
-                part.per_app[app].insert_constrained(p.objectives(), p, constraints);
-            })
-        } else {
-            tables.arch(&idx, |_, _| {})
-        };
-        part.cross_app.insert_constrained(arch.objectives(), arch, constraints);
-        space.advance(&mut idx);
-        folded += apps;
+    let points = archs.len() * apps;
+    if per_app {
+        tables.walk(archs, |flat, score| {
+            for (app, &speedup) in score.speedups().iter().enumerate() {
+                let objectives = Objectives { speedup, ..score.objectives };
+                part.per_app[app].insert_constrained(
+                    objectives,
+                    app * arch_count + flat,
+                    constraints,
+                );
+            }
+            part.cross_app.insert_constrained(score.objectives, flat, constraints);
+        });
+    } else {
+        tables.walk(archs, |flat, score| {
+            part.cross_app.insert_constrained(score.objectives, flat, constraints);
+        });
     }
-    obs_counters::eval_ticks().add(folded as u64);
+    obs_counters::eval_ticks().add(points as u64);
     part
 }
 
@@ -449,9 +455,10 @@ fn fold_archs(
 /// others. Then merge the frontiers in range order. Each frontier keeps
 /// its survivors in insertion order, so the merge yields the
 /// single-pass frontier in the same order
-/// ([`StreamingFrontier::merge`]), and the stable area sort then gives
-/// the same frontier at any thread count. Returns the frontiers and
-/// the number of ranges, which is the number of threads that ran.
+/// ([`StreamingFrontier::merge`]). Only then are the survivors decoded
+/// into records, and the stable area sort gives the same frontier at
+/// any thread count. Returns the frontiers and the number of ranges,
+/// which is the number of threads that ran.
 fn fold_space(
     tables: &FactorTables,
     threads: usize,
@@ -460,7 +467,7 @@ fn fold_space(
 ) -> (Frontiers, usize) {
     let archs = tables.space.arch_count();
     let chunk = range_len(archs, threads);
-    let (mut whole, ran) = std::thread::scope(|scope| {
+    let (whole, ran) = std::thread::scope(|scope| {
         let mut ranges = (0..archs).step_by(chunk).map(|lo| lo..(lo + chunk).min(archs));
         let first = ranges.next().expect("a validated space has an architecture");
         let workers: Vec<_> = ranges
@@ -480,14 +487,19 @@ fn fold_space(
     let per_app = if per_app {
         apps_in_report_order(tables.space.spec)
             .map(|(app, a)| {
-                let frontier = std::mem::replace(&mut whole.per_app[a], StreamingFrontier::new());
-                (app, by_area(frontier.into_payloads(), |p| p.area_pct_of_gpu))
+                let points = whole.per_app[a].iter().map(|&(_, index)| tables.point(index));
+                (app, by_area(points.collect(), |p| p.area_pct_of_gpu))
             })
             .collect()
     } else {
         Vec::new()
     };
-    let cross_app = by_area(whole.cross_app.into_payloads(), |a| a.area_pct_of_gpu);
+    let cross_app = whole
+        .cross_app
+        .iter()
+        .map(|(objectives, flat)| tables.arch_point(&tables.space.decode(*flat), objectives))
+        .collect();
+    let cross_app = by_area(cross_app, |a| a.area_pct_of_gpu);
     (Frontiers { archs, cross_app, per_app }, ran)
 }
 

@@ -11,15 +11,15 @@
 //! byte for byte with the held-points writers' output. The frontiers
 //! the sweep's workers fold and merge are compared with the oracle's
 //! on the random specs, under a budget and without, with and without
-//! the per-app frontiers. The per-architecture fold the workers and the
-//! searcher share, [`FactorTables::arch`], is pinned against the oracle
-//! on random architectures of the same specs.
+//! the per-app frontiers. The scorer the workers and the searcher share
+//! is pinned against the oracle on walks and random-access probes of
+//! the same specs ([`FactorTables::walk`], [`FactorTables::score_at`]).
 
 use std::io;
 use std::time::Duration;
 
 use ng_dse::emit::{outcome_to_json, points_to_csv};
-use ng_dse::factors::FactorTables;
+use ng_dse::factors::{FactorTables, Score};
 use ng_dse::spec::Space;
 use ng_dse::sweep::evaluate_points;
 use ng_dse::{ArchPoint, Constraints, SweepEngine, SweepOutcome, SweepSpec, SweepStats};
@@ -182,63 +182,73 @@ proptest! {
     }
 }
 
-/// The bits of every objective of an architecture, with the rest of it.
-fn arch_bits(a: &ArchPoint) -> (ArchPoint, [u64; 3]) {
-    (*a, [a.avg_speedup, a.area_pct_of_gpu, a.power_pct_of_gpu].map(f64::to_bits))
+/// The bits of a speedup, an area and a power percentage.
+fn bits(speedup: f64, area_pct: f64, power_pct: f64) -> [u64; 3] {
+    [speedup, area_pct, power_pct].map(f64::to_bits)
+}
+
+/// Flat numbers of walk starts over `archs` architectures: random ones,
+/// the last architecture, and starts whose first step carries across
+/// at least three axes (the scan stops at the space's end).
+fn walk_starts(space: &Space, rng: &mut Pcg32) -> Vec<usize> {
+    let archs = space.arch_count();
+    let mut starts: Vec<usize> = (0..6).map(|_| rng.bounded(archs as u32) as usize).collect();
+    starts.push(archs - 1);
+    for _ in 0..4 {
+        let mut flat = rng.bounded(archs as u32) as usize;
+        while flat + 1 < archs {
+            let (here, next) = (space.decode(flat), space.decode(flat + 1));
+            if here.iter().zip(&next).filter(|(a, b)| a != b).count() >= 3 {
+                break;
+            }
+            flat += 1;
+        }
+        starts.push(flat);
+    }
+    starts
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The fold, and each app result it shows its visitor in app order,
-    /// equal the oracle's bit for bit.
+    /// The scorer, walked as an odometer from random starts and probed
+    /// at random access, gives every architecture the objectives of the
+    /// oracle's `ArchPoint::from_app_points` and every app the speedup
+    /// of its `emulate` call, bit for bit.
     #[test]
     fn arch_fold_matches_emulate_bit_for_bit(seed in 0u64..u64::MAX) {
         let spec = random_spec(seed);
         let space = Space::new(&spec);
         let tables = FactorTables::new(space);
         let mut rng = Pcg32::new(seed ^ 0xa5c4);
-        for _ in 0..16 {
-            let idx = space.random(&mut rng);
+        let archs = space.arch_count();
+        let want = |flat: usize| {
+            let idx = space.decode(flat);
             let points: Vec<_> = (0..spec.apps.len()).map(|a| space.point(&idx, a)).collect();
             let oracle = evaluate_points(&points, 1);
-            let want_seen: Vec<_> = oracle
-                .iter()
-                .enumerate()
-                .map(|(app, p)| {
-                    let outputs = [
-                        p.speedup,
-                        p.area_pct_of_gpu,
-                        p.power_pct_of_gpu,
-                        p.gpu_ms,
-                        p.ngpc_frame_ms,
-                        p.amdahl_bound,
-                    ];
-                    (app, outputs.map(f64::to_bits), p.plateaued)
-                })
-                .collect();
-            let want = ArchPoint::from_app_points(oracle);
-            let mut seen = Vec::new();
-            let got = tables.arch(&idx, |app, r| {
-                let outputs = [
-                    r.speedup,
-                    r.area_pct_of_gpu,
-                    r.power_pct_of_gpu,
-                    r.gpu_ms,
-                    r.ngpc_frame_ms,
-                    r.amdahl_bound,
-                ];
-                seen.push((app, outputs.map(f64::to_bits), r.plateaued));
-            });
-            prop_assert!(
-                arch_bits(&got) == arch_bits(&want),
-                "{} arch {:?}: {:?} vs {:?}",
-                spec.name,
-                idx,
-                got,
-                want
+            let speedups: Vec<u64> = oracle.iter().map(|p| p.speedup.to_bits()).collect();
+            let arch = ArchPoint::from_app_points(oracle);
+            (bits(arch.avg_speedup, arch.area_pct_of_gpu, arch.power_pct_of_gpu), speedups)
+        };
+        let got = |score: &Score| {
+            let o = score.objectives;
+            let speedups: Vec<u64> = score.speedups().iter().map(|s| s.to_bits()).collect();
+            (bits(o.speedup, o.area_pct, o.power_pct), speedups)
+        };
+        for start in walk_starts(&space, &mut rng) {
+            let end = (start + 1 + rng.bounded(12) as usize).min(archs);
+            let mut walked = Vec::new();
+            tables.walk(start..end, |flat, score| walked.push((flat, got(score))));
+            prop_assert_eq!(
+                walked.iter().map(|(flat, _)| *flat).collect::<Vec<_>>(),
+                (start..end).collect::<Vec<_>>()
             );
-            prop_assert_eq!(seen, want_seen, "{} arch {:?}", &spec.name, idx);
+            for (flat, scored) in walked {
+                let want = want(flat);
+                prop_assert_eq!(&scored, &want, "{} walk from {}, arch {}", &spec.name, start, flat);
+                let probed = got(&tables.score_at(&space.decode(flat)));
+                prop_assert_eq!(&probed, &want, "{} arch {} at random access", &spec.name, flat);
+            }
         }
     }
 }

@@ -134,7 +134,7 @@ fn traced_sweep_shows_the_table_stage_and_ticks_every_point_once() {
     let _ = std::fs::remove_file(&ledger_path);
 }
 
-/// A traced guided-lanes sweep (262,440 points, six layer spans under
+/// A traced guided-lanes sweep (262,440 points, eight layer spans under
 /// `tables`) passes `dse trace --check` at the default 95% coverage
 /// floor: the layer spans cost no coverage.
 #[test]
@@ -391,4 +391,33 @@ fn json_reuses_the_reported_frontier() {
     let _ = std::fs::remove_file(&json_path);
     assert!(plain > 0);
     assert_eq!(with_json, plain, "--json rebuilt the cross-app frontier");
+}
+
+/// The sweep's workers offer the same candidates to their frontiers in
+/// the same order at every thread count, so a guided-lanes sweep's
+/// frontier churn is pinned: the accepted offers (`frontier.inserts`)
+/// and the evictions (`frontier.prunes`) of every worker and of the
+/// range-order merge, for the cross-app frontier and, with `--per-app`,
+/// each app's.
+#[test]
+fn guided_lanes_frontier_churn_is_pinned() {
+    let runs: [(&[&str], u64, u64); 4] = [
+        (&["--threads", "1"], 232, 155),
+        (&["--threads", "2"], 349, 210),
+        (&["--threads", "7"], 731, 337),
+        (&["--per-app", "--threads", "2"], 1663, 1079),
+    ];
+    for (extra, inserts, prunes) in runs {
+        let ledger_path = temp_path(&format!("churn-{}.jsonl", extra.join("")));
+        let ledger_s = ledger_path.display().to_string();
+        let mut args = vec!["--preset", "guided-lanes", "--quiet", "--trace", &ledger_s];
+        args.extend_from_slice(extra);
+        let (out, err, ok) = dse(&args);
+        assert!(ok, "{extra:?} failed:\nstdout:\n{out}\nstderr:\n{err}");
+        let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
+        let _ = std::fs::remove_file(&ledger_path);
+        let counters = ledger.final_counters();
+        let churn = [counters.get("frontier.inserts"), counters.get("frontier.prunes")];
+        assert_eq!(churn, [Some(&inserts), Some(&prunes)], "{extra:?}");
+    }
 }

@@ -23,6 +23,7 @@ pub mod scaling;
 pub mod synth;
 
 pub use report::{
-    cluster_area_power, encoding_logic_budget, grid_srams_budget, mlp_engine_budget, nfp_budget,
-    ngpc_area_power, ngpc_area_power_vs, AreaPowerReport, ComponentBudget, NfpBudget, NfpFloorplan,
+    cluster_area_power, cluster_pct_of_gpu, encoding_logic_budget, grid_srams_budget,
+    mlp_engine_budget, nfp_budget, ngpc_area_power, ngpc_area_power_vs, AreaPowerReport,
+    ComponentBudget, NfpBudget, NfpFloorplan,
 };

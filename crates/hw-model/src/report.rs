@@ -214,16 +214,38 @@ impl NfpBudget {
 /// Scale one NFP's budget to a cluster of `nfp_units` and normalise it
 /// against a GPU reference.
 pub fn cluster_area_power(nfp: &NfpBudget, nfp_units: u32, gpu: GpuReference) -> AreaPowerReport {
-    let cluster_area_mm2_7 = nfp.area_mm2_7 * nfp_units as f64;
-    let cluster_watts_7 = nfp.watts_7 * nfp_units as f64;
+    let (area_pct_of_gpu, power_pct_of_gpu) =
+        cluster_pct_of_gpu(nfp.area_mm2_7, nfp.watts_7, nfp_units, gpu);
     AreaPowerReport {
         nfp_units,
         nfp: *nfp,
-        cluster_area_mm2_7,
-        cluster_watts_7,
-        area_pct_of_gpu: 100.0 * cluster_area_mm2_7 / gpu.die_area_mm2,
-        power_pct_of_gpu: 100.0 * cluster_watts_7 / gpu.tdp_watts,
+        cluster_area_mm2_7: cluster(nfp.area_mm2_7, nfp_units),
+        cluster_watts_7: cluster(nfp.watts_7, nfp_units),
+        area_pct_of_gpu,
+        power_pct_of_gpu,
     }
+}
+
+/// The area and power of a cluster of `nfp_units` NFPs, each of
+/// `area_mm2_7` and `watts_7` at 7 nm, as percentages of a GPU
+/// reference's die area and TDP: the one implementation of the
+/// percentages, which [`cluster_area_power`] and a sweep's scorer both
+/// call.
+pub fn cluster_pct_of_gpu(
+    area_mm2_7: f64,
+    watts_7: f64,
+    nfp_units: u32,
+    gpu: GpuReference,
+) -> (f64, f64) {
+    (
+        100.0 * cluster(area_mm2_7, nfp_units) / gpu.die_area_mm2,
+        100.0 * cluster(watts_7, nfp_units) / gpu.tdp_watts,
+    )
+}
+
+/// One NFP's area or power scaled to a cluster of `nfp_units`.
+fn cluster(per_nfp: f64, nfp_units: u32) -> f64 {
+    per_nfp * nfp_units as f64
 }
 
 /// Estimate the Fig. 15 area/power of an NGPC with `nfp_units` NFPs
