@@ -1,21 +1,17 @@
 //! `bench_dse` — the tracked perf harness of the DSE pipeline and its
 //! model layers.
 //!
-//! Times the budgeted guided searcher over the exploded guided-lanes
-//! space, then each tracked preset's sweep as `dse` runs it without
-//! output files — one streamed pass of evaluation, the cross-app fold
-//! and the frontier — [`RUNS`] times each in one process with `ng-obs`
-//! recording off and [`RUNS`] times with it on, alternating. The search
-//! row runs first, so that no sweep row's freed memory changes its
-//! allocator state. It writes a machine-readable `BENCH_dse.json`: a
-//! `guided` entry for the searcher (`{space_points, budget,
-//! evaluations, runs, median_s, min_s, max_s, recording_on_median_s,
-//! recovered_headline}`), and one entry per preset (`{preset, points,
-//! runs, median_s, min_s, max_s, median_points_per_sec,
-//! recording_on_median_s, counters_per_run}`) for the paper,
-//! mac-arrays and guided-lanes presets. The row medians are recording
-//! off. `counters_per_run` holds the `ng-obs` counter growth of one
-//! sweep.
+//! Times each tracked space's sweep as `dse` runs it without output
+//! files — one streamed pass of evaluation, the cross-app fold and the
+//! frontier — [`RUNS`] times each in one process with `ng-obs`
+//! recording off and [`RUNS`] times with it on, alternating. It writes
+//! a machine-readable `BENCH_dse.json` with one entry per space
+//! (`{preset, points, runs, median_s, min_s, max_s,
+//! median_points_per_sec, recording_on_median_s, counters_per_run}`):
+//! the paper, mac-arrays and guided-lanes presets, and [`wide`], a
+//! 24,883,200-point widening of guided-lanes. The row medians are
+//! recording off. `counters_per_run` holds the `ng-obs` counter growth
+//! of one sweep.
 //!
 //! Each entry also reads its recording-on runs' ledgers: `layers` has
 //! one row per factor table (`{layer, entries, us_per_build,
@@ -42,7 +38,8 @@ use std::time::{Duration, Instant};
 
 use ng_dse::factors::FactorTables;
 use ng_dse::spec::Space;
-use ng_dse::{Constraints, SearchSpec, Searcher, SweepEngine, SweepSpec};
+use ng_dse::{Constraints, SweepEngine, SweepSpec};
+use ng_neural::render::image::Resolution;
 use ng_obs::Ledger;
 
 /// Timed repetitions of every row.
@@ -194,50 +191,23 @@ fn bench_preset(spec: &SweepSpec) -> PresetBench {
     }
 }
 
-/// The guided search over the exploded preset.
-struct GuidedBench {
-    space_points: usize,
-    budget: usize,
-    evaluations: usize,
-    spread: Spread,
-    recording_on: Spread,
-    recovered_headline: bool,
-    /// The `layers` and `stage_profile_us` JSON fields.
-    profile: String,
-}
-
-fn bench_guided() -> GuidedBench {
-    let spec = SweepSpec::guided_lanes();
-    let search = SearchSpec::for_space(&spec);
-    let mut first = None;
-    let mut ledger = Ledger::default();
-    let (spread, recording_on) = alternate(&mut ledger, || {
-        let outcome = Searcher::new().run(&spec, &search).expect("preset validates");
-        let wall = outcome.stats.wall;
-        first.get_or_insert(outcome);
-        wall
-    });
-    let outcome = first.expect("RUNS > 0");
-    let recovered = outcome.frontier.iter().any(|a| a.is_paper_organisation());
-    let stats = &outcome.stats;
-    println!("[guided-lanes --search]");
-    println!(
-        "search: {}  ({} of {} points evaluated, {:.2}% of the space, headline {})",
-        spread.line(),
-        stats.evaluations,
-        stats.space_points,
-        100.0 * stats.budget_fraction_used(),
-        if recovered { "recovered" } else { "MISSED" },
-    );
-    println!("traced: {}", recording_on.line());
-    GuidedBench {
-        space_points: stats.space_points,
-        budget: stats.budget,
-        evaluations: stats.evaluations,
-        spread,
-        recording_on,
-        recovered_headline: recovered,
-        profile: profile_json(&ledger, &spec, "search/tables", "    "),
+/// The `wide` space: guided-lanes with six clocks, four frame sizes
+/// (HD to 4K), five SRAM sizes, four bank counts, four lane counts and
+/// four FIFO depths (24,883,200 points), big enough that the fold, not
+/// process start, sets its time. It is not a `dse` preset: `dse
+/// --preset guided-lanes` with the same axis flags sweeps it.
+fn wide() -> SweepSpec {
+    SweepSpec {
+        name: "wide".to_string(),
+        clock_ghz: vec![0.5, 0.75, 1.0, 1.25, 1.5, 2.0],
+        pixels: [Resolution::Hd, Resolution::Fhd, Resolution::Qhd, Resolution::Uhd4k]
+            .map(Resolution::pixels)
+            .to_vec(),
+        grid_sram_kb: vec![128, 256, 512, 1024, 2048],
+        grid_sram_banks: vec![1, 2, 4, 8],
+        lanes_per_engine: vec![1, 2, 4, 8],
+        input_fifo_depth: vec![2, 8, 16, 64],
+        ..SweepSpec::guided_lanes()
     }
 }
 
@@ -271,7 +241,7 @@ fn main() -> ExitCode {
     let specs: Vec<SweepSpec> = if quick {
         vec![SweepSpec::quick()]
     } else {
-        vec![SweepSpec::paper(), SweepSpec::mac_arrays(), SweepSpec::guided_lanes()]
+        vec![SweepSpec::paper(), SweepSpec::mac_arrays(), SweepSpec::guided_lanes(), wide()]
     };
     // The tracked repo-root trajectory covers the full presets only; a
     // casual --quick run must not silently overwrite it.
@@ -283,11 +253,6 @@ fn main() -> ExitCode {
         }
     });
 
-    // The guided searcher is benched on the full runs only (its space
-    // is a full preset; a --quick run has nothing to search), and
-    // first: its row then does not depend on what the sweep rows
-    // allocated and freed.
-    let guided = if quick { None } else { Some(bench_guided()) };
     let benches: Vec<PresetBench> = specs.iter().map(bench_preset).collect();
 
     let entries: Vec<String> = benches
@@ -312,25 +277,7 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    let guided_json = guided
-        .as_ref()
-        .map(|g| {
-            format!(
-                ",\n  \"guided\": {{\n    \"preset\": \"guided-lanes\",\n    \
-                 \"space_points\": {},\n    \"budget\": {},\n    \"evaluations\": {},\n    \
-                 {},\n    \"recording_on_median_s\": {},\n    \"recovered_headline\": {},\n    \
-                 {}\n  }}",
-                g.space_points,
-                g.budget,
-                g.evaluations,
-                g.spread.json("    "),
-                g.recording_on.median_s,
-                g.recovered_headline,
-                g.profile,
-            )
-        })
-        .unwrap_or_default();
-    let json = format!("{{\n  \"presets\": [\n{}\n  ]{}\n}}\n", entries.join(",\n"), guided_json);
+    let json = format!("{{\n  \"presets\": [\n{}\n  ]\n}}\n", entries.join(",\n"));
     if let Err(e) = fs::write(&out_path, &json) {
         eprintln!("bench_dse: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

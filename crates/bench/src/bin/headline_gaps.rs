@@ -9,7 +9,7 @@ use ng_neural::apps::{AppKind, EncodingKind};
 
 fn main() {
     let hg = EncodingKind::MultiResHashGrid;
-    let fhd = 1920 * 1080;
+    let fhd = ng_gpu::calibrate::FHD_PIXELS;
 
     let rows: Vec<Vec<String>> = AppKind::ALL
         .iter()

@@ -17,9 +17,10 @@
 //! | `table3_bandwidth` | Table III (NGPC bandwidth/access time) |
 //!
 //! `bench_dse` is the tracked perf harness of the `dse` pipeline: it
-//! times the guided search and each preset's sweep, and reads each
-//! factor table's build time (the model layers) from the `ng-obs`
-//! spans of its traced runs, into `BENCH_dse.json`.
+//! times the sweep of the paper, mac-arrays and guided-lanes presets
+//! and of the 24,883,200-point `wide` space, and reads each factor
+//! table's build time (the model layers) from the `ng-obs` spans of
+//! its traced runs, into `BENCH_dse.json`.
 
 use std::fmt::Display;
 

@@ -8,12 +8,13 @@
 //! reproduces Table III's 4.126 ms (NeRF) and 1.238 ms (others).
 
 use ng_neural::apps::AppKind;
+use ng_neural::render::image::Resolution;
 
 /// DRAM bandwidth of the host GPU (RTX 3090), GB/s.
 pub const GPU_DRAM_BW_GBPS: f64 = 936.2;
 
 /// The 4k frame / 60 FPS operating point Table III is quoted at.
-pub const TABLE3_PIXELS: u64 = 3840 * 2160;
+pub const TABLE3_PIXELS: u64 = Resolution::Uhd4k.pixels();
 /// Frames per second of the Table III operating point.
 pub const TABLE3_FPS: f64 = 60.0;
 

@@ -303,7 +303,7 @@ impl Default for EmulatorInput {
         EmulatorInput {
             app: AppKind::Nerf,
             encoding: EncodingKind::MultiResHashGrid,
-            pixels: 1920 * 1080,
+            pixels: ng_gpu::calibrate::FHD_PIXELS,
             nfp_units: 8,
             nfp: NfpConfig::default(),
         }

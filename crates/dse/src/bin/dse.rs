@@ -5,8 +5,6 @@
 //! dse --preset paper --max-area 3 --max-power 5
 //! dse --spec sweep.toml --json out.json --csv out.csv
 //! dse --preset quick --per-app --threads 4
-//! dse --search --preset guided-lanes        # budgeted guided search (~260k-point space)
-//! dse --search evolve --preset guided-lanes --budget 8000 --seed 7
 //! ```
 
 use std::fmt::Write as _;
@@ -15,7 +13,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
-use ng_dse::report::{describe_constraints, write_report, write_search_report};
+use ng_dse::report::{describe_constraints, write_report};
 use ng_dse::spec::{Axis, AXES};
 use ng_dse::{ArchPoint, SweepEngine, SweepSpec, MAX_THREADS};
 
@@ -42,14 +40,6 @@ SPEC:
     --mac-cols LIST      override MAC-array column axis, e.g. 32,64,128
     --lanes LIST         override query-lanes-per-engine axis, e.g. 1,2,4
     --fifo LIST          override input-FIFO-depth axis, e.g. 2,8,64
-
-SEARCH (budgeted guided exploration instead of the exhaustive sweep):
-    --search [STRAT]     guided search: hill (default) | evolve
-    --budget N           max point evaluations (default: 5% of the
-                         space, and at least one architecture's
-                         points); needs --search
-    --seed N             search RNG seed (default: fixed; equal seeds
-                         reproduce the exact trajectory); needs --search
 
 CONSTRAINTS (filter the reported frontier, not the evaluation):
     --max-area PCT       keep architectures with area ≤ PCT% of the GPU die
@@ -91,10 +81,7 @@ OUTPUT:
     --check-headline     exit non-zero if the paper's NGPC-64 NFP
                          (hashgrid, 1 GHz, 1MB/8, 64x64 MACs, 16 engines,
                          1 lane, 64-deep FIFO) is NOT on the cross-app
-                         Pareto frontier, or the space lacks it; under
-                         --search it additionally requires the searcher
-                         to *recover* that point within its budget (the
-                         CI guard)
+                         Pareto frontier, or the space lacks it
     --help               this text
 
 EXIT CODES:
@@ -203,11 +190,6 @@ const BOUND_FLAGS: [(&str, &str); 3] = [
     ("--min-speedup", "min_speedup"),
 ];
 
-/// What `--check-headline` says of a space without the paper's NGPC-64
-/// organisation, in sweep and search mode alike.
-const NO_PAPER_POINT: &str = "--check-headline: the space does not contain the paper's NGPC-64 \
-                              point";
-
 struct Cli {
     /// The sweep, with its bounds in `spec.constraints`.
     spec: SweepSpec,
@@ -217,9 +199,6 @@ struct Cli {
     csv: Option<String>,
     json: Option<String>,
     check_headline: bool,
-    search: Option<ng_dse::SearchStrategy>,
-    budget: Option<usize>,
-    seed: Option<u64>,
     trace: Option<String>,
     metrics: bool,
 }
@@ -235,9 +214,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         csv: None,
         json: None,
         check_headline: false,
-        search: None,
-        budget: None,
-        seed: None,
         trace: None,
         metrics: false,
     };
@@ -262,24 +238,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
             "--help" | "-h" => return Ok(None),
             "--preset" => preset = Some(value("--preset")?),
             "--spec" => spec_file = Some(value("--spec")?),
-            "--search" => {
-                // The strategy operand is optional: `--search` alone
-                // means hill climbing.
-                let strategy = match it.clone().next() {
-                    Some(next) if !next.starts_with("--") => {
-                        let v = it.next().expect("peeked");
-                        ng_dse::SearchStrategy::parse(v).ok_or_else(|| {
-                            format!("--search: unknown strategy `{v}` (hill/evolve)")
-                        })?
-                    }
-                    _ => ng_dse::SearchStrategy::HillClimb,
-                };
-                cli.search = Some(strategy);
-            }
-            "--budget" => {
-                cli.budget = Some(value(arg)?.parse().map_err(|_| "--budget: not a number")?)
-            }
-            "--seed" => cli.seed = Some(value(arg)?.parse().map_err(|_| "--seed: not a number")?),
             "--threads" => {
                 let n: usize = value(arg)?.parse().map_err(|_| "--threads: not a number")?;
                 if !(1..=MAX_THREADS).contains(&n) {
@@ -300,13 +258,6 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
         }
     }
 
-    if cli.search.is_none() {
-        for (flag, given) in [("--budget", cli.budget.is_some()), ("--seed", cli.seed.is_some())] {
-            if given {
-                return Err(format!("{flag} only steers a guided search; pass --search too"));
-            }
-        }
-    }
     if preset.is_some() && spec_file.is_some() {
         return Err("--preset and --spec are mutually exclusive".to_string());
     }
@@ -326,8 +277,8 @@ fn parse_args(args: &[String]) -> Result<Option<Cli>, String> {
     for (axis, list) in overrides {
         axis.set_list(&mut cli.spec, &list)?;
     }
-    // The overrides are unchecked, and a search reads the point count
-    // before anything else would validate the spec.
+    // The overrides are unchecked: reject a bad spec before the run
+    // creates its `--trace` file.
     cli.spec.validate().map_err(|e| e.to_string())?;
     Ok(Some(cli))
 }
@@ -360,96 +311,6 @@ fn headline_check(
         )?,
     }
     Ok(Some(headline.is_some()))
-}
-
-/// Guided-search mode: run the searcher instead of the exhaustive
-/// sweep, and (under `--check-headline`) require the NGPC-64 headline
-/// point to be *recovered* — found and kept non-dominated — within the
-/// budget. A space without the paper's organisation gets no paper
-/// check, and fails `--check-headline`.
-fn run_search(cli: &Cli, strategy: ng_dse::SearchStrategy) -> Result<(), CliError> {
-    if cli.csv.is_some() || cli.json.is_some() {
-        return Err(usage_err(
-            "--csv/--json emit full sweep outcomes; rerun without --search".to_string(),
-        ));
-    }
-    if cli.per_app {
-        return Err(usage_err(
-            "--per-app reads a full sweep's per-app points; rerun without --search".to_string(),
-        ));
-    }
-    if cli.threads.is_some() {
-        return Err(usage_err(
-            "--threads: guided search is sequential by design (each step \
-             depends on the last); rerun without --search for the parallel sweep"
-                .to_string(),
-        ));
-    }
-    let mut search = ng_dse::SearchSpec::for_space(&cli.spec);
-    search.strategy = strategy;
-    if let Some(budget) = cli.budget {
-        search.budget = budget;
-    }
-    if let Some(seed) = cli.seed {
-        search.seed = seed;
-    }
-    let outcome =
-        ng_dse::Searcher::new().run(&cli.spec, &search).map_err(|e| usage_err(e.to_string()))?;
-    let _span = ng_obs::span("report");
-    let mut out = Stdout::lock();
-    let constraints = &cli.spec.constraints;
-    write_search_report(&mut out, &outcome, constraints, cli.top).map_err(stdout_err)?;
-
-    if !cli.spec.contains_paper_organisation() {
-        return if cli.check_headline { Err(NO_PAPER_POINT.to_string().into()) } else { Ok(()) };
-    }
-    if cli.check_headline || cli.spec.name == "guided-lanes" {
-        let headline = outcome
-            .frontier
-            .iter()
-            .filter(|a| constraints.admits(&a.objectives()))
-            .find(|a| a.is_paper_organisation());
-        match headline {
-            Some(a) => writeln!(
-                out,
-                "\npaper check: guided search recovered the NGPC-64 organisation (hashgrid, \
-                 1 GHz, 1MB/8-bank, 64x64/16e; FIFO right-sized to {} entries, {} lane(s)) \
-                 with {} of {} evaluations ({:.2}% of the space) — {:.2}x avg, {:.2}% area, \
-                 {:.2}% power",
-                a.input_fifo_depth,
-                a.lanes_per_engine,
-                outcome.stats.evaluations,
-                outcome.stats.space_points,
-                100.0 * outcome.stats.budget_fraction_used(),
-                a.avg_speedup,
-                a.area_pct_of_gpu,
-                a.power_pct_of_gpu
-            ),
-            None => writeln!(
-                out,
-                "\npaper check: guided search did NOT recover the NGPC-64 headline point \
-                 (budget {}, {} evaluations)",
-                outcome.stats.budget, outcome.stats.evaluations
-            ),
-        }
-        .map_err(stdout_err)?;
-        if cli.check_headline {
-            if headline.is_none() {
-                return Err("--check-headline: guided search failed to recover the paper's \
-                            NGPC-64 point within its budget"
-                    .to_string()
-                    .into());
-            }
-            if outcome.stats.evaluations > outcome.stats.budget {
-                return Err(format!(
-                    "--check-headline: search overspent its budget ({} > {})",
-                    outcome.stats.evaluations, outcome.stats.budget
-                )
-                .into());
-            }
-        }
-    }
-    Ok(())
 }
 
 /// `dse trace LEDGER.jsonl`: summarize a recorded run ledger — the
@@ -637,10 +498,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
 /// dispatch, reporting and emission. Every line of stdout goes through
 /// one [`Stdout`] handle.
 fn run_mode(cli: &Cli) -> Result<(), CliError> {
-    if let Some(strategy) = cli.search {
-        return run_search(cli, strategy);
-    }
-
     let mut engine = SweepEngine::new();
     if let Some(threads) = cli.threads {
         engine = engine.with_threads(threads);
@@ -671,7 +528,12 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
                     .to_string()
                     .into())
             }
-            None => return Err(NO_PAPER_POINT.to_string().into()),
+            None => {
+                return Err("--check-headline: the space does not contain the paper's NGPC-64 \
+                            point"
+                    .to_string()
+                    .into())
+            }
         }
     }
     drop(report_span);

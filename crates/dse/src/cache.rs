@@ -1,8 +1,8 @@
 //! A CSV point store, kept only for the benchmark's replay.
 //!
-//! No product path uses it: `dse` sweeps and searches evaluate every
-//! point, because the model evaluates a point in under 0.5 µs, which is
-//! cheaper than parsing it back from disk. `perfbench/replay` still
+//! No product path uses it: `dse` evaluates every point, because the
+//! model evaluates a point in under 0.5 µs, which is cheaper than
+//! parsing it back from disk. `perfbench/replay` still
 //! links [`EvalCache::new`], [`EvalCache::lookup`] and
 //! [`EvalCache::append`] (with [`crate::model_fingerprint`],
 //! `SweepStats::{cache_hits, cache_hit}`, `SweepOutcome::cache_path`

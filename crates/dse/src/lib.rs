@@ -9,8 +9,8 @@
 //!   swept parameter, loadable from a TOML subset or built from presets
 //!   ([`SweepSpec::paper`], [`SweepSpec::quick`], ...), and its one
 //!   index space [`spec::Space`] (apps outermost, so design point
-//!   `flat` is architecture `flat % arch_count`). Enumeration, the
-//!   cross-app fold and the guided searcher all read positions from it.
+//!   `flat` is architecture `flat % arch_count`). Enumeration and the
+//!   cross-app fold read positions from it.
 //! * [`sweep`] — the [`SweepEngine`]: builds one dense table per model
 //!   factor (each once per distinct tuple of the axes it reads), then
 //!   streams the space in one pass: each worker (the calling thread
@@ -20,7 +20,9 @@
 //!   of flat numbers, which merge to the same [`Sweep`] at any thread
 //!   count; only their survivors are decoded into records. No point
 //!   vector is held, so memory does not grow with the point count.
-//! * [`search`] — the budgeted guided [`Searcher`] over the same space.
+//! * [`search`] — a budgeted guided [`Searcher`] over the same space
+//!   that no product path uses, kept only for the benchmark's replay:
+//!   the exhaustive fold finds the exact frontier in milliseconds.
 //! * [`factors`] — the [`factors::FactorTables`] and their one scorer,
 //!   which the sweep walks and the searcher probes one architecture at
 //!   a time; the emitters refill blocks of points from them.
@@ -68,7 +70,7 @@ pub mod sweep;
 
 pub use cache::EvalCache;
 pub use pareto::{Constraints, Objectives, StreamingFrontier};
-pub use search::{SearchOutcome, SearchSpec, SearchStats, SearchStrategy, Searcher};
+pub use search::{SearchSpec, SearchStrategy, Searcher};
 pub use spec::{DesignPoint, SpecError, SweepSpec};
 pub use sweep::{
     ArchPoint, EvaluatedPoint, Frontiers, Sweep, SweepEngine, SweepOutcome, SweepStats, MAX_THREADS,

@@ -1,6 +1,6 @@
-//! Compact terminal reporting for sweeps and searches. The report
-//! writers take any [`Write`] and return its errors, so `dse` can stop
-//! quietly when the reader of its stdout goes away.
+//! Compact terminal reporting for sweeps. The report writers take any
+//! [`Write`] and return its errors, so `dse` can stop quietly when the
+//! reader of its stdout goes away.
 
 use std::io::{self, Write};
 
@@ -110,50 +110,6 @@ pub fn per_app_table(points: &[EvaluatedPoint], limit: usize) -> String {
         out.push_str(&format!("... {} more frontier points\n", points.len() - limit));
     }
     out
-}
-
-/// The terminal report of a guided search: space/budget summary and the
-/// recovered frontier (filtered through `constraints`).
-pub fn write_search_report(
-    out: &mut impl Write,
-    outcome: &crate::search::SearchOutcome,
-    constraints: &Constraints,
-    top: usize,
-) -> io::Result<()> {
-    let stats = &outcome.stats;
-    writeln!(
-        out,
-        "guided search `{}` ({}): {} of {} points evaluated ({:.2}% of the space, budget {}){}",
-        outcome.spec.name,
-        outcome.search.strategy.slug(),
-        stats.evaluations,
-        stats.space_points,
-        100.0 * stats.budget_fraction_used(),
-        stats.budget,
-        if stats.exhaustive { " — budget covers the space: exhaustive scan" } else { "" },
-    )?;
-    writeln!(
-        out,
-        "visited {} of {} architectures in {} round(s), {:.1} ms",
-        stats.archs_visited,
-        stats.space_archs,
-        stats.rounds,
-        stats.wall.as_secs_f64() * 1e3,
-    )?;
-    writeln!(out, "constraints: {}", describe_constraints(constraints))?;
-    let shown: Vec<ArchPoint> =
-        outcome.frontier.iter().filter(|a| constraints.admits(&a.objectives())).copied().collect();
-    writeln!(out, "\nrecovered cross-app Pareto frontier ({} architectures):", shown.len())?;
-    write!(out, "{}", frontier_table(&shown, top))?;
-    if !shown.is_empty() && stats.archs_visited < stats.space_archs {
-        writeln!(
-            out,
-            "(unconfirmed: these rows are non-dominated among the {} architectures visited; \
-             an exhaustive sweep of all {} may dominate some of them)",
-            stats.archs_visited, stats.space_archs,
-        )?;
-    }
-    Ok(())
 }
 
 /// Describe configured constraints, or "none".

@@ -1,51 +1,32 @@
-//! Budgeted guided search over the design space.
+//! A budgeted guided searcher, kept only for the benchmark's replay.
 //!
-//! The exhaustive [`crate::sweep::SweepEngine`] is the right tool up to
-//! a few thousand points; the exploded 11-arch-axis space behind
-//! [`SweepSpec::guided_lanes`] (~260k points) is not a sweep any more,
-//! it is a *search problem*: the architect wants the Pareto frontier —
-//! and in CI, one specific point on it — without paying for the whole
-//! cartesian product.
+//! No product path uses it: `dse` finds the Pareto frontier with the
+//! exhaustive fold of [`crate::SweepEngine`], which is exact, where a
+//! search returns a subset it cannot confirm, and which sweeps the
+//! guided-lanes space within ~1.4 ms of a hill search's time
+//! (EXPERIMENTS.md § Guided search against the exhaustive fold). `perfbench/replay` still runs
+//! [`Searcher`] over the 64 seeds whose trajectories the benchmark
+//! pins, so this module and its tests stay until the benchmark change
+//! that drops those pins deletes them all.
 //!
-//! This module implements two budgeted strategies over the arch space
-//! of [`crate::spec::Space`] (every [`SweepSpec`] axis *except* `apps`;
-//! evaluating one architecture costs one design-point evaluation per
-//! app, since the objective is the cross-app average of the paper's
-//! Fig. 12):
+//! Two strategies walk the architectures of [`crate::spec::Space`]
+//! (every [`SweepSpec`] axis but `apps`), each probe scored by
+//! [`FactorTables::score_at`] and kept in a [`StreamingFrontier`]
+//! archive; revisits are free, and the budget counts model
+//! evaluations (one per app of an architecture):
 //!
 //! * **Hill climbing with random restarts** (the default): each restart
 //!   draws a random weight vector over {log speedup, −log area, −log
-//!   power} and a random starting architecture, then walks single-axis
-//!   neighbour steps uphill on the scalarised objective until a local
-//!   optimum. Different weight draws land on different knees of the
-//!   frontier; the paper's NGPC-64 is one of them.
-//! * **Evolutionary** (μ+λ-flavoured): a population of axis tuples
-//!   evolves by binary tournament (dominance decides, ties go to a
-//!   coin flip), uniform per-axis crossover and ±1-step mutation, with
-//!   the non-dominated archive injected as elites.
+//!   power} and a random start, climbs single-axis neighbour steps to
+//!   a local optimum, then walks the archive's neighbourhood.
+//! * **Evolutionary**: a population of axis tuples evolves by binary
+//!   tournament, uniform crossover and ±1-step mutation, with archive
+//!   members as elites.
 //!
-//! Both strategies share the machinery that makes guided search cheap:
-//!
-//! * an architecture is an [`ArchIdx`] of axis positions in the
-//!   sweep's own index space, and a probe is the sweep workers' own
-//!   scorer over the same [`FactorTables`], built once per search:
-//!   [`FactorTables::score_at`] computes the architecture's table
-//!   slots from its positions, then its area/power percentages, each
-//!   app's speedup and the mean that [`ArchPoint::from_app_points`]
-//!   (and so [`crate::SweepOutcome::cross_app`]) computes;
-//! * a [`StreamingFrontier`] archive of architectures maintains the
-//!   non-dominated set incrementally (no collect-then-O(n²) pass at
-//!   the end), and only its final members are decoded into
-//!   [`ArchPoint`]s;
-//! * revisited architectures are free (an in-search memo of their
-//!   objectives), and only *model evaluations* consume the budget.
-//!
-//! Determinism: all randomness comes from one seeded
-//! [`ng_neural::math::Pcg32`]; a given `(spec, SearchSpec)` pair
-//! explores the same trajectory on every machine.
+//! All randomness comes from one seeded [`ng_neural::math::Pcg32`], so
+//! a `(spec, SearchSpec)` pair explores the same trajectory everywhere.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
 use ng_neural::math::Pcg32;
 
@@ -72,20 +53,12 @@ pub enum SearchStrategy {
 }
 
 impl SearchStrategy {
-    /// Parse a CLI slug.
+    /// Parse a strategy name: `hill` or `evolve`, or an alias.
     pub fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "hill" | "hill-climb" | "hillclimb" => Some(SearchStrategy::HillClimb),
             "evolve" | "evo" | "evolutionary" => Some(SearchStrategy::Evolutionary),
             _ => None,
-        }
-    }
-
-    /// The CLI slug.
-    pub fn slug(&self) -> &'static str {
-        match self {
-            SearchStrategy::HillClimb => "hill",
-            SearchStrategy::Evolutionary => "evolve",
         }
     }
 }
@@ -99,16 +72,14 @@ pub struct SearchSpec {
     /// architectures), at least one architecture's points (the app
     /// count; [`Searcher::run`] rejects less). Revisits are free. A budget
     /// at or above the space's point count degenerates to an exhaustive
-    /// scan — guided search never does worse than the sweep it
-    /// replaces, just never better than its budget.
+    /// scan.
     pub budget: usize,
     /// RNG seed; equal seeds reproduce the exact trajectory.
     pub seed: u64,
 }
 
 impl SearchSpec {
-    /// Default budget fraction: 5% of the space (the ISSUE's win
-    /// condition for the exploded preset).
+    /// Default budget fraction: 5% of the space.
     pub const DEFAULT_BUDGET_FRACTION: f64 = 0.05;
 
     /// A search spec with the default 5%-of-space budget for `spec`,
@@ -132,44 +103,21 @@ impl Default for SearchSpec {
 /// How a search executed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchStats {
-    /// Points in the full cartesian space (what exhaustive would pay).
-    pub space_points: usize,
     /// Architectures in the space (points / apps).
     pub space_archs: usize,
     /// Distinct architectures actually visited.
     pub archs_visited: usize,
     /// Model evaluations spent (the budgeted quantity).
     pub evaluations: usize,
-    /// The configured budget.
-    pub budget: usize,
-    /// Restarts (hill climb) or generations (evolutionary) executed.
-    pub rounds: usize,
     /// Whether the search degenerated to an exhaustive scan (budget at
     /// or above the space size).
     pub exhaustive: bool,
-    /// Wall-clock time.
-    pub wall: Duration,
-}
-
-impl SearchStats {
-    /// Fraction of the space's evaluations actually spent.
-    pub fn budget_fraction_used(&self) -> f64 {
-        if self.space_points == 0 {
-            0.0
-        } else {
-            self.evaluations as f64 / self.space_points as f64
-        }
-    }
 }
 
 /// A completed guided search: the frontier of every architecture
 /// visited, plus accounting.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// The space searched.
-    pub spec: SweepSpec,
-    /// The search parameters.
-    pub search: SearchSpec,
     /// Non-dominated architectures among those visited, ascending area.
     pub frontier: Vec<ArchPoint>,
     /// How the search executed.
@@ -284,7 +232,6 @@ impl Searcher {
     /// tables on the calling thread, then drive the strategy.
     pub fn run(&self, spec: &SweepSpec, search: &SearchSpec) -> Result<SearchOutcome, SpecError> {
         let _span = ng_obs::span("search");
-        let started = Instant::now();
         spec.validate()?;
         if search.budget < spec.apps.len() {
             return Err(SpecError::Invalid(format!(
@@ -303,12 +250,11 @@ impl Searcher {
             archive_generation: 0,
             budget: search.budget,
         };
-        let space_points = spec.point_count();
         let space_archs = state.space.arch_count();
 
         let mut rng = Pcg32::with_stream(search.seed, 0xd5e);
-        let exhaustive = search.budget >= space_points;
-        let rounds = {
+        let exhaustive = search.budget >= spec.point_count();
+        {
             let _span = ng_obs::span("drive");
             if exhaustive {
                 // The budget covers the whole space: guided search must
@@ -317,37 +263,30 @@ impl Searcher {
                     let idx = state.space.decode(flat);
                     state.eval_arch(&idx).expect("budget covers the space");
                 }
-                1
             } else {
                 match search.strategy {
                     SearchStrategy::HillClimb => hill_climb(&mut state, &mut rng),
                     SearchStrategy::Evolutionary => evolve(&mut state, &mut rng),
                 }
             }
-        };
+        }
         let mut frontier: Vec<ArchPoint> =
             state.archive.iter().map(|(o, idx)| state.tables.arch_point(idx, o)).collect();
         frontier.sort_by(|a, b| a.area_pct_of_gpu.total_cmp(&b.area_pct_of_gpu));
         Ok(SearchOutcome {
-            spec: spec.clone(),
-            search: *search,
             frontier,
             stats: SearchStats {
-                space_points,
                 space_archs,
                 archs_visited: state.visited.len(),
                 evaluations: state.evaluations,
-                budget: search.budget,
-                rounds,
                 exhaustive,
-                wall: started.elapsed(),
             },
         })
     }
 }
 
 /// Hill climbing with random restarts, interleaved with Pareto local
-/// search over the archive; returns restarts executed.
+/// search over the archive.
 ///
 /// Each restart draws fresh scalarisation weights and climbs
 /// first-improvement (neighbours probed in a seeded random order, so a
@@ -357,8 +296,7 @@ impl Searcher {
 /// ([`SearchState::explore_archive`]), which crawls along the connected
 /// frontier segment the climb landed on and picks up the knee points no
 /// weight draw happens to select.
-fn hill_climb(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
-    let mut restarts = 0;
+fn hill_climb(state: &mut SearchState<'_>, rng: &mut Pcg32) {
     let mut fruitless = 0;
     let mut explored = std::collections::HashSet::new();
     let (accepted, rejected) =
@@ -390,23 +328,21 @@ fn hill_climb(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
         }
         // Flesh out the frontier segment around everything archived.
         state.explore_archive(&mut explored);
-        restarts += 1;
         if state.archive_generation == before {
             fruitless += 1;
         } else {
             fruitless = 0;
         }
     }
-    restarts
 }
 
-/// μ+λ evolutionary search; returns generations executed.
-fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
+/// μ+λ evolutionary search.
+fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) {
     let mut population: Vec<ArchIdx> = Vec::with_capacity(POPULATION);
     while population.len() < POPULATION {
         let idx = state.space.random(rng);
         if state.eval_arch(&idx).is_none() {
-            return 0;
+            return;
         }
         population.push(idx);
     }
@@ -415,7 +351,6 @@ fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
         state.visited[a].dominates(&state.visited[b])
     };
 
-    let mut generations = 0;
     let mut fruitless = 0;
     while state.can_afford_arch() && fruitless < CONVERGENCE_WINDOW {
         let before = state.archive_generation;
@@ -473,14 +408,12 @@ fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) -> usize {
             break;
         }
         population = next;
-        generations += 1;
         if state.archive_generation == before {
             fruitless += 1;
         } else {
             fruitless = 0;
         }
     }
-    generations
 }
 
 #[cfg(test)]

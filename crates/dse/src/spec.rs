@@ -11,16 +11,14 @@ use std::sync::LazyLock;
 
 use ng_neural::apps::{AppKind, EncodingKind};
 use ng_neural::math::Pcg32;
+use ng_neural::render::image::Resolution;
 use ngpc::{EmulatorInput, NfpConfig, NgpcConfig};
 
 use crate::emit::{write_joined, JsonF64, STRING_WRITE};
 use crate::pareto::Constraints;
 
 /// 1920x1080, the paper's evaluation resolution.
-pub const FHD_PIXELS: u64 = 1920 * 1080;
-
-/// 3840x2160.
-pub const UHD_PIXELS: u64 = 3840 * 2160;
+pub use ng_gpu::calibrate::FHD_PIXELS;
 
 /// One swept parameter, declared once in [`AXES`].
 pub struct Axis {
@@ -577,11 +575,12 @@ impl SweepSpec {
         }
     }
 
-    /// Resolution scaling: FHD to 8K at the paper's scaling factors.
+    /// Resolution scaling: HD to 8K at the paper's scaling factors.
     pub fn resolutions() -> Self {
+        use Resolution::{Fhd, Hd, Qhd, Uhd4k, Uhd8k};
         SweepSpec {
             name: "resolutions".to_string(),
-            pixels: vec![1280 * 720, FHD_PIXELS, 2560 * 1440, UHD_PIXELS, 7680 * 4320],
+            pixels: [Hd, Fhd, Qhd, Uhd4k, Uhd8k].map(Resolution::pixels).to_vec(),
             nfp_units: vec![8, 16, 32, 64, 128],
             ..SweepSpec::default()
         }
@@ -602,22 +601,20 @@ impl SweepSpec {
         }
     }
 
-    /// The exploded 11-arch-axis space behind the guided searcher: the
-    /// paper preset's axes crossed with the NFP-microarchitecture axes
-    /// *and* the query-lane / input-FIFO axes — ~260k points, ~180x the
-    /// paper preset and far past what an interactive exhaustive sweep
-    /// wants to pay.
+    /// The exploded 11-arch-axis space: the paper preset's axes crossed
+    /// with the NFP-microarchitecture axes *and* the query-lane /
+    /// input-FIFO axes — 262,440 points, ~180x the paper preset, which
+    /// the exhaustive fold sweeps in ~4 ms on a 2-core box.
     ///
-    /// Two axis choices keep the paper's NGPC-64 *organisation*
-    /// recoverable from the exploded frontier (the CI win condition):
-    /// the FIFO axis samples below the overlap knee (2, 8) plus the
-    /// paper's 64 — depths in `[16, 64)` match the paper's full stage
-    /// overlap at strictly less FIFO area everywhere and would evict
-    /// the 64-entry design by construction — and the SRAM axis stops at
-    /// the paper's 1 MB: with 2 MB SRAMs, 8 engines serving 2 level
-    /// tables each match 16-engine throughput (the MLP stage is the
-    /// bottleneck) at less area, which would evict every 16-engine
-    /// organisation from the 64-unit frontier. The 2 MB sizing study
+    /// Two axes stop at the paper's value, so that the paper's NGPC-64
+    /// *organisation* stays on the frontier (CI's `--check-headline`
+    /// guard). The SRAM axis stops at 1 MB: with 2 MB SRAMs, 8 engines
+    /// serving 2 level tables each match 16-engine throughput (the MLP
+    /// stage is the bottleneck) at less area, which evicts every
+    /// 16-engine organisation from the 64-unit frontier. The clock
+    /// stays at 1 GHz: at 1.25 GHz an NGPC-48 reaches NGPC-64's plateau
+    /// speedup at less area and power. The FIFO axis samples below the
+    /// overlap knee (2, 8) and the paper's 64. The 2 MB sizing study
     /// stays covered by the `paper` preset.
     pub fn guided_lanes() -> Self {
         SweepSpec {
@@ -1007,7 +1004,7 @@ mod tests {
             index: 0,
             app: AppKind::Gia,
             encoding: EncodingKind::LowResDenseGrid,
-            pixels: UHD_PIXELS,
+            pixels: Resolution::Uhd4k.pixels(),
             nfp_units: 32,
             clock_ghz: 1.5,
             grid_sram_kb: 512,
@@ -1020,7 +1017,7 @@ mod tests {
         };
         let input = p.emulator_input();
         assert_eq!(input.app, AppKind::Gia);
-        assert_eq!(input.pixels, UHD_PIXELS);
+        assert_eq!(input.pixels, Resolution::Uhd4k.pixels());
         assert_eq!(input.nfp.grid_sram_bytes, 512 * 1024);
         assert_eq!(input.nfp.grid_sram_banks, 4);
         assert_eq!(input.nfp.clock_ghz, 1.5);

@@ -193,11 +193,10 @@ impl ArchPoint {
     /// and the frontier right-sizes the FIFO below the overlap knee.
     /// In the paper and mac-arrays presets those axes are pinned at
     /// the paper's 1 lane / 64 entries, so the match is exact there.
-    /// Shared by every headline regression guard (`dse
-    /// --check-headline` in both sweep and search modes, and
-    /// `bench_dse`'s `recovered_headline`), and its values with
-    /// [`SweepSpec::contains_paper_organisation`], so the guards cannot
-    /// drift apart.
+    /// Shared by every headline check (`dse --check-headline` and the
+    /// paper check line of the `paper` and `mac-arrays` reports), and
+    /// its values with [`SweepSpec::contains_paper_organisation`], so
+    /// the checks cannot drift apart.
     pub fn is_paper_organisation(&self) -> bool {
         let point = self.point();
         AXES[1..].iter().all(|a| a.field.is_paper(&point))

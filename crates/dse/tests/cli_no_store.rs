@@ -34,11 +34,9 @@ fn default_run_writes_no_store() {
     assert_eq!(code, Some(0), "default run failed:\n{out}\n{err}");
     assert_eq!(entries(&dir), vec!["a.csv"], "a default run writes only what it was asked to");
 
-    for args in [
-        vec!["--preset", "quick", "--cache-dir", "d"],
-        vec!["--preset", "quick", "--cache-stats"],
-        vec!["--search", "--preset", "quick", "--cache-dir", "d"],
-    ] {
+    for args in
+        [vec!["--preset", "quick", "--cache-dir", "d"], vec!["--preset", "quick", "--cache-stats"]]
+    {
         let (out, err, code) = dse_in(&dir, &args);
         assert_eq!(code, Some(2), "{args:?} must exit 2:\nstdout:\n{out}\nstderr:\n{err}");
         assert!(err.contains("--cache-"), "{args:?}: the message names the flag: {err}");

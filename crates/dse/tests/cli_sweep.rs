@@ -1,9 +1,11 @@
-//! End-to-end CLI checks of sweep mode's exits: a reader that closes
-//! stdout early (`dse ... | head`) only silences the report, so the
-//! run's checks and file writes still decide the exit code, and
+//! End-to-end CLI checks of `dse`'s exits: a reader that closes stdout
+//! early (`dse ... | head`) only silences the report, so the run's
+//! checks and file writes still decide the exit code, and
 //! `--check-headline` fails a sweep whose axes leave out the paper's
-//! NGPC-64 organisation. A spec file and the equivalent flags give the
-//! same report.
+//! NGPC-64 organisation. Spec and constraint mistakes, values the run
+//! could not honour (`--threads 0`) and flags `dse` does not have
+//! (`--search`, `--budget`, `--seed`) exit 2. A spec file and the
+//! equivalent flags give the same report.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -27,13 +29,11 @@ fn temp_path(tag: &str) -> PathBuf {
 
 #[test]
 fn a_closed_stdout_ends_the_run_quietly_with_success() {
-    for args in [&["--preset", "paper", "--quiet"][..], &["--search", "--preset", "paper"]] {
-        let out = dse_with_stdout_closed(args);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
-        assert!(!err.contains("panicked"), "{args:?}: {err}");
-        assert!(err.is_empty(), "{args:?} wrote to stderr: {err}");
-    }
+    let out = dse_with_stdout_closed(&["--preset", "paper", "--quiet"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.is_empty(), "wrote to stderr: {err}");
 }
 
 /// A closed stdout skips no gate and no file: the headline check
@@ -42,15 +42,19 @@ fn a_closed_stdout_ends_the_run_quietly_with_success() {
 fn a_closed_stdout_still_runs_the_checks_and_writes_the_files() {
     let csv = temp_path("csv");
     let path = csv.to_str().unwrap();
-    for args in [
-        &["--preset", "paper", "--quiet", "--nfp-units", "8", "--check-headline", "--csv", path][..],
-        // One architecture's points: the smallest budget a search takes.
-        &["--search", "--preset", "guided-lanes", "--budget", "4", "--check-headline"],
+    let without_paper_point =
+        ["--preset", "paper", "--quiet", "--nfp-units", "8", "--check-headline", "--csv", path];
+    // The space holds NGPC-64, but the area bound keeps it off the frontier.
+    let paper_point_out_of_bounds =
+        ["--preset", "paper", "--quiet", "--max-area", "1", "--check-headline"];
+    for (args, says) in [
+        (&without_paper_point[..], "does not contain"),
+        (&paper_point_out_of_bounds[..], "dropped off"),
     ] {
         let out = dse_with_stdout_closed(args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        assert!(err.contains("--check-headline"), "{args:?}: {err}");
+        assert!(err.contains("--check-headline") && err.contains(says), "{args:?}: {err}");
     }
     assert!(!csv.exists(), "a failed headline check wrote {path}");
 
@@ -123,4 +127,74 @@ fn the_readme_spec_and_its_flags_print_the_same_frontier() {
     assert!(from_file.contains("constraints: area ≤ 3%, speedup ≥ 2x"), "{from_file}");
     assert!(from_file.contains("Pareto frontier ("), "{from_file}");
     assert_eq!(from_file, from_flags);
+}
+
+/// Run `dse` and return its stderr and exit code.
+fn dse_code(args: &[&str]) -> (String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dse")).args(args).output().expect("dse runs");
+    (String::from_utf8_lossy(&out.stderr).into_owned(), out.status.code())
+}
+
+#[test]
+fn invalid_sweep_spec_exits_2() {
+    let (err, code) = dse_code(&["--preset", "quick", "--clocks", "nan", "--quiet"]);
+    assert_eq!(code, Some(2), "a spec mistake exits 2:\n{err}");
+    assert!(err.contains("invalid spec"), "{err}");
+}
+
+#[test]
+fn non_finite_constraint_bounds_exit_2() {
+    for args in [
+        ["--preset", "quick", "--max-area", "nan"],
+        ["--preset", "quick", "--min-speedup", "nan"],
+        ["--preset", "quick", "--max-power", "inf"],
+    ] {
+        let (err, code) = dse_code(&args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains("must be a finite number"), "{args:?}: {err}");
+    }
+
+    for (args, bound) in [
+        (["--preset", "quick", "--max-area", "-1"], "--max-area"),
+        (["--preset", "quick", "--max-power", "-0.5"], "--max-power"),
+    ] {
+        let (err, code) = dse_code(&args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains(bound) && err.contains("negative"), "{args:?}: {err}");
+    }
+
+    let spec = std::env::temp_dir().join(format!("ng-dse-bad-bound-{}.toml", std::process::id()));
+    for (line, key) in [
+        ("max_area_pct = nan", "max_area_pct"),
+        ("max_area_pct = -1", "max_area_pct"),
+        ("max_power_pct = -2.5", "max_power_pct"),
+    ] {
+        std::fs::write(&spec, format!("name = \"bad-bound\"\n[constraints]\n{line}\n")).unwrap();
+        let (err, code) = dse_code(&["--spec", spec.to_str().unwrap(), "--quiet"]);
+        assert_eq!(code, Some(2), "`{line}` in a spec file must exit 2:\n{err}");
+        assert!(err.contains(key), "{line}: {err}");
+    }
+    std::fs::remove_file(&spec).unwrap();
+}
+
+#[test]
+fn values_dse_cannot_honour_exit_2() {
+    for (args, names) in [
+        (&["--preset", "quick", "--threads", "0"][..], "--threads"),
+        (&["--preset", "quick", "--threads", "100000"][..], "--threads"),
+        // Flags `dse` does not have.
+        (&["--search", "--preset", "quick"][..], "--search"),
+        (&["--preset", "quick", "--budget", "5"][..], "--budget"),
+        (&["--preset", "quick", "--seed", "9"][..], "--seed"),
+        (&["--seed", "9", "--preset", "quick", "--no-cache"][..], "--seed"),
+    ] {
+        let (err, code) = dse_code(args);
+        assert_eq!(code, Some(2), "{args:?} must exit 2:\n{err}");
+        assert!(err.contains(names), "{args:?}: the message names {names}: {err}");
+    }
+    // `--threads` takes any count from 1 to 256.
+    for threads in ["1", "256"] {
+        let (err, code) = dse_code(&["--preset", "quick", "--threads", threads, "--quiet"]);
+        assert_eq!(code, Some(0), "{err}");
+    }
 }

@@ -185,39 +185,6 @@ fn traced_emitting_run_ticks_every_point_once() {
     }
 }
 
-/// A guided search builds the same factor tables, with the same layer
-/// spans, under `search/tables` and ticks once per evaluated point; it
-/// sweeps nothing, so the sweep invariant has no process to hold for.
-#[test]
-fn traced_search_shows_the_table_stage_and_ticks_every_evaluation() {
-    let ledger_path = temp_path("search.jsonl");
-    let _ = std::fs::remove_file(&ledger_path);
-    let ledger_s = ledger_path.display().to_string();
-
-    let (out, err, ok) =
-        dse(&["--search", "--preset", "paper", "--budget", "400", "--quiet", "--trace", &ledger_s]);
-    assert!(ok, "traced search failed:\nstdout:\n{out}\nstderr:\n{err}");
-
-    let ledger = ng_obs::Ledger::read(&ledger_path).expect("ledger written");
-    let stages: Vec<String> = ledger.profile().into_iter().map(|s| s.path).collect();
-    assert!(stages.iter().any(|p| p == "dse/search/drive"), "no search/drive span: {stages:?}");
-    assert_layer_spans(&stages, "dse/search/tables");
-    let counters = ledger.final_counters();
-    let ticks = counters.get("eval.ticks").copied();
-    // "guided search `paper` (hill): N of 1440 points evaluated ..."
-    let evaluations = out.split("): ").nth(1).and_then(|rest| rest.split(' ').next());
-    let evaluations = evaluations.and_then(|n| n.parse::<u64>().ok());
-    assert!(evaluations.is_some_and(|n| n > 0 && n <= 400), "{out}");
-    assert_eq!(ticks, evaluations, "eval.ticks != evaluations:\n{out}");
-    assert!(!counters.contains_key("sweep.points"));
-
-    let (out, err, ok) = dse(&["trace", &ledger_s, "--check", "--min-coverage", "0"]);
-    assert!(ok, "trace --check failed:\nstdout:\n{out}\nstderr:\n{err}");
-    assert!(out.contains("(eval.ticks == sweep.points): no sweep recorded"), "{out}");
-
-    let _ = std::fs::remove_file(&ledger_path);
-}
-
 /// A ledger is written once per run: a rerun into the same path
 /// overwrites it, like `--csv` and `--json` do.
 #[test]

@@ -25,13 +25,14 @@
 use std::sync::OnceLock;
 
 use ng_neural::apps::{AppKind, EncodingKind};
+use ng_neural::render::image::Resolution;
 
 use crate::cost::estimate_frame;
 use crate::spec::rtx3090;
 use crate::workload::FrameWorkload;
 
 /// Pixels in the paper's profiling resolution (1920 x 1080).
-pub const FHD_PIXELS: u64 = 1920 * 1080;
+pub const FHD_PIXELS: u64 = Resolution::Fhd.pixels();
 
 /// Published FHD frame times (ms) for multiresolution hashgrid.
 pub const FHD_HASHGRID_MS: [(AppKind, f64); 4] =

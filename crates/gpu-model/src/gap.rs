@@ -3,6 +3,7 @@
 //! power gap.
 
 use ng_neural::apps::{AppKind, EncodingKind};
+use ng_neural::render::image::Resolution;
 
 use crate::calibrate::frame_time_ms;
 use crate::spec::GpuSpec;
@@ -18,7 +19,8 @@ pub struct RenderTarget {
 
 impl RenderTarget {
     /// The paper's headline target: 4k Ultra HD at 60 FPS.
-    pub const UHD4K_60: RenderTarget = RenderTarget { pixels: 3840 * 2160, fps: 60.0 };
+    pub const UHD4K_60: RenderTarget =
+        RenderTarget { pixels: Resolution::Uhd4k.pixels(), fps: 60.0 };
 
     /// Frame-time budget in milliseconds.
     pub fn budget_ms(&self) -> f64 {

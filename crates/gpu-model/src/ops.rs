@@ -13,6 +13,7 @@ use ng_neural::apps::{table1, AppKind, EncodingKind};
 use ng_neural::encoding::GridLayout;
 
 use crate::cache::CacheModel;
+use crate::calibrate::FHD_PIXELS;
 use crate::spec::GpuSpec;
 use crate::workload::{FrameWorkload, BYTES_PER_PARAM};
 
@@ -91,7 +92,7 @@ const OTHER_CYCLES_PER_QUERY: f64 = 24.0;
 /// Derive the Fig. 8 breakdown for one app/encoding pair averaged over a
 /// frame.
 pub fn op_breakdown(gpu: &GpuSpec, app: AppKind, encoding: EncodingKind) -> OpBreakdown {
-    let w = FrameWorkload::derive(app, encoding, 1920 * 1080);
+    let w = FrameWorkload::derive(app, encoding, FHD_PIXELS);
     let grid = GridLayout::new(table1(app, encoding).grid).expect("valid");
     let cache = CacheModel::estimate(&grid, gpu.l2_bytes, BYTES_PER_PARAM);
 

@@ -8,7 +8,7 @@
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
-use crate::calibrate::{fractions, KernelFractions};
+use crate::calibrate::{fractions, KernelFractions, FHD_PIXELS};
 use crate::cost::estimate_frame;
 use crate::spec::GpuSpec;
 use crate::workload::FrameWorkload;
@@ -156,7 +156,7 @@ pub struct ModelUtilization {
 
 /// Estimate kernel utilizations with the cost model at FHD.
 pub fn model_utilization(gpu: &GpuSpec, app: AppKind, encoding: EncodingKind) -> ModelUtilization {
-    let est = estimate_frame(gpu, &FrameWorkload::derive(app, encoding, 1920 * 1080));
+    let est = estimate_frame(gpu, &FrameWorkload::derive(app, encoding, FHD_PIXELS));
     ModelUtilization {
         app,
         encoding,

@@ -36,7 +36,7 @@ impl Resolution {
     ];
 
     /// `(width, height)` in pixels.
-    pub fn dims(self) -> (usize, usize) {
+    pub const fn dims(self) -> (usize, usize) {
         match self {
             Resolution::Hd => (1280, 720),
             Resolution::Fhd => (1920, 1080),
@@ -48,7 +48,7 @@ impl Resolution {
     }
 
     /// Total pixel count.
-    pub fn pixels(self) -> u64 {
+    pub const fn pixels(self) -> u64 {
         let (w, h) = self.dims();
         (w * h) as u64
     }
