@@ -164,15 +164,29 @@ const FULL_OVERLAP_FIFO_DEPTH: f64 = 16.0;
 ///   pipeline runs at the slower stage's rate; shallow FIFOs slide
 ///   toward the serial sum.
 pub fn per_sample_cycles(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
+    fused_query_cycles(
+        encoding_query_cycles(encoding, nfp),
+        mlp_query_cycles(app, encoding, nfp),
+        nfp.input_fifo_depth,
+    )
+}
+
+/// Per-query cycles of the encoding stage of [`per_sample_cycles`]: the
+/// level rounds over the engine gang, divided by its issue width. Reads
+/// the encoding, the engine count and the lanes per engine.
+pub fn encoding_query_cycles(encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
     let levels = encoding.levels() as u32;
     let engines = nfp.encoding_engines.max(1);
     let rounds = levels.div_ceil(engines);
     let parallel = (engines / levels).max(1) * nfp.lanes_per_engine.max(1);
-    let enc = rounds as f64 / parallel as f64;
+    rounds as f64 / parallel as f64
+}
 
-    let mlp = mlp_query_cycles(app, encoding, nfp);
-
-    let overlap = (nfp.input_fifo_depth as f64 / FULL_OVERLAP_FIFO_DEPTH).min(1.0);
+/// The fusion of [`per_sample_cycles`]: the encoding stage's `enc` and
+/// the MLP stage's `mlp` cycles per query, overlapped as far as an
+/// input FIFO of `fifo_depth` entries allows.
+pub fn fused_query_cycles(enc: f64, mlp: f64, fifo_depth: u32) -> f64 {
+    let overlap = (fifo_depth as f64 / FULL_OVERLAP_FIFO_DEPTH).min(1.0);
     enc.max(mlp) + enc.min(mlp) * (1.0 - overlap)
 }
 
@@ -210,19 +224,20 @@ pub fn paper_sample_cycles(app: AppKind, encoding: EncodingKind) -> f64 {
 /// at the paper's NFP (the ratio of a value with itself), above 1.0 for
 /// configurations that retire queries in fewer cycles.
 pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    mac_engine_factor_over(paper_sample_cycles(app, encoding), app, encoding, nfp)
+    mac_engine_factor_over(
+        paper_sample_cycles(app, encoding),
+        per_sample_cycles(app, encoding, nfp),
+    )
 }
 
-/// [`mac_engine_factor`] over a given numerator, `paper_cycles` =
-/// [`paper_sample_cycles`] of the same app and encoding: a sweep
-/// computes the numerator once per (app, encoding), not once per NFP.
-pub fn mac_engine_factor_over(
-    paper_cycles: f64,
-    app: AppKind,
-    encoding: EncodingKind,
-    nfp: &NfpConfig,
-) -> f64 {
-    paper_cycles / per_sample_cycles(app, encoding, nfp)
+/// [`mac_engine_factor`] from its two cycle counts: `paper_cycles` =
+/// [`paper_sample_cycles`] and `cycles` = [`per_sample_cycles`] of the
+/// same app and encoding. A sweep computes the numerator once per (app,
+/// encoding) and the denominator from its stage tables
+/// ([`encoding_query_cycles`], [`mlp_query_cycles`],
+/// [`fused_query_cycles`]), not once per NFP.
+pub fn mac_engine_factor_over(paper_cycles: f64, cycles: f64) -> f64 {
+    paper_cycles / cycles
 }
 
 /// The factors of the end-to-end NFP throughput slope `g`. Each reads

@@ -78,10 +78,11 @@ OUTPUT:
     --per-app            also print each app's own Pareto frontier
     --csv PATH           write every evaluated point as CSV
     --json PATH          write spec + stats + points + frontier as JSON
-    --check-headline     exit non-zero if the paper's NGPC-64 NFP
-                         (hashgrid, 1 GHz, 1MB/8, 64x64 MACs, 16 engines,
-                         1 lane, 64-deep FIFO) is NOT on the cross-app
-                         Pareto frontier, or the space lacks it
+    --check-headline     exit non-zero if the paper's NGPC-64 organisation
+                         (hashgrid, FHD, 1 GHz, 1MB/8, 64x64 MACs, 16
+                         engines, at any lane count and FIFO depth) is NOT
+                         on the cross-app Pareto frontier, or the space
+                         lacks it
     --help               this text
 
 EXIT CODES:

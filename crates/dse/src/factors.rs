@@ -22,12 +22,22 @@
 //! since no app reads them), each app's speedup and their cross-app
 //! mean. A worker walks its range of architectures as an odometer: each
 //! table slot moves by a carry delta per table and axis, so no slot is
-//! rebuilt from the axis positions ([`FactorTables::walk`]); the
+//! rebuilt from the axis positions ([`FactorTables::fold`]); the
 //! searcher scores one architecture at a time
 //! ([`FactorTables::score_at`]). Their frontiers hold flat numbers, and
 //! only the survivors are decoded into [`ArchPoint`]s and
 //! [`EvaluatedPoint`]s. The emitters refill the points in spec order,
 //! one block at a time, through [`ngpc::compose`] on the same slots.
+//!
+//! The walk is bounded. The architectures sharing every arch axis but
+//! the trailing ones of a `LEVELS` row form a block, and two block
+//! tables per level hold, per block, the largest `mac_engine` entry and
+//! the least area and power. The scorer applied to them gives the
+//! block's optimistic bound: the speedup, the percentages and the mean
+//! do not get worse as a slope grows or a budget shrinks, so the bound
+//! is at least as good as every member on every objective. When the
+//! walk's [`Fold`] rejects the bound, it rejects every member, and the
+//! walk skips the block unscored.
 
 use std::io;
 use std::ops::Range;
@@ -53,6 +63,34 @@ const MAC_ROWS: usize = axis("mac_rows");
 const MAC_COLS: usize = axis("mac_cols");
 const LANES: usize = axis("lanes_per_engine");
 const FIFO: usize = axis("input_fifo_depth");
+
+/// The levels of the bounded walk, innermost first: the first arch axis
+/// (by axis number) of a level's blocks, which span it and every later
+/// axis, and the layer names of the level's two block tables. A block
+/// must hold the GPU baseline, the slope prefix and the NFP count fixed,
+/// since its bound reads them at its first architecture: so no level
+/// may start at or before the engine axis, which the prefix reads.
+const LEVELS: [(usize, &str, &str); 2] =
+    [(LANES, "budget_min", "mac_max"), (MAC_ROWS, "budget_min_mac", "mac_max_mac")];
+const _: () = {
+    let mut level = 0;
+    while level < LEVELS.len() {
+        assert!(LEVELS[level].0 > ENGINES, "a block must not span a prefix axis");
+        assert!(level == 0 || LEVELS[level].0 < LEVELS[level - 1].0, "levels go outward");
+        level += 1;
+    }
+};
+
+/// Slots of a [`Cursor`], one per table the walk reads: the scorer's
+/// four, then each level's least budget and largest `mac_engine`.
+const GPU: usize = 0;
+const BUDGET: usize = 1;
+const PREFIX: usize = 2;
+const MAC_ENGINE: usize = 3;
+const SLOTS: usize = 4 + 2 * LEVELS.len();
+
+/// Tables a space builds: ten model layers and each level's two.
+const LAYERS: usize = 10 + 2 * LEVELS.len();
 
 /// The floorplan axes: every NFP axis, which are the trailing axes, so
 /// a point's floorplan sits at `arch % floorplan_count`.
@@ -132,6 +170,36 @@ impl<T> Table<T> {
         Table { layer, strides, carry, values }
     }
 
+    /// The block table of this one below arch axis `from`, under a span
+    /// named `layer`: per tuple of this table's key axes before `from`,
+    /// `fold` over its entries at every position of the axes from `from`
+    /// on, which are a block of the bounded walk.
+    fn block(
+        &self,
+        space: &Space,
+        layer: &'static str,
+        from: usize,
+        fold: impl Fn(T, &T) -> T,
+    ) -> Self
+    where
+        T: Copy,
+    {
+        let key: Vec<usize> = (0..from).filter(|&axis| self.strides[axis] != 0).collect();
+        let mut offsets = vec![0];
+        for axis in (from..AXES.len()).filter(|&axis| self.strides[axis] != 0) {
+            let stride = self.strides[axis];
+            offsets = offsets
+                .iter()
+                .flat_map(|&o| (0..space.dims[axis - 1]).map(move |i| o + i * stride))
+                .collect();
+        }
+        Table::build_at(space, layer, &key, |idx, app| {
+            let base = self.slot(idx);
+            let first = *self.at(base, app);
+            offsets[1..].iter().fold(first, |acc, &o| fold(acc, self.at(base + o, app)))
+        })
+    }
+
     /// The layer name and entry count.
     fn layer(&self) -> (&'static str, usize) {
         (self.layer, self.values.len())
@@ -154,14 +222,53 @@ impl<T> Table<T> {
 }
 
 /// An architecture's axis positions and its [`Table::slot`] in each
-/// table the scorer reads.
-#[derive(Debug, Clone, Copy)]
+/// table the walk reads, by the slot numbers [`GPU`] to [`SLOTS`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cursor {
     idx: ArchIdx,
-    gpu: usize,
-    budget: usize,
-    prefix: usize,
-    mac_engine: usize,
+    slots: [usize; SLOTS],
+}
+
+/// One level of the bounded walk: its blocks and their two tables.
+struct Level {
+    /// Architectures per block: the product of the block axes' lengths.
+    len: usize,
+    /// The first block axis, by axis number.
+    from: usize,
+    /// Whether a block holds more than one block of the next level in
+    /// (at the innermost level, more than one architecture). The walk
+    /// bounds only the levels that split: any other block's bound is
+    /// its one inner block's.
+    splits: bool,
+    /// What a slot gains from a block's first architecture to its last.
+    span: [usize; SLOTS],
+    /// The least area and, separately, the least power of the `budget`
+    /// entries of a block, per floorplan without the block axes.
+    budget_min: Table<(f64, f64)>,
+    /// The largest `mac_engine` entry of a block, per (app, encoding,
+    /// engines, MAC rows, MAC columns) without the block axes.
+    mac_max: Table<f64>,
+}
+
+/// What [`FactorTables::fold`] shows a range of architectures to.
+pub trait Fold {
+    /// Whether the fold would turn away every architecture of a block
+    /// whose optimistic bound is `bound`: the walk then skips the block.
+    fn rejects(&mut self, bound: &Score) -> bool;
+
+    /// Take one architecture, named by its flat number, with its score.
+    fn offer(&mut self, flat: usize, score: &Score);
+}
+
+/// A closure takes every architecture: it rejects no block.
+impl<F: FnMut(usize, &Score)> Fold for F {
+    fn rejects(&mut self, _bound: &Score) -> bool {
+        false
+    }
+
+    fn offer(&mut self, flat: usize, score: &Score) {
+        self(flat, score)
+    }
 }
 
 /// What the scorer computes for one architecture: its objectives and
@@ -182,6 +289,12 @@ impl Score {
     }
 }
 
+/// One NFP's 7 nm area and power, `budget`, scaled to `nfp_units` NFPs
+/// as percentages of the reference GPU's die area and TDP.
+fn pct_of_gpu((area_mm2_7, watts_7): (f64, f64), nfp_units: u32) -> (f64, f64) {
+    ng_hw::cluster_pct_of_gpu(area_mm2_7, watts_7, nfp_units, ngpc::REFERENCE_GPU)
+}
+
 /// Every model factor of a space, one dense table each.
 pub struct FactorTables<'a> {
     pub(crate) space: Space<'a>,
@@ -196,8 +309,15 @@ pub struct FactorTables<'a> {
     /// MAC/engine factor per (app, encoding, engines, MAC rows, MAC
     /// columns, lanes, FIFO depth).
     mac_engine: Table<f64>,
+    /// The bounded walk's levels, innermost first.
+    levels: [Level; LEVELS.len()],
+    /// Per arch axis, what each slot gains when an odometer step stops
+    /// there ([`Table::carry`]).
+    carry: [[usize; SLOTS]; ARCH_AXES],
+    /// Per table, by slot number, its stride of each arch axis.
+    strides: [[usize; ARCH_AXES]; SLOTS],
     /// Every table's layer name and entry count, in build order.
-    layers: [(&'static str, usize); 8],
+    layers: [(&'static str, usize); LAYERS],
 }
 
 impl<'a> FactorTables<'a> {
@@ -239,20 +359,47 @@ impl<'a> FactorTables<'a> {
             &[APP, ENCODING, CLOCK, SRAM_KB, BANKS, ENGINES],
             |p| ngpc::SlopeFactors::prefix_factors(p.app, p.encoding, &nfp(p)).prefix(),
         );
+        // The `mac_engine` factor's cycle counts: the paper NFP's per
+        // (app, encoding), the encoding stage's per (encoding, engines,
+        // lanes) and the MLP stage's per (app, encoding, MAC rows, MAC
+        // columns), fused per entry at its FIFO depth.
         let paper_cycles = Table::build(s, "paper_cycles", &[APP, ENCODING], |p| {
             ngpc::paper_sample_cycles(p.app, p.encoding)
         });
+        let encoding_cycles =
+            Table::build(s, "encoding_cycles", &[ENCODING, ENGINES, LANES], |p| {
+                ngpc::encoding_query_cycles(p.encoding, &nfp(p))
+            });
+        let mlp_cycles = Table::build(s, "mlp_cycles", &[APP, ENCODING, MAC_ROWS, MAC_COLS], |p| {
+            ngpc::mlp_query_cycles(p.app, p.encoding, &nfp(p))
+        });
+        let fifo_depths = &s.spec.input_fifo_depth;
         let mac_engine = Table::build_at(
             s,
             "mac_engine",
             &[APP, ENCODING, ENGINES, MAC_ROWS, MAC_COLS, LANES, FIFO],
             |idx, app| {
-                let p = s.point(idx, app);
+                let cycles = ngpc::fused_query_cycles(
+                    *encoding_cycles.at(encoding_cycles.slot(idx), 0),
+                    *mlp_cycles.at(mlp_cycles.slot(idx), app),
+                    fifo_depths[idx[FIFO - 1] as usize],
+                );
                 let paper = *paper_cycles.at(paper_cycles.slot(idx), app);
-                ngpc::mac_engine_factor_over(paper, p.app, p.encoding, &nfp(&p))
+                ngpc::mac_engine_factor_over(paper, cycles)
             },
         );
-        let layers = [
+        let mut inner_len = 1;
+        let levels = LEVELS.map(|(from, budget_layer, mac_layer)| {
+            let budget_min = budget
+                .block(s, budget_layer, from, |(a, p), &(area, power)| (a.min(area), p.min(power)));
+            let mac_max = mac_engine.block(s, mac_layer, from, |m, &factor| m.max(factor));
+            let len = s.dims[from - 1..].iter().product();
+            let splits = len > inner_len;
+            inner_len = len;
+            Level { len, from, splits, span: [0; SLOTS], budget_min, mac_max }
+        });
+        let mut layers = [("", 0); LAYERS];
+        layers[..10].copy_from_slice(&[
             gpu.layer(),
             grid_srams.layer(),
             mlp_engine.layer(),
@@ -260,27 +407,48 @@ impl<'a> FactorTables<'a> {
             budget.layer(),
             prefix.layer(),
             paper_cycles.layer(),
+            encoding_cycles.layer(),
+            mlp_cycles.layer(),
             mac_engine.layer(),
-        ];
-        FactorTables { space, gpu, budget, prefix, mac_engine, layers }
+        ]);
+        for (pair, l) in layers[10..].chunks_exact_mut(2).zip(&levels) {
+            pair.copy_from_slice(&[l.budget_min.layer(), l.mac_max.layer()]);
+        }
+        let mut tables: [(&[usize; AXES.len()], &[usize; ARCH_AXES]); SLOTS] =
+            [(&gpu.strides, &gpu.carry); SLOTS];
+        tables[BUDGET] = (&budget.strides, &budget.carry);
+        tables[PREFIX] = (&prefix.strides, &prefix.carry);
+        tables[MAC_ENGINE] = (&mac_engine.strides, &mac_engine.carry);
+        for (level, l) in levels.iter().enumerate() {
+            tables[4 + 2 * level] = (&l.budget_min.strides, &l.budget_min.carry);
+            tables[5 + 2 * level] = (&l.mac_max.strides, &l.mac_max.carry);
+        }
+        let strides =
+            tables.map(|(strides, _)| strides[APP + 1..].try_into().expect("ARCH_AXES strides"));
+        let carry = std::array::from_fn(|axis| tables.map(|(_, carry)| carry[axis]));
+        let mut t =
+            FactorTables { space, gpu, budget, prefix, mac_engine, levels, carry, strides, layers };
+        for level in 0..LEVELS.len() {
+            let mut last = [0; ARCH_AXES];
+            t.to_block_end(t.levels[level].from, &mut last);
+            t.levels[level].span = t.cursor(&last).slots;
+        }
+        t
     }
 
     /// Each table's layer name and entry count (one entry per distinct
-    /// tuple of the axes it reads), in build order: the scorer's four
-    /// and the four it is built from.
-    pub fn layers(&self) -> [(&'static str, usize); 8] {
+    /// tuple of the axes it reads), in build order: the scorer's four,
+    /// the six they are built from, and each level's two block tables.
+    pub fn layers(&self) -> [(&'static str, usize); LAYERS] {
         self.layers
     }
 
     /// Architecture `idx` with its slot in each table.
     fn cursor(&self, idx: &ArchIdx) -> Cursor {
-        Cursor {
-            idx: *idx,
-            gpu: self.gpu.slot(idx),
-            budget: self.budget.slot(idx),
-            prefix: self.prefix.slot(idx),
-            mac_engine: self.mac_engine.slot(idx),
-        }
+        let slots = self.strides.map(|strides| {
+            idx.iter().zip(&strides).fold(0, |slot, (&i, &stride)| slot + i as usize * stride)
+        });
+        Cursor { idx: *idx, slots }
     }
 
     /// Step `c` to the next architecture in [`Space`] order, moving each
@@ -292,11 +460,28 @@ impl<'a> FactorTables<'a> {
             *c = self.cursor(&c.idx);
             return true;
         };
-        c.gpu = c.gpu.wrapping_add(self.gpu.carry[axis]);
-        c.budget = c.budget.wrapping_add(self.budget.carry[axis]);
-        c.prefix = c.prefix.wrapping_add(self.prefix.carry[axis]);
-        c.mac_engine = c.mac_engine.wrapping_add(self.mac_engine.carry[axis]);
+        for (slot, carry) in c.slots.iter_mut().zip(&self.carry[axis]) {
+            *slot = slot.wrapping_add(*carry);
+        }
         false
+    }
+
+    /// Move `idx` to the last position of every axis from `from` on: from
+    /// a block's first architecture to its last.
+    fn to_block_end(&self, from: usize, idx: &mut ArchIdx) {
+        for axis in from..AXES.len() {
+            idx[axis - 1] = self.space.dims[axis - 1] as u32 - 1;
+        }
+    }
+
+    /// Step `c` from the first architecture of a block of `level` past
+    /// its last.
+    fn skip(&self, level: &Level, c: &mut Cursor) {
+        for (slot, span) in c.slots.iter_mut().zip(&level.span) {
+            *slot += span;
+        }
+        self.to_block_end(level.from, &mut c.idx);
+        self.advance(c);
     }
 
     /// The NFP count of the architecture at `c`.
@@ -304,54 +489,106 @@ impl<'a> FactorTables<'a> {
         self.space.spec.nfp_units[c.idx[NFP_UNITS - 1] as usize]
     }
 
-    /// The cluster area and power of the architecture at `c`, as
-    /// percentages of the reference GPU's: its NFP's budget scaled to
-    /// its NFP count. The budget reads no app.
-    fn area_power_pct(&self, c: &Cursor, nfp_units: u32) -> (f64, f64) {
-        let &(area_mm2_7, watts_7) = self.budget.at(c.budget, 0);
-        ng_hw::cluster_pct_of_gpu(area_mm2_7, watts_7, nfp_units, ngpc::REFERENCE_GPU)
+    /// The slope of app number `app` at `c` with MAC/engine factor
+    /// `mac_engine`: the tabulated prefix times it, the product
+    /// [`ngpc::SlopeFactors::slope`] computes, in its order.
+    fn slope(&self, c: &Cursor, app: usize, mac_engine: f64) -> f64 {
+        self.prefix.at(c.slots[PREFIX], app) * mac_engine
     }
 
-    /// The slope of app number `app` at `c`: the tabulated prefix times
-    /// the MAC/engine factor, the product [`ngpc::SlopeFactors::slope`]
-    /// computes, in its order.
-    fn slope(&self, c: &Cursor, app: usize) -> f64 {
-        self.prefix.at(c.prefix, app) * self.mac_engine.at(c.mac_engine, app)
-    }
-
-    /// The scorer: the architecture at `c`'s area and power percentages
-    /// (once, since no app reads them), each app's speedup in app order
-    /// and their cross-app mean. Forced inline, so that a caller's
-    /// visitor sees the speedups in registers.
+    /// The scorer, over the budget entry `budget` and the MAC/engine
+    /// factors `mac_engine`'s entries at `mac_slot`: the area and power
+    /// percentages (once, since no app reads them), each app's speedup
+    /// in app order and their cross-app mean. An architecture's score
+    /// reads its own entries, a block's bound the block tables'. Forced
+    /// inline, so that a caller's fold sees the speedups in registers.
     #[inline(always)]
-    fn score(&self, c: &Cursor) -> Score {
+    fn score_over(
+        &self,
+        c: &Cursor,
+        budget: (f64, f64),
+        mac_engine: &Table<f64>,
+        mac_slot: usize,
+    ) -> Score {
         let nfp_units = self.nfp_units(c);
-        let (area_pct, power_pct) = self.area_power_pct(c, nfp_units);
+        let (area_pct, power_pct) = pct_of_gpu(budget, nfp_units);
         let apps = self.space.spec.apps.len();
         let mut speedups = [0.0; MAX_APPS];
         for (app, speedup) in speedups[..apps].iter_mut().enumerate() {
-            *speedup = self.gpu.at(c.gpu, app).speedup(self.slope(c, app), nfp_units);
+            let slope = self.slope(c, app, *mac_engine.at(mac_slot, app));
+            *speedup = self.gpu.at(c.slots[GPU], app).speedup(slope, nfp_units);
         }
         let speedup = cross_app_mean(speedups[..apps].iter().copied());
         Score { objectives: Objectives { speedup, area_pct, power_pct }, speedups, apps }
     }
 
-    /// Score the architectures `archs` (flat numbers, ascending) in
-    /// order, showing each to `visit` with its flat number: the sweep's
-    /// workers' walk. It decodes `archs.start` once and then steps an
-    /// odometer ([`Space`] order), moving each table slot by a carry
-    /// delta.
+    /// The score of the architecture at `c`.
     #[inline(always)]
-    pub fn walk(&self, archs: Range<usize>, mut visit: impl FnMut(usize, &Score)) {
+    fn score(&self, c: &Cursor) -> Score {
+        let budget = *self.budget.at(c.slots[BUDGET], 0);
+        self.score_over(c, budget, &self.mac_engine, c.slots[MAC_ENGINE])
+    }
+
+    /// The optimistic bound of the block of `levels[level]` that starts
+    /// at `c`: the scorer over the block's least area and power and its
+    /// largest MAC/engine factors. The GPU baseline, the slope prefix
+    /// and the NFP count are fixed within a block.
+    #[inline(always)]
+    fn bound(&self, level: usize, c: &Cursor) -> Score {
+        let l = &self.levels[level];
+        let budget = *l.budget_min.at(c.slots[4 + 2 * level], 0);
+        self.score_over(c, budget, &l.mac_max, c.slots[5 + 2 * level])
+    }
+
+    /// Score the architectures `archs` (flat numbers, ascending) in
+    /// order, showing each to `fold` with its flat number, and return
+    /// the fold: the sweep's workers' bounded walk. It decodes
+    /// `archs.start` once and then steps an odometer ([`Space`] order),
+    /// moving each table slot by a carry delta. Where a block of a level
+    /// that splits starts and ends in the range, the walk shows `fold`
+    /// the block's bound, outermost level first: a rejected block is
+    /// skipped unscored, a passed one is walked by its inner blocks, and
+    /// an architecture in no whole block of a splitting level (one that
+    /// a range boundary cuts, say) is scored plainly. Forced inline, so
+    /// that the fold's `offer` and the scorer share one loop body.
+    #[inline(always)]
+    pub fn fold<F: Fold>(&self, archs: Range<usize>, mut fold: F) -> F {
         let mut c = self.cursor(&self.space.decode(archs.start));
-        for flat in archs {
-            visit(flat, &self.score(&c));
-            self.advance(&mut c);
+        let mut flat = archs.start;
+        // The levels whose block at `flat` is still to be bounded: all of
+        // them, except inside a block whose bound just passed.
+        let mut open = self.levels.len();
+        while flat < archs.end {
+            let whole =
+                |l: &Level| l.splits && flat.is_multiple_of(l.len) && flat + l.len <= archs.end;
+            match self.levels[..open].iter().rposition(whole) {
+                Some(level) if fold.rejects(&self.bound(level, &c)) => {
+                    let l = &self.levels[level];
+                    self.skip(l, &mut c);
+                    flat += l.len;
+                    open = self.levels.len();
+                }
+                Some(level) => open = level,
+                None => {
+                    fold.offer(flat, &self.score(&c));
+                    self.advance(&mut c);
+                    flat += 1;
+                    open = self.levels.len();
+                }
+            }
         }
+        fold
+    }
+
+    /// Score every architecture of `archs` (flat numbers, ascending), in
+    /// order, showing each to `visit` with its flat number: the bounded
+    /// walk of a fold that rejects no block.
+    pub fn walk(&self, archs: Range<usize>, visit: impl FnMut(usize, &Score)) {
+        self.fold(archs, visit);
     }
 
     /// Score architecture `idx` alone, from its axis positions: the
-    /// searcher's probe, the same scorer as [`FactorTables::walk`].
+    /// searcher's probe, the same scorer as [`FactorTables::fold`].
     pub fn score_at(&self, idx: &ArchIdx) -> Score {
         self.score(&self.cursor(idx))
     }
@@ -374,9 +611,11 @@ impl<'a> FactorTables<'a> {
     /// the speedup and reads the percentages that the scorer computes.
     fn evaluate(&self, c: &Cursor, app: usize, index: usize) -> EvaluatedPoint {
         let point = self.space.at(&c.idx, app, index);
-        let (area_pct, power_pct) = self.area_power_pct(c, point.nfp_units);
-        let gpu = self.gpu.at(c.gpu, app);
-        let result = ngpc::compose(point.nfp_units, self.slope(c, app), gpu, area_pct, power_pct);
+        let (area_pct, power_pct) =
+            pct_of_gpu(*self.budget.at(c.slots[BUDGET], 0), point.nfp_units);
+        let gpu = self.gpu.at(c.slots[GPU], app);
+        let slope = self.slope(c, app, *self.mac_engine.at(c.slots[MAC_ENGINE], app));
+        let result = ngpc::compose(point.nfp_units, slope, gpu, area_pct, power_pct);
         EvaluatedPoint::from_result(point, &result)
     }
 
@@ -435,23 +674,75 @@ mod tests {
         let lens = t.layers().map(|(_, entries)| entries);
         // 12 GPU baselines, 81 grid-SRAM, 9 MLP-engine and 27
         // encoding-logic budgets, 2,187 floorplans, 324 slope prefixes,
-        // 12 paper-NFP cycle counts and 2,916 MAC/engine tuples.
-        assert_eq!(lens, [12, 81, 9, 27, 2187, 324, 12, 2916]);
+        // 12 paper-NFP cycle counts, 27 encoding-stage and 108
+        // MLP-stage cycle counts, 2,916 MAC/engine tuples, and the
+        // blocks' 243 least budgets and 324 largest MAC/engine factors
+        // over (lanes, FIFO), 27 and 36 over (MAC rows, MAC columns,
+        // lanes, FIFO).
+        assert_eq!(lens, [12, 81, 9, 27, 2187, 324, 12, 27, 108, 2916, 243, 324, 27, 36]);
         assert!(lens.iter().all(|&n| n <= spec.point_count()));
     }
 
     /// Stepping a cursor by carry deltas lands every slot where decoding
-    /// the next architecture puts it, across every carry and the wrap.
+    /// the next architecture puts it, across every carry and the wrap;
+    /// so does skipping a block of each level from its first
+    /// architecture.
     #[test]
     fn carried_slots_equal_decoded_slots() {
         let spec = SweepSpec { nfp_units: vec![8, 64], ..SweepSpec::guided_lanes() };
         let t = FactorTables::new(Space::new(&spec));
+        let archs = t.space.arch_count();
         let mut c = t.cursor(&[0; ARCH_AXES]);
-        for flat in 1..=t.space.arch_count() {
+        for flat in 1..=archs {
             t.advance(&mut c);
-            let want = t.cursor(&t.space.decode(flat % t.space.arch_count()));
-            let slots = |c: &Cursor| (c.idx, c.gpu, c.budget, c.prefix, c.mac_engine);
-            assert_eq!(slots(&c), slots(&want), "arch {flat}");
+            assert_eq!(c, t.cursor(&t.space.decode(flat % archs)), "arch {flat}");
+        }
+        for level in &t.levels {
+            for start in (0..archs).step_by(level.len) {
+                let mut c = t.cursor(&t.space.decode(start));
+                t.skip(level, &mut c);
+                let next = (start + level.len) % archs;
+                assert_eq!(c, t.cursor(&t.space.decode(next)), "block at {start}");
+            }
+        }
+    }
+
+    /// On every preset, each block's bound is at least as good as each
+    /// member's score on every objective, per app and cross-app, so a
+    /// fold that rejects the bound rejects every member. The per-app
+    /// speedups and the percentages are attained by some member: the
+    /// block tables hold the block's extremes, not looser ones.
+    #[test]
+    fn block_bounds_hold_every_member() {
+        for name in SweepSpec::PRESETS {
+            let spec = SweepSpec::preset(name).unwrap();
+            let t = FactorTables::new(Space::new(&spec));
+            let archs = t.space.arch_count();
+            for (level, l) in t.levels.iter().enumerate() {
+                for start in (0..archs).step_by(l.len) {
+                    let bound = t.bound(level, &t.cursor(&t.space.decode(start)));
+                    let b = bound.objectives;
+                    let members: Vec<Score> =
+                        (start..start + l.len).map(|f| t.score_at(&t.space.decode(f))).collect();
+                    for m in &members {
+                        let o = m.objectives;
+                        let at = format!("{name}: level {level}, block at {start}");
+                        assert!(b.speedup >= o.speedup, "{at}");
+                        assert!(b.area_pct <= o.area_pct && b.power_pct <= o.power_pct, "{at}");
+                        for (bound, member) in bound.speedups().iter().zip(m.speedups()) {
+                            assert!(bound >= member, "{at}");
+                        }
+                    }
+                    let min =
+                        |f: fn(&Score) -> f64| members.iter().map(f).fold(f64::INFINITY, f64::min);
+                    assert_eq!(b.area_pct, min(|m| m.objectives.area_pct), "{name}");
+                    assert_eq!(b.power_pct, min(|m| m.objectives.power_pct), "{name}");
+                    for (app, bound) in bound.speedups().iter().enumerate() {
+                        let best = members.iter().map(|m| m.speedups()[app]).fold(0.0, f64::max);
+                        assert_eq!(*bound, best, "{name}: app {app}");
+                    }
+                }
+            }
         }
     }
 }

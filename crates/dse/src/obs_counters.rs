@@ -34,6 +34,13 @@ hoisted!(
     eval_ticks => "eval.ticks"
 );
 hoisted!(
+    /// Architectures a sweep worker skipped unscored, because its
+    /// frontiers rejected the bound of a block holding them; added once
+    /// per worker, after its range. The skipped points still count into
+    /// `eval.ticks`.
+    fold_archs_skipped => "fold.archs_skipped"
+);
+hoisted!(
     /// Points accepted into a streaming Pareto frontier.
     frontier_inserts => "frontier.inserts"
 );

@@ -128,14 +128,34 @@ impl<T> StreamingFrontier<T> {
         self.entries.iter().position(|(o, _)| o.dominates(objectives))
     }
 
+    /// Whether a current member dominates `objectives`, so that
+    /// [`StreamingFrontier::insert`] would reject them: the hinted
+    /// member is tested first, and the dominator found becomes the hint,
+    /// as in `insert`. Changes nothing else.
+    pub fn rejects(&mut self, objectives: &Objectives) -> bool {
+        let Some(at) = self.dominator(objectives) else { return false };
+        self.hint = at;
+        true
+    }
+
+    /// Whether [`StreamingFrontier::insert_constrained`] would reject
+    /// `objectives`: `constraints` do not admit them, or a member
+    /// dominates them.
+    pub fn rejects_constrained(
+        &mut self,
+        objectives: &Objectives,
+        constraints: &Constraints,
+    ) -> bool {
+        !constraints.admits(objectives) || self.rejects(objectives)
+    }
+
     /// Offer one point. Returns `true` if it joined the frontier
     /// (i.e. no current member dominates it); members it dominates are
     /// evicted. Accepted offers count into `frontier.inserts`, each
     /// eviction into `frontier.prunes` — the churn pair that tells a
     /// trace reader whether a search kept improving or went flat.
     pub fn insert(&mut self, objectives: Objectives, payload: T) -> bool {
-        if let Some(at) = self.dominator(&objectives) {
-            self.hint = at;
+        if self.rejects(&objectives) {
             return false;
         }
         let before = self.entries.len();

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use ng_neural::apps::{AppKind, EncodingKind};
 
-use crate::factors::FactorTables;
+use crate::factors::{FactorTables, Fold, Score};
 use crate::obs_counters;
 use crate::pareto::{Constraints, Objectives, StreamingFrontier};
 use crate::spec::{DesignPoint, Space, SpecError, SweepSpec, AXES};
@@ -408,12 +408,49 @@ struct Part {
     cross_app: StreamingFrontier<usize>,
     /// One frontier per app-axis position; empty unless asked for.
     per_app: Vec<StreamingFrontier<usize>>,
+    /// The bounds every offer must meet.
+    constraints: Constraints,
+    /// The space's architecture count: app `a`'s point of architecture
+    /// `flat` has spec index `a * arch_count + flat`.
+    arch_count: usize,
+    /// Architectures scored, the rest of the range having been skipped.
+    offered: usize,
 }
 
-/// Score the architectures `archs` (flat numbers, ascending) with
-/// [`FactorTables::walk`] and offer each architecture's objectives (and,
-/// with `per_app`, each app's) to the worker's own frontiers. Adds the
-/// points it scored to `eval.ticks` once, after its loop.
+/// A worker offers each scored architecture's objectives (and, with
+/// `per_app`, each app's) to its own frontiers, and skips a block only
+/// when every one of them would reject the block's bound: then each
+/// would reject every member too.
+impl Fold for Part {
+    fn rejects(&mut self, bound: &Score) -> bool {
+        let c = &self.constraints;
+        self.cross_app.rejects_constrained(&bound.objectives, c)
+            && bound.speedups().iter().zip(&mut self.per_app).all(|(&speedup, frontier)| {
+                frontier.rejects_constrained(&Objectives { speedup, ..bound.objectives }, c)
+            })
+    }
+
+    // Forced inline, as `fold` is: a call per scored architecture made
+    // the unbounded walk slower than the closure it replaced
+    // (EXPERIMENTS.md § Bounded fold).
+    #[inline(always)]
+    fn offer(&mut self, flat: usize, score: &Score) {
+        self.offered += 1;
+        let c = &self.constraints;
+        for (app, (&speedup, frontier)) in
+            score.speedups().iter().zip(&mut self.per_app).enumerate()
+        {
+            let objectives = Objectives { speedup, ..score.objectives };
+            frontier.insert_constrained(objectives, app * self.arch_count + flat, c);
+        }
+        self.cross_app.insert_constrained(score.objectives, flat, c);
+    }
+}
+
+/// Fold the architectures `archs` (flat numbers, ascending) with the
+/// bounded walk, [`FactorTables::fold`], into a worker's own frontiers. Adds
+/// the range's points to `eval.ticks` and the architectures it skipped
+/// to `fold.archs_skipped`, once each, after its loop.
 fn fold_archs(
     tables: &FactorTables,
     archs: Range<usize>,
@@ -422,29 +459,17 @@ fn fold_archs(
 ) -> Part {
     let space = &tables.space;
     let (apps, arch_count) = (space.spec.apps.len(), space.arch_count());
-    let mut part = Part {
+    let part = Part {
         cross_app: StreamingFrontier::new(),
         per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
+        constraints: *constraints,
+        arch_count,
+        offered: 0,
     };
-    let points = archs.len() * apps;
-    if per_app {
-        tables.walk(archs, |flat, score| {
-            for (app, &speedup) in score.speedups().iter().enumerate() {
-                let objectives = Objectives { speedup, ..score.objectives };
-                part.per_app[app].insert_constrained(
-                    objectives,
-                    app * arch_count + flat,
-                    constraints,
-                );
-            }
-            part.cross_app.insert_constrained(score.objectives, flat, constraints);
-        });
-    } else {
-        tables.walk(archs, |flat, score| {
-            part.cross_app.insert_constrained(score.objectives, flat, constraints);
-        });
-    }
+    let (len, points) = (archs.len(), archs.len() * apps);
+    let part = tables.fold(archs, part);
     obs_counters::eval_ticks().add(points as u64);
+    obs_counters::fold_archs_skipped().add((len - part.offered) as u64);
     part
 }
 
