@@ -222,22 +222,12 @@ pub fn paper_sample_cycles(app: AppKind, encoding: EncodingKind) -> f64 {
 /// Throughput factor of the MAC-array / engine-count / FIFO axes: the
 /// paper NFP's per-query cycles over this configuration's. Exactly 1.0
 /// at the paper's NFP (the ratio of a value with itself), above 1.0 for
-/// configurations that retire queries in fewer cycles.
+/// configurations that retire queries in fewer cycles. A sweep makes
+/// the same division from tables: the numerator once per (app,
+/// encoding), the denominator from [`encoding_query_cycles`],
+/// [`mlp_query_cycles`] and [`fused_query_cycles`].
 pub fn mac_engine_factor(app: AppKind, encoding: EncodingKind, nfp: &NfpConfig) -> f64 {
-    mac_engine_factor_over(
-        paper_sample_cycles(app, encoding),
-        per_sample_cycles(app, encoding, nfp),
-    )
-}
-
-/// [`mac_engine_factor`] from its two cycle counts: `paper_cycles` =
-/// [`paper_sample_cycles`] and `cycles` = [`per_sample_cycles`] of the
-/// same app and encoding. A sweep computes the numerator once per (app,
-/// encoding) and the denominator from its stage tables
-/// ([`encoding_query_cycles`], [`mlp_query_cycles`],
-/// [`fused_query_cycles`]), not once per NFP.
-pub fn mac_engine_factor_over(paper_cycles: f64, cycles: f64) -> f64 {
-    paper_cycles / cycles
+    paper_sample_cycles(app, encoding) / per_sample_cycles(app, encoding, nfp)
 }
 
 /// The factors of the end-to-end NFP throughput slope `g`. Each reads

@@ -29,15 +29,15 @@
 //! [`EvaluatedPoint`]s. The emitters refill the points in spec order,
 //! one block at a time, through [`ngpc::compose`] on the same slots.
 //!
-//! The walk is bounded. The architectures sharing every arch axis but
-//! the trailing ones of a `LEVELS` row form a block, and two block
-//! tables per level hold, per block, the largest `mac_engine` entry and
-//! the least area and power. The scorer applied to them gives the
-//! block's optimistic bound: the speedup, the percentages and the mean
-//! do not get worse as a slope grows or a budget shrinks, so the bound
-//! is at least as good as every member on every objective. When the
-//! walk's [`Fold`] rejects the bound, it rejects every member, and the
-//! walk skips the block unscored.
+//! The walk is bounded. The architectures that differ only in lanes and
+//! FIFO depth, the last two arch axes, form a block, and two block
+//! tables hold, per block, the largest `mac_engine` entry and the least
+//! area and power. The scorer applied to them gives the block's
+//! optimistic bound: the speedup, the percentages and the mean do not
+//! get worse as a slope grows or a budget shrinks, so the bound is at
+//! least as good as every member on every objective. When the walk's
+//! [`Fold`] rejects the bound, it rejects every member, and the walk
+//! skips the block unscored.
 
 use std::io;
 use std::ops::Range;
@@ -64,33 +64,15 @@ const MAC_COLS: usize = axis("mac_cols");
 const LANES: usize = axis("lanes_per_engine");
 const FIFO: usize = axis("input_fifo_depth");
 
-/// The levels of the bounded walk, innermost first: the first arch axis
-/// (by axis number) of a level's blocks, which span it and every later
-/// axis, and the layer names of the level's two block tables. A block
-/// must hold the GPU baseline, the slope prefix and the NFP count fixed,
-/// since its bound reads them at its first architecture: so no level
-/// may start at or before the engine axis, which the prefix reads.
-const LEVELS: [(usize, &str, &str); 2] =
-    [(LANES, "budget_min", "mac_max"), (MAC_ROWS, "budget_min_mac", "mac_max_mac")];
-const _: () = {
-    let mut level = 0;
-    while level < LEVELS.len() {
-        assert!(LEVELS[level].0 > ENGINES, "a block must not span a prefix axis");
-        assert!(level == 0 || LEVELS[level].0 < LEVELS[level - 1].0, "levels go outward");
-        level += 1;
-    }
-};
-
 /// Slots of a [`Cursor`], one per table the walk reads: the scorer's
-/// four, then each level's least budget and largest `mac_engine`.
+/// four, then the block tables' two.
 const GPU: usize = 0;
 const BUDGET: usize = 1;
 const PREFIX: usize = 2;
 const MAC_ENGINE: usize = 3;
-const SLOTS: usize = 4 + 2 * LEVELS.len();
-
-/// Tables a space builds: ten model layers and each level's two.
-const LAYERS: usize = 10 + 2 * LEVELS.len();
+const BUDGET_MIN: usize = 4;
+const MAC_MAX: usize = 5;
+const SLOTS: usize = 6;
 
 /// The floorplan axes: every NFP axis, which are the trailing axes, so
 /// a point's floorplan sits at `arch % floorplan_count`.
@@ -170,23 +152,17 @@ impl<T> Table<T> {
         Table { layer, strides, carry, values }
     }
 
-    /// The block table of this one below arch axis `from`, under a span
-    /// named `layer`: per tuple of this table's key axes before `from`,
-    /// `fold` over its entries at every position of the axes from `from`
-    /// on, which are a block of the bounded walk.
-    fn block(
-        &self,
-        space: &Space,
-        layer: &'static str,
-        from: usize,
-        fold: impl Fn(T, &T) -> T,
-    ) -> Self
+    /// The block table of this one, under a span named `layer`: per
+    /// tuple of this table's key axes but lanes and FIFO depth, `fold`
+    /// over its entries at every (lanes, FIFO) position, which are a
+    /// block of the bounded walk.
+    fn block(&self, space: &Space, layer: &'static str, fold: impl Fn(T, &T) -> T) -> Self
     where
         T: Copy,
     {
-        let key: Vec<usize> = (0..from).filter(|&axis| self.strides[axis] != 0).collect();
+        let key: Vec<usize> = (0..LANES).filter(|&axis| self.strides[axis] != 0).collect();
         let mut offsets = vec![0];
-        for axis in (from..AXES.len()).filter(|&axis| self.strides[axis] != 0) {
+        for axis in (LANES..AXES.len()).filter(|&axis| self.strides[axis] != 0) {
             let stride = self.strides[axis];
             offsets = offsets
                 .iter()
@@ -229,24 +205,20 @@ struct Cursor {
     slots: [usize; SLOTS],
 }
 
-/// One level of the bounded walk: its blocks and their two tables.
-struct Level {
-    /// Architectures per block: the product of the block axes' lengths.
+/// The blocks of the bounded walk and their two tables. A block's bound
+/// reads the GPU baseline, the slope prefix and the NFP count at its
+/// first architecture, which is exact because none of them reads lanes
+/// or FIFO depth.
+struct Blocks {
+    /// Architectures per block: lanes times FIFO depths.
     len: usize,
-    /// The first block axis, by axis number.
-    from: usize,
-    /// Whether a block holds more than one block of the next level in
-    /// (at the innermost level, more than one architecture). The walk
-    /// bounds only the levels that split: any other block's bound is
-    /// its one inner block's.
-    splits: bool,
     /// What a slot gains from a block's first architecture to its last.
     span: [usize; SLOTS],
     /// The least area and, separately, the least power of the `budget`
-    /// entries of a block, per floorplan without the block axes.
+    /// entries of a block, per floorplan without (lanes, FIFO).
     budget_min: Table<(f64, f64)>,
     /// The largest `mac_engine` entry of a block, per (app, encoding,
-    /// engines, MAC rows, MAC columns) without the block axes.
+    /// engines, MAC rows, MAC columns).
     mac_max: Table<f64>,
 }
 
@@ -309,15 +281,16 @@ pub struct FactorTables<'a> {
     /// MAC/engine factor per (app, encoding, engines, MAC rows, MAC
     /// columns, lanes, FIFO depth).
     mac_engine: Table<f64>,
-    /// The bounded walk's levels, innermost first.
-    levels: [Level; LEVELS.len()],
+    /// The bounded walk's blocks; `None` when a block would hold one
+    /// architecture, whose bound would be its own score, paid twice.
+    blocks: Option<Blocks>,
     /// Per arch axis, what each slot gains when an odometer step stops
     /// there ([`Table::carry`]).
     carry: [[usize; SLOTS]; ARCH_AXES],
     /// Per table, by slot number, its stride of each arch axis.
     strides: [[usize; ARCH_AXES]; SLOTS],
     /// Every table's layer name and entry count, in build order.
-    layers: [(&'static str, usize); LAYERS],
+    layers: Vec<(&'static str, usize)>,
 }
 
 impl<'a> FactorTables<'a> {
@@ -384,22 +357,16 @@ impl<'a> FactorTables<'a> {
                     *mlp_cycles.at(mlp_cycles.slot(idx), app),
                     fifo_depths[idx[FIFO - 1] as usize],
                 );
-                let paper = *paper_cycles.at(paper_cycles.slot(idx), app);
-                ngpc::mac_engine_factor_over(paper, cycles)
+                // The division `ngpc::mac_engine_factor` makes.
+                paper_cycles.at(paper_cycles.slot(idx), app) / cycles
             },
         );
-        let mut inner_len = 1;
-        let levels = LEVELS.map(|(from, budget_layer, mac_layer)| {
-            let budget_min = budget
-                .block(s, budget_layer, from, |(a, p), &(area, power)| (a.min(area), p.min(power)));
-            let mac_max = mac_engine.block(s, mac_layer, from, |m, &factor| m.max(factor));
-            let len = s.dims[from - 1..].iter().product();
-            let splits = len > inner_len;
-            inner_len = len;
-            Level { len, from, splits, span: [0; SLOTS], budget_min, mac_max }
+        let len: usize = s.dims[LANES - 1..].iter().product();
+        let block_tables = (len > 1).then(|| {
+            let min = |(a, p): (f64, f64), &(area, power): &(f64, f64)| (a.min(area), p.min(power));
+            (budget.block(s, "budget_min", min), mac_engine.block(s, "mac_max", |m, &f| m.max(f)))
         });
-        let mut layers = [("", 0); LAYERS];
-        layers[..10].copy_from_slice(&[
+        let mut layers = vec![
             gpu.layer(),
             grid_srams.layer(),
             mlp_engine.layer(),
@@ -410,37 +377,39 @@ impl<'a> FactorTables<'a> {
             encoding_cycles.layer(),
             mlp_cycles.layer(),
             mac_engine.layer(),
-        ]);
-        for (pair, l) in layers[10..].chunks_exact_mut(2).zip(&levels) {
-            pair.copy_from_slice(&[l.budget_min.layer(), l.mac_max.layer()]);
-        }
+        ];
+        // Without blocks, the block slots read tables of no axis: they
+        // stay at 0.
+        let none = ([0; AXES.len()], [0; ARCH_AXES]);
         let mut tables: [(&[usize; AXES.len()], &[usize; ARCH_AXES]); SLOTS] =
-            [(&gpu.strides, &gpu.carry); SLOTS];
+            [(&none.0, &none.1); SLOTS];
+        tables[GPU] = (&gpu.strides, &gpu.carry);
         tables[BUDGET] = (&budget.strides, &budget.carry);
         tables[PREFIX] = (&prefix.strides, &prefix.carry);
         tables[MAC_ENGINE] = (&mac_engine.strides, &mac_engine.carry);
-        for (level, l) in levels.iter().enumerate() {
-            tables[4 + 2 * level] = (&l.budget_min.strides, &l.budget_min.carry);
-            tables[5 + 2 * level] = (&l.mac_max.strides, &l.mac_max.carry);
+        if let Some((budget_min, mac_max)) = &block_tables {
+            layers.extend([budget_min.layer(), mac_max.layer()]);
+            tables[BUDGET_MIN] = (&budget_min.strides, &budget_min.carry);
+            tables[MAC_MAX] = (&mac_max.strides, &mac_max.carry);
         }
-        let strides =
+        let strides: [[usize; ARCH_AXES]; SLOTS] =
             tables.map(|(strides, _)| strides[APP + 1..].try_into().expect("ARCH_AXES strides"));
         let carry = std::array::from_fn(|axis| tables.map(|(_, carry)| carry[axis]));
-        let mut t =
-            FactorTables { space, gpu, budget, prefix, mac_engine, levels, carry, strides, layers };
-        for level in 0..LEVELS.len() {
-            let mut last = [0; ARCH_AXES];
-            t.to_block_end(t.levels[level].from, &mut last);
-            t.levels[level].span = t.cursor(&last).slots;
-        }
-        t
+        let blocks = block_tables.map(|(budget_min, mac_max)| {
+            let last = |strides: [usize; ARCH_AXES]| {
+                (LANES..AXES.len()).map(|axis| strides[axis - 1] * (s.dims[axis - 1] - 1)).sum()
+            };
+            Blocks { len, span: strides.map(last), budget_min, mac_max }
+        });
+        FactorTables { space, gpu, budget, prefix, mac_engine, blocks, carry, strides, layers }
     }
 
     /// Each table's layer name and entry count (one entry per distinct
     /// tuple of the axes it reads), in build order: the scorer's four,
-    /// the six they are built from, and each level's two block tables.
-    pub fn layers(&self) -> [(&'static str, usize); LAYERS] {
-        self.layers
+    /// the six they are built from, and the two block tables when the
+    /// walk has blocks.
+    pub fn layers(&self) -> Vec<(&'static str, usize)> {
+        self.layers.clone()
     }
 
     /// Architecture `idx` with its slot in each table.
@@ -466,21 +435,14 @@ impl<'a> FactorTables<'a> {
         false
     }
 
-    /// Move `idx` to the last position of every axis from `from` on: from
-    /// a block's first architecture to its last.
-    fn to_block_end(&self, from: usize, idx: &mut ArchIdx) {
-        for axis in from..AXES.len() {
-            idx[axis - 1] = self.space.dims[axis - 1] as u32 - 1;
-        }
-    }
-
-    /// Step `c` from the first architecture of a block of `level` past
-    /// its last.
-    fn skip(&self, level: &Level, c: &mut Cursor) {
-        for (slot, span) in c.slots.iter_mut().zip(&level.span) {
+    /// Step `c` from the first architecture of a block past its last.
+    fn skip(&self, blocks: &Blocks, c: &mut Cursor) {
+        for (slot, span) in c.slots.iter_mut().zip(&blocks.span) {
             *slot += span;
         }
-        self.to_block_end(level.from, &mut c.idx);
+        for axis in LANES..AXES.len() {
+            c.idx[axis - 1] = self.space.dims[axis - 1] as u32 - 1;
+        }
         self.advance(c);
     }
 
@@ -529,62 +491,49 @@ impl<'a> FactorTables<'a> {
         self.score_over(c, budget, &self.mac_engine, c.slots[MAC_ENGINE])
     }
 
-    /// The optimistic bound of the block of `levels[level]` that starts
-    /// at `c`: the scorer over the block's least area and power and its
-    /// largest MAC/engine factors. The GPU baseline, the slope prefix
-    /// and the NFP count are fixed within a block.
+    /// The optimistic bound of the block that starts at `c`: the scorer
+    /// over the block's least area and power and its largest MAC/engine
+    /// factors.
     #[inline(always)]
-    fn bound(&self, level: usize, c: &Cursor) -> Score {
-        let l = &self.levels[level];
-        let budget = *l.budget_min.at(c.slots[4 + 2 * level], 0);
-        self.score_over(c, budget, &l.mac_max, c.slots[5 + 2 * level])
+    fn bound(&self, blocks: &Blocks, c: &Cursor) -> Score {
+        let budget = *blocks.budget_min.at(c.slots[BUDGET_MIN], 0);
+        self.score_over(c, budget, &blocks.mac_max, c.slots[MAC_MAX])
     }
 
     /// Score the architectures `archs` (flat numbers, ascending) in
     /// order, showing each to `fold` with its flat number, and return
     /// the fold: the sweep's workers' bounded walk. It decodes
     /// `archs.start` once and then steps an odometer ([`Space`] order),
-    /// moving each table slot by a carry delta. Where a block of a level
-    /// that splits starts and ends in the range, the walk shows `fold`
-    /// the block's bound, outermost level first: a rejected block is
-    /// skipped unscored, a passed one is walked by its inner blocks, and
-    /// an architecture in no whole block of a splitting level (one that
-    /// a range boundary cuts, say) is scored plainly. Forced inline, so
-    /// that the fold's `offer` and the scorer share one loop body.
+    /// moving each table slot by a carry delta. Where a block starts and
+    /// ends in the range, the walk shows `fold` the block's bound first:
+    /// a rejected block is skipped unscored, a passed one is scored
+    /// architecture by architecture, and so is a block that a range
+    /// boundary cuts. Forced inline, so that the fold's `offer` and the
+    /// scorer share one loop body.
     #[inline(always)]
     pub fn fold<F: Fold>(&self, archs: Range<usize>, mut fold: F) -> F {
         let mut c = self.cursor(&self.space.decode(archs.start));
         let mut flat = archs.start;
-        // The levels whose block at `flat` is still to be bounded: all of
-        // them, except inside a block whose bound just passed.
-        let mut open = self.levels.len();
         while flat < archs.end {
-            let whole =
-                |l: &Level| l.splits && flat.is_multiple_of(l.len) && flat + l.len <= archs.end;
-            match self.levels[..open].iter().rposition(whole) {
-                Some(level) if fold.rejects(&self.bound(level, &c)) => {
-                    let l = &self.levels[level];
-                    self.skip(l, &mut c);
-                    flat += l.len;
-                    open = self.levels.len();
+            // Score up to the end of the block at `flat`, or of the range.
+            let mut stop = archs.end;
+            if let Some(blocks) = &self.blocks {
+                let end = flat - flat % blocks.len + blocks.len;
+                let whole = flat.is_multiple_of(blocks.len) && end <= archs.end;
+                if whole && fold.rejects(&self.bound(blocks, &c)) {
+                    self.skip(blocks, &mut c);
+                    flat = end;
+                    continue;
                 }
-                Some(level) => open = level,
-                None => {
-                    fold.offer(flat, &self.score(&c));
-                    self.advance(&mut c);
-                    flat += 1;
-                    open = self.levels.len();
-                }
+                stop = stop.min(end);
+            }
+            while flat < stop {
+                fold.offer(flat, &self.score(&c));
+                self.advance(&mut c);
+                flat += 1;
             }
         }
         fold
-    }
-
-    /// Score every architecture of `archs` (flat numbers, ascending), in
-    /// order, showing each to `visit` with its flat number: the bounded
-    /// walk of a fold that rejects no block.
-    pub fn walk(&self, archs: Range<usize>, visit: impl FnMut(usize, &Score)) {
-        self.fold(archs, visit);
     }
 
     /// Score architecture `idx` alone, from its axis positions: the
@@ -671,22 +620,20 @@ mod tests {
     fn guided_lanes_tables_hold_one_entry_per_distinct_axis_tuple() {
         let spec = SweepSpec::guided_lanes();
         let t = FactorTables::new(Space::new(&spec));
-        let lens = t.layers().map(|(_, entries)| entries);
+        let lens: Vec<usize> = t.layers().iter().map(|&(_, entries)| entries).collect();
         // 12 GPU baselines, 81 grid-SRAM, 9 MLP-engine and 27
         // encoding-logic budgets, 2,187 floorplans, 324 slope prefixes,
         // 12 paper-NFP cycle counts, 27 encoding-stage and 108
         // MLP-stage cycle counts, 2,916 MAC/engine tuples, and the
         // blocks' 243 least budgets and 324 largest MAC/engine factors
-        // over (lanes, FIFO), 27 and 36 over (MAC rows, MAC columns,
-        // lanes, FIFO).
-        assert_eq!(lens, [12, 81, 9, 27, 2187, 324, 12, 27, 108, 2916, 243, 324, 27, 36]);
+        // over (lanes, FIFO).
+        assert_eq!(lens, [12, 81, 9, 27, 2187, 324, 12, 27, 108, 2916, 243, 324]);
         assert!(lens.iter().all(|&n| n <= spec.point_count()));
     }
 
     /// Stepping a cursor by carry deltas lands every slot where decoding
     /// the next architecture puts it, across every carry and the wrap;
-    /// so does skipping a block of each level from its first
-    /// architecture.
+    /// so does skipping a block from its first architecture.
     #[test]
     fn carried_slots_equal_decoded_slots() {
         let spec = SweepSpec { nfp_units: vec![8, 64], ..SweepSpec::guided_lanes() };
@@ -697,13 +644,12 @@ mod tests {
             t.advance(&mut c);
             assert_eq!(c, t.cursor(&t.space.decode(flat % archs)), "arch {flat}");
         }
-        for level in &t.levels {
-            for start in (0..archs).step_by(level.len) {
-                let mut c = t.cursor(&t.space.decode(start));
-                t.skip(level, &mut c);
-                let next = (start + level.len) % archs;
-                assert_eq!(c, t.cursor(&t.space.decode(next)), "block at {start}");
-            }
+        let blocks = t.blocks.as_ref().expect("guided-lanes has blocks");
+        for start in (0..archs).step_by(blocks.len) {
+            let mut c = t.cursor(&t.space.decode(start));
+            t.skip(blocks, &mut c);
+            let next = (start + blocks.len) % archs;
+            assert_eq!(c, t.cursor(&t.space.decode(next)), "block at {start}");
         }
     }
 
@@ -718,29 +664,28 @@ mod tests {
             let spec = SweepSpec::preset(name).unwrap();
             let t = FactorTables::new(Space::new(&spec));
             let archs = t.space.arch_count();
-            for (level, l) in t.levels.iter().enumerate() {
-                for start in (0..archs).step_by(l.len) {
-                    let bound = t.bound(level, &t.cursor(&t.space.decode(start)));
-                    let b = bound.objectives;
-                    let members: Vec<Score> =
-                        (start..start + l.len).map(|f| t.score_at(&t.space.decode(f))).collect();
-                    for m in &members {
-                        let o = m.objectives;
-                        let at = format!("{name}: level {level}, block at {start}");
-                        assert!(b.speedup >= o.speedup, "{at}");
-                        assert!(b.area_pct <= o.area_pct && b.power_pct <= o.power_pct, "{at}");
-                        for (bound, member) in bound.speedups().iter().zip(m.speedups()) {
-                            assert!(bound >= member, "{at}");
-                        }
+            let Some(blocks) = &t.blocks else { continue };
+            for start in (0..archs).step_by(blocks.len) {
+                let bound = t.bound(blocks, &t.cursor(&t.space.decode(start)));
+                let b = bound.objectives;
+                let members: Vec<Score> =
+                    (start..start + blocks.len).map(|f| t.score_at(&t.space.decode(f))).collect();
+                for m in &members {
+                    let o = m.objectives;
+                    let at = format!("{name}: block at {start}");
+                    assert!(b.speedup >= o.speedup, "{at}");
+                    assert!(b.area_pct <= o.area_pct && b.power_pct <= o.power_pct, "{at}");
+                    for (bound, member) in bound.speedups().iter().zip(m.speedups()) {
+                        assert!(bound >= member, "{at}");
                     }
-                    let min =
-                        |f: fn(&Score) -> f64| members.iter().map(f).fold(f64::INFINITY, f64::min);
-                    assert_eq!(b.area_pct, min(|m| m.objectives.area_pct), "{name}");
-                    assert_eq!(b.power_pct, min(|m| m.objectives.power_pct), "{name}");
-                    for (app, bound) in bound.speedups().iter().enumerate() {
-                        let best = members.iter().map(|m| m.speedups()[app]).fold(0.0, f64::max);
-                        assert_eq!(*bound, best, "{name}: app {app}");
-                    }
+                }
+                let min =
+                    |f: fn(&Score) -> f64| members.iter().map(f).fold(f64::INFINITY, f64::min);
+                assert_eq!(b.area_pct, min(|m| m.objectives.area_pct), "{name}");
+                assert_eq!(b.power_pct, min(|m| m.objectives.power_pct), "{name}");
+                for (app, bound) in bound.speedups().iter().enumerate() {
+                    let best = members.iter().map(|m| m.speedups()[app]).fold(0.0, f64::max);
+                    assert_eq!(*bound, best, "{name}: app {app}");
                 }
             }
         }

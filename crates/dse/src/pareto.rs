@@ -138,17 +138,6 @@ impl<T> StreamingFrontier<T> {
         true
     }
 
-    /// Whether [`StreamingFrontier::insert_constrained`] would reject
-    /// `objectives`: `constraints` do not admit them, or a member
-    /// dominates them.
-    pub fn rejects_constrained(
-        &mut self,
-        objectives: &Objectives,
-        constraints: &Constraints,
-    ) -> bool {
-        !constraints.admits(objectives) || self.rejects(objectives)
-    }
-
     /// Offer one point. Returns `true` if it joined the frontier
     /// (i.e. no current member dominates it); members it dominates are
     /// evicted. Accepted offers count into `frontier.inserts`, each

@@ -424,9 +424,11 @@ struct Part {
 impl Fold for Part {
     fn rejects(&mut self, bound: &Score) -> bool {
         let c = &self.constraints;
-        self.cross_app.rejects_constrained(&bound.objectives, c)
+        let o = &bound.objectives;
+        (!c.admits(o) || self.cross_app.rejects(o))
             && bound.speedups().iter().zip(&mut self.per_app).all(|(&speedup, frontier)| {
-                frontier.rejects_constrained(&Objectives { speedup, ..bound.objectives }, c)
+                let o = Objectives { speedup, ..*o };
+                !c.admits(&o) || frontier.rejects(&o)
             })
     }
 

@@ -34,9 +34,10 @@ fn subset<T: Copy>(rng: &mut Pcg32, pool: &[T], len: usize) -> Vec<T> {
     items
 }
 
-/// A random spec of at most [`MAX_POINTS`] points. The block axes (MAC
-/// rows and columns, lanes, FIFO depth) get two or three values, so
-/// that blocks hold several architectures and ranges cut some of them.
+/// A random spec of at most [`MAX_POINTS`] points. The last four arch
+/// axes (MAC rows and columns, and the block axes, lanes and FIFO
+/// depth) get two or three values, so that blocks hold several
+/// architectures and ranges cut some of them.
 fn random_spec(seed: u64) -> SweepSpec {
     let mut rng = Pcg32::new(seed);
     let app_count = 1 + rng.bounded(4) as usize;

@@ -238,7 +238,7 @@ proptest! {
         for start in walk_starts(&space, &mut rng) {
             let end = (start + 1 + rng.bounded(12) as usize).min(archs);
             let mut walked = Vec::new();
-            tables.walk(start..end, |flat, score| walked.push((flat, got(score))));
+            let _ = tables.fold(start..end, |flat, score: &Score| walked.push((flat, got(score))));
             prop_assert_eq!(
                 walked.iter().map(|(flat, _)| *flat).collect::<Vec<_>>(),
                 (start..end).collect::<Vec<_>>()
