@@ -14,6 +14,7 @@
 use ng_bench::print_table;
 use ng_neural::apps::nsdf::NsdfModel;
 use ng_neural::apps::EncodingKind;
+use ng_neural::encoding::Encoding;
 use ng_timeloop::arch::PeArray;
 use ng_timeloop::energy::EnergyTable;
 use ng_timeloop::evaluate_mlp;
@@ -45,11 +46,13 @@ fn banking_ablation() {
     // across 2^d banks when fully banked.
     use ngpc::engine::EncodingEngine;
     let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 5);
+    let grid = &model.field().encoding;
+    let table = std::sync::Arc::new(grid.params().to_vec());
     let mut rows = Vec::new();
     let queries = 512;
     for banks in [1u32, 2, 4, 8, 16] {
-        let mut engine = EncodingEngine::new(1 << 20, banks);
-        engine.configure(&model.field().encoding, 3).expect("configures");
+        let mut engine = EncodingEngine::new(NfpConfig::PAPER.grid_sram_bytes, banks);
+        engine.configure_shared(grid, &table, 3).expect("configures");
         let mut out = vec![0.0f32; 2];
         for i in 0..queries {
             let t = i as f32 / queries as f32;

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use ng_dse::factors::FactorTables;
 use ng_dse::spec::Space;
-use ng_dse::{Constraints, SweepEngine, SweepSpec};
+use ng_dse::{SweepEngine, SweepSpec};
 use ng_neural::render::image::Resolution;
 use ng_obs::Ledger;
 
@@ -166,7 +166,7 @@ fn bench_preset(spec: &SweepSpec) -> PresetBench {
     let (spread, recording_on) = alternate(&mut ledger, || {
         let before = ng_obs::counter::snapshot();
         let started = Instant::now();
-        let sweep = SweepEngine::new().run(spec, &Constraints::NONE, false);
+        let sweep = SweepEngine::new().run(spec, false);
         let elapsed = started.elapsed();
         assert_eq!(sweep.expect("preset specs validate").stats.evaluated, spec.point_count());
         counters_per_run.get_or_insert_with(|| {

@@ -27,22 +27,30 @@ pub struct NfpConfig {
 }
 
 impl Default for NfpConfig {
-    /// The paper's NFP: 16 engines, 1 MB grid SRAMs, 64x64 MACs, 1 GHz.
+    /// [`NfpConfig::PAPER`].
     fn default() -> Self {
-        NfpConfig {
-            encoding_engines: 16,
-            grid_sram_bytes: 1 << 20,
-            grid_sram_banks: 8,
-            lanes_per_engine: 1,
-            mac_rows: 64,
-            mac_cols: 64,
-            input_fifo_depth: 64,
-            clock_ghz: 1.0,
-        }
+        Self::PAPER
     }
 }
 
 impl NfpConfig {
+    /// The paper's NFP, read from its one declaration,
+    /// [`ng_hw::NfpFloorplan::PAPER`]: 16 engines, 1 MB grid SRAMs,
+    /// 64x64 MACs, 1 GHz.
+    pub const PAPER: NfpConfig = {
+        let paper = ng_hw::NfpFloorplan::PAPER;
+        NfpConfig {
+            encoding_engines: paper.encoding_engines,
+            grid_sram_bytes: paper.grid_sram_bytes as usize,
+            grid_sram_banks: paper.grid_sram_banks,
+            lanes_per_engine: paper.lanes_per_engine,
+            mac_rows: paper.mac_rows,
+            mac_cols: paper.mac_cols,
+            input_fifo_depth: paper.input_fifo_depth,
+            clock_ghz: paper.clock_ghz,
+        }
+    };
+
     /// Validate the configuration.
     ///
     /// # Errors
@@ -116,10 +124,13 @@ impl NfpConfig {
 
     /// The equivalent floorplan for the area/power substrate. The MLP
     /// engine's weight and activation SRAMs are provisioned
-    /// proportionally to the MAC array (the paper's 128 KiB / 32 KiB at
-    /// 64x64 set the per-MAC ratio), so sweeping the array resizes its
-    /// buffering with it; floored at one 4 KiB macro.
+    /// proportionally to the MAC array (the paper's buffers per its
+    /// array, [`ng_hw::NfpFloorplan::PAPER`], set the per-MAC ratio), so
+    /// sweeping the array resizes its buffering with it; floored at one
+    /// 4 KiB macro.
     pub fn floorplan(&self) -> ng_hw::NfpFloorplan {
+        const PAPER: ng_hw::NfpFloorplan = ng_hw::NfpFloorplan::PAPER;
+        const PAPER_MACS: u64 = PAPER.mac_rows as u64 * PAPER.mac_cols as u64;
         let macs = self.mac_count() as u64;
         ng_hw::NfpFloorplan {
             encoding_engines: self.encoding_engines,
@@ -128,8 +139,8 @@ impl NfpConfig {
             grid_sram_banks: self.grid_sram_banks,
             mac_rows: self.mac_rows,
             mac_cols: self.mac_cols,
-            weight_sram_bytes: (128 * 1024 * macs / 4096).max(4096),
-            activation_sram_bytes: (32 * 1024 * macs / 4096).max(4096),
+            weight_sram_bytes: (PAPER.weight_sram_bytes * macs / PAPER_MACS).max(4096),
+            activation_sram_bytes: (PAPER.activation_sram_bytes * macs / PAPER_MACS).max(4096),
             input_fifo_depth: self.input_fifo_depth,
             clock_ghz: self.clock_ghz,
         }
@@ -218,6 +229,8 @@ mod tests {
 
     #[test]
     fn floorplan_mirrors_config() {
+        assert_eq!(NfpConfig::PAPER.floorplan(), ng_hw::NfpFloorplan::PAPER);
+        assert_eq!(NfpConfig::default(), NfpConfig::PAPER);
         let c = NfpConfig::default();
         let f = c.floorplan();
         assert_eq!(f.encoding_engines, 16);

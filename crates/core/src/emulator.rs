@@ -469,15 +469,30 @@ pub fn emulate_batched(input: &EmulatorInput, n_batches: u64) -> EmulationResult
 }
 
 /// Average end-to-end speedup across the four applications at one scaling
-/// factor (the bars of Fig. 12).
+/// factor (the bars of Fig. 12): their [`cross_app_mean`].
 pub fn average_speedup(encoding: EncodingKind, nfp_units: u32) -> f64 {
-    AppKind::ALL
-        .iter()
-        .map(|&app| {
-            emulate(&EmulatorInput { app, encoding, nfp_units, ..EmulatorInput::default() }).speedup
-        })
-        .sum::<f64>()
-        / 4.0
+    cross_app_mean(AppKind::ALL.iter().map(|&app| {
+        emulate(&EmulatorInput { app, encoding, nfp_units, ..EmulatorInput::default() }).speedup
+    }))
+}
+
+/// The cross-app mean of one architecture's per-app `speedups`, in app
+/// order: summed in that order, then divided by their count. The one
+/// implementation of the mean: [`average_speedup`] and the design-space
+/// explorer's cross-app fold and scorer call it.
+///
+/// # Panics
+///
+/// If `speedups` is empty.
+pub fn cross_app_mean(speedups: impl IntoIterator<Item = f64>) -> f64 {
+    let mut speedups = speedups.into_iter();
+    let first = speedups.next().expect("an architecture has at least one app");
+    let (mut apps, mut sum) = (1u32, first);
+    for speedup in speedups {
+        apps += 1;
+        sum += speedup;
+    }
+    sum / apps as f64
 }
 
 #[cfg(test)]

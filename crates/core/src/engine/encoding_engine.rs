@@ -1,7 +1,7 @@
 //! The input-encoding engine: one per resolution level, 16 per NFP
 //! (paper Fig. 9-a), plus the cluster that gangs them together.
 
-use ng_neural::encoding::{Encoding, MultiResGrid};
+use ng_neural::encoding::MultiResGrid;
 
 use super::grid_index::{GridIndexUnit, IndexMode};
 use super::grid_scale::GridScaleUnit;
@@ -44,18 +44,9 @@ impl EncodingEngine {
     }
 
     /// Configure the engine for one level of `grid`: caches the level's
-    /// table in the grid SRAM and programs the index mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NgpcError::InvalidConfig`] for an out-of-range level.
-    pub fn configure(&mut self, grid: &MultiResGrid, level_idx: usize) -> Result<()> {
-        self.configure_shared(grid, &std::sync::Arc::new(grid.params().to_vec()), level_idx)
-    }
-
-    /// Like [`EncodingEngine::configure`], but reading the level's slice
-    /// from a shared copy of the grid's parameter buffer (so gangs of
-    /// engines don't duplicate large tables).
+    /// table in the grid SRAM and programs the index mode. The level's
+    /// slice is read from `table`, a shared copy of the grid's parameter
+    /// buffer (so gangs of engines don't duplicate large tables).
     ///
     /// # Errors
     ///
@@ -175,19 +166,10 @@ impl EncodingCluster {
         EncodingCluster { engines, scale_unit: None, levels: 0, features: 0 }
     }
 
-    /// Configure every engine for its level of `grid`. Engines beyond the
-    /// level count are assigned to additional parallel input lanes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NgpcError::InvalidConfig`] if the grid has more levels
-    /// than the cluster has engines.
-    pub fn configure(&mut self, grid: &MultiResGrid) -> Result<()> {
-        self.configure_shared(grid, &std::sync::Arc::new(grid.params().to_vec()))
-    }
-
-    /// Like [`EncodingCluster::configure`], sharing one copy of the grid
-    /// tables across all engines (and callers can share it across NFPs).
+    /// Configure every engine for its level of `grid`, sharing `table`,
+    /// one copy of the grid tables, across all engines (and callers can
+    /// share it across NFPs). Engines beyond the level count are assigned
+    /// to additional parallel input lanes.
     ///
     /// # Errors
     ///
@@ -277,17 +259,23 @@ impl EncodingCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ng_neural::encoding::GridConfig;
+    use ng_neural::encoding::{Encoding, GridConfig};
+    use std::sync::Arc;
 
     fn grid(kind: GridConfig) -> MultiResGrid {
         MultiResGrid::new(kind, 7).unwrap()
+    }
+
+    /// A shared copy of `grid`'s parameter buffer.
+    fn table(grid: &MultiResGrid) -> Arc<Vec<f32>> {
+        Arc::new(grid.params().to_vec())
     }
 
     #[test]
     fn engine_matches_reference_per_level() {
         let g = grid(GridConfig::hashgrid(3, 12, 1.5));
         let mut cluster = EncodingCluster::new(&NfpConfig::default());
-        cluster.configure(&g).unwrap();
+        cluster.configure_shared(&g, &table(&g)).unwrap();
         let x = [0.23f32, 0.71, 0.48];
         let mut hw = vec![0.0f32; g.output_dim()];
         cluster.encode_into(&x, &mut hw).unwrap();
@@ -305,7 +293,7 @@ mod tests {
         ] {
             let g = grid(cfg);
             let mut cluster = EncodingCluster::new(&NfpConfig::default());
-            cluster.configure(&g).unwrap();
+            cluster.configure_shared(&g, &table(&g)).unwrap();
             let x: Vec<f32> = (0..cfg.dim).map(|i| 0.1 + 0.3 * i as f32).collect();
             let mut hw = vec![0.0f32; g.output_dim()];
             cluster.encode_into(&x, &mut hw).unwrap();
@@ -325,17 +313,19 @@ mod tests {
         for (cfg, expect) in cases {
             let g = grid(cfg);
             let mut cluster = EncodingCluster::new(&NfpConfig::default());
-            cluster.configure(&g).unwrap();
+            cluster.configure_shared(&g, &table(&g)).unwrap();
             assert_eq!(cluster.parallel_inputs(), expect, "{cfg:?}");
         }
     }
 
     #[test]
     fn batch_cycles_scale_with_parallelism() {
+        let (hash, low_res) =
+            (grid(GridConfig::hashgrid(3, 12, 1.5)), grid(GridConfig::low_res_densegrid(3, 12)));
         let mut hash_cluster = EncodingCluster::new(&NfpConfig::default());
-        hash_cluster.configure(&grid(GridConfig::hashgrid(3, 12, 1.5))).unwrap();
+        hash_cluster.configure_shared(&hash, &table(&hash)).unwrap();
         let mut lr_cluster = EncodingCluster::new(&NfpConfig::default());
-        lr_cluster.configure(&grid(GridConfig::low_res_densegrid(3, 12))).unwrap();
+        lr_cluster.configure_shared(&low_res, &table(&low_res)).unwrap();
         let n = 100_000;
         assert!(lr_cluster.batch_cycles(n) < hash_cluster.batch_cycles(n) / 4);
     }
@@ -354,7 +344,7 @@ mod tests {
         let g = grid(GridConfig::hashgrid(3, 19, 1.51572));
         let mut engine = EncodingEngine::new(1 << 20, 8);
         let last = g.levels().len() - 1;
-        engine.configure(&g, last).unwrap();
+        engine.configure_shared(&g, &table(&g), last).unwrap();
         assert_eq!(engine.streaming_passes(), 2);
     }
 
@@ -362,7 +352,7 @@ mod tests {
     fn small_levels_resident_in_one_pass() {
         let g = grid(GridConfig::hashgrid(3, 12, 1.5));
         let mut engine = EncodingEngine::new(1 << 20, 8);
-        engine.configure(&g, 0).unwrap();
+        engine.configure_shared(&g, &table(&g), 0).unwrap();
         assert_eq!(engine.streaming_passes(), 1);
     }
 
@@ -370,7 +360,7 @@ mod tests {
     fn busy_cycles_accumulate() {
         let g = grid(GridConfig::densegrid(3, 12));
         let mut engine = EncodingEngine::new(1 << 20, 8);
-        engine.configure(&g, 0).unwrap();
+        engine.configure_shared(&g, &table(&g), 0).unwrap();
         let mut out = vec![0.0f32; 2];
         engine.encode_into(&[0.5, 0.5, 0.5], &mut out).unwrap();
         engine.encode_into(&[0.2, 0.4, 0.6], &mut out).unwrap();

@@ -11,8 +11,6 @@
 
 use std::sync::Arc;
 
-use crate::error::{NgpcError, Result};
-
 /// Bytes per stored feature parameter for capacity accounting.
 pub const SRAM_BYTES_PER_PARAM: usize = 2;
 
@@ -60,26 +58,6 @@ impl GridSram {
             entries: 0,
             stats: SramStats::default(),
         }
-    }
-
-    /// Load one level's table (entries x features, row-major), copying it
-    /// into a private backing buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NgpcError::SramOverflow`] if the table does not fit at
-    /// fp16 storage density.
-    pub fn load_table(&mut self, table: &[f32], features_per_entry: usize) -> Result<()> {
-        let bytes = table.len() * SRAM_BYTES_PER_PARAM;
-        if bytes > self.capacity_bytes {
-            return Err(NgpcError::SramOverflow { required: bytes, capacity: self.capacity_bytes });
-        }
-        self.table = Arc::new(table.to_vec());
-        self.base_entry = 0;
-        self.entries = table.len().checked_div(features_per_entry).unwrap_or(0);
-        self.features_per_entry = features_per_entry;
-        self.stats.loads += 1;
-        Ok(())
     }
 
     /// Point the SRAM at a level slice of a shared grid buffer, returning
@@ -152,21 +130,20 @@ impl GridSram {
 mod tests {
     use super::*;
 
-    #[test]
-    fn load_and_read_round_trip() {
-        let mut sram = GridSram::new(1024, 8);
-        let table = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
-        sram.load_table(&table, 2).unwrap();
-        assert_eq!(sram.entries(), 3);
-        assert_eq!(sram.read(1), &[3.0, 4.0]);
+    /// An SRAM of `capacity_bytes` and `banks` holding all of `table`
+    /// (2 features an entry), in one pass.
+    fn loaded(capacity_bytes: usize, banks: u32, table: Vec<f32>) -> GridSram {
+        let mut sram = GridSram::new(capacity_bytes, banks);
+        let entries = table.len() / 2;
+        assert_eq!(sram.load_table_shared(Arc::new(table), 0, entries, 2), 1);
+        sram
     }
 
     #[test]
-    fn overflow_is_rejected() {
-        let mut sram = GridSram::new(10, 2);
-        let table = vec![0.0f32; 100];
-        let err = sram.load_table(&table, 2).unwrap_err();
-        assert!(matches!(err, NgpcError::SramOverflow { .. }));
+    fn load_and_read_round_trip() {
+        let mut sram = loaded(1024, 8, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(sram.entries(), 3);
+        assert_eq!(sram.read(1), &[3.0, 4.0]);
     }
 
     #[test]
@@ -195,8 +172,7 @@ mod tests {
 
     #[test]
     fn conflict_free_burst_takes_one_cycle() {
-        let mut sram = GridSram::new(1024, 8);
-        sram.load_table(&[0.0; 32], 2).unwrap();
+        let mut sram = loaded(1024, 8, vec![0.0; 32]);
         // Eight distinct banks.
         let cycles = sram.burst_cycles(&[0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(cycles, 1);
@@ -205,8 +181,7 @@ mod tests {
 
     #[test]
     fn same_bank_burst_serialises() {
-        let mut sram = GridSram::new(1024, 8);
-        sram.load_table(&vec![0.0; 64], 2).unwrap();
+        let mut sram = loaded(1024, 8, vec![0.0; 64]);
         // All entries congruent mod 8 -> same bank.
         let cycles = sram.burst_cycles(&[0, 8, 16, 24]);
         assert_eq!(cycles, 4);
@@ -215,8 +190,7 @@ mod tests {
 
     #[test]
     fn stats_count_reads_and_loads() {
-        let mut sram = GridSram::new(1024, 2);
-        sram.load_table(&[0.0; 8], 2).unwrap();
+        let mut sram = loaded(1024, 2, vec![0.0; 8]);
         sram.read(0);
         sram.read(1);
         assert_eq!(sram.stats().reads, 2);
@@ -236,8 +210,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_read_panics() {
-        let mut sram = GridSram::new(1024, 2);
-        sram.load_table(&[0.0; 8], 2).unwrap();
+        let mut sram = loaded(1024, 2, vec![0.0; 8]);
         sram.read(4);
     }
 }

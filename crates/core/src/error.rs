@@ -20,13 +20,6 @@ pub enum NgpcError {
         /// What went wrong.
         message: String,
     },
-    /// A grid level did not fit the engine's SRAM.
-    SramOverflow {
-        /// Bytes required.
-        required: usize,
-        /// Bytes available.
-        capacity: usize,
-    },
     /// An error propagated from the neural substrate.
     Neural(ng_neural::NgError),
 }
@@ -39,9 +32,6 @@ impl fmt::Display for NgpcError {
             }
             NgpcError::ProgrammingModel { message } => {
                 write!(f, "programming model violation: {message}")
-            }
-            NgpcError::SramOverflow { required, capacity } => {
-                write!(f, "grid sram overflow: need {required} bytes, have {capacity}")
             }
             NgpcError::Neural(e) => write!(f, "neural substrate error: {e}"),
         }
@@ -69,8 +59,8 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = NgpcError::SramOverflow { required: 100, capacity: 10 };
-        assert!(e.to_string().contains("100"));
+        let e = NgpcError::InvalidConfig { parameter: "clock_ghz", message: "must be > 0".into() };
+        assert!(e.to_string().contains("clock_ghz"));
         let e = NgpcError::ProgrammingModel { message: "dispatch before configure".into() };
         assert!(e.to_string().contains("dispatch"));
     }

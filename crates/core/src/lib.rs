@@ -43,7 +43,7 @@ pub mod sched;
 
 pub use config::{NfpConfig, NgpcConfig};
 pub use emulator::{
-    bank_conflict_factor, calibrated_residual, compose, emulate, emulate_batched,
+    bank_conflict_factor, calibrated_residual, compose, cross_app_mean, emulate, emulate_batched,
     encoding_query_cycles, fused_query_cycles, mac_engine_factor, mlp_layer_shapes,
     mlp_query_cycles, paper_sample_cycles, per_sample_cycles, sram_capacity_factor,
     EmulationContext, EmulationResult, EmulatorInput, GpuBaseline, SlopeFactors, REFERENCE_GPU,

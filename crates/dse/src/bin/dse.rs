@@ -503,15 +503,12 @@ fn run_mode(cli: &Cli) -> Result<(), CliError> {
     if let Some(threads) = cli.threads {
         engine = engine.with_threads(threads);
     }
-    let sweep = engine
-        .run(&cli.spec, &cli.spec.constraints, cli.per_app)
-        .map_err(|e| usage_err(e.to_string()))?;
+    let sweep = engine.run(&cli.spec, cli.per_app).map_err(|e| usage_err(e.to_string()))?;
     // Table rendering is real work on wide frontiers — span it so the
     // ledger's coverage accounting sees it.
     let report_span = ng_obs::span("report");
     let mut out = Stdout::lock();
-    let constraints = &cli.spec.constraints;
-    write_report(&mut out, &cli.spec, &sweep.stats, &sweep.frontiers, constraints, cli.top)
+    write_report(&mut out, &cli.spec, &sweep.stats, &sweep.frontiers, cli.top)
         .map_err(stdout_err)?;
     let judge_headline =
         cli.spec.name == "paper" || cli.spec.name == "mac-arrays" || cli.check_headline;

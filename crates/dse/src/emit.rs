@@ -275,7 +275,6 @@ impl Sweep<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::Constraints;
     use crate::spec::SweepSpec;
     use crate::sweep::{evaluate_points, SweepEngine};
 
@@ -288,7 +287,7 @@ mod tests {
     #[test]
     fn csv_round_trips_bit_exactly() {
         let spec = SweepSpec::quick();
-        let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let sweep = SweepEngine::new().run(&spec, false).unwrap();
         let csv = written(|out| sweep.write_csv(out));
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(CSV_HEADER.as_str()));
@@ -326,7 +325,7 @@ mod tests {
     #[test]
     fn json_has_the_expected_shape() {
         let spec = SweepSpec::quick();
-        let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let sweep = SweepEngine::new().run(&spec, false).unwrap();
         let json = written(|out| sweep.write_json(out));
         assert!(json.contains("\"spec\":"));
         assert!(json.contains("\"frontier\":["));

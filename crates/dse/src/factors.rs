@@ -43,11 +43,11 @@ use std::io;
 use std::ops::Range;
 
 use ng_neural::apps::AppKind;
-use ngpc::GpuBaseline;
+use ngpc::{cross_app_mean, GpuBaseline};
 
 use crate::pareto::Objectives;
 use crate::spec::{axis, ArchIdx, DesignPoint, Space, ARCH_AXES, AXES};
-use crate::sweep::{cross_app_mean, ArchPoint, EvaluatedPoint};
+use crate::sweep::{ArchPoint, EvaluatedPoint};
 
 // Axis numbers of a table key: rows of `AXES`, so the app axis is 0 and
 // arch axis `i` of an `ArchIdx` is `i + 1`.

@@ -49,10 +49,10 @@
 //! use ng_dse::{Constraints, SweepEngine, SweepSpec};
 //!
 //! // The cross-app frontier of architectures within an area budget of
-//! // 10% of the GPU die, by ascending area.
+//! // 10% of the GPU die, by ascending area. The spec holds the bounds.
 //! let budget = Constraints { max_area_pct: Some(10.0), ..Constraints::default() };
-//! let spec = SweepSpec::quick();
-//! let sweep = SweepEngine::new().run(&spec, &budget, false).unwrap();
+//! let spec = SweepSpec { constraints: budget, ..SweepSpec::quick() };
+//! let sweep = SweepEngine::new().run(&spec, false).unwrap();
 //! let frontier = &sweep.frontiers.cross_app;
 //! assert!(!frontier.is_empty());
 //! assert!(frontier.iter().all(|a| a.area_pct_of_gpu <= 10.0));

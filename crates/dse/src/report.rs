@@ -130,14 +130,14 @@ pub fn describe_constraints(c: &Constraints) -> String {
     parts.join(", ")
 }
 
-/// The full terminal report of a sweep: spec/run summary, the
-/// cross-app frontier, and each per-app frontier in `frontiers`.
+/// The full terminal report of a sweep: spec/run summary (with the
+/// spec's constraints), the cross-app frontier, and each per-app
+/// frontier in `frontiers`.
 pub fn write_report(
     out: &mut impl Write,
     spec: &SweepSpec,
     stats: &SweepStats,
     frontiers: &Frontiers,
-    constraints: &Constraints,
     top: usize,
 ) -> io::Result<()> {
     let axes: Vec<String> =
@@ -151,7 +151,7 @@ pub fn write_report(
         stats.wall.as_secs_f64() * 1e3,
         stats.points_per_sec(),
     )?;
-    writeln!(out, "constraints: {}", describe_constraints(constraints))?;
+    writeln!(out, "constraints: {}", describe_constraints(&spec.constraints))?;
     writeln!(
         out,
         "\ncross-app-average Pareto frontier ({} of {} architectures):",
@@ -166,8 +166,9 @@ pub fn write_report(
     Ok(())
 }
 
-/// [`write_report`] of a held outcome to stdout, folding it first, and
-/// the constrained cross-app frontier it printed. Kept only for the
+/// [`write_report`] of a held outcome to stdout, folding it first under
+/// `constraints` (which the reported spec carries in place of its own),
+/// and the constrained cross-app frontier it printed. Kept only for the
 /// benchmark's replay (see [`SweepOutcome`]).
 ///
 /// # Panics
@@ -189,15 +190,9 @@ pub fn print_report(
     };
     let frontiers =
         Frontiers { archs: archs.len(), cross_app: arch_frontier(&archs, constraints), per_app };
-    write_report(
-        &mut io::stdout().lock(),
-        &outcome.spec,
-        &outcome.stats,
-        &frontiers,
-        constraints,
-        top,
-    )
-    .expect("failed printing to stdout");
+    let spec = SweepSpec { constraints: *constraints, ..outcome.spec.clone() };
+    write_report(&mut io::stdout().lock(), &spec, &outcome.stats, &frontiers, top)
+        .expect("failed printing to stdout");
     frontiers.cross_app
 }
 
@@ -208,7 +203,7 @@ mod tests {
 
     fn quick_frontier() -> Vec<ArchPoint> {
         let spec = SweepSpec::quick();
-        SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap().frontiers.cross_app
+        SweepEngine::new().run(&spec, false).unwrap().frontiers.cross_app
     }
 
     #[test]

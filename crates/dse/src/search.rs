@@ -419,7 +419,6 @@ fn evolve(state: &mut SearchState<'_>, rng: &mut Pcg32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pareto::Constraints;
 
     fn small_spec() -> SweepSpec {
         // 2 x 3 x 2 x 2 = 24 archs, 96 points: big enough to search,
@@ -449,7 +448,7 @@ mod tests {
     #[test]
     fn saturated_budget_degenerates_to_the_exhaustive_frontier() {
         let spec = small_spec();
-        let exhaustive = crate::SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+        let exhaustive = crate::SweepEngine::new().run(&spec, false).unwrap();
         let expected = exhaustive.frontiers.cross_app;
         for strategy in [SearchStrategy::HillClimb, SearchStrategy::Evolutionary] {
             let search =

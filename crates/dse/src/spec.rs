@@ -20,6 +20,9 @@ use crate::pareto::Constraints;
 /// 1920x1080, the paper's evaluation resolution.
 pub use ng_gpu::calibrate::FHD_PIXELS;
 
+/// The paper NFP's grid SRAM per engine in KiB, the unit of its axis.
+const PAPER_SRAM_KB: u32 = (NfpConfig::PAPER.grid_sram_bytes / 1024) as u32;
+
 /// One swept parameter, declared once in [`AXES`].
 pub struct Axis {
     /// Key of the TOML spec and of the JSON spec block; validation
@@ -45,10 +48,11 @@ pub struct Axis {
 /// help text; and the model code that reads it.
 ///
 /// The paper values are the published NGPC-64 headline *organisation*:
-/// hashgrid, FHD, 64 units, 1 GHz, 1 MB/8-bank grid SRAMs, 16 engines,
-/// 64x64 MACs, over any apps. The lane and FIFO axes are left free (see
-/// [`crate::ArchPoint::is_paper_organisation`]). Every headline guard
-/// reads these values, so the guards cannot drift apart.
+/// hashgrid, FHD and 64 units, with every NFP axis at its
+/// [`NfpConfig::PAPER`] value (1 GHz, 1 MB/8-bank grid SRAMs, 16
+/// engines, 64x64 MACs), over any apps. The lane and FIFO axes are left
+/// free (see [`crate::ArchPoint::is_paper_organisation`]). Every
+/// headline guard reads these values, so the guards cannot drift apart.
 pub static AXES: [Axis; 12] = [
     Axis {
         key: "apps",
@@ -88,7 +92,12 @@ pub static AXES: [Axis; 12] = [
         column: "clock_ghz",
         flag: "--clocks",
         label: "clocks",
-        field: &Field(Some(1.0), |s| &s.clock_ghz, |s| &mut s.clock_ghz, |p| &mut p.clock_ghz),
+        field: &Field(
+            Some(NfpConfig::PAPER.clock_ghz),
+            |s| &s.clock_ghz,
+            |s| &mut s.clock_ghz,
+            |p| &mut p.clock_ghz,
+        ),
     },
     Axis {
         key: "grid_sram_kb",
@@ -96,7 +105,7 @@ pub static AXES: [Axis; 12] = [
         flag: "--sram-kb",
         label: "srams",
         field: &Field(
-            Some(1024),
+            Some(PAPER_SRAM_KB),
             |s| &s.grid_sram_kb,
             |s| &mut s.grid_sram_kb,
             |p| &mut p.grid_sram_kb,
@@ -108,7 +117,7 @@ pub static AXES: [Axis; 12] = [
         flag: "--banks",
         label: "banks",
         field: &Field(
-            Some(8),
+            Some(NfpConfig::PAPER.grid_sram_banks),
             |s| &s.grid_sram_banks,
             |s| &mut s.grid_sram_banks,
             |p| &mut p.grid_sram_banks,
@@ -120,7 +129,7 @@ pub static AXES: [Axis; 12] = [
         flag: "--engines",
         label: "engines",
         field: &Field(
-            Some(16),
+            Some(NfpConfig::PAPER.encoding_engines),
             |s| &s.encoding_engines,
             |s| &mut s.encoding_engines,
             |p| &mut p.encoding_engines,
@@ -131,14 +140,24 @@ pub static AXES: [Axis; 12] = [
         column: "mac_rows",
         flag: "--mac-rows",
         label: "mac-rows",
-        field: &Field(Some(64), |s| &s.mac_rows, |s| &mut s.mac_rows, |p| &mut p.mac_rows),
+        field: &Field(
+            Some(NfpConfig::PAPER.mac_rows),
+            |s| &s.mac_rows,
+            |s| &mut s.mac_rows,
+            |p| &mut p.mac_rows,
+        ),
     },
     Axis {
         key: "mac_cols",
         column: "mac_cols",
         flag: "--mac-cols",
         label: "mac-cols",
-        field: &Field(Some(64), |s| &s.mac_cols, |s| &mut s.mac_cols, |p| &mut p.mac_cols),
+        field: &Field(
+            Some(NfpConfig::PAPER.mac_cols),
+            |s| &s.mac_cols,
+            |s| &mut s.mac_cols,
+            |p| &mut p.mac_cols,
+        ),
     },
     Axis {
         key: "lanes_per_engine",
@@ -514,14 +533,17 @@ pub struct SweepSpec {
     pub lanes_per_engine: Vec<u32>,
     /// Fusion input-FIFO depths in entries.
     pub input_fifo_depth: Vec<u32>,
-    /// Default reporting constraints: the full sweep is always
-    /// evaluated, and constraints only filter what is reported.
+    /// The bounds every frontier of a sweep of this spec must meet:
+    /// [`crate::SweepEngine::run`] and [`crate::report::write_report`]
+    /// read them from here. Every point counts into `eval.ticks`, but the
+    /// fold skips, unscored, each block of architectures whose bound
+    /// fails them.
     pub constraints: Constraints,
 }
 
 impl Default for SweepSpec {
     /// All four apps, hashgrid, FHD, the paper's scaling factors, and
-    /// the paper's NFP everywhere else.
+    /// the paper's NFP ([`NfpConfig::PAPER`]) everywhere else.
     fn default() -> Self {
         SweepSpec {
             name: "custom".to_string(),
@@ -529,14 +551,14 @@ impl Default for SweepSpec {
             encodings: vec![EncodingKind::MultiResHashGrid],
             pixels: vec![FHD_PIXELS],
             nfp_units: NgpcConfig::SCALING_FACTORS.to_vec(),
-            clock_ghz: vec![1.0],
-            grid_sram_kb: vec![1024],
-            grid_sram_banks: vec![8],
-            encoding_engines: vec![16],
-            mac_rows: vec![64],
-            mac_cols: vec![64],
-            lanes_per_engine: vec![1],
-            input_fifo_depth: vec![64],
+            clock_ghz: vec![NfpConfig::PAPER.clock_ghz],
+            grid_sram_kb: vec![PAPER_SRAM_KB],
+            grid_sram_banks: vec![NfpConfig::PAPER.grid_sram_banks],
+            encoding_engines: vec![NfpConfig::PAPER.encoding_engines],
+            mac_rows: vec![NfpConfig::PAPER.mac_rows],
+            mac_cols: vec![NfpConfig::PAPER.mac_cols],
+            lanes_per_engine: vec![NfpConfig::PAPER.lanes_per_engine],
+            input_fifo_depth: vec![NfpConfig::PAPER.input_fifo_depth],
             constraints: Constraints::default(),
         }
     }
@@ -604,7 +626,8 @@ impl SweepSpec {
     /// The exploded 11-arch-axis space: the paper preset's axes crossed
     /// with the NFP-microarchitecture axes *and* the query-lane /
     /// input-FIFO axes — 262,440 points, ~180x the paper preset, which
-    /// the exhaustive fold sweeps in ~4 ms on a 2-core box.
+    /// the bounded fold sweeps in ~0.5 ms on a 2-core box (a whole `dse`
+    /// process takes ~1.3 ms).
     ///
     /// Two axes stop at the paper's value, so that the paper's NGPC-64
     /// *organisation* stays on the frontier (CI's `--check-headline`

@@ -112,13 +112,13 @@ pub struct ArchPoint {
 
 impl ArchPoint {
     /// Fold one architecture's per-app points, in app order, into its
-    /// cross-app average (`cross_app_mean`). Area and power are
+    /// cross-app average ([`ngpc::cross_app_mean`]). Area and power are
     /// app-independent, so they come from the first point.
     pub fn from_app_points(points: impl IntoIterator<Item = EvaluatedPoint>) -> Self {
         let mut points = points.into_iter().peekable();
         let first = *points.peek().expect("an architecture has at least one app");
         let mut apps = 0;
-        let speedup = cross_app_mean(points.map(|p| {
+        let speedup = ngpc::cross_app_mean(points.map(|p| {
             apps += 1;
             p.speedup
         }));
@@ -201,21 +201,6 @@ impl ArchPoint {
         let point = self.point();
         AXES[1..].iter().all(|a| a.field.is_paper(&point))
     }
-}
-
-/// The cross-app mean of one architecture's per-app `speedups`, in app
-/// order: summed in that order, then divided by their count. The one
-/// implementation of the mean, shared by [`ArchPoint::from_app_points`]
-/// and the scorer of [`FactorTables`].
-pub(crate) fn cross_app_mean(speedups: impl IntoIterator<Item = f64>) -> f64 {
-    let mut speedups = speedups.into_iter();
-    let first = speedups.next().expect("an architecture has at least one app");
-    let (mut apps, mut sum) = (1u32, first);
-    for speedup in speedups {
-        apps += 1;
-        sum += speedup;
-    }
-    sum / apps as f64
 }
 
 /// How a sweep executed.
@@ -450,21 +435,17 @@ impl Fold for Part {
 }
 
 /// Fold the architectures `archs` (flat numbers, ascending) with the
-/// bounded walk, [`FactorTables::fold`], into a worker's own frontiers. Adds
-/// the range's points to `eval.ticks` and the architectures it skipped
-/// to `fold.archs_skipped`, once each, after its loop.
-fn fold_archs(
-    tables: &FactorTables,
-    archs: Range<usize>,
-    constraints: &Constraints,
-    per_app: bool,
-) -> Part {
+/// bounded walk, [`FactorTables::fold`], into a worker's own frontiers
+/// under the spec's constraints. Adds the range's points to
+/// `eval.ticks` and the architectures it skipped to
+/// `fold.archs_skipped`, once each, after its loop.
+fn fold_archs(tables: &FactorTables, archs: Range<usize>, per_app: bool) -> Part {
     let space = &tables.space;
     let (apps, arch_count) = (space.spec.apps.len(), space.arch_count());
     let part = Part {
         cross_app: StreamingFrontier::new(),
         per_app: (0..if per_app { apps } else { 0 }).map(|_| StreamingFrontier::new()).collect(),
-        constraints: *constraints,
+        constraints: space.spec.constraints,
         arch_count,
         offered: 0,
     };
@@ -485,22 +466,16 @@ fn fold_archs(
 /// into records, and the stable area sort gives the same frontier at
 /// any thread count. Returns the frontiers and the number of ranges,
 /// which is the number of threads that ran.
-fn fold_space(
-    tables: &FactorTables,
-    threads: usize,
-    constraints: &Constraints,
-    per_app: bool,
-) -> (Frontiers, usize) {
+fn fold_space(tables: &FactorTables, threads: usize, per_app: bool) -> (Frontiers, usize) {
     let archs = tables.space.arch_count();
     let chunk = range_len(archs, threads);
     let (whole, ran) = std::thread::scope(|scope| {
         let mut ranges = (0..archs).step_by(chunk).map(|lo| lo..(lo + chunk).min(archs));
         let first = ranges.next().expect("a validated space has an architecture");
-        let workers: Vec<_> = ranges
-            .map(|range| scope.spawn(move || fold_archs(tables, range, constraints, per_app)))
-            .collect();
+        let workers: Vec<_> =
+            ranges.map(|range| scope.spawn(move || fold_archs(tables, range, per_app))).collect();
         let ran = 1 + workers.len();
-        let mut whole = fold_archs(tables, first, constraints, per_app);
+        let mut whole = fold_archs(tables, first, per_app);
         for worker in workers {
             let part = worker.join().expect("a sweep worker panicked");
             whole.cross_app.merge(part.cross_app);
@@ -554,14 +529,10 @@ impl SweepEngine {
     /// Run a sweep in one streamed pass: validate, build the spec's
     /// factor tables, then have each worker evaluate a contiguous range
     /// of architectures, fold each over its apps and keep only its own
-    /// constrained frontiers (and, with `per_app`, each app's). The
-    /// merged frontiers are the same at any thread count.
-    pub fn run<'a>(
-        &self,
-        spec: &'a SweepSpec,
-        constraints: &Constraints,
-        per_app: bool,
-    ) -> Result<Sweep<'a>, SpecError> {
+    /// frontiers (and, with `per_app`, each app's) under
+    /// `spec.constraints`. The merged frontiers are the same at any
+    /// thread count.
+    pub fn run<'a>(&self, spec: &'a SweepSpec, per_app: bool) -> Result<Sweep<'a>, SpecError> {
         let _span = ng_obs::span("sweep");
         let started = Instant::now();
         spec.validate()?;
@@ -572,7 +543,7 @@ impl SweepEngine {
         let (tables, (frontiers, threads)) = {
             let _span = ng_obs::span("evaluate");
             let tables = FactorTables::new(Space::new(spec));
-            let folded = fold_space(&tables, threads, constraints, per_app);
+            let folded = fold_space(&tables, threads, per_app);
             (tables, folded)
         };
 
@@ -619,8 +590,8 @@ mod tests {
         }
     }
 
-    fn sweep<'a>(spec: &'a SweepSpec, threads: usize, c: &Constraints) -> Sweep<'a> {
-        SweepEngine::new().with_threads(threads).run(spec, c, true).unwrap()
+    fn sweep(spec: &SweepSpec, threads: usize) -> Sweep<'_> {
+        SweepEngine::new().with_threads(threads).run(spec, true).unwrap()
     }
 
     /// No caller gets more than [`MAX_THREADS`] workers: the engine
@@ -677,6 +648,7 @@ mod tests {
         for spec in SweepSpec::PRESETS.map(|name| SweepSpec::preset(name).unwrap()) {
             let oracle = oracle(&spec);
             for c in [Constraints::NONE, budget] {
+                let spec = SweepSpec { constraints: c, ..spec.clone() };
                 let want = Frontiers {
                     archs: oracle.cross_app().len(),
                     cross_app: oracle.cross_app_frontier(&c),
@@ -685,7 +657,7 @@ mod tests {
                         .collect(),
                 };
                 for threads in 1..=8 {
-                    let got = sweep(&spec, threads, &c);
+                    let got = sweep(&spec, threads);
                     assert_eq!(got.frontiers, want, "{} at {threads} threads, {c:?}", spec.name);
                     assert_eq!(got.stats.total_points, spec.point_count());
                     // One thread per range: quick's 4 architectures
@@ -694,7 +666,7 @@ mod tests {
                     assert_eq!(got.stats.threads, archs.div_ceil(archs.div_ceil(threads)));
                     assert!(got.stats.threads <= threads.min(archs), "{} at {threads}", spec.name);
                     let engine = SweepEngine::new().with_threads(threads);
-                    let default = engine.run(&spec, &c, false).unwrap().frontiers;
+                    let default = engine.run(&spec, false).unwrap().frontiers;
                     let want = Frontiers { per_app: Vec::new(), ..want.clone() };
                     assert_eq!(default, want, "{} at {threads} threads, {c:?}", spec.name);
                 }
@@ -707,7 +679,7 @@ mod tests {
         // The cross-app fold must reproduce the paper's Fig. 12-a bars;
         // on quick every NFP count is Pareto-optimal.
         let spec = SweepSpec::quick();
-        let frontier = sweep(&spec, 2, &Constraints::NONE).frontiers.cross_app;
+        let frontier = sweep(&spec, 2).frontiers.cross_app;
         assert_eq!(frontier.len(), 4);
         for (n, target) in [(8u32, 12.94f64), (16, 20.85), (32, 33.73), (64, 39.04)] {
             let a = frontier.iter().find(|a| a.nfp_units == n).unwrap();
@@ -772,7 +744,7 @@ mod tests {
     #[test]
     fn paper_headline_point_is_on_the_cross_app_frontier() {
         let spec = SweepSpec::paper();
-        let frontier = sweep(&spec, 2, &Constraints::NONE).frontiers.cross_app;
+        let frontier = sweep(&spec, 2).frontiers.cross_app;
         let arch = frontier
             .iter()
             .find(|a| a.is_paper_organisation())
@@ -805,13 +777,13 @@ mod tests {
 
     #[test]
     fn per_app_frontier_respects_constraints_and_dominance() {
-        let spec = SweepSpec::paper();
         let budget = Constraints {
             max_area_pct: Some(10.0),
             max_power_pct: Some(6.0),
             ..Constraints::default()
         };
-        let sweep = sweep(&spec, 2, &budget);
+        let spec = SweepSpec { constraints: budget, ..SweepSpec::paper() };
+        let sweep = sweep(&spec, 2);
         let (app, frontier) =
             sweep.frontiers.per_app.iter().find(|(app, _)| *app == AppKind::Gia).unwrap();
         assert!(!frontier.is_empty());
@@ -822,6 +794,36 @@ mod tests {
         for a in frontier {
             for b in frontier {
                 assert!(!a.objectives().dominates(&b.objectives()) || a == b);
+            }
+        }
+    }
+
+    /// A spec file's `[constraints]` bound the sweep of that spec alone:
+    /// no second copy of the bounds is passed to the engine.
+    #[test]
+    fn a_spec_files_constraints_bound_its_sweep() {
+        let spec = SweepSpec::from_toml_str(
+            "nfp_units = [4, 8, 12, 16]\n\
+             grid_sram_kb = [256, 512, 1024]\n\
+             encoding_engines = [8, 16]\n\
+             mac_rows = [32, 64]\n\
+             [constraints]\n\
+             max_area_pct = 5\n",
+        )
+        .unwrap();
+        let bound = Constraints { max_area_pct: Some(5.0), ..Constraints::NONE };
+        assert_eq!(spec.constraints, bound);
+        let oracle = oracle(&spec);
+        let unbounded = oracle.cross_app_frontier(&Constraints::NONE);
+        assert!(unbounded.iter().any(|a| a.area_pct_of_gpu > 5.0), "the bound must bite");
+        let want = oracle.cross_app_frontier(&bound);
+        assert!(!want.is_empty());
+        for threads in [1, 2, 7] {
+            let got = sweep(&spec, threads).frontiers;
+            assert_eq!(got.cross_app, want, "{threads} threads");
+            assert!(got.cross_app.iter().all(|a| a.area_pct_of_gpu <= 5.0));
+            for (app, frontier) in &got.per_app {
+                assert_eq!(*frontier, oracle.per_app_frontier(*app, &bound), "{app}");
             }
         }
     }

@@ -154,6 +154,7 @@ proptest! {
             min_speedup: Some(median(archs.iter().map(|a| a.avg_speedup).collect())),
         };
         for c in [Constraints::NONE, budget] {
+            let bounded = SweepSpec { constraints: c, ..spec.clone() };
             for per_app in [false, true] {
                 let want = Frontiers {
                     archs: Space::new(&spec).arch_count(),
@@ -171,7 +172,7 @@ proptest! {
                 for threads in [1, 2, 7] {
                     let churn = oracle_churn(&oracle, &c, per_app, threads);
                     let before = counters();
-                    let sweep = SweepEngine::new().with_threads(threads).run(&spec, &c, per_app);
+                    let sweep = SweepEngine::new().with_threads(threads).run(&bounded, per_app);
                     let after = counters();
                     let at = format!("{}, {c:?}, per_app {per_app}, {threads} threads", spec.name);
                     prop_assert_eq!(&sweep.unwrap().frontiers, &want, "{}", at);

@@ -144,7 +144,7 @@ proptest! {
         let spec = random_spec(seed);
         let oracle = oracle(&spec);
         let csv = points_to_csv(&oracle.points);
-        let sweep = SweepEngine::new().with_threads(3).run(&spec, &Constraints::NONE, false);
+        let sweep = SweepEngine::new().with_threads(3).run(&spec, false);
         let mut expect = Expect::new(&spec.name, &csv);
         sweep.unwrap().write_csv(&mut expect).unwrap();
         expect.finish();
@@ -160,6 +160,7 @@ proptest! {
             min_speedup: Some(median(cross_app.iter().map(|a| a.avg_speedup).collect())),
         };
         for constraints in [Constraints::NONE, budget] {
+            let bounded = SweepSpec { constraints, ..spec.clone() };
             let want_cross_app = oracle.cross_app_frontier(&constraints);
             let want_per_app: Vec<_> = AppKind::ALL
                 .into_iter()
@@ -168,12 +169,12 @@ proptest! {
                 .collect();
             for threads in [3, 7] {
                 let sweep = SweepEngine::new().with_threads(threads);
-                let frontiers = sweep.run(&spec, &constraints, true).unwrap().frontiers;
+                let frontiers = sweep.run(&bounded, true).unwrap().frontiers;
                 prop_assert_eq!(frontiers.archs, cross_app.len());
                 prop_assert_eq!(&frontiers.cross_app, &want_cross_app, "{} threads", threads);
                 prop_assert_eq!(&frontiers.per_app, &want_per_app, "{} threads", threads);
                 // `dse`'s default: the cross-app frontier alone.
-                let frontiers = sweep.run(&spec, &constraints, false).unwrap().frontiers;
+                let frontiers = sweep.run(&bounded, false).unwrap().frontiers;
                 prop_assert_eq!(frontiers.archs, cross_app.len());
                 prop_assert_eq!(&frontiers.cross_app, &want_cross_app, "{} threads", threads);
                 prop_assert!(frontiers.per_app.is_empty());
@@ -267,7 +268,7 @@ fn streamed_emitters_match_the_held_points_writers() {
         let frontier = oracle.cross_app_frontier(&Constraints::NONE);
         for threads in [1, 2, 3, 7] {
             let sweep = SweepEngine::new().with_threads(threads);
-            let sweep = sweep.run(&spec, &Constraints::NONE, false).unwrap();
+            let sweep = sweep.run(&spec, false).unwrap();
             let what = format!("{name} CSV at {threads} threads");
             let mut expect = Expect::new(&what, &csv);
             sweep.write_csv(&mut expect).unwrap();

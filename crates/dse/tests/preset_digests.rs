@@ -8,9 +8,7 @@
 use std::io;
 
 use ng_dse::report::write_report;
-use ng_dse::{
-    ArchPoint, Constraints, Frontiers, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec,
-};
+use ng_dse::{ArchPoint, Frontiers, SearchSpec, SearchStrategy, Searcher, SweepEngine, SweepSpec};
 use ng_neural::math::fnv1a64;
 
 /// `(preset, CSV digest, cross-app frontier digest)`.
@@ -59,7 +57,7 @@ fn preset_csvs_and_frontiers_are_pinned() {
         .iter()
         .map(|&(name, ..)| {
             let spec = SweepSpec::preset(name).unwrap();
-            let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false).unwrap();
+            let sweep = SweepEngine::new().run(&spec, false).unwrap();
             let mut csv = Vec::new();
             sweep.write_csv(&mut csv).unwrap();
             let csv = fnv1a64(std::str::from_utf8(&csv).unwrap());
@@ -121,13 +119,12 @@ fn preset_json_and_reports_are_pinned() {
         .iter()
         .map(|&(name, ..)| {
             let spec = SweepSpec::preset(name).unwrap();
-            let c = Constraints::NONE;
-            let sweep = SweepEngine::new().run(&spec, &c, true).unwrap();
+            let sweep = SweepEngine::new().run(&spec, true).unwrap();
             let mut json = MaskedDigest::new("\"stats\":");
             sweep.write_json(&mut json).unwrap();
             let report = |frontiers: &Frontiers| {
                 let mut out = MaskedDigest::new("evaluation:");
-                write_report(&mut out, &spec, &sweep.stats, frontiers, &c, 16).unwrap();
+                write_report(&mut out, &spec, &sweep.stats, frontiers, 16).unwrap();
                 out.finish()
             };
             let default = Frontiers { per_app: Vec::new(), ..sweep.frontiers.clone() };

@@ -156,7 +156,7 @@ proptest! {
             ..SweepSpec::default()
         };
         prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
-        let sweep = SweepEngine::new().with_threads(1).run(&spec, &Constraints::NONE, true);
+        let sweep = SweepEngine::new().with_threads(1).run(&spec, true);
         let sweep = sweep.unwrap();
         // One point is its own app's whole frontier.
         let p = &sweep.frontiers.per_app[0].1[0];

@@ -32,21 +32,30 @@ pub struct NfpFloorplan {
     pub clock_ghz: f64,
 }
 
+impl NfpFloorplan {
+    /// The paper's NFP (Fig. 9): 16 engines x 1 MB, 8-bank grid SRAM, one
+    /// query lane each, a 64x64 MAC array with 128 KiB of weight and
+    /// 32 KiB of activation SRAM, a 64-entry input FIFO, 1 GHz. The one
+    /// declaration of the organisation: `ngpc::NfpConfig::PAPER` and the
+    /// sweep's paper values derive from it.
+    pub const PAPER: NfpFloorplan = NfpFloorplan {
+        encoding_engines: 16,
+        lanes_per_engine: 1,
+        grid_sram_bytes: 1 << 20,
+        grid_sram_banks: 8,
+        mac_rows: 64,
+        mac_cols: 64,
+        weight_sram_bytes: 128 * 1024,
+        activation_sram_bytes: 32 * 1024,
+        input_fifo_depth: 64,
+        clock_ghz: 1.0,
+    };
+}
+
 impl Default for NfpFloorplan {
-    /// The paper's NFP: 16 engines x 1 MB grid SRAM, 64x64 MACs, 1 GHz.
+    /// [`NfpFloorplan::PAPER`].
     fn default() -> Self {
-        NfpFloorplan {
-            encoding_engines: 16,
-            lanes_per_engine: 1,
-            grid_sram_bytes: 1 << 20,
-            grid_sram_banks: 8,
-            mac_rows: 64,
-            mac_cols: 64,
-            weight_sram_bytes: 128 * 1024,
-            activation_sram_bytes: 32 * 1024,
-            input_fifo_depth: 64,
-            clock_ghz: 1.0,
-        }
+        Self::PAPER
     }
 }
 

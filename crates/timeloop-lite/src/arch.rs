@@ -19,26 +19,19 @@ pub struct PeArray {
 
 impl PeArray {
     /// The NFP MLP engine: a 64x64 MAC grid at 1 GHz with the dedicated
-    /// weight/activation SRAMs of the paper's Fig. 9-b.
+    /// weight/activation SRAMs of the paper's Fig. 9-b, the
+    /// [`PeArray::from_nfp`] of [`ngpc::NfpConfig::PAPER`], so the
+    /// per-layer agreement test on swept arrays and the standalone
+    /// Fig. 13 cross-validation map onto the same machine.
     pub fn nfp_mlp_engine() -> Self {
-        PeArray {
-            rows: 64,
-            cols: 64,
-            clock_ghz: 1.0,
-            buffer_bytes: (128 + 32) * 1024,
-            regfile_words: 8,
-        }
+        Self::from_nfp(&ngpc::NfpConfig::PAPER)
     }
 
     /// The PE array one [`ngpc::NfpConfig`]'s MLP engine presents to
     /// the mapper: the MAC grid is the spatial array, the engine's
     /// dedicated weight/activation SRAMs (provisioned with the array by
-    /// [`ngpc::NfpConfig::floorplan`]) are the global buffer, and the
-    /// register-file depth matches [`PeArray::nfp_mlp_engine`]. At the
-    /// paper's NFP this reproduces `nfp_mlp_engine()` exactly — the
-    /// test below pins it — so the per-layer agreement test on swept
-    /// arrays and the standalone Fig. 13 cross-validation map onto the
-    /// same machine.
+    /// [`ngpc::NfpConfig::floorplan`]) are the global buffer, with 8
+    /// register-file words per PE.
     pub fn from_nfp(nfp: &ngpc::NfpConfig) -> Self {
         let plan = nfp.floorplan();
         PeArray {
@@ -74,8 +67,15 @@ mod tests {
 
     #[test]
     fn from_nfp_reproduces_the_paper_engine() {
-        let paper = PeArray::from_nfp(&ngpc::NfpConfig::default());
-        assert_eq!(paper, PeArray::nfp_mlp_engine());
+        let paper = PeArray {
+            rows: 64,
+            cols: 64,
+            clock_ghz: 1.0,
+            buffer_bytes: (128 + 32) * 1024,
+            regfile_words: 8,
+        };
+        assert_eq!(PeArray::nfp_mlp_engine(), paper);
+        assert_eq!(PeArray::from_nfp(&ngpc::NfpConfig::default()), paper);
         // Off-paper arrays carry their proportional buffering with them.
         let half = ngpc::NfpConfig { mac_rows: 32, mac_cols: 32, ..ngpc::NfpConfig::default() };
         let a = PeArray::from_nfp(&half);

@@ -18,7 +18,7 @@ fn main() {
         ..SweepSpec::default()
     };
     let engine = SweepEngine::new();
-    let sweep = engine.run(&spec, &Constraints::NONE, false).expect("valid spec");
+    let sweep = engine.run(&spec, false).expect("valid spec");
     println!(
         "evaluated {} points in {:.1} ms ({} threads)\n",
         sweep.stats.total_points,
@@ -31,13 +31,15 @@ fn main() {
 
     // The budget question the paper's Fig. 15 invites: what is the best
     // architecture costing at most 10% of the die and 10% of TDP? The
-    // budget filters points before the frontier, so it is its own sweep.
+    // budget filters points before the frontier, so it is its own sweep
+    // of a spec that carries it.
     let budget = Constraints {
         max_area_pct: Some(10.0),
         max_power_pct: Some(10.0),
         ..Constraints::default()
     };
-    let affordable = engine.run(&spec, &budget, false).expect("valid spec").frontiers.cross_app;
+    let budgeted = SweepSpec { constraints: budget, ..spec };
+    let affordable = engine.run(&budgeted, false).expect("valid spec").frontiers.cross_app;
     println!("\nwithin a 10% area / 10% power budget:");
     print!("{}", frontier_table(&affordable, 20));
     if let Some(best) = affordable.iter().max_by(|a, b| a.avg_speedup.total_cmp(&b.avg_speedup)) {

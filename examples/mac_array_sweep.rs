@@ -12,7 +12,7 @@
 //! Run with: `cargo run --release --example mac_array_sweep`
 
 use ng_dse::report::frontier_table;
-use ng_dse::{Constraints, SweepEngine, SweepSpec};
+use ng_dse::{SweepEngine, SweepSpec};
 use ng_neural::apps::{AppKind, EncodingKind};
 use ngpc::emulator::{emulate, mac_engine_factor, per_sample_cycles, EmulatorInput};
 use ngpc::NfpConfig;
@@ -55,7 +55,7 @@ fn main() {
     // 3. The preset sweep: {32,64,128}^2 MAC shapes x {8,16,32} engines
     //    at the paper's scaling factors, Pareto-reduced.
     let spec = SweepSpec::mac_arrays();
-    let sweep = SweepEngine::new().run(&spec, &Constraints::NONE, false);
+    let sweep = SweepEngine::new().run(&spec, false);
     let sweep = sweep.expect("preset validates");
     println!(
         "\nswept {} points in {:.1} ms ({} threads)",
