@@ -27,10 +27,11 @@ const BATCH: u64 = 100_000;
 fn sram_capacity_ablation() {
     // The dense 3D grid's finest levels are the largest tables.
     let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 5);
+    let table = std::sync::Arc::new(model.field().encoding.params().to_vec());
     let mut rows = Vec::new();
     for kb in [128usize, 256, 512, 1024, 2048, 4096] {
         let cfg = NfpConfig { grid_sram_bytes: kb * 1024, ..NfpConfig::default() };
-        let nfp = FusedNfp::from_field(cfg, model.field()).expect("configures");
+        let nfp = FusedNfp::from_field_shared(cfg, model.field(), &table).expect("configures");
         rows.push(vec![format!("{kb} KiB"), format!("{:.0} us", nfp.batch_time_ns(BATCH) / 1e3)]);
     }
     print_table(
@@ -77,7 +78,9 @@ fn fusion_ablation() {
     let mut rows = Vec::new();
     for enc in EncodingKind::ALL {
         let model = NsdfModel::new(enc, 5);
-        let nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).expect("configures");
+        let table = std::sync::Arc::new(model.field().encoding.params().to_vec());
+        let nfp = FusedNfp::from_field_shared(NfpConfig::default(), model.field(), &table)
+            .expect("configures");
         let fused = nfp.batch_time_ns(BATCH);
         let unfused = nfp.batch_time_unfused_ns(BATCH, 936.2);
         rows.push(vec![

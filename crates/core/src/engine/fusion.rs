@@ -39,22 +39,10 @@ pub struct FusedNfp {
 }
 
 impl FusedNfp {
-    /// Configure an NFP for a trained encoding + MLP pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration errors if the grid does not map onto the
-    /// engine gang.
-    pub fn from_field(config: NfpConfig, field: &FieldModel) -> Result<Self> {
-        Self::from_field_shared(
-            config,
-            field,
-            &std::sync::Arc::new(field.encoding.params().to_vec()),
-        )
-    }
-
-    /// Like [`FusedNfp::from_field`], sharing one copy of the grid tables
-    /// (used by [`crate::cluster::Ngpc`] so N NFPs don't hold N copies).
+    /// Configure an NFP for a trained encoding + MLP pair. The engines
+    /// read the grid tables from `table`, a shared copy of the field's
+    /// parameter buffer (so [`crate::cluster::Ngpc`]'s N NFPs don't hold
+    /// N copies).
     ///
     /// # Errors
     ///
@@ -159,11 +147,18 @@ mod tests {
     use ng_neural::apps::gia::GiaModel;
     use ng_neural::apps::nsdf::NsdfModel;
     use ng_neural::apps::EncodingKind;
+    use std::sync::Arc;
+
+    /// A paper NFP configured for `field`, with its own copy of the grid.
+    fn nfp(field: &FieldModel) -> FusedNfp {
+        let table = Arc::new(field.encoding.params().to_vec());
+        FusedNfp::from_field_shared(NfpConfig::default(), field, &table).unwrap()
+    }
 
     #[test]
     fn fused_query_matches_field_model_exactly() {
         let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 3);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         for &(x, y, z) in &[(0.1f32, 0.5, 0.9), (0.33, 0.66, 0.2), (0.77, 0.12, 0.05)] {
             let hw = nfp.query(&[x, y, z]).unwrap();
             let sw = model.field().forward(&[x, y, z]).unwrap();
@@ -174,7 +169,7 @@ mod tests {
     #[test]
     fn fused_batch_matches_reference_for_gia() {
         let model = GiaModel::new(EncodingKind::LowResDenseGrid, 8);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         let inputs = [0.1f32, 0.2, 0.5, 0.5, 0.9, 0.8];
         let (out, stats) = nfp.run_batch(&inputs).unwrap();
         assert_eq!(stats.queries, 3);
@@ -187,7 +182,7 @@ mod tests {
     #[test]
     fn fusion_is_never_slower_than_serial() {
         let model = NsdfModel::new(EncodingKind::LowResDenseGrid, 2);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         let (_, stats) = nfp.run_batch(&[0.5f32; 30]).unwrap();
         assert!(stats.fused_cycles <= stats.encoding_cycles + stats.mlp_cycles);
         assert!(stats.fused_cycles >= stats.encoding_cycles.max(stats.mlp_cycles));
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn fusion_saves_the_feature_round_trip() {
         let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 2);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         let (_, stats) = nfp.run_batch(&[0.5f32; 30]).unwrap();
         // 10 queries x 16 features x 2 bytes x (write + read).
         assert_eq!(stats.dram_bytes_saved, 10 * 16 * 2 * 2);
@@ -205,14 +200,14 @@ mod tests {
     #[test]
     fn unfused_time_exceeds_fused_time() {
         let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 4);
-        let nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let nfp = nfp(model.field());
         assert!(nfp.batch_time_unfused_ns(10_000, 936.2) > nfp.batch_time_ns(10_000));
     }
 
     #[test]
     fn ragged_batch_rejected() {
         let model = NsdfModel::new(EncodingKind::LowResDenseGrid, 2);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         assert!(nfp.run_batch(&[0.5f32; 31]).is_err());
     }
 }

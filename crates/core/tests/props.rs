@@ -2,6 +2,7 @@
 
 use ng_neural::apps::nsdf::NsdfModel;
 use ng_neural::apps::EncodingKind;
+use ng_neural::encoding::Encoding;
 use ngpc::emulator::{emulate, EmulatorInput};
 use ngpc::engine::FusedNfp;
 use ngpc::sched::{frame_stream, overlapped_makespan_ms};
@@ -46,7 +47,8 @@ proptest! {
             grid_sram_banks: 1 << banks_log2,
             ..NfpConfig::default()
         };
-        let mut nfp = FusedNfp::from_field(cfg, model.field()).unwrap();
+        let table = std::sync::Arc::new(model.field().encoding.params().to_vec());
+        let mut nfp = FusedNfp::from_field_shared(cfg, model.field(), &table).unwrap();
         let p = [x, y, z];
         prop_assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap());
     }

@@ -159,7 +159,7 @@ impl SearchState<'_> {
         obs_counters::eval_ticks().add(apps as u64);
         let objectives = self.tables.score_at(idx).objectives;
         self.visited.insert(*idx, objectives);
-        if self.archive.insert(objectives, *idx) {
+        if self.archive.insert_constrained(objectives, *idx, &self.space.spec.constraints) {
             self.archive_generation += 1;
         }
         Some(objectives)
@@ -509,6 +509,28 @@ mod tests {
         assert_eq!(outcome.stats.space_archs, 65_537);
         assert_eq!(outcome.stats.archs_visited, outcome.stats.space_archs);
         assert_eq!(outcome.stats.evaluations, 65_537);
+    }
+
+    #[test]
+    fn a_bounded_spec_archives_only_architectures_within_its_bounds() {
+        let mut spec = small_spec();
+        spec.constraints.max_area_pct = Some(10.0);
+        spec.constraints.min_speedup = Some(15.0);
+        let swept = crate::SweepEngine::new().run(&spec, false).unwrap().frontiers.cross_app;
+        assert!(!swept.is_empty());
+        for strategy in [SearchStrategy::HillClimb, SearchStrategy::Evolutionary] {
+            for budget in [60, spec.point_count()] {
+                let search = SearchSpec { strategy, budget, ..SearchSpec::default() };
+                let outcome = Searcher::new().run(&spec, &search).unwrap();
+                assert!(!outcome.frontier.is_empty(), "{strategy:?} at {budget}");
+                for a in &outcome.frontier {
+                    assert!(spec.constraints.admits(&a.objectives()), "{strategy:?}: {a:?}");
+                }
+                if outcome.stats.exhaustive {
+                    assert_eq!(canon(&outcome.frontier), canon(&swept), "{strategy:?}");
+                }
+            }
+        }
     }
 
     #[test]

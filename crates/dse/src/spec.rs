@@ -626,8 +626,9 @@ impl SweepSpec {
     /// The exploded 11-arch-axis space: the paper preset's axes crossed
     /// with the NFP-microarchitecture axes *and* the query-lane /
     /// input-FIFO axes — 262,440 points, ~180x the paper preset, which
-    /// the bounded fold sweeps in ~0.5 ms on a 2-core box (a whole `dse`
-    /// process takes ~1.3 ms).
+    /// the bounded fold sweeps in ~0.5–0.8 ms on a 2-core box (a whole
+    /// statically linked `dse` process takes ~1.1 ms in perfbench's
+    /// `sweep` workload; DESIGN.md § Where a `dse` process's time goes).
     ///
     /// Two axes stop at the paper's value, so that the paper's NGPC-64
     /// *organisation* stays on the frontier (CI's `--check-headline`

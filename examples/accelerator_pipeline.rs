@@ -8,6 +8,7 @@
 use neural_graphics_hw::prelude::*;
 use ng_neural::apps::nsdf::NsdfModel;
 use ng_neural::data::sdf::SdfShape;
+use ng_neural::encoding::Encoding;
 use ngpc::cluster::Ngpc;
 use ngpc::engine::FusedNfp;
 use ngpc::sched::{frame_stream, overlapped_makespan_ms, serial_makespan_ms};
@@ -20,7 +21,9 @@ fn main() {
     Trainer::new(cfg).train_nsdf(&mut model, move |p| shape.distance(p), 0.25);
 
     // 1. One fused NFP: functional equivalence.
-    let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).expect("configures");
+    let table = std::sync::Arc::new(model.field().encoding.params().to_vec());
+    let mut nfp = FusedNfp::from_field_shared(NfpConfig::default(), model.field(), &table)
+        .expect("configures");
     let probe = [0.41f32, 0.52, 0.63];
     let hw = nfp.query(&probe).expect("query");
     let sw = model.field().forward(&probe).expect("query");

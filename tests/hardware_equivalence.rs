@@ -6,9 +6,18 @@ use neural_graphics_hw::prelude::*;
 use ng_neural::apps::gia::GiaModel;
 use ng_neural::apps::nsdf::NsdfModel;
 use ng_neural::apps::nvr::NvrModel;
+use ng_neural::apps::FieldModel;
 use ng_neural::data::procedural::ProceduralImage;
 use ng_neural::data::sdf::SdfShape;
+use ng_neural::encoding::Encoding;
 use ngpc::engine::FusedNfp;
+use std::sync::Arc;
+
+/// A paper NFP configured for `field`, with its own copy of the grid.
+fn nfp(field: &FieldModel) -> FusedNfp {
+    let table = Arc::new(field.encoding.params().to_vec());
+    FusedNfp::from_field_shared(NfpConfig::default(), field, &table).unwrap()
+}
 
 fn probe_points(dim: usize, n: usize) -> Vec<Vec<f32>> {
     let mut rng = ng_neural::math::Pcg32::new(0xE0);
@@ -19,7 +28,7 @@ fn probe_points(dim: usize, n: usize) -> Vec<Vec<f32>> {
 fn nsdf_equivalence_all_encodings() {
     for enc in EncodingKind::ALL {
         let model = NsdfModel::new(enc, 31);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         for p in probe_points(3, 25) {
             assert_eq!(
                 nfp.query(&p).unwrap(),
@@ -34,7 +43,7 @@ fn nsdf_equivalence_all_encodings() {
 fn gia_equivalence_all_encodings() {
     for enc in EncodingKind::ALL {
         let model = GiaModel::new(enc, 17);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         for p in probe_points(2, 25) {
             assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap(), "{enc}");
         }
@@ -45,7 +54,7 @@ fn gia_equivalence_all_encodings() {
 fn nvr_equivalence_all_encodings() {
     for enc in EncodingKind::ALL {
         let model = NvrModel::new(enc, 23);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let mut nfp = nfp(model.field());
         for p in probe_points(3, 25) {
             assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap(), "{enc}");
         }
@@ -60,7 +69,7 @@ fn equivalence_survives_training() {
     let mut model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 9);
     let cfg = TrainConfig { steps: 30, batch_size: 256, ..TrainConfig::default() };
     Trainer::new(cfg).train_nsdf(&mut model, move |p| shape.distance(p), 0.2);
-    let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+    let mut nfp = nfp(model.field());
     for p in probe_points(3, 40) {
         assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap());
     }
@@ -91,7 +100,7 @@ fn trained_gia_on_hardware_reconstructs_image() {
     let mut model = GiaModel::new(EncodingKind::MultiResHashGrid, 77);
     let cfg = TrainConfig { steps: 120, batch_size: 1024, ..TrainConfig::default() };
     Trainer::new(cfg).train_gia(&mut model, &image);
-    let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+    let mut nfp = nfp(model.field());
     let mut err = 0.0f64;
     let n = 24;
     for i in 0..n {

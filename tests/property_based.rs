@@ -55,7 +55,9 @@ proptest! {
         // One shared model per test run would be faster, but proptest
         // closures take ownership; keep the grid tiny instead.
         let model = NsdfModel::new(EncodingKind::LowResDenseGrid, 1);
-        let mut nfp = FusedNfp::from_field(NfpConfig::default(), model.field()).unwrap();
+        let table = std::sync::Arc::new(model.field().encoding.params().to_vec());
+        let mut nfp =
+            FusedNfp::from_field_shared(NfpConfig::default(), model.field(), &table).unwrap();
         let p = [x, y, z];
         prop_assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap());
     }
