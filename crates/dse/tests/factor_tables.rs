@@ -14,6 +14,8 @@
 //! the per-app frontiers. The scorer the workers and the searcher share
 //! is pinned against the oracle on walks and random-access probes of
 //! the same specs ([`FactorTables::walk`], [`FactorTables::score_at`]).
+//! And every point a valid spec can name evaluates to finite, positive
+//! metrics.
 
 use std::io;
 use std::time::Duration;
@@ -280,6 +282,62 @@ fn streamed_emitters_match_the_held_points_writers() {
             let mut expect = Expect::new(&what, &json);
             sweep.write_json(&mut expect).unwrap();
             expect.finish();
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any single point drawn inside `SweepSpec::validate`'s bounds
+    /// (log-uniform where an axis spans decades) evaluates to finite,
+    /// positive metrics.
+    #[test]
+    fn every_valid_point_has_finite_positive_metrics(
+        app in 0usize..4,
+        encoding in 0usize..3,
+        pixels_exp in 0u32..33,
+        pixels_mul in 1u64..=2,
+        nfp_units in 1u32..=1024,
+        clock_ghz in 0.1f64..5.0,
+        sram_kb_exp in 2u32..=16,
+        banks_exp in 0u32..=10,
+        engines in 1u32..=64,
+        mac_rows in 1u32..=1024,
+        mac_cols in 1u32..=1024,
+        lanes in 1u32..=16,
+        fifo in 1u32..=4096,
+    ) {
+        let spec = SweepSpec {
+            name: "random-point".to_string(),
+            apps: vec![AppKind::ALL[app]],
+            encodings: vec![EncodingKind::ALL[encoding]],
+            pixels: vec![pixels_mul << pixels_exp],
+            nfp_units: vec![nfp_units],
+            clock_ghz: vec![clock_ghz],
+            grid_sram_kb: vec![1 << sram_kb_exp],
+            grid_sram_banks: vec![1 << banks_exp],
+            encoding_engines: vec![engines],
+            mac_rows: vec![mac_rows],
+            mac_cols: vec![mac_cols],
+            lanes_per_engine: vec![lanes],
+            input_fifo_depth: vec![fifo],
+            ..SweepSpec::default()
+        };
+        prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
+        let sweep = SweepEngine::new().with_threads(1).run(&spec, true);
+        let sweep = sweep.unwrap();
+        // One point is its own app's whole frontier.
+        let p = &sweep.frontiers.per_app[0].1[0];
+        for (name, value) in [
+            ("speedup", p.speedup),
+            ("area %", p.area_pct_of_gpu),
+            ("power %", p.power_pct_of_gpu),
+            ("gpu_ms", p.gpu_ms),
+            ("ngpc_frame_ms", p.ngpc_frame_ms),
+            ("amdahl_bound", p.amdahl_bound),
+        ] {
+            prop_assert!(value.is_finite() && value > 0.0, "{} = {} at {:?}", name, value, p.point);
         }
     }
 }

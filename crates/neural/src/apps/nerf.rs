@@ -3,11 +3,12 @@
 //! Two concatenated networks (paper Fig. 4): a *density MLP* maps encoded
 //! positions to sigma plus latent geometry features; a *color MLP* maps
 //! those latent features together with the spherical-harmonics-encoded
-//! view direction to RGB. The output is the `(RGB, sigma)` tuple consumed
-//! by the volume renderer.
+//! view direction to RGB. The output is the `(RGB, sigma)` tuple of one
+//! sample; compositing samples along a ray is left to the GPU, as in the
+//! paper.
 
 use super::params::{NERF_LATENT_DIM, NERF_SH_DIM};
-use super::{table1, AppKind, EncodingKind, FieldGrads, FieldModel, OutputDecode};
+use super::{table1, AppKind, EncodingKind, FieldModel, OutputDecode};
 use crate::encoding::sh::SphericalHarmonics;
 use crate::encoding::{Encoding, MultiResGrid};
 use crate::error::Result;
@@ -23,39 +24,7 @@ pub struct RadianceSample {
     pub sigma: f32,
 }
 
-/// Gradient buffers for the full NeRF pipeline.
-#[derive(Debug, Clone)]
-pub struct NerfGrads {
-    /// Density model (grid tables + density MLP).
-    pub density: FieldGrads,
-    /// Color MLP weights.
-    pub color_mlp: Vec<f32>,
-}
-
-impl NerfGrads {
-    /// Zeroed gradients matching `model`.
-    pub fn zeros_like(model: &NerfModel) -> Self {
-        NerfGrads {
-            density: FieldGrads::zeros_like(&model.density),
-            color_mlp: vec![0.0; model.color_mlp.param_count()],
-        }
-    }
-
-    /// Reset all gradients to zero.
-    pub fn clear(&mut self) {
-        self.density.clear();
-        self.color_mlp.iter_mut().for_each(|g| *g = 0.0);
-    }
-
-    /// Scale all gradients (e.g. by `1/batch`).
-    pub fn scale(&mut self, s: f32) {
-        self.density.scale(s);
-        self.color_mlp.iter_mut().for_each(|g| *g *= s);
-    }
-}
-
-/// Everything computed during a traced NeRF forward pass, retained for the
-/// backward pass.
+/// Everything computed during a traced NeRF forward pass.
 #[derive(Debug, Clone)]
 pub struct NerfTrace {
     /// Grid-encoding features of the position.
@@ -109,19 +78,9 @@ impl NerfModel {
         &self.density
     }
 
-    /// Mutable density branch (for optimizers).
-    pub fn density_field_mut(&mut self) -> &mut FieldModel {
-        &mut self.density
-    }
-
     /// The color MLP.
     pub fn color_mlp(&self) -> &Mlp {
         &self.color_mlp
-    }
-
-    /// Mutable color MLP (for optimizers).
-    pub fn color_mlp_mut(&mut self) -> &mut Mlp {
-        &mut self.color_mlp
     }
 
     /// Total trainable parameters across both networks and the grid.
@@ -149,7 +108,7 @@ impl NerfModel {
         Ok(self.forward_traced(pos, dir)?.sample)
     }
 
-    /// Traced forward pass retaining every intermediate for training.
+    /// Traced forward pass retaining every intermediate.
     ///
     /// # Errors
     ///
@@ -184,57 +143,6 @@ impl NerfModel {
             color_raw,
             sample: RadianceSample { color, sigma },
         })
-    }
-
-    /// Backward pass for one sample.
-    ///
-    /// `d_color` is `d loss / d decoded RGB`, `d_sigma` is
-    /// `d loss / d sigma`. Gradients flow through the color MLP into the
-    /// latent features and join the sigma gradient at the density MLP, then
-    /// into the grid tables — the same fused dataflow the NFP hardware
-    /// implements.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors.
-    pub fn backward(
-        &self,
-        pos: Vec3,
-        trace: &NerfTrace,
-        d_color: Vec3,
-        d_sigma: f32,
-        grads: &mut NerfGrads,
-    ) -> Result<()> {
-        // Through the color sigmoid.
-        let mut d_color_raw = vec![0.0f32; 3];
-        let d_dec = [d_color.x, d_color.y, d_color.z];
-        for i in 0..3 {
-            let y = Activation::Sigmoid.apply(trace.color_raw[i]);
-            d_color_raw[i] = d_dec[i] * Activation::Sigmoid.derivative(trace.color_raw[i], y);
-        }
-        // Color MLP backward -> gradient w.r.t. its input.
-        let d_color_input = self.color_mlp.backward(
-            &trace.color_input,
-            &trace.color_trace,
-            &d_color_raw,
-            &mut grads.color_mlp,
-        )?;
-
-        // Density raw gradient: latent part from the color branch plus the
-        // sigma channel through exp.
-        let mut d_density_raw = vec![0.0f32; trace.density_raw.len()];
-        d_density_raw[..NERF_LATENT_DIM].copy_from_slice(&d_color_input[..NERF_LATENT_DIM]);
-        let sigma = trace.sample.sigma;
-        d_density_raw[0] += d_sigma * Activation::Exp.derivative(trace.density_raw[0], sigma);
-
-        self.density.backward(
-            &pos.to_array(),
-            &trace.features,
-            &trace.density_trace,
-            &d_density_raw,
-            &mut grads.density,
-        )?;
-        Ok(())
     }
 
     /// The decode applied to the color branch.
@@ -280,48 +188,5 @@ mod tests {
         let b = m.query(pos, Vec3::new(1.0, 0.0, 0.0)).unwrap();
         assert!((a.color - b.color).length() > 1e-6, "color did not change with view direction");
         assert!((a.sigma - b.sigma).abs() < 1e-9, "sigma must be view-independent");
-    }
-
-    #[test]
-    fn backward_touches_all_parameter_chunks() {
-        let m = model();
-        let pos = Vec3::new(0.25, 0.5, 0.75);
-        let dir = Vec3::new(0.0, 1.0, 0.0);
-        let trace = m.forward_traced(pos, dir).unwrap();
-        let mut grads = NerfGrads::zeros_like(&m);
-        m.backward(pos, &trace, Vec3::new(1.0, 1.0, 1.0), 1.0, &mut grads).unwrap();
-        assert!(grads.color_mlp.iter().any(|g| *g != 0.0));
-        assert!(grads.density.mlp.iter().any(|g| *g != 0.0));
-        assert!(grads.density.encoding.iter().any(|g| *g != 0.0));
-    }
-
-    #[test]
-    fn sigma_gradient_matches_finite_difference_through_pipeline() {
-        // Perturb one grid parameter and verify the sigma gradient.
-        let mut m = model();
-        let pos = Vec3::new(0.61, 0.37, 0.52);
-        let dir = Vec3::new(0.0, 0.0, 1.0);
-        let trace = m.forward_traced(pos, dir).unwrap();
-        let mut grads = NerfGrads::zeros_like(&m);
-        // Loss = sigma -> d_sigma = 1, d_color = 0.
-        m.backward(pos, &trace, Vec3::ZERO, 1.0, &mut grads).unwrap();
-
-        // Find a grid parameter with nonzero gradient.
-        let idx = grads
-            .density
-            .encoding
-            .iter()
-            .position(|g| g.abs() > 1e-8)
-            .expect("some grid gradient is nonzero");
-        let h = 1e-3f32;
-        let base = m.sigma(pos).unwrap();
-        m.density_field_mut().encoding.params_mut()[idx] += h;
-        let plus = m.sigma(pos).unwrap();
-        let numeric = (plus - base) / h;
-        let analytic = grads.density.encoding[idx];
-        assert!(
-            (analytic - numeric).abs() < 2e-2 * (1.0 + numeric.abs()),
-            "analytic {analytic} vs numeric {numeric}"
-        );
     }
 }

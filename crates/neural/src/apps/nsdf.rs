@@ -55,24 +55,6 @@ impl NsdfModel {
         Ok(self.field.forward(&p.to_array())?[0])
     }
 
-    /// Numerical surface normal via central differences of the learned
-    /// field (used by the sphere-tracing renderer for shading).
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors from the underlying model.
-    pub fn normal(&self, p: Vec3, eps: f32) -> Result<Vec3> {
-        let dx = self.distance(Vec3::new(p.x + eps, p.y, p.z))?
-            - self.distance(Vec3::new(p.x - eps, p.y, p.z))?;
-        let dy = self.distance(Vec3::new(p.x, p.y + eps, p.z))?
-            - self.distance(Vec3::new(p.x, p.y - eps, p.z))?;
-        let dz = self.distance(Vec3::new(p.x, p.y, p.z + eps))?
-            - self.distance(Vec3::new(p.x, p.y, p.z - eps))?;
-        let g = Vec3::new(dx, dy, dz);
-        let len = g.length();
-        Ok(if len > 1e-9 { g / len } else { Vec3::new(0.0, 0.0, 1.0) })
-    }
-
     /// Total trainable parameters.
     pub fn param_count(&self) -> usize {
         self.field.param_count()
@@ -91,13 +73,6 @@ mod tests {
             let d = model.distance(Vec3::new(t, 1.0 - t, 0.5)).unwrap();
             assert!(d.is_finite());
         }
-    }
-
-    #[test]
-    fn normals_are_unit_or_fallback() {
-        let model = NsdfModel::new(EncodingKind::MultiResDenseGrid, 4);
-        let n = model.normal(Vec3::new(0.4, 0.5, 0.6), 1e-3).unwrap();
-        assert!((n.length() - 1.0).abs() < 1e-4);
     }
 
     #[test]

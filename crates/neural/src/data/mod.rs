@@ -4,15 +4,13 @@
 //! photographs, SDF meshes). Those are not redistributable, so this module
 //! provides *analytic* ground truths with the same statistical character —
 //! high-frequency content a plain MLP cannot fit but a grid-encoded model
-//! can: procedural images ([`procedural`]), exact signed-distance fields
-//! ([`sdf`]) and emissive density volumes ([`volume_scene`]). Because the
-//! targets are analytic, reconstruction error can be measured exactly
-//! anywhere, which the test-suite uses heavily.
+//! can: procedural images ([`procedural`]) and exact signed-distance
+//! fields ([`sdf`]). Because the targets are analytic, reconstruction
+//! error can be measured exactly anywhere, which the test-suite uses
+//! heavily.
 
 pub mod procedural;
 pub mod sdf;
-pub mod volume_scene;
 
 pub use procedural::ProceduralImage;
 pub use sdf::{Csg, SdfShape};
-pub use volume_scene::VolumeScene;

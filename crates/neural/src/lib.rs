@@ -13,12 +13,13 @@
 //!   Adam optimisation and the losses used for neural-graphics training.
 //! * **The four applications** ([`apps`]): NeRF, NSDF, GIA and NVR with the
 //!   exact hyper-parameters of Table I of the paper.
-//! * **Rendering** ([`render`]): ray generation, ray-marched volume
-//!   rendering with alpha compositing, SDF sphere tracing and image
-//!   utilities (PSNR, PPM output).
-//! * **Synthetic data** ([`data`]): procedural high-frequency images,
-//!   analytic signed-distance fields and emissive density volumes that
-//!   substitute for the paper's captured datasets.
+//! * **Images** ([`render`]): image buffers with quality metrics (PSNR,
+//!   PPM output) and the paper's display resolutions. Ray generation,
+//!   ray marching, compositing and sphere tracing stay on the GPU in the
+//!   paper; `ng-gpu` models their time analytically.
+//! * **Synthetic data** ([`data`]): procedural high-frequency images and
+//!   analytic signed-distance fields that substitute for the paper's
+//!   captured datasets.
 //! * **Training** ([`train`]): a deterministic, seedable training loop.
 //!
 //! ## Quickstart

@@ -1,4 +1,4 @@
-//! Fixed-size 2D/3D vectors used by cameras, rays and analytic scenes.
+//! Fixed-size 2D/3D vectors used by the analytic scenes and model queries.
 
 use std::ops::{Add, Div, Mul, Neg, Sub};
 

@@ -1,93 +1,6 @@
-//! Rendering substrate: cameras/rays, volume rendering (the compositing
-//! stage of the neural-graphics pipeline), sphere tracing for SDFs, and
-//! image buffers with quality metrics.
+//! Image buffers with quality metrics, and the paper's display
+//! resolutions.
 
-pub mod camera;
 pub mod image;
-pub mod occupancy;
-pub mod scatter;
-pub mod sphere_trace;
-pub mod volume;
 
-pub use camera::{Camera, Ray};
 pub use image::ImageBuffer;
-pub use volume::{composite_ray, RaymarchConfig};
-
-use crate::math::Vec3;
-
-/// Render a frame in parallel across `threads` scoped worker threads.
-///
-/// `shade` maps normalized pixel-center coordinates (`u` right, `v` down)
-/// to a color; it must be `Sync` because rows are distributed across
-/// threads (this mirrors the embarrassingly parallel pixel workload the
-/// paper's Section VI relies on for NGPC utilization).
-///
-/// # Panics
-///
-/// Panics if either dimension is zero (the [`ImageBuffer`] contract).
-pub fn render_frame_parallel<F>(
-    width: usize,
-    height: usize,
-    threads: usize,
-    shade: F,
-) -> ImageBuffer
-where
-    F: Fn(f32, f32) -> Vec3 + Sync,
-{
-    let threads = threads.max(1);
-    // Allocate up front so zero dimensions fail ImageBuffer's clear
-    // assert instead of a bare `chunks_mut(0)` panic mid-render.
-    let mut img = ImageBuffer::new(width, height);
-    let mut rows: Vec<Vec<Vec3>> = vec![Vec::new(); height];
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in rows.chunks_mut(height.div_ceil(threads)).enumerate() {
-            let shade = &shade;
-            let rows_per_chunk = height.div_ceil(threads);
-            scope.spawn(move || {
-                for (i, row) in chunk.iter_mut().enumerate() {
-                    let y = chunk_idx * rows_per_chunk + i;
-                    let v = (y as f32 + 0.5) / height as f32;
-                    *row = (0..width).map(|x| shade((x as f32 + 0.5) / width as f32, v)).collect();
-                }
-            });
-        }
-    });
-    for (y, row) in rows.into_iter().enumerate() {
-        for (x, c) in row.into_iter().enumerate() {
-            img.set_pixel(x, y, c);
-        }
-    }
-    img
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parallel_render_matches_serial() {
-        let shade = |u: f32, v: f32| Vec3::new(u, v, u * v);
-        let par = render_frame_parallel(33, 17, 4, shade);
-        let mut serial = ImageBuffer::new(33, 17);
-        serial.fill_from(shade);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn single_thread_works() {
-        let img = render_frame_parallel(8, 8, 1, |u, _| Vec3::splat(u));
-        assert!((img.pixel(7, 0).x - (7.5 / 8.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "image dimensions must be nonzero")]
-    fn zero_height_panics_with_the_image_contract() {
-        let _ = render_frame_parallel(8, 0, 4, |u, _| Vec3::splat(u));
-    }
-
-    #[test]
-    fn more_threads_than_rows() {
-        let img = render_frame_parallel(4, 2, 16, |_, v| Vec3::splat(v));
-        assert!(img.pixel(0, 1).x > img.pixel(0, 0).x);
-    }
-}

@@ -1,4 +1,5 @@
-//! Deterministic training loops for the four applications.
+//! Deterministic training loops: a generic [`FieldModel`] trainer, and
+//! GIA and NSDF training against analytic targets.
 //!
 //! Training follows the paper's setup (Section II.2): batches of points
 //! are drawn from the scene observations, the encoding + MLP pipeline is
@@ -7,16 +8,13 @@
 //!
 //! Because the ground truths in [`crate::data`] are analytic, scene
 //! "observations" are sampled directly from the target field — the exact
-//! code path (encode, infer, composite, backprop) is what matters to the
+//! code path (encode, infer, backprop) is what matters to the
 //! architecture study, not the provenance of the supervision signal.
 
 use crate::apps::gia::GiaModel;
-use crate::apps::nerf::{NerfGrads, NerfModel};
 use crate::apps::nsdf::NsdfModel;
-use crate::apps::nvr::NvrModel;
 use crate::apps::{FieldGrads, FieldModel, OutputDecode};
 use crate::data::procedural::ProceduralImage;
-use crate::data::volume_scene::VolumeScene;
 use crate::encoding::Encoding;
 use crate::error::Result;
 use crate::math::{Pcg32, Vec3};
@@ -35,9 +33,6 @@ pub struct TrainConfig {
     pub loss: Loss,
     /// RNG seed for batch sampling.
     pub seed: u64,
-    /// Relative weight of the density loss in NeRF/NVR training (colors
-    /// live in `[0,1]` while sigma can reach tens).
-    pub sigma_weight: f32,
 }
 
 impl Default for TrainConfig {
@@ -48,7 +43,6 @@ impl Default for TrainConfig {
             adam: AdamConfig::default(),
             loss: Loss::Mse,
             seed: 0,
-            sigma_weight: 0.01,
         }
     }
 }
@@ -74,7 +68,7 @@ impl TrainStats {
     }
 }
 
-/// Drives training of any of the four application models.
+/// Drives training of the grid-encoded field models.
 #[derive(Debug, Clone)]
 pub struct Trainer {
     config: TrainConfig,
@@ -102,38 +96,11 @@ impl Trainer {
         &self,
         model: &mut FieldModel,
         decode: OutputDecode,
-        sample: S,
-    ) -> Result<TrainStats>
-    where
-        S: FnMut(&mut Pcg32, &mut [f32], &mut [f32]),
-    {
-        let out_dim = model.mlp.config().output_dim;
-        self.train_field_weighted(model, decode, &vec![1.0; out_dim], sample)
-    }
-
-    /// Like [`Trainer::train_field`], but with a per-output-channel loss
-    /// weight. NVR uses this to keep its wide-dynamic-range density
-    /// channel from drowning out the color channels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors from the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel_weights` has a different length than the model
-    /// output.
-    pub fn train_field_weighted<S>(
-        &self,
-        model: &mut FieldModel,
-        decode: OutputDecode,
-        channel_weights: &[f32],
         mut sample: S,
     ) -> Result<TrainStats>
     where
         S: FnMut(&mut Pcg32, &mut [f32], &mut [f32]),
     {
-        assert_eq!(channel_weights.len(), model.mlp.config().output_dim);
         let in_dim = model.encoding.config().dim;
         let out_dim = model.mlp.config().output_dim;
         let mut rng = Pcg32::with_stream(self.config.seed, 0x7541);
@@ -156,9 +123,8 @@ impl Trainer {
                 let mut decoded = raw.clone();
                 decode.apply(&mut decoded);
                 for c in 0..out_dim {
-                    let w = channel_weights[c];
-                    batch_loss += w * self.config.loss.value(decoded[c], target[c]);
-                    d_decoded[c] = w * self.config.loss.gradient(decoded[c], target[c]);
+                    batch_loss += self.config.loss.value(decoded[c], target[c]);
+                    d_decoded[c] = self.config.loss.gradient(decoded[c], target[c]);
                 }
                 decode.gradient(&raw, &decoded, &d_decoded, &mut d_raw);
                 model.backward(&input, &features, &trace, &d_raw, &mut grads)?;
@@ -215,86 +181,6 @@ impl Trainer {
         })
         .expect("nsdf model dimensions are consistent")
     }
-
-    /// Train an NVR model against an analytic volume scene. Density is
-    /// squashed through `log1p` for supervision to tame its dynamic range,
-    /// matching the sigma weighting of the config.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors from the model.
-    pub fn train_nvr(&self, model: &mut NvrModel, scene: &VolumeScene) -> TrainStats {
-        let decode = model.decode();
-        let scene = scene.clone();
-        // NVR's reflectance field is view-independent in our analytic
-        // target; use a fixed canonical direction for the color.
-        let dir = Vec3::new(0.0, 0.0, 1.0);
-        let weights = [1.0, 1.0, 1.0, self.config.sigma_weight];
-        self.train_field_weighted(model.field_mut(), decode, &weights, move |rng, input, target| {
-            let p = Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32());
-            input[0] = p.x;
-            input[1] = p.y;
-            input[2] = p.z;
-            let (c, sigma) = scene.sample(p, dir);
-            target[0] = c.x;
-            target[1] = c.y;
-            target[2] = c.z;
-            target[3] = sigma;
-        })
-        .expect("nvr model dimensions are consistent")
-    }
-
-    /// Train a NeRF model (density + color networks jointly) against an
-    /// analytic volume scene.
-    ///
-    /// # Errors
-    ///
-    /// Propagates dimension errors from the model.
-    pub fn train_nerf(&self, model: &mut NerfModel, scene: &VolumeScene) -> Result<TrainStats> {
-        let mut rng = Pcg32::with_stream(self.config.seed, 0x4EF);
-        let mut grads = NerfGrads::zeros_like(model);
-        let mut enc_adam =
-            Adam::new(self.config.adam, model.density_field().encoding.param_count());
-        let mut density_adam = Adam::new(self.config.adam, model.density_field().mlp.param_count());
-        let mut color_adam = Adam::new(self.config.adam, model.color_mlp().param_count());
-        let mut history = Vec::with_capacity(self.config.steps);
-
-        for _ in 0..self.config.steps {
-            grads.clear();
-            let mut batch_loss = 0.0f32;
-            for _ in 0..self.config.batch_size {
-                let p = Vec3::new(rng.next_f32(), rng.next_f32(), rng.next_f32());
-                let theta = (1.0 - 2.0 * rng.next_f32()).acos();
-                let phi = rng.range_f32(0.0, 2.0 * std::f32::consts::PI);
-                let dir = Vec3::from_spherical(theta, phi);
-                let (c_gt, sigma_gt) = scene.sample(p, dir);
-
-                let trace = model.forward_traced(p, dir)?;
-                let s = trace.sample;
-                // Color MSE.
-                let dc = Vec3::new(
-                    2.0 * (s.color.x - c_gt.x),
-                    2.0 * (s.color.y - c_gt.y),
-                    2.0 * (s.color.z - c_gt.z),
-                );
-                batch_loss += (s.color - c_gt).dot(s.color - c_gt);
-                // Weighted sigma MSE.
-                let w = self.config.sigma_weight;
-                let ds = 2.0 * w * (s.sigma - sigma_gt);
-                batch_loss += w * (s.sigma - sigma_gt) * (s.sigma - sigma_gt);
-                model.backward(p, &trace, dc, ds, &mut grads)?;
-            }
-            let scale = 1.0 / self.config.batch_size as f32;
-            grads.scale(scale);
-            batch_loss *= scale;
-            enc_adam
-                .step(model.density_field_mut().encoding.params_mut(), &grads.density.encoding)?;
-            density_adam.step(model.density_field_mut().mlp.params_mut(), &grads.density.mlp)?;
-            color_adam.step(model.color_mlp_mut().params_mut(), &grads.color_mlp)?;
-            history.push(batch_loss);
-        }
-        Ok(TrainStats::from_history(history))
-    }
 }
 
 #[cfg(test)]
@@ -338,33 +224,6 @@ mod tests {
         let inside = model.distance(Vec3::splat(0.5)).unwrap();
         let outside = model.distance(Vec3::new(0.02, 0.02, 0.02)).unwrap();
         assert!(inside < outside, "inside {inside} vs outside {outside}");
-    }
-
-    #[test]
-    fn nvr_loss_decreases() {
-        let scene = VolumeScene::random(3, 7);
-        let mut model = NvrModel::new(EncodingKind::MultiResHashGrid, 3);
-        let cfg = TrainConfig { steps: 60, batch_size: 256, ..TrainConfig::default() };
-        let stats = Trainer::new(cfg).train_nvr(&mut model, &scene);
-        // Batch losses are noisy; compare the mean of the first and last
-        // few steps.
-        let head: f32 = stats.history[..5].iter().sum::<f32>() / 5.0;
-        let tail: f32 = stats.history[stats.history.len() - 5..].iter().sum::<f32>() / 5.0;
-        assert!(tail < head, "loss head {head} vs tail {tail}");
-    }
-
-    #[test]
-    fn nerf_joint_training_decreases_loss() {
-        let scene = VolumeScene::random(3, 11);
-        let mut model = NerfModel::new(EncodingKind::LowResDenseGrid, 4);
-        let cfg = TrainConfig { steps: 30, batch_size: 96, ..TrainConfig::default() };
-        let stats = Trainer::new(cfg).train_nerf(&mut model, &scene).unwrap();
-        assert!(
-            stats.final_loss < stats.initial_loss,
-            "loss {} -> {}",
-            stats.initial_loss,
-            stats.final_loss
-        );
     }
 
     #[test]

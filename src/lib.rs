@@ -5,8 +5,8 @@
 //!
 //! * [`neural`] (`ng-neural`) — the neural-graphics software substrate:
 //!   instant-NGP-style multiresolution grid encodings, fully-fused-style
-//!   MLPs, the four applications (NeRF, NSDF, GIA, NVR), training,
-//!   rendering and synthetic scenes.
+//!   MLPs, the four applications (NeRF, NSDF, GIA, NVR), training, image
+//!   metrics and synthetic targets.
 //! * [`gpu`] (`ng-gpu`) — the analytical RTX 3090 performance model that
 //!   substitutes for the paper's Nsight profiling.
 //! * [`ngpc`] — the paper's contribution: the Neural Fields Processor

@@ -1,13 +1,12 @@
 //! Property-based tests (proptest) on the core invariants that hold for
 //! *arbitrary* inputs: encoding interpolation, hardware/software
-//! equivalence, compositing physics, optimizer behaviour and the
-//! emulator's ordering properties.
+//! equivalence, optimizer behaviour and the emulator's ordering
+//! properties.
 
 use neural_graphics_hw::prelude::*;
 use ng_neural::apps::nsdf::NsdfModel;
 use ng_neural::encoding::interp::CellPosition;
 use ng_neural::encoding::{Encoding, GridConfig, MultiResGrid};
-use ng_neural::render::volume::{composite_ray, RaymarchConfig};
 use ngpc::engine::FusedNfp;
 use proptest::prelude::*;
 
@@ -60,40 +59,6 @@ proptest! {
             FusedNfp::from_field_shared(NfpConfig::default(), model.field(), &table).unwrap();
         let p = [x, y, z];
         prop_assert_eq!(nfp.query(&p).unwrap(), model.field().forward(&p).unwrap());
-    }
-
-    #[test]
-    fn transmittance_is_monotone_in_density(
-        sigma_lo in 0.0f32..5.0,
-        extra in 0.01f32..5.0,
-    ) {
-        let cfg = RaymarchConfig { n_samples: 32, early_stop_transmittance: 0.0 };
-        let o = Vec3::ZERO;
-        let d = Vec3::new(0.0, 0.0, 1.0);
-        let t_lo = composite_ray(o, d, 0.0, 1.0, &cfg, |_| (Vec3::ZERO, sigma_lo)).transmittance;
-        let t_hi = composite_ray(o, d, 0.0, 1.0, &cfg, |_| (Vec3::ZERO, sigma_lo + extra))
-            .transmittance;
-        prop_assert!(t_hi <= t_lo + 1e-6);
-        prop_assert!((0.0..=1.0).contains(&t_lo));
-    }
-
-    #[test]
-    fn composited_color_is_convex_in_sample_colors(
-        r in 0.0f32..1.0,
-        g in 0.0f32..1.0,
-        b in 0.0f32..1.0,
-        sigma in 0.0f32..50.0,
-    ) {
-        // With constant sample color c, output = (1 - T) * c; channels
-        // never exceed c.
-        let cfg = RaymarchConfig::default();
-        let c = Vec3::new(r, g, b);
-        let out = composite_ray(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0), 0.0, 1.0, &cfg, |_| {
-            (c, sigma)
-        });
-        prop_assert!(out.color.x <= c.x + 1e-5);
-        prop_assert!(out.color.y <= c.y + 1e-5);
-        prop_assert!(out.color.z <= c.z + 1e-5);
     }
 
     #[test]
